@@ -51,12 +51,9 @@ from .reduction import (
     ConfigKind,
     PipelineResult,
     ReducibleConfig,
-    ResidualInstance,
     color_planar_no46,
     find_reducible_config,
-    merge,
-    residual,
-    restrict,
+    reduce_and_color,
     verify_config_reducible,
 )
 from .solver import (
@@ -83,7 +80,6 @@ __all__ = [
     "PipelineResult",
     "PlaneGraph",
     "ReducibleConfig",
-    "ResidualInstance",
     "apply_rules",
     "audit_cases",
     "brute_force_rep_set",
@@ -110,11 +106,9 @@ __all__ = [
     "load_catalog",
     "load_catalog_all",
     "max_impropriety",
-    "merge",
     "pendant_3faces",
     "random_cover",
-    "residual",
-    "restrict",
+    "reduce_and_color",
     "shared_edge_count",
     "trace_faces",
     "uniform_assignment",

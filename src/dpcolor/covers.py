@@ -27,16 +27,6 @@ Matching = tuple[tuple[int, int], ...]
 DEFAULT_BUDGET = 10**6
 
 
-def normalize_lists(graph: Graph, lists: Iterable[Iterable[int]]) -> Lists:
-    """Per-vertex color sets as sorted tuples, one entry per vertex."""
-    out = tuple(tuple(sorted(set(colors))) for colors in lists)
-    if len(out) != graph.n:
-        raise ValueError(
-            f"expected {graph.n} lists, got {len(out)}"
-        )
-    return out
-
-
 def uniform_assignment(n: int, k: int) -> Lists:
     """The canonical k-assignment: every vertex gets colors 1..k."""
     return (tuple(range(1, k + 1)),) * n

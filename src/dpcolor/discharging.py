@@ -29,6 +29,8 @@ from .embedding import Face, PlaneGraph, pendant_3faces
 from .errors import (
     ForbiddenCyclePresentError,
     HypothesisViolatedError,
+    InternalInvariantError,
+    NonPlanarEmbeddingError,
     TheoremViolationError,
 )
 from .graphs import has_forbidden_cycles
@@ -59,7 +61,7 @@ class ChargeLedger:
 
     Finals are always derived (initial - outgoing + incoming), so the
     conservation law ``sum(final) == sum(initial)`` holds by construction
-    and is re-asserted wherever a ledger is built.
+    and is re-checked wherever a ledger is built.
     """
 
     vertex_initial: tuple[int, ...]
@@ -83,9 +85,6 @@ class ChargeLedger:
     def final(self, element: Element) -> int:
         return self.initial(element) - self.outgoing(element) + self.incoming(element)
 
-    def final_total(self) -> int:
-        return self.initial_total
-
     def finals(self) -> dict[Element, int]:
         out: dict[Element, int] = {}
         for i, charge in enumerate(self.vertex_initial):
@@ -104,7 +103,11 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     vertex_initial = tuple(12 * g.degree(v) - 36 for v in range(g.n))
     face_initial = tuple(6 * f.degree - 36 for f in pg.faces)
     ledger = ChargeLedger(vertex_initial, face_initial, ())
-    assert ledger.initial_total == TOTAL_SIXTHS, ledger.initial_total
+    if ledger.initial_total != TOTAL_SIXTHS:
+        raise NonPlanarEmbeddingError(
+            f"initial charges total {charge_str(ledger.initial_total)}, not "
+            f"{charge_str(TOTAL_SIXTHS)}: the faces violate the Euler identity"
+        )
     return ledger
 
 
@@ -167,7 +170,8 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
                     Transfer("R5", ("vertex", v), ("face", fi), 4 * mult, mult)
                 )
     ledger = ChargeLedger(base.vertex_initial, base.face_initial, tuple(transfers))
-    assert sum(ledger.finals().values()) == TOTAL_SIXTHS
+    if sum(ledger.finals().values()) != TOTAL_SIXTHS:
+        raise InternalInvariantError("the transfer rules do not conserve charge")
     return ledger
 
 
@@ -205,15 +209,6 @@ class AuditReport:
     @property
     def all_audited_nonnegative(self) -> bool:
         return not self.failures()
-
-
-def _triangle_mates(pg: PlaneGraph, v: int) -> set[int]:
-    """Vertices sharing a 3-face with ``v``."""
-    mates: set[int] = set()
-    for face in pg.faces_at_vertex(v):
-        if face.degree == 3:
-            mates |= set(face.corners) - {v}
-    return mates
 
 
 def _three_neighbors(pg: PlaneGraph, v: int) -> list[int]:

@@ -20,6 +20,7 @@ from typing import Iterable
 from .errors import (
     DisconnectedError,
     ForbiddenCyclePresentError,
+    InternalInvariantError,
     InvalidRotationError,
     NonPlanarEmbeddingError,
 )
@@ -236,7 +237,10 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     for v in range(pg.graph.n):
         for face in pendant_3faces(pg, v):
             low = _is_pendant_triangle(pg, face)
-            assert low is not None
+            if low is None:
+                raise InternalInvariantError(
+                    f"face {face.index} was listed as pendant without a 3-corner"
+                )
             f1, f2 = pg.faces_at_edge(low, v)
             entries.append(
                 PropositionCheck(

@@ -9,6 +9,11 @@ class DpColorError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InternalInvariantError(DpColorError):
+    """A guarantee the package establishes itself does not hold: a bug,
+    not a bad input."""
+
+
 # --- graph construction ---------------------------------------------------
 
 class LoopEdgeError(DpColorError):
@@ -78,7 +83,9 @@ class EmptyListError(DpColorError):
 # --- reduction pipeline ---------------------------------------------------
 
 class ContractViolationError(DpColorError):
-    """A merge precondition failed (stale color, cross conflict, or bound)."""
+    """The pipeline's contract failed: an invalid or mismatched input cover,
+    an empty residual list, no admissible center color, or a final
+    impropriety above 1."""
 
 
 class TheoremViolationError(DpColorError):

@@ -9,7 +9,6 @@ identical values produce byte-identical files.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .covers import Cover
 from .discharging import AuditReport, ChargeLedger, charge_str
@@ -142,6 +141,11 @@ def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
+    """Trace document, steps in excision order.
+
+    As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
+    first) while ``colors`` follow the sorted order of ``vertices``.
+    """
     return _dumps(
         {
             "format": TRACE_FORMAT,
@@ -236,28 +240,3 @@ def audit_to_table(report: AuditReport) -> str:
     )
     return "\n".join(rows) + "\n"
 
-
-# --- path helpers -----------------------------------------------------------
-
-def read_graph(path) -> Graph:
-    return graph_from_text(Path(path).read_text())
-
-
-def write_graph(path, graph: Graph) -> None:
-    Path(path).write_text(graph_to_text(graph))
-
-
-def read_plane(path) -> PlaneGraph:
-    return plane_from_text(Path(path).read_text())
-
-
-def write_plane(path, pg: PlaneGraph) -> None:
-    Path(path).write_text(plane_to_text(pg))
-
-
-def read_cover(path) -> Cover:
-    return cover_from_text(Path(path).read_text())
-
-
-def write_cover(path, cover: Cover) -> None:
-    Path(path).write_text(cover_to_text(cover))

@@ -1,42 +1,49 @@
 """Reducible configurations and the constructive coloring pipeline.
 
 The pipeline colors a plane graph without 4- or 6-cycles from any cover
-with lists of size >= 3, keeping impropriety at most 1.  It repeatedly
-excises one of three degree-defined configurations, colors the rest
-recursively, and extends over the excised part:
+with lists of size >= 3, keeping impropriety at most 1.  Every nonempty
+subgraph of such a graph contains one of three degree-defined
+configurations:
 
 * ``low-vertex``: a vertex of degree <= 2;
 * ``adjacent-threes``: two adjacent vertices of degree 3;
 * ``four-three-threes``: a degree-4 vertex with three degree-3
   neighbors, the three pairwise nonadjacent.
 
-Extension works through residual lists: a color of an excised vertex
-survives only if no already-colored outside neighbor's choice is matched
-to it.  Surviving choices can then never conflict across the frontier, so
-a bounded-impropriety coloring of the excised part merges soundly.  The
-list-size floors (1, 1+1, and 2 for the center plus 1 per leaf) follow
-from each configuration's outside-neighbor counts, and every configuration
-is colorable at those floors; ``verify_config_reducible`` proves it by
-exhausting all residual covers.
+The pipeline runs in two passes over host vertex ids, without recursion
+and without relabelled subgraphs.  Pass 1 computes the whole excision
+order once over a mutable degree array, the smallest-last idea of Matula
+and Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates
+of each kind, so every step is the configuration ``find_reducible_config``
+would pick on the remainder.  Pass 2 colors the steps in reverse order
+through residual lists: a color of an excised vertex survives only if no
+already-colored neighbor's choice (the neighbors excised later) is
+matched to it.  Surviving choices can then never conflict across the
+frontier.  The list-size floors (1, 1+1, and 2 for the center plus 1 per
+leaf) follow from each configuration's outside-neighbor counts, and every
+configuration is colorable at those floors by the extension rule
+``_color_config``; ``verify_config_reducible`` proves it by exhausting
+all residual covers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Callable
 
 from .covers import Cover, Lists, validate_cover
 from .embedding import PlaneGraph
 from .errors import (
     ContractViolationError,
     ForbiddenCyclePresentError,
+    InternalInvariantError,
     ListTooSmallError,
-    PartialAssignmentError,
     TheoremViolationError,
 )
-from .graphs import Graph, build_graph, has_forbidden_cycles, induced_subgraph, normalize_vertex_set
+from .graphs import Graph, build_graph, has_forbidden_cycles, induced_subgraph
 from .solver import RepSet, brute_force_rep_set, impropriety
 
 
@@ -48,43 +55,23 @@ class ConfigKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ReducibleConfig:
-    """A configuration instance: its kind and the vertices to excise."""
+    """A configuration instance: its kind and the vertices to excise.
+
+    For ``four-three-threes`` the center comes first, then the leaves.
+    """
 
     kind: ConfigKind
     vertices: tuple[int, ...]
 
 
-class RestrictedCover(NamedTuple):
-    """Cover on the kept part of the host graph, plus its index map.
-
-    ``vertices[i]`` is the host index of the restricted graph's vertex i.
-    """
-
-    cover: Cover
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ResidualInstance:
-    """The excised subgraph with its surviving lists and cover.
-
-    ``vertices[i]`` maps the residual graph's vertex ``i`` back to the
-    host graph.  ``cover.lists`` are the residual lists: original colors
-    minus everything matched to a colored outside neighbor's choice.
-    """
-
-    graph: Graph
-    vertices: tuple[int, ...]
-    cover: Cover
-
-    @property
-    def lists(self) -> Lists:
-        return self.cover.lists
-
-
 @dataclass(frozen=True)
 class TraceStep:
-    """One excision: kind, host vertices, residual sizes, chosen colors."""
+    """One excision: kind, host vertices, residual sizes, chosen colors.
+
+    ``vertices`` and ``residual_sizes`` follow the configuration's order
+    (center first), but ``colors`` follows the sorted order of
+    ``vertices``; the two differ when a center is not its smallest vertex.
+    """
 
     kind: ConfigKind
     vertices: tuple[int, ...]
@@ -98,125 +85,13 @@ class PipelineResult:
     trace: tuple[TraceStep, ...]
 
 
-def restrict(cover: Cover, excised: Iterable[int]) -> RestrictedCover:
-    """Cover restricted to the complement of ``excised``.
-
-    Lists are kept verbatim; matchings survive exactly on edges with both
-    endpoints outside the excised set.
-    """
-    g = cover.graph
-    gone = set(normalize_vertex_set(g, excised))
-    kept = tuple(v for v in range(g.n) if v not in gone)
-    sub, _ = induced_subgraph(g, kept)
-    matchings = tuple(
-        cover.matching_of(kept[u], kept[v]) for u, v in sub.edges
-    )
-    lists = tuple(cover.lists[v] for v in kept)
-    out = Cover(graph=sub, lists=lists, matchings=matchings)
-    assert validate_cover(out) is None
-    return RestrictedCover(out, kept)
-
-
-def residual(
-    cover: Cover, outside_rep: RepSet, excised: Iterable[int]
-) -> ResidualInstance:
-    """Residual instance on ``excised`` after coloring everything else.
-
-    ``outside_rep`` is indexed like the restriction to the complement of
-    ``excised`` (position i = i-th kept vertex in sorted order).  For each
-    excised vertex, every color matched across an edge to the color chosen
-    at an outside neighbor is removed; matchings inside the excised part
-    are filtered to surviving colors.  Each residual list keeps at least
-    ``len(list) - #outside neighbors`` colors.
-    """
-    g = cover.graph
-    gone = normalize_vertex_set(g, excised)
-    gone_set = set(gone)
-    kept = tuple(v for v in range(g.n) if v not in gone_set)
-    if len(outside_rep) != len(kept):
-        raise PartialAssignmentError(
-            f"outside assignment covers {len(outside_rep)} of {len(kept)} vertices"
-        )
-    chosen = dict(zip(kept, outside_rep))
-    for v, c in chosen.items():
-        if c not in cover.lists[v]:
-            raise PartialAssignmentError(
-                f"outside color {c} not in list of vertex {v}"
-            )
-
-    surviving: dict[int, tuple[int, ...]] = {}
-    for x in gone:
-        removed: set[int] = set()
-        for u in g.adjacency[x]:
-            if u in gone_set:
-                continue
-            if u < x:
-                removed |= {cx for cu, cx in cover.matching_of(u, x) if cu == chosen[u]}
-            else:
-                removed |= {cx for cx, cu in cover.matching_of(x, u) if cu == chosen[u]}
-        surviving[x] = tuple(c for c in cover.lists[x] if c not in removed)
-
-    sub, vertices = induced_subgraph(g, gone)
-    lists = tuple(surviving[v] for v in vertices)
-    matchings = []
-    for a, b in sub.edges:
-        keep_a = set(lists[a])
-        keep_b = set(lists[b])
-        pairs = cover.matching_of(vertices[a], vertices[b])
-        matchings.append(
-            tuple(sorted((p, q) for p, q in pairs if p in keep_a and q in keep_b))
-        )
-    res_cover = Cover(graph=sub, lists=lists, matchings=tuple(matchings))
-    assert validate_cover(res_cover) is None
-    return ResidualInstance(graph=sub, vertices=vertices, cover=res_cover)
-
-
-def merge(
-    cover: Cover,
-    excised: Iterable[int],
-    outside_rep: RepSet,
-    excised_rep: RepSet,
-) -> RepSet:
-    """Combine outside and excised colorings into one representative set.
-
-    The contract is checked, not assumed: excised colors must survive the
-    residual computation (so no cover edge joins them to outside choices),
-    and the combined impropriety must stay within 1.
-    """
-    g = cover.graph
-    gone = normalize_vertex_set(g, excised)
-    res = residual(cover, outside_rep, gone)
-    if len(excised_rep) != len(gone):
-        raise PartialAssignmentError(
-            f"excised assignment covers {len(excised_rep)} of {len(gone)} vertices"
-        )
-    for i, c in enumerate(excised_rep):
-        if c not in res.lists[i]:
-            raise ContractViolationError(
-                f"color {c} at vertex {res.vertices[i]} was removed by the residual step"
-            )
-    kept = tuple(v for v in range(g.n) if v not in set(gone))
-    combined: list[int] = [0] * g.n
-    for v, c in zip(kept, outside_rep):
-        combined[v] = c
-    for v, c in zip(gone, excised_rep):
-        combined[v] = c
-    rep = tuple(combined)
-    counts = impropriety(cover, rep)
-    if max(counts, default=0) > 1:
-        raise ContractViolationError(
-            f"merged impropriety {max(counts)} exceeds 1"
-        )
-    return rep
-
-
 def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
     """First reducible configuration by kind priority, then vertex order.
 
-    Priority: low-vertex, then adjacent-threes, then four-three-threes.
-    Because adjacent degree-3 vertices are ruled out before the third kind
-    is considered, the three listed leaves are automatically pairwise
-    nonadjacent.
+    Priority: low-vertex, then adjacent-threes (in edge order), then
+    four-three-threes with its first three degree-3 neighbors.  Because
+    adjacent degree-3 vertices are ruled out before the third kind is
+    considered, the three listed leaves are pairwise nonadjacent.
     """
     degs = graph.degrees()
     for v in range(graph.n):
@@ -231,11 +106,139 @@ def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
         threes = [u for u in graph.adjacency[v] if degs[u] == 3]
         if len(threes) >= 3:
             leaves = tuple(threes[:3])
-            assert not any(
-                graph.has_edge(a, b) for a in leaves for b in leaves if a < b
-            )
+            if any(graph.has_edge(a, b) for a in leaves for b in leaves if a < b):
+                raise InternalInvariantError(
+                    f"leaves {leaves} of 4-vertex {v} are adjacent"
+                )
             return ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + leaves)
     return None
+
+
+_GONE = -1  # degree entry of an excised vertex
+
+
+def _pop_valid(heap: list, valid: Callable) -> object | None:
+    """Pop stale entries off ``heap``; pop and return the first valid one."""
+    while heap:
+        item = heappop(heap)
+        if valid(item):
+            return item
+    return None
+
+
+def _excision_order(graph: Graph) -> list[ReducibleConfig]:
+    """Pass 1: the configuration ``find_reducible_config`` picks at each step.
+
+    ``deg`` holds remainder degrees.  Each heap may hold stale entries;
+    they are dropped when they reach the top.  Low vertices and 3-3 edges
+    never become valid again once stale, and a 4-vertex is pushed again on
+    every event that can make it valid: its own drop to degree 4, or a
+    neighbor's drop to degree 3.
+    """
+    adj = graph.adjacency
+    deg = [len(nbrs) for nbrs in adj]
+    # sorted lists are valid heaps
+    low = [v for v in range(graph.n) if deg[v] <= 2]
+    pairs = [(u, v) for u, v in graph.edges if deg[u] == 3 and deg[v] == 3]
+    fours = [v for v in range(graph.n) if deg[v] == 4]
+
+    def leaves(v: int) -> tuple[int, ...] | None:
+        found = []
+        for u in adj[v]:
+            if deg[u] == 3:
+                found.append(u)
+                if len(found) == 3:
+                    return tuple(found)
+        return None
+
+    def is_low(v: int) -> bool:
+        return deg[v] != _GONE
+
+    def is_pair(edge: tuple[int, int]) -> bool:
+        return deg[edge[0]] == deg[edge[1]] == 3
+
+    def is_center(v: int) -> bool:
+        return deg[v] == 4 and leaves(v) is not None
+
+    order: list[ReducibleConfig] = []
+    remaining = graph.n
+    while remaining:
+        if (v := _pop_valid(low, is_low)) is not None:
+            config = ReducibleConfig(ConfigKind.LOW_VERTEX, (v,))
+        elif (edge := _pop_valid(pairs, is_pair)) is not None:
+            config = ReducibleConfig(ConfigKind.ADJACENT_THREES, edge)
+        elif (v := _pop_valid(fours, is_center)) is not None:
+            config = ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + leaves(v))
+        else:
+            names = tuple(v for v in range(graph.n) if deg[v] != _GONE)
+            raise TheoremViolationError(
+                "no reducible configuration in a nonempty graph "
+                f"on host vertices {names}",
+                graph=induced_subgraph(graph, names).graph,
+            )
+        order.append(config)
+        remaining -= len(config.vertices)
+        for x in config.vertices:
+            deg[x] = _GONE
+        for x in config.vertices:
+            for u in adj[x]:
+                if deg[u] == _GONE:
+                    continue
+                deg[u] -= 1
+                if deg[u] == 2:
+                    heappush(low, u)
+                elif deg[u] == 3:
+                    for w in adj[u]:
+                        if deg[w] == 3:
+                            heappush(pairs, (u, w) if u < w else (w, u))
+                        elif deg[w] == 4:
+                            heappush(fours, w)
+                elif deg[u] == 4:
+                    heappush(fours, u)
+    return order
+
+
+def _residual_list(cover: Cover, x: int, color: list[int | None]) -> tuple[int, ...]:
+    """Colors of ``x`` not matched to the choice of a colored neighbor."""
+    removed = set()
+    for u in cover.graph.adjacency[x]:
+        cu = color[u]
+        if cu is None:
+            continue
+        if u < x:
+            removed.update(cx for c, cx in cover.matching_of(u, x) if c == cu)
+        else:
+            removed.update(cx for cx, c in cover.matching_of(x, u) if c == cu)
+    return tuple(c for c in cover.lists[x] if c not in removed)
+
+
+def _color_config(
+    kind: ConfigKind, lists: Lists, conflicts: Callable[[int, int, int, int], bool]
+) -> tuple[int, ...]:
+    """The configuration's extension rule, in the configuration's order.
+
+    ``lists`` are the nonempty residual lists, center first, and
+    ``conflicts(i, ci, j, cj)`` tells whether colors ``ci`` at position
+    ``i`` and ``cj`` at position ``j`` meet a cover edge.
+
+    * low-vertex: any surviving color (smallest).
+    * adjacent-threes: any surviving color for each endpoint; even a
+      matched pair only costs impropriety 1.
+    * four-three-threes: color the leaves first, then give the center a
+      surviving color in conflict with at most one leaf; with two center
+      colors and three leaf choices matched to at most one center color
+      each, such a color exists by counting.
+    """
+    if kind is not ConfigKind.FOUR_THREE_THREES:
+        return tuple(colors[0] for colors in lists)
+    leaf_choice = (lists[1][0], lists[2][0], lists[3][0])
+    for c in lists[0]:
+        hits = sum(
+            1 for leaf, cl in enumerate(leaf_choice, 1) if conflicts(0, c, leaf, cl)
+        )
+        if hits <= 1:
+            return (c,) + leaf_choice
+    raise ContractViolationError("no center color conflicts with at most one leaf")
 
 
 _CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {}
@@ -271,42 +274,6 @@ def _partial_matchings(left: tuple[int, ...], right: tuple[int, ...]):
 
     rec(0, set(), [])
     return [tuple(m) for m in sorted(options)]
-
-
-def _color_config(kind: ConfigKind, res: ResidualInstance) -> RepSet:
-    """Apply the configuration's extension rule to a residual instance.
-
-    * low-vertex: any surviving color (smallest).
-    * adjacent-threes: any surviving color for each endpoint; even a
-      matched pair only costs impropriety 1.
-    * four-three-threes: color the leaves first, then give the center a
-      surviving color in conflict with at most one leaf; with two center
-      colors and three leaf choices matched to at most one center color
-      each, such a color exists by counting.
-    """
-    for i, colors in enumerate(res.lists):
-        if not colors:
-            raise ContractViolationError(
-                f"residual list of vertex {res.vertices[i]} is empty"
-            )
-    if kind in (ConfigKind.LOW_VERTEX, ConfigKind.ADJACENT_THREES):
-        return tuple(colors[0] for colors in res.lists)
-    leaf_choice = {leaf: res.lists[leaf][0] for leaf in (1, 2, 3)}
-    best: int | None = None
-    for c in res.lists[0]:
-        conflicts = sum(
-            1
-            for leaf, cl in leaf_choice.items()
-            if res.cover.conflicts(0, c, leaf, cl)
-        )
-        if conflicts <= 1:
-            best = c
-            break
-    if best is None:
-        raise ContractViolationError(
-            "no center color conflicts with at most one leaf"
-        )
-    return (best, leaf_choice[1], leaf_choice[2], leaf_choice[3])
 
 
 @dataclass(frozen=True)
@@ -347,8 +314,7 @@ def verify_config_reducible(
     verified = 0
     for matchings in product(*per_edge):
         cover = Cover(graph=shape, lists=lists, matchings=tuple(matchings))
-        res = ResidualInstance(graph=shape, vertices=tuple(range(shape.n)), cover=cover)
-        rep = _color_config(kind, res)
+        rep = _color_config(kind, lists, cover.conflicts)
         if max(impropriety(cover, rep), default=0) > 1:
             return ReducibilityReport(kind, total, verified, cover)
         if brute_force_rep_set(cover, 1) is None:
@@ -357,62 +323,50 @@ def verify_config_reducible(
     return ReducibilityReport(kind, total, verified, None)
 
 
-def _reduce_and_color(
-    graph: Graph, cover: Cover, names: tuple[int, ...]
-) -> tuple[RepSet, list[TraceStep]]:
-    if graph.n == 0:
-        return (), []
-    config = find_reducible_config(graph)
-    if config is None:
-        raise TheoremViolationError(
-            "no reducible configuration in a nonempty graph "
-            f"on host vertices {names}",
-            graph=graph,
+def reduce_and_color(cover: Cover) -> PipelineResult:
+    """Peel-and-extend on the cover's host graph, which may be any graph.
+
+    Raises ``ContractViolationError`` for a cover that fails
+    ``validate_cover``, ``TheoremViolationError`` when a nonempty remainder
+    has no reducible configuration, and ``ContractViolationError`` when a
+    residual list runs empty or the final coloring has impropriety above
+    1; lists of size >= 3 rule out the last two.
+    """
+    violation = validate_cover(cover)
+    if violation is not None:
+        raise ContractViolationError(f"invalid cover ({violation.clause}): {violation.message}")
+    order = _excision_order(cover.graph)
+    color: list[int | None] = [None] * cover.graph.n
+    steps: list[TraceStep] = []
+    for config in reversed(order):
+        vs = config.vertices
+        lists = tuple(_residual_list(cover, x, color) for x in vs)
+        for x, colors in zip(vs, lists):
+            if not colors:
+                raise ContractViolationError(f"residual list of vertex {x} is empty")
+        chosen = _color_config(
+            config.kind,
+            lists,
+            lambda i, ci, j, cj: cover.conflicts(vs[i], ci, vs[j], cj),
         )
-    gone = tuple(sorted(config.vertices))
-    sub_cover, kept = restrict(cover, gone)
-    sub_rep, trace = _reduce_and_color(
-        sub_cover.graph, sub_cover, tuple(names[v] for v in kept)
-    )
-    res = residual(cover, sub_rep, gone)
-    # order residual vertices the way the rule expects (center first)
-    if config.kind is ConfigKind.FOUR_THREE_THREES and gone[0] != config.vertices[0]:
-        res = _reorder_residual(res, config.vertices)
-        rep_local = _color_config(config.kind, res)
-        by_vertex = dict(zip(config.vertices, rep_local))
-        excised_rep = tuple(by_vertex[v] for v in gone)
-    else:
-        excised_rep = _color_config(config.kind, res)
-    merged = merge(cover, gone, sub_rep, excised_rep)
-    step = TraceStep(
-        kind=config.kind,
-        vertices=tuple(names[v] for v in config.vertices),
-        residual_sizes=tuple(len(colors) for colors in res.lists),
-        colors=excised_rep,
-    )
-    return merged, [step] + trace
-
-
-def _reorder_residual(res: ResidualInstance, order: tuple[int, ...]) -> ResidualInstance:
-    """Residual instance re-indexed so that ``order[i]`` becomes vertex i."""
-    position = {v: i for i, v in enumerate(res.vertices)}
-    perm = tuple(position[v] for v in order)  # new index -> old index
-    inv = {old: new for new, old in enumerate(perm)}
-    edges = [
-        tuple(sorted((inv[a], inv[b]))) for a, b in res.graph.edges
-    ]
-    g = build_graph(res.graph.n, edges)
-    lists = tuple(res.lists[old] for old in perm)
-    matchings = []
-    for a, b in g.edges:
-        oa, ob = perm[a], perm[b]
-        pairs = res.cover.matching_of(min(oa, ob), max(oa, ob))
-        if oa > ob:
-            pairs = tuple((q, p) for p, q in pairs)
-        matchings.append(tuple(sorted(pairs)))
-    cover = Cover(graph=g, lists=lists, matchings=tuple(matchings))
-    vertices = tuple(res.vertices[old] for old in perm)
-    return ResidualInstance(graph=g, vertices=vertices, cover=cover)
+        for x, c in zip(vs, chosen):
+            color[x] = c
+        steps.append(
+            TraceStep(
+                kind=config.kind,
+                vertices=vs,
+                residual_sizes=tuple(len(colors) for colors in lists),
+                colors=tuple(color[x] for x in sorted(vs)),
+            )
+        )
+    rep = tuple(color)
+    counts = impropriety(cover, rep)
+    worst = max(counts, default=0)
+    if worst > 1:
+        raise ContractViolationError(
+            f"impropriety {worst} at vertex {counts.index(worst)} exceeds 1"
+        )
+    return PipelineResult(rep_set=rep, trace=tuple(reversed(steps)))
 
 
 def color_planar_no46(pg: PlaneGraph, cover: Cover) -> PipelineResult:
@@ -427,12 +381,7 @@ def color_planar_no46(pg: PlaneGraph, cover: Cover) -> PipelineResult:
         raise ContractViolationError("cover host differs from the plane graph")
     if has_forbidden_cycles(pg.graph):
         raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
-    for v in range(pg.graph.n):
-        if len(cover.lists[v]) < 3:
-            raise ListTooSmallError(
-                f"list of vertex {v} has size {len(cover.lists[v])} < 3"
-            )
-    rep, trace = _reduce_and_color(
-        pg.graph, cover, tuple(range(pg.graph.n))
-    )
-    return PipelineResult(rep_set=rep, trace=tuple(trace))
+    for v, colors in enumerate(cover.lists):
+        if len(colors) < 3:
+            raise ListTooSmallError(f"list of vertex {v} has size {len(colors)} < 3")
+    return reduce_and_color(cover)

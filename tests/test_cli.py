@@ -101,6 +101,23 @@ def test_theorem_on_k3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["max_impropriety"] <= 1
 
 
+def test_theorem_on_a_path_past_the_recursion_limit(tmp_path, capsys):
+    n = 1601
+    path = write(
+        tmp_path,
+        "path.json",
+        json.dumps(
+            {
+                "format": "dpcolor-plane/1",
+                "n": n,
+                "rotations": [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)],
+            }
+        ),
+    )
+    assert main(["theorem", path, "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_impropriety"] <= 1
+
+
 def test_theorem_rejects_c4(tmp_path, capsys):
     path = write(tmp_path, "c4.json", plane_to_text(load_catalog("c4")))
     assert main(["theorem", path]) == 2

@@ -11,10 +11,8 @@ from dpcolor.fileio import (
     graph_to_text,
     plane_from_text,
     plane_to_text,
-    read_cover,
     trace_from_text,
     trace_to_text,
-    write_cover,
 )
 from dpcolor.graphs import build_graph
 from dpcolor.reduction import color_planar_no46
@@ -56,14 +54,13 @@ def test_plane_format_guard():
         plane_from_text("not json")
 
 
-def test_cover_round_trip_is_bit_exact(tmp_path):
+def test_cover_round_trip_is_bit_exact():
     g = load_catalog("bowtie").graph
     cover = random_cover(g, uniform_assignment(g.n, 3), seed=5, perfect=True)
-    path = tmp_path / "cover.json"
-    write_cover(path, cover)
-    again = read_cover(path)
+    text = cover_to_text(cover)
+    again = cover_from_text(text)
     assert again == cover
-    assert cover_to_text(again) == path.read_text()
+    assert cover_to_text(again) == text
 
 
 def test_cover_with_no_vertices():

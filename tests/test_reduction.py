@@ -1,35 +1,46 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor import reduction
 from dpcolor.catalog import load as load_catalog, no46_names
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
     random_cover,
     uniform_assignment,
-    validate_cover,
 )
+from dpcolor.embedding import trace_faces
 from dpcolor.errors import (
     ContractViolationError,
+    DpColorError,
     ForbiddenCyclePresentError,
     ListTooSmallError,
+    TheoremViolationError,
 )
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import build_graph
+from dpcolor.graphs import build_graph, induced_subgraph
 from dpcolor.reduction import (
     ConfigKind,
-    _reduce_and_color,
+    _excision_order,
+    _residual_list,
     color_planar_no46,
     find_reducible_config,
-    merge,
-    residual,
-    restrict,
+    reduce_and_color,
     verify_config_reducible,
 )
-from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
+from dpcolor.solver import brute_force_rep_set, max_impropriety
 
-from strategies import covers
+from strategies import graphs
+
+FLOORS = {
+    ConfigKind.LOW_VERTEX: (1,),
+    ConfigKind.ADJACENT_THREES: (1, 1),
+    ConfigKind.FOUR_THREE_THREES: (2, 1, 1, 1),
+}
 
 
 def p3_cover():
@@ -37,71 +48,29 @@ def p3_cover():
     return diagonal_cover(g, uniform_assignment(3, 3))
 
 
-def test_restrict_nothing_is_identity():
-    cover = p3_cover()
-    restricted, kept = restrict(cover, [])
-    assert restricted == cover and kept == (0, 1, 2)
-
-
-def test_restrict_everything_is_empty():
-    restricted, kept = restrict(p3_cover(), [0, 1, 2])
-    assert kept == () and restricted.graph.n == 0 and restricted.matchings == ()
-
-
-def test_restrict_middle_of_path():
-    restricted, kept = restrict(p3_cover(), [1])
-    assert kept == (0, 2)
-    assert restricted.graph.m == 0 and restricted.matchings == ()
-    assert validate_cover(restricted) is None
-
-
 def test_residual_removes_matched_colors():
-    # both outside neighbors of the middle vertex pin one color each
+    # both colored neighbors of the middle vertex pin one color each
     g = build_graph(3, [(0, 1), (1, 2)])
     lists = ((1,), (1, 2, 3), (2,))
     cover = diagonal_cover(g, lists)
-    res = residual(cover, (1, 2), [1])
-    assert res.vertices == (1,)
-    assert res.lists == ((3,),)
+    assert _residual_list(cover, 1, [1, None, 2]) == (3,)
 
 
 def test_residual_keeps_everything_without_outside_neighbors():
     g = build_graph(3, [(0, 1)])  # vertex 2 is isolated
     cover = diagonal_cover(g, uniform_assignment(3, 3))
-    res = residual(cover, (1, 2), [2])
-    assert res.lists == ((1, 2, 3),)
+    assert _residual_list(cover, 2, [1, 2, None]) == (1, 2, 3)
 
 
 def test_residual_ignores_unmatched_edges():
     g = build_graph(2, [(0, 1)])
     cover = Cover(graph=g, lists=((1,), (1, 2, 3)), matchings=((),))
-    res = residual(cover, (1,), [1])
-    assert res.lists == ((1, 2, 3),)
+    assert _residual_list(cover, 1, [1, None]) == (1, 2, 3)
 
 
 def test_residual_size_floor_on_path():
-    cover = p3_cover()
-    res = residual(cover, (1, 1), [1])
-    assert res.lists == ((2, 3),)  # one color removed by two agreeing neighbors
-
-
-def test_merge_on_path():
-    cover = p3_cover()
-    res = residual(cover, (1, 1), [1])
-    rep = merge(cover, [1], (1, 1), (res.lists[0][0],))
-    assert rep == (1, 2, 1)
-    assert impropriety(cover, rep) == (0, 0, 0)
-
-
-def test_merge_empty_excision_is_identity():
-    cover = p3_cover()
-    assert merge(cover, [], (1, 2, 3), ()) == (1, 2, 3)
-
-
-def test_merge_rejects_stale_color():
-    cover = p3_cover()
-    with pytest.raises(ContractViolationError):
-        merge(cover, [1], (1, 1), (1,))  # color 1 was removed at vertex 1
+    # one color removed by two agreeing neighbors
+    assert _residual_list(p3_cover(), 1, [1, None, 1]) == (2, 3)
 
 
 def test_config_priority_on_bowtie():
@@ -206,54 +175,194 @@ def test_reduction_through_four_config_on_k34():
     g = build_graph(7, [(s, t) for s in (0, 5, 6) for t in (1, 2, 3, 4)])
     for seed in range(8):
         cover = random_cover(g, uniform_assignment(7, 3), seed, perfect=True)
-        rep, trace = _reduce_and_color(g, cover, tuple(range(7)))
-        assert max_impropriety(cover, rep) <= 1
-        assert trace[0].kind is ConfigKind.FOUR_THREE_THREES
+        result = reduce_and_color(cover)
+        assert max_impropriety(cover, result.rep_set) <= 1
+        assert result.trace[0].kind is ConfigKind.FOUR_THREE_THREES
+
+
+def _min_degree_three_graph(seed: int):
+    """Random graph with degrees from 3..5, or (odd seeds) a bipartite one
+    with degree-4 vertices on one side and degree-3 on the other; loops
+    and repeated pairs are dropped, so a few degrees come out lower."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 5)
+    if seed % 2:
+        n = 7 * k
+        left = [v for v in range(3 * k) for _ in range(4)]
+        right = [v for v in range(3 * k, n) for _ in range(3)]
+        rng.shuffle(right)
+        stubs = [x for pair in zip(left, right) for x in pair]
+    else:
+        n = 6 * k
+        degrees = rng.choices((3, 4, 5), weights=(5, 4, 1), k=n)
+        stubs = [v for v, d in enumerate(degrees) for _ in range(d)]
+        rng.shuffle(stubs)
+    pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+    return build_graph(n, sorted(pairs))
+
+
+def _engine_run(cover):
+    """``reduce_and_color`` on the cover, or None if no configuration remains."""
+    try:
+        return reduce_and_color(cover)
+    except TheoremViolationError:
+        return None
 
 
 @settings(max_examples=60, deadline=None)
-@given(covers(max_n=6, max_k=3, perfect=True), st.randoms(use_true_random=False))
-def test_residual_size_floor(cover, rng):
-    g = cover.graph
-    split = [v for v in range(g.n) if rng.random() < 0.4]
-    if len(split) == g.n:
-        split = split[:-1]
-    kept = [v for v in range(g.n) if v not in set(split)]
-    outside = tuple(cover.lists[v][rng.randrange(len(cover.lists[v]))] for v in kept)
-    res = residual(cover, outside, split)
-    for i, x in enumerate(res.vertices):
-        outside_neighbors = sum(1 for u in g.adjacency[x] if u not in set(split))
-        assert len(res.lists[i]) >= len(cover.lists[x]) - outside_neighbors
+@given(graphs(max_n=8, min_n=1), st.integers(min_value=0, max_value=2**20))
+def test_residual_size_floor(graph, seed):
+    """Every step keeps its kind's floor, and at least the list size minus
+    the number of neighbors excised later."""
+    cover = random_cover(graph, uniform_assignment(graph.n, 3), seed, perfect=True)
+    result = _engine_run(cover)
+    if result is None:
+        return
+    position = {v: i for i, step in enumerate(result.trace) for v in step.vertices}
+    for i, step in enumerate(result.trace):
+        assert len(step.residual_sizes) == len(FLOORS[step.kind])
+        for x, size, floor in zip(step.vertices, step.residual_sizes, FLOORS[step.kind]):
+            later = sum(1 for u in graph.adjacency[x] if position[u] > i)
+            assert size >= max(floor, 3 - later)
 
 
-@settings(max_examples=40, deadline=None)
-@given(covers(max_n=6, max_k=3, perfect=True), st.randoms(use_true_random=False))
-def test_merge_preserves_outside_impropriety(cover, rng):
-    """Merging never disturbs the already-colored part.
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8, min_n=1), st.integers(min_value=0, max_value=2**20))
+def test_colors_avoid_later_neighbors(graph, seed):
+    """No step's color is matched to the color of a neighbor excised later."""
+    cover = random_cover(graph, uniform_assignment(graph.n, 3), seed, perfect=True)
+    result = _engine_run(cover)
+    if result is None:
+        return
+    rep = result.rep_set
+    position = {v: i for i, step in enumerate(result.trace) for v in step.vertices}
+    for i, step in enumerate(result.trace):
+        assert step.colors == tuple(rep[v] for v in sorted(step.vertices))
+        for x in step.vertices:
+            for u in graph.adjacency[x]:
+                if position[u] > i:
+                    assert not cover.conflicts(x, rep[x], u, rep[u]), (x, u)
+    assert max_impropriety(cover, rep) <= 1
 
-    The residual construction removes every color in conflict with the
-    outside choices, so the merged impropriety restricted to the kept
-    vertices must equal the restricted cover's impropriety exactly.
-    """
-    g = cover.graph
-    split = sorted(v for v in range(g.n) if rng.random() < 0.4)
-    kept = [v for v in range(g.n) if v not in set(split)]
-    sub_cover, _ = restrict(cover, split)
-    rprime = brute_force_rep_set(sub_cover, 1)
-    if rprime is None:
-        return
-    res = residual(cover, rprime, split)
-    if any(not colors for colors in res.lists):
-        return
-    rstar = brute_force_rep_set(res.cover, 1)
-    if rstar is None:
-        return
-    merged = merge(cover, split, rprime, rstar)
-    inner = impropriety(sub_cover, rprime)
-    full = impropriety(cover, merged)
-    assert max(full, default=0) <= 1
-    for i, v in enumerate(kept):
-        assert full[v] == inner[i]
+
+def _oracle_order(graph):
+    """Excisions by ``find_reducible_config`` on each induced remainder, and
+    the remainder left when it finds no configuration."""
+    remaining = tuple(range(graph.n))
+    steps = []
+    while remaining:
+        sub, names = induced_subgraph(graph, remaining)
+        config = find_reducible_config(sub)
+        if config is None:
+            break
+        vertices = tuple(names[v] for v in config.vertices)
+        steps.append((config.kind, vertices))
+        remaining = tuple(v for v in remaining if v not in vertices)
+    return steps, remaining
+
+
+def _check_order_against_oracle(graph):
+    steps, stuck = _oracle_order(graph)
+    if stuck:
+        with pytest.raises(TheoremViolationError) as info:
+            _excision_order(graph)
+        assert str(info.value).endswith(f"on host vertices {stuck}")
+        assert info.value.graph == induced_subgraph(graph, stuck).graph
+        return []
+    order = _excision_order(graph)
+    assert [(config.kind, config.vertices) for config in order] == steps
+    return order
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=9))
+def test_excision_order_matches_oracle_on_small_graphs(graph):
+    _check_order_against_oracle(graph)
+
+
+def test_excision_order_matches_oracle_on_min_degree_three_graphs():
+    kinds = set()
+    for seed in range(120):
+        order = _check_order_against_oracle(_min_degree_three_graph(seed))
+        kinds |= {config.kind for config in order}
+    assert kinds == set(ConfigKind)
+
+
+# Each graph needs one re-push event of ``_excision_order`` to find its
+# four-three-threes step: in the first, vertex 2 drops from degree 5 to 4
+# while it already has three 3-neighbors; in the second, a 4-vertex that
+# was dropped as stale later gains its third 3-neighbor.
+REPUSH_CASES = [
+    (8, [(0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 7), (2, 3), (2, 5),
+         (2, 6), (3, 4), (3, 7), (4, 6), (4, 7)]),
+    (22, [(0, 9), (0, 13), (0, 16), (1, 2), (1, 9), (1, 10), (1, 13), (2, 5), (2, 14),
+          (2, 15), (2, 21), (3, 13), (3, 17), (3, 19), (3, 21), (4, 5), (4, 7), (4, 8),
+          (4, 17), (5, 19), (5, 20), (6, 11), (6, 16), (6, 20), (7, 9), (7, 12), (7, 14),
+          (8, 13), (8, 19), (9, 17), (9, 19), (10, 15), (10, 17), (11, 16), (12, 14),
+          (12, 21), (13, 21), (14, 19), (15, 18), (15, 20), (17, 18), (17, 20), (18, 19)]),
+]
+
+
+@pytest.mark.parametrize("n, edges", REPUSH_CASES)
+def test_excision_order_repushes_four_vertices(n, edges):
+    order = _check_order_against_oracle(build_graph(n, edges))
+    assert ConfigKind.FOUR_THREE_THREES in {config.kind for config in order}
+
+
+def test_final_check_catches_a_broken_extension(monkeypatch):
+    # with residual lists that ignore colored neighbors, every vertex of a
+    # star takes color 1 and the diagonal cover puts 3 conflicts on the center
+    monkeypatch.setattr(reduction, "_residual_list", lambda cover, x, color: cover.lists[x])
+    star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(ContractViolationError, match="impropriety 3 at vertex 0"):
+        reduce_and_color(diagonal_cover(star, uniform_assignment(4, 3)))
+
+
+def _path_plane(n: int):
+    g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    return trace_faces(g, [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)])
+
+
+def _triangle_chain_plane(triangles: int):
+    """Triangles (2i, 2i+1, 2i+2) joined at the cut vertices 2i."""
+    n = 2 * triangles + 1
+    edges = []
+    for i in range(triangles):
+        a = 2 * i
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+    rotations = []
+    for v in range(n):
+        if v % 2:
+            rotations.append([v - 1, v + 1])
+            continue
+        ring = [v + 2, v + 1] if v + 2 < n else []
+        rotations.append(ring + ([v - 1, v - 2] if v > 0 else []))
+    return trace_faces(build_graph(n, edges), rotations)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [(_path_plane, 25_600), (_triangle_chain_plane, 12_800)],
+    ids=["path-25600", "chain-25601"],
+)
+def test_no_depth_limit(build, size):
+    pg = build(size)
+    # the excision count is far above the interpreter's recursion limit
+    assert pg.graph.n > 20 * sys.getrecursionlimit()
+    cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=1, perfect=True)
+    result = color_planar_no46(pg, cover)
+    assert len(result.trace) == pg.graph.n
+    assert max_impropriety(cover, result.rep_set) <= 1
+
+
+def test_pipeline_rejects_a_color_matched_twice():
+    pg = load_catalog("bowtie")
+    cover = random_cover(pg.graph, uniform_assignment(5, 3), seed=0, perfect=True)
+    (cu, cv), second = cover.matchings[0][0], cover.matchings[0][1]
+    bad = ((cu, cv), (cu, second[1])) + cover.matchings[0][2:]
+    broken = Cover(graph=pg.graph, lists=cover.lists, matchings=(bad,) + cover.matchings[1:])
+    with pytest.raises(DpColorError, match="matched twice"):
+        color_planar_no46(pg, broken)
 
 
 @settings(max_examples=40, deadline=None)
