@@ -33,6 +33,7 @@ from .embedding import (
     PlaneGraph,
     check_propositions,
     pendant_3faces,
+    plane_from_rotations,
     shared_edge_count,
     trace_faces,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "load_catalog_all",
     "max_impropriety",
     "pendant_3faces",
+    "plane_from_rotations",
     "random_cover",
     "reduce_and_color",
     "shared_edge_count",

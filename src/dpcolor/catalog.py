@@ -2,17 +2,19 @@
 
 Each entry stores a rotation system (the edges follow from it) plus the
 expected answer to "does the graph avoid 4- and 6-cycles?".  Loading an
-entry traces its faces and re-derives that flag, so a corrupted entry
-fails loudly.  ``gen15``/``gen20`` are frozen outputs of the random
-generator kept as larger regression instances.
+entry builds it with ``embedding.plane_from_rotations`` and re-derives
+that flag, so a corrupted entry fails loudly; the answer stays cached on
+the loaded graph for later checks.  ``gen15``/``gen20`` are frozen
+outputs of the random generator kept as larger regression instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import PlaneGraph, trace_faces
-from .graphs import Graph, build_graph, has_forbidden_cycles
+from .embedding import PlaneGraph, plane_from_rotations
+from .errors import InternalInvariantError
+from .graphs import has_forbidden_cycles
 
 
 @dataclass(frozen=True)
@@ -149,23 +151,14 @@ def entries() -> tuple[CatalogEntry, ...]:
     return _ENTRIES
 
 
-def graph_from_rotations(rotations) -> Graph:
-    edges = set()
-    for v, ring in enumerate(rotations):
-        for w in ring:
-            edges.add((min(v, w), max(v, w)))
-    return build_graph(len(tuple(rotations)), edges)
-
-
 def load(name: str) -> PlaneGraph:
     """Build, trace, and verify one catalog instance by name."""
     for entry in _ENTRIES:
         if entry.name == name:
-            graph = graph_from_rotations(entry.rotations)
-            pg = trace_faces(graph, entry.rotations)
-            actual = not has_forbidden_cycles(graph)
+            pg = plane_from_rotations(entry.rotations)
+            actual = not has_forbidden_cycles(pg.graph)
             if actual != entry.no46:
-                raise AssertionError(
+                raise InternalInvariantError(
                     f"catalog entry {name}: stored no46={entry.no46}, derived {actual}"
                 )
             return pg

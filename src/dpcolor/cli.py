@@ -74,8 +74,7 @@ def cmd_theorem(args) -> int:
     lists = uniform_assignment(pg.graph.n, 3)
     cover = random_cover(pg.graph, lists, seed=args.seed, perfect=True)
     result = color_planar_no46(pg, cover)
-    counts = impropriety(cover, result.rep_set)
-    _emit(coloring_to_text(result.rep_set, counts), args.out)
+    _emit(coloring_to_text(result.rep_set, result.impropriety), args.out)
     if args.trace_out:
         _emit(trace_to_text(result.trace), args.trace_out)
     return 0

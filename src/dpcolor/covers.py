@@ -73,7 +73,8 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
     """``None`` if the cover is well formed, else the first violation.
 
     Checks, in order: shape (one matching per edge, one list per vertex),
-    fiber membership of matched colors, and injectivity of each matching.
+    distinct colors in each list, fiber membership of matched colors, and
+    injectivity of each matching.
     Matchings exist only for host edges by construction, so the "no cross
     edges off host edges" clause cannot be violated here.
     """
@@ -84,6 +85,9 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
         return CoverViolation(
             "matching-shape", f"{len(cover.matchings)} matchings for {g.m} edges"
         )
+    for v, colors in enumerate(cover.lists):
+        if len(set(colors)) != len(colors):
+            return CoverViolation("fibers", f"list of {v} repeats a color: {list(colors)}")
     for (u, v), matching in zip(g.edges, cover.matchings):
         seen_u: set[int] = set()
         seen_v: set[int] = set()

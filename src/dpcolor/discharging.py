@@ -22,18 +22,19 @@ instead of failed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .embedding import Face, PlaneGraph, pendant_3faces
 from .errors import (
-    ForbiddenCyclePresentError,
     HypothesisViolatedError,
     InternalInvariantError,
     NonPlanarEmbeddingError,
     TheoremViolationError,
 )
-from .graphs import has_forbidden_cycles
+from .graphs import require_no_forbidden_cycles
 
 Element = tuple[str, int]  # ("vertex", i) or ("face", i)
 
@@ -61,7 +62,8 @@ class ChargeLedger:
 
     Finals are always derived (initial - outgoing + incoming), so the
     conservation law ``sum(final) == sum(initial)`` holds by construction
-    and is re-checked wherever a ledger is built.
+    and is re-checked wherever a ledger is built.  The transfers are
+    grouped by element once, on first use, for the per-element reads.
     """
 
     vertex_initial: tuple[int, ...]
@@ -76,11 +78,30 @@ class ChargeLedger:
         kind, i = element
         return self.vertex_initial[i] if kind == "vertex" else self.face_initial[i]
 
+    @cached_property
+    def _by_element(self) -> tuple[dict[Element, tuple[Transfer, ...]], ...]:
+        """(transfers by target, transfers by source), each in log order."""
+        into: dict[Element, list[Transfer]] = {}
+        out: dict[Element, list[Transfer]] = {}
+        for t in self.transfers:
+            into.setdefault(t.target, []).append(t)
+            out.setdefault(t.source, []).append(t)
+        return (
+            {e: tuple(ts) for e, ts in into.items()},
+            {e: tuple(ts) for e, ts in out.items()},
+        )
+
+    def transfers_in(self, element: Element) -> tuple[Transfer, ...]:
+        return self._by_element[0].get(element, ())
+
+    def transfers_out(self, element: Element) -> tuple[Transfer, ...]:
+        return self._by_element[1].get(element, ())
+
     def incoming(self, element: Element) -> int:
-        return sum(t.sixths for t in self.transfers if t.target == element)
+        return sum(t.sixths for t in self.transfers_in(element))
 
     def outgoing(self, element: Element) -> int:
-        return sum(t.sixths for t in self.transfers if t.source == element)
+        return sum(t.sixths for t in self.transfers_out(element))
 
     def final(self, element: Element) -> int:
         return self.initial(element) - self.outgoing(element) + self.incoming(element)
@@ -111,44 +132,32 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     return ledger
 
 
-def _face_incidences(pg: PlaneGraph, v: int) -> dict[int, int]:
-    """face index -> number of corners of ``v`` on that face."""
-    counts: dict[int, int] = {}
-    for face in pg.faces_at_vertex(v):
-        counts[face.index] = counts.get(face.index, 0) + 1
-    return counts
-
-
 def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     """Initial charges with all five transfer rules applied."""
-    if has_forbidden_cycles(pg.graph):
-        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
+    require_no_forbidden_cycles(pg.graph)
     g = pg.graph
     base = initial_charges(pg)
     transfers: list[Transfer] = []
+    fours = [v for v in range(g.n) if g.degree(v) >= 4]
+    threes = [v for v in range(g.n) if g.degree(v) == 3]
+    # vertex -> sorted (face index, corners of the vertex on that face)
+    incidences = {
+        v: sorted(Counter(f.index for f in pg.faces_at_vertex(v)).items())
+        for v in fours + threes
+    }
 
-    def face_degree(i: int) -> int:
-        return pg.faces[i].degree
+    def pay_incident_faces(rule: str, payers: list[int], face_degree: int, unit: int):
+        """Each payer sends ``unit`` per corner to each incident face of a degree."""
+        for v in payers:
+            for fi, mult in incidences[v]:
+                if pg.faces[fi].degree == face_degree:
+                    transfers.append(
+                        Transfer(rule, ("vertex", v), ("face", fi), unit * mult, mult)
+                    )
 
-    for v in range(g.n):  # R1, R2: 4+-vertices pay incident small faces
-        if g.degree(v) < 4:
-            continue
-        for fi, mult in sorted(_face_incidences(pg, v).items()):
-            if face_degree(fi) == 3:
-                transfers.append(
-                    Transfer("R1", ("vertex", v), ("face", fi), 6 * mult, mult)
-                )
-    for v in range(g.n):
-        if g.degree(v) < 4:
-            continue
-        for fi, mult in sorted(_face_incidences(pg, v).items()):
-            if face_degree(fi) == 5:
-                transfers.append(
-                    Transfer("R2", ("vertex", v), ("face", fi), 2 * mult, mult)
-                )
-    for v in range(g.n):  # R3: 4+-vertices pay their pendant 3-faces
-        if g.degree(v) < 4:
-            continue
+    pay_incident_faces("R1", fours, 3, 6)
+    pay_incident_faces("R2", fours, 5, 2)
+    for v in fours:  # R3: 4+-vertices pay their pendant 3-faces
         for face in pendant_3faces(pg, v):
             transfers.append(
                 Transfer("R3", ("vertex", v), ("face", face.index), 2)
@@ -161,14 +170,7 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
                 transfers.append(
                     Transfer("R4", ("face", face.index), ("vertex", v), 2 * mult, mult)
                 )
-    for v in range(g.n):  # R5: 3-vertices pay incident 3-faces
-        if g.degree(v) != 3:
-            continue
-        for fi, mult in sorted(_face_incidences(pg, v).items()):
-            if face_degree(fi) == 3:
-                transfers.append(
-                    Transfer("R5", ("vertex", v), ("face", fi), 4 * mult, mult)
-                )
+    pay_incident_faces("R5", threes, 3, 4)
     ledger = ChargeLedger(base.vertex_initial, base.face_initial, tuple(transfers))
     if sum(ledger.finals().values()) != TOTAL_SIXTHS:
         raise InternalInvariantError("the transfer rules do not conserve charge")
@@ -211,10 +213,6 @@ class AuditReport:
         return not self.failures()
 
 
-def _three_neighbors(pg: PlaneGraph, v: int) -> list[int]:
-    return [u for u in pg.graph.adjacency[v] if pg.graph.degree(u) == 3]
-
-
 def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
     """(case, pattern, compliant, reason) for a vertex.
 
@@ -233,7 +231,7 @@ def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
     small = [u for u in g.adjacency[v] if g.degree(u) < 3]
     if small:
         return (case, pattern, False, f"neighbor {small[0]} has degree below 3")
-    threes = _three_neighbors(pg, v)
+    threes = [u for u in g.adjacency[v] if g.degree(u) == 3]
     if deg == 3 and threes:
         return (case, pattern, False, f"adjacent degree-3 vertices {v} and {threes[0]}")
     if deg == 4 and len(threes) > 2:
@@ -279,71 +277,39 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
     return (f"{face.degree}-face", pattern, False, "no case for this face degree")
 
 
-def _fully_compliant(pg: PlaneGraph) -> bool:
-    g = pg.graph
-    if g.n == 0:
-        return False
-    if any(g.degree(v) < 3 for v in range(g.n)):
-        return False
-    for u, v in g.edges:
-        if g.degree(u) == 3 and g.degree(v) == 3:
-            return False
-    for v in range(g.n):
-        if g.degree(v) == 4 and len(_three_neighbors(pg, v)) > 2:
-            return False
-    return True
-
-
 def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
     """Classify every element and check finals in compliant neighborhoods.
 
-    Raises ``TheoremViolationError`` on a graph satisfying all structural
-    requirements everywhere: no such plane graph without 4-/6-cycles can
-    exist (its final charges would all be nonnegative yet sum to -12), so
-    meeting one means a bug upstream or an invalid embedding.
+    Raises ``TheoremViolationError`` when every vertex is inside the
+    analysis, i.e. the graph satisfies all structural requirements
+    everywhere: no such plane graph without 4-/6-cycles can exist (its
+    final charges would all be nonnegative yet sum to -12), so meeting one
+    means a bug upstream or an invalid embedding.
     """
-    if has_forbidden_cycles(pg.graph):
-        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
-    if _fully_compliant(pg):
+    require_no_forbidden_cycles(pg.graph)
+    vertex_cases = [(("vertex", v), _vertex_entry(pg, v)) for v in range(pg.graph.n)]
+    if vertex_cases and all(compliant for _, (_, _, compliant, _) in vertex_cases):
         raise TheoremViolationError(
             "graph satisfies every structural requirement; this contradicts "
             "the -12 total",
             graph=pg.graph,
         )
+    face_cases = [(("face", f.index), _face_entry(pg, f)) for f in pg.faces]
     finals = ledger.finals()
-    entries: list[AuditEntry] = []
-    for v in range(pg.graph.n):
-        case, pattern, compliant, reason = _vertex_entry(pg, v)
-        element: Element = ("vertex", v)
-        entries.append(
-            AuditEntry(
-                element=element,
-                case=case,
-                pattern=pattern,
-                compliant=compliant,
-                reason=reason,
-                initial=ledger.initial(element),
-                incoming=ledger.incoming(element),
-                outgoing=ledger.outgoing(element),
-                final=finals[element],
-            )
+    entries = [
+        AuditEntry(
+            element=element,
+            case=case,
+            pattern=pattern,
+            compliant=compliant,
+            reason=reason,
+            initial=ledger.initial(element),
+            incoming=ledger.incoming(element),
+            outgoing=ledger.outgoing(element),
+            final=finals[element],
         )
-    for face in pg.faces:
-        case, pattern, compliant, reason = _face_entry(pg, face)
-        element = ("face", face.index)
-        entries.append(
-            AuditEntry(
-                element=element,
-                case=case,
-                pattern=pattern,
-                compliant=compliant,
-                reason=reason,
-                initial=ledger.initial(element),
-                incoming=ledger.incoming(element),
-                outgoing=ledger.outgoing(element),
-                final=finals[element],
-            )
-        )
+        for element, (case, pattern, compliant, reason) in vertex_cases + face_cases
+    ]
     return AuditReport(
         entries=tuple(entries),
         initial_total=ledger.initial_total,

@@ -8,6 +8,11 @@ exactly one face walk, a bridge contributes both directions to the same
 walk, and for a connected plane embedding the Euler identity
 ``|V| - |E| + |F| = 2`` holds; the identity is checked and its failure
 means the rotation system does not describe a sphere embedding.
+
+``plane_from_rotations`` builds a plane graph from a rotation system, the
+one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
+shared by several consumers are derived once per graph and cached: the
+4-/6-cycle check on ``Graph``, the pendant 3-faces on ``PlaneGraph``.
 """
 
 from __future__ import annotations
@@ -15,16 +20,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedError,
-    ForbiddenCyclePresentError,
-    InternalInvariantError,
     InvalidRotationError,
     NonPlanarEmbeddingError,
 )
-from .graphs import Graph, has_forbidden_cycles, is_connected
+from .graphs import Graph, build_graph, is_connected, require_no_forbidden_cycles
 
 Rotation = tuple[tuple[int, ...], ...]
 
@@ -93,6 +96,49 @@ class PlaneGraph:
             self.faces[self.face_of_directed_edge[(v, u)]],
         )
 
+    @cached_property
+    def pendant_triangles(self) -> dict[int, tuple[tuple[Face, int], ...]]:
+        """Pendant 3-faces by payer, from one pass over the faces.
+
+        A (3,4+,4+)-face with degree-3 corner ``u`` is a pendant 3-face of
+        ``u``'s one neighbor off the face.  Maps that payer to its
+        ``(face, u)`` pairs in face-index order.
+        """
+        out: dict[int, list[tuple[Face, int]]] = {}
+        for face in self.faces:
+            degs = [self.graph.degree(u) for u in face.corners]
+            if face.degree != 3 or degs.count(3) != 1 or min(degs) < 3:
+                continue
+            low = face.corners[degs.index(3)]
+            for payer in self.graph.adjacency[low]:
+                if not face.contains_vertex(payer):
+                    out.setdefault(payer, []).append((face, low))
+        return {v: tuple(pairs) for v, pairs in out.items()}
+
+
+def graph_from_rotations(rotations: Sequence[Iterable[int]]) -> Graph:
+    """The simple graph with an edge ``{v, w}`` for each ``w`` in ring ``v``."""
+    edges = set()
+    for v, ring in enumerate(rotations):
+        for w in ring:
+            edges.add((v, w) if v < w else (w, v))
+    return build_graph(len(rotations), edges)
+
+
+def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
+    """Build the graph of a rotation system and trace its faces.
+
+    Raises ``InvalidRotationError`` on a ring that is not a list of
+    integers, and whatever ``build_graph`` and ``trace_faces`` raise on an
+    invalid graph or embedding.
+    """
+    for v, ring in enumerate(rotations):
+        if not isinstance(ring, (list, tuple)) or any(type(w) is not int for w in ring):
+            raise InvalidRotationError(
+                f"rotation at {v} is not a list of integers: {ring!r}"
+            )
+    return trace_faces(graph_from_rotations(rotations), rotations)
+
 
 def _normalize_rotation(graph: Graph, rotation: Iterable[Iterable[int]]) -> Rotation:
     rot = tuple(tuple(r) for r in rotation)
@@ -156,33 +202,13 @@ def shared_edge_count(f1: Face, f2: Face) -> int:
     return sum(shared.values())
 
 
-def _is_pendant_triangle(pg: PlaneGraph, face: Face) -> int | None:
-    """The unique degree-3 corner of a (3, 4+, 4+)-face, else ``None``."""
-    if face.degree != 3:
-        return None
-    degs = sorted(pg.graph.degree(u) for u in face.corners)
-    threes = [u for u in face.corners if pg.graph.degree(u) == 3]
-    if len(threes) == 1 and degs[1] >= 4:
-        return threes[0]
-    return None
-
-
 def pendant_3faces(pg: PlaneGraph, v: int) -> tuple[Face, ...]:
     """Faces that are pendant 3-faces of ``v``, sorted by face index.
 
     A pendant 3-face of ``v`` is a (3, 4+, 4+)-face not containing ``v``
     whose degree-3 vertex is adjacent to ``v``.
     """
-    out = []
-    for face in pg.faces:
-        low = _is_pendant_triangle(pg, face)
-        if low is None:
-            continue
-        if face.contains_vertex(v):
-            continue
-        if pg.graph.has_edge(v, low):
-            out.append(face)
-    return tuple(out)
+    return tuple(face for face, _ in pg.pendant_triangles.get(v, ()))
 
 
 @dataclass(frozen=True)
@@ -217,8 +243,7 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     * ``3face-count``: each vertex lies on at most floor(deg/2) distinct
       3-faces.
     """
-    if has_forbidden_cycles(pg.graph):
-        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
+    require_no_forbidden_cycles(pg.graph)
     entries: list[PropositionCheck] = []
     triangles = [f for f in pg.faces if f.degree == 3]
     for f in triangles:
@@ -235,12 +260,7 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
                     )
                 )
     for v in range(pg.graph.n):
-        for face in pendant_3faces(pg, v):
-            low = _is_pendant_triangle(pg, face)
-            if low is None:
-                raise InternalInvariantError(
-                    f"face {face.index} was listed as pendant without a 3-corner"
-                )
+        for face, low in pg.pendant_triangles.get(v, ()):
             f1, f2 = pg.faces_at_edge(low, v)
             entries.append(
                 PropositionCheck(
@@ -251,7 +271,7 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
                 )
             )
     for v in range(pg.graph.n):
-        on_triangles = {f.index for f in triangles if f.contains_vertex(v)}
+        on_triangles = {f.index for f in pg.faces_at_vertex(v) if f.degree == 3}
         bound = pg.graph.degree(v) // 2
         entries.append(
             PropositionCheck(

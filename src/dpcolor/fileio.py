@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 
-from .covers import Cover
+from .covers import Cover, validate_cover
 from .discharging import AuditReport, ChargeLedger, charge_str
-from .embedding import PlaneGraph, trace_faces
+from .embedding import PlaneGraph, plane_from_rotations
 from .errors import FileFormatError
 from .graphs import Graph, build_graph
 from .reduction import ConfigKind, TraceStep
@@ -37,6 +37,18 @@ def _load_json(text: str, expected_format: str) -> dict:
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise FileFormatError(f"expected format {expected_format!r}")
     return obj
+
+
+def _int_rows(rows, where: str, size: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as tuples of integers, each of length ``size`` if given."""
+    if type(rows) is not list:
+        raise FileFormatError(f"{where}: expected a list, got {rows!r}")
+    for i, row in enumerate(rows):
+        if type(row) is not list or not {int}.issuperset(map(type, row)) or (
+            size is not None and len(row) != size
+        ):
+            raise FileFormatError(f"{where}[{i}]: expected {size or 'a list of'} integers, got {row!r}")
+    return tuple(map(tuple, rows))
 
 
 # --- graphs as edge-list text ----------------------------------------------
@@ -80,13 +92,9 @@ def plane_to_text(pg: PlaneGraph) -> str:
 def plane_from_text(text: str) -> PlaneGraph:
     obj = _load_json(text, PLANE_FORMAT)
     rotations = obj["rotations"]
-    if len(rotations) != obj["n"]:
-        raise FileFormatError("rotation count differs from n")
-    edges = set()
-    for v, ring in enumerate(rotations):
-        for w in ring:
-            edges.add((min(v, w), max(v, w)))
-    return trace_faces(build_graph(obj["n"], edges), rotations)
+    if not isinstance(rotations, list) or len(rotations) != obj["n"]:
+        raise FileFormatError("rotations: expected a list of n rings")
+    return plane_from_rotations(rotations)
 
 
 # --- covers -----------------------------------------------------------------
@@ -106,19 +114,29 @@ def cover_to_text(cover: Cover) -> str:
 
 
 def cover_from_text(text: str) -> Cover:
+    """A cover document; a malformed one raises ``FileFormatError``.
+
+    Edges and matching pairs must be pairs of integers, lists must hold
+    integers, and the cover must pass ``validate_cover``.
+    """
     obj = _load_json(text, COVER_FORMAT)
-    graph = build_graph(obj["n"], [tuple(e) for e in obj["edges"]])
-    if [list(e) for e in graph.edges] != obj["edges"]:
+    if type(obj["n"]) is not int:
+        raise FileFormatError(f"n: expected an integer, got {obj['n']!r}")
+    edges = _int_rows(obj["edges"], "edges", 2)
+    graph = build_graph(obj["n"], edges)
+    if graph.edges != edges:
         raise FileFormatError("edges are not in canonical sorted order")
-    if len(obj["lists"]) != graph.n:
+    lists = _int_rows(obj["lists"], "lists")
+    if len(lists) != graph.n:
         raise FileFormatError("list count differs from n")
-    if len(obj["matchings"]) != graph.m:
-        raise FileFormatError("matching count differs from edge count")
-    lists = tuple(tuple(colors) for colors in obj["lists"])
-    matchings = tuple(
-        tuple(tuple(pair) for pair in matching) for matching in obj["matchings"]
-    )
-    return Cover(graph=graph, lists=lists, matchings=matchings)
+    if not isinstance(obj["matchings"], list) or len(obj["matchings"]) != graph.m:
+        raise FileFormatError(f"matchings: expected a list of {graph.m}, one per edge")
+    matchings = tuple(_int_rows(m, f"matchings[{i}]", 2) for i, m in enumerate(obj["matchings"]))
+    cover = Cover(graph=graph, lists=lists, matchings=matchings)
+    violation = validate_cover(cover)
+    if violation is not None:
+        raise FileFormatError(f"invalid cover ({violation.clause}): {violation.message}")
+    return cover
 
 
 # --- result documents -------------------------------------------------------
@@ -209,12 +227,8 @@ def audit_to_json_text(report: AuditReport, ledger: ChargeLedger) -> str:
                     "in": {"sixths": e.incoming, "display": charge_str(e.incoming)},
                     "out": {"sixths": e.outgoing, "display": charge_str(e.outgoing)},
                     "final": {"sixths": e.final, "display": charge_str(e.final)},
-                    "transfers_in": [
-                        transfer_doc(t) for t in ledger.transfers if t.target == e.element
-                    ],
-                    "transfers_out": [
-                        transfer_doc(t) for t in ledger.transfers if t.source == e.element
-                    ],
+                    "transfers_in": [transfer_doc(t) for t in ledger.transfers_in(e.element)],
+                    "transfers_out": [transfer_doc(t) for t in ledger.transfers_out(e.element)],
                 }
                 for e in report.entries
             ],

@@ -5,26 +5,20 @@ re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
 two.  Whenever a 4- or 6-cycle appears, repair deletes one of the cycle's
 edges (an edge on a cycle is never a bridge), so the graph stays connected
-and the embedding stays valid.  Every output is re-verified before being
-returned.  Distribution quality is a non-goal; validity and per-seed
-determinism are the contract.
+and the embedding stays valid.  Each move rebuilds the plane graph with
+``embedding.plane_from_rotations``; repair needs only the edges, so it
+calls ``embedding.graph_from_rotations`` and traces no faces.  Every
+output is re-verified before being returned.  Distribution quality is a
+non-goal; validity and per-seed determinism are the contract.
 """
 
 from __future__ import annotations
 
 import random
 
-from .embedding import PlaneGraph, trace_faces
+from .embedding import PlaneGraph, graph_from_rotations, plane_from_rotations
 from .errors import GenerationExhaustedError
-from .graphs import build_graph, has_forbidden_cycles, is_connected, list_cycles
-
-
-def _graph_from_rotations(rotations: list[list[int]]):
-    edges = set()
-    for v, ring in enumerate(rotations):
-        for w in ring:
-            edges.add((min(v, w), max(v, w)))
-    return build_graph(len(rotations), edges)
+from .graphs import has_forbidden_cycles, list_cycles
 
 
 def _add_pendant(rotations: list[list[int]], rng: random.Random) -> None:
@@ -96,7 +90,7 @@ def _delete_edge(rotations: list[list[int]], u: int, v: int) -> None:
 def _repair(rotations: list[list[int]], rng: random.Random, max_rounds: int) -> bool:
     """Delete one edge from some 4-/6-cycle until none remain."""
     for _ in range(max_rounds):
-        g = _graph_from_rotations(rotations)
+        g = graph_from_rotations(rotations)
         bad = list_cycles(g, 4) or list_cycles(g, 6)
         if not bad:
             return True
@@ -104,7 +98,7 @@ def _repair(rotations: list[list[int]], rng: random.Random, max_rounds: int) -> 
         pick = rng.randrange(len(cycle))
         u, v = cycle[pick], cycle[(pick + 1) % len(cycle)]
         _delete_edge(rotations, u, v)
-    g = _graph_from_rotations(rotations)
+    g = graph_from_rotations(rotations)
     return not (list_cycles(g, 4) or list_cycles(g, 6))
 
 
@@ -123,7 +117,7 @@ def generate_plane_no46(
         rotations: list[list[int]] = [[]]
         ok = True
         while len(rotations) < n:
-            pg = trace_faces(_graph_from_rotations(rotations), rotations)
+            pg = plane_from_rotations(rotations)
             roll = rng.random()
             if len(rotations) < 3 or roll < 0.35:
                 _add_pendant(rotations, rng)
@@ -139,17 +133,17 @@ def generate_plane_no46(
         if not ok:
             continue
         for _ in range(rng.randrange(3)):  # densify, then re-repair
-            pg = trace_faces(_graph_from_rotations(rotations), rotations)
+            pg = plane_from_rotations(rotations)
             _add_chord(rotations, pg, rng)
             if not _repair(rotations, rng, max_rounds=2 * n + 10):
                 ok = False
                 break
         if not ok:
             continue
-        g = _graph_from_rotations(rotations)
-        if g.n != n or not is_connected(g) or has_forbidden_cycles(g):
+        pg = plane_from_rotations(rotations)
+        if pg.graph.n != n or has_forbidden_cycles(pg.graph):
             continue
-        return trace_faces(g, rotations)
+        return pg
     raise GenerationExhaustedError(
         f"no valid instance for n={n} after {attempts} attempts"
     )

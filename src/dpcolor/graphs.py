@@ -8,11 +8,13 @@ a fixed sorted order so that solver traces and tests are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import (
     BadLengthError,
     DuplicateEdgeError,
+    ForbiddenCyclePresentError,
     IndexOutOfRangeError,
     LoopEdgeError,
     OverlappingSetsError,
@@ -49,6 +51,11 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
+
+    @cached_property
+    def has_forbidden_cycles(self) -> bool:
+        """True iff the graph has a 4- or 6-cycle; searched once per graph."""
+        return has_cycle_of_length(self, 4) or has_cycle_of_length(self, 6)
 
 
 class InducedSubgraph(NamedTuple):
@@ -206,5 +213,11 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
 
 
 def has_forbidden_cycles(graph: Graph) -> bool:
-    """True iff the graph contains a 4-cycle or a 6-cycle."""
-    return has_cycle_of_length(graph, 4) or has_cycle_of_length(graph, 6)
+    """True iff the graph contains a 4-cycle or a 6-cycle (cached per graph)."""
+    return graph.has_forbidden_cycles
+
+
+def require_no_forbidden_cycles(graph: Graph) -> None:
+    """Raise ``ForbiddenCyclePresentError`` if the graph has a 4- or 6-cycle."""
+    if has_forbidden_cycles(graph):
+        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")

@@ -38,12 +38,11 @@ from .covers import Cover, Lists, validate_cover
 from .embedding import PlaneGraph
 from .errors import (
     ContractViolationError,
-    ForbiddenCyclePresentError,
     InternalInvariantError,
     ListTooSmallError,
     TheoremViolationError,
 )
-from .graphs import Graph, build_graph, has_forbidden_cycles, induced_subgraph
+from .graphs import Graph, build_graph, induced_subgraph, require_no_forbidden_cycles
 from .solver import RepSet, brute_force_rep_set, impropriety
 
 
@@ -81,8 +80,11 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The coloring, its excision trace and its per-vertex impropriety."""
+
     rep_set: RepSet
     trace: tuple[TraceStep, ...]
+    impropriety: tuple[int, ...]
 
 
 def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
@@ -241,20 +243,12 @@ def _color_config(
     raise ContractViolationError("no center color conflicts with at most one leaf")
 
 
-_CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {}
-
-
-def _config_shape(kind: ConfigKind) -> tuple[Graph, tuple[int, ...]]:
-    """The excised graph of a configuration and its residual size floors."""
-    if kind not in _CONFIG_SHAPES:
-        if kind is ConfigKind.LOW_VERTEX:
-            shape = build_graph(1, []), (1,)
-        elif kind is ConfigKind.ADJACENT_THREES:
-            shape = build_graph(2, [(0, 1)]), (1, 1)
-        else:
-            shape = build_graph(4, [(0, 1), (0, 2), (0, 3)]), (2, 1, 1, 1)
-        _CONFIG_SHAPES[kind] = shape
-    return _CONFIG_SHAPES[kind]
+# The excised graph of each configuration and its residual size floors.
+_CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {
+    ConfigKind.LOW_VERTEX: (build_graph(1, []), (1,)),
+    ConfigKind.ADJACENT_THREES: (build_graph(2, [(0, 1)]), (1, 1)),
+    ConfigKind.FOUR_THREE_THREES: (build_graph(4, [(0, 1), (0, 2), (0, 3)]), (2, 1, 1, 1)),
+}
 
 
 def _partial_matchings(left: tuple[int, ...], right: tuple[int, ...]):
@@ -299,7 +293,7 @@ def verify_config_reducible(
     via the extension rule and via brute force; the first cover where
     either fails is returned as a counterexample.
     """
-    shape, floors = _config_shape(kind)
+    shape, floors = _CONFIG_SHAPES[kind]
     if sizes is None:
         sizes = floors
     if len(sizes) != shape.n or any(s < f for s, f in zip(sizes, floors)):
@@ -366,21 +360,20 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
         raise ContractViolationError(
             f"impropriety {worst} at vertex {counts.index(worst)} exceeds 1"
         )
-    return PipelineResult(rep_set=rep, trace=tuple(reversed(steps)))
+    return PipelineResult(rep_set=rep, trace=tuple(reversed(steps)), impropriety=counts)
 
 
 def color_planar_no46(pg: PlaneGraph, cover: Cover) -> PipelineResult:
     """Color a plane graph without 4-/6-cycles from lists of size >= 3.
 
     Returns a representative set of impropriety at most 1 together with
-    the excision trace.  Raises ``TheoremViolationError`` if no reducible
-    configuration is found on a nonempty remainder, which cannot happen
-    for valid inputs.
+    the excision trace and the per-vertex impropriety.  Raises
+    ``TheoremViolationError`` if no reducible configuration is found on a
+    nonempty remainder, which cannot happen for valid inputs.
     """
     if cover.graph != pg.graph:
         raise ContractViolationError("cover host differs from the plane graph")
-    if has_forbidden_cycles(pg.graph):
-        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
+    require_no_forbidden_cycles(pg.graph)
     for v, colors in enumerate(cover.lists):
         if len(colors) < 3:
             raise ListTooSmallError(f"list of vertex {v} has size {len(colors)} < 3")

@@ -27,6 +27,7 @@ from .covers import (
 from .errors import (
     BudgetExceededError,
     EmptyListError,
+    InternalInvariantError,
     NotInListError,
     PartialAssignmentError,
 )
@@ -253,7 +254,7 @@ def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
         result = is_dp_colorable(graph, k, 0, reduce_by_renaming=True, budget=budget)
         if result.colorable:
             return k
-    raise AssertionError("unreachable: max-degree+1 colors always suffice")
+    raise InternalInvariantError("unreachable: max-degree+1 colors always suffice")
 
 
 def list_relaxed_colorable(

@@ -1,8 +1,10 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the package's algorithms: cycles are found by
-checking subsets against permutations, and relaxed list colorings by
-enumerating raw color maps on the graph.
+checking subsets against permutations, relaxed list colorings by
+enumerating raw color maps on the graph, pendant 3-faces by scanning
+every face per vertex, and an element's transfers by scanning the whole
+transfer log.
 """
 
 from itertools import combinations, permutations, product
@@ -38,3 +40,24 @@ def relaxed_list_colorable(graph, lists, d):
         if ok:
             return coloring
     return None
+
+
+def pendant_3faces_scan(pg, v):
+    """(3,4+,4+)-faces not containing ``v`` whose degree-3 corner is adjacent to ``v``."""
+    out = []
+    for face in pg.faces:
+        if face.degree != 3 or v in face.corners:
+            continue
+        degs = sorted(pg.graph.degree(u) for u in face.corners)
+        threes = [u for u in face.corners if pg.graph.degree(u) == 3]
+        if len(threes) == 1 and degs[1] >= 4 and pg.graph.has_edge(v, threes[0]):
+            out.append(face)
+    return tuple(out)
+
+
+def transfers_scan(ledger, element):
+    """(transfers into ``element``, transfers out of it), in log order."""
+    return (
+        tuple(t for t in ledger.transfers if t.target == element),
+        tuple(t for t in ledger.transfers if t.source == element),
+    )

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from dpcolor import graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
 from dpcolor.covers import Cover, diagonal_cover, uniform_assignment
@@ -10,6 +13,8 @@ from dpcolor.fileio import (
     plane_to_text,
 )
 from dpcolor.graphs import build_graph
+
+from test_fileio import BAD_COVERS
 
 
 def write(tmp_path, name, text):
@@ -129,6 +134,32 @@ def test_solve_reports_degenerate_covers(tmp_path, capsys):
     path = write(tmp_path, "deg.json", cover_to_text(cover))
     assert main(["solve", path, "-d", "0"]) == 2
     assert "empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [text for text, _ in BAD_COVERS.values()], ids=BAD_COVERS)
+def test_solve_rejects_malformed_covers_with_one_line(tmp_path, capsys, text):
+    assert main(["solve", write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles"])
+def test_non_integer_rings_are_rejected_with_one_line(tmp_path, capsys, command):
+    text = json.dumps({"format": "dpcolor-plane/1", "n": 2, "rotations": [["1"], [0]]})
+    assert main([command, write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "rotation at 0" in err and err.count("\n") == 1
+
+
+def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):
+    path = write(tmp_path, "dodec.json", plane_to_text(load_catalog("dodecahedron")))
+    searched = []
+    search = graphs.has_cycle_of_length
+    monkeypatch.setattr(
+        graphs, "has_cycle_of_length", lambda graph, k: searched.append(k) or search(graph, k)
+    )
+    assert main(["audit", path, "--format", "json", "-o", str(tmp_path / "audit.json")]) == 0
+    assert searched == [4, 6]
 
 
 def test_audit_k4_reports_initial_table(tmp_path, capsys):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcolor.catalog import load as load_catalog, no46_names
+from dpcolor.catalog import entry_names, load as load_catalog, no46_names
 from dpcolor.embedding import (
     check_propositions,
     pendant_3faces,
+    plane_from_rotations,
     shared_edge_count,
     trace_faces,
 )
@@ -17,6 +18,8 @@ from dpcolor.errors import (
 )
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
+
+from oracles import pendant_3faces_scan
 
 K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
 
@@ -173,3 +176,25 @@ def test_generated_instances_satisfy_euler_and_propositions(n, seed):
     assert sum(f.degree for f in pg.faces) == 2 * pg.graph.m
     if not (pg.graph.n == 3 and pg.graph.m == 3):  # the bare triangle, see above
         assert check_propositions(pg).all_pass
+
+
+def _check_pendants_against_scan(pg):
+    for v in range(pg.graph.n):
+        assert pendant_3faces(pg, v) == pendant_3faces_scan(pg, v), v
+
+
+def test_pendant_map_matches_the_face_scan_on_the_catalog():
+    for name in entry_names():
+        _check_pendants_against_scan(load_catalog(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
+def test_pendant_map_matches_the_face_scan_on_generated_planes(n, seed):
+    _check_pendants_against_scan(generate_plane_no46(n, seed))
+
+
+@pytest.mark.parametrize("rotations", [[["1"], [0]], [[1.0], [0]], [[True], [0]], [1, [0]]])
+def test_rotations_must_be_lists_of_integers(rotations):
+    with pytest.raises(InvalidRotationError, match="rotation at 0"):
+        plane_from_rotations(rotations)

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from dpcolor.catalog import load as load_catalog
 from dpcolor.covers import random_cover, uniform_assignment
-from dpcolor.errors import FileFormatError
+from dpcolor.errors import FileFormatError, InvalidRotationError
 from dpcolor.fileio import (
     GRAPH_HEADER,
     cover_from_text,
@@ -73,8 +75,37 @@ def test_cover_format_rejects_scrambled_edges():
     text = cover_to_text(
         random_cover(build_graph(2, [(0, 1)]), uniform_assignment(2, 2), seed=1)
     ).replace('[\n      0,\n      1\n    ]', '[\n      1,\n      0\n    ]')
-    with pytest.raises((FileFormatError, Exception)):
+    with pytest.raises(FileFormatError):
         cover_from_text(text)
+
+
+def k2_cover_text(lists, matching):
+    """A cover document on one edge, written without the library's checks."""
+    doc = {"format": "dpcolor-cover/1", "n": 2, "edges": [[0, 1]]}
+    return json.dumps(doc | {"lists": lists, "matchings": [matching]})
+
+
+BAD_COVERS = {
+    "color-matched-twice-and-outside-every-list": (
+        k2_cover_text([[1, 2, 3], [1, 2, 3]], [[1, 1], [1, 2], [4, 3]]), "matched twice"
+    ),
+    "color-outside-every-list": (k2_cover_text([[1, 2], [1, 2]], [[3, 1]]), "not in list"),
+    "repeated-color": (k2_cover_text([[1, 1], [1, 2]], [[1, 2]]), "repeats a color"),
+    "three-element-pair": (k2_cover_text([[1, 2], [1, 2]], [[1, 2, 1]]), "expected 2 integers"),
+    "string-color": (k2_cover_text([["1", 2], [1, 2]], []), r"lists\[0\]"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_COVERS.values(), ids=BAD_COVERS)
+def test_cover_from_text_rejects_malformed_covers(text, message):
+    with pytest.raises(FileFormatError, match=message):
+        cover_from_text(text)
+
+
+def test_plane_from_text_rejects_non_integer_rings():
+    text = json.dumps({"format": "dpcolor-plane/1", "n": 2, "rotations": [["1"], [0]]})
+    with pytest.raises(InvalidRotationError, match="rotation at 0"):
+        plane_from_text(text)
 
 
 def test_trace_round_trip():
@@ -98,8 +129,6 @@ def test_coloring_round_trip():
 
 
 def test_audit_json_carries_per_element_transfers():
-    import json
-
     from dpcolor.discharging import apply_rules, audit_cases
     from dpcolor.fileio import audit_to_json_text
 

@@ -13,7 +13,7 @@ from dpcolor.covers import (
     random_cover,
     uniform_assignment,
 )
-from dpcolor.embedding import trace_faces
+from dpcolor.embedding import plane_from_rotations
 from dpcolor.errors import (
     ContractViolationError,
     DpColorError,
@@ -32,7 +32,7 @@ from dpcolor.reduction import (
     reduce_and_color,
     verify_config_reducible,
 )
-from dpcolor.solver import brute_force_rep_set, max_impropriety
+from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 
 from strategies import graphs
 
@@ -144,6 +144,18 @@ def test_pipeline_on_bowtie_many_covers():
         assert max_impropriety(cover, result.rep_set) <= 1
         assert brute_force_rep_set(cover, 1) is not None
         assert result.trace[0].kind is ConfigKind.LOW_VERTEX
+
+
+def test_pipeline_returns_its_impropriety_profile():
+    conflicts = 0
+    for name in no46_names():
+        pg = load_catalog(name)
+        for seed in range(3):
+            cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed, perfect=True)
+            result = color_planar_no46(pg, cover)
+            assert result.impropriety == impropriety(cover, result.rep_set)
+            conflicts += sum(result.impropriety)
+    assert conflicts > 0  # some profile is not all zeros
 
 
 def test_pipeline_on_empty_graph():
@@ -319,17 +331,12 @@ def test_final_check_catches_a_broken_extension(monkeypatch):
 
 
 def _path_plane(n: int):
-    g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
-    return trace_faces(g, [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)])
+    return plane_from_rotations([[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)])
 
 
 def _triangle_chain_plane(triangles: int):
     """Triangles (2i, 2i+1, 2i+2) joined at the cut vertices 2i."""
     n = 2 * triangles + 1
-    edges = []
-    for i in range(triangles):
-        a = 2 * i
-        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
     rotations = []
     for v in range(n):
         if v % 2:
@@ -337,7 +344,7 @@ def _triangle_chain_plane(triangles: int):
             continue
         ring = [v + 2, v + 1] if v + 2 < n else []
         rotations.append(ring + ([v - 1, v - 2] if v > 0 else []))
-    return trace_faces(build_graph(n, edges), rotations)
+    return plane_from_rotations(rotations)
 
 
 @pytest.mark.parametrize(
