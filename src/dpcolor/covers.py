@@ -4,9 +4,11 @@ A list assignment gives each vertex a finite set of integer colors; it is
 stored as a tuple of sorted color tuples indexed by vertex.  A cover pairs
 the host graph with one partial injective matching per host edge: matching
 pairs ``(cu, cv)`` relate a color of the smaller-indexed endpoint to a
-color of the larger one.  Colors carry no global meaning (only matchings
-decide conflicts), and the clique inside each vertex's fiber is implicit
-(choosing one color per vertex encodes it).
+color of the larger one.  Other modules read matchings only through
+``Cover.partners`` and ``Cover.conflicts``, which hide that orientation.
+Colors carry no global meaning (only matchings decide conflicts), and the
+clique inside each vertex's fiber is implicit (choosing one color per
+vertex encodes it).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from typing import Iterable, Iterator
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UnequalListsError
 from .graphs import Graph
@@ -46,19 +48,22 @@ class Cover:
     matchings: tuple[Matching, ...]
 
     @cached_property
-    def _edge_index(self) -> dict[tuple[int, int], int]:
-        return {edge: i for i, edge in enumerate(self.graph.edges)}
+    def partners(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """``partners[u][v][cu]``: the color of ``v`` matched with ``cu`` on edge {u, v}.
 
-    def matching_of(self, u: int, v: int) -> Matching:
-        """Matching of edge {u, v}, oriented as stored (smaller index first)."""
-        key = (u, v) if u < v else (v, u)
-        return self.matchings[self._edge_index[key]]
+        ``partners[u]`` lists ``u``'s neighbors in edge order; a color left
+        unmatched is absent.  Matchings are taken to be injective, which
+        ``validate_cover`` checks.
+        """
+        maps: tuple[dict[int, dict[int, int]], ...] = tuple({} for _ in range(self.graph.n))
+        for (u, v), matching in zip(self.graph.edges, self.matchings):
+            maps[u][v] = {cu: cv for cu, cv in matching}
+            maps[v][u] = {cv: cu for cu, cv in matching}
+        return maps
 
     def conflicts(self, u: int, cu: int, v: int, cv: int) -> bool:
         """True iff choosing ``cu`` at ``u`` and ``cv`` at ``v`` meet a cover edge."""
-        if u < v:
-            return (cu, cv) in self.matching_of(u, v)
-        return (cv, cu) in self.matching_of(v, u)
+        return self.partners[u][v].get(cu) == cv
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,16 @@ def diagonal_cover(graph: Graph, lists: Lists) -> Cover:
     return Cover(graph=graph, lists=lists, matchings=matchings)
 
 
+def _perfect_sizes(graph: Graph, lists: Lists) -> list[int]:
+    """Per-edge list sizes; a perfect matching needs them equal at both ends."""
+    for u, v in graph.edges:
+        if len(lists[u]) != len(lists[v]):
+            raise UnequalListsError(
+                f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
+            )
+    return [len(lists[u]) for u, _ in graph.edges]
+
+
 def random_cover(
     graph: Graph, lists: Lists, seed: int, perfect: bool = False
 ) -> Cover:
@@ -134,15 +149,13 @@ def random_cover(
     Without ``perfect``, a random bijection-shaped pairing is thinned by
     dropping each pair with probability 1/2.
     """
+    if perfect:
+        _perfect_sizes(graph, lists)
     rng = random.Random(seed)
     matchings: list[Matching] = []
     for u, v in graph.edges:
         cu = list(lists[u])
         cv = list(lists[v])
-        if perfect and len(cu) != len(cv):
-            raise UnequalListsError(
-                f"edge {(u, v)}: list sizes {len(cu)} != {len(cv)}"
-            )
         width = min(len(cu), len(cv))
         rng.shuffle(cv)
         pairs = list(zip(cu, cv[:width]))
@@ -154,14 +167,28 @@ def random_cover(
 
 def count_perfect_covers(graph: Graph, lists: Lists) -> int:
     """Number of covers whose matchings are all bijections."""
-    total = 1
-    for u, v in graph.edges:
-        if len(lists[u]) != len(lists[v]):
-            raise UnequalListsError(
-                f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
-            )
-        total *= math.factorial(len(lists[u]))
-    return total
+    return math.prod(math.factorial(size) for size in _perfect_sizes(graph, lists))
+
+
+def partial_matchings(left: tuple[int, ...], right: tuple[int, ...]) -> list[Matching]:
+    """Every partial injective matching between two color lists, sorted."""
+    return sorted(
+        tuple(sorted(zip(chosen, image)))
+        for k in range(min(len(left), len(right)) + 1)
+        for chosen in combinations(left, k)
+        for image in permutations(right, k)
+    )
+
+
+def enumerate_covers(
+    graph: Graph, lists: Lists, options: Sequence[Sequence[Matching]]
+) -> Iterator[Cover]:
+    """One cover per choice of a matching from ``options[i]`` for each edge ``i``.
+
+    Covers come in product order: the last edge's choice varies fastest.
+    """
+    for matchings in product(*options):
+        yield Cover(graph=graph, lists=lists, matchings=matchings)
 
 
 def enumerate_perfect_covers(
@@ -177,41 +204,19 @@ def enumerate_perfect_covers(
     spanning-tree reduction in the solver); by default all edges are free.
     The number of covers to be yielded is checked against ``budget`` first.
     """
-    per_edge_sizes = []
-    for u, v in graph.edges:
-        if len(lists[u]) != len(lists[v]):
-            raise UnequalListsError(
-                f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
-            )
-        per_edge_sizes.append(len(lists[u]))
+    sizes = _perfect_sizes(graph, lists)
     free = set(range(graph.m)) if free_edges is None else set(free_edges)
-    total = 1
-    for i, size in enumerate(per_edge_sizes):
-        if i in free:
-            total *= math.factorial(size)
+    total = math.prod(math.factorial(size) for i, size in enumerate(sizes) if i in free)
     if total > budget:
         raise BudgetExceededError(f"{total} covers exceed budget {budget}")
-
-    def matchings_for(edge_index: int) -> list[Matching]:
-        u, v = graph.edges[edge_index]
-        cu = lists[u]
-        cv = lists[v]
-        if edge_index not in free:
-            return [tuple(sorted(zip(cu, cv)))]
-        return [
-            tuple(sorted(zip(cu, image))) for image in permutations(cv)
+    options = [
+        [
+            tuple(sorted(zip(lists[u], image)))
+            for image in (permutations(lists[v]) if i in free else (lists[v],))
         ]
-
-    def rec(edge_index: int, chosen: list[Matching]) -> Iterator[Cover]:
-        if edge_index == graph.m:
-            yield Cover(graph=graph, lists=lists, matchings=tuple(chosen))
-            return
-        for matching in matchings_for(edge_index):
-            chosen.append(matching)
-            yield from rec(edge_index + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+        for i, (u, v) in enumerate(graph.edges)
+    ]
+    yield from enumerate_covers(graph, lists, options)
 
 
 def delete_cover_pairs(cover: Cover, drops: Iterable[tuple[int, tuple[int, int]]]) -> Cover:

@@ -103,9 +103,6 @@ class ChargeLedger:
     def outgoing(self, element: Element) -> int:
         return sum(t.sixths for t in self.transfers_out(element))
 
-    def final(self, element: Element) -> int:
-        return self.initial(element) - self.outgoing(element) + self.incoming(element)
-
     def finals(self) -> dict[Element, int]:
         out: dict[Element, int] = {}
         for i, charge in enumerate(self.vertex_initial):

@@ -247,9 +247,9 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     entries: list[PropositionCheck] = []
     triangles = [f for f in pg.faces if f.degree == 3]
     for f in triangles:
-        for g in pg.faces:
-            if g.index == f.index:
-                continue
+        # only the faces across its edges can share an edge with f
+        across = {g.index for u, v in f.walk for g in pg.faces_at_edge(u, v)} - {f.index}
+        for g in (pg.faces[i] for i in sorted(across)):
             if shared_edge_count(f, g) == 1:
                 entries.append(
                     PropositionCheck(

@@ -72,6 +72,10 @@ class PartialAssignmentError(DpColorError):
     """An assignment required to be total leaves some vertex unassigned."""
 
 
+class NegativeImproprietyError(DpColorError):
+    """An impropriety bound below 0 was requested; no count can meet it."""
+
+
 class EmptyListError(DpColorError):
     """Some vertex has an empty color list, so no assignment can exist.
 

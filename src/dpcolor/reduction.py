@@ -29,12 +29,12 @@ all residual covers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import product
 from typing import Callable
 
-from .covers import Cover, Lists, validate_cover
+from .covers import Cover, Lists, enumerate_covers, partial_matchings, validate_cover
 from .embedding import PlaneGraph
 from .errors import (
     ContractViolationError,
@@ -202,15 +202,10 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
 
 def _residual_list(cover: Cover, x: int, color: list[int | None]) -> tuple[int, ...]:
     """Colors of ``x`` not matched to the choice of a colored neighbor."""
-    removed = set()
-    for u in cover.graph.adjacency[x]:
-        cu = color[u]
-        if cu is None:
-            continue
-        if u < x:
-            removed.update(cx for c, cx in cover.matching_of(u, x) if c == cu)
-        else:
-            removed.update(cx for cx, c in cover.matching_of(x, u) if c == cu)
+    partners = cover.partners
+    removed = {
+        partners[u][x].get(color[u]) for u in cover.graph.adjacency[x] if color[u] is not None
+    }
     return tuple(c for c in cover.lists[x] if c not in removed)
 
 
@@ -251,25 +246,6 @@ _CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {
 }
 
 
-def _partial_matchings(left: tuple[int, ...], right: tuple[int, ...]):
-    """All partial injective matchings between two color lists."""
-    options: list[list[tuple[int, int]]] = []
-
-    def rec(i: int, used: set[int], acc: list[tuple[int, int]]):
-        if i == len(left):
-            options.append(sorted(acc))
-            return
-        rec(i + 1, used, acc)
-        for c in right:
-            if c not in used:
-                acc.append((left[i], c))
-                rec(i + 1, used | {c}, acc)
-                acc.pop()
-
-    rec(0, set(), [])
-    return [tuple(m) for m in sorted(options)]
-
-
 @dataclass(frozen=True)
 class ReducibilityReport:
     """Exhaustive verification outcome for one configuration kind."""
@@ -299,15 +275,10 @@ def verify_config_reducible(
     if len(sizes) != shape.n or any(s < f for s, f in zip(sizes, floors)):
         raise ValueError(f"sizes {sizes} below floors {floors}")
     lists = tuple(tuple(range(1, s + 1)) for s in sizes)
-    per_edge = [
-        _partial_matchings(lists[u], lists[v]) for u, v in shape.edges
-    ]
-    total = 1
-    for options in per_edge:
-        total *= len(options)
+    options = [partial_matchings(lists[u], lists[v]) for u, v in shape.edges]
+    total = math.prod(map(len, options))
     verified = 0
-    for matchings in product(*per_edge):
-        cover = Cover(graph=shape, lists=lists, matchings=tuple(matchings))
+    for cover in enumerate_covers(shape, lists, options):
         rep = _color_config(kind, lists, cover.conflicts)
         if max(impropriety(cover, rep), default=0) > 1:
             return ReducibilityReport(kind, total, verified, cover)

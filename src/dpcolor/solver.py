@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceededError,
     EmptyListError,
     InternalInvariantError,
+    NegativeImproprietyError,
     NotInListError,
     PartialAssignmentError,
 )
@@ -50,8 +51,9 @@ def impropriety(cover: Cover, rep: RepSet) -> tuple[int, ...]:
     """Per-vertex conflict counts of a total assignment."""
     _check_total(cover, rep)
     counts = [0] * cover.graph.n
-    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
-        if (rep[u], rep[v]) in matching:
+    partners = cover.partners
+    for u, v in cover.graph.edges:
+        if partners[u][v].get(rep[u]) == rep[v]:
             counts[u] += 1
             counts[v] += 1
     return tuple(counts)
@@ -61,13 +63,13 @@ def max_impropriety(cover: Cover, rep: RepSet) -> int:
     return max(impropriety(cover, rep), default=0)
 
 
-def _conflict_maps(cover: Cover) -> list[dict[int, dict[int, int]]]:
-    """maps[u][v][cu] -> the color of v matched with cu on edge {u, v}."""
-    maps: list[dict[int, dict[int, int]]] = [dict() for _ in range(cover.graph.n)]
-    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
-        maps[u][v] = {cu: cv for cu, cv in matching}
-        maps[v][u] = {cv: cu for cu, cv in matching}
-    return maps
+def _check_search(cover: Cover, d: int) -> None:
+    """The preconditions both solvers share: ``d >= 0`` and no empty list."""
+    if d < 0:
+        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
+    for v, colors in enumerate(cover.lists):
+        if not colors:
+            raise EmptyListError(f"vertex {v} has an empty list")
 
 
 def find_rep_set(
@@ -80,15 +82,14 @@ def find_rep_set(
     ascending conflict count against the current partial assignment.  A
     branch dies when an assigned vertex would exceed ``d`` or when some
     unassigned vertex keeps no viable color.  ``budget`` caps search-tree
-    nodes and raises rather than hang.
+    nodes and raises rather than hang.  Raises
+    ``NegativeImproprietyError`` for ``d < 0``.
     """
+    _check_search(cover, d)
     g = cover.graph
     if g.n == 0:
         return ()
-    for v in range(g.n):
-        if not cover.lists[v]:
-            raise EmptyListError(f"vertex {v} has an empty list")
-    maps = _conflict_maps(cover)
+    partners = cover.partners
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     rank = {v: i for i, v in enumerate(order)}
     chosen: list[int | None] = [None] * g.n
@@ -97,7 +98,7 @@ def find_rep_set(
 
     def viable(v: int, c: int) -> bool:
         hits = 0
-        for u, pairing in maps[v].items():
+        for u, pairing in partners[v].items():
             if chosen[u] is not None and pairing.get(c) == chosen[u]:
                 if counts[u] >= d:
                     return False
@@ -114,29 +115,26 @@ def find_rep_set(
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes")
         v = order[pos]
-        candidates = sorted(
-            (c for c in cover.lists[v] if viable(v, c)),
-            key=lambda c: (
-                sum(
-                    1
-                    for u, pairing in maps[v].items()
-                    if chosen[u] is not None and pairing.get(c) == chosen[u]
-                ),
-                c,
-            ),
-        )
-        for c in candidates:
-            bumped = []
-            for u, pairing in maps[v].items():
-                if chosen[u] is not None and pairing.get(c) == chosen[u]:
-                    counts[u] += 1
-                    bumped.append(u)
+        # the assigned neighbors each color conflicts with, found once
+        candidates = []
+        for c in cover.lists[v]:
+            hit = [
+                u
+                for u, pairing in partners[v].items()
+                if chosen[u] is not None and pairing.get(c) == chosen[u]
+            ]
+            if len(hit) <= d and all(counts[u] < d for u in hit):
+                candidates.append((len(hit), c, hit))
+        candidates.sort(key=lambda entry: entry[:2])
+        for _, c, hit in candidates:
+            for u in hit:
+                counts[u] += 1
             chosen[v] = c
-            counts[v] = len(bumped)
+            counts[v] = len(hit)
             # forward check: every later vertex must keep a viable color
             if all(
                 any(viable(w, cw) for cw in cover.lists[w])
-                for w in maps[v]
+                for w in partners[v]
                 if chosen[w] is None and rank[w] > pos
             ):
                 result = assign(pos + 1)
@@ -144,7 +142,7 @@ def find_rep_set(
                     return result
             chosen[v] = None
             counts[v] = 0
-            for u in bumped:
+            for u in hit:
                 counts[u] -= 1
         return None
 
@@ -155,12 +153,10 @@ def brute_force_rep_set(
     cover: Cover, d: int, budget: int = DEFAULT_BUDGET
 ) -> RepSet | None:
     """Exhaustive oracle with the same answer semantics as ``find_rep_set``."""
+    _check_search(cover, d)
     g = cover.graph
     if g.n == 0:
         return ()
-    for v in range(g.n):
-        if not cover.lists[v]:
-            raise EmptyListError(f"vertex {v} has an empty list")
     total = math.prod(len(colors) for colors in cover.lists)
     if total > budget:
         raise BudgetExceededError(f"{total} assignments exceed budget {budget}")

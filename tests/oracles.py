@@ -3,10 +3,12 @@
 These deliberately avoid the package's algorithms: cycles are found by
 checking subsets against permutations, relaxed list colorings by
 enumerating raw color maps on the graph, pendant 3-faces by scanning
-every face per vertex, and an element's transfers by scanning the whole
-transfer log.
+every face per vertex, an element's transfers by scanning the whole
+transfer log, faces sharing one edge with a 3-face by comparing it with
+every face, and partial matchings by filtering every set of color pairs.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
 
@@ -61,3 +63,28 @@ def transfers_scan(ledger, element):
         tuple(t for t in ledger.transfers if t.target == element),
         tuple(t for t in ledger.transfers if t.source == element),
     )
+
+
+def edge_sharing_scan(pg):
+    """(3-face index, face index) pairs sharing exactly one undirected edge."""
+    def edges(face):
+        return Counter(frozenset(arc) for arc in face.walk)
+
+    return [
+        (f.index, g.index)
+        for f in pg.faces
+        if f.degree == 3
+        for g in pg.faces
+        if g.index != f.index and sum((edges(f) & edges(g)).values()) == 1
+    ]
+
+
+def partial_matchings_scan(left, right):
+    """Every injective set of (left, right) color pairs, as sorted tuples, sorted."""
+    pairs = list(product(left, right))
+    out = []
+    for k in range(len(pairs) + 1):
+        for chosen in combinations(pairs, k):
+            if len({a for a, _ in chosen}) == len({b for _, b in chosen}) == k:
+                out.append(tuple(sorted(chosen)))
+    return sorted(out)

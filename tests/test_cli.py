@@ -136,6 +136,15 @@ def test_solve_reports_degenerate_covers(tmp_path, capsys):
     assert "empty list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("brute", [[], ["--brute"]], ids=["search", "brute"])
+def test_solve_rejects_negative_impropriety_with_one_line(tmp_path, capsys, brute):
+    cover = diagonal_cover(build_graph(1, []), ((1,),))
+    path = write(tmp_path, "one.json", cover_to_text(cover))
+    assert main(["solve", path, "-d", "-1", *brute]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", [text for text, _ in BAD_COVERS.values()], ids=BAD_COVERS)
 def test_solve_rejects_malformed_covers_with_one_line(tmp_path, capsys, text):
     assert main(["solve", write(tmp_path, "bad.json", text)]) == 2

@@ -10,6 +10,7 @@ from dpcolor.covers import (
     delete_cover_pairs,
     diagonal_cover,
     enumerate_perfect_covers,
+    partial_matchings,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -18,6 +19,7 @@ from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
+from oracles import partial_matchings_scan
 from strategies import covers
 
 
@@ -139,3 +141,22 @@ def test_enumerated_count_formula_matches_factorials():
     lists = ((1, 2, 3), (1, 2, 3), (1, 2, 3))
     assert count_perfect_covers(g, lists) == math.factorial(3) ** 2
     assert len(list(enumerate_perfect_covers(g, lists))) == 36
+
+
+@settings(max_examples=50)
+@given(covers(max_n=5, max_k=3))
+def test_conflicts_read_each_matching_in_both_directions(cover):
+    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
+        for cu in cover.lists[u]:
+            for cv in cover.lists[v]:
+                met = (cu, cv) in matching
+                assert cover.conflicts(u, cu, v, cv) is met
+                assert cover.conflicts(v, cv, u, cu) is met
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [((), (1, 2)), ((1,), (1,)), ((1, 2), (1,)), ((1, 2), (1, 2)), ((1, 2, 3), (1, 2)), ((2, 5, 7), (1, 3, 4))],
+)
+def test_partial_matchings_match_the_pair_subset_scan(left, right):
+    assert partial_matchings(left, right) == partial_matchings_scan(left, right)

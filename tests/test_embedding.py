@@ -19,7 +19,8 @@ from dpcolor.errors import (
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 
-from oracles import pendant_3faces_scan
+from oracles import edge_sharing_scan, pendant_3faces_scan
+from test_plane_golden import fan, triangle_chain
 
 K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
 
@@ -192,6 +193,30 @@ def test_pendant_map_matches_the_face_scan_on_the_catalog():
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
 def test_pendant_map_matches_the_face_scan_on_generated_planes(n, seed):
     _check_pendants_against_scan(generate_plane_no46(n, seed))
+
+
+def _check_edge_sharing_against_scan(pg):
+    got = [
+        (e.subject, e.passed)
+        for e in check_propositions(pg).entries
+        if e.check == "3face-edge-sharing"
+    ]
+    expected = [
+        (f"face {f} vs face {g}", pg.faces[g].degree >= 7) for f, g in edge_sharing_scan(pg)
+    ]
+    assert got == expected
+
+
+def test_edge_sharing_matches_the_all_pairs_scan_on_the_catalog():
+    for pg in _catalog_no46_plane_graphs():
+        _check_edge_sharing_against_scan(pg)
+
+
+@pytest.mark.parametrize("blades", [1, 2, 5, 12])
+def test_edge_sharing_matches_the_all_pairs_scan_on_fans(blades):
+    for pendant in (False, True):
+        _check_edge_sharing_against_scan(plane_from_rotations(fan(blades, pendant)))
+    _check_edge_sharing_against_scan(plane_from_rotations(triangle_chain(blades)))
 
 
 @pytest.mark.parametrize("rotations", [[["1"], [0]], [[1.0], [0]], [[True], [0]], [1, [0]]])

@@ -1,0 +1,95 @@
+"""Face tracing and the cycle search, cross-checked against networkx.
+
+networkx is a test-only oracle, never a runtime dependency; without it
+these tests are skipped.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dpcolor.catalog import entry_names, load as load_catalog
+from dpcolor.generate import generate_plane_no46
+from dpcolor.graphs import has_cycle_of_length, list_cycles
+
+nx = pytest.importorskip("networkx")
+
+LENGTHS = range(3, 8)
+
+
+def nx_graph(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges)
+    return g
+
+
+def face_arc_sets(walks):
+    return sorted(sorted(walk) for walk in walks)
+
+
+def nx_faces_of(embedding):
+    """Face walks of a networkx embedding, as lists of directed edges."""
+    seen = set()
+    walks = []
+    for u, v in embedding.edges():
+        if (u, v) not in seen:
+            nodes = embedding.traverse_face(u, v, mark_half_edges=seen)
+            walks.append([(a, nodes[(i + 1) % len(nodes)]) for i, a in enumerate(nodes)])
+    return walks
+
+
+def rotation_embedding(pg):
+    """Our rotation system as a networkx embedding, each ring in clockwise order."""
+    embedding = nx.PlanarEmbedding()
+    embedding.add_nodes_from(range(pg.graph.n))
+    for v, ring in enumerate(pg.rotation):
+        for i, w in enumerate(ring):
+            embedding.add_half_edge(v, w, ccw=ring[i - 1] if i else None)
+    return embedding
+
+
+def check_faces(pg):
+    planar, embedding = nx.check_planarity(nx_graph(pg.graph))
+    assert planar
+    n, m = pg.graph.n, pg.graph.m
+    assert len(pg.faces) == 2 - n + m
+    if m == 0:
+        return
+    assert len(nx_faces_of(embedding)) == len(pg.faces)
+    ours = rotation_embedding(pg)
+    ours.check_structure()
+    # networkx turns the other way round a vertex: its faces are ours reversed
+    mirrored = [[(b, a) for a, b in walk] for walk in nx_faces_of(ours)]
+    assert face_arc_sets(mirrored) == face_arc_sets(face.walk for face in pg.faces)
+
+
+def canonical(cycle):
+    i = cycle.index(min(cycle))
+    turned = tuple(cycle[i:]) + tuple(cycle[:i])
+    return min(turned, (turned[0],) + turned[:0:-1])
+
+
+def check_cycles(graph):
+    g = nx_graph(graph)
+    for k in LENGTHS:
+        expected = sorted(canonical(c) for c in nx.simple_cycles(g, length_bound=k) if len(c) == k)
+        got = list_cycles(graph, k)
+        assert sorted(canonical(c) for c in got) == expected, k
+        assert len(set(got)) == len(got)
+        assert has_cycle_of_length(graph, k) is bool(expected)
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_catalog_faces_and_cycles_agree_with_networkx(name):
+    pg = load_catalog(name)
+    check_faces(pg)
+    check_cycles(pg.graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=10**6))
+def test_generated_faces_and_cycles_agree_with_networkx(n, seed):
+    pg = generate_plane_no46(n, seed)
+    check_faces(pg)
+    check_cycles(pg.graph)

@@ -6,6 +6,7 @@ from dpcolor.covers import Cover, diagonal_cover, uniform_assignment
 from dpcolor.errors import (
     BudgetExceededError,
     EmptyListError,
+    NegativeImproprietyError,
     NotInListError,
     PartialAssignmentError,
 )
@@ -99,6 +100,14 @@ def test_empty_list_is_its_own_error():
         find_rep_set(cover, 0)
     with pytest.raises(EmptyListError):
         brute_force_rep_set(cover, 0)
+
+
+@pytest.mark.parametrize("solver", [find_rep_set, brute_force_rep_set])
+def test_negative_impropriety_is_rejected(solver):
+    # no count is below 0, so d = -1 has no answer; both solvers refuse it
+    cover = diagonal_cover(build_graph(1, []), ((1,),))
+    with pytest.raises(NegativeImproprietyError, match="-1"):
+        solver(cover, -1)
 
 
 def test_single_vertex():

@@ -1,6 +1,7 @@
 """Checks on the library's source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import dpcolor
@@ -26,4 +27,24 @@ def test_library_has_no_assert_statements():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
+    assert not found, found
+
+
+def test_library_imports_only_the_standard_library():
+    # the runtime has no dependencies; a third-party import would add one
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert not found, found
