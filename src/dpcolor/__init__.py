@@ -43,6 +43,7 @@ from .graphs import (
     Graph,
     build_graph,
     cross_edges,
+    cycles_through_edge,
     has_cycle_of_length,
     induced_subgraph,
     is_connected,
@@ -90,6 +91,7 @@ __all__ = [
     "check_propositions",
     "color_planar_no46",
     "cross_edges",
+    "cycles_through_edge",
     "diagonal_cover",
     "dp_chromatic",
     "enumerate_perfect_covers",

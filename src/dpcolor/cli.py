@@ -8,6 +8,7 @@ Exit codes: 0 when the queried property holds (or output was produced),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -137,7 +138,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing never mutates it."""
     parser = argparse.ArgumentParser(
         prog="dpcolor",
         description="DP-coloring toolkit for plane graphs without 4- or 6-cycles",

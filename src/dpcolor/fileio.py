@@ -29,13 +29,18 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(text: str, expected_format: str) -> dict:
+def _load_json(text: str, expected_format: str, *keys: str) -> dict:
+    """The document's top-level object, of ``expected_format`` and holding
+    every one of ``keys``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise FileFormatError(f"expected format {expected_format!r}")
+    for key in keys:
+        if key not in obj:
+            raise FileFormatError(f"missing key {key!r}")
     return obj
 
 
@@ -90,7 +95,7 @@ def plane_to_text(pg: PlaneGraph) -> str:
 
 
 def plane_from_text(text: str) -> PlaneGraph:
-    obj = _load_json(text, PLANE_FORMAT)
+    obj = _load_json(text, PLANE_FORMAT, "n", "rotations")
     rotations = obj["rotations"]
     if not isinstance(rotations, list) or len(rotations) != obj["n"]:
         raise FileFormatError("rotations: expected a list of n rings")
@@ -119,7 +124,7 @@ def cover_from_text(text: str) -> Cover:
     Edges and matching pairs must be pairs of integers, lists must hold
     integers, and the cover must pass ``validate_cover``.
     """
-    obj = _load_json(text, COVER_FORMAT)
+    obj = _load_json(text, COVER_FORMAT, "n", "edges", "lists", "matchings")
     if type(obj["n"]) is not int:
         raise FileFormatError(f"n: expected an integer, got {obj['n']!r}")
     edges = _int_rows(obj["edges"], "edges", 2)
@@ -154,7 +159,7 @@ def coloring_to_text(colors, counts) -> str:
 
 def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(colors, impropriety profile) from a coloring document."""
-    obj = _load_json(text, COLORING_FORMAT)
+    obj = _load_json(text, COLORING_FORMAT, "colors", "impropriety")
     return tuple(obj["colors"]), tuple(obj["impropriety"])
 
 
@@ -181,7 +186,7 @@ def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
 
 
 def trace_from_text(text: str) -> tuple[TraceStep, ...]:
-    obj = _load_json(text, TRACE_FORMAT)
+    obj = _load_json(text, TRACE_FORMAT, "steps")
     return tuple(
         TraceStep(
             kind=ConfigKind(step["kind"]),

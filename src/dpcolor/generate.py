@@ -3,30 +3,37 @@
 Growth happens directly on the rotation system, so planarity never needs
 re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
-two.  Whenever a 4- or 6-cycle appears, repair deletes one of the cycle's
-edges (an edge on a cycle is never a bridge), so the graph stays connected
-and the embedding stays valid.  Each move rebuilds the plane graph with
-``embedding.plane_from_rotations``; repair needs only the edges, so it
-calls ``embedding.graph_from_rotations`` and traces no faces.  Every
-output is re-verified before being returned.  Distribution quality is a
-non-goal; validity and per-seed determinism are the contract.
+two.  Ears and chords read the faces, so only they rebuild the plane graph
+with ``embedding.plane_from_rotations``; a pendant vertex needs no faces.
+
+Repair is local.  The graph has no 4- or 6-cycle before a move, so every
+such cycle after it uses an edge the move inserted (a pendant edge is a
+bridge and lies on no cycle).  Repair therefore searches the rotation
+lists only for the cycles through the inserted edges that are still
+present (``graphs.cycles_through_edge``), and deletes one edge of the
+smallest, in ``list_cycles`` order: the 4-cycles first, then the 6-cycles.
+An edge on a cycle is never a bridge, so the graph stays connected and the
+embedding stays valid.  Every output is re-verified once before being
+returned.  Distribution quality is a non-goal; validity and per-seed
+determinism are the contract.
 """
 
 from __future__ import annotations
 
 import random
 
-from .embedding import PlaneGraph, graph_from_rotations, plane_from_rotations
-from .errors import GenerationExhaustedError
-from .graphs import has_forbidden_cycles, list_cycles
+from .embedding import PlaneGraph, plane_from_rotations
+from .errors import GenerationExhaustedError, InternalInvariantError
+from .graphs import Edge, cycles_through_edge, has_forbidden_cycles
 
 
-def _add_pendant(rotations: list[list[int]], rng: random.Random) -> None:
+def _add_pendant(rotations: list[list[int]], rng: random.Random) -> list[Edge]:
     x = rng.randrange(len(rotations))
     v = len(rotations)
     pos = rng.randrange(len(rotations[x]) + 1) if rotations[x] else 0
     rotations[x].insert(pos, v)
     rotations.append([x])
+    return []
 
 
 def _corner_insert(rotations: list[list[int]], walk, pos: int, v: int) -> None:
@@ -41,10 +48,10 @@ def _corner_insert(rotations: list[list[int]], walk, pos: int, v: int) -> None:
     ring.insert(ring.index(a) + 1, v)
 
 
-def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> bool:
+def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
     faces = [f for f in pg.faces if f.degree >= 2]
     if not faces:
-        return False
+        return []
     face = faces[rng.randrange(len(faces))]
     positions = list(range(face.degree))
     rng.shuffle(positions)
@@ -57,14 +64,14 @@ def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> 
                 _corner_insert(rotations, face.walk, p, v)
                 _corner_insert(rotations, face.walk, q, v)
                 rotations.append([x, y])
-                return True
-    return False
+                return [(x, v), (v, y)]
+    return []
 
 
-def _add_chord(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> bool:
+def _add_chord(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
     faces = [f for f in pg.faces if f.degree >= 4]
     if not faces:
-        return False
+        return []
     face = faces[rng.randrange(len(faces))]
     positions = list(range(face.degree))
     rng.shuffle(positions)
@@ -78,8 +85,8 @@ def _add_chord(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -
                 c, yy = face.walk[hi - 1]
                 rotations[xx].insert(rotations[xx].index(a) + 1, yy)
                 rotations[yy].insert(rotations[yy].index(c) + 1, xx)
-                return True
-    return False
+                return [(x, y)]
+    return []
 
 
 def _delete_edge(rotations: list[list[int]], u: int, v: int) -> None:
@@ -87,19 +94,35 @@ def _delete_edge(rotations: list[list[int]], u: int, v: int) -> None:
     rotations[v].remove(u)
 
 
-def _repair(rotations: list[list[int]], rng: random.Random, max_rounds: int) -> bool:
-    """Delete one edge from some 4-/6-cycle until none remain."""
+def _smallest_forbidden_cycle(
+    rotations: list[list[int]], inserted: list[Edge]
+) -> tuple[int, ...] | None:
+    """The first 4-cycle, else 6-cycle, of ``list_cycles`` on the graph,
+    found among the cycles through the ``inserted`` edges."""
+    for k in (4, 6):
+        cycles = [c for u, v in inserted for c in cycles_through_edge(rotations, u, v, k)]
+        if cycles:
+            return min(cycles)
+    return None
+
+
+def _repair(
+    rotations: list[list[int]], inserted: list[Edge], rng: random.Random, max_rounds: int
+) -> bool:
+    """Delete one edge from some 4-/6-cycle until none remain.
+
+    Invariant: before the move that inserted ``inserted``, the graph had
+    no 4- or 6-cycle, so every such cycle uses an inserted edge that is
+    still present, and the smallest of those is the graph's smallest.
+    """
     for _ in range(max_rounds):
-        g = graph_from_rotations(rotations)
-        bad = list_cycles(g, 4) or list_cycles(g, 6)
-        if not bad:
+        cycle = _smallest_forbidden_cycle(rotations, inserted)
+        if cycle is None:
             return True
-        cycle = bad[0]
         pick = rng.randrange(len(cycle))
         u, v = cycle[pick], cycle[(pick + 1) % len(cycle)]
         _delete_edge(rotations, u, v)
-    g = graph_from_rotations(rotations)
-    return not (list_cycles(g, 4) or list_cycles(g, 6))
+    return _smallest_forbidden_cycle(rotations, inserted) is None
 
 
 def generate_plane_no46(
@@ -108,7 +131,8 @@ def generate_plane_no46(
     """A connected plane graph on ``n`` vertices with no 4- or 6-cycles.
 
     Deterministic per ``(n, seed)``.  Raises ``GenerationExhaustedError``
-    when no attempt produces a verified instance.
+    when no attempt produces an instance, and ``InternalInvariantError``
+    if the final check finds a 4- or 6-cycle that repair missed.
     """
     if n < 1:
         raise GenerationExhaustedError("need at least one vertex")
@@ -117,32 +141,31 @@ def generate_plane_no46(
         rotations: list[list[int]] = [[]]
         ok = True
         while len(rotations) < n:
-            pg = plane_from_rotations(rotations)
             roll = rng.random()
             if len(rotations) < 3 or roll < 0.35:
-                _add_pendant(rotations, rng)
-            elif roll < 0.9:
-                if not _add_ear(rotations, pg, rng):
-                    _add_pendant(rotations, rng)
+                inserted = _add_pendant(rotations, rng)
             else:
-                if not _add_chord(rotations, pg, rng):
-                    _add_pendant(rotations, rng)
-            if not _repair(rotations, rng, max_rounds=2 * n + 10):
+                move = _add_ear if roll < 0.9 else _add_chord
+                inserted = move(rotations, plane_from_rotations(rotations), rng)
+                if not inserted:
+                    inserted = _add_pendant(rotations, rng)
+            if not _repair(rotations, inserted, rng, max_rounds=2 * n + 10):
                 ok = False
                 break
         if not ok:
             continue
         for _ in range(rng.randrange(3)):  # densify, then re-repair
-            pg = plane_from_rotations(rotations)
-            _add_chord(rotations, pg, rng)
-            if not _repair(rotations, rng, max_rounds=2 * n + 10):
+            inserted = _add_chord(rotations, plane_from_rotations(rotations), rng)
+            if not _repair(rotations, inserted, rng, max_rounds=2 * n + 10):
                 ok = False
                 break
         if not ok:
             continue
         pg = plane_from_rotations(rotations)
         if pg.graph.n != n or has_forbidden_cycles(pg.graph):
-            continue
+            raise InternalInvariantError(
+                f"generated graph for n={n}, seed={seed} failed its final check"
+            )
         return pg
     raise GenerationExhaustedError(
         f"no valid instance for n={n} after {attempts} attempts"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BadLengthError,
@@ -200,6 +200,55 @@ def list_cycles(graph: Graph, k: int) -> list[tuple[int, ...]]:
     for anchor in range(graph.n):
         out.extend(_cycles_from_anchor(graph, anchor, k, stop_at_first=False))
     return out
+
+
+def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
+    """``path`` as ``list_cycles`` reports it: rotated to start at its
+    smallest vertex, in the direction whose second vertex is the smaller
+    neighbour of that start."""
+    i = path.index(min(path))
+    cycle = path[i:] + path[:i]
+    if cycle[1] > cycle[-1]:
+        cycle[1:] = cycle[:0:-1]
+    return tuple(cycle)
+
+
+def cycles_through_edge(
+    adjacency: Sequence[Sequence[int]], u: int, v: int, k: int
+) -> list[tuple[int, ...]]:
+    """The ``k``-cycles through edge ``uv``, as ``list_cycles`` lists them.
+
+    ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
+    system serves).  Each cycle is a simple path from ``v`` back to ``u``
+    with ``k - 1`` edges, closed by ``uv``; only those paths are searched,
+    so the cost depends on the degrees near the edge, not on the size of
+    the graph.  The result is the sublist of ``list_cycles`` whose cycles
+    use ``uv``, in the same canonical form and order; an absent edge lies
+    on no cycle.
+    """
+    if k < 3:
+        raise BadLengthError(f"cycle length {k} < 3")
+    if v not in adjacency[u]:
+        return []
+    closing = set(adjacency[u])
+    found: list[tuple[int, ...]] = []
+    path = [u, v]
+
+    def extend() -> None:
+        x = path[-1]
+        if len(path) == k:
+            if x in closing:
+                found.append(_canonical_cycle(path))
+            return
+        for w in adjacency[x]:
+            if w not in path:
+                path.append(w)
+                extend()
+                path.pop()
+
+    extend()
+    found.sort()
+    return found
 
 
 def has_cycle_of_length(graph: Graph, k: int) -> bool:

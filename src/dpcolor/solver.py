@@ -47,16 +47,21 @@ def _check_total(cover: Cover, rep: RepSet) -> None:
             raise NotInListError(f"color {c} not in list of vertex {v}")
 
 
-def impropriety(cover: Cover, rep: RepSet) -> tuple[int, ...]:
-    """Per-vertex conflict counts of a total assignment."""
-    _check_total(cover, rep)
+def _conflict_counts(cover: Cover, rep: RepSet) -> list[int]:
+    """Per-vertex conflict counts of an assignment known to be total."""
     counts = [0] * cover.graph.n
     partners = cover.partners
     for u, v in cover.graph.edges:
         if partners[u][v].get(rep[u]) == rep[v]:
             counts[u] += 1
             counts[v] += 1
-    return tuple(counts)
+    return counts
+
+
+def impropriety(cover: Cover, rep: RepSet) -> tuple[int, ...]:
+    """Per-vertex conflict counts of a total assignment."""
+    _check_total(cover, rep)
+    return tuple(_conflict_counts(cover, rep))
 
 
 def max_impropriety(cover: Cover, rep: RepSet) -> int:
@@ -160,8 +165,9 @@ def brute_force_rep_set(
     total = math.prod(len(colors) for colors in cover.lists)
     if total > budget:
         raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
+    # every assignment of the product is total and in its lists: no check
     for rep in product(*cover.lists):
-        if max(impropriety(cover, rep), default=0) <= d:
+        if max(_conflict_counts(cover, rep)) <= d:
             return rep
     return None
 

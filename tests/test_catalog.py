@@ -1,7 +1,8 @@
 import pytest
 
 from dpcolor.catalog import entries, entry_names, load, load_all, no46_names
-from dpcolor.errors import GenerationExhaustedError
+from dpcolor import generate
+from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_forbidden_cycles, is_connected
 
@@ -64,3 +65,26 @@ def test_generator_attempt_budget():
         generate_plane_no46(30, 0, attempts=0)
     with pytest.raises(GenerationExhaustedError):
         generate_plane_no46(0, 0)
+
+
+def test_generator_raises_when_its_final_check_fails(monkeypatch):
+    # without repair the ears and chords leave 4- and 6-cycles behind
+    monkeypatch.setattr(generate, "_repair", lambda rotations, inserted, rng, max_rounds: True)
+    with pytest.raises(InternalInvariantError):
+        generate_plane_no46(60, 60)
+
+
+def test_repair_picks_the_smallest_cycle_through_any_inserted_edge():
+    # two 4-cycles 0-1-2-3 and 4-5-6-7 and a 6-cycle 4-5-8-9-10-11; listing
+    # the edge 45 first must not make its cycles win over the smaller one
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+             (5, 8), (8, 9), (9, 10), (10, 11), (11, 4)]
+    rotations = [[] for _ in range(12)]
+    for u, v in edges:
+        rotations[u].append(v)
+        rotations[v].append(u)
+    smallest = generate._smallest_forbidden_cycle
+    assert smallest(rotations, [(4, 5), (1, 0)]) == (0, 1, 2, 3)
+    assert smallest(rotations, [(9, 8), (6, 7)]) == (4, 5, 6, 7)
+    assert smallest(rotations, [(9, 8)]) == (4, 5, 8, 9, 10, 11)
+    assert smallest(rotations, [(2, 0)]) is None  # no such edge

@@ -14,7 +14,7 @@ from dpcolor.fileio import (
 )
 from dpcolor.graphs import build_graph
 
-from test_fileio import BAD_COVERS
+from test_fileio import BAD_COVERS, MISSING_N_PLANE
 
 
 def write(tmp_path, name, text):
@@ -158,6 +158,20 @@ def test_non_integer_rings_are_rejected_with_one_line(tmp_path, capsys, command)
     assert main([command, write(tmp_path, "bad.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "rotation at 0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles"])
+def test_plane_file_without_n_is_rejected_with_one_line(tmp_path, capsys, command):
+    assert main([command, write(tmp_path, "bad.json", MISSING_N_PLANE)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: missing key 'n'\n"
+
+
+def test_cover_file_without_matchings_is_rejected_with_one_line(tmp_path, capsys):
+    text, _ = BAD_COVERS["missing-matchings"]
+    assert main(["solve", write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: missing key 'matchings'\n"
 
 
 def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):

@@ -93,13 +93,24 @@ BAD_COVERS = {
     "repeated-color": (k2_cover_text([[1, 1], [1, 2]], [[1, 2]]), "repeats a color"),
     "three-element-pair": (k2_cover_text([[1, 2], [1, 2]], [[1, 2, 1]]), "expected 2 integers"),
     "string-color": (k2_cover_text([["1", 2], [1, 2]], []), r"lists\[0\]"),
+    "missing-matchings": (
+        json.dumps({"format": "dpcolor-cover/1", "n": 2, "edges": [[0, 1]], "lists": [[1], [1]]}),
+        "missing key 'matchings'",
+    ),
 }
+
+MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})
 
 
 @pytest.mark.parametrize("text, message", BAD_COVERS.values(), ids=BAD_COVERS)
 def test_cover_from_text_rejects_malformed_covers(text, message):
     with pytest.raises(FileFormatError, match=message):
         cover_from_text(text)
+
+
+def test_plane_from_text_names_a_missing_key():
+    with pytest.raises(FileFormatError, match="missing key 'n'"):
+        plane_from_text(MISSING_N_PLANE)
 
 
 def test_plane_from_text_rejects_non_integer_rings():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from dpcolor.errors import (
 from dpcolor.graphs import (
     build_graph,
     cross_edges,
+    cycles_through_edge,
     has_cycle_of_length,
     induced_subgraph,
     is_connected,
@@ -135,6 +138,59 @@ def test_list_cycles_matches_subset_oracle(g, k):
 @given(graphs(max_n=8), st.integers(min_value=3, max_value=8))
 def test_has_cycle_iff_list_nonempty(g, k):
     assert has_cycle_of_length(g, k) == bool(list_cycles(g, k))
+
+
+def uses_edge(cycle, u, v) -> bool:
+    return any({cycle[i], cycle[i - 1]} == {u, v} for i in range(len(cycle)))
+
+
+def assert_cycles_through_edges_match_filter(g, lengths=(4, 6), seed=0):
+    # any neighbour order must do, as in a rotation system
+    rng = random.Random(seed)
+    shuffled = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
+    for k in lengths:
+        cycles = list_cycles(g, k)
+        for u, v in g.edges:
+            expected = [c for c in cycles if uses_edge(c, u, v)]
+            assert cycles_through_edge(g.adjacency, u, v, k) == expected
+            assert cycles_through_edge(shuffled, v, u, k) == expected
+
+
+def random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8))
+def test_cycles_through_edge_is_list_cycles_filtered_by_the_edge(g):
+    assert_cycles_through_edges_match_filter(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cycles_through_edge_on_seeded_random_graphs(seed):
+    assert_cycles_through_edges_match_filter(random_graph(11, 0.3, seed), (3, 4, 5, 6), seed)
+
+
+def test_cycles_through_edge_on_chosen_edges():
+    # a 4-cycle and a 6-cycle share edge 01; a pendant vertex 8 hangs off 5,
+    # and the bridge 79 leads to the triangle 9-10-11
+    g = build_graph(12, [
+        (0, 1), (1, 2), (2, 3), (3, 0),
+        (1, 4), (4, 5), (5, 6), (6, 7), (7, 0),
+        (5, 8), (7, 9), (9, 10), (10, 11), (11, 9),
+    ])
+    assert_cycles_through_edges_match_filter(g, range(3, 9))
+    for u, v in ((0, 1), (1, 0)):
+        assert cycles_through_edge(g.adjacency, u, v, 4) == [(0, 1, 2, 3)]
+        assert cycles_through_edge(g.adjacency, u, v, 6) == [(0, 1, 4, 5, 6, 7)]
+    for k in range(3, 9):
+        assert cycles_through_edge(g.adjacency, 7, 9, k) == []
+        assert cycles_through_edge(g.adjacency, 8, 5, k) == []
+    assert cycles_through_edge(g.adjacency, 11, 10, 3) == [(9, 10, 11)]
+    assert cycles_through_edge(g.adjacency, 0, 2, 4) == []  # no such edge
+    with pytest.raises(BadLengthError):
+        cycles_through_edge(g.adjacency, 0, 1, 2)
 
 
 def test_is_connected():

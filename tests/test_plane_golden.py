@@ -7,8 +7,10 @@
   with 4- or 6-cycles take the initial-charges branch), on
   ``generate_plane_no46(n, seed=n)`` for n = 10..60, and on triangle
   chains and fans built here;
-* ``gen:<n>``: ``plane_to_text(generate_plane_no46(n, seed=n))``, which
-  pins the generator;
+* ``gen:<n>``: ``plane_to_text(generate_plane_no46(n, seed=n))`` for
+  n = 10..60, 200 and 400, and ``gen:<n>:seed<s>``: the same text with
+  ``seed=s`` for n = 25, 50, 100 (the ``gen`` benchmark's sizes) and
+  s = 0..9; these pin the generator;
 * ``propositions:<name>``: every entry of ``check_propositions`` on the
   4-/6-cycle-free catalog.
 
@@ -102,8 +104,11 @@ def golden_texts():
             path.write_text(plane_to_text(pg))
             for fmt in ("json", "table"):
                 yield f"audit:{name}:{fmt}", run_cli(["audit", str(path), "--format", fmt])
-    for n in range(10, 61):
+    for n in [*range(10, 61), 200, 400]:
         yield f"gen:{n}", plane_to_text(generate_plane_no46(n, seed=n))
+    for n in (25, 50, 100):
+        for seed in range(10):
+            yield f"gen:{n}:seed{seed}", plane_to_text(generate_plane_no46(n, seed=seed))
     for name in no46_names():
         yield f"propositions:{name}", propositions_text(load_catalog(name))
 
