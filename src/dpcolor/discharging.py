@@ -22,9 +22,9 @@ instead of failed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .embedding import Face, PlaneGraph, pendant_3faces
@@ -43,8 +43,13 @@ TOTAL_SIXTHS = -72  # the -12 grand total, in sixths
 
 
 def charge_str(sixths: int) -> str:
-    """Human form of a charge stored in sixths, e.g. -72 -> ``-12``."""
-    return str(Fraction(sixths, 6))
+    """Human form of a charge stored in sixths, e.g. -72 -> ``-12``, -5 ->
+    ``-5/6``: the reduced fraction, as ``str(Fraction(sixths, 6))`` writes it."""
+    whole, rest = divmod(sixths, 6)
+    if not rest:
+        return str(whole)
+    common = math.gcd(rest, 6)
+    return f"{sixths // common}/{6 // common}"
 
 
 @dataclass(frozen=True)

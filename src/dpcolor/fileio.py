@@ -3,15 +3,19 @@
 Graphs travel as line-oriented text (a ``#``-comment version line, then
 ``n m``, then one ``u v`` pair per line, 0-based).  Everything else is
 canonical JSON (sorted keys, two-space indent, trailing newline) so that
-identical values produce byte-identical files.
+identical values produce byte-identical files.  ``json.dumps`` with an
+indent runs the pure-Python encoder, so the two large documents, traces
+and audits, are written by hand in the same bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+from json.encoder import encode_basestring_ascii as _json_str  # how json.dumps writes a str
 
 from .covers import Cover, validate_cover
-from .discharging import AuditReport, ChargeLedger, charge_str
+from .discharging import AuditEntry, AuditReport, ChargeLedger, Element, Transfer, charge_str
 from .embedding import PlaneGraph, plane_from_rotations
 from .errors import FileFormatError
 from .graphs import Graph, build_graph
@@ -29,6 +33,24 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _json_list(items, depth: int) -> str:
+    """A JSON list of rendered ``items`` whose closing bracket is indented
+    ``depth`` levels; each item must be rendered for ``depth + 1``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_ints(values, depth: int) -> str:
+    return _json_list(list(map(str, values)), depth)
+
+
+def _indent(text: str, levels: int) -> str:
+    """A value rendered at depth 0, re-rendered ``levels`` deeper."""
+    return text.replace("\n", "\n" + "  " * levels)
+
+
 def _load_json(text: str, expected_format: str, *keys: str) -> dict:
     """The document's top-level object, of ``expected_format`` and holding
     every one of ``keys``."""
@@ -44,16 +66,20 @@ def _load_json(text: str, expected_format: str, *keys: str) -> dict:
     return obj
 
 
+def _int_row(row, where: str, size: int | None = None) -> tuple[int, ...]:
+    """``row`` as a tuple of integers, of length ``size`` if given."""
+    if type(row) is not list or not {int}.issuperset(map(type, row)) or (
+        size is not None and len(row) != size
+    ):
+        raise FileFormatError(f"{where}: expected {size or 'a list of'} integers, got {row!r}")
+    return tuple(row)
+
+
 def _int_rows(rows, where: str, size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """``rows`` as tuples of integers, each of length ``size`` if given."""
     if type(rows) is not list:
         raise FileFormatError(f"{where}: expected a list, got {rows!r}")
-    for i, row in enumerate(rows):
-        if type(row) is not list or not {int}.issuperset(map(type, row)) or (
-            size is not None and len(row) != size
-        ):
-            raise FileFormatError(f"{where}[{i}]: expected {size or 'a list of'} integers, got {row!r}")
-    return tuple(map(tuple, rows))
+    return tuple(_int_row(row, f"{where}[{i}]", size) for i, row in enumerate(rows))
 
 
 # --- graphs as edge-list text ----------------------------------------------
@@ -158,9 +184,22 @@ def coloring_to_text(colors, counts) -> str:
 
 
 def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(colors, impropriety profile) from a coloring document."""
+    """(colors, impropriety profile) from a coloring document; both must be
+    lists of integers, one per vertex."""
     obj = _load_json(text, COLORING_FORMAT, "colors", "impropriety")
-    return tuple(obj["colors"]), tuple(obj["impropriety"])
+    colors = _int_row(obj["colors"], "colors")
+    return colors, _int_row(obj["impropriety"], "impropriety", len(colors))
+
+
+def _step_json(step: TraceStep) -> str:
+    return (
+        "{\n"
+        f'  "colors": {_json_ints(step.colors, 1)},\n'
+        f'  "kind": {_json_str(step.kind.value)},\n'
+        f'  "residual_list_sizes": {_json_ints(step.residual_sizes, 1)},\n'
+        f'  "vertices": {_json_ints(step.vertices, 1)}\n'
+        "}"
+    )
 
 
 def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
@@ -169,75 +208,126 @@ def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
     As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
     first) while ``colors`` follow the sorted order of ``vertices``.
     """
-    return _dumps(
-        {
-            "format": TRACE_FORMAT,
-            "steps": [
-                {
-                    "kind": step.kind.value,
-                    "vertices": list(step.vertices),
-                    "residual_list_sizes": list(step.residual_sizes),
-                    "colors": list(step.colors),
-                }
-                for step in trace
-            ],
-        }
+    steps = [_indent(_step_json(step), 2) for step in trace]
+    return (
+        "{\n"
+        f'  "format": {_json_str(TRACE_FORMAT)},\n'
+        f'  "steps": {_json_list(steps, 1)}\n'
+        "}\n"
     )
 
 
 def trace_from_text(text: str) -> tuple[TraceStep, ...]:
-    obj = _load_json(text, TRACE_FORMAT, "steps")
-    return tuple(
-        TraceStep(
-            kind=ConfigKind(step["kind"]),
-            vertices=tuple(step["vertices"]),
-            residual_sizes=tuple(step["residual_list_sizes"]),
-            colors=tuple(step["colors"]),
+    """The steps of a trace document; a malformed step raises
+    ``FileFormatError`` naming its index and key.
+
+    Each step needs a known ``kind``, and ``vertices``, ``residual_list_sizes``
+    and ``colors`` as lists of integers of one length.
+    """
+    steps = _load_json(text, TRACE_FORMAT, "steps")["steps"]
+    if type(steps) is not list:
+        raise FileFormatError(f"steps: expected a list, got {steps!r}")
+    trace = []
+    for i, step in enumerate(steps):
+        where = f"steps[{i}]"
+        if type(step) is not dict:
+            raise FileFormatError(f"{where}: expected an object, got {step!r}")
+        for key in ("kind", "vertices", "residual_list_sizes", "colors"):
+            if key not in step:
+                raise FileFormatError(f"{where}: missing key {key!r}")
+        try:
+            kind = ConfigKind(step["kind"])
+        except ValueError:
+            raise FileFormatError(f"{where}.kind: unknown kind {step['kind']!r}") from None
+        vertices = _int_row(step["vertices"], f"{where}.vertices")
+        trace.append(
+            TraceStep(
+                kind=kind,
+                vertices=vertices,
+                residual_sizes=_int_row(
+                    step["residual_list_sizes"], f"{where}.residual_list_sizes", len(vertices)
+                ),
+                colors=_int_row(step["colors"], f"{where}.colors", len(vertices)),
+            )
         )
-        for step in obj["steps"]
+    return tuple(trace)
+
+
+# The audit's pieces, each rendered at depth 0: a charge or an element is
+# the value of a key at depth 1, a transfer or an entry a whole object.
+
+@functools.lru_cache(maxsize=1024)  # four charges per entry, few distinct values
+def _charge_json(sixths: int) -> str:
+    return f'{{\n    "display": "{charge_str(sixths)}",\n    "sixths": {sixths}\n  }}'
+
+
+def _element_json(element: Element) -> str:
+    kind, index = element
+    return f"[\n    {_json_str(kind)},\n    {index}\n  ]"
+
+
+def _transfer_json(t: Transfer) -> str:
+    return (
+        "{\n"
+        f'  "display": "{charge_str(t.sixths)}",\n'
+        f'  "multiplicity": {t.multiplicity},\n'
+        f'  "rule": {_json_str(t.rule)},\n'
+        f'  "sixths": {t.sixths},\n'
+        f'  "source": {_element_json(t.source)},\n'
+        f'  "target": {_element_json(t.target)}\n'
+        "}"
+    )
+
+
+def _entry_json(e: AuditEntry, transfers_in: list[str], transfers_out: list[str]) -> str:
+    """An audit entry; the transfers come rendered at depth 2."""
+    return (
+        "{\n"
+        f'  "case": {_json_str(e.case)},\n'
+        f'  "element": {_element_json(e.element)},\n'
+        f'  "final": {_charge_json(e.final)},\n'
+        f'  "in": {_charge_json(e.incoming)},\n'
+        f'  "initial": {_charge_json(e.initial)},\n'
+        f'  "out": {_charge_json(e.outgoing)},\n'
+        f'  "pattern": {_json_str(e.pattern)},\n'
+        f'  "reason": {"null" if e.reason is None else _json_str(e.reason)},\n'
+        f'  "transfers_in": {_json_list(transfers_in, 1)},\n'
+        f'  "transfers_out": {_json_list(transfers_out, 1)},\n'
+        f'  "verdict": {_json_str(e.verdict)}\n'
+        "}"
     )
 
 
 def audit_to_json_text(report: AuditReport, ledger: ChargeLedger) -> str:
-    def transfer_doc(t):
-        return {
-            "rule": t.rule,
-            "source": list(t.source),
-            "target": list(t.target),
-            "sixths": t.sixths,
-            "display": charge_str(t.sixths),
-            "multiplicity": t.multiplicity,
-        }
+    """Audit document: the totals, the transfer log, and per element its
+    case, charges and the transfers into and out of it.
 
-    return _dumps(
-        {
-            "format": AUDIT_FORMAT,
-            "initial_total": {
-                "sixths": report.initial_total,
-                "display": charge_str(report.initial_total),
-            },
-            "final_total": {
-                "sixths": report.final_total,
-                "display": charge_str(report.final_total),
-            },
-            "transfers": [transfer_doc(t) for t in ledger.transfers],
-            "elements": [
-                {
-                    "element": list(e.element),
-                    "case": e.case,
-                    "pattern": e.pattern,
-                    "verdict": e.verdict,
-                    "reason": e.reason,
-                    "initial": {"sixths": e.initial, "display": charge_str(e.initial)},
-                    "in": {"sixths": e.incoming, "display": charge_str(e.incoming)},
-                    "out": {"sixths": e.outgoing, "display": charge_str(e.outgoing)},
-                    "final": {"sixths": e.final, "display": charge_str(e.final)},
-                    "transfers_in": [transfer_doc(t) for t in ledger.transfers_in(e.element)],
-                    "transfers_out": [transfer_doc(t) for t in ledger.transfers_out(e.element)],
-                }
-                for e in report.entries
-            ],
-        }
+    Each transfer is rendered once, at depth 2, and that text is spliced
+    into the log and into the lists of its source and target; each entry
+    then moves two levels deeper as a whole.
+    """
+    log = [_indent(_transfer_json(t), 2) for t in ledger.transfers]
+    # keyed by identity: the per-element lists hold the log's own objects
+    rendered = {id(t): text for t, text in zip(ledger.transfers, log)}
+    entries = [
+        _indent(
+            _entry_json(
+                e,
+                [rendered[id(t)] for t in ledger.transfers_in(e.element)],
+                [rendered[id(t)] for t in ledger.transfers_out(e.element)],
+            ),
+            2,
+        )
+        for e in report.entries
+    ]
+    return (
+        "{\n"
+        f'  "elements": {_json_list(entries, 1)},\n'
+        f'  "final_total": {_charge_json(report.final_total)},\n'
+        f'  "format": {_json_str(AUDIT_FORMAT)},\n'
+        f'  "initial_total": {_charge_json(report.initial_total)},\n'
+        f'  "transfers": {_json_list(log, 1)}\n'
+        "}\n"
     )
 
 

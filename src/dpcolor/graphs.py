@@ -251,10 +251,96 @@ def cycles_through_edge(
     return found
 
 
+def _degree_ranks(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    """``rank[v]``: the position of ``v`` in ``(degree, id)`` order (a stable
+    sort by degree keeps ids ascending within each degree)."""
+    rank = [0] * len(adjacency)
+    for position, v in enumerate(sorted(range(len(adjacency)), key=lambda v: len(adjacency[v]))):
+        rank[v] = position
+    return rank
+
+
+def _has_4_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
+    """Chiba-Nishizeki: each 4-cycle is found from its top-ranked vertex
+    ``v``, which reaches the opposite vertex along two paths ``v-u-w``
+    through lower-ranked vertices."""
+    rank = _degree_ranks(adjacency)
+    reached_from = [-1] * len(adjacency)
+    for v, ring in enumerate(adjacency):
+        top = rank[v]
+        for u in ring:
+            if rank[u] < top:
+                for w in adjacency[u]:
+                    if rank[w] < top:
+                        if reached_from[w] == v:
+                            return True
+                        reached_from[w] = v
+    return False
+
+
+def _has_6_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
+    """Meet in the middle (after Alon, Yuster and Zwick): each 6-cycle
+    ``v-a-b-c-b'-a'`` is found from its top-ranked vertex ``v`` as two
+    paths ``v-a-b-c`` and ``v-a'-b'-c`` through lower-ranked vertices whose
+    inner pairs ``{a, b}`` and ``{a', b'}`` are disjoint.
+
+    Per endpoint ``c`` the inner pairs are the edges of a graph, and two
+    disjoint ones exist unless that graph is a star or a triangle.  So
+    ``c`` keeps at most three distinct, pairwise meeting pairs: while it
+    has no two disjoint ones, those already decide whether a new pair is
+    disjoint from one of them.  The paths are grouped by ``b``, and at
+    most four ``a`` per group are tried, since with three ``a`` other than
+    ``c`` the pairs already form a star centred on ``b``.
+    """
+    rank = _degree_ranks(adjacency)
+    for v, ring in enumerate(adjacency):
+        top = rank[v]
+        firsts_by_middle: dict[int, list[int]] = {}  # b -> the a of each path v-a-b
+        for a in ring:
+            if rank[a] < top:
+                for b in adjacency[a]:
+                    if rank[b] < top:
+                        firsts_by_middle.setdefault(b, []).append(a)
+        pairs_at: dict[int, list[tuple[int, int]]] = {}
+        for b, firsts in firsts_by_middle.items():
+            firsts = firsts[:4]
+            for c in adjacency[b]:
+                if rank[c] >= top:
+                    continue
+                kept = pairs_at.setdefault(c, [])
+                for a in firsts:
+                    if a == c:
+                        continue
+                    for x, y in kept:
+                        if a != x and a != y and b != x and b != y:
+                            return True
+                    if len(kept) < 3 and (b, a) not in kept:
+                        kept.append((a, b))
+    return False
+
+
 def has_cycle_of_length(graph: Graph, k: int) -> bool:
-    """True iff the graph contains a cycle on exactly ``k`` vertices."""
+    """True iff the graph contains a cycle on exactly ``k`` vertices.
+
+    Lengths 4 and 6 are decided in ``(degree, id)`` rank order from each
+    cycle's top-ranked vertex: a 4-cycle as a vertex reached twice along
+    paths ``v-u-w`` (Chiba and Nishizeki, SIAM J. Comput. 14(1), 1985), a
+    6-cycle as two disjoint length-3 paths to one endpoint (Alon, Yuster
+    and Zwick, Algorithmica 17, 1997).  After an O(n log n) sort by degree,
+    the 4-check costs O(a(G) m), where the arboricity a(G) is at most 3 on
+    plane graphs.  The 6-check costs
+    that to find the length-2 paths below each vertex, plus the degrees of
+    their distinct far ends, each at most the degree of the vertex: O(m)
+    when degrees are bounded and O(a(G) m^1.5) in the worst case.  Other
+    lengths use the depth-first search of ``list_cycles``, exponential in
+    ``k``.
+    """
     if k < 3:
         raise BadLengthError(f"cycle length {k} < 3")
+    if k == 4:
+        return _has_4_cycle(graph.adjacency)
+    if k == 6:
+        return _has_6_cycle(graph.adjacency)
     return any(
         _cycles_from_anchor(graph, anchor, k, stop_at_first=True)
         for anchor in range(graph.n)

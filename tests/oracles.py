@@ -5,10 +5,12 @@ checking subsets against permutations, relaxed list colorings by
 enumerating raw color maps on the graph, pendant 3-faces by scanning
 every face per vertex, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
-every face, and partial matchings by filtering every set of color pairs.
+every face, partial matchings by filtering every set of color pairs, and
+the trace and audit documents as the dict trees that ``json.dumps`` writes.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 
@@ -88,3 +90,64 @@ def partial_matchings_scan(left, right):
             if len({a for a, _ in chosen}) == len({b for _, b in chosen}) == k:
                 out.append(tuple(sorted(chosen)))
     return sorted(out)
+
+
+def trace_doc(trace):
+    """The trace document as a dict tree."""
+    return {
+        "format": "dpcolor-trace/1",
+        "steps": [
+            {
+                "kind": step.kind.value,
+                "vertices": list(step.vertices),
+                "residual_list_sizes": list(step.residual_sizes),
+                "colors": list(step.colors),
+            }
+            for step in trace
+        ],
+    }
+
+
+def audit_doc(report, ledger):
+    """The audit document as a dict tree, each transfer built per use."""
+    def charge_str(sixths):
+        return str(Fraction(sixths, 6))
+
+    def transfer_doc(t):
+        return {
+            "rule": t.rule,
+            "source": list(t.source),
+            "target": list(t.target),
+            "sixths": t.sixths,
+            "display": charge_str(t.sixths),
+            "multiplicity": t.multiplicity,
+        }
+
+    return {
+        "format": "dpcolor-audit/1",
+        "initial_total": {
+            "sixths": report.initial_total,
+            "display": charge_str(report.initial_total),
+        },
+        "final_total": {
+            "sixths": report.final_total,
+            "display": charge_str(report.final_total),
+        },
+        "transfers": [transfer_doc(t) for t in ledger.transfers],
+        "elements": [
+            {
+                "element": list(e.element),
+                "case": e.case,
+                "pattern": e.pattern,
+                "verdict": e.verdict,
+                "reason": e.reason,
+                "initial": {"sixths": e.initial, "display": charge_str(e.initial)},
+                "in": {"sixths": e.incoming, "display": charge_str(e.incoming)},
+                "out": {"sixths": e.outgoing, "display": charge_str(e.outgoing)},
+                "final": {"sixths": e.final, "display": charge_str(e.final)},
+                "transfers_in": [transfer_doc(t) for t in transfers_scan(ledger, e.element)[0]],
+                "transfers_out": [transfer_doc(t) for t in transfers_scan(ledger, e.element)[1]],
+            }
+            for e in report.entries
+        ],
+    }

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,7 @@ def test_charge_pretty_printing():
     assert charge_str(2) == "1/3"
     assert charge_str(4) == "2/3"
     assert charge_str(6) == "1"
+    assert [charge_str(s) for s in range(-600, 601)] == [str(Fraction(s, 6)) for s in range(-600, 601)]
 
 
 def test_rules_refuse_forbidden_cycles():

@@ -1,12 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from oracles import audit_doc, trace_doc
+from strategies import audits, traces
 
+from dpcolor.catalog import entry_names, no46_names
 from dpcolor.catalog import load as load_catalog
 from dpcolor.covers import random_cover, uniform_assignment
+from dpcolor.discharging import AuditEntry, AuditReport, ChargeLedger, Transfer, apply_rules, audit_cases
 from dpcolor.errors import FileFormatError, InvalidRotationError
 from dpcolor.fileio import (
     GRAPH_HEADER,
+    audit_to_json_text,
+    coloring_from_text,
     cover_from_text,
     cover_to_text,
     graph_from_text,
@@ -16,8 +23,9 @@ from dpcolor.fileio import (
     trace_from_text,
     trace_to_text,
 )
+from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
-from dpcolor.reduction import color_planar_no46
+from dpcolor.reduction import ConfigKind, TraceStep, color_planar_no46, reduce_and_color
 
 
 def test_graph_text_round_trip():
@@ -150,3 +158,118 @@ def test_audit_json_carries_per_element_transfers():
     rules = sorted(t["rule"] for t in triangle["transfers_in"])
     assert rules == ["R1", "R1", "R3", "R5"]
     assert triangle["transfers_out"] == []
+
+
+def canonical_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def check_trace_writer(trace):
+    text = trace_to_text(trace)
+    assert text == canonical_json(trace_doc(trace))
+    assert trace_from_text(text) == trace
+
+
+def check_audit_writer(report, ledger):
+    assert audit_to_json_text(report, ledger) == canonical_json(audit_doc(report, ledger))
+
+
+def check_writers_on(pg):
+    cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=4, perfect=True)
+    check_trace_writer(reduce_and_color(cover).trace)
+    ledger = apply_rules(pg)
+    check_audit_writer(audit_cases(pg, ledger), ledger)
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_writers_match_json_dumps_on_the_catalog(name):
+    pg = load_catalog(name)
+    if name in no46_names():
+        check_writers_on(pg)
+    else:  # no audit exists for a graph with a 4- or 6-cycle
+        cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=4, perfect=True)
+        check_trace_writer(reduce_and_color(cover).trace)
+
+
+@pytest.mark.parametrize("n, seed", [(12, 1), (45, 2), (150, 3), (400, 4)])
+def test_writers_match_json_dumps_on_generated_planes(n, seed):
+    check_writers_on(generate_plane_no46(n, seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(traces())
+def test_trace_writer_matches_json_dumps(trace):
+    check_trace_writer(trace)
+
+
+@settings(max_examples=80, deadline=None)
+@given(audits())
+def test_audit_writer_matches_json_dumps(audit):
+    check_audit_writer(*audit)
+
+
+def test_writers_match_json_dumps_on_edge_cases():
+    check_trace_writer(())
+    check_trace_writer((TraceStep(ConfigKind.FOUR_THREE_THREES, (7, 2, 9), (3, 1, 1), (0, 1, 2)),))
+    t = Transfer("R1", ("vertex", 0), ("face", 0), -5, 2)
+    ledger = ChargeLedger((2, -3), (-72,), (t,))
+    entries = (
+        AuditEntry(("vertex", 0), "3-vertex", "(3,7,7)", True, None, 2, 0, -5, -3),
+        AuditEntry(("vertex", 1), "2-vertex", "(\u00e9,\"7\")", False, "degree below 3", -3, 0, 0, -3),
+        AuditEntry(("face", 0), "3-face", "(3,4,4)", True, "", -72, -5, 0, -77),
+    )
+    check_audit_writer(AuditReport(entries, initial_total=-73, final_total=-78), ledger)
+    check_audit_writer(AuditReport((), initial_total=0, final_total=0), ChargeLedger((), (), ()))
+
+
+def trace_text(steps) -> str:
+    """A trace document, written without the library's writer."""
+    return json.dumps({"format": "dpcolor-trace/1", "steps": steps})
+
+
+STEP = {"kind": "low-vertex", "vertices": [4], "residual_list_sizes": [3], "colors": [1]}
+
+BAD_TRACES = {
+    "unknown-kind": (trace_text([STEP, STEP | {"kind": "low"}]), r"steps\[1\]\.kind: unknown kind 'low'"),
+    "missing-key": (
+        trace_text([{k: v for k, v in STEP.items() if k != "colors"}]),
+        r"steps\[0\]: missing key 'colors'",
+    ),
+    "steps-not-a-list": (trace_text(5), "steps: expected a list"),
+    "step-not-an-object": (trace_text([STEP, [4]]), r"steps\[1\]: expected an object"),
+    "string-vertices": (trace_text([STEP | {"vertices": "12"}]), r"steps\[0\]\.vertices"),
+    "string-color": (trace_text([STEP | {"colors": ["1"]}]), r"steps\[0\]\.colors"),
+    "sizes-not-one-per-vertex": (
+        trace_text([STEP | {"residual_list_sizes": [3, 3]}]),
+        r"steps\[0\]\.residual_list_sizes: expected 1 integers",
+    ),
+    "missing-steps": (json.dumps({"format": "dpcolor-trace/1"}), "missing key 'steps'"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_TRACES.values(), ids=BAD_TRACES)
+def test_trace_from_text_rejects_malformed_traces(text, message):
+    with pytest.raises(FileFormatError, match=message):
+        trace_from_text(text)
+
+
+def coloring_text(colors, impropriety) -> str:
+    """A coloring document, written without the library's writer."""
+    return json.dumps({"format": "dpcolor-coloring/1", "colors": colors, "impropriety": impropriety})
+
+
+BAD_COLORINGS = {
+    "string-colors": (coloring_text("012", [0, 0, 0]), "colors: expected a list of integers"),
+    "string-count": (coloring_text([0, 1], [0, "1"]), "impropriety: expected 2 integers"),
+    "count-not-one-per-vertex": (coloring_text([0, 1], [0]), "impropriety: expected 2 integers"),
+    "missing-impropriety": (
+        json.dumps({"format": "dpcolor-coloring/1", "colors": [0]}),
+        "missing key 'impropriety'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_COLORINGS.values(), ids=BAD_COLORINGS)
+def test_coloring_from_text_rejects_malformed_colorings(text, message):
+    with pytest.raises(FileFormatError, match=message):
+        coloring_from_text(text)

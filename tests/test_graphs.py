@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,44 @@ def test_list_cycles_matches_subset_oracle(g, k):
 @given(graphs(max_n=8), st.integers(min_value=3, max_value=8))
 def test_has_cycle_iff_list_nonempty(g, k):
     assert has_cycle_of_length(g, k) == bool(list_cycles(g, k))
+
+
+def k2n(n):
+    """K_{2,n}: hubs 0 and 1, each joined to all of 2..n+1; its only cycles are 4-cycles."""
+    return build_graph(n + 2, [(h, v) for h in (0, 1) for v in range(2, n + 2)])
+
+
+def friendship_fan(blades):
+    """Triangles 0-(2i+1)-(2i+2) sharing the hub 0; its only cycles are triangles."""
+    return build_graph(2 * blades + 1, [(0, v) for v in range(1, 2 * blades + 1)] +
+                       [(2 * i + 1, 2 * i + 2) for i in range(blades)])
+
+
+def triangle_chain(n):
+    """Triangles (2i, 2i+1, 2i+2) in a row on n = 2t+1 vertices; only triangles."""
+    return build_graph(n, [e for i in range(0, n - 2, 2) for e in ((i, i + 1), (i + 1, i + 2), (i, i + 2))])
+
+
+@pytest.mark.parametrize("graph, has_4", [
+    (k2n(1500), True), (friendship_fan(1000), False), (triangle_chain(3001), False),
+], ids=["k2-1500", "fan-2000", "chain-3001"])
+def test_four_and_six_cycle_checks_on_worst_case_shapes(graph, has_4):
+    # a high-degree vertex in the middle of many paths makes a search over
+    # paths, or a pairwise compare of them, quadratic or cubic here
+    start = time.perf_counter()
+    assert has_cycle_of_length(graph, 4) is has_4
+    assert has_cycle_of_length(graph, 6) is False
+    assert time.perf_counter() - start < 1.0
+
+
+def test_six_cycle_found_past_a_star_of_inner_paths():
+    # from the top-ranked vertex 1, the paths 1-a-0-2 for a = 3, 5, 6 all
+    # meet at 0, and only the last is disjoint from the later path 1-3-5-2:
+    # the one 6-cycle shows only if endpoint 2 keeps three inner pairs
+    g = build_graph(9, [(0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5),
+                        (1, 6), (1, 7), (2, 5), (3, 5)])
+    assert list_cycles(g, 6) == [(0, 2, 5, 3, 1, 6)]
+    assert has_cycle_of_length(g, 6)
 
 
 def uses_edge(cycle, u, v) -> bool:

@@ -4,13 +4,15 @@ networkx is a test-only oracle, never a runtime dependency; without it
 these tests are skipped.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import has_cycle_of_length, list_cycles
+from dpcolor.graphs import build_graph, has_cycle_of_length, list_cycles
 
 nx = pytest.importorskip("networkx")
 
@@ -93,3 +95,40 @@ def test_generated_faces_and_cycles_agree_with_networkx(n, seed):
     pg = generate_plane_no46(n, seed)
     check_faces(pg)
     check_cycles(pg.graph)
+
+
+def closes_4_cycle(g, u, v):
+    """True iff adding edge uv to networkx graph ``g`` makes a 4-cycle."""
+    return any(g.has_edge(a, b) for a in g[u] for b in g[v] if a != v and b != u and a != b)
+
+
+def random_graphs(seed):
+    """Graphs on one vertex set: a G(n, m), a K_{2,n}-like graph of two hubs
+    with a few extra edges, and a graph grown edge by edge with no 4-cycle."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 22)
+    dense = nx.gnm_random_graph(n, rng.randint(n, 2 * n), seed=seed)
+    hubs = nx.empty_graph(n)
+    hubs.add_edges_from((h, v) for v in range(2, n) for h in rng.sample((0, 1), rng.randint(1, 2)))
+    hubs.add_edges_from(rng.sample(range(n), 2) for _ in range(rng.randint(0, 3)))
+    no4 = nx.empty_graph(n)
+    for _ in range(3 * n):
+        u, v = rng.sample(range(n), 2)
+        if not no4.has_edge(u, v) and not closes_4_cycle(no4, u, v):
+            no4.add_edge(u, v)
+    return dense, hubs, no4
+
+
+def test_four_and_six_cycle_checks_agree_with_networkx_on_seeded_graphs():
+    # the 6-check is exact on its own, so it is checked on graphs with
+    # 4-cycles too; every combination of answers must come up
+    seen = set()
+    for seed in range(60):
+        for g in random_graphs(seed):
+            graph = build_graph(g.number_of_nodes(), g.edges)
+            expected = tuple(
+                any(len(c) == k for c in nx.simple_cycles(g, length_bound=k)) for k in (4, 6)
+            )
+            assert (has_cycle_of_length(graph, 4), has_cycle_of_length(graph, 6)) == expected, seed
+            seen.add(expected)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

@@ -1,12 +1,17 @@
 """Checks on the library's source itself and on the calls its generator makes."""
 
 import ast
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 import dpcolor
-from dpcolor import generate
+from dpcolor import generate, graphs
+from dpcolor.covers import random_cover, uniform_assignment
+from dpcolor.discharging import apply_rules, audit_cases
+from dpcolor.fileio import audit_to_json_text, trace_to_text
+from dpcolor.reduction import color_planar_no46
 
 PACKAGE = Path(dpcolor.__file__).parent
 
@@ -87,3 +92,39 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
     assert counts["graphs.has_forbidden_cycles"] == 1
     assert counts["graphs.has_cycle_of_length"] <= 2
     assert not [name for name in counts if "list_cycles" in name or name.endswith("in repair")]
+
+
+def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
+    # json.dumps with an indent runs CPython's pure-Python encoder; the two
+    # large documents are written directly, in the same bytes
+    pg = generate.generate_plane_no46(150, 11)
+    ledger = apply_rules(pg)
+    report = audit_cases(pg, ledger)
+    cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
+    trace = color_planar_no46(pg, cover).trace
+    indents = []
+    dumps = json.dumps
+
+    def watched(*args, **kwargs):
+        indents.append(kwargs.get("indent"))
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", watched)
+    assert audit_to_json_text(report, ledger) and trace_to_text(trace)
+    assert [indent for indent in indents if indent is not None] == []
+
+
+def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
+    # the 4- and 6-checks go by degree order; the depth-first search over
+    # paths from every anchor is left to list_cycles and other lengths
+    pg = generate.generate_plane_no46(150, 11)
+    graph = graphs.build_graph(pg.graph.n, pg.graph.edges)  # the check is cached per Graph
+    anchors = []
+
+    def search(graph, anchor, *args, **kwargs):
+        anchors.append(anchor)
+        return []
+
+    monkeypatch.setattr(graphs, "_cycles_from_anchor", search)
+    assert not graphs.has_forbidden_cycles(graph)
+    assert anchors == []
