@@ -42,10 +42,8 @@ from .generate import generate_plane_no46
 from .graphs import (
     Graph,
     build_graph,
-    cross_edges,
     cycles_through_edge,
     has_cycle_of_length,
-    induced_subgraph,
     is_connected,
     list_cycles,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "check_face_threes",
     "check_propositions",
     "color_planar_no46",
-    "cross_edges",
     "cycles_through_edge",
     "diagonal_cover",
     "dp_chromatic",
@@ -100,7 +97,6 @@ __all__ = [
     "generate_plane_no46",
     "has_cycle_of_length",
     "impropriety",
-    "induced_subgraph",
     "initial_charges",
     "is_connected",
     "is_dp_colorable",

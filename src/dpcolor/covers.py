@@ -218,12 +218,3 @@ def enumerate_perfect_covers(
     ]
     yield from enumerate_covers(graph, lists, options)
 
-
-def delete_cover_pairs(cover: Cover, drops: Iterable[tuple[int, tuple[int, int]]]) -> Cover:
-    """Copy of ``cover`` with the given (edge index, pair) entries removed."""
-    wanted = set(drops)
-    matchings = tuple(
-        tuple(p for p in matching if (i, p) not in wanted)
-        for i, matching in enumerate(cover.matchings)
-    )
-    return Cover(graph=cover.graph, lists=cover.lists, matchings=matchings)

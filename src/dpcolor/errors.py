@@ -28,10 +28,6 @@ class IndexOutOfRangeError(DpColorError):
     """A vertex index is negative or >= the vertex count."""
 
 
-class OverlappingSetsError(DpColorError):
-    """Two vertex sets required to be disjoint intersect."""
-
-
 class BadLengthError(DpColorError):
     """A cycle length below 3 was requested."""
 
@@ -95,9 +91,10 @@ class ContractViolationError(DpColorError):
 class TheoremViolationError(DpColorError):
     """No reducible configuration exists where one is guaranteed.
 
-    Raised with the offending graph attached for inspection; seeing this on
-    a connected plane graph without 4- or 6-cycles would contradict the
-    structural guarantee the pipeline relies on.
+    Raised with the host graph attached for inspection and the stuck
+    vertices named by host id; seeing this on a connected plane graph
+    without 4- or 6-cycles would contradict the structural guarantee the
+    pipeline relies on.
     """
 
     def __init__(self, message, graph=None):

@@ -290,7 +290,7 @@ def _entry_json(e: AuditEntry, transfers_in: list[str], transfers_out: list[str]
         f'  "initial": {_charge_json(e.initial)},\n'
         f'  "out": {_charge_json(e.outgoing)},\n'
         f'  "pattern": {_json_str(e.pattern)},\n'
-        f'  "reason": {"null" if e.reason is None else _json_str(e.reason)},\n'
+        f'  "reason": {_json_str(e.reason)},\n'
         f'  "transfers_in": {_json_list(transfers_in, 1)},\n'
         f'  "transfers_out": {_json_list(transfers_out, 1)},\n'
         f'  "verdict": {_json_str(e.verdict)}\n'

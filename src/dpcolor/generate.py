@@ -37,7 +37,7 @@ def _add_pendant(rotations: list[list[int]], rng: random.Random) -> list[Edge]:
 
 
 def _corner_insert(rotations: list[list[int]], walk, pos: int, v: int) -> None:
-    """Make the corner at walk position ``pos`` open toward the new vertex.
+    """Make the corner at walk position ``pos`` open toward vertex ``v``.
 
     The corner sits between the arcs ``walk[pos - 1] = (a, x)`` and
     ``walk[pos] = (x, b)``; inserting ``v`` right after ``a`` in the
@@ -48,10 +48,13 @@ def _corner_insert(rotations: list[list[int]], walk, pos: int, v: int) -> None:
     ring.insert(ring.index(a) + 1, v)
 
 
-def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
-    faces = [f for f in pg.faces if f.degree >= 2]
+def _pick_corners(pg: PlaneGraph, min_degree: int, rng: random.Random, fits) -> tuple | None:
+    """``(walk, p, q, x, y)``: a random face of degree ``min_degree`` or more
+    and its first pair of corners, in shuffled order, at walk positions
+    ``p``, ``q`` and distinct vertices ``x``, ``y`` with ``fits(x, y)``."""
+    faces = [f for f in pg.faces if f.degree >= min_degree]
     if not faces:
-        return []
+        return None
     face = faces[rng.randrange(len(faces))]
     positions = list(range(face.degree))
     rng.shuffle(positions)
@@ -59,39 +62,31 @@ def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> 
         for q in positions[i + 1:]:
             x = face.walk[p - 1][1]
             y = face.walk[q - 1][1]
-            if x != y:
-                v = len(rotations)
-                _corner_insert(rotations, face.walk, p, v)
-                _corner_insert(rotations, face.walk, q, v)
-                rotations.append([x, y])
-                return [(x, v), (v, y)]
-    return []
+            if x != y and fits(x, y):
+                return face.walk, p, q, x, y
+    return None
+
+
+def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
+    found = _pick_corners(pg, 2, rng, lambda x, y: True)
+    if found is None:
+        return []
+    walk, p, q, x, y = found
+    v = len(rotations)
+    _corner_insert(rotations, walk, p, v)
+    _corner_insert(rotations, walk, q, v)
+    rotations.append([x, y])
+    return [(x, v), (v, y)]
 
 
 def _add_chord(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
-    faces = [f for f in pg.faces if f.degree >= 4]
-    if not faces:
+    found = _pick_corners(pg, 4, rng, lambda x, y: not pg.graph.has_edge(x, y))
+    if found is None:
         return []
-    face = faces[rng.randrange(len(faces))]
-    positions = list(range(face.degree))
-    rng.shuffle(positions)
-    for i, p in enumerate(positions):
-        for q in positions[i + 1:]:
-            x = face.walk[p - 1][1]
-            y = face.walk[q - 1][1]
-            if x != y and not pg.graph.has_edge(x, y):
-                lo, hi = min(p, q), max(p, q)
-                a, xx = face.walk[lo - 1]
-                c, yy = face.walk[hi - 1]
-                rotations[xx].insert(rotations[xx].index(a) + 1, yy)
-                rotations[yy].insert(rotations[yy].index(c) + 1, xx)
-                return [(x, y)]
-    return []
-
-
-def _delete_edge(rotations: list[list[int]], u: int, v: int) -> None:
-    rotations[u].remove(v)
-    rotations[v].remove(u)
+    walk, p, q, x, y = found
+    _corner_insert(rotations, walk, p, y)
+    _corner_insert(rotations, walk, q, x)
+    return [(x, y)]
 
 
 def _smallest_forbidden_cycle(
@@ -121,8 +116,31 @@ def _repair(
             return True
         pick = rng.randrange(len(cycle))
         u, v = cycle[pick], cycle[(pick + 1) % len(cycle)]
-        _delete_edge(rotations, u, v)
+        rotations[u].remove(v)
+        rotations[v].remove(u)
     return _smallest_forbidden_cycle(rotations, inserted) is None
+
+
+def _grow(rotations: list[list[int]], n: int, rng: random.Random) -> bool:
+    """Grow ``rotations`` to ``n`` vertices, then densify with up to two
+    chords; False as soon as a repair fails."""
+    max_rounds = 2 * n + 10
+    while len(rotations) < n:
+        roll = rng.random()
+        if len(rotations) < 3 or roll < 0.35:
+            inserted = _add_pendant(rotations, rng)
+        else:
+            move = _add_ear if roll < 0.9 else _add_chord
+            inserted = move(rotations, plane_from_rotations(rotations), rng)
+            if not inserted:
+                inserted = _add_pendant(rotations, rng)
+        if not _repair(rotations, inserted, rng, max_rounds):
+            return False
+    for _ in range(rng.randrange(3)):  # densify, then re-repair
+        inserted = _add_chord(rotations, plane_from_rotations(rotations), rng)
+        if not _repair(rotations, inserted, rng, max_rounds):
+            return False
+    return True
 
 
 def generate_plane_no46(
@@ -139,27 +157,7 @@ def generate_plane_no46(
     rng = random.Random(seed)
     for _ in range(attempts):
         rotations: list[list[int]] = [[]]
-        ok = True
-        while len(rotations) < n:
-            roll = rng.random()
-            if len(rotations) < 3 or roll < 0.35:
-                inserted = _add_pendant(rotations, rng)
-            else:
-                move = _add_ear if roll < 0.9 else _add_chord
-                inserted = move(rotations, plane_from_rotations(rotations), rng)
-                if not inserted:
-                    inserted = _add_pendant(rotations, rng)
-            if not _repair(rotations, inserted, rng, max_rounds=2 * n + 10):
-                ok = False
-                break
-        if not ok:
-            continue
-        for _ in range(rng.randrange(3)):  # densify, then re-repair
-            inserted = _add_chord(rotations, plane_from_rotations(rotations), rng)
-            if not _repair(rotations, inserted, rng, max_rounds=2 * n + 10):
-                ok = False
-                break
-        if not ok:
+        if not _grow(rotations, n, rng):
             continue
         pg = plane_from_rotations(rotations)
         if pg.graph.n != n or has_forbidden_cycles(pg.graph):

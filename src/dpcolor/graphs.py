@@ -1,7 +1,7 @@
 """Simple undirected graphs on dense integer vertices.
 
 Vertices are the indices 0..n-1.  Edges are unordered pairs, stored sorted,
-and every derived structure (adjacency, subgraphs, cycle lists) iterates in
+and every derived structure (adjacency, cycle lists) iterates in
 a fixed sorted order so that solver traces and tests are reproducible.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadLengthError,
@@ -17,7 +17,6 @@ from .errors import (
     ForbiddenCyclePresentError,
     IndexOutOfRangeError,
     LoopEdgeError,
-    OverlappingSetsError,
 )
 
 Edge = tuple[int, int]
@@ -58,18 +57,6 @@ class Graph:
         return has_cycle_of_length(self, 4) or has_cycle_of_length(self, 6)
 
 
-class InducedSubgraph(NamedTuple):
-    """Result of :func:`induced_subgraph`: the subgraph plus its index map.
-
-    ``vertices[i]`` is the original index of the subgraph's vertex ``i``
-    (so the map original -> new is ``vertices.index``, and ``vertices`` is
-    sorted).
-    """
-
-    graph: Graph
-    vertices: tuple[int, ...]
-
-
 def _check_vertex(v: int, n: int) -> None:
     if not 0 <= v < n:
         raise IndexOutOfRangeError(f"vertex {v} not in 0..{n - 1}")
@@ -97,45 +84,6 @@ def build_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         adj[v].append(u)
     adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
     return Graph(n=n, edges=sorted_edges, adjacency=adjacency)
-
-
-def normalize_vertex_set(graph: Graph, vertices: Iterable[int]) -> tuple[int, ...]:
-    """Sorted, duplicate-free vertex tuple, validated against ``graph``."""
-    out = sorted(set(vertices))
-    for v in out:
-        _check_vertex(v, graph.n)
-    return tuple(out)
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> InducedSubgraph:
-    """Subgraph induced by ``vertices``, reindexed to 0..|U|-1."""
-    kept = normalize_vertex_set(graph, vertices)
-    index = {v: i for i, v in enumerate(kept)}
-    sub_edges = [
-        (index[u], index[v])
-        for u, v in graph.edges
-        if u in index and v in index
-    ]
-    return InducedSubgraph(build_graph(len(kept), sub_edges), kept)
-
-
-def cross_edges(
-    graph: Graph, left: Iterable[int], right: Iterable[int]
-) -> list[Edge]:
-    """Edges with one endpoint in ``left`` and the other in ``right``.
-
-    The two sets must be disjoint.
-    """
-    xs = set(normalize_vertex_set(graph, left))
-    ys = set(normalize_vertex_set(graph, right))
-    overlap = xs & ys
-    if overlap:
-        raise OverlappingSetsError(f"sets share vertices {sorted(overlap)}")
-    return [
-        (u, v)
-        for u, v in graph.edges
-        if (u in xs and v in ys) or (u in ys and v in xs)
-    ]
 
 
 def is_connected(graph: Graph) -> bool:

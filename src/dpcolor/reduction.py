@@ -42,7 +42,7 @@ from .errors import (
     ListTooSmallError,
     TheoremViolationError,
 )
-from .graphs import Graph, build_graph, induced_subgraph, require_no_forbidden_cycles
+from .graphs import Graph, build_graph, require_no_forbidden_cycles
 from .solver import RepSet, brute_force_rep_set, impropriety
 
 
@@ -176,7 +176,7 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
             raise TheoremViolationError(
                 "no reducible configuration in a nonempty graph "
                 f"on host vertices {names}",
-                graph=induced_subgraph(graph, names).graph,
+                graph=graph,
             )
         order.append(config)
         remaining -= len(config.vertices)

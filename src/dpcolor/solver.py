@@ -12,7 +12,6 @@ covers of the canonical 1..k lists.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -21,7 +20,6 @@ from .covers import (
     Cover,
     diagonal_cover,
     enumerate_perfect_covers,
-    random_cover,
     uniform_assignment,
 )
 from .errors import (
@@ -210,8 +208,6 @@ def is_dp_colorable(
     graph: Graph,
     k: int,
     d: int,
-    samples: int | None = None,
-    seed: int = 0,
     reduce_by_renaming: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Colorability:
@@ -222,19 +218,10 @@ def is_dp_colorable(
     assignment suffices because fibers may be renamed freely).  With
     ``reduce_by_renaming`` the matchings of a spanning forest are pinned;
     every cover is fiber-isomorphic to a pinned one, shrinking the count
-    from (k!)^m to (k!)^(m-n+components).  ``samples`` switches to seeded
-    random perfect covers instead of exhaustion.
+    from (k!)^m to (k!)^(m-n+components).
     """
     lists = uniform_assignment(graph.n, k)
     checked = 0
-    if samples is not None:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            cover = random_cover(graph, lists, seed=rng.randrange(2**32), perfect=True)
-            checked += 1
-            if find_rep_set(cover, d, budget=budget) is None:
-                return Colorability(False, cover, checked)
-        return Colorability(True, None, checked)
     free = None
     if reduce_by_renaming:
         pinned = _spanning_forest_edges(graph)

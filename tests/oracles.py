@@ -5,13 +5,17 @@ checking subsets against permutations, relaxed list colorings by
 enumerating raw color maps on the graph, pendant 3-faces by scanning
 every face per vertex, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
-every face, partial matchings by filtering every set of color pairs, and
-the trace and audit documents as the dict trees that ``json.dumps`` writes.
+every face, partial matchings by filtering every set of color pairs, the
+trace and audit documents as the dict trees that ``json.dumps`` writes,
+and a remainder of the excision order as an induced subgraph renumbered
+from 0.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from dpcolor.graphs import build_graph
 
 
 def subset_cycles(graph, k):
@@ -28,6 +32,15 @@ def subset_cycles(graph, k):
             if edges_ok:
                 found.add(seq)
     return sorted(found)
+
+
+def induced_subgraph(graph, vertices):
+    """(subgraph on ``vertices`` renumbered 0..k-1 in sorted order, the
+    sorted host ids, so that subgraph vertex ``i`` is host vertex ``names[i]``)."""
+    names = tuple(sorted(vertices))
+    index = {v: i for i, v in enumerate(names)}
+    edges = [(index[u], index[v]) for u, v in graph.edges if u in index and v in index]
+    return build_graph(len(names), edges), names
 
 
 def relaxed_list_colorable(graph, lists, d):

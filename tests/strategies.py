@@ -72,7 +72,7 @@ def audits(draw):
             case=draw(texts),
             pattern=draw(texts),
             compliant=draw(st.booleans()),
-            reason=draw(st.none() | texts),
+            reason=draw(texts),
             initial=draw(sixths),
             incoming=draw(sixths),
             outgoing=draw(sixths),

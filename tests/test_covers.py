@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dpcolor.covers import (
     Cover,
     count_perfect_covers,
-    delete_cover_pairs,
     diagonal_cover,
     enumerate_perfect_covers,
     partial_matchings,
@@ -123,13 +122,11 @@ def test_random_covers_validate(cover):
 def test_deleting_pairs_never_hurts_a_rep_set(cover, rng):
     """Any chosen set only loses conflicts when cover edges are deleted."""
     rep = tuple(colors[rng.randrange(len(colors))] for colors in cover.lists)
-    drops = [
-        (i, pair)
-        for i, matching in enumerate(cover.matchings)
-        for pair in matching
-        if rng.random() < 0.4
-    ]
-    thinned = delete_cover_pairs(cover, drops)
+    matchings = tuple(
+        tuple(pair for pair in matching if rng.random() >= 0.4)
+        for matching in cover.matchings
+    )
+    thinned = Cover(cover.graph, cover.lists, matchings)
     assert validate_cover(thinned) is None
     before = impropriety(cover, rep)
     after = impropriety(thinned, rep)

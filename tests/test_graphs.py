@@ -10,14 +10,11 @@ from dpcolor.errors import (
     DuplicateEdgeError,
     IndexOutOfRangeError,
     LoopEdgeError,
-    OverlappingSetsError,
 )
 from dpcolor.graphs import (
     build_graph,
-    cross_edges,
     cycles_through_edge,
     has_cycle_of_length,
-    induced_subgraph,
     is_connected,
     list_cycles,
 )
@@ -59,46 +56,6 @@ def test_duplicate_rejected():
 def test_out_of_range_rejected():
     with pytest.raises(IndexOutOfRangeError):
         build_graph(2, [(0, 2)])
-
-
-def test_induced_subgraph_of_k4():
-    sub, vertices = induced_subgraph(build_graph(4, K4_EDGES), [0, 1, 2])
-    assert vertices == (0, 1, 2)
-    assert sub.edges == ((0, 1), (0, 2), (1, 2))
-
-
-def test_induced_subgraph_empty_set():
-    sub, vertices = induced_subgraph(build_graph(4, K4_EDGES), [])
-    assert vertices == () and sub.n == 0 and sub.m == 0
-
-
-def test_induced_subgraph_of_c5():
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    sub, vertices = induced_subgraph(c5, [0, 1, 3])
-    assert vertices == (0, 1, 3)
-    assert sub.edges == ((0, 1),)
-
-
-def test_induced_subgraph_full_is_identity():
-    g = build_graph(4, K4_EDGES)
-    sub, vertices = induced_subgraph(g, range(4))
-    assert sub == g and vertices == (0, 1, 2, 3)
-
-
-def test_cross_edges_k4():
-    g = build_graph(4, K4_EDGES)
-    assert cross_edges(g, [0], [1, 2]) == [(0, 1), (0, 2)]
-
-
-def test_cross_edges_c4_opposite():
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert cross_edges(c4, [0], [2]) == []
-
-
-def test_cross_edges_overlap_rejected():
-    g = build_graph(4, K4_EDGES)
-    with pytest.raises(OverlappingSetsError):
-        cross_edges(g, [0], [0, 1])
 
 
 def test_c4_has_4_cycle():

@@ -142,12 +142,6 @@ def test_k1_dp_1_colorable():
     assert is_dp_colorable(build_graph(1, []), 1, 0).colorable
 
 
-def test_sampled_mode_is_deterministic():
-    a = is_dp_colorable(c4(), 2, 0, samples=20, seed=5)
-    b = is_dp_colorable(c4(), 2, 0, samples=20, seed=5)
-    assert a == b
-
-
 def test_dp_chromatic_values():
     assert dp_chromatic(build_graph(1, [])) == 1
     assert dp_chromatic(c4()) == 3

@@ -1,10 +1,15 @@
-"""Checks on the library's source itself and on the calls its generator makes."""
+"""Checks on the library's source itself, on the calls its generator makes,
+and that every demo runs."""
 
 import ast
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import dpcolor
 from dpcolor import generate, graphs
@@ -14,6 +19,8 @@ from dpcolor.fileio import audit_to_json_text, trace_to_text
 from dpcolor.reduction import color_planar_no46
 
 PACKAGE = Path(dpcolor.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _raises_assertion_error(node) -> bool:
@@ -128,3 +135,12 @@ def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
     monkeypatch.setattr(graphs, "_cycles_from_anchor", search)
     assert not graphs.has_forbidden_cycles(graph)
     assert anchors == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_runs(demo):
+    # the demos are the public API's only callers outside the tests
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
