@@ -165,11 +165,6 @@ def random_cover(
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
 
 
-def count_perfect_covers(graph: Graph, lists: Lists) -> int:
-    """Number of covers whose matchings are all bijections."""
-    return math.prod(math.factorial(size) for size in _perfect_sizes(graph, lists))
-
-
 def partial_matchings(left: tuple[int, ...], right: tuple[int, ...]) -> list[Matching]:
     """Every partial injective matching between two color lists, sorted."""
     return sorted(

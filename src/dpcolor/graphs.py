@@ -42,14 +42,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
 
     @cached_property
     def has_forbidden_cycles(self) -> bool:
@@ -101,55 +95,6 @@ def is_connected(graph: Graph) -> bool:
     return len(seen) == graph.n
 
 
-def _cycles_from_anchor(graph: Graph, anchor: int, k: int, stop_at_first: bool):
-    """DFS over simple paths anchored at their minimum vertex.
-
-    A cycle is reported as ``(anchor, v1, .., v_{k-1})`` with every ``vi``
-    greater than ``anchor``; direction is canonicalized by requiring the
-    second vertex to be smaller than the last, so each cycle appears once
-    up to rotation and reflection.
-    """
-    found: list[tuple[int, ...]] = []
-    path = [anchor]
-    on_path = {anchor}
-
-    def extend() -> bool:
-        v = path[-1]
-        if len(path) == k:
-            if anchor in graph.adjacency[v] and path[1] < path[-1]:
-                found.append(tuple(path))
-                return stop_at_first
-            return False
-        for w in graph.adjacency[v]:
-            if w <= anchor or w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            done = extend()
-            on_path.remove(w)
-            path.pop()
-            if done:
-                return True
-        return False
-
-    extend()
-    return found
-
-
-def list_cycles(graph: Graph, k: int) -> list[tuple[int, ...]]:
-    """All cycles on exactly ``k`` distinct vertices, each listed once.
-
-    Cycles are vertex sequences starting at their smallest vertex, with the
-    lexicographically smaller of the two directions.
-    """
-    if k < 3:
-        raise BadLengthError(f"cycle length {k} < 3")
-    out: list[tuple[int, ...]] = []
-    for anchor in range(graph.n):
-        out.extend(_cycles_from_anchor(graph, anchor, k, stop_at_first=False))
-    return out
-
-
 def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
     """``path`` as ``list_cycles`` reports it: rotated to start at its
     smallest vertex, in the direction whose second vertex is the smaller
@@ -164,15 +109,16 @@ def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
 def cycles_through_edge(
     adjacency: Sequence[Sequence[int]], u: int, v: int, k: int
 ) -> list[tuple[int, ...]]:
-    """The ``k``-cycles through edge ``uv``, as ``list_cycles`` lists them.
+    """The ``k``-cycles through edge ``uv``, as ``list_cycles`` lists them
+    (``list_cycles`` is built from this search).
 
     ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
     system serves).  Each cycle is a simple path from ``v`` back to ``u``
     with ``k - 1`` edges, closed by ``uv``; only those paths are searched,
     so the cost depends on the degrees near the edge, not on the size of
-    the graph.  The result is the sublist of ``list_cycles`` whose cycles
-    use ``uv``, in the same canonical form and order; an absent edge lies
-    on no cycle.
+    the graph.  The search keeps one iterator over the neighbours of each
+    path vertex, so a path may be as long as memory allows.  An absent
+    edge lies on no cycle.
     """
     if k < 3:
         raise BadLengthError(f"cycle length {k} < 3")
@@ -181,22 +127,43 @@ def cycles_through_edge(
     closing = set(adjacency[u])
     found: list[tuple[int, ...]] = []
     path = [u, v]
-
-    def extend() -> None:
-        x = path[-1]
-        if len(path) == k:
-            if x in closing:
-                found.append(_canonical_cycle(path))
-            return
-        for w in adjacency[x]:
-            if w not in path:
+    on_path = {u, v}
+    pending = [iter(adjacency[v])]  # the untried neighbours of path[1:]
+    while pending:
+        for w in pending[-1]:
+            if w in on_path:
+                continue
+            if len(path) + 1 < k:
                 path.append(w)
-                extend()
-                path.pop()
-
-    extend()
+                on_path.add(w)
+                pending.append(iter(adjacency[w]))
+                break
+            if w in closing:
+                found.append(_canonical_cycle(path + [w]))
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
     found.sort()
     return found
+
+
+def list_cycles(graph: Graph, k: int) -> list[tuple[int, ...]]:
+    """All cycles on exactly ``k`` distinct vertices, each listed once.
+
+    Cycles are vertex sequences starting at their smallest vertex, with the
+    lexicographically smaller of the two directions, and come in
+    lexicographic order.  Each is found through its first edge:
+    ``cycles_through_edge`` runs on every edge in sorted order and keeps
+    the cycles that start with that edge.  The cost is exponential in ``k``.
+    """
+    if k < 3:
+        raise BadLengthError(f"cycle length {k} < 3")
+    return [
+        cycle
+        for u, v in graph.edges
+        for cycle in cycles_through_edge(graph.adjacency, u, v, k)
+        if cycle[0] == u and cycle[1] == v
+    ]
 
 
 def _degree_ranks(adjacency: Sequence[Sequence[int]]) -> list[int]:
@@ -280,8 +247,8 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     that to find the length-2 paths below each vertex, plus the degrees of
     their distinct far ends, each at most the degree of the vertex: O(m)
     when degrees are bounded and O(a(G) m^1.5) in the worst case.  Other
-    lengths use the depth-first search of ``list_cycles``, exponential in
-    ``k``.
+    lengths search the paths through each edge with
+    ``cycles_through_edge``, exponential in ``k``.
     """
     if k < 3:
         raise BadLengthError(f"cycle length {k} < 3")
@@ -289,10 +256,7 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
         return _has_4_cycle(graph.adjacency)
     if k == 6:
         return _has_6_cycle(graph.adjacency)
-    return any(
-        _cycles_from_anchor(graph, anchor, k, stop_at_first=True)
-        for anchor in range(graph.n)
-    )
+    return any(cycles_through_edge(graph.adjacency, u, v, k) for u, v in graph.edges)
 
 
 def has_forbidden_cycles(graph: Graph) -> bool:

@@ -11,16 +11,17 @@ configurations:
   neighbors, the three pairwise nonadjacent.
 
 The pipeline runs in two passes over host vertex ids, without recursion
-and without relabelled subgraphs.  Pass 1 computes the whole excision
-order once over a mutable degree array, the smallest-last idea of Matula
-and Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates
-of each kind, so every step is the configuration ``find_reducible_config``
-would pick on the remainder.  Pass 2 colors the steps in reverse order
-through residual lists: a color of an excised vertex survives only if no
-already-colored neighbor's choice (the neighbors excised later) is
-matched to it.  Surviving choices can then never conflict across the
-frontier.  The list-size floors (1, 1+1, and 2 for the center plus 1 per
-leaf) follow from each configuration's outside-neighbor counts, and every
+and without relabelled subgraphs.  Pass 1 computes the excision order
+once over a mutable degree array, the smallest-last idea of Matula and
+Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates of
+each kind, and every step takes the remainder's first configuration by
+kind priority; ``find_reducible_config`` is the order's first step.
+Pass 2 colors the steps in reverse order through residual lists: a
+color of an excised vertex survives only if no already-colored
+neighbor's choice (the neighbors excised later) is matched to it.
+Surviving choices can then never conflict across the frontier.  The
+list-size floors (1, 1+1, and 2 for the center plus 1 per leaf) follow
+from each configuration's outside-neighbor counts, and every
 configuration is colorable at those floors by the extension rule
 ``_color_config``; ``verify_config_reducible`` proves it by exhausting
 all residual covers.
@@ -32,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterator
 
 from .covers import Cover, Lists, enumerate_covers, partial_matchings, validate_cover
 from .embedding import PlaneGraph
@@ -87,35 +88,6 @@ class PipelineResult:
     impropriety: tuple[int, ...]
 
 
-def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
-    """First reducible configuration by kind priority, then vertex order.
-
-    Priority: low-vertex, then adjacent-threes (in edge order), then
-    four-three-threes with its first three degree-3 neighbors.  Because
-    adjacent degree-3 vertices are ruled out before the third kind is
-    considered, the three listed leaves are pairwise nonadjacent.
-    """
-    degs = graph.degrees()
-    for v in range(graph.n):
-        if degs[v] <= 2:
-            return ReducibleConfig(ConfigKind.LOW_VERTEX, (v,))
-    for u, v in graph.edges:
-        if degs[u] == 3 and degs[v] == 3:
-            return ReducibleConfig(ConfigKind.ADJACENT_THREES, (u, v))
-    for v in range(graph.n):
-        if degs[v] != 4:
-            continue
-        threes = [u for u in graph.adjacency[v] if degs[u] == 3]
-        if len(threes) >= 3:
-            leaves = tuple(threes[:3])
-            if any(graph.has_edge(a, b) for a in leaves for b in leaves if a < b):
-                raise InternalInvariantError(
-                    f"leaves {leaves} of 4-vertex {v} are adjacent"
-                )
-            return ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + leaves)
-    return None
-
-
 _GONE = -1  # degree entry of an excised vertex
 
 
@@ -128,14 +100,20 @@ def _pop_valid(heap: list, valid: Callable) -> object | None:
     return None
 
 
-def _excision_order(graph: Graph) -> list[ReducibleConfig]:
-    """Pass 1: the configuration ``find_reducible_config`` picks at each step.
+def _excision_order(graph: Graph) -> Iterator[ReducibleConfig]:
+    """Pass 1: the configurations to excise, first to last, yielded lazily.
 
+    Each step takes the first configuration of the remainder by kind
+    priority, then vertex order: a low vertex, then adjacent threes in
+    edge order, then a 4-vertex with its first three degree-3 neighbors.
     ``deg`` holds remainder degrees.  Each heap may hold stale entries;
     they are dropped when they reach the top.  Low vertices and 3-3 edges
     never become valid again once stale, and a 4-vertex is pushed again on
     every event that can make it valid: its own drop to degree 4, or a
-    neighbor's drop to degree 3.
+    neighbor's drop to degree 3.  Adjacent degree-3 vertices go before any
+    four-three-threes, so its three leaves are pairwise nonadjacent, or
+    ``InternalInvariantError`` is raised.  Raises ``TheoremViolationError``
+    on a nonempty remainder with no configuration.
     """
     adj = graph.adjacency
     deg = [len(nbrs) for nbrs in adj]
@@ -162,7 +140,6 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
     def is_center(v: int) -> bool:
         return deg[v] == 4 and leaves(v) is not None
 
-    order: list[ReducibleConfig] = []
     remaining = graph.n
     while remaining:
         if (v := _pop_valid(low, is_low)) is not None:
@@ -170,7 +147,10 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
         elif (edge := _pop_valid(pairs, is_pair)) is not None:
             config = ReducibleConfig(ConfigKind.ADJACENT_THREES, edge)
         elif (v := _pop_valid(fours, is_center)) is not None:
-            config = ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + leaves(v))
+            found = leaves(v)
+            if any(graph.has_edge(a, b) for a in found for b in found if a < b):
+                raise InternalInvariantError(f"leaves {found} of 4-vertex {v} are adjacent")
+            config = ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + found)
         else:
             names = tuple(v for v in range(graph.n) if deg[v] != _GONE)
             raise TheoremViolationError(
@@ -178,7 +158,7 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
                 f"on host vertices {names}",
                 graph=graph,
             )
-        order.append(config)
+        yield config
         remaining -= len(config.vertices)
         for x in config.vertices:
             deg[x] = _GONE
@@ -197,7 +177,16 @@ def _excision_order(graph: Graph) -> list[ReducibleConfig]:
                             heappush(fours, w)
                 elif deg[u] == 4:
                     heappush(fours, u)
-    return order
+
+
+def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
+    """The first step of the excision order: the first configuration by
+    kind priority, then vertex order.  ``None`` for an empty graph or one
+    with no reducible configuration."""
+    try:
+        return next(_excision_order(graph), None)
+    except TheoremViolationError:
+        return None
 
 
 def _residual_list(cover: Cover, x: int, color: list[int | None]) -> tuple[int, ...]:
@@ -300,7 +289,7 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
     violation = validate_cover(cover)
     if violation is not None:
         raise ContractViolationError(f"invalid cover ({violation.clause}): {violation.message}")
-    order = _excision_order(cover.graph)
+    order = list(_excision_order(cover.graph))
     color: list[int | None] = [None] * cover.graph.n
     steps: list[TraceStep] = []
     for config in reversed(order):

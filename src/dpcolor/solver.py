@@ -84,9 +84,11 @@ def find_rep_set(
     are assigned in descending-degree order; candidate colors are tried by
     ascending conflict count against the current partial assignment.  A
     branch dies when an assigned vertex would exceed ``d`` or when some
-    unassigned vertex keeps no viable color.  ``budget`` caps search-tree
-    nodes and raises rather than hang.  Raises
-    ``NegativeImproprietyError`` for ``d < 0``.
+    unassigned vertex keeps no viable color.  Backtracking resumes a
+    per-position iterator over the untried colors, so the search needs no
+    call stack as deep as the graph.  ``budget`` caps search-tree nodes
+    and raises rather than hang.  Raises ``NegativeImproprietyError`` for
+    ``d < 0``.
     """
     _check_search(cover, d)
     g = cover.graph
@@ -99,57 +101,64 @@ def find_rep_set(
     counts = [0] * g.n
     nodes = 0
 
-    def viable(v: int, c: int) -> bool:
-        hits = 0
+    def conflicts(v: int, c: int) -> list[int] | None:
+        """The assigned neighbors color ``c`` of ``v`` conflicts with, or
+        ``None`` when one of them, or ``v``, would exceed ``d``."""
+        hit = []
         for u, pairing in partners[v].items():
             if chosen[u] is not None and pairing.get(c) == chosen[u]:
-                if counts[u] >= d:
-                    return False
-                hits += 1
-                if hits > d:
-                    return False
-        return True
+                if counts[u] >= d or len(hit) == d:
+                    return None
+                hit.append(u)
+        return hit
 
-    def assign(pos: int) -> RepSet | None:
+    def candidates(v: int):
+        """A new search node at ``v``: its viable colors, fewest conflicts
+        first."""
         nonlocal nodes
-        if pos == g.n:
-            return tuple(chosen)  # type: ignore[arg-type]
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes")
-        v = order[pos]
-        # the assigned neighbors each color conflicts with, found once
-        candidates = []
+        found = []
         for c in cover.lists[v]:
-            hit = [
-                u
-                for u, pairing in partners[v].items()
-                if chosen[u] is not None and pairing.get(c) == chosen[u]
-            ]
-            if len(hit) <= d and all(counts[u] < d for u in hit):
-                candidates.append((len(hit), c, hit))
-        candidates.sort(key=lambda entry: entry[:2])
-        for _, c, hit in candidates:
-            for u in hit:
-                counts[u] += 1
-            chosen[v] = c
-            counts[v] = len(hit)
-            # forward check: every later vertex must keep a viable color
-            if all(
-                any(viable(w, cw) for cw in cover.lists[w])
-                for w in partners[v]
-                if chosen[w] is None and rank[w] > pos
-            ):
-                result = assign(pos + 1)
-                if result is not None:
-                    return result
+            hit = conflicts(v, c)
+            if hit is not None:
+                found.append((len(hit), c, hit))
+        found.sort(key=lambda entry: entry[:2])
+        return iter(found)
+
+    # the untried candidates of each position so far, and the conflicts
+    # of the color each assigned position holds
+    pending = [candidates(order[0])]
+    held: list[list[int]] = []
+    while pending:
+        pos = len(pending) - 1
+        v = order[pos]
+        if chosen[v] is not None:  # backtracking: take the color back
+            for u in held.pop():
+                counts[u] -= 1
             chosen[v] = None
             counts[v] = 0
-            for u in hit:
-                counts[u] -= 1
-        return None
-
-    return assign(0)
+        entry = next(pending[-1], None)
+        if entry is None:
+            pending.pop()
+            continue
+        _, c, hit = entry
+        for u in hit:
+            counts[u] += 1
+        chosen[v] = c
+        counts[v] = len(hit)
+        held.append(hit)
+        # forward check: every later vertex must keep a viable color
+        if all(
+            any(conflicts(w, cw) is not None for cw in cover.lists[w])
+            for w in partners[v]
+            if chosen[w] is None and rank[w] > pos
+        ):
+            if pos + 1 == g.n:
+                return tuple(chosen)  # type: ignore[arg-type]
+            pending.append(candidates(order[pos + 1]))
+    return None
 
 
 def brute_force_rep_set(

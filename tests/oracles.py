@@ -49,7 +49,7 @@ def relaxed_list_colorable(graph, lists, d):
         ok = True
         for v in range(graph.n):
             same = sum(
-                1 for u in graph.neighbors(v) if coloring[u] == coloring[v]
+                1 for u in graph.adjacency[v] if coloring[u] == coloring[v]
             )
             if same > d:
                 ok = False

@@ -5,7 +5,7 @@ import pytest
 from dpcolor import graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
-from dpcolor.covers import Cover, diagonal_cover, uniform_assignment
+from dpcolor.covers import Cover, diagonal_cover, random_cover, uniform_assignment
 from dpcolor.fileio import (
     cover_to_text,
     graph_to_text,
@@ -13,6 +13,7 @@ from dpcolor.fileio import (
     plane_to_text,
 )
 from dpcolor.graphs import build_graph
+from dpcolor.solver import impropriety
 
 from test_fileio import BAD_COVERS, MISSING_N_PLANE
 
@@ -59,6 +60,27 @@ def test_cycles_petersen_has_6_cycles(tmp_path, capsys):
     path = write(tmp_path, "petersen.txt", graph_to_text(petersen))
     assert main(["cycles", path, "6"]) == 1
     assert "cycles of length 6: 10" in capsys.readouterr().out
+
+
+def test_cycles_of_full_length_on_a_long_cycle(tmp_path, capsys):
+    # the path search behind list_cycles runs 1199 vertices deep
+    n = 1200
+    cycle = build_graph(n, [(v, (v + 1) % n) for v in range(n)])
+    path = write(tmp_path, "c1200.txt", graph_to_text(cycle))
+    assert main(["cycles", path, str(n)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"cycles of length {n}: 1", "  " + "-".join(map(str, range(n)))]
+
+
+def test_solve_on_a_path_past_the_recursion_limit(tmp_path, capsys):
+    n = 3000
+    graph = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+    cover = random_cover(graph, uniform_assignment(n, 3), seed=5, perfect=True)
+    path = write(tmp_path, "path.json", cover_to_text(cover))
+    assert main(["solve", path, "-d", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # impropriety() also rejects a color outside its list
+    assert max(impropriety(cover, tuple(doc["colors"]))) == doc["max_impropriety"] == 0
 
 
 def test_solve_unsat_twisted_c4(tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dpcolor.covers import (
     Cover,
-    count_perfect_covers,
     diagonal_cover,
     enumerate_perfect_covers,
     partial_matchings,
@@ -89,7 +88,7 @@ def test_random_perfect_on_c4_has_full_matchings():
 
 def test_enumerate_counts_k2():
     found = list(enumerate_perfect_covers(k2(), uniform_assignment(2, 2)))
-    assert len(found) == 2 == count_perfect_covers(k2(), uniform_assignment(2, 2))
+    assert len(found) == 2
 
 
 def test_enumerate_counts_c3():
@@ -101,7 +100,6 @@ def test_enumerate_counts_c3():
 
 def test_enumerate_counts_c4_3lists():
     lists = uniform_assignment(4, 3)
-    assert count_perfect_covers(c4(), lists) == 1296
     found = list(enumerate_perfect_covers(c4(), lists, budget=2000))
     assert len(found) == len(set(found)) == 1296
 
@@ -136,8 +134,7 @@ def test_deleting_pairs_never_hurts_a_rep_set(cover, rng):
 def test_enumerated_count_formula_matches_factorials():
     g = build_graph(3, [(0, 1), (1, 2)])
     lists = ((1, 2, 3), (1, 2, 3), (1, 2, 3))
-    assert count_perfect_covers(g, lists) == math.factorial(3) ** 2
-    assert len(list(enumerate_perfect_covers(g, lists))) == 36
+    assert len(list(enumerate_perfect_covers(g, lists))) == 36 == math.factorial(3) ** 2
 
 
 @settings(max_examples=50)

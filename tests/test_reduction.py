@@ -103,15 +103,25 @@ def test_config_four_three_threes_on_k34():
     assert config.vertices == (0, 1, 2, 3)
 
 
+ICOSAHEDRON_EDGES = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4),
+    (4, 5), (5, 1), (1, 6), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8),
+    (4, 9), (5, 9), (5, 10), (1, 10), (6, 7), (7, 8), (8, 9), (9, 10),
+    (10, 6), (6, 11), (7, 11), (8, 11), (9, 11), (10, 11),
+]
+
+
 def test_no_config_in_five_regular():
     # the icosahedron is 5-regular: no configuration of any kind
-    edges = [
-        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4),
-        (4, 5), (5, 1), (1, 6), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8),
-        (4, 9), (5, 9), (5, 10), (1, 10), (6, 7), (7, 8), (8, 9), (9, 10),
-        (10, 6), (6, 11), (7, 11), (8, 11), (9, 11), (10, 11),
-    ]
-    assert find_reducible_config(build_graph(12, edges)) is None
+    assert find_reducible_config(build_graph(12, ICOSAHEDRON_EDGES)) is None
+
+
+def test_config_is_found_before_the_order_gets_stuck():
+    # the disjoint edge 12-13 goes first; the icosahedron left after it has
+    # no configuration, so only the first step of the order may be built
+    g = build_graph(14, ICOSAHEDRON_EDGES + [(12, 13)])
+    config = find_reducible_config(g)
+    assert config.kind is ConfigKind.LOW_VERTEX and config.vertices == (12,)
 
 
 def test_verify_low_vertex():
@@ -278,11 +288,11 @@ def _check_order_against_oracle(graph):
     steps, stuck = _oracle_order(graph)
     if stuck:
         with pytest.raises(TheoremViolationError) as info:
-            _excision_order(graph)
+            list(_excision_order(graph))
         assert str(info.value).endswith(f"on host vertices {stuck}")
         assert info.value.graph is graph
         return []
-    order = _excision_order(graph)
+    order = list(_excision_order(graph))
     assert [(config.kind, config.vertices) for config in order] == steps
     return order
 

@@ -122,19 +122,38 @@ def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
 
 
 def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
-    # the 4- and 6-checks go by degree order; the depth-first search over
-    # paths from every anchor is left to list_cycles and other lengths
+    # the 4- and 6-checks go by degree order; the search over paths through
+    # each edge is left to list_cycles and other lengths
     pg = generate.generate_plane_no46(150, 11)
     graph = graphs.build_graph(pg.graph.n, pg.graph.edges)  # the check is cached per Graph
-    anchors = []
+    searched = []
 
-    def search(graph, anchor, *args, **kwargs):
-        anchors.append(anchor)
+    def search(adjacency, u, v, k):
+        searched.append((u, v, k))
         return []
 
-    monkeypatch.setattr(graphs, "_cycles_from_anchor", search)
+    monkeypatch.setattr(graphs, "cycles_through_edge", search)
     assert not graphs.has_forbidden_cycles(graph)
-    assert anchors == []
+    assert searched == []
+
+
+def test_library_has_no_recursive_functions():
+    # a search that recurses once per path vertex or per assigned vertex
+    # dies with RecursionError on a large enough input; every search in
+    # the library keeps its own stack instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{call.lineno} {fn.name}"
+                    for call in ast.walk(fn)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == fn.name
+                ]
+    assert not found, found
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
