@@ -7,8 +7,9 @@ every face per vertex, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
 every face, partial matchings by filtering every set of color pairs, the
 trace and audit documents as the dict trees that ``json.dumps`` writes,
-and a remainder of the excision order as an induced subgraph renumbered
-from 0.
+a remainder of the excision order as an induced subgraph renumbered
+from 0, and a reducible configuration by rescanning the whole graph in
+priority order.
 """
 
 from collections import Counter
@@ -41,6 +42,31 @@ def induced_subgraph(graph, vertices):
     index = {v: i for i, v in enumerate(names)}
     edges = [(index[u], index[v]) for u, v in graph.edges if u in index and v in index]
     return build_graph(len(names), edges), names
+
+
+def reducible_config_scan(graph):
+    """(kind name, vertices) of the first reducible configuration, or None.
+
+    Priority: a vertex of degree <= 2, then a 3-3 edge in edge order, then
+    a 4-vertex with its first three degree-3 neighbours, which must be
+    pairwise nonadjacent.
+    """
+    degs = [graph.degree(v) for v in range(graph.n)]
+    for v in range(graph.n):
+        if degs[v] <= 2:
+            return "low-vertex", (v,)
+    for u, v in graph.edges:
+        if degs[u] == 3 and degs[v] == 3:
+            return "adjacent-threes", (u, v)
+    for v in range(graph.n):
+        if degs[v] != 4:
+            continue
+        threes = [u for u in graph.adjacency[v] if degs[u] == 3]
+        if len(threes) >= 3:
+            leaves = tuple(threes[:3])
+            assert not any(graph.has_edge(a, b) for a in leaves for b in leaves if a < b)
+            return "four-three-threes", (v,) + leaves
+    return None
 
 
 def relaxed_list_colorable(graph, lists, d):

@@ -140,28 +140,13 @@ def uses_edge(cycle, u, v) -> bool:
     return any({cycle[i], cycle[i - 1]} == {u, v} for i in range(len(cycle)))
 
 
-def nx_cycles(g, k):
-    """The k-cycles networkx finds, canonical as in test_networkx_oracle, sorted."""
-    nx = pytest.importorskip("networkx")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.edges)
-    found = []
-    for cycle in nx.simple_cycles(graph, length_bound=k):
-        if len(cycle) == k:
-            i = cycle.index(min(cycle))
-            turned = tuple(cycle[i:]) + tuple(cycle[:i])
-            found.append(min(turned, (turned[0],) + turned[:0:-1]))
-    return sorted(found)
-
-
 def assert_cycles_through_edges_match_filter(g, lengths=(4, 6), seed=0):
-    # list_cycles is built from cycles_through_edge, so networkx lists the
-    # expected cycles; any neighbour order must do, as in a rotation system
+    # list_cycles is built from cycles_through_edge, so the subset scan lists
+    # the expected cycles; any neighbour order must do, as in a rotation system
     rng = random.Random(seed)
     shuffled = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
     for k in lengths:
-        cycles = nx_cycles(g, k)
+        cycles = subset_cycles(g, k)
         for u, v in g.edges:
             expected = [c for c in cycles if uses_edge(c, u, v)]
             assert cycles_through_edge(g.adjacency, u, v, k) == expected

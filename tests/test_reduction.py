@@ -34,7 +34,7 @@ from dpcolor.reduction import (
 )
 from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 
-from oracles import induced_subgraph
+from oracles import induced_subgraph, reducible_config_scan
 from strategies import graphs
 
 FLOORS = {
@@ -269,17 +269,18 @@ def test_colors_avoid_later_neighbors(graph, seed):
 
 
 def _oracle_order(graph):
-    """Excisions by ``find_reducible_config`` on each induced remainder, and
-    the remainder left when it finds no configuration."""
+    """Excisions by the priority scan on each induced remainder, and the
+    remainder left when it finds no configuration."""
     remaining = tuple(range(graph.n))
     steps = []
     while remaining:
         sub, names = induced_subgraph(graph, remaining)
-        config = find_reducible_config(sub)
-        if config is None:
+        found = reducible_config_scan(sub)
+        if found is None:
             break
-        vertices = tuple(names[v] for v in config.vertices)
-        steps.append((config.kind, vertices))
+        kind, config_vertices = found
+        vertices = tuple(names[v] for v in config_vertices)
+        steps.append((ConfigKind(kind), vertices))
         remaining = tuple(v for v in remaining if v not in vertices)
     return steps, remaining
 
