@@ -11,7 +11,6 @@ from dpcolor import (
     apply_rules,
     audit_cases,
     charge_str,
-    check_face_threes,
     initial_charges,
     load_catalog,
 )
@@ -36,10 +35,3 @@ report = audit_cases(aug, apply_rules(aug))
 print("\naudit of aug_triangle_full:")
 print(audit_to_table(report))
 
-# per-face counts of degree-3 vertices (needs nonadjacent degree-3 vertices)
-print("3-vertices per face of aug_triangle_full:")
-for entry in check_face_threes(aug).entries:
-    print(
-        f"  face {entry.face_index} (degree {entry.degree}): "
-        f"{entry.three_count} <= {entry.bound}"
-    )

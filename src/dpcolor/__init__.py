@@ -9,7 +9,7 @@ pipeline for plane graphs without 4- or 6-cycles (lists of size 3,
 impropriety at most 1), and an exact integer discharging auditor.
 """
 
-from .catalog import load as load_catalog, load_all as load_catalog_all
+from .catalog import load as load_catalog
 from .covers import (
     Cover,
     CoverViolation,
@@ -25,7 +25,6 @@ from .discharging import (
     apply_rules,
     audit_cases,
     charge_str,
-    check_face_threes,
     initial_charges,
 )
 from .embedding import (
@@ -34,7 +33,6 @@ from .embedding import (
     check_propositions,
     pendant_3faces,
     plane_from_rotations,
-    shared_edge_count,
     trace_faces,
 )
 from .errors import DpColorError
@@ -85,7 +83,6 @@ __all__ = [
     "brute_force_rep_set",
     "build_graph",
     "charge_str",
-    "check_face_threes",
     "check_propositions",
     "color_planar_no46",
     "cycles_through_edge",
@@ -103,13 +100,11 @@ __all__ = [
     "list_cycles",
     "list_relaxed_colorable",
     "load_catalog",
-    "load_catalog_all",
     "max_impropriety",
     "pendant_3faces",
     "plane_from_rotations",
     "random_cover",
     "reduce_and_color",
-    "shared_edge_count",
     "trace_faces",
     "uniform_assignment",
     "validate_cover",

@@ -165,10 +165,6 @@ def load(name: str) -> PlaneGraph:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def load_all() -> dict[str, PlaneGraph]:
-    return {name: load(name) for name in entry_names()}
-
-
 def no46_names() -> tuple[str, ...]:
     """Names of entries without 4- or 6-cycles (verified at load)."""
     return tuple(e.name for e in _ENTRIES if e.no46)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from .covers import uniform_assignment, random_cover
-from .discharging import apply_rules, audit_cases, charge_str, initial_charges
-from .errors import DpColorError
+from .discharging import TOTAL_SIXTHS, apply_rules, audit_cases, charge_str, initial_charges
+from .errors import DpColorError, FileFormatError
 from .fileio import (
     audit_to_json_text,
     audit_to_table,
@@ -32,9 +32,18 @@ from .reduction import ConfigKind, color_planar_no46, verify_config_reducible
 from .solver import brute_force_rep_set, find_rep_set, impropriety
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 raises
+    ``FileFormatError`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _read_graph_any(path: str):
     """Graph from an edge-list file, or from a plane-graph JSON file."""
-    text = Path(path).read_text()
+    text = _read_input(path)
     if text.lstrip().startswith("{"):
         return plane_from_text(text).graph
     return graph_from_text(text)
@@ -60,7 +69,7 @@ def cmd_cycles(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cover = cover_from_text(Path(args.cover).read_text())
+    cover = cover_from_text(_read_input(args.cover))
     solver = brute_force_rep_set if args.brute else find_rep_set
     rep = solver(cover, args.impropriety, budget=args.budget)
     if rep is None:
@@ -71,7 +80,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    pg = plane_from_text(Path(args.plane).read_text())
+    pg = plane_from_text(_read_input(args.plane))
     lists = uniform_assignment(pg.graph.n, 3)
     cover = random_cover(pg.graph, lists, seed=args.seed, perfect=True)
     result = color_planar_no46(pg, cover)
@@ -82,7 +91,7 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    pg = plane_from_text(Path(args.plane).read_text())
+    pg = plane_from_text(_read_input(args.plane))
     if has_forbidden_cycles(pg.graph):
         ledger = initial_charges(pg)
         print("transfer rules skipped: graph contains a 4-cycle or 6-cycle")
@@ -98,7 +107,7 @@ def cmd_audit(args) -> int:
         _emit(audit_to_json_text(report, ledger), args.out)
     else:
         _emit(audit_to_table(report), args.out)
-    ok = report.final_total == report.initial_total == -72
+    ok = report.final_total == report.initial_total == TOTAL_SIXTHS
     return 0 if ok and report.all_audited_nonnegative else 1
 
 

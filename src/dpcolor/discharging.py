@@ -29,7 +29,6 @@ from functools import cached_property
 
 from .embedding import Face, PlaneGraph, pendant_3faces
 from .errors import (
-    HypothesisViolatedError,
     InternalInvariantError,
     NonPlanarEmbeddingError,
     TheoremViolationError,
@@ -38,7 +37,6 @@ from .graphs import require_no_forbidden_cycles
 
 Element = tuple[str, int]  # ("vertex", i) or ("face", i)
 
-VERTEX_UNIT = 12  # sixths per unit of vertex degree in the initial charge
 TOTAL_SIXTHS = -72  # the -12 grand total, in sixths
 
 
@@ -263,8 +261,9 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
             return ("3-face", pattern, False, "two degree-3 corners are adjacent")
         if len(low) == 1:
             u = low[0]
-            off = [w for w in g.adjacency[u] if not face.contains_vertex(w)]
-            if len(off) != 1 or g.degree(off[0]) < 4:
+            # in a simple graph a degree-3 corner has one neighbor off its 3-face
+            payer = next(w for w in g.adjacency[u] if not face.contains_vertex(w))
+            if g.degree(payer) < 4:
                 return ("3-face", pattern, False,
                         f"off-face neighbor of {u} is not a 4+-vertex")
         return ("3-face", pattern, True, "")
@@ -317,55 +316,3 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
         initial_total=ledger.initial_total,
         final_total=sum(finals.values()),
     )
-
-
-@dataclass(frozen=True)
-class FaceThreesEntry:
-    face_index: int
-    degree: int
-    three_count: int
-    bound: int
-
-    @property
-    def passed(self) -> bool:
-        return self.three_count <= self.bound
-
-
-@dataclass(frozen=True)
-class FaceThreesReport:
-    entries: tuple[FaceThreesEntry, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
-
-
-def check_face_threes(pg: PlaneGraph) -> FaceThreesReport:
-    """Per-face count of incident degree-3 vertices against floor(deg/2).
-
-    Requires that no two degree-3 vertices are adjacent anywhere in the
-    graph; under that hypothesis degree-3 corners cannot be consecutive
-    on a walk, which forces the bound.
-    """
-    g = pg.graph
-    for u, v in g.edges:
-        if g.degree(u) == 3 and g.degree(v) == 3:
-            raise HypothesisViolatedError(
-                f"adjacent degree-3 vertices {u} and {v}"
-            )
-    entries = []
-    for face in pg.faces:
-        count = sum(
-            mult
-            for v, mult in face.vertex_multiplicity.items()
-            if g.degree(v) == 3
-        )
-        entries.append(
-            FaceThreesEntry(
-                face_index=face.index,
-                degree=face.degree,
-                three_count=count,
-                bound=face.degree // 2,
-            )
-        )
-    return FaceThreesReport(entries=tuple(entries))

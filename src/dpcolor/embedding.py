@@ -57,11 +57,6 @@ class Face:
     def vertex_multiplicity(self) -> Counter:
         return Counter(self.corners)
 
-    @cached_property
-    def edge_multiplicity(self) -> Counter:
-        """Undirected boundary edges with multiplicity."""
-        return Counter((u, v) if u < v else (v, u) for u, v in self.walk)
-
     def contains_vertex(self, v: int) -> bool:
         return v in self.vertex_multiplicity
 
@@ -191,17 +186,6 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     return PlaneGraph(graph=graph, rotation=rot, faces=tuple(faces))
 
 
-def shared_edge_count(f1: Face, f2: Face) -> int:
-    """Undirected edges on both boundary walks, counted with multiplicity.
-
-    A face compared with itself therefore reports its own degree.
-    """
-    if f1.index == f2.index and f1.walk == f2.walk:
-        return f1.degree
-    shared = f1.edge_multiplicity & f2.edge_multiplicity
-    return sum(shared.values())
-
-
 def pendant_3faces(pg: PlaneGraph, v: int) -> tuple[Face, ...]:
     """Faces that are pendant 3-faces of ``v``, sorted by face index.
 
@@ -237,7 +221,10 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     Requires a graph without 4- or 6-cycles.  Three families of checks:
 
     * ``3face-edge-sharing``: a 3-face that shares exactly one edge with
-      another face only does so with faces of degree >= 7.
+      another face only does so with faces of degree >= 7.  The faces
+      sharing an edge with a 3-face are counted across its edges: a
+      triangle's edge is never a bridge, so the face on the other side of
+      the arc ``(u, v)`` is the one holding ``(v, u)``.
     * ``pendant-edge-faces``: for a pendant 3-face of ``v`` with degree-3
       vertex ``u``, both faces bordering edge ``uv`` have degree >= 7.
     * ``3face-count``: each vertex lies on at most floor(deg/2) distinct
@@ -247,18 +234,16 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     entries: list[PropositionCheck] = []
     triangles = [f for f in pg.faces if f.degree == 3]
     for f in triangles:
-        # only the faces across its edges can share an edge with f
-        across = {g.index for u, v in f.walk for g in pg.faces_at_edge(u, v)} - {f.index}
-        for g in (pg.faces[i] for i in sorted(across)):
-            if shared_edge_count(f, g) == 1:
-                entries.append(
-                    PropositionCheck(
-                        check="3face-edge-sharing",
-                        subject=f"face {f.index} vs face {g.index}",
-                        passed=g.degree >= 7,
-                        detail=f"sharing face has degree {g.degree}",
-                    )
+        across = Counter(pg.face_of_directed_edge[(v, u)] for u, v in f.walk)
+        for g in (pg.faces[i] for i in sorted(across) if across[i] == 1):
+            entries.append(
+                PropositionCheck(
+                    check="3face-edge-sharing",
+                    subject=f"face {f.index} vs face {g.index}",
+                    passed=g.degree >= 7,
+                    detail=f"sharing face has degree {g.degree}",
                 )
+            )
     for v in range(pg.graph.n):
         for face, low in pg.pendant_triangles.get(v, ()):
             f1, f2 = pg.faces_at_edge(low, v)

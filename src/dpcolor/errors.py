@@ -106,10 +106,6 @@ class ListTooSmallError(DpColorError):
     """The coloring pipeline needs every list to have size at least 3."""
 
 
-class HypothesisViolatedError(DpColorError):
-    """A structural hypothesis of the requested check does not hold."""
-
-
 # --- generation and I/O ---------------------------------------------------
 
 class GenerationExhaustedError(DpColorError):

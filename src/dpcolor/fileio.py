@@ -58,6 +58,8 @@ def _load_json(text: str, expected_format: str, *keys: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError("not valid JSON: nested deeper than the parser allows") from exc
     if not isinstance(obj, dict) or obj.get("format") != expected_format:
         raise FileFormatError(f"expected format {expected_format!r}")
     for key in keys:

@@ -6,7 +6,9 @@ joins the two chosen colors.  ``find_rep_set`` is a complete backtracking
 search with forward checking; ``brute_force_rep_set`` enumerates all total
 assignments and exists as an independent oracle.  All-cover questions
 (``is_dp_colorable``, ``dp_chromatic``) quantify over perfect-matching
-covers of the canonical 1..k lists.
+covers of the canonical 1..k lists; they check only the covers whose
+spanning-forest matchings are pinned to the identity, which is exact
+because fibers can be renamed along the forest.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ class Colorability:
     """Outcome of an all-covers question.
 
     ``witness`` is a cover with no valid representative set when
-    ``colorable`` is false; ``covers_checked`` counts covers examined.
+    ``colorable`` is false; ``covers_checked`` counts the covers examined,
+    which are the ones with a spanning forest's matchings pinned.
     """
 
     colorable: bool
@@ -214,27 +217,21 @@ def _spanning_forest_edges(graph: Graph) -> set[int]:
 
 
 def is_dp_colorable(
-    graph: Graph,
-    k: int,
-    d: int,
-    reduce_by_renaming: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    graph: Graph, k: int, d: int, budget: int = DEFAULT_BUDGET
 ) -> Colorability:
     """Decide colorability over every cover of the canonical k-assignment.
 
-    Exhaustive by default: every perfect-matching cover of the lists
-    ``1..k`` is checked (perfect covers dominate partial ones, and one
-    assignment suffices because fibers may be renamed freely).  With
-    ``reduce_by_renaming`` the matchings of a spanning forest are pinned;
-    every cover is fiber-isomorphic to a pinned one, shrinking the count
-    from (k!)^m to (k!)^(m-n+components).
+    Perfect-matching covers of the lists ``1..k`` dominate partial ones,
+    and one assignment suffices because fibers may be renamed freely.
+    Renaming the fibers along a spanning forest turns each forest edge's
+    matching into the identity, so every cover is fiber-isomorphic to one
+    with those matchings pinned, and only the pinned covers are checked:
+    (k!)^(m-n+c) of them for a graph with c components, not (k!)^m.
     """
     lists = uniform_assignment(graph.n, k)
+    pinned = _spanning_forest_edges(graph)
+    free = [i for i in range(graph.m) if i not in pinned]
     checked = 0
-    free = None
-    if reduce_by_renaming:
-        pinned = _spanning_forest_edges(graph)
-        free = [i for i in range(graph.m) if i not in pinned]
     for cover in enumerate_perfect_covers(graph, lists, budget=budget, free_edges=free):
         checked += 1
         if find_rep_set(cover, d, budget=budget) is None:
@@ -245,12 +242,12 @@ def is_dp_colorable(
 def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Least ``k`` such that every cover of every k-assignment is colorable.
 
-    Uses the spanning-forest renaming reduction; without it the yes-case
-    at ``k`` would need (k!)^m covers, which is already impractical for K4.
+    Relies on ``is_dp_colorable``'s spanning-forest renaming reduction;
+    without it the yes-case at ``k`` would need (k!)^m covers, which is
+    already impractical for K4.
     """
     for k in range(1, graph.n + 2):
-        result = is_dp_colorable(graph, k, 0, reduce_by_renaming=True, budget=budget)
-        if result.colorable:
+        if is_dp_colorable(graph, k, 0, budget=budget).colorable:
             return k
     raise InternalInvariantError("unreachable: max-degree+1 colors always suffice")
 

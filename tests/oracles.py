@@ -8,14 +8,16 @@ transfer log, faces sharing one edge with a 3-face by comparing it with
 every face, partial matchings by filtering every set of color pairs, the
 trace and audit documents as the dict trees that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
-from 0, and a reducible configuration by rescanning the whole graph in
-priority order.
+from 0, a reducible configuration by rescanning the whole graph in
+priority order, and an all-covers question over every perfect cover
+with no matching pinned.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from dpcolor.covers import enumerate_perfect_covers, uniform_assignment
 from dpcolor.graphs import build_graph
 
 
@@ -83,6 +85,29 @@ def relaxed_list_colorable(graph, lists, d):
         if ok:
             return coloring
     return None
+
+
+def dp_colorable_scan(graph, k, d):
+    """(colorable, covers checked): whether every perfect cover of the lists
+    1..k has an assignment of impropriety <= d, trying every cover and, in
+    each, every assignment until one fits."""
+    lists = uniform_assignment(graph.n, k)
+    checked = 0
+    for cover in enumerate_perfect_covers(graph, lists):
+        checked += 1
+        hits = [set(matching) for matching in cover.matchings]
+
+        def fits(rep):
+            counts = Counter()
+            for (u, v), matched in zip(graph.edges, hits):
+                if (rep[u], rep[v]) in matched:
+                    counts[u] += 1
+                    counts[v] += 1
+            return max(counts.values(), default=0) <= d
+
+        if not any(fits(rep) for rep in product(*lists)):
+            return False, checked
+    return True, checked
 
 
 def pendant_3faces_scan(pg, v):

@@ -1,6 +1,6 @@
 import pytest
 
-from dpcolor.catalog import entries, entry_names, load, load_all, no46_names
+from dpcolor.catalog import entries, entry_names, load, no46_names
 from dpcolor import generate
 from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
@@ -14,11 +14,6 @@ def test_every_entry_loads_and_flag_is_verified():
         assert is_connected(pg.graph)
         if pg.graph.n >= 1:
             assert pg.graph.n - pg.graph.m + len(pg.faces) == 2
-
-
-def test_load_all_matches_names():
-    loaded = load_all()
-    assert set(loaded) == set(entry_names())
 
 
 def test_expected_members_present():

@@ -196,6 +196,22 @@ def test_cover_file_without_matchings_is_rejected_with_one_line(tmp_path, capsys
     assert out == "" and err == "error: missing key 'matchings'\n"
 
 
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles", "solve"])
+def test_non_utf8_input_is_rejected_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"format": "\xff\xfe"}')
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: not UTF-8") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "solve"])
+def test_json_nested_past_the_parser_limit_is_rejected_with_one_line(tmp_path, capsys, command):
+    assert main([command, write(tmp_path, "deep.json", "[" * 200_000)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+
 def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):
     path = write(tmp_path, "dodec.json", plane_to_text(load_catalog("dodecahedron")))
     searched = []

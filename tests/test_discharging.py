@@ -9,11 +9,10 @@ from dpcolor.discharging import (
     apply_rules,
     audit_cases,
     charge_str,
-    check_face_threes,
     initial_charges,
 )
 from dpcolor.embedding import plane_from_rotations
-from dpcolor.errors import ForbiddenCyclePresentError, HypothesisViolatedError
+from dpcolor.errors import ForbiddenCyclePresentError
 from dpcolor.generate import generate_plane_no46
 
 from oracles import transfers_scan
@@ -153,25 +152,6 @@ def test_audit_octagon_face_with_four_threes():
     assert octagon.initial == 12 and octagon.outgoing == 8
     assert octagon.final == 4  # 2/3 left over
     assert charge_str(octagon.final) == "2/3"
-
-
-def test_check_face_threes_tight_on_octagon():
-    pg = _octagon_with_alternating_threes()
-    report = check_face_threes(pg)
-    assert report.all_pass
-    tight = [e for e in report.entries if e.degree == 8]
-    assert tight and tight[0].three_count == 4 and tight[0].bound == 4
-
-
-def test_check_face_threes_needs_spread_threes():
-    with pytest.raises(HypothesisViolatedError):
-        check_face_threes(load_catalog("net"))  # triangle of degree-3 corners
-
-
-def test_check_face_threes_trivial_without_threes():
-    report = check_face_threes(load_catalog("c5"))
-    assert report.all_pass
-    assert all(e.three_count == 0 for e in report.entries)
 
 
 def test_conservation_across_catalog_and_generated():

@@ -7,7 +7,6 @@ from dpcolor.embedding import (
     check_propositions,
     pendant_3faces,
     plane_from_rotations,
-    shared_edge_count,
     trace_faces,
 )
 from dpcolor.errors import (
@@ -65,33 +64,6 @@ def test_nonplanar_rotation_rejected():
     rot = [[w for w in range(5) if w != v] for v in range(5)]
     with pytest.raises(NonPlanarEmbeddingError):
         trace_faces(k5, rot)
-
-
-def test_shared_edges_of_adjacent_k4_triangles():
-    pg = k4_plane()
-    counts = sorted(
-        shared_edge_count(pg.faces[i], pg.faces[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    assert counts == [1] * 6  # every pair of K4 faces shares exactly one edge
-
-
-def test_face_shares_its_own_degree_with_itself():
-    pg = load_catalog("bowtie")
-    for f in pg.faces:
-        assert shared_edge_count(f, f) == f.degree
-
-
-def test_cube_opposite_faces_share_nothing():
-    pg = load_catalog("cube")
-    zeros = sum(
-        1
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if shared_edge_count(pg.faces[i], pg.faces[j]) == 0
-    )
-    assert zeros == 3  # three opposite pairs
 
 
 def test_no_pendant_faces_when_neighbors_are_big():
@@ -217,6 +189,12 @@ def test_edge_sharing_matches_the_all_pairs_scan_on_fans(blades):
     for pendant in (False, True):
         _check_edge_sharing_against_scan(plane_from_rotations(fan(blades, pendant)))
     _check_edge_sharing_against_scan(plane_from_rotations(triangle_chain(blades)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
+def test_edge_sharing_matches_the_all_pairs_scan_on_generated_planes(n, seed):
+    _check_edge_sharing_against_scan(generate_plane_no46(n, seed))
 
 
 @pytest.mark.parametrize("rotations", [[["1"], [0]], [[1.0], [0]], [[True], [0]], [1, [0]]])

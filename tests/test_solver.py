@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor.catalog import load as load_catalog
 from dpcolor.covers import Cover, diagonal_cover, uniform_assignment
 from dpcolor.errors import (
     BudgetExceededError,
@@ -21,7 +22,7 @@ from dpcolor.solver import (
     max_impropriety,
 )
 
-from oracles import relaxed_list_colorable
+from oracles import dp_colorable_scan, relaxed_list_colorable
 from strategies import covers
 
 
@@ -135,7 +136,8 @@ def test_c4_not_dp_2_colorable():
 
 def test_k3_dp_3_colorable_exhaustively():
     result = is_dp_colorable(build_graph(3, [(0, 1), (1, 2), (2, 0)]), 3, 0)
-    assert result.colorable and result.covers_checked == 6**3
+    # a spanning tree pins 2 of the 3 matchings: 3!^(m - n + 1) covers
+    assert result.colorable and result.covers_checked == 6
 
 
 def test_k1_dp_1_colorable():
@@ -154,13 +156,16 @@ def test_renaming_reduction_agrees_with_full_enumeration():
         (build_graph(3, [(0, 1), (1, 2), (2, 0)]), 2),
         (build_graph(3, [(0, 1), (1, 2)]), 2),
         (k4(), 2),
+        (load_catalog("path4").graph, 2),
+        (load_catalog("star5").graph, 2),
+        (load_catalog("bowtie").graph, 2),
     ]
     for g, k in cases:
         for d in (0, 1):
-            full = is_dp_colorable(g, k, d)
-            fast = is_dp_colorable(g, k, d, reduce_by_renaming=True)
-            assert full.colorable == fast.colorable, (g.edges, k, d)
-            assert fast.covers_checked <= full.covers_checked
+            full_colorable, full_checked = dp_colorable_scan(g, k, d)
+            fast = is_dp_colorable(g, k, d)
+            assert full_colorable == fast.colorable, (g.edges, k, d)
+            assert fast.covers_checked <= full_checked
 
 
 def test_list_relaxed_on_even_cycle():

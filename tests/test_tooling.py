@@ -23,11 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _raises_assertion_error(node) -> bool:
+def _raised_name(node) -> str | None:
+    """The class name a ``raise`` statement names, else ``None``."""
     if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
+        return None
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+    return exc.id if isinstance(exc, ast.Name) else None
 
 
 def test_library_has_no_assert_statements():
@@ -39,7 +40,7 @@ def test_library_has_no_assert_statements():
         found += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+            if isinstance(node, ast.Assert) or _raised_name(node) == "AssertionError"
         ]
     assert not found, found
 
@@ -154,6 +155,32 @@ def test_library_has_no_recursive_functions():
                     and call.func.id == fn.name
                 ]
     assert not found, found
+
+
+def test_every_error_class_is_raised():
+    # an error class nothing raises is dead weight in the exit-code contract
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        raised |= {_raised_name(node) for node in ast.walk(tree)}
+    assert sorted(classes - {"DpColorError"} - raised) == []
+
+
+def test_public_names_are_exactly_the_package_imports():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    namespace = {}
+    exec("from dpcolor import *", namespace)
+    assert set(dpcolor.__all__) <= namespace.keys()
+    assert dpcolor.__all__ == sorted(dpcolor.__all__)
+    assert set(dpcolor.__all__) == imported
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
