@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("catalog", help="list or export built-in instances")
-    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("name", nargs="?", choices=catalog_mod.entry_names(), metavar="name")
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_catalog)
     return parser
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DpColorError, OSError, KeyError) as exc:
+    except (DpColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every contract violation raises a distinct class so callers (and the CLI)
-can map failures to exit codes without string matching.
+Every contract violation raises a distinct class so that library callers
+and tests can tell failures apart without string matching.  The CLI does
+not: it maps every ``DpColorError`` to exit code 2.
 """
 
 

@@ -4,8 +4,9 @@ Graphs travel as line-oriented text (a ``#``-comment version line, then
 ``n m``, then one ``u v`` pair per line, 0-based).  Everything else is
 canonical JSON (sorted keys, two-space indent, trailing newline) so that
 identical values produce byte-identical files.  ``json.dumps`` with an
-indent runs the pure-Python encoder, so the two large documents, traces
-and audits, are written by hand in the same bytes.
+indent runs the pure-Python encoder, so every document is written by hand
+from the ``_json_*`` templates, in the bytes that encoder would give;
+``json`` only parses.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ TRACE_FORMAT = "dpcolor-trace/1"
 AUDIT_FORMAT = "dpcolor-audit/1"
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _json_list(items, depth: int) -> str:
     """A JSON list of rendered ``items`` whose closing bracket is indented
     ``depth`` levels; each item must be rendered for ``depth + 1``."""
@@ -46,6 +43,12 @@ def _json_ints(values, depth: int) -> str:
     return _json_list(list(map(str, values)), depth)
 
 
+def _json_rows(rows, depth: int) -> str:
+    """A JSON list of integer rows whose closing bracket is indented
+    ``depth`` levels."""
+    return _json_list([_json_ints(row, depth + 1) for row in rows], depth)
+
+
 def _indent(text: str, levels: int) -> str:
     """A value rendered at depth 0, re-rendered ``levels`` deeper."""
     return text.replace("\n", "\n" + "  " * levels)
@@ -56,7 +59,7 @@ def _load_json(text: str, expected_format: str, *keys: str) -> dict:
     every one of ``keys``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise FileFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError("not valid JSON: nested deeper than the parser allows") from exc
@@ -113,17 +116,19 @@ def graph_from_text(text: str) -> Graph:
 # --- plane graphs -----------------------------------------------------------
 
 def plane_to_text(pg: PlaneGraph) -> str:
-    return _dumps(
-        {
-            "format": PLANE_FORMAT,
-            "n": pg.graph.n,
-            "rotations": [list(ring) for ring in pg.rotation],
-        }
+    return (
+        "{\n"
+        f'  "format": {_json_str(PLANE_FORMAT)},\n'
+        f'  "n": {pg.graph.n},\n'
+        f'  "rotations": {_json_rows(pg.rotation, 1)}\n'
+        "}\n"
     )
 
 
 def plane_from_text(text: str) -> PlaneGraph:
     obj = _load_json(text, PLANE_FORMAT, "n", "rotations")
+    if type(obj["n"]) is not int:
+        raise FileFormatError(f"n: expected an integer, got {obj['n']!r}")
     rotations = obj["rotations"]
     if not isinstance(rotations, list) or len(rotations) != obj["n"]:
         raise FileFormatError("rotations: expected a list of n rings")
@@ -133,16 +138,15 @@ def plane_from_text(text: str) -> PlaneGraph:
 # --- covers -----------------------------------------------------------------
 
 def cover_to_text(cover: Cover) -> str:
-    return _dumps(
-        {
-            "format": COVER_FORMAT,
-            "n": cover.graph.n,
-            "edges": [list(e) for e in cover.graph.edges],
-            "lists": [list(colors) for colors in cover.lists],
-            "matchings": [
-                [list(pair) for pair in matching] for matching in cover.matchings
-            ],
-        }
+    matchings = [_json_rows(matching, 2) for matching in cover.matchings]
+    return (
+        "{\n"
+        f'  "edges": {_json_rows(cover.graph.edges, 1)},\n'
+        f'  "format": {_json_str(COVER_FORMAT)},\n'
+        f'  "lists": {_json_rows(cover.lists, 1)},\n'
+        f'  "matchings": {_json_list(matchings, 1)},\n'
+        f'  "n": {cover.graph.n}\n'
+        "}\n"
     )
 
 
@@ -175,13 +179,13 @@ def cover_from_text(text: str) -> Cover:
 # --- result documents -------------------------------------------------------
 
 def coloring_to_text(colors, counts) -> str:
-    return _dumps(
-        {
-            "format": COLORING_FORMAT,
-            "colors": list(colors),
-            "impropriety": list(counts),
-            "max_impropriety": max(counts, default=0),
-        }
+    return (
+        "{\n"
+        f'  "colors": {_json_ints(colors, 1)},\n'
+        f'  "format": {_json_str(COLORING_FORMAT)},\n'
+        f'  "impropriety": {_json_ints(counts, 1)},\n'
+        f'  "max_impropriety": {max(counts, default=0)}\n'
+        "}\n"
     )
 
 

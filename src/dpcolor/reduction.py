@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .graphs import Graph, build_graph, require_no_forbidden_cycles
-from .solver import RepSet, brute_force_rep_set, impropriety
+from .solver import RepSet, impropriety
 
 
 class ConfigKind(enum.Enum):
@@ -199,13 +199,12 @@ def _residual_list(cover: Cover, x: int, color: list[int | None]) -> tuple[int, 
 
 
 def _color_config(
-    kind: ConfigKind, lists: Lists, conflicts: Callable[[int, int, int, int], bool]
+    cover: Cover, kind: ConfigKind, vs: tuple[int, ...], lists: Lists
 ) -> tuple[int, ...]:
-    """The configuration's extension rule, in the configuration's order.
+    """The extension rule for the configuration on ``vs``, in its order.
 
-    ``lists`` are the nonempty residual lists, center first, and
-    ``conflicts(i, ci, j, cj)`` tells whether colors ``ci`` at position
-    ``i`` and ``cj`` at position ``j`` meet a cover edge.
+    ``lists`` are the nonempty residual lists of ``vs``, center first, and
+    conflicts between the center and a leaf are read from ``cover``.
 
     * low-vertex: any surviving color (smallest).
     * adjacent-threes: any surviving color for each endpoint; even a
@@ -220,7 +219,7 @@ def _color_config(
     leaf_choice = (lists[1][0], lists[2][0], lists[3][0])
     for c in lists[0]:
         hits = sum(
-            1 for leaf, cl in enumerate(leaf_choice, 1) if conflicts(0, c, leaf, cl)
+            1 for leaf, cl in zip(vs[1:], leaf_choice) if cover.conflicts(vs[0], c, leaf, cl)
         )
         if hits <= 1:
             return (c,) + leaf_choice
@@ -246,7 +245,7 @@ class ReducibilityReport:
 
     @property
     def ok(self) -> bool:
-        return self.counterexample is None and self.verified == self.total_covers
+        return self.counterexample is None
 
 
 def verify_config_reducible(
@@ -254,9 +253,10 @@ def verify_config_reducible(
 ) -> ReducibilityReport:
     """Exhaust every residual cover at the floor list sizes for ``kind``.
 
-    Every cover must admit a representative set of impropriety <= 1, both
-    via the extension rule and via brute force; the first cover where
-    either fails is returned as a counterexample.
+    On every cover the extension rule ``_color_config`` must give a
+    representative set of impropriety <= 1; the first cover where it does
+    not is returned as a counterexample, and ``verified`` counts the
+    covers before it.
     """
     shape, floors = _CONFIG_SHAPES[kind]
     if sizes is None:
@@ -267,11 +267,10 @@ def verify_config_reducible(
     options = [partial_matchings(lists[u], lists[v]) for u, v in shape.edges]
     total = math.prod(map(len, options))
     verified = 0
+    vs = tuple(range(shape.n))
     for cover in enumerate_covers(shape, lists, options):
-        rep = _color_config(kind, lists, cover.conflicts)
+        rep = _color_config(cover, kind, vs, lists)
         if max(impropriety(cover, rep), default=0) > 1:
-            return ReducibilityReport(kind, total, verified, cover)
-        if brute_force_rep_set(cover, 1) is None:
             return ReducibilityReport(kind, total, verified, cover)
         verified += 1
     return ReducibilityReport(kind, total, verified, None)
@@ -298,11 +297,7 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
         for x, colors in zip(vs, lists):
             if not colors:
                 raise ContractViolationError(f"residual list of vertex {x} is empty")
-        chosen = _color_config(
-            config.kind,
-            lists,
-            lambda i, ci, j, cj: cover.conflicts(vs[i], ci, vs[j], cj),
-        )
+        chosen = _color_config(cover, config.kind, vs, lists)
         for x, c in zip(vs, chosen):
             color[x] = c
         steps.append(

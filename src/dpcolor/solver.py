@@ -98,7 +98,6 @@ def find_rep_set(
         return ()
     partners = cover.partners
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    rank = {v: i for i, v in enumerate(order)}
     chosen: list[int | None] = [None] * g.n
     counts = [0] * g.n
     nodes = 0
@@ -151,11 +150,12 @@ def find_rep_set(
         chosen[v] = c
         counts[v] = len(hit)
         held.append(hit)
-        # forward check: every later vertex must keep a viable color
+        # forward check: every later vertex must keep a viable color; the
+        # positions up to this one are all assigned and no later one is
         if all(
             any(conflicts(w, cw) is not None for cw in cover.lists[w])
             for w in partners[v]
-            if chosen[w] is None and rank[w] > pos
+            if chosen[w] is None
         ):
             if pos + 1 == g.n:
                 return tuple(chosen)  # type: ignore[arg-type]
@@ -195,25 +195,23 @@ class Colorability:
     covers_checked: int
 
 
-def _spanning_forest_edges(graph: Graph) -> set[int]:
-    """Edge indices of a spanning forest (BFS from each unseen vertex)."""
-    parent_edge: set[int] = set()
-    seen: set[int] = set()
-    index = {edge: i for i, edge in enumerate(graph.edges)}
+def _free_edges(graph: Graph) -> list[int]:
+    """Indices of the edges outside a spanning forest (BFS from each unseen
+    vertex), in edge order."""
+    tree: set[tuple[int, int]] = set()
+    seen = [False] * graph.n
     for root in range(graph.n):
-        if root in seen:
+        if seen[root]:
             continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+        seen[root] = True
+        reached = [root]
+        for v in reached:  # visits the vertices appended as it goes
             for w in graph.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    key = (v, w) if v < w else (w, v)
-                    parent_edge.add(index[key])
-                    queue.append(w)
-    return parent_edge
+                if not seen[w]:
+                    seen[w] = True
+                    tree.add((v, w) if v < w else (w, v))
+                    reached.append(w)
+    return [i for i, edge in enumerate(graph.edges) if edge not in tree]
 
 
 def is_dp_colorable(
@@ -229,8 +227,7 @@ def is_dp_colorable(
     (k!)^(m-n+c) of them for a graph with c components, not (k!)^m.
     """
     lists = uniform_assignment(graph.n, k)
-    pinned = _spanning_forest_edges(graph)
-    free = [i for i in range(graph.m) if i not in pinned]
+    free = _free_edges(graph)
     checked = 0
     for cover in enumerate_perfect_covers(graph, lists, budget=budget, free_edges=free):
         checked += 1

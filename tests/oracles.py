@@ -5,8 +5,8 @@ checking subsets against permutations, relaxed list colorings by
 enumerating raw color maps on the graph, pendant 3-faces by scanning
 every face per vertex, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
-every face, partial matchings by filtering every set of color pairs, the
-trace and audit documents as the dict trees that ``json.dumps`` writes,
+every face, partial matchings by filtering every set of color pairs,
+every JSON document as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
 priority order, and an all-covers question over every perfect cover
@@ -154,6 +154,36 @@ def partial_matchings_scan(left, right):
             if len({a for a, _ in chosen}) == len({b for _, b in chosen}) == k:
                 out.append(tuple(sorted(chosen)))
     return sorted(out)
+
+
+def plane_doc(pg):
+    """The plane-graph document as a dict tree."""
+    return {
+        "format": "dpcolor-plane/1",
+        "n": pg.graph.n,
+        "rotations": [list(ring) for ring in pg.rotation],
+    }
+
+
+def cover_doc(cover):
+    """The cover document as a dict tree."""
+    return {
+        "format": "dpcolor-cover/1",
+        "n": cover.graph.n,
+        "edges": [list(e) for e in cover.graph.edges],
+        "lists": [list(colors) for colors in cover.lists],
+        "matchings": [[list(pair) for pair in matching] for matching in cover.matchings],
+    }
+
+
+def coloring_doc(colors, counts):
+    """The coloring document as a dict tree."""
+    return {
+        "format": "dpcolor-coloring/1",
+        "colors": list(colors),
+        "impropriety": list(counts),
+        "max_impropriety": max(counts, default=0),
+    }
 
 
 def trace_doc(trace):

@@ -17,9 +17,9 @@ def graphs(draw, max_n=7, min_n=0):
 
 
 @st.composite
-def covers(draw, max_n=6, max_k=3, perfect=False):
-    graph = draw(graphs(max_n=max_n, min_n=1))
-    k = draw(st.integers(min_value=1, max_value=max_k))
+def covers(draw, max_n=6, max_k=3, perfect=False, min_n=1, min_k=1):
+    graph = draw(graphs(max_n=max_n, min_n=min_n))
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
     seed = draw(st.integers(min_value=0, max_value=2**20))
     return random_cover(graph, uniform_assignment(graph.n, k), seed, perfect=perfect)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dpcolor import graphs
+from dpcolor import cli, graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
 from dpcolor.covers import Cover, diagonal_cover, random_cover, uniform_assignment
@@ -15,7 +15,7 @@ from dpcolor.fileio import (
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
-from test_fileio import BAD_COVERS, MISSING_N_PLANE
+from test_fileio import BAD_COVERS, MISSING_N_PLANE, NON_INTEGER_N_PLANES
 
 
 def write(tmp_path, name, text):
@@ -189,6 +189,14 @@ def test_plane_file_without_n_is_rejected_with_one_line(tmp_path, capsys, comman
     assert out == "" and err == "error: missing key 'n'\n"
 
 
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles"])
+@pytest.mark.parametrize("text", NON_INTEGER_N_PLANES.values(), ids=NON_INTEGER_N_PLANES)
+def test_plane_file_with_a_non_integer_n_is_rejected_with_one_line(tmp_path, capsys, command, text):
+    assert main([command, write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: n: expected an integer") and err.count("\n") == 1
+
+
 def test_cover_file_without_matchings_is_rejected_with_one_line(tmp_path, capsys):
     text, _ = BAD_COVERS["missing-matchings"]
     assert main(["solve", write(tmp_path, "bad.json", text)]) == 2
@@ -208,6 +216,16 @@ def test_non_utf8_input_is_rejected_with_one_line(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["audit", "solve"])
 def test_json_nested_past_the_parser_limit_is_rejected_with_one_line(tmp_path, capsys, command):
     assert main([command, write(tmp_path, "deep.json", "[" * 200_000)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles", "solve"])
+def test_integer_past_the_conversion_limit_is_rejected_with_one_line(tmp_path, capsys, command):
+    # json.loads raises a plain ValueError for an integer literal longer
+    # than the interpreter's 4,300-digit conversion limit
+    text = '{"format": "dpcolor-plane/1", "n": ' + "9" * 5000 + ', "rotations": []}'
+    assert main([command, write(tmp_path, "huge.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
 
@@ -299,4 +317,17 @@ def test_catalog_export(tmp_path):
 
 
 def test_catalog_unknown(capsys):
-    assert main(["catalog", "nonesuch"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "nonesuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_a_key_error_from_a_command_is_a_bug_not_an_input_error(monkeypatch):
+    # main turns only the package's errors and OS errors into exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "generate_plane_no46", broken)
+    with pytest.raises(KeyError):
+        main(["gen", "-n", "5"])

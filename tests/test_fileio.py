@@ -2,8 +2,9 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from oracles import audit_doc, trace_doc
-from strategies import audits, traces
+from hypothesis import strategies as st
+from oracles import audit_doc, coloring_doc, cover_doc, plane_doc, trace_doc
+from strategies import audits, covers, traces
 
 from dpcolor.catalog import entry_names, no46_names
 from dpcolor.catalog import load as load_catalog
@@ -14,6 +15,7 @@ from dpcolor.fileio import (
     GRAPH_HEADER,
     audit_to_json_text,
     coloring_from_text,
+    coloring_to_text,
     cover_from_text,
     cover_to_text,
     graph_from_text,
@@ -109,6 +111,12 @@ BAD_COVERS = {
 
 MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})
 
+# an ``n`` that is not an integer but equals the number of rings
+NON_INTEGER_N_PLANES = {
+    "float": json.dumps({"format": "dpcolor-plane/1", "n": 2.0, "rotations": [[1], [0]]}),
+    "bool": json.dumps({"format": "dpcolor-plane/1", "n": True, "rotations": [[]]}),
+}
+
 
 @pytest.mark.parametrize("text, message", BAD_COVERS.values(), ids=BAD_COVERS)
 def test_cover_from_text_rejects_malformed_covers(text, message):
@@ -119,6 +127,12 @@ def test_cover_from_text_rejects_malformed_covers(text, message):
 def test_plane_from_text_names_a_missing_key():
     with pytest.raises(FileFormatError, match="missing key 'n'"):
         plane_from_text(MISSING_N_PLANE)
+
+
+@pytest.mark.parametrize("text", NON_INTEGER_N_PLANES.values(), ids=NON_INTEGER_N_PLANES)
+def test_plane_from_text_rejects_a_non_integer_n(text):
+    with pytest.raises(FileFormatError, match="n: expected an integer"):
+        plane_from_text(text)
 
 
 def test_plane_from_text_rejects_non_integer_rings():
@@ -174,21 +188,34 @@ def check_audit_writer(report, ledger):
     assert audit_to_json_text(report, ledger) == canonical_json(audit_doc(report, ledger))
 
 
-def check_writers_on(pg):
+def check_plane_writer(pg):
+    assert plane_to_text(pg) == canonical_json(plane_doc(pg))
+
+
+def check_cover_writer(cover):
+    assert cover_to_text(cover) == canonical_json(cover_doc(cover))
+
+
+def check_coloring_writer(colors, counts):
+    assert coloring_to_text(colors, counts) == canonical_json(coloring_doc(colors, counts))
+
+
+def check_writers_on(pg, audit=True):
+    check_plane_writer(pg)
     cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=4, perfect=True)
-    check_trace_writer(reduce_and_color(cover).trace)
-    ledger = apply_rules(pg)
-    check_audit_writer(audit_cases(pg, ledger), ledger)
+    check_cover_writer(cover)
+    result = reduce_and_color(cover)
+    check_trace_writer(result.trace)
+    check_coloring_writer(result.rep_set, result.impropriety)
+    if audit:
+        ledger = apply_rules(pg)
+        check_audit_writer(audit_cases(pg, ledger), ledger)
 
 
 @pytest.mark.parametrize("name", entry_names())
 def test_writers_match_json_dumps_on_the_catalog(name):
-    pg = load_catalog(name)
-    if name in no46_names():
-        check_writers_on(pg)
-    else:  # no audit exists for a graph with a 4- or 6-cycle
-        cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=4, perfect=True)
-        check_trace_writer(reduce_and_color(cover).trace)
+    # no audit exists for a graph with a 4- or 6-cycle
+    check_writers_on(load_catalog(name), audit=name in no46_names())
 
 
 @pytest.mark.parametrize("n, seed", [(12, 1), (45, 2), (150, 3), (400, 4)])
@@ -208,7 +235,23 @@ def test_audit_writer_matches_json_dumps(audit):
     check_audit_writer(*audit)
 
 
+@settings(max_examples=80, deadline=None)
+@given(covers(min_n=0, min_k=0))
+def test_cover_writer_matches_json_dumps(cover):
+    # k = 0 gives empty lists, and the thinned matchings are often empty
+    check_cover_writer(cover)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-5, 10**6)), st.lists(st.integers(0, 10)))
+def test_coloring_writer_matches_json_dumps(colors, counts):
+    check_coloring_writer(colors, counts)
+
+
 def test_writers_match_json_dumps_on_edge_cases():
+    check_coloring_writer((), ())
+    check_cover_writer(random_cover(build_graph(0, []), (), seed=0))
+    check_cover_writer(random_cover(build_graph(1, []), ((),), seed=0))
     check_trace_writer(())
     check_trace_writer((TraceStep(ConfigKind.FOUR_THREE_THREES, (7, 2, 9), (3, 1, 1), (0, 1, 2)),))
     t = Transfer("R1", ("vertex", 0), ("face", 0), -5, 2)

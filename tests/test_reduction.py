@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from dpcolor.reduction import (
 )
 from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 
-from oracles import induced_subgraph, reducible_config_scan
+from oracles import induced_subgraph, partial_matchings_scan, reducible_config_scan
 from strategies import graphs
 
 FLOORS = {
@@ -137,6 +138,21 @@ def test_verify_adjacent_threes():
 def test_verify_four_three_threes():
     report = verify_config_reducible(ConfigKind.FOUR_THREE_THREES)
     assert report.ok and report.total_covers == 27
+
+
+@pytest.mark.parametrize("kind", list(ConfigKind))
+def test_brute_force_colors_every_residual_cover_at_the_floors(kind):
+    # the lemma checks the extension rule alone; the exhaustive oracle must
+    # also find a set of impropriety <= 1 on every cover the lemma counts.
+    # Each excised configuration is a star centered at its first vertex.
+    sizes = FLOORS[kind]
+    shape = build_graph(len(sizes), [(0, leaf) for leaf in range(1, len(sizes))])
+    lists = tuple(tuple(range(1, s + 1)) for s in sizes)
+    options = [partial_matchings_scan(lists[u], lists[v]) for u, v in shape.edges]
+    covers = [Cover(shape, lists, matchings) for matchings in product(*options)]
+    assert len(covers) == verify_config_reducible(kind).total_covers
+    for cover in covers:
+        assert brute_force_rep_set(cover, 1) is not None
 
 
 def test_pipeline_on_k3_diagonal():

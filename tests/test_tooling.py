@@ -122,6 +122,22 @@ def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
     assert [indent for indent in indents if indent is not None] == []
 
 
+def test_library_passes_no_indent_to_json_dumps():
+    # json.dumps with an indent runs the pure-Python encoder; every document
+    # is written from the fileio templates instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "dumps" and any(kw.arg == "indent" for kw in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
     # the 4- and 6-checks go by degree order; the search over paths through
     # each edge is left to list_cycles and other lengths
