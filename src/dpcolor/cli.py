@@ -2,13 +2,15 @@
 
 Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails (cycles found, instance uncolorable, audit violation),
-2 for input or usage errors.
+2 for input or usage errors.  A reader that closes stdout early
+(``dpcolor catalog | head -3``) ends the run with 0 and no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -212,7 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout (``dpcolor catalog | head -3``), which
+        # says nothing about the input; stdout goes to the null device so
+        # that the interpreter's last flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (DpColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

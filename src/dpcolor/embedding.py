@@ -13,14 +13,21 @@ means the rotation system does not describe a sphere embedding.
 one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
 shared by several consumers are derived once per graph and cached: the
 4-/6-cycle check on ``Graph``, the pendant 3-faces on ``PlaneGraph``.
+
+``FaceRegistry`` is the mutable counterpart: a rotation system that is
+edited one edge at a time and keeps its faces in ``trace_faces`` order.
+An edit re-walks only the faces it changes, with the same walk routine
+as ``trace_faces``; the random generator grows its instances on it and
+builds a ``PlaneGraph`` only for the result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -30,6 +37,7 @@ from .errors import (
 from .graphs import Graph, build_graph, is_connected, require_no_forbidden_cycles
 
 Rotation = tuple[tuple[int, ...], ...]
+Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -135,6 +143,112 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 
+def _set_successors(
+    successor: dict[Dart, Dart], rings: Sequence[Sequence[int]], vertices: Iterable[int]
+) -> None:
+    """The successor rule at each of ``vertices``: after arriving at ``v``
+    along ``(u, v)``, leave along ``(v, w)`` where ``w`` follows ``u`` in
+    ``rings[v]``."""
+    for v in vertices:
+        ring = rings[v]
+        w = ring[0] if ring else None
+        for u in reversed(ring):
+            successor[(u, v)] = (v, w)
+            w = u
+
+
+def _face_walks(successor: dict[Dart, Dart], darts: Iterable[Dart]) -> Iterator[tuple[Dart, ...]]:
+    """The face walks through ``darts``, which must hold every dart of each
+    such face: each walk starts at its smallest dart, and the walks come in
+    the order of that dart."""
+    visited: set[Dart] = set()
+    for start in sorted(darts):
+        if start in visited:
+            continue
+        walk = []
+        arc = start
+        while True:
+            walk.append(arc)
+            visited.add(arc)
+            arc = successor[arc]
+            if arc == start:
+                break
+        yield tuple(walk)
+
+
+class FaceRegistry:
+    """A rotation system edited one edge at a time, with its faces kept up
+    to date.
+
+    ``rotations`` starts as the single vertex ``[[]]`` and changes only
+    through ``insert_edge`` and ``remove_edge``.  ``walks`` maps the
+    smallest dart of each face to the face's walk from that dart;
+    ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk
+    of ``trace_faces``'s face ``i``, and ``big_keys`` holds the keys of
+    the faces of degree >= 4.  The single vertex's face has no dart and is
+    not held.  An edit re-walks only the faces it changes; it does not
+    check that the embedding stays plane, so a new edge must join two
+    corners of one face (or a new vertex) and a deleted edge must not be
+    a bridge.
+    """
+
+    def __init__(self) -> None:
+        self.rotations: list[list[int]] = [[]]
+        self.successor: dict[Dart, Dart] = {}
+        self.walks: dict[Dart, tuple[Dart, ...]] = {}
+        self.face_of: dict[Dart, Dart] = {}
+        self.keys: list[Dart] = []
+        self.big_keys: list[Dart] = []
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return (u, v) in self.successor
+
+    def insert_edge(self, x: int, i: int, y: int, j: int) -> None:
+        """Insert ``y`` at index ``i`` of ring ``x`` and ``x`` at index ``j``
+        of ring ``y``; ``y == len(rotations)`` adds ``y`` as a new vertex.
+
+        The corner opened at ``x`` follows the dart from the ring's
+        previous entry, and the face of that dart is the one the edge
+        splits or grows.
+        """
+        rings = self.rotations
+        if y == len(rings):
+            rings.append([])
+        stale = {self.face_of[(rings[x][i - 1], x)]} if rings[x] else set()
+        rings[x].insert(i, y)
+        rings[y].insert(j, x)
+        self._retrace(x, y, stale)
+
+    def remove_edge(self, u: int, v: int) -> None:
+        """Delete edge ``{u, v}``, merging the faces on its two sides."""
+        stale = {self.face_of.pop((u, v)), self.face_of.pop((v, u))}
+        self.rotations[u].remove(v)
+        self.rotations[v].remove(u)
+        del self.successor[(u, v)], self.successor[(v, u)]
+        self._retrace(u, v, stale)
+
+    def _retrace(self, u: int, v: int, stale: set[Dart]) -> None:
+        """Re-walk the ``stale`` faces after the edge ``{u, v}`` came or went."""
+        _set_successors(self.successor, self.rotations, (u, v))
+        darts = {arc for key in stale for arc in self._drop(key)}
+        darts ^= {(u, v), (v, u)}  # new after an insertion, gone after a deletion
+        for walk in _face_walks(self.successor, darts):
+            key = walk[0]
+            self.walks[key] = walk
+            insort(self.keys, key)
+            if len(walk) >= 4:
+                insort(self.big_keys, key)
+            for arc in walk:
+                self.face_of[arc] = key
+
+    def _drop(self, key: Dart) -> tuple[Dart, ...]:
+        walk = self.walks.pop(key)
+        del self.keys[bisect_left(self.keys, key)]
+        if len(walk) >= 4:
+            del self.big_keys[bisect_left(self.big_keys, key)]
+        return walk
+
+
 def _normalize_rotation(graph: Graph, rotation: Iterable[Iterable[int]]) -> Rotation:
     rot = tuple(tuple(r) for r in rotation)
     if len(rot) != graph.n:
@@ -158,25 +272,9 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     rot = _normalize_rotation(graph, rotation)
     if not is_connected(graph):
         raise DisconnectedError("face tracing needs a connected graph")
-    successor: dict[tuple[int, int], tuple[int, int]] = {}
-    for v in range(graph.n):
-        ring = rot[v]
-        for i, u in enumerate(ring):
-            successor[(u, v)] = (v, ring[(i + 1) % len(ring)])
-    faces: list[Face] = []
-    visited: set[tuple[int, int]] = set()
-    for start in sorted(successor):
-        if start in visited:
-            continue
-        walk = []
-        arc = start
-        while True:
-            walk.append(arc)
-            visited.add(arc)
-            arc = successor[arc]
-            if arc == start:
-                break
-        faces.append(Face(index=len(faces), walk=tuple(walk)))
+    successor: dict[Dart, Dart] = {}
+    _set_successors(successor, rot, range(graph.n))
+    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor, successor))]
     if graph.n == 1:
         faces = [Face(index=0, walk=())]
     if graph.n >= 1 and graph.n - graph.m + len(faces) != 2:

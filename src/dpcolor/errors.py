@@ -86,7 +86,8 @@ class EmptyListError(DpColorError):
 class ContractViolationError(DpColorError):
     """The pipeline's contract failed: an invalid or mismatched input cover,
     an empty residual list, no admissible center color, or a final
-    impropriety above 1."""
+    impropriety above 1; or a configuration check got list sizes that do
+    not match the configuration's vertices."""
 
 
 class TheoremViolationError(DpColorError):
@@ -104,7 +105,8 @@ class TheoremViolationError(DpColorError):
 
 
 class ListTooSmallError(DpColorError):
-    """The coloring pipeline needs every list to have size at least 3."""
+    """A list is below the size it needs: 3 for the coloring pipeline, the
+    configuration's floor for a reducibility check."""
 
 
 # --- generation and I/O ---------------------------------------------------

@@ -3,8 +3,11 @@
 Growth happens directly on the rotation system, so planarity never needs
 re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
-two.  Ears and chords read the faces, so only they rebuild the plane graph
-with ``embedding.plane_from_rotations``; a pendant vertex needs no faces.
+two.  The rotation system is an ``embedding.FaceRegistry``, which keeps
+the faces up to date as edges come and go: ears and chords draw their
+face from it, and each edit re-walks only the faces it changes.  A plane
+graph is built with ``embedding.plane_from_rotations`` once per attempt,
+for the result.
 
 Repair is local.  The graph has no 4- or 6-cycle before a move, so every
 such cycle after it uses an edge the move inserted (a pendant edge is a
@@ -22,70 +25,65 @@ from __future__ import annotations
 
 import random
 
-from .embedding import PlaneGraph, plane_from_rotations
+from .embedding import FaceRegistry, PlaneGraph, plane_from_rotations
 from .errors import GenerationExhaustedError, InternalInvariantError
 from .graphs import Edge, cycles_through_edge, has_forbidden_cycles
 
 
-def _add_pendant(rotations: list[list[int]], rng: random.Random) -> list[Edge]:
+def _add_pendant(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
+    rotations = reg.rotations
     x = rng.randrange(len(rotations))
-    v = len(rotations)
     pos = rng.randrange(len(rotations[x]) + 1) if rotations[x] else 0
-    rotations[x].insert(pos, v)
-    rotations.append([x])
+    reg.insert_edge(x, pos, len(rotations), 0)
     return []
 
 
-def _corner_insert(rotations: list[list[int]], walk, pos: int, v: int) -> None:
-    """Make the corner at walk position ``pos`` open toward vertex ``v``.
+def _corner(reg: FaceRegistry, walk, pos: int) -> int:
+    """The ring index that opens the corner at walk position ``pos``.
 
-    The corner sits between the arcs ``walk[pos - 1] = (a, x)`` and
-    ``walk[pos] = (x, b)``; inserting ``v`` right after ``a`` in the
-    rotation at ``x`` redirects the walk through ``v``.
+    The corner at ``x`` sits between the arcs ``walk[pos - 1] = (a, x)``
+    and ``walk[pos] = (x, b)``; an edge inserted right after ``a`` in the
+    rotation at ``x`` leaves through it.
     """
     a, x = walk[pos - 1]
-    ring = rotations[x]
-    ring.insert(ring.index(a) + 1, v)
+    return reg.rotations[x].index(a) + 1
 
 
-def _pick_corners(pg: PlaneGraph, min_degree: int, rng: random.Random, fits) -> tuple | None:
-    """``(walk, p, q, x, y)``: a random face of degree ``min_degree`` or more
-    and its first pair of corners, in shuffled order, at walk positions
-    ``p``, ``q`` and distinct vertices ``x``, ``y`` with ``fits(x, y)``."""
-    faces = [f for f in pg.faces if f.degree >= min_degree]
-    if not faces:
+def _pick_corners(reg: FaceRegistry, keys: list, rng: random.Random, fits) -> tuple | None:
+    """``(walk, p, q, x, y)``: a random face among ``keys`` and its first
+    pair of corners, in shuffled order, at walk positions ``p``, ``q`` and
+    distinct vertices ``x``, ``y`` with ``fits(x, y)``."""
+    if not keys:
         return None
-    face = faces[rng.randrange(len(faces))]
-    positions = list(range(face.degree))
+    walk = reg.walks[keys[rng.randrange(len(keys))]]
+    positions = list(range(len(walk)))
     rng.shuffle(positions)
     for i, p in enumerate(positions):
         for q in positions[i + 1:]:
-            x = face.walk[p - 1][1]
-            y = face.walk[q - 1][1]
+            x = walk[p - 1][1]
+            y = walk[q - 1][1]
             if x != y and fits(x, y):
-                return face.walk, p, q, x, y
+                return walk, p, q, x, y
     return None
 
 
-def _add_ear(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
-    found = _pick_corners(pg, 2, rng, lambda x, y: True)
+def _add_ear(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
+    found = _pick_corners(reg, reg.keys, rng, lambda x, y: True)
     if found is None:
         return []
     walk, p, q, x, y = found
-    v = len(rotations)
-    _corner_insert(rotations, walk, p, v)
-    _corner_insert(rotations, walk, q, v)
-    rotations.append([x, y])
+    v = len(reg.rotations)
+    reg.insert_edge(x, _corner(reg, walk, p), v, 0)
+    reg.insert_edge(y, _corner(reg, walk, q), v, 1)
     return [(x, v), (v, y)]
 
 
-def _add_chord(rotations: list[list[int]], pg: PlaneGraph, rng: random.Random) -> list[Edge]:
-    found = _pick_corners(pg, 4, rng, lambda x, y: not pg.graph.has_edge(x, y))
+def _add_chord(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
+    found = _pick_corners(reg, reg.big_keys, rng, lambda x, y: not reg.has_edge(x, y))
     if found is None:
         return []
     walk, p, q, x, y = found
-    _corner_insert(rotations, walk, p, y)
-    _corner_insert(rotations, walk, q, x)
+    reg.insert_edge(x, _corner(reg, walk, p), y, _corner(reg, walk, q))
     return [(x, y)]
 
 
@@ -102,7 +100,7 @@ def _smallest_forbidden_cycle(
 
 
 def _repair(
-    rotations: list[list[int]], inserted: list[Edge], rng: random.Random, max_rounds: int
+    reg: FaceRegistry, inserted: list[Edge], rng: random.Random, max_rounds: int
 ) -> bool:
     """Delete one edge from some 4-/6-cycle until none remain.
 
@@ -111,34 +109,33 @@ def _repair(
     still present, and the smallest of those is the graph's smallest.
     """
     for _ in range(max_rounds):
-        cycle = _smallest_forbidden_cycle(rotations, inserted)
+        cycle = _smallest_forbidden_cycle(reg.rotations, inserted)
         if cycle is None:
             return True
         pick = rng.randrange(len(cycle))
-        u, v = cycle[pick], cycle[(pick + 1) % len(cycle)]
-        rotations[u].remove(v)
-        rotations[v].remove(u)
-    return _smallest_forbidden_cycle(rotations, inserted) is None
+        reg.remove_edge(cycle[pick], cycle[(pick + 1) % len(cycle)])
+    return _smallest_forbidden_cycle(reg.rotations, inserted) is None
 
 
-def _grow(rotations: list[list[int]], n: int, rng: random.Random) -> bool:
-    """Grow ``rotations`` to ``n`` vertices, then densify with up to two
-    chords; False as soon as a repair fails."""
+def _grow(reg: FaceRegistry, n: int, rng: random.Random) -> bool:
+    """Grow ``reg`` to ``n`` vertices, then densify with up to two chords;
+    False as soon as a repair fails."""
     max_rounds = 2 * n + 10
+    rotations = reg.rotations
     while len(rotations) < n:
         roll = rng.random()
         if len(rotations) < 3 or roll < 0.35:
-            inserted = _add_pendant(rotations, rng)
+            inserted = _add_pendant(reg, rng)
         else:
             move = _add_ear if roll < 0.9 else _add_chord
-            inserted = move(rotations, plane_from_rotations(rotations), rng)
+            inserted = move(reg, rng)
             if not inserted:
-                inserted = _add_pendant(rotations, rng)
-        if not _repair(rotations, inserted, rng, max_rounds):
+                inserted = _add_pendant(reg, rng)
+        if not _repair(reg, inserted, rng, max_rounds):
             return False
     for _ in range(rng.randrange(3)):  # densify, then re-repair
-        inserted = _add_chord(rotations, plane_from_rotations(rotations), rng)
-        if not _repair(rotations, inserted, rng, max_rounds):
+        inserted = _add_chord(reg, rng)
+        if not _repair(reg, inserted, rng, max_rounds):
             return False
     return True
 
@@ -156,10 +153,10 @@ def generate_plane_no46(
         raise GenerationExhaustedError("need at least one vertex")
     rng = random.Random(seed)
     for _ in range(attempts):
-        rotations: list[list[int]] = [[]]
-        if not _grow(rotations, n, rng):
+        reg = FaceRegistry()
+        if not _grow(reg, n, rng):
             continue
-        pg = plane_from_rotations(rotations)
+        pg = plane_from_rotations(reg.rotations)
         if pg.graph.n != n or has_forbidden_cycles(pg.graph):
             raise InternalInvariantError(
                 f"generated graph for n={n}, seed={seed} failed its final check"

@@ -256,13 +256,19 @@ def verify_config_reducible(
     On every cover the extension rule ``_color_config`` must give a
     representative set of impropriety <= 1; the first cover where it does
     not is returned as a counterexample, and ``verified`` counts the
-    covers before it.
+    covers before it.  Raises ``ContractViolationError`` when ``sizes``
+    does not give one size per vertex, and ``ListTooSmallError`` when a
+    size is below its floor.
     """
     shape, floors = _CONFIG_SHAPES[kind]
     if sizes is None:
         sizes = floors
-    if len(sizes) != shape.n or any(s < f for s, f in zip(sizes, floors)):
-        raise ValueError(f"sizes {sizes} below floors {floors}")
+    if len(sizes) != shape.n:
+        raise ContractViolationError(
+            f"{len(sizes)} list sizes for the {shape.n} vertices of {kind.value}"
+        )
+    if any(s < f for s, f in zip(sizes, floors)):
+        raise ListTooSmallError(f"sizes {tuple(sizes)} below floors {floors} of {kind.value}")
     lists = tuple(tuple(range(1, s + 1)) for s in sizes)
     options = [partial_matchings(lists[u], lists[v]) for u, v in shape.edges]
     total = math.prod(map(len, options))

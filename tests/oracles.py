@@ -9,8 +9,9 @@ every face, partial matchings by filtering every set of color pairs,
 every JSON document as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
-priority order, and an all-covers question over every perfect cover
-with no matching pinned.
+priority order, an all-covers question over every perfect cover
+with no matching pinned, and the faces a face registry keeps up to date
+by tracing its rotation system from scratch.
 """
 
 from collections import Counter
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from dpcolor.covers import enumerate_perfect_covers, uniform_assignment
+from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.graphs import build_graph
 
 
@@ -245,3 +247,25 @@ def audit_doc(report, ledger):
             for e in report.entries
         ],
     }
+
+
+def registry_vs_trace(reg):
+    """(what ``reg`` holds, what ``trace_faces`` finds on its rotations).
+
+    Each side lists the faces as ``(index, walk, degree)`` in face order,
+    the keys of the faces of degree >= 4, and the face key of every dart.
+    The single vertex's face has no dart, so the registry holds none.
+    """
+    faces = [f for f in trace_faces(graph_from_rotations(reg.rotations), reg.rotations).faces
+             if f.walk]
+    held = (
+        [(i, reg.walks[key], len(reg.walks[key])) for i, key in enumerate(reg.keys)],
+        reg.big_keys,
+        reg.face_of,
+    )
+    traced = (
+        [(f.index, f.walk, f.degree) for f in faces],
+        [f.walk[0] for f in faces if f.degree >= 4],
+        {arc: f.walk[0] for f in faces for arc in f.walk},
+    )
+    return held, traced

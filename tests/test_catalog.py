@@ -1,10 +1,16 @@
+import time
+from collections import Counter
+
 import pytest
 
 from dpcolor.catalog import entries, entry_names, load, no46_names
 from dpcolor import generate
+from dpcolor.embedding import FaceRegistry
 from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_forbidden_cycles, is_connected
+
+from oracles import registry_vs_trace
 
 
 def test_every_entry_loads_and_flag_is_verified():
@@ -53,6 +59,62 @@ def test_generator_valid_over_seeds():
         assert pg.graph.n == n
         assert is_connected(pg.graph)
         assert not has_forbidden_cycles(pg.graph)
+
+
+def test_face_registry_matches_a_fresh_trace_after_every_edit(monkeypatch):
+    # every edge the generator inserts (pendants, both halves of an ear,
+    # chords while growing and densifying) and every repair deletion
+    edits = Counter()
+
+    def checked(name):
+        edit = getattr(FaceRegistry, name)
+
+        def call(reg, *args):
+            edit(reg, *args)
+            edits[name] += 1
+            held, traced = registry_vs_trace(reg)
+            assert held == traced, (name, args, reg.rotations)
+        return call
+
+    chord = generate._add_chord
+
+    def counted_chord(reg, rng):
+        inserted = chord(reg, rng)
+        edits["densify chord" if len(reg.rotations) == n else "chord"] += bool(inserted)
+        return inserted
+
+    for name in ("insert_edge", "remove_edge"):
+        monkeypatch.setattr(FaceRegistry, name, checked(name))
+    monkeypatch.setattr(generate, "_add_chord", counted_chord)
+    for n in range(1, 61):
+        for seed in range(4):
+            assert generate_plane_no46(n, seed).graph.n == n
+    assert edits["remove_edge"] > 100
+    assert edits["chord"] > 10 and edits["densify chord"] > 10
+
+
+def test_face_registry_walks_from_the_single_vertex():
+    reg = FaceRegistry()
+    assert reg.keys == [] and reg.walks == {}
+    reg.insert_edge(0, 0, 1, 0)
+    assert reg.walks == {(0, 1): ((0, 1), (1, 0))}
+    reg.insert_edge(1, 1, 2, 0)
+    reg.insert_edge(2, 1, 0, 1)  # triangle 0-1-2: two faces
+    assert [reg.walks[key] for key in reg.keys] == [((0, 1), (1, 2), (2, 0)),
+                                                    ((0, 2), (2, 1), (1, 0))]
+    assert reg.big_keys == [] and reg.has_edge(2, 0) and not reg.has_edge(0, 3)
+    reg.remove_edge(0, 1)
+    assert reg.keys == [(0, 2)] and reg.big_keys == [(0, 2)]
+    assert reg.walks[(0, 2)] == ((0, 2), (2, 1), (1, 2), (2, 0))
+
+
+def test_generator_scales_to_thousands_of_vertices():
+    # each edit re-walks only the faces it changes; re-tracing the whole
+    # plane graph per move makes this quadratic
+    started = time.perf_counter()
+    pg = generate_plane_no46(3200, 3200)
+    assert time.perf_counter() - started < 10.0
+    assert pg.graph.n == 3200 and not has_forbidden_cycles(pg.graph)
 
 
 def test_generator_attempt_budget():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,20 @@ def test_integer_past_the_conversion_limit_is_rejected_with_one_line(tmp_path, c
     assert main([command, write(tmp_path, "huge.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: not valid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["catalog"], ["gen", "-n", "50"]], ids=["print", "emit"])
+def test_closed_stdout_exits_0_without_a_message(command):
+    # ``dpcolor catalog | head -3``: the reader going away is not bad input,
+    # and the interpreter must not report a failed flush at shutdown either
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "dpcolor.cli", *command], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # no reader left: the first write to stdout fails
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):

@@ -140,6 +140,14 @@ def test_verify_four_three_threes():
     assert report.ok and report.total_covers == 27
 
 
+def test_verify_rejects_sizes_that_do_not_fit_the_configuration():
+    # one error class each, so the command line answers with exit 2
+    with pytest.raises(ContractViolationError, match="1 list sizes for the 2 vertices"):
+        verify_config_reducible(ConfigKind.ADJACENT_THREES, (1,))
+    with pytest.raises(ListTooSmallError, match="below floors"):
+        verify_config_reducible(ConfigKind.FOUR_THREE_THREES, (2, 1, 0, 1))
+
+
 @pytest.mark.parametrize("kind", list(ConfigKind))
 def test_brute_force_colors_every_residual_cover_at_the_floors(kind):
     # the lemma checks the extension rule alone; the exhaustive oracle must

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import generate, graphs
+from dpcolor import embedding, generate, graphs
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -100,6 +100,33 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
     assert counts["graphs.has_forbidden_cycles"] == 1
     assert counts["graphs.has_cycle_of_length"] <= 2
     assert not [name for name in counts if "list_cycles" in name or name.endswith("in repair")]
+
+
+def test_generator_builds_one_plane_graph_per_attempt(monkeypatch):
+    # the faces come from the registry as it changes; the plane graph is
+    # built only for an attempt's result
+    attempts = []
+    for name in ("plane_from_rotations", "trace_faces"):
+        fn = getattr(embedding, name)
+
+        def call(*args, _fn=fn, _name=name, **kwargs):
+            attempts[-1][_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):  # every binding
+            if mod_name.split(".")[0] == "dpcolor" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, call)
+    grow = generate._grow
+
+    def counted_grow(*args):
+        attempts.append(Counter())
+        return grow(*args)
+
+    monkeypatch.setattr(generate, "_grow", counted_grow)
+    for n, seed in ((200, 200), (60, 60), (3, 1)):
+        generate.generate_plane_no46(n, seed)
+    assert all(max(calls.values(), default=0) <= 1 for calls in attempts)
+    assert sum(calls["plane_from_rotations"] for calls in attempts) == 3
 
 
 def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
