@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import catalog as catalog_mod
-from .covers import uniform_assignment, random_cover
-from .discharging import TOTAL_SIXTHS, apply_rules, audit_cases, charge_str, initial_charges
+from .covers import DEFAULT_BUDGET, uniform_assignment, random_cover
+from .discharging import apply_rules, audit_cases, charge_str, initial_charges
 from .errors import DpColorError, FileFormatError
 from .fileio import (
     audit_to_json_text,
@@ -96,12 +96,13 @@ def cmd_audit(args) -> int:
     pg = plane_from_text(_read_input(args.plane))
     if has_forbidden_cycles(pg.graph):
         ledger = initial_charges(pg)
-        print("transfer rules skipped: graph contains a 4-cycle or 6-cycle")
-        print(f"initial total: {charge_str(ledger.initial_total)}")
-        for v in range(pg.graph.n):
-            print(f"  vertex {v}: {charge_str(ledger.vertex_initial[v])}")
-        for i, charge in enumerate(ledger.face_initial):
-            print(f"  face {i}: {charge_str(charge)}")
+        lines = [
+            "transfer rules skipped: graph contains a 4-cycle or 6-cycle",
+            f"initial total: {charge_str(ledger.initial_total)}",
+            *(f"  vertex {v}: {charge_str(c)}" for v, c in enumerate(ledger.vertex_initial)),
+            *(f"  face {i}: {charge_str(c)}" for i, c in enumerate(ledger.face_initial)),
+        ]
+        _emit("".join(line + "\n" for line in lines), args.out)
         return 0
     ledger = apply_rules(pg)
     report = audit_cases(pg, ledger)
@@ -109,12 +110,11 @@ def cmd_audit(args) -> int:
         _emit(audit_to_json_text(report, ledger), args.out)
     else:
         _emit(audit_to_table(report), args.out)
-    ok = report.final_total == report.initial_total == TOTAL_SIXTHS
-    return 0 if ok and report.all_audited_nonnegative else 1
+    return 0 if report.all_audited_nonnegative else 1
 
 
 def cmd_gen(args) -> int:
-    pg = generate_plane_no46(args.n, args.seed, attempts=args.attempts)
+    pg = generate_plane_no46(args.n, args.seed)
     _emit(plane_to_text(pg), args.out)
     return 0
 
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cover", help="cover file")
     p.add_argument("-d", "--impropriety", type=int, default=1)
     p.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random plane graph without 4-/6-cycles")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--attempts", type=int, default=20)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_gen)
 

@@ -12,7 +12,8 @@ means the rotation system does not describe a sphere embedding.
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
 one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
 shared by several consumers are derived once per graph and cached: the
-4-/6-cycle check on ``Graph``, the pendant 3-faces on ``PlaneGraph``.
+4-/6-cycle check on ``Graph``, the pendant 3-faces on ``PlaneGraph``,
+each face's corner tuple on ``Face``.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
@@ -56,17 +57,10 @@ class Face:
     def degree(self) -> int:
         return len(self.walk)
 
-    @property
+    @cached_property
     def corners(self) -> tuple[int, ...]:
         """Vertices along the walk, with multiplicity."""
         return tuple(u for u, _ in self.walk)
-
-    @cached_property
-    def vertex_multiplicity(self) -> Counter:
-        return Counter(self.corners)
-
-    def contains_vertex(self, v: int) -> bool:
-        return v in self.vertex_multiplicity
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,14 @@ class PlaneGraph:
         """
         out: dict[int, list[tuple[Face, int]]] = {}
         for face in self.faces:
+            if face.degree != 3:
+                continue
             degs = [self.graph.degree(u) for u in face.corners]
-            if face.degree != 3 or degs.count(3) != 1 or min(degs) < 3:
+            if degs.count(3) != 1 or min(degs) < 3:
                 continue
             low = face.corners[degs.index(3)]
             for payer in self.graph.adjacency[low]:
-                if not face.contains_vertex(payer):
+                if payer not in face.corners:
                     out.setdefault(payer, []).append((face, low))
         return {v: tuple(pairs) for v, pairs in out.items()}
 
@@ -277,7 +273,7 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor, successor))]
     if graph.n == 1:
         faces = [Face(index=0, walk=())]
-    if graph.n >= 1 and graph.n - graph.m + len(faces) != 2:
+    if graph.n - graph.m + len(faces) != 2:
         raise NonPlanarEmbeddingError(
             f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"
         )

@@ -29,6 +29,8 @@ from .embedding import FaceRegistry, PlaneGraph, plane_from_rotations
 from .errors import GenerationExhaustedError, InternalInvariantError
 from .graphs import Edge, cycles_through_edge, has_forbidden_cycles
 
+_ATTEMPTS = 20  # growths tried per (n, seed) before giving up
+
 
 def _add_pendant(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
     rotations = reg.rotations
@@ -140,19 +142,19 @@ def _grow(reg: FaceRegistry, n: int, rng: random.Random) -> bool:
     return True
 
 
-def generate_plane_no46(
-    n: int, seed: int, attempts: int = 20
-) -> PlaneGraph:
+def generate_plane_no46(n: int, seed: int) -> PlaneGraph:
     """A connected plane graph on ``n`` vertices with no 4- or 6-cycles.
 
-    Deterministic per ``(n, seed)``.  Raises ``GenerationExhaustedError``
-    when no attempt produces an instance, and ``InternalInvariantError``
-    if the final check finds a 4- or 6-cycle that repair missed.
+    Deterministic per ``(n, seed)``.  Up to 20 growths share one
+    seeded rng; a growth fails only when a repair gives up.  Raises
+    ``GenerationExhaustedError`` when no attempt produces an instance, and
+    ``InternalInvariantError`` if the final check finds a 4- or 6-cycle
+    that repair missed.
     """
     if n < 1:
         raise GenerationExhaustedError("need at least one vertex")
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         reg = FaceRegistry()
         if not _grow(reg, n, rng):
             continue
@@ -163,5 +165,5 @@ def generate_plane_no46(
             )
         return pg
     raise GenerationExhaustedError(
-        f"no valid instance for n={n} after {attempts} attempts"
+        f"no valid instance for n={n} after {_ATTEMPTS} attempts"
     )

@@ -76,8 +76,8 @@ def build_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     for u, v in sorted_edges:
         adj[u].append(v)
         adj[v].append(u)
-    adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-    return Graph(n=n, edges=sorted_edges, adjacency=adjacency)
+    # sorted: row v gets its smaller neighbours in order, then its larger ones
+    return Graph(n=n, edges=sorted_edges, adjacency=tuple(map(tuple, adj)))
 
 
 def is_connected(graph: Graph) -> bool:

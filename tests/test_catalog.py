@@ -117,9 +117,11 @@ def test_generator_scales_to_thousands_of_vertices():
     assert pg.graph.n == 3200 and not has_forbidden_cycles(pg.graph)
 
 
-def test_generator_attempt_budget():
+def test_generator_attempt_budget(monkeypatch):
+    # every attempt fails when every repair gives up
+    monkeypatch.setattr(generate, "_repair", lambda reg, inserted, rng, max_rounds: False)
     with pytest.raises(GenerationExhaustedError):
-        generate_plane_no46(30, 0, attempts=0)
+        generate_plane_no46(30, 0)
     with pytest.raises(GenerationExhaustedError):
         generate_plane_no46(0, 0)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dpcolor import cli, graphs
+from dpcolor import cli, generate, graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
 from dpcolor.covers import Cover, diagonal_cover, random_cover, uniform_assignment
@@ -208,6 +208,15 @@ def test_cover_file_without_matchings_is_rejected_with_one_line(tmp_path, capsys
     assert out == "" and err == "error: missing key 'matchings'\n"
 
 
+@pytest.mark.parametrize("command", ["audit", "theorem", "cycles"])
+def test_empty_plane_graph_is_rejected_with_one_line(tmp_path, capsys, command):
+    # no vertex, no edge, no face: 0 - 0 + 0 is not 2
+    text = json.dumps({"format": "dpcolor-plane/1", "n": 0, "rotations": []})
+    assert main([command, write(tmp_path, "empty.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Euler check failed: 0 - 0 + 0 != 2\n"
+
+
 @pytest.mark.parametrize("command", ["audit", "theorem", "cycles", "solve"])
 def test_non_utf8_input_is_rejected_with_one_line(tmp_path, capsys, command):
     path = tmp_path / "binary.json"
@@ -246,6 +255,36 @@ def test_closed_stdout_exits_0_without_a_message(command):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def _plane_file(tmp_path, name):
+    return write(tmp_path, f"{name}.json", plane_to_text(load_catalog(name)))
+
+
+def _cover_file(tmp_path):
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    return write(tmp_path, "cover.json", cover_to_text(diagonal_cover(k4, uniform_assignment(4, 2))))
+
+
+OUT_COMMANDS = {
+    "solve": lambda tmp: ["solve", _cover_file(tmp), "-d", "1"],
+    "theorem": lambda tmp: ["theorem", _plane_file(tmp, "bowtie"), "--seed", "3"],
+    "audit-k4": lambda tmp: ["audit", _plane_file(tmp, "k4"), "--format", "json"],
+    "audit-bowtie": lambda tmp: ["audit", _plane_file(tmp, "bowtie"), "--format", "json"],
+    "gen": lambda tmp: ["gen", "-n", "12", "--seed", "7"],
+    "catalog": lambda tmp: ["catalog", "bowtie"],
+}
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+def test_out_file_holds_what_stdout_prints_without_it(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    status = main(argv)
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["-o", str(out)]) == status == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
 
 
 def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):
@@ -310,8 +349,11 @@ def test_gen_single_vertex(tmp_path, capsys):
     assert doc["n"] == 1 and doc["rotations"] == [[]]
 
 
-def test_gen_exhausted(tmp_path):
-    assert main(["gen", "-n", "5", "--seed", "0", "--attempts", "0"]) == 2
+def test_gen_exhausted(monkeypatch, capsys):
+    monkeypatch.setattr(generate, "_repair", lambda reg, inserted, rng, max_rounds: False)
+    assert main(["gen", "-n", "5", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: no valid instance for n=5 after 20 attempts\n"
 
 
 def test_lemma_all(capsys):

@@ -16,6 +16,7 @@ from dpcolor.errors import ForbiddenCyclePresentError
 from dpcolor.generate import generate_plane_no46
 
 from oracles import transfers_scan
+from test_plane_golden import fan, triangle_chain
 
 
 def test_initial_charges_on_k4():
@@ -162,6 +163,22 @@ def test_conservation_across_catalog_and_generated():
         pg = generate_plane_no46(4 + seed % 14, seed)
         ledger = apply_rules(pg)
         assert sum(ledger.finals().values()) == -72
+
+
+def test_audit_entries_tally_each_final_as_the_ledger_does():
+    planes = [load_catalog(name) for name in no46_names()]
+    planes += [generate_plane_no46(n, n) for n in range(10, 61)]
+    planes += [plane_from_rotations(triangle_chain(t)) for t in (1, 2, 5, 20)]
+    planes += [plane_from_rotations(fan(k, pendant=False)) for k in (1, 3, 8)]
+    planes += [plane_from_rotations(fan(k, pendant=True)) for k in (1, 2, 5)]
+    for pg in planes:
+        ledger = apply_rules(pg)
+        report = audit_cases(pg, ledger)
+        finals = ledger.finals()
+        for e in report.entries:
+            assert e.final == e.initial - e.outgoing + e.incoming
+        assert {e.element: e.final for e in report.entries} == finals
+        assert report.final_total == sum(finals.values()) == report.initial_total == -72
 
 
 def test_every_transfer_is_a_multiple_of_one_sixth_units():

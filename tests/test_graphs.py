@@ -158,6 +158,18 @@ def random_graph(n, p, seed):
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
+@given(st.data())
+def test_build_graph_sorts_each_row_whatever_the_edge_order(data):
+    graph = data.draw(graphs(max_n=9))
+    edges = data.draw(st.permutations(graph.edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    rebuilt = build_graph(graph.n, edges)
+    for v in range(graph.n):
+        neighbours = [b for a, b in edges if a == v] + [a for a, b in edges if b == v]
+        assert rebuilt.adjacency[v] == tuple(sorted(neighbours))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=8))
 def test_cycles_through_edge_is_list_cycles_filtered_by_the_edge(g):
