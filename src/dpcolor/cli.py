@@ -23,6 +23,7 @@ from .fileio import (
     audit_to_table,
     coloring_to_text,
     cover_from_text,
+    cover_to_text,
     graph_from_text,
     plane_from_text,
     plane_to_text,
@@ -31,7 +32,7 @@ from .fileio import (
 from .generate import generate_plane_no46
 from .graphs import has_forbidden_cycles, list_cycles
 from .reduction import ConfigKind, color_planar_no46, verify_config_reducible
-from .solver import brute_force_rep_set, find_rep_set, impropriety
+from .solver import brute_force_rep_set, find_rep_set, impropriety, is_dp_colorable
 
 
 def _read_input(path: str) -> str:
@@ -79,6 +80,20 @@ def cmd_solve(args) -> int:
         return 1
     _emit(coloring_to_text(rep, impropriety(cover, rep)), args.out)
     return 0
+
+
+def cmd_colorable(args) -> int:
+    result = is_dp_colorable(_read_graph_any(args.graph), args.k, args.impropriety)
+    answer = "yes" if result.colorable else "no"
+    print(
+        f"colorable: {answer} ({result.searches} searches, "
+        f"{result.covers_checked} covers checked)"
+    )
+    if result.colorable:
+        return 0
+    if args.witness_out:
+        _emit(cover_to_text(result.witness), args.witness_out)
+    return 1
 
 
 def cmd_theorem(args) -> int:
@@ -173,6 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_solve)
+
+    p = sub.add_parser(
+        "colorable",
+        help="decide whether every cover of the k-lists 1..k has a coloring",
+    )
+    p.add_argument("graph", help="edge-list or plane-graph file")
+    p.add_argument("-k", type=int, required=True, help="list size")
+    p.add_argument("-d", "--impropriety", type=int, required=True)
+    p.add_argument(
+        "--witness-out", default=None,
+        help="file for a cover with no coloring, written when there is one",
+    )
+    p.set_defaults(func=cmd_colorable)
 
     p = sub.add_parser(
         "theorem",

@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, UnequalListsError
@@ -53,7 +54,8 @@ class Cover:
 
         ``partners[u]`` lists ``u``'s neighbors in edge order; a color left
         unmatched is absent.  Matchings are taken to be injective, which
-        ``validate_cover`` checks.
+        ``validate_cover`` checks.  The maps are read, never mutated, so
+        covers may share them.
         """
         maps: tuple[dict[int, dict[int, int]], ...] = tuple({} for _ in range(self.graph.n))
         for (u, v), matching in zip(self.graph.edges, self.matchings):
@@ -195,9 +197,11 @@ def enumerate_perfect_covers(
     """Yield every perfect-matching cover exactly once, in a fixed order.
 
     ``free_edges`` restricts enumeration to the given edge indices, pinning
-    all other edges to the identity-position bijection (used by the
-    spanning-tree reduction in the solver); by default all edges are free.
+    all other edges to the identity-position bijection; by default all
+    edges are free.
     The number of covers to be yielded is checked against ``budget`` first.
+    Pinning a spanning forest's edges is exact for all-covers questions;
+    ``least_perfect_covers`` goes further and yields one cover per orbit.
     """
     sizes = _perfect_sizes(graph, lists)
     free = set(range(graph.m)) if free_edges is None else set(free_edges)
@@ -213,3 +217,95 @@ def enumerate_perfect_covers(
     ]
     yield from enumerate_covers(graph, lists, options)
 
+
+def _unbeaten(
+    stabilizer: Sequence[int], perms: list[tuple[int, ...]], undo: list[itemgetter]
+) -> Iterator[tuple[int, list[int]]]:
+    """``(p, kept)`` for each index ``p`` into ``perms``, in order, such that
+    no ``σ`` in ``stabilizer`` conjugates ``perms[p]`` below itself;
+    ``kept`` holds the ``σ`` that commute with it.  ``undo[s]`` maps an
+    image tuple ``x`` to ``x∘σ⁻¹`` for ``σ = perms[s]``."""
+    if not stabilizer:
+        yield from ((p, []) for p in range(len(perms)))
+        return
+    for p, image in enumerate(perms):
+        after = itemgetter(*image)  # σ ↦ σ∘π
+        kept = []
+        for s in stabilizer:
+            renamed = undo[s](after(perms[s]))  # σπσ⁻¹
+            if renamed < image:
+                break
+            if renamed == image:
+                kept.append(s)
+        else:
+            yield p, kept
+
+
+def least_perfect_covers(
+    graph: Graph, k: int, free_edges: Sequence[int]
+) -> Iterator[tuple[Cover, int]]:
+    """Yield ``(cover, orbit size)`` for the least cover of each renaming orbit.
+
+    The covers are those ``enumerate_perfect_covers`` yields for the lists
+    ``1..k`` and ``free_edges``.  Renaming every fiber's colors by one
+    permutation ``σ`` keeps each pinned identity matching and turns each
+    free matching ``π`` into ``σπσ⁻¹``; renamed covers answer every
+    coloring question alike, so one cover per orbit decides the orbit.
+    Orderly generation (Read 1978; McKay 1998) yields the least member of
+    each orbit in product order, and only those: free matchings are chosen
+    edge by edge while the ``σ`` that fix the choices so far are kept, and
+    a choice that a kept ``σ`` conjugates below itself ends its branch,
+    since every completion then has a smaller renaming.  The orbit size is
+    ``k!`` over the number of ``σ`` fixing the whole cover.  With a free
+    edge, every one of the ``k!`` permutations is tried at each level.
+    """
+    lists = uniform_assignment(graph.n, k)
+    identity = tuple(zip(range(1, k + 1), range(1, k + 1)))
+    pinned = [identity] * graph.m
+    base = Cover(graph=graph, lists=lists, matchings=tuple(pinned))
+    free = list(free_edges)
+    if not free:
+        yield base, 1
+        return
+    perms = list(permutations(range(k)))
+    # with k < 2 the identity is the only σ, so no renaming is ever tested
+    undo = [itemgetter(*sorted(range(k), key=s.__getitem__)) for s in perms] if k > 1 else []
+    ends = [graph.edges[i] for i in free]
+    touched = sorted({x for edge in ends for x in edge})
+
+    @cache
+    def pairing(p: int) -> tuple[Matching, dict[int, int], dict[int, int]]:
+        """The matching of ``perms[p]`` and its two partner maps."""
+        matching = tuple((c + 1, image + 1) for c, image in enumerate(perms[p]))
+        return matching, dict(matching), {cv: cu for cu, cv in matching}
+
+    def build(picks: list[int]) -> Cover:
+        """The cover with ``perms[picks[j]]`` on the ``j``-th free edge.  Its
+        partner maps are patched from the pinned cover's and share their
+        pairing dicts with other covers, which ``Cover.partners`` allows
+        since nothing mutates them."""
+        matchings = pinned.copy()
+        maps = list(base.partners)
+        for x in touched:
+            maps[x] = maps[x].copy()
+        for i, (u, v), p in zip(free, ends, picks):
+            matchings[i], maps[u][v], maps[v][u] = pairing(p)
+        cover = Cover(graph=graph, lists=lists, matchings=tuple(matchings))
+        cover.__dict__["partners"] = tuple(maps)  # where the cached property keeps it
+        return cover
+
+    # one iterator of surviving choices per free edge chosen so far; the
+    # root's stabilizer is every σ but the identity, which fixes everything
+    picks = [0] * len(free)
+    levels = [_unbeaten(range(1, len(perms)), perms, undo)]
+    while levels:
+        step = next(levels[-1], None)
+        if step is None:
+            levels.pop()
+            continue
+        p, kept = step
+        picks[len(levels) - 1] = p
+        if len(levels) < len(free):
+            levels.append(_unbeaten(kept, perms, undo))
+        else:
+            yield build(picks), len(perms) // (len(kept) + 1)

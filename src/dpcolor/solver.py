@@ -6,9 +6,12 @@ joins the two chosen colors.  ``find_rep_set`` is a complete backtracking
 search with forward checking; ``brute_force_rep_set`` enumerates all total
 assignments and exists as an independent oracle.  All-cover questions
 (``is_dp_colorable``, ``dp_chromatic``) quantify over perfect-matching
-covers of the canonical 1..k lists; they check only the covers whose
-spanning-forest matchings are pinned to the identity, which is exact
-because fibers can be renamed along the forest.
+covers of the canonical 1..k lists.  Only the covers whose
+spanning-forest matchings are pinned to the identity need checking,
+because fibers can be renamed along the forest; these fall into orbits
+under renaming every fiber by one permutation, and ``find_rep_set`` runs
+once per orbit, on its least member.  The budget of an all-covers
+question counts those searches.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .covers import (
-    DEFAULT_BUDGET,
-    Cover,
-    diagonal_cover,
-    enumerate_perfect_covers,
-    uniform_assignment,
-)
+from .covers import DEFAULT_BUDGET, Cover, diagonal_cover, least_perfect_covers
 from .errors import (
     BudgetExceededError,
     EmptyListError,
@@ -186,13 +183,17 @@ class Colorability:
     """Outcome of an all-covers question.
 
     ``witness`` is a cover with no valid representative set when
-    ``colorable`` is false; ``covers_checked`` counts the covers examined,
-    which are the ones with a spanning forest's matchings pinned.
+    ``colorable`` is false: the first such cover with a spanning forest's
+    matchings pinned, in ``enumerate_perfect_covers`` order.
+    ``covers_checked`` counts the pinned covers decided, which is the sum
+    of the orbit sizes of the ``searches`` covers searched; a colorable
+    answer decides all (k!)^(m-n+c) of them.
     """
 
     colorable: bool
     witness: Cover | None
     covers_checked: int
+    searches: int
 
 
 def _free_edges(graph: Graph) -> list[int]:
@@ -222,26 +223,35 @@ def is_dp_colorable(
     Perfect-matching covers of the lists ``1..k`` dominate partial ones,
     and one assignment suffices because fibers may be renamed freely.
     Renaming the fibers along a spanning forest turns each forest edge's
-    matching into the identity, so every cover is fiber-isomorphic to one
-    with those matchings pinned, and only the pinned covers are checked:
-    (k!)^(m-n+c) of them for a graph with c components, not (k!)^m.
+    matching into the identity, so only covers with those matchings pinned
+    need checking: (k!)^(m-n+c) of them for a graph with c components.
+    Renaming every fiber by the same permutation keeps that pinning, so
+    ``least_perfect_covers`` yields one cover per orbit of these and only
+    those are searched.  ``budget`` bounds the number of searches, checked
+    as each starts, and each search's nodes; with a free edge it also
+    bounds the ``k!`` matchings tried per free edge, checked up front.
     """
-    lists = uniform_assignment(graph.n, k)
     free = _free_edges(graph)
+    if free and k > 0 and math.factorial(k) > budget:
+        raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
     checked = 0
-    for cover in enumerate_perfect_covers(graph, lists, budget=budget, free_edges=free):
-        checked += 1
+    searches = 0
+    for cover, orbit in least_perfect_covers(graph, k, free):
+        searches += 1
+        if searches > budget:
+            raise BudgetExceededError(f"all-covers search exceeded {budget} searches")
+        checked += orbit
         if find_rep_set(cover, d, budget=budget) is None:
-            return Colorability(False, cover, checked)
-    return Colorability(True, None, checked)
+            return Colorability(False, cover, checked, searches)
+    return Colorability(True, None, checked, searches)
 
 
 def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Least ``k`` such that every cover of every k-assignment is colorable.
 
-    Relies on ``is_dp_colorable``'s spanning-forest renaming reduction;
-    without it the yes-case at ``k`` would need (k!)^m covers, which is
-    already impractical for K4.
+    Each ``k`` is one ``is_dp_colorable`` question, so its cost is one
+    search per renaming orbit of the pinned covers: 681 searches for K4 at
+    k = 4, against 13,824 pinned covers and (4!)^6 unpinned ones.
     """
     for k in range(1, graph.n + 2):
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:

@@ -10,8 +10,11 @@ every JSON document as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
 priority order, an all-covers question over every perfect cover
-with no matching pinned, and the faces a face registry keeps up to date
-by tracing its rotation system from scratch.
+with no matching pinned or over every cover with a spanning forest's
+matchings pinned, one search per cover, the classes of covers under
+renaming every fiber alike by applying every renaming to every cover,
+and the faces a face registry keeps up to date by tracing its rotation
+system from scratch.
 """
 
 from collections import Counter
@@ -21,6 +24,7 @@ from itertools import combinations, permutations, product
 from dpcolor.covers import enumerate_perfect_covers, uniform_assignment
 from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.graphs import build_graph
+from dpcolor.solver import find_rep_set
 
 
 def subset_cycles(graph, k):
@@ -110,6 +114,39 @@ def dp_colorable_scan(graph, k, d):
         if not any(fits(rep) for rep in product(*lists)):
             return False, checked
     return True, checked
+
+
+def pinned_scan(graph, k, d, free_edges):
+    """(colorable, witness, covers checked): searches every perfect cover
+    of the lists 1..k whose edges outside ``free_edges`` are pinned to the
+    identity, in ``enumerate_perfect_covers`` order, until one has no
+    assignment of impropriety <= d."""
+    lists = uniform_assignment(graph.n, k)
+    checked = 0
+    for cover in enumerate_perfect_covers(graph, lists, free_edges=free_edges):
+        checked += 1
+        if find_rep_set(cover, d) is None:
+            return False, cover, checked
+    return True, None, checked
+
+
+def renaming_classes(matching_tuples, k):
+    """{least member: size} of the classes of ``matching_tuples`` (each a
+    tuple of sorted ``(cu, cv)`` matchings over the colors 1..k) under
+    renaming the colors of every fiber by one permutation."""
+    renamings = [dict(zip(range(1, k + 1), perm)) for perm in permutations(range(1, k + 1))]
+    classes = {}
+    classed = set()
+    for matchings in matching_tuples:
+        if matchings in classed:
+            continue
+        orbit = {
+            tuple(tuple(sorted((rename[cu], rename[cv]) for cu, cv in m)) for m in matchings)
+            for rename in renamings
+        }
+        classed |= orbit
+        classes[min(orbit)] = len(orbit)
+    return classes
 
 
 def pendant_3faces_scan(pg, v):

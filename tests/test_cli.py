@@ -116,6 +116,30 @@ def test_solve_empty_cover(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["colors"] == []
 
 
+def test_colorable_c4_at_k2_writes_an_unsat_witness(tmp_path, capsys):
+    witness = str(tmp_path / "witness.json")
+    assert main(["colorable", c4_graph_file(tmp_path), "-k", "2", "-d", "0",
+                 "--witness-out", witness]) == 1
+    assert capsys.readouterr().out == "colorable: no (2 searches, 2 covers checked)\n"
+    assert main(["solve", witness, "-d", "0"]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+
+
+def test_colorable_k4_at_k4_searches_one_cover_per_orbit(tmp_path, capsys):
+    path = write(tmp_path, "k4.json", plane_to_text(load_catalog("k4")))
+    witness = tmp_path / "witness.json"
+    assert main(["colorable", path, "-k", "4", "-d", "0", "--witness-out", str(witness)]) == 0
+    assert capsys.readouterr().out == "colorable: yes (681 searches, 13824 covers checked)\n"
+    assert not witness.exists()
+
+
+@pytest.mark.parametrize("bad", [["-k", "2", "-d", "-1"], ["-k", "0", "-d", "0"]])
+def test_colorable_rejects_bad_bounds_with_one_line(tmp_path, capsys, bad):
+    assert main(["colorable", c4_graph_file(tmp_path), *bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_theorem_on_bowtie(tmp_path, capsys):
     path = write(tmp_path, "bowtie.json", plane_to_text(load_catalog("bowtie")))
     trace_path = str(tmp_path / "trace.json")

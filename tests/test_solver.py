@@ -1,9 +1,17 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcolor.catalog import load as load_catalog
-from dpcolor.covers import Cover, diagonal_cover, uniform_assignment
+from dpcolor.catalog import entry_names, load as load_catalog
+from dpcolor.covers import (
+    Cover,
+    diagonal_cover,
+    enumerate_perfect_covers,
+    least_perfect_covers,
+    uniform_assignment,
+)
 from dpcolor.errors import (
     BudgetExceededError,
     EmptyListError,
@@ -13,6 +21,7 @@ from dpcolor.errors import (
 )
 from dpcolor.graphs import build_graph
 from dpcolor.solver import (
+    _free_edges,
     brute_force_rep_set,
     dp_chromatic,
     find_rep_set,
@@ -22,7 +31,7 @@ from dpcolor.solver import (
     max_impropriety,
 )
 
-from oracles import dp_colorable_scan, relaxed_list_colorable
+from oracles import dp_colorable_scan, pinned_scan, relaxed_list_colorable, renaming_classes
 from strategies import covers
 
 
@@ -166,6 +175,52 @@ def test_renaming_reduction_agrees_with_full_enumeration():
             fast = is_dp_colorable(g, k, d)
             assert full_colorable == fast.colorable, (g.edges, k, d)
             assert fast.covers_checked <= full_checked
+
+
+def test_orbit_search_yields_the_least_cover_of_each_renaming_class():
+    graph = k4()
+    free = _free_edges(graph)
+    pinned = [
+        cover.matchings
+        for cover in enumerate_perfect_covers(graph, uniform_assignment(4, 4), free_edges=free)
+    ]
+    classes = renaming_classes(pinned, 4)
+    assert (len(pinned), len(classes), sum(classes.values())) == (13824, 681, 13824)
+    found = list(least_perfect_covers(graph, 4, free))
+    # each class once, by its least member, in product order, with its size
+    assert [(cover.matchings, size) for cover, size in found] == sorted(classes.items())
+    for cover, _ in found:  # the patched partner maps are the ones a new cover builds
+        assert cover.partners == Cover(cover.graph, cover.lists, cover.matchings).partners
+
+
+def _pinned_scan_cases():
+    """(catalog name, k) with at most 10**5 pinned covers, k = 1..4."""
+    for name in entry_names():
+        free = _free_edges(load_catalog(name).graph)
+        for k in range(1, 5):
+            if math.factorial(k) ** len(free) <= 10**5:
+                yield name, k
+
+
+@pytest.mark.parametrize(("name", "k"), list(_pinned_scan_cases()))
+def test_orbit_search_agrees_with_the_pinned_scan(name, k):
+    graph = load_catalog(name).graph
+    for d in (0, 1):
+        colorable, witness, checked = pinned_scan(graph, k, d, _free_edges(graph))
+        result = is_dp_colorable(graph, k, d)
+        assert result.colorable == colorable
+        if colorable:
+            assert result.covers_checked == checked
+        else:
+            assert result.witness.matchings == witness.matchings
+            assert result.searches <= checked
+        assert result.searches <= result.covers_checked
+
+
+def test_search_budget_counts_searches():
+    assert is_dp_colorable(k4(), 4, 0, budget=681).searches == 681
+    with pytest.raises(BudgetExceededError):
+        is_dp_colorable(k4(), 4, 0, budget=680)
 
 
 def test_list_relaxed_on_even_cycle():

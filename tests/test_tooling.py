@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import embedding, generate, graphs
+from dpcolor import covers, embedding, generate, graphs, solver
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -198,6 +198,23 @@ def test_library_has_no_recursive_functions():
                     and call.func.id == fn.name
                 ]
     assert not found, found
+
+
+def test_all_covers_search_enumerates_no_pinned_covers(monkeypatch):
+    # the search generates one cover per renaming orbit; a loop over every
+    # pinned cover from enumerate_perfect_covers shows up here
+    calls = []
+    enumerate_perfect_covers = covers.enumerate_perfect_covers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_perfect_covers(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "enumerate_perfect_covers", counted)
+    monkeypatch.setattr(solver, "enumerate_perfect_covers", counted, raising=False)
+    assert solver.dp_chromatic(graphs.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])) == 3
+    assert solver.is_dp_colorable(graphs.build_graph(3, [(0, 1), (1, 2), (0, 2)]), 2, 0).witness
+    assert calls == []
 
 
 def test_every_error_class_is_raised():
