@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, permutations, product
@@ -218,6 +219,42 @@ def enumerate_perfect_covers(
     yield from enumerate_covers(graph, lists, options)
 
 
+def _cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted cycle lengths of the permutation ``c ↦ image[c]``."""
+    seen = [False] * len(image)
+    lengths = []
+    for start in range(len(image)):
+        length = 0
+        c = start
+        while not seen[c]:
+            seen[c] = True
+            c = image[c]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _class_leaders(perms: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
+    """``(p, centralizer order)`` for each index ``p`` into ``perms``, in
+    order, such that ``perms[p]`` is the least member of its conjugacy class.
+
+    Conjugates share a cycle type, and every permutation of a cycle type is
+    conjugate to every other, so the least member of a class is the first
+    permutation of its cycle type in ``perms`` order.  The centralizer of a
+    permutation with ``m_i`` cycles of length ``i`` has order
+    ``∏ m_i! · i^{m_i}``.
+    """
+    seen = set()
+    for p, image in enumerate(perms):
+        kind = _cycle_type(image)
+        if kind not in seen:
+            seen.add(kind)
+            yield p, math.prod(
+                math.factorial(m) * i**m for i, m in Counter(kind).items()
+            )
+
+
 def _unbeaten(
     stabilizer: Sequence[int], perms: list[tuple[int, ...]], undo: list[itemgetter]
 ) -> Iterator[tuple[int, list[int]]]:
@@ -255,9 +292,13 @@ def least_perfect_covers(
     each orbit in product order, and only those: free matchings are chosen
     edge by edge while the ``σ`` that fix the choices so far are kept, and
     a choice that a kept ``σ`` conjugates below itself ends its branch,
-    since every completion then has a smaller renaming.  The orbit size is
-    ``k!`` over the number of ``σ`` fixing the whole cover.  With a free
-    edge, every one of the ``k!`` permutations is tried at each level.
+    since every completion then has a smaller renaming.  At the first free
+    edge every ``σ`` is kept, so the choices that survive there are the
+    least of their conjugacy classes, read off their cycle types with no
+    conjugation.  The orbit size is ``k!`` over the number of ``σ`` fixing
+    the whole cover; with one free edge, that is the order of the chosen
+    matching's centralizer.  With a free edge, every one of the ``k!``
+    permutations is tried at each level.
     """
     lists = uniform_assignment(graph.n, k)
     identity = tuple(zip(range(1, k + 1), range(1, k + 1)))
@@ -268,8 +309,6 @@ def least_perfect_covers(
         yield base, 1
         return
     perms = list(permutations(range(k)))
-    # with k < 2 the identity is the only σ, so no renaming is ever tested
-    undo = [itemgetter(*sorted(range(k), key=s.__getitem__)) for s in perms] if k > 1 else []
     ends = [graph.edges[i] for i in free]
     touched = sorted({x for edge in ends for x in edge})
 
@@ -294,10 +333,21 @@ def least_perfect_covers(
         cover.__dict__["partners"] = tuple(maps)  # where the cached property keeps it
         return cover
 
-    # one iterator of surviving choices per free edge chosen so far; the
-    # root's stabilizer is every σ but the identity, which fixes everything
+    if len(free) == 1:
+        for p, centralizer in _class_leaders(perms):
+            yield build([p]), len(perms) // centralizer
+        return
+    # with k < 2 the identity is the only σ, so no renaming is ever tested
+    undo = [itemgetter(*sorted(range(k), key=s.__getitem__)) for s in perms] if k > 1 else []
+
+    def commuting(p: int) -> list[int]:
+        """The ``σ`` but the identity that commute with ``perms[p]``."""
+        image = perms[p]
+        return [s for s in range(1, len(perms)) if undo[s](itemgetter(*image)(perms[s])) == image]
+
+    # one iterator of surviving choices per free edge chosen so far
     picks = [0] * len(free)
-    levels = [_unbeaten(range(1, len(perms)), perms, undo)]
+    levels = [((p, commuting(p)) for p, _ in _class_leaders(perms))]
     while levels:
         step = next(levels[-1], None)
         if step is None:

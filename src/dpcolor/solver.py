@@ -2,8 +2,10 @@
 
 A representative set picks one color from each vertex's list; its
 impropriety at a vertex is the number of incident edges whose matching
-joins the two chosen colors.  ``find_rep_set`` is a complete backtracking
-search with forward checking; ``brute_force_rep_set`` enumerates all total
+joins the two chosen colors.  ``find_rep_set`` is a complete search by
+forward checking with conflict-directed backjumping (FC-CBJ): it finds the
+set that chronological backtracking in the same order finds first, from
+no more search nodes; ``brute_force_rep_set`` enumerates all total
 assignments and exists as an independent oracle.  All-cover questions
 (``is_dp_colorable``, ``dp_chromatic``) quantify over perfect-matching
 covers of the canonical 1..k lists.  Only the covers whose
@@ -79,14 +81,27 @@ def find_rep_set(
 ) -> RepSet | None:
     """A representative set with impropriety at most ``d``, or ``None``.
 
-    Complete: ``None`` is returned only when no such set exists.  Vertices
-    are assigned in descending-degree order; candidate colors are tried by
-    ascending conflict count against the current partial assignment.  A
-    branch dies when an assigned vertex would exceed ``d`` or when some
-    unassigned vertex keeps no viable color.  Backtracking resumes a
-    per-position iterator over the untried colors, so the search needs no
-    call stack as deep as the graph.  ``budget`` caps search-tree nodes
-    and raises rather than hang.  Raises ``NegativeImproprietyError`` for
+    Complete: ``None`` is returned only when no such set exists.  The
+    search is forward checking with conflict-directed backjumping (FC-CBJ;
+    Prosser, Computational Intelligence 9(3), 1993).  Vertices are assigned
+    in descending-degree order, ties by index; candidate colors are tried
+    by ascending conflict count against the current partial assignment,
+    ties by color.  A branch dies when the vertex just colored leaves an
+    unassigned neighbor with every color refused.  A color is refused at a
+    vertex for one of two reasons: it meets more than ``d`` assigned
+    neighbors (the reason is ``d + 1`` of them), or it meets one assigned
+    neighbor that already has ``d`` conflicts (the reason is that neighbor
+    and the assigned neighbors it conflicts with).  Each position gathers
+    the reasons for the colors its vertex was refused and, less itself,
+    for the branches its own colors killed.  When its candidates run out,
+    the search jumps back to the latest of those positions and hands it
+    the rest; with none, there is no set.  The skipped subtrees hold no
+    solution and the orders are kept, so the first set found is the one
+    chronological backtracking finds, from no more nodes.  Per-position
+    iterators over the untried colors replace a call stack as deep as the
+    graph.  ``budget`` caps search-tree nodes, counted as they are created,
+    and raises rather than hang; it can only trip later than under
+    chronological backtracking.  Raises ``NegativeImproprietyError`` for
     ``d < 0``.
     """
     _check_search(cover, d)
@@ -95,8 +110,13 @@ def find_rep_set(
         return ()
     partners = cover.partners
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    place = [0] * g.n  # place[v]: the bit of v's position in a conflict set
+    for pos, v in enumerate(order):
+        place[v] = 1 << pos
     chosen: list[int | None] = [None] * g.n
-    counts = [0] * g.n
+    # mates[v]: the positions of the assigned neighbors v conflicts with, as
+    # bits, so that v's conflict count is mates[v].bit_count()
+    mates = [0] * g.n
     nodes = 0
 
     def conflicts(v: int, c: int) -> list[int] | None:
@@ -105,59 +125,98 @@ def find_rep_set(
         hit = []
         for u, pairing in partners[v].items():
             if chosen[u] is not None and pairing.get(c) == chosen[u]:
-                if counts[u] >= d or len(hit) == d:
+                if mates[u].bit_count() >= d or len(hit) == d:
                     return None
                 hit.append(u)
         return hit
 
-    def candidates(v: int):
-        """A new search node at ``v``: its viable colors, fewest conflicts
-        first."""
+    def refusal(v: int, c: int) -> int:
+        """The positions whose colors refuse ``c`` at ``v``, for a color
+        ``conflicts`` refuses: the neighbor at ``d`` conflicts with its
+        mates, or the ``d + 1`` neighbors ``c`` meets."""
+        hit = 0
+        for u, pairing in partners[v].items():
+            if chosen[u] is not None and pairing.get(c) == chosen[u]:
+                if mates[u].bit_count() >= d:
+                    return place[u] | mates[u]
+                hit |= place[u]
+                if hit.bit_count() > d:
+                    break
+        return hit
+
+    # the untried candidates and the conflict set of each position so far,
+    # and the conflicts of the color each assigned position holds
+    pending = []
+    blame: list[int] = []
+    held: list[list[int]] = []
+
+    def open_node() -> None:
+        """A new search node at the next position: its viable colors, fewest
+        conflicts first, and the reasons for the colors refused."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes")
+        v = order[len(pending)]
         found = []
+        refused = 0
         for c in cover.lists[v]:
             hit = conflicts(v, c)
-            if hit is not None:
+            if hit is None:
+                refused |= refusal(v, c)
+            else:
                 found.append((len(hit), c, hit))
         found.sort(key=lambda entry: entry[:2])
-        return iter(found)
+        pending.append(iter(found))
+        blame.append(refused)
 
-    # the untried candidates of each position so far, and the conflicts
-    # of the color each assigned position holds
-    pending = [candidates(order[0])]
-    held: list[list[int]] = []
-    while pending:
+    def take_back() -> None:
+        """Unassign the latest assigned position."""
+        v = order[len(held) - 1]
+        for u in held.pop():
+            mates[u] ^= place[v]
+        chosen[v] = None
+        mates[v] = 0
+
+    open_node()
+    while True:
         pos = len(pending) - 1
-        v = order[pos]
-        if chosen[v] is not None:  # backtracking: take the color back
-            for u in held.pop():
-                counts[u] -= 1
-            chosen[v] = None
-            counts[v] = 0
-        entry = next(pending[-1], None)
+        if len(held) > pos:  # backtracking: take the color back
+            take_back()
+        entry = next(pending[pos], None)
         if entry is None:
             pending.pop()
+            jump = blame.pop()
+            if not jump:
+                return None
+            # back to the latest position to blame, with the rest of the blame
+            back = jump.bit_length() - 1
+            while len(pending) > back + 1:
+                pending.pop()
+                blame.pop()
+                take_back()
+            blame[back] |= jump ^ (1 << back)
             continue
         _, c, hit = entry
+        v = order[pos]
         for u in hit:
-            counts[u] += 1
+            mates[u] |= place[v]
+            mates[v] |= place[u]
         chosen[v] = c
-        counts[v] = len(hit)
         held.append(hit)
-        # forward check: every later vertex must keep a viable color; the
+        # forward check: every later neighbor must keep a viable color; the
         # positions up to this one are all assigned and no later one is
-        if all(
-            any(conflicts(w, cw) is not None for cw in cover.lists[w])
-            for w in partners[v]
-            if chosen[w] is None
-        ):
+        for w in partners[v]:
+            if chosen[w] is None and all(conflicts(w, cw) is None for cw in cover.lists[w]):
+                # a wipe-out: its reasons, but for this position, are blamed here
+                for cw in cover.lists[w]:
+                    blame[pos] |= refusal(w, cw)
+                blame[pos] &= ~place[v]
+                break
+        else:
             if pos + 1 == g.n:
                 return tuple(chosen)  # type: ignore[arg-type]
-            pending.append(candidates(order[pos + 1]))
-    return None
+            open_node()
 
 
 def brute_force_rep_set(
@@ -251,7 +310,9 @@ def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
     Each ``k`` is one ``is_dp_colorable`` question, so its cost is one
     search per renaming orbit of the pinned covers: 681 searches for K4 at
-    k = 4, against 13,824 pinned covers and (4!)^6 unpinned ones.
+    k = 4, against 13,824 pinned covers and (4!)^6 unpinned ones.  On K4
+    backjumping saves no node: its 684 searches over k = 1..4 create 2,738
+    nodes, as chronological backtracking does.
     """
     for k in range(1, graph.n + 2):
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:

@@ -9,9 +9,10 @@ every face, partial matchings by filtering every set of color pairs,
 every JSON document as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
-priority order, an all-covers question over every perfect cover
-with no matching pinned or over every cover with a spanning forest's
-matchings pinned, one search per cover, the classes of covers under
+priority order, a representative set by chronological backtracking,
+an all-covers question over every perfect cover with no matching
+pinned or over every cover with a spanning forest's matchings pinned,
+one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
 and the faces a face registry keeps up to date by tracing its rotation
 system from scratch.
@@ -21,10 +22,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpcolor.covers import enumerate_perfect_covers, uniform_assignment
+from dpcolor.covers import DEFAULT_BUDGET, enumerate_perfect_covers, uniform_assignment
 from dpcolor.embedding import graph_from_rotations, trace_faces
+from dpcolor.errors import BudgetExceededError
 from dpcolor.graphs import build_graph
-from dpcolor.solver import find_rep_set
+from dpcolor.solver import _check_search
 
 
 def subset_cycles(graph, k):
@@ -116,6 +118,81 @@ def dp_colorable_scan(graph, k, d):
     return True, checked
 
 
+def chronological_rep_set(cover, d, budget=DEFAULT_BUDGET):
+    """``find_rep_set`` by chronological backtracking: the same vertex
+    order, candidate order, forward check and node budget, but a dead end
+    always returns to the position just before it."""
+    _check_search(cover, d)
+    g = cover.graph
+    if g.n == 0:
+        return ()
+    partners = cover.partners
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    chosen = [None] * g.n
+    counts = [0] * g.n
+    nodes = 0
+
+    def conflicts(v, c):
+        """The assigned neighbors color ``c`` of ``v`` conflicts with, or
+        ``None`` when one of them, or ``v``, would exceed ``d``."""
+        hit = []
+        for u, pairing in partners[v].items():
+            if chosen[u] is not None and pairing.get(c) == chosen[u]:
+                if counts[u] >= d or len(hit) == d:
+                    return None
+                hit.append(u)
+        return hit
+
+    def candidates(v):
+        """A new search node at ``v``: its viable colors, fewest conflicts
+        first."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"search exceeded {budget} nodes")
+        found = []
+        for c in cover.lists[v]:
+            hit = conflicts(v, c)
+            if hit is not None:
+                found.append((len(hit), c, hit))
+        found.sort(key=lambda entry: entry[:2])
+        return iter(found)
+
+    # the untried candidates of each position so far, and the conflicts
+    # of the color each assigned position holds
+    pending = [candidates(order[0])]
+    held = []
+    while pending:
+        pos = len(pending) - 1
+        v = order[pos]
+        if chosen[v] is not None:  # backtracking: take the color back
+            for u in held.pop():
+                counts[u] -= 1
+            chosen[v] = None
+            counts[v] = 0
+        entry = next(pending[-1], None)
+        if entry is None:
+            pending.pop()
+            continue
+        _, c, hit = entry
+        for u in hit:
+            counts[u] += 1
+        chosen[v] = c
+        counts[v] = len(hit)
+        held.append(hit)
+        # forward check: every later vertex must keep a viable color; the
+        # positions up to this one are all assigned and no later one is
+        if all(
+            any(conflicts(w, cw) is not None for cw in cover.lists[w])
+            for w in partners[v]
+            if chosen[w] is None
+        ):
+            if pos + 1 == g.n:
+                return tuple(chosen)
+            pending.append(candidates(order[pos + 1]))
+    return None
+
+
 def pinned_scan(graph, k, d, free_edges):
     """(colorable, witness, covers checked): searches every perfect cover
     of the lists 1..k whose edges outside ``free_edges`` are pinned to the
@@ -125,7 +202,7 @@ def pinned_scan(graph, k, d, free_edges):
     checked = 0
     for cover in enumerate_perfect_covers(graph, lists, free_edges=free_edges):
         checked += 1
-        if find_rep_set(cover, d) is None:
+        if chronological_rep_set(cover, d) is None:
             return False, cover, checked
     return True, None, checked
 

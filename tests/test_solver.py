@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from dpcolor.covers import (
     diagonal_cover,
     enumerate_perfect_covers,
     least_perfect_covers,
+    random_cover,
     uniform_assignment,
 )
 from dpcolor.errors import (
@@ -31,7 +33,13 @@ from dpcolor.solver import (
     max_impropriety,
 )
 
-from oracles import dp_colorable_scan, pinned_scan, relaxed_list_colorable, renaming_classes
+from oracles import (
+    chronological_rep_set,
+    dp_colorable_scan,
+    pinned_scan,
+    relaxed_list_colorable,
+    renaming_classes,
+)
 from strategies import covers
 
 
@@ -137,6 +145,67 @@ def test_find_rep_set_budget():
         find_rep_set(cover, 0, budget=1)
 
 
+def _nodes(solver, cover, d):
+    """The search nodes ``solver`` creates: the least budget it does not exceed."""
+    low, high = 1, 1
+    while True:
+        try:
+            solver(cover, d, budget=high)
+            break
+        except BudgetExceededError:
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            solver(cover, d, budget=mid)
+            high = mid
+        except BudgetExceededError:
+            low = mid + 1
+    return low
+
+
+def _equivalence_covers():
+    """Covers of the catalog graphs, then of seeded G(n, p) graphs, p = 0.3 to 0.7:
+    perfect and thinned covers of 3-lists, and thinned and diagonal covers
+    of mixed lists."""
+    rng = random.Random(14)
+    for name in entry_names():
+        g = load_catalog(name).graph
+        for k in (2, 3):
+            lists = uniform_assignment(g.n, k)
+            yield diagonal_cover(g, lists)
+            yield random_cover(g, lists, rng.randrange(2**20), perfect=True)
+            yield random_cover(g, lists, rng.randrange(2**20))
+    for n in range(4, 15):
+        for p in (0.3, 0.5, 0.7):
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            lists = uniform_assignment(n, 3)
+            yield random_cover(g, lists, rng.randrange(2**20), perfect=True)
+            yield random_cover(g, lists, rng.randrange(2**20))
+            mixed = tuple(tuple(sorted(rng.sample(range(1, 6), rng.randint(2, 3)))) for _ in range(n))
+            yield random_cover(g, mixed, rng.randrange(2**20))
+            yield diagonal_cover(g, mixed)
+
+
+def test_backjumping_finds_chronological_answers_from_no_more_nodes():
+    for cover in _equivalence_covers():
+        for d in (0, 1, 2):
+            assert find_rep_set(cover, d) == chronological_rep_set(cover, d), (cover, d)
+            assert _nodes(find_rep_set, cover, d) <= _nodes(chronological_rep_set, cover, d)
+
+
+def test_dead_end_jumps_past_unrelated_positions():
+    # K_{4,4} (degree 4, so searched first, and 3-colorable) beside K4 on
+    # the diagonal 3-list cover, which has no proper coloring: chronological
+    # search retries K4 under each of the 90 colorings of K_{4,4}
+    edges = [(a, b) for a in range(4) for b in range(4, 8)]
+    edges += [(u, v) for u in range(8, 12) for v in range(u + 1, 12)]
+    cover = diagonal_cover(build_graph(12, edges), uniform_assignment(12, 3))
+    assert find_rep_set(cover, 0, budget=200) is None
+    with pytest.raises(BudgetExceededError):
+        chronological_rep_set(cover, 0, budget=200)
+
+
 def test_c4_not_dp_2_colorable():
     result = is_dp_colorable(c4(), 2, 0)
     assert not result.colorable
@@ -191,6 +260,18 @@ def test_orbit_search_yields_the_least_cover_of_each_renaming_class():
     assert [(cover.matchings, size) for cover, size in found] == sorted(classes.items())
     for cover, _ in found:  # the patched partner maps are the ones a new cover builds
         assert cover.partners == Cover(cover.graph, cover.lists, cover.matchings).partners
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("graph", [c4(), build_graph(3, [(0, 1), (1, 2), (2, 0)])], ids=["c4", "k3"])
+def test_one_free_edge_yields_one_cover_per_conjugacy_class(graph, k):
+    free = _free_edges(graph)
+    pinned = [
+        cover.matchings
+        for cover in enumerate_perfect_covers(graph, uniform_assignment(graph.n, k), free_edges=free)
+    ]
+    found = [(cover.matchings, size) for cover, size in least_perfect_covers(graph, k, free)]
+    assert found == sorted(renaming_classes(pinned, k).items())
 
 
 def _pinned_scan_cases():
