@@ -4,6 +4,8 @@ Exit codes: 0 when the queried property holds (or output was produced),
 1 when it fails (cycles found, instance uncolorable, audit violation),
 2 for input or usage errors.  A reader that closes stdout early
 (``dpcolor catalog | head -3``) ends the run with 0 and no message.
+``solve -o`` writes a file only when a coloring exists, as ``colorable
+--witness-out`` does only when a cover has none.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--impropriety", type=int, default=1)
     p.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("-o", "--out", default=None)
+    p.add_argument("-o", "--out", default=None, help="coloring file, written if one exists")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser(

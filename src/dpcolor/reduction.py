@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .graphs import Graph, build_graph, require_no_forbidden_cycles
-from .solver import RepSet, impropriety
+from .solver import RepSet, impropriety, max_impropriety
 
 
 class ConfigKind(enum.Enum):
@@ -276,7 +276,7 @@ def verify_config_reducible(
     vs = tuple(range(shape.n))
     for cover in enumerate_covers(shape, lists, options):
         rep = _color_config(cover, kind, vs, lists)
-        if max(impropriety(cover, rep), default=0) > 1:
+        if max_impropriety(cover, rep) > 1:
             return ReducibilityReport(kind, total, verified, cover)
         verified += 1
     return ReducibilityReport(kind, total, verified, None)

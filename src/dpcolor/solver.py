@@ -3,17 +3,18 @@
 A representative set picks one color from each vertex's list; its
 impropriety at a vertex is the number of incident edges whose matching
 joins the two chosen colors.  ``find_rep_set`` is a complete search by
-forward checking with conflict-directed backjumping (FC-CBJ): it finds the
-set that chronological backtracking in the same order finds first, from
-no more search nodes; ``brute_force_rep_set`` enumerates all total
-assignments and exists as an independent oracle.  All-cover questions
-(``is_dp_colorable``, ``dp_chromatic``) quantify over perfect-matching
-covers of the canonical 1..k lists.  Only the covers whose
-spanning-forest matchings are pinned to the identity need checking,
-because fibers can be renamed along the forest; these fall into orbits
-under renaming every fiber by one permutation, and ``find_rep_set`` runs
-once per orbit, on its least member.  The budget of an all-covers
-question counts those searches.
+forward checking with conflict-directed backjumping (FC-CBJ), where one
+scan per (vertex, color) decides the color and names its blame, and
+wipe-outs take their blame from that same pass; it finds the set that
+chronological backtracking in the same order finds first, from no more
+nodes.  ``brute_force_rep_set`` enumerates all total assignments as an
+independent oracle.  All-cover questions (``is_dp_colorable``,
+``dp_chromatic``) quantify over perfect-matching covers of the canonical
+1..k lists.  Only the covers whose spanning-forest matchings are pinned to
+the identity need checking, because fibers can be renamed along the
+forest; these fall into orbits under renaming every fiber by one
+permutation, and ``find_rep_set`` runs once per orbit, on its least
+member.  The budget of an all-covers question counts those searches.
 """
 
 from __future__ import annotations
@@ -81,27 +82,26 @@ def find_rep_set(
 ) -> RepSet | None:
     """A representative set with impropriety at most ``d``, or ``None``.
 
-    Complete: ``None`` is returned only when no such set exists.  The
-    search is forward checking with conflict-directed backjumping (FC-CBJ;
-    Prosser, Computational Intelligence 9(3), 1993).  Vertices are assigned
-    in descending-degree order, ties by index; candidate colors are tried
-    by ascending conflict count against the current partial assignment,
-    ties by color.  A branch dies when the vertex just colored leaves an
-    unassigned neighbor with every color refused.  A color is refused at a
-    vertex for one of two reasons: it meets more than ``d`` assigned
-    neighbors (the reason is ``d + 1`` of them), or it meets one assigned
-    neighbor that already has ``d`` conflicts (the reason is that neighbor
-    and the assigned neighbors it conflicts with).  Each position gathers
-    the reasons for the colors its vertex was refused and, less itself,
-    for the branches its own colors killed.  When its candidates run out,
-    the search jumps back to the latest of those positions and hands it
-    the rest; with none, there is no set.  The skipped subtrees hold no
-    solution and the orders are kept, so the first set found is the one
-    chronological backtracking finds, from no more nodes.  Per-position
-    iterators over the untried colors replace a call stack as deep as the
-    graph.  ``budget`` caps search-tree nodes, counted as they are created,
-    and raises rather than hang; it can only trip later than under
-    chronological backtracking.  Raises ``NegativeImproprietyError`` for
+    Complete: ``None`` is returned only when no such set exists.  The search
+    is forward checking with conflict-directed backjumping (FC-CBJ; Prosser,
+    Computational Intelligence 9(3), 1993).  Vertices are assigned in
+    descending-degree order, ties by index; candidate colors are tried by
+    ascending conflict count against the current partial assignment, ties by
+    color.  One scan of the assigned neighbors per (vertex, color) decides the
+    color and, when it refuses it, names the positions to blame: the ``d + 1``
+    neighbors it meets, or one neighbor it meets that already has ``d``
+    conflicts, with that neighbor's mates.  A branch dies when the vertex just
+    colored leaves an unassigned neighbor with every color refused.  Each
+    position gathers the blame for the colors its vertex was refused and, less
+    itself, for the wipe-outs its own colors caused, from the forward check's
+    same scans.  When its candidates run out, the search jumps back to the
+    latest of those positions and hands it the rest; with none, there is no
+    set.  The skipped subtrees hold no solution and the orders are kept, so
+    the first set found is the one chronological backtracking finds, from no
+    more nodes.  Per-position iterators over the untried colors replace a call
+    stack as deep as the graph.  ``budget`` caps search-tree nodes, counted as
+    they are created, and raises rather than hang; it can only trip later than
+    under chronological backtracking.  Raises ``NegativeImproprietyError`` for
     ``d < 0``.
     """
     _check_search(cover, d)
@@ -119,29 +119,19 @@ def find_rep_set(
     mates = [0] * g.n
     nodes = 0
 
-    def conflicts(v: int, c: int) -> list[int] | None:
-        """The assigned neighbors color ``c`` of ``v`` conflicts with, or
-        ``None`` when one of them, or ``v``, would exceed ``d``."""
+    def conflicts(v: int, c: int) -> list[int] | int:
+        """The assigned neighbors color ``c`` of ``v`` conflicts with, for a
+        viable color; for a refused one, the positions to blame, as bits:
+        a neighbor already at ``d`` conflicts with its mates, or the
+        ``d + 1`` neighbors ``c`` meets."""
         hit = []
-        for u, pairing in partners[v].items():
-            if chosen[u] is not None and pairing.get(c) == chosen[u]:
-                if mates[u].bit_count() >= d or len(hit) == d:
-                    return None
-                hit.append(u)
-        return hit
-
-    def refusal(v: int, c: int) -> int:
-        """The positions whose colors refuse ``c`` at ``v``, for a color
-        ``conflicts`` refuses: the neighbor at ``d`` conflicts with its
-        mates, or the ``d + 1`` neighbors ``c`` meets."""
-        hit = 0
         for u, pairing in partners[v].items():
             if chosen[u] is not None and pairing.get(c) == chosen[u]:
                 if mates[u].bit_count() >= d:
                     return place[u] | mates[u]
-                hit |= place[u]
-                if hit.bit_count() > d:
-                    break
+                hit.append(u)
+                if len(hit) > d:
+                    return sum(place[x] for x in hit)
         return hit
 
     # the untried candidates and the conflict set of each position so far,
@@ -162,8 +152,8 @@ def find_rep_set(
         refused = 0
         for c in cover.lists[v]:
             hit = conflicts(v, c)
-            if hit is None:
-                refused |= refusal(v, c)
+            if isinstance(hit, int):
+                refused |= hit
             else:
                 found.append((len(hit), c, hit))
         found.sort(key=lambda entry: entry[:2])
@@ -207,12 +197,17 @@ def find_rep_set(
         # forward check: every later neighbor must keep a viable color; the
         # positions up to this one are all assigned and no later one is
         for w in partners[v]:
-            if chosen[w] is None and all(conflicts(w, cw) is None for cw in cover.lists[w]):
-                # a wipe-out: its reasons, but for this position, are blamed here
+            if chosen[w] is None:
+                reasons = 0
                 for cw in cover.lists[w]:
-                    blame[pos] |= refusal(w, cw)
-                blame[pos] &= ~place[v]
-                break
+                    met = conflicts(w, cw)
+                    if not isinstance(met, int):
+                        break
+                    reasons |= met
+                else:
+                    # a wipe-out: its reasons, but for this position, are blamed here
+                    blame[pos] |= reasons & ~place[v]
+                    break
         else:
             if pos + 1 == g.n:
                 return tuple(chosen)  # type: ignore[arg-type]

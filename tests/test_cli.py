@@ -87,17 +87,31 @@ def test_solve_on_a_path_past_the_recursion_limit(tmp_path, capsys):
     assert max(impropriety(cover, tuple(doc["colors"]))) == doc["max_impropriety"] == 0
 
 
-def test_solve_unsat_twisted_c4(tmp_path, capsys):
+def _twisted_c4_file(tmp_path):
+    """A 2-list cover of C4 with one crossed matching: it has no coloring."""
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     matchings = [
         ((1, 2), (2, 1)) if edge == (0, 3) else ((1, 1), (2, 2))
         for edge in c4.edges
     ]
     cover = Cover(graph=c4, lists=uniform_assignment(4, 2), matchings=tuple(matchings))
-    path = write(tmp_path, "tw.json", cover_to_text(cover))
+    return write(tmp_path, "tw.json", cover_to_text(cover))
+
+
+def test_solve_unsat_twisted_c4(tmp_path, capsys):
+    path = _twisted_c4_file(tmp_path)
     assert main(["solve", path, "-d", "0"]) == 1
     assert "UNSAT" in capsys.readouterr().out
     assert main(["solve", path, "-d", "0", "--brute"]) == 1
+
+
+def test_solve_unsat_writes_no_coloring_file(tmp_path, capsys):
+    # -o names the coloring file; with no coloring there is nothing to write
+    path = _twisted_c4_file(tmp_path)
+    out = tmp_path / "coloring.json"
+    assert main(["solve", path, "-d", "0", "-o", str(out)]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+    assert not out.exists()
 
 
 def test_solve_k4_with_slack(tmp_path, capsys):

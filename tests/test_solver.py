@@ -194,6 +194,14 @@ def test_backjumping_finds_chronological_answers_from_no_more_nodes():
             assert _nodes(find_rep_set, cover, d) <= _nodes(chronological_rep_set, cover, d)
 
 
+def test_backjumping_search_tree_is_pinned():
+    # "no more nodes than chronological" lets a change to the blame sets
+    # alter the tree unseen; the node totals per d pin it
+    covers = list(_equivalence_covers())
+    totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers) for d in (0, 1, 2)]
+    assert totals == [2232, 2596, 2144]
+
+
 def test_dead_end_jumps_past_unrelated_positions():
     # K_{4,4} (degree 4, so searched first, and 3-colorable) beside K4 on
     # the diagonal 3-list cover, which has no proper coloring: chronological

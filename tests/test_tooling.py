@@ -200,6 +200,26 @@ def test_library_has_no_recursive_functions():
     assert not found, found
 
 
+def test_library_has_no_dead_helpers():
+    # a private module-level function, or a nested one, that nothing names
+    # is left over from code that was merged or removed
+    helpers = set()
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers |= {(path.name, fn.name) for fn in tree.body
+                    if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.FunctionDef):
+                helpers |= {(path.name, fn.name) for fn in ast.walk(node)
+                            if fn is not node and isinstance(fn, ast.FunctionDef)}
+    assert [f"{file}: {name}" for file, name in sorted(helpers) if name not in named] == []
+
+
 def test_all_covers_search_enumerates_no_pinned_covers(monkeypatch):
     # the search generates one cover per renaming orbit; a loop over every
     # pinned cover from enumerate_perfect_covers shows up here
