@@ -219,40 +219,41 @@ def enumerate_perfect_covers(
     yield from enumerate_covers(graph, lists, options)
 
 
-def _cycle_type(image: tuple[int, ...]) -> tuple[int, ...]:
-    """The sorted cycle lengths of the permutation ``c ↦ image[c]``."""
-    seen = [False] * len(image)
-    lengths = []
-    for start in range(len(image)):
-        length = 0
-        c = start
-        while not seen[c]:
-            seen[c] = True
-            c = image[c]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
-
-
-def _class_leaders(perms: list[tuple[int, ...]]) -> Iterator[tuple[int, int]]:
-    """``(p, centralizer order)`` for each index ``p`` into ``perms``, in
-    order, such that ``perms[p]`` is the least member of its conjugacy class.
+def _class_leaders(k: int) -> list[tuple[int, int]]:
+    """``(p, centralizer order)`` for each conjugacy class of the
+    permutations of ``range(k)``, in order of ``p``: the index of the
+    class's least member in the lexicographic list of all ``k!``.
 
     Conjugates share a cycle type, and every permutation of a cycle type is
-    conjugate to every other, so the least member of a class is the first
-    permutation of its cycle type in ``perms`` order.  The centralizer of a
-    permutation with ``m_i`` cycles of length ``i`` has order
-    ``∏ m_i! · i^{m_i}``.
+    conjugate to every other, so each cycle type gives one class.  Its
+    least member is built directly: the cycles in ascending length, each
+    on the next free colors ``a, a + 1, …`` as ``c ↦ c + 1`` closed back
+    to ``a`` (so the fixed points come first).  Its index is its
+    Lehmer-code rank.  The centralizer of a permutation with ``m_i``
+    cycles of length ``i`` has order ``∏ m_i! · i^{m_i}``.
     """
-    seen = set()
-    for p, image in enumerate(perms):
-        kind = _cycle_type(image)
-        if kind not in seen:
-            seen.add(kind)
-            yield p, math.prod(
-                math.factorial(m) * i**m for i, m in Counter(kind).items()
-            )
+    leaders = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), k)]  # ascending lengths, colors left
+    while stack:
+        lengths, left = stack.pop()
+        if left:
+            low = lengths[-1] if lengths else 1
+            stack.extend((lengths + (length,), left - length) for length in range(low, left + 1))
+            continue
+        image: list[int] = []
+        for length in lengths:
+            a = len(image)
+            image += range(a + 1, a + length)
+            image.append(a)
+        rank = sum(
+            sum(later < c for later in image[i + 1:]) * math.factorial(k - 1 - i)
+            for i, c in enumerate(image)
+        )
+        centralizer = math.prod(
+            math.factorial(m) * length**m for length, m in Counter(lengths).items()
+        )
+        leaders.append((rank, centralizer))
+    return sorted(leaders)
 
 
 def _unbeaten(
@@ -334,7 +335,7 @@ def least_perfect_covers(
         return cover
 
     if len(free) == 1:
-        for p, centralizer in _class_leaders(perms):
+        for p, centralizer in _class_leaders(k):
             yield build([p]), len(perms) // centralizer
         return
     # with k < 2 the identity is the only σ, so no renaming is ever tested
@@ -347,7 +348,7 @@ def least_perfect_covers(
 
     # one iterator of surviving choices per free edge chosen so far
     picks = [0] * len(free)
-    levels = [((p, commuting(p)) for p, _ in _class_leaders(perms))]
+    levels = [((p, commuting(p)) for p, _ in _class_leaders(k))]
     while levels:
         step = next(levels[-1], None)
         if step is None:

@@ -17,9 +17,9 @@ each face's corner tuple on ``Face``.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
-An edit re-walks only the faces it changes, with the same walk routine
-as ``trace_faces``; the random generator grows its instances on it and
-builds a ``PlaneGraph`` only for the result.
+An edit splices the walks of the faces it changes, with no successor map
+and no walk from dart to dart; the random generator grows its instances
+on it and builds a ``PlaneGraph`` only for the result.
 """
 
 from __future__ import annotations
@@ -139,26 +139,22 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 
-def _set_successors(
-    successor: dict[Dart, Dart], rings: Sequence[Sequence[int]], vertices: Iterable[int]
-) -> None:
-    """The successor rule at each of ``vertices``: after arriving at ``v``
-    along ``(u, v)``, leave along ``(v, w)`` where ``w`` follows ``u`` in
+def _set_successors(successor: dict[Dart, Dart], rings: Sequence[Sequence[int]]) -> None:
+    """The successor rule at every vertex: after arriving at ``v`` along
+    ``(u, v)``, leave along ``(v, w)`` where ``w`` follows ``u`` in
     ``rings[v]``."""
-    for v in vertices:
-        ring = rings[v]
+    for v, ring in enumerate(rings):
         w = ring[0] if ring else None
         for u in reversed(ring):
             successor[(u, v)] = (v, w)
             w = u
 
 
-def _face_walks(successor: dict[Dart, Dart], darts: Iterable[Dart]) -> Iterator[tuple[Dart, ...]]:
-    """The face walks through ``darts``, which must hold every dart of each
-    such face: each walk starts at its smallest dart, and the walks come in
-    the order of that dart."""
+def _face_walks(successor: dict[Dart, Dart]) -> Iterator[tuple[Dart, ...]]:
+    """Every face walk of ``successor``: each walk starts at its smallest
+    dart, and the walks come in the order of that dart."""
     visited: set[Dart] = set()
-    for start in sorted(darts):
+    for start in sorted(successor):
         if start in visited:
             continue
         walk = []
@@ -182,22 +178,23 @@ class FaceRegistry:
     ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk
     of ``trace_faces``'s face ``i``, and ``big_keys`` holds the keys of
     the faces of degree >= 4.  The single vertex's face has no dart and is
-    not held.  An edit re-walks only the faces it changes; it does not
-    check that the embedding stays plane, so a new edge must join two
-    corners of one face (or a new vertex) and a deleted edge must not be
-    a bridge.
+    not held.  An edit splices the walks of the faces it changes: a new
+    edge cuts its face at the darts into its two corners (or, to a new
+    vertex, grows it by two darts), and a deleted edge joins the walks on
+    its two sides.  It does not check that the embedding stays plane, so a
+    new edge must join two corners of one face (or a new vertex) and a
+    deleted edge must not be a bridge.
     """
 
     def __init__(self) -> None:
         self.rotations: list[list[int]] = [[]]
-        self.successor: dict[Dart, Dart] = {}
         self.walks: dict[Dart, tuple[Dart, ...]] = {}
         self.face_of: dict[Dart, Dart] = {}
         self.keys: list[Dart] = []
         self.big_keys: list[Dart] = []
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.successor
+        return (u, v) in self.face_of
 
     def insert_edge(self, x: int, i: int, y: int, j: int) -> None:
         """Insert ``y`` at index ``i`` of ring ``x`` and ``x`` at index ``j``
@@ -205,37 +202,53 @@ class FaceRegistry:
 
         The corner opened at ``x`` follows the dart from the ring's
         previous entry, and the face of that dart is the one the edge
-        splits or grows.
+        splits or grows.  To a new vertex, the edge and its reverse join
+        the walk right after that dart.  Otherwise the walk is cut after
+        that dart and after the dart into the corner opened at ``y``, and
+        each of the two pieces is closed by one direction of the edge.
         """
         rings = self.rotations
         if y == len(rings):
             rings.append([])
-        stale = {self.face_of[(rings[x][i - 1], x)]} if rings[x] else set()
         rings[x].insert(i, y)
         rings[y].insert(j, x)
-        self._retrace(x, y, stale)
+        if len(rings[x]) == 1:  # the first edge, at the single vertex
+            self._add(((x, y), (y, x)))
+            return
+        into_x = (rings[x][i - 1], x)
+        walk = self._drop(self.face_of[into_x])
+        p = walk.index(into_x) + 1
+        if len(rings[y]) == 1:  # a new vertex: out and back after into_x
+            self._add(walk[:p] + ((x, y), (y, x)) + walk[p:])
+            return
+        q = walk.index((rings[y][j - 1], y)) + 1
+        if p < q:
+            self._add(((y, x),) + walk[p:q])
+            self._add(((x, y),) + walk[q:] + walk[:p])
+        else:
+            self._add(((x, y),) + walk[q:p])
+            self._add(((y, x),) + walk[p:] + walk[:q])
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``{u, v}``, merging the faces on its two sides."""
-        stale = {self.face_of.pop((u, v)), self.face_of.pop((v, u))}
+        a = self._drop(self.face_of.pop((u, v)))
+        b = self._drop(self.face_of.pop((v, u)))
         self.rotations[u].remove(v)
         self.rotations[v].remove(u)
-        del self.successor[(u, v)], self.successor[(v, u)]
-        self._retrace(u, v, stale)
+        i = a.index((u, v))
+        j = b.index((v, u))
+        self._add(a[i + 1:] + a[:i] + b[j + 1:] + b[:j])
 
-    def _retrace(self, u: int, v: int, stale: set[Dart]) -> None:
-        """Re-walk the ``stale`` faces after the edge ``{u, v}`` came or went."""
-        _set_successors(self.successor, self.rotations, (u, v))
-        darts = {arc for key in stale for arc in self._drop(key)}
-        darts ^= {(u, v), (v, u)}  # new after an insertion, gone after a deletion
-        for walk in _face_walks(self.successor, darts):
-            key = walk[0]
-            self.walks[key] = walk
-            insort(self.keys, key)
-            if len(walk) >= 4:
-                insort(self.big_keys, key)
-            for arc in walk:
-                self.face_of[arc] = key
+    def _add(self, walk: tuple[Dart, ...]) -> None:
+        """Hold ``walk`` as a face, started at its smallest dart."""
+        start = walk.index(min(walk))
+        walk = walk[start:] + walk[:start]
+        key = walk[0]
+        self.walks[key] = walk
+        insort(self.keys, key)
+        if len(walk) >= 4:
+            insort(self.big_keys, key)
+        self.face_of.update(dict.fromkeys(walk, key))
 
     def _drop(self, key: Dart) -> tuple[Dart, ...]:
         walk = self.walks.pop(key)
@@ -269,8 +282,8 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     if not is_connected(graph):
         raise DisconnectedError("face tracing needs a connected graph")
     successor: dict[Dart, Dart] = {}
-    _set_successors(successor, rot, range(graph.n))
-    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor, successor))]
+    _set_successors(successor, rot)
+    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor))]
     if graph.n == 1:
         faces = [Face(index=0, walk=())]
     if graph.n - graph.m + len(faces) != 2:

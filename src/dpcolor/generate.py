@@ -5,16 +5,20 @@ re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
 two.  The rotation system is an ``embedding.FaceRegistry``, which keeps
 the faces up to date as edges come and go: ears and chords draw their
-face from it, and each edit re-walks only the faces it changes.  A plane
-graph is built with ``embedding.plane_from_rotations`` once per attempt,
-for the result.
+face from it, and each edit splices only the face walks it changes.  A
+plane graph is built with ``embedding.plane_from_rotations`` once per
+attempt, for the result.
 
 Repair is local.  The graph has no 4- or 6-cycle before a move, so every
 such cycle after it uses an edge the move inserted (a pendant edge is a
 bridge and lies on no cycle).  Repair therefore searches the rotation
-lists only for the cycles through the inserted edges that are still
-present (``graphs.cycles_through_edge``), and deletes one edge of the
+lists only for the cycles through the watched edges that are still
+present (``graphs.smallest_forbidden_cycle``, one walk per edge that
+reports its 4- and 6-cycles together), and deletes one edge of the
 smallest, in ``list_cycles`` order: the 4-cycles first, then the 6-cycles.
+An ear is watched through its first edge only: its new vertex has degree
+2, so every cycle through the second edge passes through the first, and
+deleting the first leaves the second a bridge.
 An edge on a cycle is never a bridge, so the graph stays connected and the
 embedding stays valid.  Every output is re-verified once before being
 returned.  Distribution quality is a non-goal; validity and per-seed
@@ -27,7 +31,7 @@ import random
 
 from .embedding import FaceRegistry, PlaneGraph, plane_from_rotations
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .graphs import Edge, cycles_through_edge, has_forbidden_cycles
+from .graphs import Edge, has_forbidden_cycles, smallest_forbidden_cycle
 
 _ATTEMPTS = 20  # growths tried per (n, seed) before giving up
 
@@ -77,7 +81,7 @@ def _add_ear(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
     v = len(reg.rotations)
     reg.insert_edge(x, _corner(reg, walk, p), v, 0)
     reg.insert_edge(y, _corner(reg, walk, q), v, 1)
-    return [(x, v), (v, y)]
+    return [(x, v)]  # every cycle through (v, y) passes through (x, v)
 
 
 def _add_chord(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
@@ -87,18 +91,6 @@ def _add_chord(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
     walk, p, q, x, y = found
     reg.insert_edge(x, _corner(reg, walk, p), y, _corner(reg, walk, q))
     return [(x, y)]
-
-
-def _smallest_forbidden_cycle(
-    rotations: list[list[int]], inserted: list[Edge]
-) -> tuple[int, ...] | None:
-    """The first 4-cycle, else 6-cycle, of ``list_cycles`` on the graph,
-    found among the cycles through the ``inserted`` edges."""
-    for k in (4, 6):
-        cycles = [c for u, v in inserted for c in cycles_through_edge(rotations, u, v, k)]
-        if cycles:
-            return min(cycles)
-    return None
 
 
 def _repair(
@@ -111,12 +103,12 @@ def _repair(
     still present, and the smallest of those is the graph's smallest.
     """
     for _ in range(max_rounds):
-        cycle = _smallest_forbidden_cycle(reg.rotations, inserted)
+        cycle = smallest_forbidden_cycle(reg.rotations, inserted)
         if cycle is None:
             return True
         pick = rng.randrange(len(cycle))
         reg.remove_edge(cycle[pick], cycle[(pick + 1) % len(cycle)])
-    return _smallest_forbidden_cycle(reg.rotations, inserted) is None
+    return smallest_forbidden_cycle(reg.rotations, inserted) is None
 
 
 def _grow(reg: FaceRegistry, n: int, rng: random.Random) -> bool:

@@ -106,6 +106,50 @@ def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
+def _close_paths(
+    adjacency: Sequence[Sequence[int]], u: int, v: int, found: dict[int, list[tuple[int, ...]]]
+) -> None:
+    """Append to ``found[k]``, for each length ``k`` it has, the ``k``-cycles
+    through edge ``uv`` in ``list_cycles`` form, unsorted.
+
+    Each cycle is a simple path from ``v`` back to ``u`` with ``k - 1``
+    edges, closed by ``uv``.  One walk serves every length: it extends the
+    paths from ``v`` and records a closure wherever the path length is one
+    of the keys.  The last vertex of a ``max(found)``-cycle is never walked
+    to; it is read off as a neighbour of the vertex before it that also
+    neighbours ``u``.  The walk keeps one iterator over the neighbours of
+    each path vertex, so a path may be as long as memory allows.  An
+    absent edge lies on no cycle.
+    """
+    if v not in adjacency[u]:
+        return
+    closing = set(adjacency[u])
+    longest = max(found)
+    path = [u, v]
+    on_path = {u, v}
+    pending = [iter(adjacency[v])]  # the untried neighbours of path[1:]
+    while pending:
+        length = len(path) + 1  # of a cycle closed at an untried neighbour
+        closes = found.get(length)
+        for w in pending[-1]:
+            if w in on_path:
+                continue
+            if closes is not None and w in closing:
+                closes.append(_canonical_cycle(path + [w]))
+            if length + 1 < longest:
+                path.append(w)
+                on_path.add(w)
+                pending.append(iter(adjacency[w]))
+                break
+            if length + 1 == longest:
+                for z in closing.intersection(adjacency[w]):
+                    if z not in on_path:
+                        found[longest].append(_canonical_cycle(path + [w, z]))
+        else:
+            pending.pop()
+            on_path.remove(path.pop())
+
+
 def cycles_through_edge(
     adjacency: Sequence[Sequence[int]], u: int, v: int, k: int
 ) -> list[tuple[int, ...]]:
@@ -113,38 +157,34 @@ def cycles_through_edge(
     (``list_cycles`` is built from this search).
 
     ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
-    system serves).  Each cycle is a simple path from ``v`` back to ``u``
-    with ``k - 1`` edges, closed by ``uv``; only those paths are searched,
-    so the cost depends on the degrees near the edge, not on the size of
-    the graph.  The search keeps one iterator over the neighbours of each
-    path vertex, so a path may be as long as memory allows.  An absent
-    edge lies on no cycle.
+    system serves).  Only the simple paths from ``v`` back to ``u`` with
+    ``k - 1`` edges are searched, so the cost depends on the degrees near
+    the edge, not on the size of the graph.  An absent edge lies on no
+    cycle.
     """
     if k < 3:
         raise BadLengthError(f"cycle length {k} < 3")
-    if v not in adjacency[u]:
-        return []
-    closing = set(adjacency[u])
-    found: list[tuple[int, ...]] = []
-    path = [u, v]
-    on_path = {u, v}
-    pending = [iter(adjacency[v])]  # the untried neighbours of path[1:]
-    while pending:
-        for w in pending[-1]:
-            if w in on_path:
-                continue
-            if len(path) + 1 < k:
-                path.append(w)
-                on_path.add(w)
-                pending.append(iter(adjacency[w]))
-                break
-            if w in closing:
-                found.append(_canonical_cycle(path + [w]))
-        else:
-            pending.pop()
-            on_path.remove(path.pop())
-    found.sort()
-    return found
+    found: dict[int, list[tuple[int, ...]]] = {k: []}
+    _close_paths(adjacency, u, v, found)
+    return sorted(found[k])
+
+
+def smallest_forbidden_cycle(
+    adjacency: Sequence[Sequence[int]], edges: Iterable[Edge]
+) -> tuple[int, ...] | None:
+    """The least 4-cycle, else the least 6-cycle, through any of ``edges``,
+    in ``list_cycles`` form and order; ``None`` when there is neither.
+
+    ``adjacency`` is as for ``cycles_through_edge``.  One walk per edge
+    finds its 4- and 6-cycles together.
+    """
+    found: dict[int, list[tuple[int, ...]]] = {4: [], 6: []}
+    for u, v in edges:
+        _close_paths(adjacency, u, v, found)
+    for cycles in found.values():
+        if cycles:
+            return min(cycles)
+    return None
 
 
 def list_cycles(graph: Graph, k: int) -> list[tuple[int, ...]]:

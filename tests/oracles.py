@@ -14,10 +14,12 @@ an all-covers question over every perfect cover with no matching
 pinned or over every cover with a spanning forest's matchings pinned,
 one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
+the least permutation of each cycle type by scanning all of them,
 and the faces a face registry keeps up to date by tracing its rotation
 system from scratch.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -224,6 +226,30 @@ def renaming_classes(matching_tuples, k):
         classed |= orbit
         classes[min(orbit)] = len(orbit)
     return classes
+
+
+def class_leaders_scan(k):
+    """[(p, centralizer order)] for each index ``p`` into the lexicographic
+    list of the permutations of ``range(k)`` whose permutation is the
+    first of its cycle type, found by taking the cycle type of every one."""
+    leaders = []
+    seen = set()
+    for p, image in enumerate(permutations(range(k))):
+        unseen = set(range(k))
+        lengths = []
+        while unseen:
+            c = min(unseen)
+            length = 0
+            while c in unseen:
+                unseen.remove(c)
+                c = image[c]
+                length += 1
+            lengths.append(length)
+        kind = tuple(sorted(lengths))
+        if kind not in seen:
+            seen.add(kind)
+            leaders.append((p, math.prod(math.factorial(m) * i**m for i, m in Counter(kind).items())))
+    return leaders
 
 
 def pendant_3faces_scan(pg, v):

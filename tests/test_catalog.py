@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 
 from dpcolor.catalog import entries, entry_names, load, no46_names
-from dpcolor import generate
-from dpcolor.embedding import FaceRegistry
+from dpcolor import generate, graphs
+from dpcolor.embedding import FaceRegistry, graph_from_rotations
 from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import has_forbidden_cycles, is_connected
+from dpcolor.graphs import has_forbidden_cycles, is_connected, list_cycles
 
 from oracles import registry_vs_trace
 
@@ -109,7 +109,8 @@ def test_face_registry_walks_from_the_single_vertex():
 
 
 def test_generator_scales_to_thousands_of_vertices():
-    # each edit re-walks only the faces it changes; re-tracing the whole
+    # each edit splices only the face walks it changes and each repair
+    # round walks the paths near the watched edges; re-tracing the whole
     # plane graph per move makes this quadratic
     started = time.perf_counter()
     pg = generate_plane_no46(3200, 3200)
@@ -133,6 +134,42 @@ def test_generator_raises_when_its_final_check_fails(monkeypatch):
         generate_plane_no46(60, 60)
 
 
+def test_repair_deletes_from_the_whole_graphs_smallest_forbidden_cycle(monkeypatch):
+    # the repair watches one edge per ear and walks each watched edge once
+    # for 4- and 6-cycles together; the cycle it deletes from must still be
+    # the first 4-cycle, else 6-cycle, that list_cycles finds in the graph
+    picked = []
+    deletions = Counter()
+    search = generate.smallest_forbidden_cycle
+    remove = FaceRegistry.remove_edge
+    repair = generate._repair
+
+    def checked_search(rotations, inserted):
+        cycle = search(rotations, inserted)
+        graph = graph_from_rotations(rotations)
+        assert cycle == next((c for k in (4, 6) for c in list_cycles(graph, k)), None)
+        picked.append(cycle)
+        return cycle
+
+    def checked_remove(reg, u, v):
+        cycle = picked[-1]
+        assert cycle[(cycle.index(u) + 1) % len(cycle)] == v
+        deletions[len(cycle)] += 1
+        remove(reg, u, v)
+
+    def counted_repair(*args):
+        deletions["repairs"] += 1
+        return repair(*args)
+
+    monkeypatch.setattr(generate, "smallest_forbidden_cycle", checked_search)
+    monkeypatch.setattr(FaceRegistry, "remove_edge", checked_remove)
+    monkeypatch.setattr(generate, "_repair", counted_repair)
+    for n in range(1, 61):
+        for seed in range(5):
+            assert generate_plane_no46(n, seed).graph.n == n
+    assert deletions[4] > 1000 and deletions[6] > 500 and deletions["repairs"] > 10000
+
+
 def test_repair_picks_the_smallest_cycle_through_any_inserted_edge():
     # two 4-cycles 0-1-2-3 and 4-5-6-7 and a 6-cycle 4-5-8-9-10-11; listing
     # the edge 45 first must not make its cycles win over the smaller one
@@ -142,7 +179,7 @@ def test_repair_picks_the_smallest_cycle_through_any_inserted_edge():
     for u, v in edges:
         rotations[u].append(v)
         rotations[v].append(u)
-    smallest = generate._smallest_forbidden_cycle
+    smallest = graphs.smallest_forbidden_cycle
     assert smallest(rotations, [(4, 5), (1, 0)]) == (0, 1, 2, 3)
     assert smallest(rotations, [(9, 8), (6, 7)]) == (4, 5, 6, 7)
     assert smallest(rotations, [(9, 8)]) == (4, 5, 8, 9, 10, 11)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor import covers as covers_module
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
@@ -17,7 +18,7 @@ from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
-from oracles import partial_matchings_scan
+from oracles import class_leaders_scan, partial_matchings_scan
 from strategies import covers
 
 
@@ -154,3 +155,11 @@ def test_conflicts_read_each_matching_in_both_directions(cover):
 )
 def test_partial_matchings_match_the_pair_subset_scan(left, right):
     assert partial_matchings(left, right) == partial_matchings_scan(left, right)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_class_leaders_are_the_first_permutation_of_each_cycle_type(k):
+    # built from the cycle types, not found by scanning all k! permutations
+    leaders = covers_module._class_leaders(k)
+    assert leaders == class_leaders_scan(k)
+    assert sum(math.factorial(k) // centralizer for _, centralizer in leaders) == math.factorial(k)

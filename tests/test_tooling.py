@@ -129,6 +129,24 @@ def test_generator_builds_one_plane_graph_per_attempt(monkeypatch):
     assert sum(calls["plane_from_rotations"] for calls in attempts) == 3
 
 
+def test_registry_edits_walk_no_face(monkeypatch):
+    # an edit splices the walks it changes; the face-walk routines run only
+    # inside trace_faces, once per returned graph, so a re-walk per edit
+    # shows up here
+    calls = Counter()
+    for name in ("_face_walks", "_set_successors", "trace_faces"):
+        fn = getattr(embedding, name)
+
+        def call(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(embedding, name, call)
+    for n, seed in ((200, 200), (60, 60), (3, 1)):
+        generate.generate_plane_no46(n, seed)
+    assert calls == {"_face_walks": 3, "_set_successors": 3, "trace_faces": 3}
+
+
 def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
     # json.dumps with an indent runs CPython's pure-Python encoder; the two
     # large documents are written directly, in the same bytes
