@@ -219,10 +219,11 @@ def enumerate_perfect_covers(
     yield from enumerate_covers(graph, lists, options)
 
 
-def _class_leaders(k: int) -> list[tuple[int, int]]:
-    """``(p, centralizer order)`` for each conjugacy class of the
+def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """``(p, image, centralizer order)`` for each conjugacy class of the
     permutations of ``range(k)``, in order of ``p``: the index of the
-    class's least member in the lexicographic list of all ``k!``.
+    class's least member in the lexicographic list of all ``k!``, whose
+    image tuple is ``image``.
 
     Conjugates share a cycle type, and every permutation of a cycle type is
     conjugate to every other, so each cycle type gives one class.  Its
@@ -252,7 +253,7 @@ def _class_leaders(k: int) -> list[tuple[int, int]]:
         centralizer = math.prod(
             math.factorial(m) * length**m for length, m in Counter(lengths).items()
         )
-        leaders.append((rank, centralizer))
+        leaders.append((rank, tuple(image), centralizer))
     return sorted(leaders)
 
 
@@ -298,8 +299,9 @@ def least_perfect_covers(
     least of their conjugacy classes, read off their cycle types with no
     conjugation.  The orbit size is ``k!`` over the number of ``σ`` fixing
     the whole cover; with one free edge, that is the order of the chosen
-    matching's centralizer.  With a free edge, every one of the ``k!``
-    permutations is tried at each level.
+    matching's centralizer.  With two or more free edges, every one of the
+    ``k!`` permutations is tried at each level after the first; with one,
+    only the class leaders are built.
     """
     lists = uniform_assignment(graph.n, k)
     identity = tuple(zip(range(1, k + 1), range(1, k + 1)))
@@ -309,35 +311,35 @@ def least_perfect_covers(
     if not free:
         yield base, 1
         return
-    perms = list(permutations(range(k)))
     ends = [graph.edges[i] for i in free]
     touched = sorted({x for edge in ends for x in edge})
 
     @cache
-    def pairing(p: int) -> tuple[Matching, dict[int, int], dict[int, int]]:
-        """The matching of ``perms[p]`` and its two partner maps."""
-        matching = tuple((c + 1, image + 1) for c, image in enumerate(perms[p]))
+    def pairing(image: tuple[int, ...]) -> tuple[Matching, dict[int, int], dict[int, int]]:
+        """The matching of the permutation ``image`` and its two partner maps."""
+        matching = tuple((c + 1, x + 1) for c, x in enumerate(image))
         return matching, dict(matching), {cv: cu for cu, cv in matching}
 
-    def build(picks: list[int]) -> Cover:
-        """The cover with ``perms[picks[j]]`` on the ``j``-th free edge.  Its
-        partner maps are patched from the pinned cover's and share their
-        pairing dicts with other covers, which ``Cover.partners`` allows
-        since nothing mutates them."""
+    def build(picks: list[tuple[int, ...]]) -> Cover:
+        """The cover with the permutation ``picks[j]`` on the ``j``-th free
+        edge.  Its partner maps are patched from the pinned cover's and
+        share their pairing dicts with other covers, which
+        ``Cover.partners`` allows since nothing mutates them."""
         matchings = pinned.copy()
         maps = list(base.partners)
         for x in touched:
             maps[x] = maps[x].copy()
-        for i, (u, v), p in zip(free, ends, picks):
-            matchings[i], maps[u][v], maps[v][u] = pairing(p)
+        for i, (u, v), image in zip(free, ends, picks):
+            matchings[i], maps[u][v], maps[v][u] = pairing(image)
         cover = Cover(graph=graph, lists=lists, matchings=tuple(matchings))
         cover.__dict__["partners"] = tuple(maps)  # where the cached property keeps it
         return cover
 
     if len(free) == 1:
-        for p, centralizer in _class_leaders(k):
-            yield build([p]), len(perms) // centralizer
+        for _, image, centralizer in _class_leaders(k):
+            yield build([image]), math.factorial(k) // centralizer
         return
+    perms = list(permutations(range(k)))
     # with k < 2 the identity is the only σ, so no renaming is ever tested
     undo = [itemgetter(*sorted(range(k), key=s.__getitem__)) for s in perms] if k > 1 else []
 
@@ -347,15 +349,15 @@ def least_perfect_covers(
         return [s for s in range(1, len(perms)) if undo[s](itemgetter(*image)(perms[s])) == image]
 
     # one iterator of surviving choices per free edge chosen so far
-    picks = [0] * len(free)
-    levels = [((p, commuting(p)) for p, _ in _class_leaders(k))]
+    picks = [perms[0]] * len(free)
+    levels = [((p, commuting(p)) for p, _, _ in _class_leaders(k))]
     while levels:
         step = next(levels[-1], None)
         if step is None:
             levels.pop()
             continue
         p, kept = step
-        picks[len(levels) - 1] = p
+        picks[len(levels) - 1] = perms[p]
         if len(levels) < len(free):
             levels.append(_unbeaten(kept, perms, undo))
         else:

@@ -23,7 +23,7 @@ instead of failed.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,8 +62,9 @@ class ChargeLedger:
     Finals are always derived (initial - outgoing + incoming): each
     transfer leaves its source and reaches its target with the same
     ``sixths``, so ``sum(final) == sum(initial)`` holds by construction.
-    The transfers are grouped by element once, on first use, for the
-    per-element reads.
+    Two facts are derived from the log once, on first use: every
+    element's received and sent totals (``totals``, which the case audit
+    reads) and its transfers in and out (which the JSON writer reads).
     """
 
     vertex_initial: tuple[int, ...]
@@ -77,6 +78,17 @@ class ChargeLedger:
     def initial(self, element: Element) -> int:
         kind, i = element
         return self.vertex_initial[i] if kind == "vertex" else self.face_initial[i]
+
+    @cached_property
+    def totals(self) -> tuple[dict[Element, int], dict[Element, int]]:
+        """(sixths received, sixths sent) by element, from one pass over the
+        log; an element with no transfer that way is absent."""
+        into: defaultdict[Element, int] = defaultdict(int)
+        out: defaultdict[Element, int] = defaultdict(int)
+        for t in self.transfers:
+            into[t.target] += t.sixths
+            out[t.source] += t.sixths
+        return dict(into), dict(out)
 
     @cached_property
     def _by_element(self) -> tuple[dict[Element, tuple[Transfer, ...]], ...]:
@@ -98,10 +110,10 @@ class ChargeLedger:
         return self._by_element[1].get(element, ())
 
     def incoming(self, element: Element) -> int:
-        return sum(t.sixths for t in self.transfers_in(element))
+        return self.totals[0].get(element, 0)
 
     def outgoing(self, element: Element) -> int:
-        return sum(t.sixths for t in self.transfers_out(element))
+        return self.totals[1].get(element, 0)
 
     def finals(self) -> dict[Element, int]:
         out: dict[Element, int] = {}
@@ -117,9 +129,8 @@ class ChargeLedger:
 
 def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     """Starting charges: 2*deg - 6 per vertex, deg - 6 per face."""
-    g = pg.graph
-    vertex_initial = tuple(12 * g.degree(v) - 36 for v in range(g.n))
-    face_initial = tuple(6 * f.degree - 36 for f in pg.faces)
+    vertex_initial = tuple(12 * d - 36 for d in pg.graph.degrees)
+    face_initial = tuple(6 * d - 36 for d in pg.face_degrees)
     ledger = ChargeLedger(vertex_initial, face_initial, ())
     if ledger.initial_total != TOTAL_SIXTHS:
         raise NonPlanarEmbeddingError(
@@ -132,22 +143,20 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
 def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     """Initial charges with all five transfer rules applied."""
     require_no_forbidden_cycles(pg.graph)
-    g = pg.graph
+    deg = pg.graph.degrees
+    face_deg = pg.face_degrees
     base = initial_charges(pg)
     transfers: list[Transfer] = []
-    fours = [v for v in range(g.n) if g.degree(v) >= 4]
-    threes = [v for v in range(g.n) if g.degree(v) == 3]
+    fours = [v for v, d in enumerate(deg) if d >= 4]
+    threes = [v for v, d in enumerate(deg) if d == 3]
     # vertex -> sorted (face index, corners of the vertex on that face)
-    incidences = {
-        v: sorted(Counter(f.index for f in pg.faces_at_vertex(v)).items())
-        for v in fours + threes
-    }
+    incidences = {v: sorted(Counter(pg.corner_faces[v]).items()) for v in fours + threes}
 
     def pay_incident_faces(rule: str, payers: list[int], face_degree: int, unit: int):
         """Each payer sends ``unit`` per corner to each incident face of a degree."""
         for v in payers:
             for fi, mult in incidences[v]:
-                if pg.faces[fi].degree == face_degree:
+                if face_deg[fi] == face_degree:
                     transfers.append(
                         Transfer(rule, ("vertex", v), ("face", fi), unit * mult, mult)
                     )
@@ -160,10 +169,10 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
                 Transfer("R3", ("vertex", v), ("face", face.index), 2)
             )
     for face in pg.faces:  # R4: big faces feed incident 3-vertices
-        if face.degree < 7:
+        if face_deg[face.index] < 7:
             continue
         for v, mult in sorted(Counter(face.corners).items()):
-            if g.degree(v) == 3:
+            if deg[v] == 3:
                 transfers.append(
                     Transfer("R4", ("face", face.index), ("vertex", v), 2 * mult, mult)
                 )
@@ -216,16 +225,18 @@ def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
     edge with it, hence to be large), a degree-3 vertex has no degree-3
     neighbor, and a degree-4 vertex has at most two degree-3 neighbors.
     """
-    g = pg.graph
-    deg = g.degree(v)
-    pattern = "(" + ",".join(str(f.degree) for f in pg.faces_at_vertex(v)) + ")"
+    degrees = pg.graph.degrees
+    deg = degrees[v]
+    face_deg = pg.face_degrees
+    pattern = "(" + ",".join([str(face_deg[i]) for i in pg.corner_faces[v]]) + ")"
     case = "3-vertex" if deg == 3 else "4-vertex" if deg == 4 else "5+-vertex"
     if deg <= 2:
         return (f"{deg}-vertex", pattern, False, "degree below 3")
-    small = [u for u in g.adjacency[v] if g.degree(u) < 3]
+    neighbors = pg.graph.adjacency[v]
+    small = [u for u in neighbors if degrees[u] < 3]
     if small:
         return (case, pattern, False, f"neighbor {small[0]} has degree below 3")
-    threes = [u for u in g.adjacency[v] if g.degree(u) == 3]
+    threes = [u for u in neighbors if degrees[u] == 3]
     if deg == 3 and threes:
         return (case, pattern, False, f"adjacent degree-3 vertices {v} and {threes[0]}")
     if deg == 4 and len(threes) > 2:
@@ -245,10 +256,11 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
     endpoints and, absent 4-cycles, a 4-face needs a degree-1 backtrack.
     """
     g = pg.graph
-    degs = [g.degree(u) for u in face.corners]
-    pattern = "(" + ",".join(str(d) for d in degs) + ")"
+    deg = g.degrees
+    degs = [deg[u] for u in face.corners]
+    pattern = "(" + ",".join(map(str, degs)) + ")"
     if face.degree == 3:
-        low = [u for u in face.corners if g.degree(u) == 3]
+        low = [u for u in face.corners if deg[u] == 3]
         if min(degs) < 3:
             return ("3-face", pattern, False, "corner of degree < 3")
         if len(low) > 1:
@@ -257,7 +269,7 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
             u = low[0]
             # in a simple graph a degree-3 corner has one neighbor off its 3-face
             payer = next(w for w in g.adjacency[u] if w not in face.corners)
-            if g.degree(payer) < 4:
+            if deg[payer] < 4:
                 return ("3-face", pattern, False,
                         f"off-face neighbor of {u} is not a 4+-vertex")
         return ("3-face", pattern, True, "")
@@ -265,7 +277,7 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
         if min(degs, default=3) < 3:
             return ("5+-face", pattern, False, "corner of degree < 3")
         for (a, b) in face.walk:
-            if g.degree(a) == 3 and g.degree(b) == 3:
+            if deg[a] == 3 and deg[b] == 3:
                 return ("5+-face", pattern, False,
                         f"boundary edge ({a},{b}) joins two degree-3 vertices")
         return ("5+-face", pattern, True, "")
@@ -290,11 +302,12 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
             graph=pg.graph,
         )
     face_cases = [(("face", f.index), _face_entry(pg, f)) for f in pg.faces]
+    into, out = ledger.totals
     entries = []
     for element, (case, pattern, compliant, reason) in vertex_cases + face_cases:
         initial = ledger.initial(element)
-        incoming = ledger.incoming(element)
-        outgoing = ledger.outgoing(element)
+        incoming = into.get(element, 0)
+        outgoing = out.get(element, 0)
         final = initial - outgoing + incoming
         entries.append(AuditEntry(element, case, pattern, compliant, reason,
                                   initial, incoming, outgoing, final))

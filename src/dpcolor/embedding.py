@@ -12,7 +12,8 @@ means the rotation system does not describe a sphere embedding.
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
 one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
 shared by several consumers are derived once per graph and cached: the
-4-/6-cycle check on ``Graph``, the pendant 3-faces on ``PlaneGraph``,
+4-/6-cycle check and the degree list on ``Graph``; the face degrees, the
+faces at each vertex's corners and the pendant 3-faces on ``PlaneGraph``;
 each face's corner tuple on ``Face``.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
@@ -75,16 +76,27 @@ class PlaneGraph:
     def face_of_directed_edge(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
         for face in self.faces:
-            for arc in face.walk:
-                out[arc] = face.index
+            out.update(dict.fromkeys(face.walk, face.index))
         return out
+
+    @cached_property
+    def face_degrees(self) -> tuple[int, ...]:
+        """Each face's degree, by face index."""
+        return tuple(len(face.walk) for face in self.faces)
+
+    @cached_property
+    def corner_faces(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the face index at each corner in rotation order: the
+        face of ``(v, w)`` for each ``w`` in ``rotation[v]``.  A face met at
+        two corners (at a cut vertex) is listed twice."""
+        face_of = self.face_of_directed_edge
+        return tuple(
+            tuple([face_of[v, w] for w in ring]) for v, ring in enumerate(self.rotation)
+        )
 
     def faces_at_vertex(self, v: int) -> tuple[Face, ...]:
         """Incident faces in rotation order, one per corner (repeats kept)."""
-        return tuple(
-            self.faces[self.face_of_directed_edge[(v, w)]]
-            for w in self.rotation[v]
-        )
+        return tuple(map(self.faces.__getitem__, self.corner_faces[v]))
 
     def faces_at_edge(self, u: int, v: int) -> tuple[Face, Face]:
         """The two face slots bordering edge {u, v} (equal across a bridge)."""
@@ -101,11 +113,12 @@ class PlaneGraph:
         ``u``'s one neighbor off the face.  Maps that payer to its
         ``(face, u)`` pairs in face-index order.
         """
+        deg = self.graph.degrees
         out: dict[int, list[tuple[Face, int]]] = {}
         for face in self.faces:
             if face.degree != 3:
                 continue
-            degs = [self.graph.degree(u) for u in face.corners]
+            degs = [deg[u] for u in face.corners]
             if degs.count(3) != 1 or min(degs) < 3:
                 continue
             low = face.corners[degs.index(3)]
@@ -362,8 +375,8 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
                     detail=f"edge faces have degrees {f1.degree}, {f2.degree}",
                 )
             )
-    for v in range(pg.graph.n):
-        on_triangles = {f.index for f in pg.faces_at_vertex(v) if f.degree == 3}
+    for v, corners in enumerate(pg.corner_faces):
+        on_triangles = {i for i in corners if pg.face_degrees[i] == 3}
         bound = pg.graph.degree(v) // 2
         entries.append(
             PropositionCheck(

@@ -50,7 +50,7 @@ def _json_rows(rows, depth: int) -> str:
 
 
 def _indent(text: str, levels: int) -> str:
-    """A value rendered at depth 0, re-rendered ``levels`` deeper."""
+    """A rendered value moved ``levels`` deeper."""
     return text.replace("\n", "\n" + "  " * levels)
 
 
@@ -259,48 +259,55 @@ def trace_from_text(text: str) -> tuple[TraceStep, ...]:
     return tuple(trace)
 
 
-# The audit's pieces, each rendered at depth 0: a charge or an element is
-# the value of a key at depth 1, a transfer or an entry a whole object.
+# The audit's pieces.  A transfer is rendered as an item of the top-level
+# log, at depth 2, and moved once to depth 4 for the entries' lists; an
+# entry is written directly at depth 2, its charges and element as values
+# of keys at depth 3.
 
 @functools.lru_cache(maxsize=1024)  # four charges per entry, few distinct values
-def _charge_json(sixths: int) -> str:
-    return f'{{\n    "display": "{charge_str(sixths)}",\n    "sixths": {sixths}\n  }}'
+def _charge_json(sixths: int, depth: int) -> str:
+    """A charge object whose closing brace is indented ``depth`` levels."""
+    pad = "  " * depth
+    return f'{{\n{pad}  "display": "{charge_str(sixths)}",\n{pad}  "sixths": {sixths}\n{pad}}}'
 
 
 def _element_json(element: Element) -> str:
+    """An element as the value of a key at depth 3."""
     kind, index = element
-    return f"[\n    {_json_str(kind)},\n    {index}\n  ]"
+    return f"[\n        {_json_str(kind)},\n        {index}\n      ]"
 
 
 def _transfer_json(t: Transfer) -> str:
+    """A transfer as an item of the log, at depth 2."""
     return (
         "{\n"
-        f'  "display": "{charge_str(t.sixths)}",\n'
-        f'  "multiplicity": {t.multiplicity},\n'
-        f'  "rule": {_json_str(t.rule)},\n'
-        f'  "sixths": {t.sixths},\n'
-        f'  "source": {_element_json(t.source)},\n'
-        f'  "target": {_element_json(t.target)}\n'
-        "}"
+        f'      "display": "{charge_str(t.sixths)}",\n'
+        f'      "multiplicity": {t.multiplicity},\n'
+        f'      "rule": {_json_str(t.rule)},\n'
+        f'      "sixths": {t.sixths},\n'
+        f'      "source": {_element_json(t.source)},\n'
+        f'      "target": {_element_json(t.target)}\n'
+        "    }"
     )
 
 
 def _entry_json(e: AuditEntry, transfers_in: list[str], transfers_out: list[str]) -> str:
-    """An audit entry; the transfers come rendered at depth 2."""
+    """An audit entry as an item of the ``elements`` list, at depth 2; the
+    transfers come rendered at depth 4."""
     return (
         "{\n"
-        f'  "case": {_json_str(e.case)},\n'
-        f'  "element": {_element_json(e.element)},\n'
-        f'  "final": {_charge_json(e.final)},\n'
-        f'  "in": {_charge_json(e.incoming)},\n'
-        f'  "initial": {_charge_json(e.initial)},\n'
-        f'  "out": {_charge_json(e.outgoing)},\n'
-        f'  "pattern": {_json_str(e.pattern)},\n'
-        f'  "reason": {_json_str(e.reason)},\n'
-        f'  "transfers_in": {_json_list(transfers_in, 1)},\n'
-        f'  "transfers_out": {_json_list(transfers_out, 1)},\n'
-        f'  "verdict": {_json_str(e.verdict)}\n'
-        "}"
+        f'      "case": {_json_str(e.case)},\n'
+        f'      "element": {_element_json(e.element)},\n'
+        f'      "final": {_charge_json(e.final, 3)},\n'
+        f'      "in": {_charge_json(e.incoming, 3)},\n'
+        f'      "initial": {_charge_json(e.initial, 3)},\n'
+        f'      "out": {_charge_json(e.outgoing, 3)},\n'
+        f'      "pattern": {_json_str(e.pattern)},\n'
+        f'      "reason": {_json_str(e.reason)},\n'
+        f'      "transfers_in": {_json_list(transfers_in, 3)},\n'
+        f'      "transfers_out": {_json_list(transfers_out, 3)},\n'
+        f'      "verdict": {_json_str(e.verdict)}\n'
+        "    }"
     )
 
 
@@ -308,30 +315,27 @@ def audit_to_json_text(report: AuditReport, ledger: ChargeLedger) -> str:
     """Audit document: the totals, the transfer log, and per element its
     case, charges and the transfers into and out of it.
 
-    Each transfer is rendered once, at depth 2, and that text is spliced
-    into the log and into the lists of its source and target; each entry
-    then moves two levels deeper as a whole.
+    Each transfer is rendered once for the log and shifted once to the
+    depth of the entries' lists, where that text is spliced into the lists
+    of its source and target; each entry is written at its own depth.
     """
-    log = [_indent(_transfer_json(t), 2) for t in ledger.transfers]
+    log = [_transfer_json(t) for t in ledger.transfers]
     # keyed by identity: the per-element lists hold the log's own objects
-    rendered = {id(t): text for t, text in zip(ledger.transfers, log)}
+    nested = {id(t): _indent(text, 2) for t, text in zip(ledger.transfers, log)}
     entries = [
-        _indent(
-            _entry_json(
-                e,
-                [rendered[id(t)] for t in ledger.transfers_in(e.element)],
-                [rendered[id(t)] for t in ledger.transfers_out(e.element)],
-            ),
-            2,
+        _entry_json(
+            e,
+            [nested[id(t)] for t in ledger.transfers_in(e.element)],
+            [nested[id(t)] for t in ledger.transfers_out(e.element)],
         )
         for e in report.entries
     ]
     return (
         "{\n"
         f'  "elements": {_json_list(entries, 1)},\n'
-        f'  "final_total": {_charge_json(report.final_total)},\n'
+        f'  "final_total": {_charge_json(report.final_total, 1)},\n'
         f'  "format": {_json_str(AUDIT_FORMAT)},\n'
-        f'  "initial_total": {_charge_json(report.initial_total)},\n'
+        f'  "initial_total": {_charge_json(report.initial_total, 1)},\n'
         f'  "transfers": {_json_list(log, 1)}\n'
         "}\n"
     )

@@ -42,6 +42,11 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Every vertex's degree, by vertex."""
+        return tuple(map(len, self.adjacency))
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 

@@ -3,7 +3,8 @@
 These deliberately avoid the package's algorithms: cycles are found by
 checking subsets against permutations, relaxed list colorings by
 enumerating raw color maps on the graph, pendant 3-faces by scanning
-every face per vertex, an element's transfers by scanning the whole
+every face per vertex, the faces at a vertex's corners by looking up
+each dart out of it, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
 every face, partial matchings by filtering every set of color pairs,
 every JSON document as the dict tree that ``json.dumps`` writes,
@@ -229,9 +230,10 @@ def renaming_classes(matching_tuples, k):
 
 
 def class_leaders_scan(k):
-    """[(p, centralizer order)] for each index ``p`` into the lexicographic
-    list of the permutations of ``range(k)`` whose permutation is the
-    first of its cycle type, found by taking the cycle type of every one."""
+    """[(p, image, centralizer order)] for each index ``p`` into the
+    lexicographic list of the permutations of ``range(k)`` whose
+    permutation ``image`` is the first of its cycle type, found by taking
+    the cycle type of every one."""
     leaders = []
     seen = set()
     for p, image in enumerate(permutations(range(k))):
@@ -248,7 +250,7 @@ def class_leaders_scan(k):
         kind = tuple(sorted(lengths))
         if kind not in seen:
             seen.add(kind)
-            leaders.append((p, math.prod(math.factorial(m) * i**m for i, m in Counter(kind).items())))
+            leaders.append((p, image, math.prod(math.factorial(m) * i**m for i, m in Counter(kind).items())))
     return leaders
 
 
@@ -263,6 +265,12 @@ def pendant_3faces_scan(pg, v):
         if len(threes) == 1 and degs[1] >= 4 and pg.graph.has_edge(v, threes[0]):
             out.append(face)
     return tuple(out)
+
+
+def faces_at_vertex_scan(pg, v):
+    """Incident faces in rotation order, one per corner, each looked up by
+    its dart out of ``v``."""
+    return tuple(pg.faces[pg.face_of_directed_edge[(v, w)]] for w in pg.rotation[v])
 
 
 def transfers_scan(ledger, element):

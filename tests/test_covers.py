@@ -162,4 +162,4 @@ def test_class_leaders_are_the_first_permutation_of_each_cycle_type(k):
     # built from the cycle types, not found by scanning all k! permutations
     leaders = covers_module._class_leaders(k)
     assert leaders == class_leaders_scan(k)
-    assert sum(math.factorial(k) // centralizer for _, centralizer in leaders) == math.factorial(k)
+    assert sum(math.factorial(k) // centralizer for _, _, centralizer in leaders) == math.factorial(k)

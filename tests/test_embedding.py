@@ -18,7 +18,7 @@ from dpcolor.errors import (
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 
-from oracles import edge_sharing_scan, pendant_3faces_scan
+from oracles import edge_sharing_scan, faces_at_vertex_scan, pendant_3faces_scan
 from test_plane_golden import fan, triangle_chain
 
 K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
@@ -165,6 +165,21 @@ def test_pendant_map_matches_the_face_scan_on_the_catalog():
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
 def test_pendant_map_matches_the_face_scan_on_generated_planes(n, seed):
     _check_pendants_against_scan(generate_plane_no46(n, seed))
+
+
+def test_corner_faces_match_the_dart_lookup():
+    # the cached per-vertex tuple against the per-call lookup it replaced;
+    # a cut vertex meets one face at two corners, and both corners are kept
+    planes = [load_catalog(name) for name in entry_names()]
+    planes += [generate_plane_no46(n, seed) for n in range(1, 61) for seed in range(3)]
+    repeats = 0
+    for pg in planes:
+        for v in range(pg.graph.n):
+            corners = pg.corner_faces[v]
+            assert pg.faces_at_vertex(v) == faces_at_vertex_scan(pg, v)
+            assert corners == tuple(f.index for f in faces_at_vertex_scan(pg, v))
+            repeats += len(set(corners)) < len(corners)
+    assert repeats > 0
 
 
 def _check_edge_sharing_against_scan(pg):

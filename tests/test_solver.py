@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -218,6 +219,20 @@ def test_c4_not_dp_2_colorable():
     result = is_dp_colorable(c4(), 2, 0)
     assert not result.colorable
     assert brute_force_rep_set(result.witness, 0) is None
+
+
+def test_one_free_edge_builds_only_the_class_leaders():
+    # C4 has one free edge: its 30 classes at k = 9 are built from their
+    # leaders, with no list of all 9! = 362,880 permutations
+    tracemalloc.start()
+    try:
+        result = is_dp_colorable(c4(), 9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.colorable
+    assert (result.searches, result.covers_checked) == (30, 362_880)
+    assert peak < 5_000_000
 
 
 def test_k3_dp_3_colorable_exhaustively():
