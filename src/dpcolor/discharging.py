@@ -62,9 +62,9 @@ class ChargeLedger:
     Finals are always derived (initial - outgoing + incoming): each
     transfer leaves its source and reaches its target with the same
     ``sixths``, so ``sum(final) == sum(initial)`` holds by construction.
-    Two facts are derived from the log once, on first use: every
-    element's received and sent totals (``totals``, which the case audit
-    reads) and its transfers in and out (which the JSON writer reads).
+    Every element's received and sent totals are derived from the log
+    once, on first use (``totals``, which the case audit reads); the JSON
+    writer groups the log by element in its own pass.
     """
 
     vertex_initial: tuple[int, ...]
@@ -74,10 +74,6 @@ class ChargeLedger:
     @property
     def initial_total(self) -> int:
         return sum(self.vertex_initial) + sum(self.face_initial)
-
-    def initial(self, element: Element) -> int:
-        kind, i = element
-        return self.vertex_initial[i] if kind == "vertex" else self.face_initial[i]
 
     @cached_property
     def totals(self) -> tuple[dict[Element, int], dict[Element, int]]:
@@ -89,25 +85,6 @@ class ChargeLedger:
             into[t.target] += t.sixths
             out[t.source] += t.sixths
         return dict(into), dict(out)
-
-    @cached_property
-    def _by_element(self) -> tuple[dict[Element, tuple[Transfer, ...]], ...]:
-        """(transfers by target, transfers by source), each in log order."""
-        into: dict[Element, list[Transfer]] = {}
-        out: dict[Element, list[Transfer]] = {}
-        for t in self.transfers:
-            into.setdefault(t.target, []).append(t)
-            out.setdefault(t.source, []).append(t)
-        return (
-            {e: tuple(ts) for e, ts in into.items()},
-            {e: tuple(ts) for e, ts in out.items()},
-        )
-
-    def transfers_in(self, element: Element) -> tuple[Transfer, ...]:
-        return self._by_element[0].get(element, ())
-
-    def transfers_out(self, element: Element) -> tuple[Transfer, ...]:
-        return self._by_element[1].get(element, ())
 
     def incoming(self, element: Element) -> int:
         return self.totals[0].get(element, 0)
@@ -304,8 +281,9 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
     face_cases = [(("face", f.index), _face_entry(pg, f)) for f in pg.faces]
     into, out = ledger.totals
     entries = []
-    for element, (case, pattern, compliant, reason) in vertex_cases + face_cases:
-        initial = ledger.initial(element)
+    cases = vertex_cases + face_cases
+    initials = ledger.vertex_initial + ledger.face_initial
+    for (element, (case, pattern, compliant, reason)), initial in zip(cases, initials):
         incoming = into.get(element, 0)
         outgoing = out.get(element, 0)
         final = initial - outgoing + incoming

@@ -12,15 +12,14 @@ means the rotation system does not describe a sphere embedding.
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
 one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
 shared by several consumers are derived once per graph and cached: the
-4-/6-cycle check and the degree list on ``Graph``; the face degrees, the
-faces at each vertex's corners and the pendant 3-faces on ``PlaneGraph``;
-each face's corner tuple on ``Face``.
+4-/6-cycle check and the degree list on ``Graph``; each dart's face, the
+face degrees, the face index at each vertex's corners and the pendant
+3-faces on ``PlaneGraph``; each face's corner tuple on ``Face``.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
-An edit splices the walks of the faces it changes, with no successor map
-and no walk from dart to dart; the random generator grows its instances
-on it and builds a ``PlaneGraph`` only for the result.
+An edit splices the walks of the faces it changes; the random generator
+grows its instances on it and builds a ``PlaneGraph`` only for the result.
 """
 
 from __future__ import annotations
@@ -92,17 +91,6 @@ class PlaneGraph:
         face_of = self.face_of_directed_edge
         return tuple(
             tuple([face_of[v, w] for w in ring]) for v, ring in enumerate(self.rotation)
-        )
-
-    def faces_at_vertex(self, v: int) -> tuple[Face, ...]:
-        """Incident faces in rotation order, one per corner (repeats kept)."""
-        return tuple(map(self.faces.__getitem__, self.corner_faces[v]))
-
-    def faces_at_edge(self, u: int, v: int) -> tuple[Face, Face]:
-        """The two face slots bordering edge {u, v} (equal across a bridge)."""
-        return (
-            self.faces[self.face_of_directed_edge[(u, v)]],
-            self.faces[self.face_of_directed_edge[(v, u)]],
         )
 
     @cached_property
@@ -352,9 +340,11 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
     """
     require_no_forbidden_cycles(pg.graph)
     entries: list[PropositionCheck] = []
+    face_of = pg.face_of_directed_edge
+    face_deg = pg.face_degrees
     triangles = [f for f in pg.faces if f.degree == 3]
     for f in triangles:
-        across = Counter(pg.face_of_directed_edge[(v, u)] for u, v in f.walk)
+        across = Counter(face_of[v, u] for u, v in f.walk)
         for g in (pg.faces[i] for i in sorted(across) if across[i] == 1):
             entries.append(
                 PropositionCheck(
@@ -366,17 +356,17 @@ def check_propositions(pg: PlaneGraph) -> PropositionReport:
             )
     for v in range(pg.graph.n):
         for face, low in pg.pendant_triangles.get(v, ()):
-            f1, f2 = pg.faces_at_edge(low, v)
+            d1, d2 = face_deg[face_of[low, v]], face_deg[face_of[v, low]]
             entries.append(
                 PropositionCheck(
                     check="pendant-edge-faces",
                     subject=f"vertex {v}, pendant face {face.index}, edge ({low},{v})",
-                    passed=f1.degree >= 7 and f2.degree >= 7,
-                    detail=f"edge faces have degrees {f1.degree}, {f2.degree}",
+                    passed=d1 >= 7 and d2 >= 7,
+                    detail=f"edge faces have degrees {d1}, {d2}",
                 )
             )
     for v, corners in enumerate(pg.corner_faces):
-        on_triangles = {i for i in corners if pg.face_degrees[i] == 3}
+        on_triangles = {i for i in corners if face_deg[i] == 3}
         bound = pg.graph.degree(v) // 2
         entries.append(
             PropositionCheck(

@@ -74,7 +74,8 @@ class NegativeImproprietyError(DpColorError):
 
 
 class EmptyListError(DpColorError):
-    """Some vertex has an empty color list, so no assignment can exist.
+    """Some vertex has an empty color list, so no assignment can exist; or
+    a list size below 0 was requested.
 
     Kept distinct from a plain unsatisfiable answer: the instance is
     degenerate rather than merely uncolorable.

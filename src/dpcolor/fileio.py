@@ -164,10 +164,8 @@ def cover_from_text(text: str) -> Cover:
     if graph.edges != edges:
         raise FileFormatError("edges are not in canonical sorted order")
     lists = _int_rows(obj["lists"], "lists")
-    if len(lists) != graph.n:
-        raise FileFormatError("list count differs from n")
-    if not isinstance(obj["matchings"], list) or len(obj["matchings"]) != graph.m:
-        raise FileFormatError(f"matchings: expected a list of {graph.m}, one per edge")
+    if not isinstance(obj["matchings"], list):
+        raise FileFormatError(f"matchings: expected a list, got {obj['matchings']!r}")
     matchings = tuple(_int_rows(m, f"matchings[{i}]", 2) for i, m in enumerate(obj["matchings"]))
     cover = Cover(graph=graph, lists=lists, matchings=matchings)
     violation = validate_cover(cover)
@@ -198,13 +196,14 @@ def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _step_json(step: TraceStep) -> str:
+    """A trace step as an item of the ``steps`` list, at depth 2."""
     return (
         "{\n"
-        f'  "colors": {_json_ints(step.colors, 1)},\n'
-        f'  "kind": {_json_str(step.kind.value)},\n'
-        f'  "residual_list_sizes": {_json_ints(step.residual_sizes, 1)},\n'
-        f'  "vertices": {_json_ints(step.vertices, 1)}\n'
-        "}"
+        f'      "colors": {_json_ints(step.colors, 3)},\n'
+        f'      "kind": {_json_str(step.kind.value)},\n'
+        f'      "residual_list_sizes": {_json_ints(step.residual_sizes, 3)},\n'
+        f'      "vertices": {_json_ints(step.vertices, 3)}\n'
+        "    }"
     )
 
 
@@ -214,11 +213,10 @@ def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
     As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
     first) while ``colors`` follow the sorted order of ``vertices``.
     """
-    steps = [_indent(_step_json(step), 2) for step in trace]
     return (
         "{\n"
         f'  "format": {_json_str(TRACE_FORMAT)},\n'
-        f'  "steps": {_json_list(steps, 1)}\n'
+        f'  "steps": {_json_list(list(map(_step_json, trace)), 1)}\n'
         "}\n"
     )
 
@@ -260,9 +258,9 @@ def trace_from_text(text: str) -> tuple[TraceStep, ...]:
 
 
 # The audit's pieces.  A transfer is rendered as an item of the top-level
-# log, at depth 2, and moved once to depth 4 for the entries' lists; an
-# entry is written directly at depth 2, its charges and element as values
-# of keys at depth 3.
+# log, at depth 2, and moved once to depth 4 for the lists of the entries
+# of its source and target; an entry is written directly at depth 2, its
+# charges and element as values of keys at depth 3.
 
 @functools.lru_cache(maxsize=1024)  # four charges per entry, few distinct values
 def _charge_json(sixths: int, depth: int) -> str:
@@ -291,7 +289,7 @@ def _transfer_json(t: Transfer) -> str:
     )
 
 
-def _entry_json(e: AuditEntry, transfers_in: list[str], transfers_out: list[str]) -> str:
+def _entry_json(e: AuditEntry, into: list[str], out: list[str]) -> str:
     """An audit entry as an item of the ``elements`` list, at depth 2; the
     transfers come rendered at depth 4."""
     return (
@@ -304,8 +302,8 @@ def _entry_json(e: AuditEntry, transfers_in: list[str], transfers_out: list[str]
         f'      "out": {_charge_json(e.outgoing, 3)},\n'
         f'      "pattern": {_json_str(e.pattern)},\n'
         f'      "reason": {_json_str(e.reason)},\n'
-        f'      "transfers_in": {_json_list(transfers_in, 3)},\n'
-        f'      "transfers_out": {_json_list(transfers_out, 3)},\n'
+        f'      "transfers_in": {_json_list(into, 3)},\n'
+        f'      "transfers_out": {_json_list(out, 3)},\n'
         f'      "verdict": {_json_str(e.verdict)}\n'
         "    }"
     )
@@ -315,19 +313,21 @@ def audit_to_json_text(report: AuditReport, ledger: ChargeLedger) -> str:
     """Audit document: the totals, the transfer log, and per element its
     case, charges and the transfers into and out of it.
 
-    Each transfer is rendered once for the log and shifted once to the
-    depth of the entries' lists, where that text is spliced into the lists
-    of its source and target; each entry is written at its own depth.
+    One pass over the log renders each transfer for the log, shifts that
+    text once to the depth of the entries' lists and files it under its
+    target and its source; each entry is written at its own depth.
     """
-    log = [_transfer_json(t) for t in ledger.transfers]
-    # keyed by identity: the per-element lists hold the log's own objects
-    nested = {id(t): _indent(text, 2) for t, text in zip(ledger.transfers, log)}
+    log = []
+    into: dict[Element, list[str]] = {}
+    out: dict[Element, list[str]] = {}
+    for t in ledger.transfers:
+        text = _transfer_json(t)
+        log.append(text)
+        nested = _indent(text, 2)
+        into.setdefault(t.target, []).append(nested)
+        out.setdefault(t.source, []).append(nested)
     entries = [
-        _entry_json(
-            e,
-            [nested[id(t)] for t in ledger.transfers_in(e.element)],
-            [nested[id(t)] for t in ledger.transfers_out(e.element)],
-        )
+        _entry_json(e, into.get(e.element, []), out.get(e.element, []))
         for e in report.entries
     ]
     return (

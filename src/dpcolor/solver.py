@@ -284,7 +284,10 @@ def is_dp_colorable(
     those are searched.  ``budget`` bounds the number of searches, checked
     as each starts, and each search's nodes; with a free edge it also
     bounds the ``k!`` matchings tried per free edge, checked up front.
+    Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k`` are empty.
     """
+    if k < 0:
+        raise EmptyListError(f"list size {k} is negative")
     free = _free_edges(graph)
     if free and k > 0 and math.factorial(k) > budget:
         raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
@@ -304,10 +307,7 @@ def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Least ``k`` such that every cover of every k-assignment is colorable.
 
     Each ``k`` is one ``is_dp_colorable`` question, so its cost is one
-    search per renaming orbit of the pinned covers: 681 searches for K4 at
-    k = 4, against 13,824 pinned covers and (4!)^6 unpinned ones.  On K4
-    backjumping saves no node: its 684 searches over k = 1..4 create 2,738
-    nodes, as chronological backtracking does.
+    search per renaming orbit of the pinned covers.
     """
     for k in range(1, graph.n + 2):
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:

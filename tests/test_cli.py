@@ -147,7 +147,9 @@ def test_colorable_k4_at_k4_searches_one_cover_per_orbit(tmp_path, capsys):
     assert not witness.exists()
 
 
-@pytest.mark.parametrize("bad", [["-k", "2", "-d", "-1"], ["-k", "0", "-d", "0"]])
+@pytest.mark.parametrize(
+    "bad", [["-k", "2", "-d", "-1"], ["-k", "0", "-d", "0"], ["-k", "-1", "-d", "0"]]
+)
 def test_colorable_rejects_bad_bounds_with_one_line(tmp_path, capsys, bad):
     assert main(["colorable", c4_graph_file(tmp_path), *bad]) == 2
     err = capsys.readouterr().err

@@ -176,7 +176,6 @@ def test_corner_faces_match_the_dart_lookup():
     for pg in planes:
         for v in range(pg.graph.n):
             corners = pg.corner_faces[v]
-            assert pg.faces_at_vertex(v) == faces_at_vertex_scan(pg, v)
             assert corners == tuple(f.index for f in faces_at_vertex_scan(pg, v))
             repeats += len(set(corners)) < len(corners)
     assert repeats > 0

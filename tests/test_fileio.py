@@ -107,6 +107,12 @@ BAD_COVERS = {
         json.dumps({"format": "dpcolor-cover/1", "n": 2, "edges": [[0, 1]], "lists": [[1], [1]]}),
         "missing key 'matchings'",
     ),
+    "one-list-for-two-vertices": (k2_cover_text([[1, 2]], [[1, 2]]), "1 lists for 2 vertices"),
+    "no-matching-for-the-edge": (
+        json.dumps({"format": "dpcolor-cover/1", "n": 2, "edges": [[0, 1]],
+                    "lists": [[1], [1]], "matchings": []}),
+        "0 matchings for 1 edges",
+    ),
 }
 
 MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})

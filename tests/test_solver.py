@@ -245,6 +245,15 @@ def test_k1_dp_1_colorable():
     assert is_dp_colorable(build_graph(1, []), 1, 0).colorable
 
 
+@pytest.mark.parametrize(
+    "graph", [build_graph(3, [(0, 1), (1, 2), (2, 0)]), build_graph(0, [])], ids=["k3", "empty"]
+)
+def test_negative_list_size_is_rejected(graph):
+    # k < 0 is no list size, even where no vertex would hold a list
+    with pytest.raises(EmptyListError, match="list size -1 is negative"):
+        is_dp_colorable(graph, -1, 0)
+
+
 def test_dp_chromatic_values():
     assert dp_chromatic(build_graph(1, [])) == 1
     assert dp_chromatic(c4()) == 3

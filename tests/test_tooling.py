@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import covers, discharging, embedding, generate, graphs, solver
+from dpcolor import covers, embedding, fileio, generate, graphs, solver
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -167,25 +167,28 @@ def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
     assert [indent for indent in indents if indent is not None] == []
 
 
-def test_audit_reads_each_vertex_and_element_once(monkeypatch):
-    # the audit reads the corner faces from one cached tuple per vertex and
-    # every element's totals from one tally of the log; a second read of a
-    # vertex's faces or of an element's transfers shows up here
+def test_writers_shift_each_transfer_once_and_no_trace_step(monkeypatch):
+    # the audit renders each transfer once and shifts that text once to the
+    # depth of the entries' lists; trace steps are written at their final
+    # depth, with no shift at all
     pg = generate.generate_plane_no46(150, 11)
-    calls = Counter()
-    for cls, name in ((embedding.PlaneGraph, "faces_at_vertex"),
-                      (discharging.ChargeLedger, "transfers_in"),
-                      (discharging.ChargeLedger, "transfers_out")):
-        fn = getattr(cls, name)
-
-        def call(self, key, _fn=fn, _name=name):
-            calls[_name, key] += 1
-            return _fn(self, key)
-
-        monkeypatch.setattr(cls, name, call)
     ledger = apply_rules(pg)
-    assert audit_to_json_text(audit_cases(pg, ledger), ledger)
-    assert calls and max(calls.values()) == 1
+    report = audit_cases(pg, ledger)
+    cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
+    trace = color_planar_no46(pg, cover).trace
+    calls = Counter()
+    for name in ("_transfer_json", "_indent"):
+        fn = getattr(fileio, name)
+
+        def call(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fileio, name, call)
+    assert trace and trace_to_text(trace)
+    assert calls == {}
+    assert ledger.transfers and audit_to_json_text(report, ledger)
+    assert calls == {"_transfer_json": len(ledger.transfers), "_indent": len(ledger.transfers)}
 
 
 def test_library_passes_no_indent_to_json_dumps():
