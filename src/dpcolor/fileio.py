@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str  # how json.dumps writes a str
 
 from .covers import Cover, validate_cover
@@ -80,11 +81,39 @@ def _int_row(row, where: str, size: int | None = None) -> tuple[int, ...]:
     return tuple(row)
 
 
+def _are_int_rows(rows: list, size: int | None) -> bool:
+    """Whether every row is a list of integers, of length ``size`` if given:
+    what ``_int_row`` checks, for all rows in one pass."""
+    return (
+        {list}.issuperset(map(type, rows))
+        and {int}.issuperset(map(type, chain.from_iterable(rows)))
+        and (size is None or {size}.issuperset(map(len, rows)))
+    )
+
+
 def _int_rows(rows, where: str, size: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """``rows`` as tuples of integers, each of length ``size`` if given."""
+    """``rows`` as tuples of integers, each of length ``size`` if given.
+
+    All rows are checked in one pass; only when one fails are they checked
+    one by one, so that the error names the first bad row.
+    """
     if type(rows) is not list:
         raise FileFormatError(f"{where}: expected a list, got {rows!r}")
+    if _are_int_rows(rows, size):
+        return tuple(map(tuple, rows))
     return tuple(_int_row(row, f"{where}[{i}]", size) for i, row in enumerate(rows))
+
+
+def _int_tables(tables, where: str, size: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``tables`` as a tuple of ``_int_rows``, the ``i``-th named
+    ``where[i]``; the rows of all tables are checked in one pass first."""
+    if type(tables) is not list:
+        raise FileFormatError(f"{where}: expected a list, got {tables!r}")
+    if {list}.issuperset(map(type, tables)) and _are_int_rows(
+        list(chain.from_iterable(tables)), size
+    ):
+        return tuple(tuple(map(tuple, table)) for table in tables)
+    return tuple(_int_rows(table, f"{where}[{i}]", size) for i, table in enumerate(tables))
 
 
 # --- graphs as edge-list text ----------------------------------------------
@@ -164,9 +193,7 @@ def cover_from_text(text: str) -> Cover:
     if graph.edges != edges:
         raise FileFormatError("edges are not in canonical sorted order")
     lists = _int_rows(obj["lists"], "lists")
-    if not isinstance(obj["matchings"], list):
-        raise FileFormatError(f"matchings: expected a list, got {obj['matchings']!r}")
-    matchings = tuple(_int_rows(m, f"matchings[{i}]", 2) for i, m in enumerate(obj["matchings"]))
+    matchings = _int_tables(obj["matchings"], "matchings", 2)
     cover = Cover(graph=graph, lists=lists, matchings=matchings)
     violation = validate_cover(cover)
     if violation is not None:

@@ -3,18 +3,20 @@
 A representative set picks one color from each vertex's list; its
 impropriety at a vertex is the number of incident edges whose matching
 joins the two chosen colors.  ``find_rep_set`` is a complete search by
-forward checking with conflict-directed backjumping (FC-CBJ), where one
-scan per (vertex, color) decides the color and names its blame, and
-wipe-outs take their blame from that same pass; it finds the set that
-chronological backtracking in the same order finds first, from no more
-nodes.  ``brute_force_rep_set`` enumerates all total assignments as an
-independent oracle.  All-cover questions (``is_dp_colorable``,
-``dp_chromatic``) quantify over perfect-matching covers of the canonical
-1..k lists.  Only the covers whose spanning-forest matchings are pinned to
-the identity need checking, because fibers can be renamed along the
-forest; these fall into orbits under renaming every fiber by one
-permutation, and ``find_rep_set`` runs once per orbit, on its least
-member.  The budget of an all-covers question counts those searches.
+forward checking with conflict-directed backjumping (FC-CBJ) that keeps
+what each assignment rules out: per (vertex, color), the list of assigned
+neighbors that hit the color, and per vertex a count of its struck
+colors, so only a color something hits is scanned for its verdict and
+blame; it finds the set that chronological backtracking in the same
+order finds first, from no more nodes.  ``brute_force_rep_set``
+enumerates all total assignments as an independent oracle.  All-cover
+questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
+perfect-matching covers of the canonical 1..k lists.  Only the covers
+whose spanning-forest matchings are pinned to the identity need
+checking, because fibers can be renamed along the forest; these fall
+into orbits under renaming every fiber by one permutation, and
+``find_rep_set`` runs once per orbit, on its least member.  The budget of
+an all-covers question counts those searches.
 """
 
 from __future__ import annotations
@@ -82,27 +84,32 @@ def find_rep_set(
 ) -> RepSet | None:
     """A representative set with impropriety at most ``d``, or ``None``.
 
-    Complete: ``None`` is returned only when no such set exists.  The search
-    is forward checking with conflict-directed backjumping (FC-CBJ; Prosser,
+    Complete: ``None`` is returned only when no such set exists.  The search is
+    forward checking with conflict-directed backjumping (FC-CBJ; Prosser,
     Computational Intelligence 9(3), 1993).  Vertices are assigned in
     descending-degree order, ties by index; candidate colors are tried by
     ascending conflict count against the current partial assignment, ties by
-    color.  One scan of the assigned neighbors per (vertex, color) decides the
-    color and, when it refuses it, names the positions to blame: the ``d + 1``
-    neighbors it meets, or one neighbor it meets that already has ``d``
-    conflicts, with that neighbor's mates.  A branch dies when the vertex just
-    colored leaves an unassigned neighbor with every color refused.  Each
-    position gathers the blame for the colors its vertex was refused and, less
-    itself, for the wipe-outs its own colors caused, from the forward check's
-    same scans.  When its candidates run out, the search jumps back to the
-    latest of those positions and hands it the rest; with none, there is no
-    set.  The skipped subtrees hold no solution and the orders are kept, so
-    the first set found is the one chronological backtracking finds, from no
-    more nodes.  Per-position iterators over the untried colors replace a call
-    stack as deep as the graph.  ``budget`` caps search-tree nodes, counted as
-    they are created, and raises rather than hang; it can only trip later than
-    under chronological backtracking.  Raises ``NegativeImproprietyError`` for
-    ``d < 0``.
+    color.  Conflicts are kept, not recomputed (Haralick and Elliott,
+    Artificial Intelligence 14, 1980): an assignment joins the hit list of the
+    matched color at each later neighbor, and taking it back, always last in
+    first out, leaves them again, while each vertex counts its struck colors,
+    those with a non-empty hit list.  A color no one hits is viable with no
+    conflict.  A hit one is decided by one walk of its hitters in vertex order,
+    which, when it refuses the color, names the positions to blame: the
+    ``d + 1`` hitters it meets, or one hitter that already has ``d`` conflicts,
+    with that hitter's mates.  A branch dies when the vertex just colored
+    leaves a later neighbor with every color refused; only a neighbor with
+    every color struck needs that walk.  Each position gathers the blame for
+    the colors its vertex was refused and, less itself, for the wipe-outs its
+    own colors caused, from the forward check's same walks.  When its
+    candidates run out, the search jumps back to the latest of those positions
+    and hands it the rest; with none, there is no set.  The skipped subtrees
+    hold no solution and the orders are kept, so the first set found is the one
+    chronological backtracking finds, from no more nodes.  Per-position
+    iterators over the untried colors replace a call stack as deep as the
+    graph.  ``budget`` caps search-tree nodes, counted as they are created, and
+    raises rather than hang; it can only trip later than under chronological
+    backtracking.  Raises ``NegativeImproprietyError`` for ``d < 0``.
     """
     _check_search(cover, d)
     g = cover.graph
@@ -117,28 +124,39 @@ def find_rep_set(
     # mates[v]: the positions of the assigned neighbors v conflicts with, as
     # bits, so that v's conflict count is mates[v].bit_count()
     mates = [0] * g.n
+    # hits[v][c]: the assigned neighbors whose color is matched to color c
+    # of v, in the order they were assigned; struck[v]: how many of v's
+    # distinct[v] colors have a non-empty hit list.  Matchings are read as
+    # injective, as validate_cover checks, so each list is filled from the
+    # assigned side.
+    hits = [{c: [] for c in colors} for colors in cover.lists]
+    distinct = [len(hit_by) for hit_by in hits]
+    struck = [0] * g.n
     nodes = 0
 
     def conflicts(v: int, c: int) -> list[int] | int:
-        """The assigned neighbors color ``c`` of ``v`` conflicts with, for a
-        viable color; for a refused one, the positions to blame, as bits:
-        a neighbor already at ``d`` conflicts with its mates, or the
-        ``d + 1`` neighbors ``c`` meets."""
-        hit = []
-        for u, pairing in partners[v].items():
-            if chosen[u] is not None and pairing.get(c) == chosen[u]:
-                if mates[u].bit_count() >= d:
-                    return place[u] | mates[u]
-                hit.append(u)
-                if len(hit) > d:
-                    return sum(place[x] for x in hit)
-        return hit
+        """For a color ``c`` of ``v`` that something hits: its hitters, for
+        a viable color; for a refused one, the positions to blame, as bits:
+        a hitter already at ``d`` conflicts with its mates, or the ``d + 1``
+        hitters ``c`` meets.  Hitters are met in ascending vertex id, the
+        order of ``partners[v]``, as a scan of the neighbors meets them."""
+        met = hits[v][c]
+        if len(met) > 1:
+            met = sorted(met)
+        for i, u in enumerate(met):
+            if mates[u].bit_count() >= d:
+                return place[u] | mates[u]
+            if i == d:
+                return sum(place[x] for x in met[: d + 1])
+        return list(met)
 
-    # the untried candidates and the conflict set of each position so far,
-    # and the conflicts of the color each assigned position holds
+    # the untried candidates and the conflict set of each position so far;
+    # per assigned position, the conflicts of the color it holds and the
+    # hit lists its color joined, with their vertices
     pending = []
     blame: list[int] = []
     held: list[list[int]] = []
+    joined: list[list[tuple[int, list[int]]]] = []
 
     def open_node() -> None:
         """A new search node at the next position: its viable colors, fewest
@@ -148,21 +166,26 @@ def find_rep_set(
         if nodes > budget:
             raise BudgetExceededError(f"search exceeded {budget} nodes")
         v = order[len(pending)]
+        hit_by = hits[v]
         found = []
         refused = 0
         for c in cover.lists[v]:
-            hit = conflicts(v, c)
+            hit: list[int] | int = conflicts(v, c) if hit_by[c] else []
             if isinstance(hit, int):
                 refused |= hit
             else:
                 found.append((len(hit), c, hit))
-        found.sort(key=lambda entry: entry[:2])
+        found.sort()
         pending.append(iter(found))
         blame.append(refused)
 
     def take_back() -> None:
         """Unassign the latest assigned position."""
         v = order[len(held) - 1]
+        for w, listed in joined.pop():
+            listed.pop()
+            if not listed:
+                struck[w] -= 1
         for u in held.pop():
             mates[u] ^= place[v]
         chosen[v] = None
@@ -194,10 +217,22 @@ def find_rep_set(
             mates[v] |= place[u]
         chosen[v] = c
         held.append(hit)
-        # forward check: every later neighbor must keep a viable color; the
-        # positions up to this one are all assigned and no later one is
-        for w in partners[v]:
-            if chosen[w] is None:
+        marks: list[tuple[int, list[int]]] = []
+        joined.append(marks)
+        # forward check: v joins the hit list of the color matched to c at
+        # each later neighbor, and a neighbor with every color struck must
+        # keep one viable; the positions up to this one are all assigned and
+        # no later one is
+        for w, pairing in partners[v].items():
+            if chosen[w] is not None:
+                continue
+            listed = hits[w].get(pairing.get(c))  # type: ignore[arg-type]
+            if listed is not None:
+                if not listed:
+                    struck[w] += 1
+                listed.append(v)
+                marks.append((w, listed))
+            if struck[w] == distinct[w]:
                 reasons = 0
                 for cw in cover.lists[w]:
                     met = conflicts(w, cw)

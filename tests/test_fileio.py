@@ -113,6 +113,28 @@ BAD_COVERS = {
                     "lists": [[1], [1]], "matchings": []}),
         "0 matchings for 1 edges",
     ),
+    "bool-in-a-pair": (
+        k2_cover_text([[1, 2], [1, 2]], [[True, 2]]),
+        r"matchings\[0\]\[0\]: expected 2 integers, got \[True, 2\]",
+    ),
+    "pair-not-a-list": (
+        k2_cover_text([[1, 2], [1, 2]], [{"1": 2}]),
+        r"matchings\[0\]\[0\]: expected 2 integers, got \{'1': 2\}",
+    ),
+    "bool-in-an-edge": (
+        json.dumps({"format": "dpcolor-cover/1", "n": 2, "edges": [[0, True]],
+                    "lists": [[1], [1]], "matchings": [[]]}),
+        r"edges\[0\]: expected 2 integers, got \[0, True\]",
+    ),
+    "bad-pair-after-good-ones": (
+        k2_cover_text([[1, 2, 3], [1, 2, 3]], [[1, 1], [2.0, 2], [True, 3]]),
+        r"matchings\[0\]\[1\]: expected 2 integers, got \[2\.0, 2\]",
+    ),
+    "matching-not-a-list-after-a-good-one": (
+        json.dumps({"format": "dpcolor-cover/1", "n": 3, "edges": [[0, 1], [1, 2]],
+                    "lists": [[1], [1], [1]], "matchings": [[[1, 1]], 5]}),
+        r"matchings\[1\]: expected a list, got 5",
+    ),
 }
 
 MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})

@@ -14,6 +14,7 @@ from dpcolor.covers import (
     least_perfect_covers,
     random_cover,
     uniform_assignment,
+    validate_cover,
 )
 from dpcolor.errors import (
     BudgetExceededError,
@@ -201,6 +202,77 @@ def test_backjumping_search_tree_is_pinned():
     covers = list(_equivalence_covers())
     totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers) for d in (0, 1, 2)]
     assert totals == [2232, 2596, 2144]
+
+
+def _triangulated_grid(rows, cols):
+    """The rows x cols grid with one diagonal in each square."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+                if j + 1 < cols:
+                    edges.append((v, v + cols + 1))
+    return build_graph(rows * cols, edges)
+
+
+def _grid_covers():
+    """Seeded perfect covers of 3-lists on triangulated grids, 5x5 to 7x7,
+    four per shape; at d = 0 two of them have no representative set."""
+    rng = random.Random(19)
+    for rows, cols in ((5, 5), (5, 7), (6, 6), (7, 7)):
+        g = _triangulated_grid(rows, cols)
+        for _ in range(4):
+            yield random_cover(g, uniform_assignment(g.n, 3), rng.randrange(2**20), perfect=True)
+
+
+def test_grid_search_trees_are_pinned():
+    # the shape the exhaustive searches of the benchmark run on: answers as
+    # chronological search, and the node totals per d pin the tree
+    covers = list(_grid_covers())
+    for cover in covers:
+        for d in (0, 1):
+            assert find_rep_set(cover, d) == chronological_rep_set(cover, d), (cover, d)
+    totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers) for d in (0, 1)]
+    assert totals == [2375, 583]
+
+
+def _unvalidated_covers():
+    """Covers that ``validate_cover`` refuses and the solvers take as they
+    are: lists that repeat a color, then matchings that name colors outside
+    a list, on seeded G(n, p) graphs."""
+    rng = random.Random(20)
+    graphs = []
+    for n in (8, 10, 12):
+        for p in (0.5, 0.7):
+            graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for g in graphs:
+        cover = random_cover(g, uniform_assignment(g.n, 3), rng.randrange(2**20), perfect=True)
+        repeated = tuple(tuple(sorted(colors + (rng.choice(colors),))) for colors in cover.lists)
+        yield Cover(graph=g, lists=repeated, matchings=cover.matchings)
+        mixed = tuple(tuple(sorted(rng.choices(range(1, 4), k=3))) for _ in range(g.n))
+        yield diagonal_cover(g, mixed)
+    for g in graphs:
+        cover = random_cover(g, uniform_assignment(g.n, 3), rng.randrange(2**20), perfect=True)
+        cut = tuple(colors[: rng.randint(2, 3)] for colors in cover.lists)
+        yield Cover(graph=g, lists=cut, matchings=cover.matchings)
+
+
+def test_unvalidated_covers_search_as_before():
+    # a repeated color is tried once per copy, and a matched color outside
+    # a list is never a conflict: as under chronological search, with the
+    # node totals per d pinned
+    covers = list(_unvalidated_covers())
+    for cover in covers:
+        assert validate_cover(cover).clause == "fibers"
+        for d in (0, 1, 2):
+            assert find_rep_set(cover, d) == chronological_rep_set(cover, d), (cover, d)
+            assert _nodes(find_rep_set, cover, d) <= _nodes(chronological_rep_set, cover, d)
+    totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers) for d in (0, 1, 2)]
+    assert totals == [225, 536, 225]
 
 
 def test_dead_end_jumps_past_unrelated_positions():
