@@ -15,10 +15,13 @@ and without relabelled subgraphs.  Pass 1 computes the excision order
 once over a mutable degree array, the smallest-last idea of Matula and
 Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates of
 each kind, and every step takes the remainder's first configuration by
-kind priority; ``find_reducible_config`` is the order's first step.
-Pass 2 colors the steps in reverse order through residual lists: a
-color of an excised vertex survives only if no already-colored
-neighbor's choice (the neighbors excised later) is matched to it.
+kind priority.  The order is yielded as plain ``(kind, vertices)``
+pairs; ``find_reducible_config`` wraps the first in a
+``ReducibleConfig``.  Pass 2 colors the steps in reverse order through
+residual lists: a color of an excised vertex survives only if no
+already-colored neighbor's choice (the neighbors excised later) is
+matched to it, and one loop over the vertex's neighbors strikes the
+rest.
 Surviving choices can then never conflict across the frontier.  The
 list-size floors (1, 1+1, and 2 for the center plus 1 per leaf) follow
 from each configuration's outside-neighbor counts, and every
@@ -33,9 +36,9 @@ import enum
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from .covers import Cover, Lists, enumerate_covers, partial_matchings, validate_cover
+from .covers import Cover, enumerate_covers, partial_matchings, validate_cover
 from .embedding import PlaneGraph
 from .errors import (
     ContractViolationError,
@@ -100,8 +103,9 @@ def _pop_valid(heap: list, valid: Callable) -> object | None:
     return None
 
 
-def _excision_order(graph: Graph) -> Iterator[ReducibleConfig]:
-    """Pass 1: the configurations to excise, first to last, yielded lazily.
+def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]]:
+    """Pass 1: the configurations to excise, first to last, yielded lazily
+    as ``(kind, vertices)`` pairs.
 
     Each step takes the first configuration of the remainder by kind
     priority, then vertex order: a low vertex, then adjacent threes in
@@ -131,9 +135,6 @@ def _excision_order(graph: Graph) -> Iterator[ReducibleConfig]:
                     return tuple(found)
         return None
 
-    def is_low(v: int) -> bool:
-        return deg[v] != _GONE
-
     def is_pair(edge: tuple[int, int]) -> bool:
         return deg[edge[0]] == deg[edge[1]] == 3
 
@@ -142,40 +143,46 @@ def _excision_order(graph: Graph) -> Iterator[ReducibleConfig]:
 
     remaining = graph.n
     while remaining:
-        if (v := _pop_valid(low, is_low)) is not None:
-            config = ReducibleConfig(ConfigKind.LOW_VERTEX, (v,))
-        elif (edge := _pop_valid(pairs, is_pair)) is not None:
-            config = ReducibleConfig(ConfigKind.ADJACENT_THREES, edge)
-        elif (v := _pop_valid(fours, is_center)) is not None:
-            found = leaves(v)
-            if any(graph.has_edge(a, b) for a in found for b in found if a < b):
-                raise InternalInvariantError(f"leaves {found} of 4-vertex {v} are adjacent")
-            config = ReducibleConfig(ConfigKind.FOUR_THREE_THREES, (v,) + found)
+        while low:  # the most common kind, popped inline
+            v = heappop(low)
+            if deg[v] != _GONE:
+                kind, vs = ConfigKind.LOW_VERTEX, (v,)
+                break
         else:
-            names = tuple(v for v in range(graph.n) if deg[v] != _GONE)
-            raise TheoremViolationError(
-                "no reducible configuration in a nonempty graph "
-                f"on host vertices {names}",
-                graph=graph,
-            )
-        yield config
-        remaining -= len(config.vertices)
-        for x in config.vertices:
+            if (edge := _pop_valid(pairs, is_pair)) is not None:
+                kind, vs = ConfigKind.ADJACENT_THREES, edge
+            elif (v := _pop_valid(fours, is_center)) is not None:
+                found = leaves(v)
+                if any(graph.has_edge(a, b) for a in found for b in found if a < b):
+                    raise InternalInvariantError(f"leaves {found} of 4-vertex {v} are adjacent")
+                kind, vs = ConfigKind.FOUR_THREE_THREES, (v,) + found
+            else:
+                names = tuple(v for v in range(graph.n) if deg[v] != _GONE)
+                raise TheoremViolationError(
+                    "no reducible configuration in a nonempty graph "
+                    f"on host vertices {names}",
+                    graph=graph,
+                )
+        yield kind, vs
+        remaining -= len(vs)
+        for x in vs:
             deg[x] = _GONE
-        for x in config.vertices:
+        for x in vs:
             for u in adj[x]:
-                if deg[u] == _GONE:
+                d = deg[u]
+                if d == _GONE:
                     continue
-                deg[u] -= 1
-                if deg[u] == 2:
+                d -= 1
+                deg[u] = d
+                if d == 2:
                     heappush(low, u)
-                elif deg[u] == 3:
+                elif d == 3:
                     for w in adj[u]:
                         if deg[w] == 3:
                             heappush(pairs, (u, w) if u < w else (w, u))
                         elif deg[w] == 4:
                             heappush(fours, w)
-                elif deg[u] == 4:
+                elif d == 4:
                     heappush(fours, u)
 
 
@@ -184,22 +191,14 @@ def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
     kind priority, then vertex order.  ``None`` for an empty graph or one
     with no reducible configuration."""
     try:
-        return next(_excision_order(graph), None)
+        first = next(_excision_order(graph), None)
     except TheoremViolationError:
         return None
-
-
-def _residual_list(cover: Cover, x: int, color: list[int | None]) -> tuple[int, ...]:
-    """Colors of ``x`` not matched to the choice of a colored neighbor."""
-    partners = cover.partners
-    removed = {
-        partners[u][x].get(color[u]) for u in cover.graph.adjacency[x] if color[u] is not None
-    }
-    return tuple(c for c in cover.lists[x] if c not in removed)
+    return None if first is None else ReducibleConfig(*first)
 
 
 def _color_config(
-    cover: Cover, kind: ConfigKind, vs: tuple[int, ...], lists: Lists
+    cover: Cover, kind: ConfigKind, vs: tuple[int, ...], lists: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """The extension rule for the configuration on ``vs``, in its order.
 
@@ -295,23 +294,36 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
     if violation is not None:
         raise ContractViolationError(f"invalid cover ({violation.clause}): {violation.message}")
     order = list(_excision_order(cover.graph))
+    partners = cover.partners
+    adjacency = cover.graph.adjacency
+    cover_lists = cover.lists
     color: list[int | None] = [None] * cover.graph.n
     steps: list[TraceStep] = []
-    for config in reversed(order):
-        vs = config.vertices
-        lists = tuple(_residual_list(cover, x, color) for x in vs)
-        for x, colors in zip(vs, lists):
-            if not colors:
+    for kind, vs in reversed(order):
+        lists = []
+        for x in vs:
+            # strike each color of x matched to an already-colored neighbor's
+            # choice; a validated list holds each color once
+            residual = cover_lists[x]
+            for u in adjacency[x]:
+                c = color[u]
+                if c is not None:
+                    c = partners[u][x].get(c)
+                    if c in residual:
+                        i = residual.index(c)
+                        residual = residual[:i] + residual[i + 1:]
+            if not residual:
                 raise ContractViolationError(f"residual list of vertex {x} is empty")
-        chosen = _color_config(cover, config.kind, vs, lists)
+            lists.append(residual)
+        chosen = _color_config(cover, kind, vs, lists)
         for x, c in zip(vs, chosen):
             color[x] = c
         steps.append(
             TraceStep(
-                kind=config.kind,
+                kind=kind,
                 vertices=vs,
-                residual_sizes=tuple(len(colors) for colors in lists),
-                colors=tuple(color[x] for x in sorted(vs)),
+                residual_sizes=tuple(map(len, lists)),
+                colors=tuple(map(color.__getitem__, sorted(vs))),
             )
         )
     rep = tuple(color)

@@ -33,7 +33,7 @@ texts = st.text(max_size=12)
 def traces(draw, max_steps=6):
     steps = []
     for _ in range(draw(st.integers(min_value=0, max_value=max_steps))):
-        size = draw(st.integers(min_value=1, max_value=3))
+        size = draw(st.integers(min_value=0, max_value=3))  # 0: lists render as []
         ints = st.lists(st.integers(-5, 10**6), min_size=size, max_size=size)
         steps.append(
             TraceStep(

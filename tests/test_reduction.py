@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import product
@@ -22,12 +23,13 @@ from dpcolor.errors import (
     ListTooSmallError,
     TheoremViolationError,
 )
+from dpcolor.fileio import coloring_to_text, trace_to_text
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 from dpcolor.reduction import (
     ConfigKind,
+    TraceStep,
     _excision_order,
-    _residual_list,
     color_planar_no46,
     find_reducible_config,
     reduce_and_color,
@@ -45,34 +47,38 @@ FLOORS = {
 }
 
 
-def p3_cover():
-    g = build_graph(3, [(0, 1), (1, 2)])
-    return diagonal_cover(g, uniform_assignment(3, 3))
+def _first_step(cover):
+    """The trace step of the first excised vertex, which is colored last."""
+    return reduce_and_color(cover).trace[0]
 
+
+# In each cover below vertex 0 is excised first, so its residual list
+# meets the choices of all its neighbors.
 
 def test_residual_removes_matched_colors():
     # both colored neighbors of the middle vertex pin one color each
-    g = build_graph(3, [(0, 1), (1, 2)])
-    lists = ((1,), (1, 2, 3), (2,))
-    cover = diagonal_cover(g, lists)
-    assert _residual_list(cover, 1, [1, None, 2]) == (3,)
+    g = build_graph(3, [(0, 1), (0, 2)])
+    cover = diagonal_cover(g, ((1, 2, 3), (1,), (2,)))
+    assert _first_step(cover) == TraceStep(ConfigKind.LOW_VERTEX, (0,), (1,), (3,))
 
 
 def test_residual_keeps_everything_without_outside_neighbors():
-    g = build_graph(3, [(0, 1)])  # vertex 2 is isolated
+    g = build_graph(3, [(1, 2)])  # vertex 0 is isolated
     cover = diagonal_cover(g, uniform_assignment(3, 3))
-    assert _residual_list(cover, 2, [1, 2, None]) == (1, 2, 3)
+    assert _first_step(cover) == TraceStep(ConfigKind.LOW_VERTEX, (0,), (3,), (1,))
 
 
 def test_residual_ignores_unmatched_edges():
     g = build_graph(2, [(0, 1)])
-    cover = Cover(graph=g, lists=((1,), (1, 2, 3)), matchings=((),))
-    assert _residual_list(cover, 1, [1, None]) == (1, 2, 3)
+    cover = Cover(graph=g, lists=((1, 2, 3), (1,)), matchings=((),))
+    assert _first_step(cover) == TraceStep(ConfigKind.LOW_VERTEX, (0,), (3,), (1,))
 
 
 def test_residual_size_floor_on_path():
     # one color removed by two agreeing neighbors
-    assert _residual_list(p3_cover(), 1, [1, None, 1]) == (2, 3)
+    g = build_graph(3, [(0, 1), (0, 2)])
+    cover = diagonal_cover(g, uniform_assignment(3, 3))
+    assert _first_step(cover) == TraceStep(ConfigKind.LOW_VERTEX, (0,), (2,), (2,))
 
 
 def test_config_priority_on_bowtie():
@@ -318,7 +324,7 @@ def _check_order_against_oracle(graph):
         assert info.value.graph is graph
         return []
     order = list(_excision_order(graph))
-    assert [(config.kind, config.vertices) for config in order] == steps
+    assert order == steps
     return order
 
 
@@ -332,7 +338,7 @@ def test_excision_order_matches_oracle_on_min_degree_three_graphs():
     kinds = set()
     for seed in range(120):
         order = _check_order_against_oracle(_min_degree_three_graph(seed))
-        kinds |= {config.kind for config in order}
+        kinds |= {kind for kind, _ in order}
     assert kinds == set(ConfigKind)
 
 
@@ -354,13 +360,16 @@ REPUSH_CASES = [
 @pytest.mark.parametrize("n, edges", REPUSH_CASES)
 def test_excision_order_repushes_four_vertices(n, edges):
     order = _check_order_against_oracle(build_graph(n, edges))
-    assert ConfigKind.FOUR_THREE_THREES in {config.kind for config in order}
+    assert ConfigKind.FOUR_THREE_THREES in {kind for kind, _ in order}
 
 
 def test_final_check_catches_a_broken_extension(monkeypatch):
-    # with residual lists that ignore colored neighbors, every vertex of a
-    # star takes color 1 and the diagonal cover puts 3 conflicts on the center
-    monkeypatch.setattr(reduction, "_residual_list", lambda cover, x, color: cover.lists[x])
+    # with an extension that ignores the colored neighbors, every vertex of
+    # a star takes color 1 and the diagonal cover puts 3 conflicts on the center
+    def first_colors(cover, kind, vs, lists):
+        return tuple(cover.lists[x][0] for x in vs)
+
+    monkeypatch.setattr(reduction, "_color_config", first_colors)
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ContractViolationError, match="impropriety 3 at vertex 0"):
         reduce_and_color(diagonal_cover(star, uniform_assignment(4, 3)))
@@ -396,6 +405,38 @@ def test_no_depth_limit(build, size):
     result = color_planar_no46(pg, cover)
     assert len(result.trace) == pg.graph.n
     assert max_impropriety(cover, result.rep_set) <= 1
+
+
+# sha256 of the coloring document followed by the trace document, as
+# ``dpcolor theorem`` writes them, on planes the size of the benchmark's
+# larger rungs; the catalog-sized goldens are in ``data/pipeline_golden.json``.
+SCALE_PINS = {
+    ("path-1040", 1): "eee6f250642bcfb97dd63d6e4f23ea5d5fba90497b2befebec3d81cb582c9d34",
+    ("path-1040", 2): "42680715385a531aede7b3c35b6586c10f937d947d5844f12aae34567e6acc6b",
+    ("path-1040", 3): "43bdd5ba745efaade239a0629562a7592014b541e5a16f2931e0e8e70e985e07",
+    ("chain-801", 1): "c0046a19812f231032510f8be920c76a66e3f4139ee1547381ec94b990c9229a",
+    ("chain-801", 2): "5d72c85a3f6c963261da101cb3a72367d29f1ccec8d1af14367b4311311226d7",
+    ("chain-801", 3): "a124e8daf0e96402ee8e05002d14536efad837e38741bec761a1d1c37ed1ac00",
+    ("gen-800", 1): "f7c631f8cc38c1e244b4c2e188ce01cd676663e1ebc83b163932f89423a6cecd",
+    ("gen-800", 2): "ab0875564a2c284dcc29cc903268da72154b6c70f8a52e498ed7a0d3b214aadc",
+    ("gen-800", 3): "cd2abb993ec53f52bdc057a8e37fc482cebff5f12afe03d0553071906044e7a8",
+}
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("path-1040", lambda: _path_plane(1040)),
+     ("chain-801", lambda: _triangle_chain_plane(400)),
+     ("gen-800", lambda: generate_plane_no46(800, 800))],
+    ids=["path-1040", "chain-801", "gen-800"],
+)
+def test_theorem_outputs_are_pinned_at_benchmark_scale(name, build):
+    pg = build()
+    for seed in (1, 2, 3):
+        cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed, perfect=True)
+        result = color_planar_no46(pg, cover)
+        text = coloring_to_text(result.rep_set, result.impropriety) + trace_to_text(result.trace)
+        assert hashlib.sha256(text.encode()).hexdigest() == SCALE_PINS[name, seed], seed
 
 
 def test_pipeline_rejects_a_color_matched_twice():

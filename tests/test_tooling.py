@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import covers, embedding, fileio, generate, graphs, solver
+from dpcolor import covers, embedding, fileio, generate, graphs, reduction, solver
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -189,6 +189,33 @@ def test_writers_shift_each_transfer_once_and_no_trace_step(monkeypatch):
     assert calls == {}
     assert ledger.transfers and audit_to_json_text(report, ledger)
     assert calls == {"_transfer_json": len(ledger.transfers), "_indent": len(ledger.transfers)}
+
+
+def test_theorem_path_builds_no_per_step_objects(monkeypatch):
+    # pass 1 yields plain (kind, vertices) pairs and only
+    # find_reducible_config wraps one in a ReducibleConfig; the trace writer
+    # renders each step from its template, with no per-list helper call
+    pg = generate.generate_plane_no46(150, 11)
+    cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
+    calls = Counter()
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(reduction, "ReducibleConfig",
+                        counted(reduction.ReducibleConfig, "ReducibleConfig"))
+    trace = color_planar_no46(pg, cover).trace
+    assert calls == {}
+    assert reduction.find_reducible_config(pg.graph) is not None
+    assert calls == {"ReducibleConfig": 1}
+    calls.clear()
+    for name in ("_json_list", "_json_ints"):
+        monkeypatch.setattr(fileio, name, counted(getattr(fileio, name), name))
+    assert len(trace) > 1 and trace_to_text(trace)
+    assert calls == {"_json_list": 1}
 
 
 def test_library_passes_no_indent_to_json_dumps():
