@@ -1,6 +1,6 @@
-"""Graphs, fixed-length cycle queries, and face tracing.
+"""Graphs, the 4- and 6-cycle queries, and face tracing.
 
-Builds a few small graphs, asks which cycle lengths they contain, traces
+Builds a few small graphs, asks for their 4- and 6-cycles, traces
 the faces of their plane embeddings, and runs the structural checks that
 hold for embeddings without 4- or 6-cycles.
 """
@@ -9,16 +9,16 @@ from dpcolor import (
     build_graph,
     check_propositions,
     has_cycle_of_length,
-    list_cycles,
     load_catalog,
     trace_faces,
 )
+from dpcolor.graphs import smallest_forbidden_cycle
 
 # --- cycle queries ----------------------------------------------------------
 
 c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 print("C4 contains a 4-cycle:", has_cycle_of_length(c4, 4))
-print("C4 4-cycles:", list_cycles(c4, 4))
+print("C4 least forbidden cycle:", smallest_forbidden_cycle(c4.adjacency, c4.edges))
 
 petersen = build_graph(
     10,
@@ -27,7 +27,7 @@ petersen = build_graph(
     + [(i, i + 5) for i in range(5)],
 )
 print("\nPetersen graph: girth-5, so no 4-cycles:", not has_cycle_of_length(petersen, 4))
-print("but it has", len(list_cycles(petersen, 6)), "six-cycles")
+print("but it has six-cycles, the least:", smallest_forbidden_cycle(petersen.adjacency, petersen.edges))
 
 # --- face tracing from a rotation system -------------------------------------
 

@@ -12,7 +12,6 @@ from dpcolor import (
     dp_chromatic,
     find_rep_set,
     impropriety,
-    list_relaxed_colorable,
     uniform_assignment,
     validate_cover,
 )
@@ -41,7 +40,9 @@ print("allowing one conflict per vertex:", rep, "conflicts:", impropriety(twiste
 
 print("\nDP-chromatic number of C4:", dp_chromatic(c4), "(its chromatic number is 2)")
 
-# relaxed list coloring: K4 from {1,2} everywhere needs impropriety 1
+# relaxed list coloring on the diagonal cover: K4 from {1,2} everywhere
+# needs impropriety 1
 k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-print("\nK4 from 2-lists, no conflicts:", list_relaxed_colorable(k4, uniform_assignment(4, 2), 0))
-print("K4 from 2-lists, one conflict allowed:", list_relaxed_colorable(k4, uniform_assignment(4, 2), 1))
+k4_diagonal = diagonal_cover(k4, uniform_assignment(4, 2))
+print("\nK4 from 2-lists, no conflicts:", find_rep_set(k4_diagonal, 0))
+print("K4 from 2-lists, one conflict allowed:", find_rep_set(k4_diagonal, 1))

@@ -14,7 +14,6 @@ from .covers import (
     Cover,
     CoverViolation,
     diagonal_cover,
-    enumerate_perfect_covers,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -40,10 +39,8 @@ from .generate import generate_plane_no46
 from .graphs import (
     Graph,
     build_graph,
-    cycles_through_edge,
     has_cycle_of_length,
     is_connected,
-    list_cycles,
 )
 from .reduction import (
     ConfigKind,
@@ -61,7 +58,6 @@ from .solver import (
     find_rep_set,
     impropriety,
     is_dp_colorable,
-    list_relaxed_colorable,
     max_impropriety,
 )
 
@@ -85,10 +81,8 @@ __all__ = [
     "charge_str",
     "check_propositions",
     "color_planar_no46",
-    "cycles_through_edge",
     "diagonal_cover",
     "dp_chromatic",
-    "enumerate_perfect_covers",
     "find_reducible_config",
     "find_rep_set",
     "generate_plane_no46",
@@ -97,8 +91,6 @@ __all__ = [
     "initial_charges",
     "is_connected",
     "is_dp_colorable",
-    "list_cycles",
-    "list_relaxed_colorable",
     "load_catalog",
     "max_impropriety",
     "pendant_3faces",

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 when the queried property holds (or output was produced),
-1 when it fails (cycles found, instance uncolorable, audit violation),
+1 when it fails (instance uncolorable, audit violation),
 2 for input or usage errors.  A reader that closes stdout early
 (``dpcolor catalog | head -3``) ends the run with 0 and no message.
 ``solve -o`` writes a file only when a coloring exists, as ``colorable
@@ -32,7 +32,7 @@ from .fileio import (
     trace_to_text,
 )
 from .generate import generate_plane_no46
-from .graphs import has_forbidden_cycles, list_cycles
+from .graphs import has_forbidden_cycles
 from .reduction import ConfigKind, color_planar_no46, verify_config_reducible
 from .solver import brute_force_rep_set, find_rep_set, impropriety, is_dp_colorable
 
@@ -59,18 +59,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def cmd_cycles(args) -> int:
-    graph = _read_graph_any(args.graph)
-    found = False
-    for k in args.lengths:
-        cycles = list_cycles(graph, k)
-        print(f"cycles of length {k}: {len(cycles)}")
-        for cycle in cycles:
-            print("  " + "-".join(str(v) for v in cycle))
-        found = found or bool(cycles)
-    return 1 if found else 0
 
 
 def cmd_solve(args) -> int:
@@ -174,14 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="DP-coloring toolkit for plane graphs without 4- or 6-cycles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cycles", help="list cycles of the given lengths")
-    p.add_argument("graph", help="edge-list or plane-graph file")
-    p.add_argument(
-        "lengths", nargs="*", type=int, default=[4, 6],
-        help="cycle lengths to search (default: 4 6)",
-    )
-    p.set_defaults(func=cmd_cycles)
 
     p = sub.add_parser("solve", help="find a bounded-impropriety coloring of a cover")
     p.add_argument("cover", help="cover file")

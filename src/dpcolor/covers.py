@@ -18,11 +18,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, UnequalListsError
+from .errors import UnequalListsError
 from .graphs import Graph
 
 Lists = tuple[tuple[int, ...], ...]
@@ -178,47 +178,6 @@ def partial_matchings(left: tuple[int, ...], right: tuple[int, ...]) -> list[Mat
     )
 
 
-def enumerate_covers(
-    graph: Graph, lists: Lists, options: Sequence[Sequence[Matching]]
-) -> Iterator[Cover]:
-    """One cover per choice of a matching from ``options[i]`` for each edge ``i``.
-
-    Covers come in product order: the last edge's choice varies fastest.
-    """
-    for matchings in product(*options):
-        yield Cover(graph=graph, lists=lists, matchings=matchings)
-
-
-def enumerate_perfect_covers(
-    graph: Graph,
-    lists: Lists,
-    budget: int = DEFAULT_BUDGET,
-    free_edges: Iterable[int] | None = None,
-) -> Iterator[Cover]:
-    """Yield every perfect-matching cover exactly once, in a fixed order.
-
-    ``free_edges`` restricts enumeration to the given edge indices, pinning
-    all other edges to the identity-position bijection; by default all
-    edges are free.
-    The number of covers to be yielded is checked against ``budget`` first.
-    Pinning a spanning forest's edges is exact for all-covers questions;
-    ``least_perfect_covers`` goes further and yields one cover per orbit.
-    """
-    sizes = _perfect_sizes(graph, lists)
-    free = set(range(graph.m)) if free_edges is None else set(free_edges)
-    total = math.prod(math.factorial(size) for i, size in enumerate(sizes) if i in free)
-    if total > budget:
-        raise BudgetExceededError(f"{total} covers exceed budget {budget}")
-    options = [
-        [
-            tuple(sorted(zip(lists[u], image)))
-            for image in (permutations(lists[v]) if i in free else (lists[v],))
-        ]
-        for i, (u, v) in enumerate(graph.edges)
-    ]
-    yield from enumerate_covers(graph, lists, options)
-
-
 def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
     """``(p, image, centralizer order)`` for each conjugacy class of the
     permutations of ``range(k)``, in order of ``p``: the index of the
@@ -285,11 +244,14 @@ def least_perfect_covers(
 ) -> Iterator[tuple[Cover, int]]:
     """Yield ``(cover, orbit size)`` for the least cover of each renaming orbit.
 
-    The covers are those ``enumerate_perfect_covers`` yields for the lists
-    ``1..k`` and ``free_edges``.  Renaming every fiber's colors by one
-    permutation ``σ`` keeps each pinned identity matching and turns each
-    free matching ``π`` into ``σπσ⁻¹``; renamed covers answer every
-    coloring question alike, so one cover per orbit decides the orbit.
+    The covers are the perfect covers of the lists ``1..k`` whose edges
+    outside ``free_edges`` are pinned to the identity, in lexicographic
+    product order over the free edges' permutations (the order of the
+    reference enumerator in ``tests/oracles.py``).  Renaming every fiber's
+    colors by one permutation ``σ`` keeps each pinned identity matching
+    and turns each free matching ``π`` into ``σπσ⁻¹``; renamed covers
+    answer every coloring question alike, so one cover per orbit decides
+    the orbit.
     Orderly generation (Read 1978; McKay 1998) yields the least member of
     each orbit in product order, and only those: free matchings are chosen
     edge by edge while the ``σ`` that fix the choices so far are kept, and

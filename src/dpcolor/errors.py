@@ -30,7 +30,7 @@ class IndexOutOfRangeError(DpColorError):
 
 
 class BadLengthError(DpColorError):
-    """A cycle length below 3 was requested."""
+    """A cycle length other than 4 or 6 was requested."""
 
 
 # --- embeddings -----------------------------------------------------------

@@ -15,7 +15,7 @@ bridge and lies on no cycle).  Repair therefore searches the rotation
 lists only for the cycles through the watched edges that are still
 present (``graphs.smallest_forbidden_cycle``, one walk per edge that
 reports its 4- and 6-cycles together), and deletes one edge of the
-smallest, in ``list_cycles`` order: the 4-cycles first, then the 6-cycles.
+least such cycle: the least 4-cycle, else the least 6-cycle.
 An ear is watched through its first edge only: its new vertex has degree
 2, so every cycle through the second edge passes through the first, and
 deleting the first leaves the second a bridge.

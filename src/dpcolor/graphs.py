@@ -1,8 +1,10 @@
 """Simple undirected graphs on dense integer vertices.
 
 Vertices are the indices 0..n-1.  Edges are unordered pairs, stored sorted,
-and every derived structure (adjacency, cycle lists) iterates in
-a fixed sorted order so that solver traces and tests are reproducible.
+and adjacency rows are sorted, so that solver traces and tests are
+reproducible.  The theorem needs two cycle facts: whether a graph has a
+4- or 6-cycle (``has_cycle_of_length``) and the least such cycle through
+given edges (``smallest_forbidden_cycle``).
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ def is_connected(graph: Graph) -> bool:
 
 
 def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
-    """``path`` as ``list_cycles`` reports it: rotated to start at its
-    smallest vertex, in the direction whose second vertex is the smaller
-    neighbour of that start."""
+    """``path`` as ``smallest_forbidden_cycle`` returns it: rotated to start
+    at its smallest vertex, in the direction whose second vertex is the
+    smaller neighbour of that start."""
     i = path.index(min(path))
     cycle = path[i:] + path[:i]
     if cycle[1] > cycle[-1]:
@@ -115,7 +117,8 @@ def _close_paths(
     adjacency: Sequence[Sequence[int]], u: int, v: int, found: dict[int, list[tuple[int, ...]]]
 ) -> None:
     """Append to ``found[k]``, for each length ``k`` it has, the ``k``-cycles
-    through edge ``uv`` in ``list_cycles`` form, unsorted.
+    through edge ``uv`` in the form ``smallest_forbidden_cycle`` returns,
+    unsorted.
 
     Each cycle is a simple path from ``v`` back to ``u`` with ``k - 1``
     edges, closed by ``uv``.  One walk serves every length: it extends the
@@ -123,8 +126,7 @@ def _close_paths(
     of the keys.  The last vertex of a ``max(found)``-cycle is never walked
     to; it is read off as a neighbour of the vertex before it that also
     neighbours ``u``.  The walk keeps one iterator over the neighbours of
-    each path vertex, so a path may be as long as memory allows.  An
-    absent edge lies on no cycle.
+    each path vertex.  An absent edge lies on no cycle.
     """
     if v not in adjacency[u]:
         return
@@ -155,33 +157,17 @@ def _close_paths(
             on_path.remove(path.pop())
 
 
-def cycles_through_edge(
-    adjacency: Sequence[Sequence[int]], u: int, v: int, k: int
-) -> list[tuple[int, ...]]:
-    """The ``k``-cycles through edge ``uv``, as ``list_cycles`` lists them
-    (``list_cycles`` is built from this search).
-
-    ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
-    system serves).  Only the simple paths from ``v`` back to ``u`` with
-    ``k - 1`` edges are searched, so the cost depends on the degrees near
-    the edge, not on the size of the graph.  An absent edge lies on no
-    cycle.
-    """
-    if k < 3:
-        raise BadLengthError(f"cycle length {k} < 3")
-    found: dict[int, list[tuple[int, ...]]] = {k: []}
-    _close_paths(adjacency, u, v, found)
-    return sorted(found[k])
-
-
 def smallest_forbidden_cycle(
     adjacency: Sequence[Sequence[int]], edges: Iterable[Edge]
 ) -> tuple[int, ...] | None:
-    """The least 4-cycle, else the least 6-cycle, through any of ``edges``,
-    in ``list_cycles`` form and order; ``None`` when there is neither.
+    """The least 4-cycle, else the least 6-cycle, through any of ``edges``;
+    ``None`` when there is neither.
 
-    ``adjacency`` is as for ``cycles_through_edge``.  One walk per edge
-    finds its 4- and 6-cycles together.
+    A cycle reads from its smallest vertex toward the smaller of that
+    vertex's two cycle neighbours; cycles compare as tuples.
+    ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
+    system serves).  One walk per edge finds its 4- and 6-cycles together,
+    so the cost depends on the degrees near the edges, not on the graph.
     """
     found: dict[int, list[tuple[int, ...]]] = {4: [], 6: []}
     for u, v in edges:
@@ -190,25 +176,6 @@ def smallest_forbidden_cycle(
         if cycles:
             return min(cycles)
     return None
-
-
-def list_cycles(graph: Graph, k: int) -> list[tuple[int, ...]]:
-    """All cycles on exactly ``k`` distinct vertices, each listed once.
-
-    Cycles are vertex sequences starting at their smallest vertex, with the
-    lexicographically smaller of the two directions, and come in
-    lexicographic order.  Each is found through its first edge:
-    ``cycles_through_edge`` runs on every edge in sorted order and keeps
-    the cycles that start with that edge.  The cost is exponential in ``k``.
-    """
-    if k < 3:
-        raise BadLengthError(f"cycle length {k} < 3")
-    return [
-        cycle
-        for u, v in graph.edges
-        for cycle in cycles_through_edge(graph.adjacency, u, v, k)
-        if cycle[0] == u and cycle[1] == v
-    ]
 
 
 def _degree_ranks(adjacency: Sequence[Sequence[int]]) -> list[int]:
@@ -291,17 +258,14 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     plane graphs.  The 6-check costs
     that to find the length-2 paths below each vertex, plus the degrees of
     their distinct far ends, each at most the degree of the vertex: O(m)
-    when degrees are bounded and O(a(G) m^1.5) in the worst case.  Other
-    lengths search the paths through each edge with
-    ``cycles_through_edge``, exponential in ``k``.
+    when degrees are bounded and O(a(G) m^1.5) in the worst case.  Any
+    other ``k`` raises ``BadLengthError``.
     """
-    if k < 3:
-        raise BadLengthError(f"cycle length {k} < 3")
     if k == 4:
         return _has_4_cycle(graph.adjacency)
     if k == 6:
         return _has_6_cycle(graph.adjacency)
-    return any(cycles_through_edge(graph.adjacency, u, v, k) for u, v in graph.edges)
+    raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
 
 
 def has_forbidden_cycles(graph: Graph) -> bool:
@@ -310,6 +274,10 @@ def has_forbidden_cycles(graph: Graph) -> bool:
 
 
 def require_no_forbidden_cycles(graph: Graph) -> None:
-    """Raise ``ForbiddenCyclePresentError`` if the graph has a 4- or 6-cycle."""
+    """Raise ``ForbiddenCyclePresentError`` naming the graph's least 4-cycle,
+    else its least 6-cycle, if it has one."""
     if has_forbidden_cycles(graph):
-        raise ForbiddenCyclePresentError("graph contains a 4-cycle or 6-cycle")
+        cycle = smallest_forbidden_cycle(graph.adjacency, graph.edges)
+        raise ForbiddenCyclePresentError(
+            f"graph contains a {len(cycle)}-cycle: {'-'.join(map(str, cycle))}"
+        )

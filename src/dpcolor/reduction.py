@@ -36,9 +36,10 @@ import enum
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
-from .covers import Cover, enumerate_covers, partial_matchings, validate_cover
+from .covers import Cover, partial_matchings, validate_cover
 from .embedding import PlaneGraph
 from .errors import (
     ContractViolationError,
@@ -273,7 +274,8 @@ def verify_config_reducible(
     total = math.prod(map(len, options))
     verified = 0
     vs = tuple(range(shape.n))
-    for cover in enumerate_covers(shape, lists, options):
+    for matchings in product(*options):  # the last edge's choice varies fastest
+        cover = Cover(graph=shape, lists=lists, matchings=matchings)
         rep = _color_config(cover, kind, vs, lists)
         if max_impropriety(cover, rep) > 1:
             return ReducibilityReport(kind, total, verified, cover)

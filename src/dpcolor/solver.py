@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .covers import DEFAULT_BUDGET, Cover, diagonal_cover, least_perfect_covers
+from .covers import DEFAULT_BUDGET, Cover, least_perfect_covers
 from .errors import (
     BudgetExceededError,
     EmptyListError,
@@ -273,7 +273,8 @@ class Colorability:
 
     ``witness`` is a cover with no valid representative set when
     ``colorable`` is false: the first such cover with a spanning forest's
-    matchings pinned, in ``enumerate_perfect_covers`` order.
+    matchings pinned, in lexicographic product order over the free edges'
+    permutations (``tests/oracles.py`` enumerates them as a reference).
     ``covers_checked`` counts the pinned covers decided, which is the sum
     of the orbit sizes of the ``searches`` covers searched; a colorable
     answer decides all (k!)^(m-n+c) of them.
@@ -348,14 +349,3 @@ def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:
             return k
     raise InternalInvariantError("unreachable: max-degree+1 colors always suffice")
-
-
-def list_relaxed_colorable(
-    graph: Graph, lists, d: int, budget: int = DEFAULT_BUDGET
-) -> RepSet | None:
-    """A list coloring where each color class induces max degree <= d.
-
-    Solved as a representative-set search on the equal-color cover, whose
-    conflicts are exactly "same color on an edge".
-    """
-    return find_rep_set(diagonal_cover(graph, tuple(lists)), d, budget=budget)

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the package's algorithms: cycles are found by
-checking subsets against permutations, relaxed list colorings by
-enumerating raw color maps on the graph, pendant 3-faces by scanning
-every face per vertex, the faces at a vertex's corners by looking up
+checking subsets against permutations, perfect covers by one product over
+every edge's permutations, relaxed list colorings by enumerating raw
+color maps on the graph, pendant 3-faces by scanning every face per vertex, the faces at a vertex's corners by looking up
 each dart out of it, an element's transfers by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
 every face, partial matchings by filtering every set of color pairs,
@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpcolor.covers import DEFAULT_BUDGET, enumerate_perfect_covers, uniform_assignment
+from dpcolor.covers import DEFAULT_BUDGET, Cover, _perfect_sizes, uniform_assignment
 from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.errors import BudgetExceededError
 from dpcolor.graphs import build_graph
@@ -46,6 +46,32 @@ def subset_cycles(graph, k):
             if edges_ok:
                 found.add(seq)
     return sorted(found)
+
+
+def enumerate_perfect_covers(graph, lists, budget=DEFAULT_BUDGET, free_edges=None):
+    """Yield every perfect-matching cover exactly once, in product order:
+    the last edge's matching varies fastest, and each free edge's
+    permutations of ``lists[v]`` come in lexicographic order.
+
+    ``free_edges`` restricts enumeration to the given edge indices, pinning
+    all other edges to the identity-position bijection; by default all
+    edges are free.  The number of covers to be yielded is checked against
+    ``budget`` first.
+    """
+    sizes = _perfect_sizes(graph, lists)
+    free = set(range(graph.m)) if free_edges is None else set(free_edges)
+    total = math.prod(math.factorial(size) for i, size in enumerate(sizes) if i in free)
+    if total > budget:
+        raise BudgetExceededError(f"{total} covers exceed budget {budget}")
+    options = [
+        [
+            tuple(sorted(zip(lists[u], image)))
+            for image in (permutations(lists[v]) if i in free else (lists[v],))
+        ]
+        for i, (u, v) in enumerate(graph.edges)
+    ]
+    for matchings in product(*options):
+        yield Cover(graph=graph, lists=lists, matchings=matchings)
 
 
 def induced_subgraph(graph, vertices):

@@ -9,12 +9,7 @@ import time
 from itertools import combinations, permutations
 
 from dpcolor.catalog import load as load_catalog, no46_names
-from dpcolor.covers import (
-    diagonal_cover,
-    enumerate_perfect_covers,
-    random_cover,
-    uniform_assignment,
-)
+from dpcolor.covers import diagonal_cover, random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases, initial_charges
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph, has_forbidden_cycles
@@ -31,7 +26,7 @@ from dpcolor.solver import (
     max_impropriety,
 )
 
-from oracles import relaxed_list_colorable
+from oracles import enumerate_perfect_covers, relaxed_list_colorable
 
 
 def _report(number, name, outcome):

@@ -8,7 +8,6 @@ from dpcolor import covers as covers_module
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
-    enumerate_perfect_covers,
     partial_matchings,
     random_cover,
     uniform_assignment,
@@ -18,7 +17,7 @@ from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
-from oracles import class_leaders_scan, partial_matchings_scan
+from oracles import class_leaders_scan, enumerate_perfect_covers, partial_matchings_scan
 from strategies import covers
 
 

@@ -13,10 +13,9 @@ from dpcolor.errors import (
 )
 from dpcolor.graphs import (
     build_graph,
-    cycles_through_edge,
     has_cycle_of_length,
     is_connected,
-    list_cycles,
+    smallest_forbidden_cycle,
 )
 
 from oracles import subset_cycles
@@ -61,7 +60,7 @@ def test_out_of_range_rejected():
 def test_c4_has_4_cycle():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert has_cycle_of_length(c4, 4)
-    assert list_cycles(c4, 4) == [(0, 1, 2, 3)]
+    assert smallest_forbidden_cycle(c4.adjacency, c4.edges) == (0, 1, 2, 3)
 
 
 def test_k3_has_no_4_cycle():
@@ -70,32 +69,26 @@ def test_k3_has_no_4_cycle():
 
 
 def test_bad_length_rejected():
+    # only the two lengths the theorem forbids are searched
     k3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(BadLengthError):
-        has_cycle_of_length(k3, 2)
+    for k in (2, 3, 5, 7):
+        with pytest.raises(BadLengthError):
+            has_cycle_of_length(k3, k)
 
 
 def test_petersen_cycles_against_subset_oracle():
     petersen = build_graph(10, PETERSEN_EDGES)
-    for k in (4, 5, 6):
-        assert list_cycles(petersen, k) == subset_cycles(petersen, k)
     # expected values frozen from the subset/permutation oracle
-    assert not has_cycle_of_length(petersen, 4)
-    assert len(list_cycles(petersen, 5)) == 12
-    assert has_cycle_of_length(petersen, 6)
-    assert len(list_cycles(petersen, 6)) == 10
+    assert not has_cycle_of_length(petersen, 4) and subset_cycles(petersen, 4) == []
+    sixes = subset_cycles(petersen, 6)
+    assert has_cycle_of_length(petersen, 6) and len(sixes) == 10
+    assert smallest_forbidden_cycle(petersen.adjacency, petersen.edges) == sixes[0]
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs(max_n=8), st.integers(min_value=3, max_value=8))
-def test_list_cycles_matches_subset_oracle(g, k):
-    assert list_cycles(g, k) == subset_cycles(g, k)
-
-
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=8), st.integers(min_value=3, max_value=8))
+@given(graphs(max_n=8), st.sampled_from([4, 6]))
 def test_has_cycle_iff_list_nonempty(g, k):
-    assert has_cycle_of_length(g, k) == bool(list_cycles(g, k))
+    assert has_cycle_of_length(g, k) == bool(subset_cycles(g, k))
 
 
 def k2n(n):
@@ -132,7 +125,7 @@ def test_six_cycle_found_past_a_star_of_inner_paths():
     # the one 6-cycle shows only if endpoint 2 keeps three inner pairs
     g = build_graph(9, [(0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5),
                         (1, 6), (1, 7), (2, 5), (3, 5)])
-    assert list_cycles(g, 6) == [(0, 2, 5, 3, 1, 6)]
+    assert subset_cycles(g, 6) == [(0, 2, 5, 3, 1, 6)]
     assert has_cycle_of_length(g, 6)
 
 
@@ -140,17 +133,17 @@ def uses_edge(cycle, u, v) -> bool:
     return any({cycle[i], cycle[i - 1]} == {u, v} for i in range(len(cycle)))
 
 
-def assert_cycles_through_edges_match_filter(g, lengths=(4, 6), seed=0):
-    # list_cycles is built from cycles_through_edge, so the subset scan lists
-    # the expected cycles; any neighbour order must do, as in a rotation system
+def assert_cycles_through_edges_match_filter(g, seed=0):
+    # the walk through one edge must return the least 4-cycle, else 6-cycle,
+    # that the subset scan lists through it; any neighbour order must do, as
+    # in a rotation system, and either direction of the edge
     rng = random.Random(seed)
     shuffled = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
-    for k in lengths:
-        cycles = subset_cycles(g, k)
-        for u, v in g.edges:
-            expected = [c for c in cycles if uses_edge(c, u, v)]
-            assert cycles_through_edge(g.adjacency, u, v, k) == expected
-            assert cycles_through_edge(shuffled, v, u, k) == expected
+    cycles = subset_cycles(g, 4) + subset_cycles(g, 6)
+    for u, v in g.edges:
+        expected = next((c for c in cycles if uses_edge(c, u, v)), None)
+        assert smallest_forbidden_cycle(g.adjacency, [(u, v)]) == expected
+        assert smallest_forbidden_cycle(shuffled, [(v, u)]) == expected
 
 
 def random_graph(n, p, seed):
@@ -172,13 +165,13 @@ def test_build_graph_sorts_each_row_whatever_the_edge_order(data):
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=8))
-def test_cycles_through_edge_is_list_cycles_filtered_by_the_edge(g):
+def test_smallest_forbidden_cycle_through_an_edge_matches_the_subset_scan(g):
     assert_cycles_through_edges_match_filter(g)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_cycles_through_edge_on_seeded_random_graphs(seed):
-    assert_cycles_through_edges_match_filter(random_graph(11, 0.3, seed), (3, 4, 5, 6), seed)
+    assert_cycles_through_edges_match_filter(random_graph(11, 0.3, seed), seed)
 
 
 def test_cycles_through_edge_on_chosen_edges():
@@ -189,17 +182,13 @@ def test_cycles_through_edge_on_chosen_edges():
         (1, 4), (4, 5), (5, 6), (6, 7), (7, 0),
         (5, 8), (7, 9), (9, 10), (10, 11), (11, 9),
     ])
-    assert_cycles_through_edges_match_filter(g, range(3, 9))
+    assert_cycles_through_edges_match_filter(g)
     for u, v in ((0, 1), (1, 0)):
-        assert cycles_through_edge(g.adjacency, u, v, 4) == [(0, 1, 2, 3)]
-        assert cycles_through_edge(g.adjacency, u, v, 6) == [(0, 1, 4, 5, 6, 7)]
-    for k in range(3, 9):
-        assert cycles_through_edge(g.adjacency, 7, 9, k) == []
-        assert cycles_through_edge(g.adjacency, 8, 5, k) == []
-    assert cycles_through_edge(g.adjacency, 11, 10, 3) == [(9, 10, 11)]
-    assert cycles_through_edge(g.adjacency, 0, 2, 4) == []  # no such edge
-    with pytest.raises(BadLengthError):
-        cycles_through_edge(g.adjacency, 0, 1, 2)
+        assert smallest_forbidden_cycle(g.adjacency, [(u, v)]) == (0, 1, 2, 3)
+    assert smallest_forbidden_cycle(g.adjacency, [(4, 1)]) == (0, 1, 4, 5, 6, 7)
+    for edge in ((7, 9), (8, 5), (11, 10), (0, 2)):  # a bridge, a pendant, a triangle, no edge
+        assert smallest_forbidden_cycle(g.adjacency, [edge]) is None
+    assert smallest_forbidden_cycle(g.adjacency, g.edges) == (0, 1, 2, 3)
 
 
 def test_is_connected():

@@ -215,6 +215,16 @@ def test_pipeline_rejects_forbidden_cycles():
         color_planar_no46(pg, cover)
 
 
+def test_pipeline_names_the_forbidden_6_cycle():
+    # the hexagon 0-2-4-5-3-1, named from its least vertex toward the
+    # smaller of that vertex's two neighbours
+    pg = plane_from_rotations([[2, 1], [0, 3], [0, 4], [1, 5], [2, 5], [4, 3]])
+    cover = diagonal_cover(pg.graph, uniform_assignment(6, 3))
+    with pytest.raises(ForbiddenCyclePresentError) as exc:
+        color_planar_no46(pg, cover)
+    assert str(exc.value) == "graph contains a 6-cycle: 0-1-3-5-4-2"
+
+
 def test_pipeline_rejects_small_lists():
     pg = load_catalog("k3")
     cover = diagonal_cover(pg.graph, uniform_assignment(3, 2))

@@ -10,7 +10,6 @@ from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
-    enumerate_perfect_covers,
     least_perfect_covers,
     random_cover,
     uniform_assignment,
@@ -31,13 +30,13 @@ from dpcolor.solver import (
     find_rep_set,
     impropriety,
     is_dp_colorable,
-    list_relaxed_colorable,
     max_impropriety,
 )
 
 from oracles import (
     chronological_rep_set,
     dp_colorable_scan,
+    enumerate_perfect_covers,
     pinned_scan,
     relaxed_list_colorable,
     renaming_classes,
@@ -409,14 +408,15 @@ def test_search_budget_counts_searches():
 
 
 def test_list_relaxed_on_even_cycle():
-    coloring = list_relaxed_colorable(c4(), uniform_assignment(4, 2), 0)
+    coloring = find_rep_set(diagonal_cover(c4(), uniform_assignment(4, 2)), 0)
     assert coloring is not None
     assert coloring[0] != coloring[1] != coloring[2] != coloring[3] != coloring[0]
 
 
 def test_list_relaxed_on_k4_two_colors():
-    assert list_relaxed_colorable(k4(), uniform_assignment(4, 2), 1) is not None
-    assert list_relaxed_colorable(k4(), uniform_assignment(4, 2), 0) is None
+    cover = diagonal_cover(k4(), uniform_assignment(4, 2))
+    assert find_rep_set(cover, 1) is not None
+    assert find_rep_set(cover, 0) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -496,6 +496,6 @@ def test_diagonal_equivalence_with_direct_list_search():
         for k in (2, 3):
             for d in (0, 1):
                 lists = uniform_assignment(g.n, k)
-                ours = list_relaxed_colorable(g, lists, d)
+                ours = find_rep_set(diagonal_cover(g, lists), d)
                 ref = relaxed_list_colorable(g, lists, d)
                 assert (ours is None) == (ref is None)

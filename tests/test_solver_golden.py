@@ -14,8 +14,8 @@
 * ``reducible:<kind>:<sizes>``: the report of ``verify_config_reducible``
   above the floor sizes;
 * ``chromatic:<graph>``: ``dp_chromatic`` of small catalog graphs;
-* ``enumerate:<case>``: the matchings of every cover
-  ``enumerate_perfect_covers`` yields, in order, with and without
+* ``enumerate:<case>``: the matchings of every cover the reference
+  ``oracles.enumerate_perfect_covers`` yields, in order, with and without
   ``free_edges``, or the error it raises.
 
 Regenerate with ``PYTHONPATH=src python tests/test_solver_golden.py``;
@@ -32,12 +32,14 @@ from pathlib import Path
 
 from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.cli import main
-from dpcolor.covers import enumerate_perfect_covers, random_cover, uniform_assignment
+from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.errors import DpColorError
 from dpcolor.fileio import cover_to_text
 from dpcolor.graphs import build_graph
 from dpcolor.reduction import ConfigKind, verify_config_reducible
 from dpcolor.solver import dp_chromatic
+
+from oracles import enumerate_perfect_covers
 
 GOLDEN = Path(__file__).parent / "data" / "solver_golden.json"
 GOLDEN_FORMAT = "dpcolor-solver-golden/1"

@@ -1,6 +1,7 @@
 """Checks on the library's source itself, on the calls its generator makes,
 and that every demo runs."""
 
+import argparse
 import ast
 import json
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import covers, embedding, fileio, generate, graphs, reduction, solver
+from dpcolor import cli, embedding, fileio, generate, graphs, reduction
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -77,7 +78,7 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    watched = ["graphs.list_cycles", "graphs.has_forbidden_cycles", "graphs.has_cycle_of_length",
+    watched = ["graphs.has_forbidden_cycles", "graphs.has_cycle_of_length",
                "graphs.build_graph", "embedding.graph_from_rotations"]
     by_id = {id(getattr(sys.modules[f"dpcolor.{layer}"], attr)): f"{layer}.{attr}"
              for layer, attr in (name.split(".") for name in watched)}
@@ -99,7 +100,7 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
     assert generate.generate_plane_no46(200, 200).graph.n == 200
     assert counts["graphs.has_forbidden_cycles"] == 1
     assert counts["graphs.has_cycle_of_length"] <= 2
-    assert not [name for name in counts if "list_cycles" in name or name.endswith("in repair")]
+    assert not [name for name in counts if name.endswith("in repair")]
 
 
 def test_generator_builds_one_plane_graph_per_attempt(monkeypatch):
@@ -235,17 +236,16 @@ def test_library_passes_no_indent_to_json_dumps():
 
 
 def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
-    # the 4- and 6-checks go by degree order; the search over paths through
-    # each edge is left to list_cycles and other lengths
+    # the 4- and 6-checks go by degree order; the walk over paths through
+    # an edge is left to the generator's repair and to naming a cycle found
     pg = generate.generate_plane_no46(150, 11)
     graph = graphs.build_graph(pg.graph.n, pg.graph.edges)  # the check is cached per Graph
     searched = []
 
-    def search(adjacency, u, v, k):
-        searched.append((u, v, k))
-        return []
+    def search(adjacency, u, v, found):
+        searched.append((u, v))
 
-    monkeypatch.setattr(graphs, "cycles_through_edge", search)
+    monkeypatch.setattr(graphs, "_close_paths", search)
     assert not graphs.has_forbidden_cycles(graph)
     assert searched == []
 
@@ -289,23 +289,6 @@ def test_library_has_no_dead_helpers():
     assert [f"{file}: {name}" for file, name in sorted(helpers) if name not in named] == []
 
 
-def test_all_covers_search_enumerates_no_pinned_covers(monkeypatch):
-    # the search generates one cover per renaming orbit; a loop over every
-    # pinned cover from enumerate_perfect_covers shows up here
-    calls = []
-    enumerate_perfect_covers = covers.enumerate_perfect_covers
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_perfect_covers(*args, **kwargs)
-
-    monkeypatch.setattr(covers, "enumerate_perfect_covers", counted)
-    monkeypatch.setattr(solver, "enumerate_perfect_covers", counted, raising=False)
-    assert solver.dp_chromatic(graphs.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])) == 3
-    assert solver.is_dp_colorable(graphs.build_graph(3, [(0, 1), (1, 2), (0, 2)]), 2, 0).witness
-    assert calls == []
-
-
 def test_every_error_class_is_raised():
     # an error class nothing raises is dead weight in the exit-code contract
     errors = ast.parse((PACKAGE / "errors.py").read_text())
@@ -330,6 +313,17 @@ def test_public_names_are_exactly_the_package_imports():
     assert set(dpcolor.__all__) <= namespace.keys()
     assert dpcolor.__all__ == sorted(dpcolor.__all__)
     assert set(dpcolor.__all__) == imported
+
+
+def test_readme_command_line_block_lists_exactly_the_subcommands():
+    # a subcommand added or removed without its line in the README's
+    # "Command line" block leaves the README stale
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("dpcolor ")}
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
