@@ -19,7 +19,7 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from .covers import DEFAULT_BUDGET, uniform_assignment, random_cover
 from .discharging import apply_rules, audit_cases, charge_str, initial_charges
-from .errors import DpColorError, FileFormatError
+from .errors import DpColorError, FileFormatError, ForbiddenCyclePresentError
 from .fileio import (
     audit_to_json_text,
     audit_to_table,
@@ -32,7 +32,6 @@ from .fileio import (
     trace_to_text,
 )
 from .generate import generate_plane_no46
-from .graphs import has_forbidden_cycles
 from .reduction import ConfigKind, color_planar_no46, verify_config_reducible
 from .solver import brute_force_rep_set, find_rep_set, impropriety, is_dp_colorable
 
@@ -99,17 +98,18 @@ def cmd_theorem(args) -> int:
 
 def cmd_audit(args) -> int:
     pg = plane_from_text(_read_input(args.plane))
-    if has_forbidden_cycles(pg.graph):
+    try:
+        ledger = apply_rules(pg)
+    except ForbiddenCyclePresentError as exc:
         ledger = initial_charges(pg)
         lines = [
-            "transfer rules skipped: graph contains a 4-cycle or 6-cycle",
+            f"transfer rules skipped: {exc}",
             f"initial total: {charge_str(ledger.initial_total)}",
             *(f"  vertex {v}: {charge_str(c)}" for v, c in enumerate(ledger.vertex_initial)),
             *(f"  face {i}: {charge_str(c)}" for i, c in enumerate(ledger.face_initial)),
         ]
         _emit("".join(line + "\n" for line in lines), args.out)
         return 0
-    ledger = apply_rules(pg)
     report = audit_cases(pg, ledger)
     if args.format == "json":
         _emit(audit_to_json_text(report, ledger), args.out)

@@ -134,16 +134,6 @@ def diagonal_cover(graph: Graph, lists: Lists) -> Cover:
     return Cover(graph=graph, lists=lists, matchings=matchings)
 
 
-def _perfect_sizes(graph: Graph, lists: Lists) -> list[int]:
-    """Per-edge list sizes; a perfect matching needs them equal at both ends."""
-    for u, v in graph.edges:
-        if len(lists[u]) != len(lists[v]):
-            raise UnequalListsError(
-                f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
-            )
-    return [len(lists[u]) for u, _ in graph.edges]
-
-
 def random_cover(
     graph: Graph, lists: Lists, seed: int, perfect: bool = False
 ) -> Cover:
@@ -152,8 +142,12 @@ def random_cover(
     Without ``perfect``, a random bijection-shaped pairing is thinned by
     dropping each pair with probability 1/2.
     """
-    if perfect:
-        _perfect_sizes(graph, lists)
+    if perfect:  # a perfect matching needs equal list sizes at both ends
+        for u, v in graph.edges:
+            if len(lists[u]) != len(lists[v]):
+                raise UnequalListsError(
+                    f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
+                )
     rng = random.Random(seed)
     matchings: list[Matching] = []
     for u, v in graph.edges:

@@ -113,7 +113,7 @@ class ListTooSmallError(DpColorError):
 # --- generation and I/O ---------------------------------------------------
 
 class GenerationExhaustedError(DpColorError):
-    """The instance generator ran out of attempts."""
+    """The instance generator was asked for fewer than one vertex."""
 
 
 class FileFormatError(DpColorError):

@@ -183,16 +183,21 @@ def cover_from_text(text: str) -> Cover:
     """A cover document; a malformed one raises ``FileFormatError``.
 
     Edges and matching pairs must be pairs of integers, lists must hold
-    integers, and the cover must pass ``validate_cover``.
+    integers, and the cover must pass ``validate_cover``.  The list count
+    is checked against ``n`` before the graph is built, so a huge ``n``
+    costs nothing.
     """
     obj = _load_json(text, COVER_FORMAT, "n", "edges", "lists", "matchings")
-    if type(obj["n"]) is not int:
-        raise FileFormatError(f"n: expected an integer, got {obj['n']!r}")
+    n = obj["n"]
+    if type(n) is not int:
+        raise FileFormatError(f"n: expected an integer, got {n!r}")
     edges = _int_rows(obj["edges"], "edges", 2)
-    graph = build_graph(obj["n"], edges)
+    lists = _int_rows(obj["lists"], "lists")
+    if n >= 0 and len(lists) != n:  # a negative n is build_graph's to reject
+        raise FileFormatError(f"invalid cover (fibers): {len(lists)} lists for {n} vertices")
+    graph = build_graph(n, edges)
     if graph.edges != edges:
         raise FileFormatError("edges are not in canonical sorted order")
-    lists = _int_rows(obj["lists"], "lists")
     matchings = _int_tables(obj["matchings"], "matchings", 2)
     cover = Cover(graph=graph, lists=lists, matchings=matchings)
     violation = validate_cover(cover)

@@ -5,9 +5,9 @@ re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
 two.  The rotation system is an ``embedding.FaceRegistry``, which keeps
 the faces up to date as edges come and go: ears and chords draw their
-face from it, and each edit splices only the face walks it changes.  A
-plane graph is built with ``embedding.plane_from_rotations`` once per
-attempt, for the result.
+face from it, and each edit splices only the face walks it changes.  The
+graph grows once, and ``embedding.plane_from_rotations`` builds its plane
+graph once, for the result.
 
 Repair is local.  The graph has no 4- or 6-cycle before a move, so every
 such cycle after it uses an edge the move inserted (a pendant edge is a
@@ -20,9 +20,10 @@ An ear is watched through its first edge only: its new vertex has degree
 2, so every cycle through the second edge passes through the first, and
 deleting the first leaves the second a bridge.
 An edge on a cycle is never a bridge, so the graph stays connected and the
-embedding stays valid.  Every output is re-verified once before being
-returned.  Distribution quality is a non-goal; validity and per-seed
-determinism are the contract.
+embedding stays valid.  Repair ends: each round deletes an edge, so it
+runs at most as many rounds as there are edges.  Every output is
+re-verified once before being returned.  Distribution quality is a
+non-goal; validity and per-seed determinism are the contract.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import random
 from .embedding import FaceRegistry, PlaneGraph, plane_from_rotations
 from .errors import GenerationExhaustedError, InternalInvariantError
 from .graphs import Edge, has_forbidden_cycles, smallest_forbidden_cycle
-
-_ATTEMPTS = 20  # growths tried per (n, seed) before giving up
 
 
 def _add_pendant(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
@@ -74,10 +73,10 @@ def _pick_corners(reg: FaceRegistry, keys: list, rng: random.Random, fits) -> tu
 
 
 def _add_ear(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
-    found = _pick_corners(reg, reg.keys, rng, lambda x, y: True)
-    if found is None:
-        return []
-    walk, p, q, x, y = found
+    # The graph is connected with an edge, so every face walk passes both
+    # ends of an edge and has corners at two distinct vertices: with an
+    # always-true ``fits``, ``_pick_corners`` never returns None.
+    walk, p, q, x, y = _pick_corners(reg, reg.keys, rng, lambda x, y: True)
     v = len(reg.rotations)
     reg.insert_edge(x, _corner(reg, walk, p), v, 0)
     reg.insert_edge(y, _corner(reg, walk, q), v, 1)
@@ -93,28 +92,31 @@ def _add_chord(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
     return [(x, y)]
 
 
-def _repair(
-    reg: FaceRegistry, inserted: list[Edge], rng: random.Random, max_rounds: int
-) -> bool:
+def _repair(reg: FaceRegistry, inserted: list[Edge], rng: random.Random) -> None:
     """Delete one edge from some 4-/6-cycle until none remain.
 
     Invariant: before the move that inserted ``inserted``, the graph had
     no 4- or 6-cycle, so every such cycle uses an inserted edge that is
     still present, and the smallest of those is the graph's smallest.
     """
-    for _ in range(max_rounds):
-        cycle = smallest_forbidden_cycle(reg.rotations, inserted)
-        if cycle is None:
-            return True
+    while (cycle := smallest_forbidden_cycle(reg.rotations, inserted)) is not None:
         pick = rng.randrange(len(cycle))
         reg.remove_edge(cycle[pick], cycle[(pick + 1) % len(cycle)])
-    return smallest_forbidden_cycle(reg.rotations, inserted) is None
 
 
-def _grow(reg: FaceRegistry, n: int, rng: random.Random) -> bool:
-    """Grow ``reg`` to ``n`` vertices, then densify with up to two chords;
-    False as soon as a repair fails."""
-    max_rounds = 2 * n + 10
+def generate_plane_no46(n: int, seed: int) -> PlaneGraph:
+    """A connected plane graph on ``n`` vertices with no 4- or 6-cycles.
+
+    Deterministic per ``(n, seed)``: one seeded rng grows the graph to
+    ``n`` vertices and adds up to two chords, with a repair after each
+    move.  Raises ``GenerationExhaustedError`` when ``n < 1``, and
+    ``InternalInvariantError`` if the final check finds a 4- or 6-cycle
+    that repair missed.
+    """
+    if n < 1:
+        raise GenerationExhaustedError("need at least one vertex")
+    rng = random.Random(seed)
+    reg = FaceRegistry()
     rotations = reg.rotations
     while len(rotations) < n:
         roll = rng.random()
@@ -122,40 +124,13 @@ def _grow(reg: FaceRegistry, n: int, rng: random.Random) -> bool:
             inserted = _add_pendant(reg, rng)
         else:
             move = _add_ear if roll < 0.9 else _add_chord
-            inserted = move(reg, rng)
-            if not inserted:
-                inserted = _add_pendant(reg, rng)
-        if not _repair(reg, inserted, rng, max_rounds):
-            return False
+            inserted = move(reg, rng) or _add_pendant(reg, rng)
+        _repair(reg, inserted, rng)
     for _ in range(rng.randrange(3)):  # densify, then re-repair
-        inserted = _add_chord(reg, rng)
-        if not _repair(reg, inserted, rng, max_rounds):
-            return False
-    return True
-
-
-def generate_plane_no46(n: int, seed: int) -> PlaneGraph:
-    """A connected plane graph on ``n`` vertices with no 4- or 6-cycles.
-
-    Deterministic per ``(n, seed)``.  Up to 20 growths share one
-    seeded rng; a growth fails only when a repair gives up.  Raises
-    ``GenerationExhaustedError`` when no attempt produces an instance, and
-    ``InternalInvariantError`` if the final check finds a 4- or 6-cycle
-    that repair missed.
-    """
-    if n < 1:
-        raise GenerationExhaustedError("need at least one vertex")
-    rng = random.Random(seed)
-    for _ in range(_ATTEMPTS):
-        reg = FaceRegistry()
-        if not _grow(reg, n, rng):
-            continue
-        pg = plane_from_rotations(reg.rotations)
-        if pg.graph.n != n or has_forbidden_cycles(pg.graph):
-            raise InternalInvariantError(
-                f"generated graph for n={n}, seed={seed} failed its final check"
-            )
-        return pg
-    raise GenerationExhaustedError(
-        f"no valid instance for n={n} after {_ATTEMPTS} attempts"
-    )
+        _repair(reg, _add_chord(reg, rng), rng)
+    pg = plane_from_rotations(rotations)
+    if pg.graph.n != n or has_forbidden_cycles(pg.graph):
+        raise InternalInvariantError(
+            f"generated graph for n={n}, seed={seed} failed its final check"
+        )
+    return pg

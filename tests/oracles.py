@@ -25,11 +25,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpcolor.covers import DEFAULT_BUDGET, Cover, _perfect_sizes, uniform_assignment
+from dpcolor.covers import DEFAULT_BUDGET, Cover, uniform_assignment
 from dpcolor.embedding import graph_from_rotations, trace_faces
-from dpcolor.errors import BudgetExceededError
+from dpcolor.errors import (
+    BudgetExceededError,
+    EmptyListError,
+    NegativeImproprietyError,
+    UnequalListsError,
+)
 from dpcolor.graphs import build_graph
-from dpcolor.solver import _check_search
 
 
 def subset_cycles(graph, k):
@@ -58,7 +62,12 @@ def enumerate_perfect_covers(graph, lists, budget=DEFAULT_BUDGET, free_edges=Non
     edges are free.  The number of covers to be yielded is checked against
     ``budget`` first.
     """
-    sizes = _perfect_sizes(graph, lists)
+    for u, v in graph.edges:
+        if len(lists[u]) != len(lists[v]):
+            raise UnequalListsError(
+                f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
+            )
+    sizes = [len(lists[u]) for u, _ in graph.edges]
     free = set(range(graph.m)) if free_edges is None else set(free_edges)
     total = math.prod(math.factorial(size) for i, size in enumerate(sizes) if i in free)
     if total > budget:
@@ -151,7 +160,11 @@ def chronological_rep_set(cover, d, budget=DEFAULT_BUDGET):
     """``find_rep_set`` by chronological backtracking: the same vertex
     order, candidate order, forward check and node budget, but a dead end
     always returns to the position just before it."""
-    _check_search(cover, d)
+    if d < 0:
+        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
+    for v, colors in enumerate(cover.lists):
+        if not colors:
+            raise EmptyListError(f"vertex {v} has an empty list")
     g = cover.graph
     if g.n == 0:
         return ()

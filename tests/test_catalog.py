@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 
 from dpcolor.catalog import entries, entry_names, load, no46_names
 from dpcolor import generate, graphs
-from dpcolor.embedding import FaceRegistry, graph_from_rotations
+from dpcolor.embedding import FaceRegistry, graph_from_rotations, plane_from_rotations
 from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_forbidden_cycles, is_connected
@@ -118,18 +119,14 @@ def test_generator_scales_to_thousands_of_vertices():
     assert pg.graph.n == 3200 and not has_forbidden_cycles(pg.graph)
 
 
-def test_generator_attempt_budget(monkeypatch):
-    # every attempt fails when every repair gives up
-    monkeypatch.setattr(generate, "_repair", lambda reg, inserted, rng, max_rounds: False)
-    with pytest.raises(GenerationExhaustedError):
-        generate_plane_no46(30, 0)
-    with pytest.raises(GenerationExhaustedError):
+def test_generator_needs_a_vertex():
+    with pytest.raises(GenerationExhaustedError, match="need at least one vertex"):
         generate_plane_no46(0, 0)
 
 
 def test_generator_raises_when_its_final_check_fails(monkeypatch):
     # without repair the ears and chords leave 4- and 6-cycles behind
-    monkeypatch.setattr(generate, "_repair", lambda rotations, inserted, rng, max_rounds: True)
+    monkeypatch.setattr(generate, "_repair", lambda reg, inserted, rng: None)
     with pytest.raises(InternalInvariantError):
         generate_plane_no46(60, 60)
 
@@ -184,3 +181,44 @@ def test_repair_picks_the_smallest_cycle_through_any_inserted_edge():
     assert smallest(rotations, [(9, 8), (6, 7)]) == (4, 5, 6, 7)
     assert smallest(rotations, [(9, 8)]) == (4, 5, 8, 9, 10, 11)
     assert smallest(rotations, [(2, 0)]) is None  # no such edge
+
+
+def _join_across_a_face(reg, u, v):
+    """Insert the edge uv through the first face with corners at both."""
+    for walk in reg.walks.values():
+        corners = {walk[pos - 1][1]: pos for pos in range(len(walk))}
+        if u in corners and v in corners:
+            break
+    reg.insert_edge(u, generate._corner(reg, walk, corners[u]),
+                    v, generate._corner(reg, walk, corners[v]))
+
+
+def _theta(paths):
+    """A registry holding x = 0 and y = 5 joined by ``paths`` internally
+    disjoint paths of length 5; its cycles have length 10."""
+    reg = FaceRegistry()
+    for i in range(paths):
+        prev = 0
+        for _ in range(4 if i else 5):  # the first path ends at y
+            reg.insert_edge(prev, 0, len(reg.rotations), 0)
+            prev = len(reg.rotations) - 1
+        if i:
+            _join_across_a_face(reg, prev, 5)
+    return reg
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repair_ends_on_a_chord_that_closes_many_6_cycles(seed):
+    # each round deletes an edge of a 6-cycle through the chord xy: the
+    # chord ends them all, a path edge ends one, so at most k + 1 rounds
+    k = 7
+    reg = _theta(k)
+    assert [face.degree for face in plane_from_rotations(reg.rotations).faces] == [10] * k
+    _join_across_a_face(reg, 0, 5)
+    graph = graph_from_rotations(reg.rotations)
+    assert len(graphs.smallest_forbidden_cycle(reg.rotations, [(0, 5)])) == 6
+    generate._repair(reg, [(0, 5)], random.Random(seed))
+    assert graphs.smallest_forbidden_cycle(reg.rotations, [(0, 5)]) is None
+    pg = plane_from_rotations(reg.rotations)  # still connected and plane
+    assert not has_forbidden_cycles(pg.graph)
+    assert graph.m - pg.graph.m <= k + 1

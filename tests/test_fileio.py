@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from oracles import audit_doc, coloring_doc, cover_doc, plane_doc, trace_doc
 from strategies import audits, covers, traces
 
+from dpcolor import fileio
 from dpcolor.catalog import entry_names, no46_names
 from dpcolor.catalog import load as load_catalog
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import AuditEntry, AuditReport, ChargeLedger, Transfer, apply_rules, audit_cases
-from dpcolor.errors import FileFormatError, InvalidRotationError
+from dpcolor.errors import DpColorError, FileFormatError, InvalidRotationError
 from dpcolor.fileio import (
     GRAPH_HEADER,
     audit_to_json_text,
@@ -137,6 +138,25 @@ BAD_COVERS = {
     ),
 }
 
+
+def huge_n_cover(n=10**12):
+    """A cover document with no lists that declares ``n`` vertices."""
+    return json.dumps({"format": "dpcolor-cover/1", "n": n, "edges": [], "lists": [],
+                       "matchings": []})
+
+
+def refuse_graphs_above_the_lists(monkeypatch):
+    """Make ``cover_from_text`` on a document with no lists fail the test,
+    before allocating any row, if it builds a graph with a vertex."""
+    build = fileio.build_graph
+
+    def bounded(n, edges):
+        assert n <= 0, f"build_graph called for {n} vertices and no lists"
+        return build(n, edges)
+
+    monkeypatch.setattr(fileio, "build_graph", bounded)
+
+
 MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})
 
 # an ``n`` that is not an integer but equals the number of rings
@@ -150,6 +170,16 @@ NON_INTEGER_N_PLANES = {
 def test_cover_from_text_rejects_malformed_covers(text, message):
     with pytest.raises(FileFormatError, match=message):
         cover_from_text(text)
+
+
+@pytest.mark.parametrize("n, message", [
+    (10**12, r"^invalid cover \(fibers\): 0 lists for 1000000000000 vertices$"),
+    (-1, "^vertex count -1 is negative$"),
+])
+def test_cover_from_text_checks_n_against_the_lists_first(monkeypatch, n, message):
+    refuse_graphs_above_the_lists(monkeypatch)
+    with pytest.raises(DpColorError, match=message):
+        cover_from_text(huge_n_cover(n))
 
 
 def test_plane_from_text_names_a_missing_key():

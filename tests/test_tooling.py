@@ -66,6 +66,20 @@ def test_library_imports_only_the_standard_library():
     assert not found, found
 
 
+def test_oracles_import_no_private_name_from_the_library():
+    # an oracle that calls a private helper of the code it checks shares
+    # that helper's bugs
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    found = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dpcolor"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, found
+
+
 def test_generator_repair_searches_no_whole_graph(monkeypatch):
     # repair looks only at the cycles through the edges a move inserted; a
     # global cycle search, or a Graph built per repair round, shows up here
@@ -103,31 +117,24 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
     assert not [name for name in counts if name.endswith("in repair")]
 
 
-def test_generator_builds_one_plane_graph_per_attempt(monkeypatch):
+def test_generator_builds_one_plane_graph_per_call(monkeypatch):
     # the faces come from the registry as it changes; the plane graph is
-    # built only for an attempt's result
-    attempts = []
+    # built only for the result
+    calls_per_run = []
     for name in ("plane_from_rotations", "trace_faces"):
         fn = getattr(embedding, name)
 
         def call(*args, _fn=fn, _name=name, **kwargs):
-            attempts[-1][_name] += 1
+            calls_per_run[-1][_name] += 1
             return _fn(*args, **kwargs)
 
         for mod_name, module in list(sys.modules.items()):  # every binding
             if mod_name.split(".")[0] == "dpcolor" and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, call)
-    grow = generate._grow
-
-    def counted_grow(*args):
-        attempts.append(Counter())
-        return grow(*args)
-
-    monkeypatch.setattr(generate, "_grow", counted_grow)
     for n, seed in ((200, 200), (60, 60), (3, 1)):
+        calls_per_run.append(Counter())
         generate.generate_plane_no46(n, seed)
-    assert all(max(calls.values(), default=0) <= 1 for calls in attempts)
-    assert sum(calls["plane_from_rotations"] for calls in attempts) == 3
+    assert all(calls == {"plane_from_rotations": 1, "trace_faces": 1} for calls in calls_per_run)
 
 
 def test_registry_edits_walk_no_face(monkeypatch):
