@@ -63,8 +63,7 @@ class ChargeLedger:
     transfer leaves its source and reaches its target with the same
     ``sixths``, so ``sum(final) == sum(initial)`` holds by construction.
     Every element's received and sent totals are derived from the log
-    once, on first use (``totals``, which the case audit reads); the JSON
-    writer groups the log by element in its own pass.
+    once, on first use (``totals``, which the case audit reads).
     """
 
     vertex_initial: tuple[int, ...]

@@ -16,7 +16,7 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str  # how json.dumps writes a str
 
-from .covers import Cover, validate_cover
+from .covers import DEFAULT_BUDGET, Cover, validate_cover
 from .discharging import AuditEntry, AuditReport, ChargeLedger, Element, Transfer, charge_str
 from .embedding import PlaneGraph, plane_from_rotations
 from .errors import FileFormatError
@@ -28,7 +28,7 @@ PLANE_FORMAT = "dpcolor-plane/1"
 COVER_FORMAT = "dpcolor-cover/1"
 COLORING_FORMAT = "dpcolor-coloring/1"
 TRACE_FORMAT = "dpcolor-trace/1"
-AUDIT_FORMAT = "dpcolor-audit/1"
+AUDIT_FORMAT = "dpcolor-audit/2"
 
 
 def _json_list(items, depth: int) -> str:
@@ -48,11 +48,6 @@ def _json_rows(rows, depth: int) -> str:
     """A JSON list of integer rows whose closing bracket is indented
     ``depth`` levels."""
     return _json_list([_json_ints(row, depth + 1) for row in rows], depth)
-
-
-def _indent(text: str, levels: int) -> str:
-    """A rendered value moved ``levels`` deeper."""
-    return text.replace("\n", "\n" + "  " * levels)
 
 
 def _load_json(text: str, expected_format: str, *keys: str) -> dict:
@@ -125,6 +120,9 @@ def graph_to_text(graph: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """An edge-list graph of at most ``DEFAULT_BUDGET`` vertices: a "yes"
+    answer takes one search node per vertex, so a larger graph can never be
+    answered "yes" within the default budget; it is refused before it is built."""
     rows = [
         line.strip()
         for line in text.splitlines()
@@ -139,6 +137,8 @@ def graph_from_text(text: str) -> Graph:
         raise FileFormatError(f"bad graph line: {exc}") from exc
     if len(edges) != m or any(len(e) != 2 for e in edges):
         raise FileFormatError(f"expected {m} 'u v' lines, got {len(edges)}")
+    if n > DEFAULT_BUDGET:
+        raise FileFormatError(f"{n} vertices exceed the limit of {DEFAULT_BUDGET}")
     return build_graph(n, edges)
 
 
@@ -306,9 +306,8 @@ def trace_from_text(text: str) -> tuple[TraceStep, ...]:
     return tuple(trace)
 
 
-# The audit's pieces.  A transfer is rendered as an item of the top-level
-# log, at depth 2, and moved once to depth 4 for the lists of the entries
-# of its source and target; an entry is written directly at depth 2, its
+# The audit's pieces.  A transfer is rendered once, as an item of the
+# top-level log at depth 2; an entry is written directly at depth 2, its
 # charges and element as values of keys at depth 3.
 
 @functools.lru_cache(maxsize=1024)  # four charges per entry, few distinct values
@@ -338,9 +337,8 @@ def _transfer_json(t: Transfer) -> str:
     )
 
 
-def _entry_json(e: AuditEntry, into: list[str], out: list[str]) -> str:
-    """An audit entry as an item of the ``elements`` list, at depth 2; the
-    transfers come rendered at depth 4."""
+def _entry_json(e: AuditEntry) -> str:
+    """An audit entry as an item of the ``elements`` list, at depth 2."""
     return (
         "{\n"
         f'      "case": {_json_str(e.case)},\n'
@@ -351,41 +349,22 @@ def _entry_json(e: AuditEntry, into: list[str], out: list[str]) -> str:
         f'      "out": {_charge_json(e.outgoing, 3)},\n'
         f'      "pattern": {_json_str(e.pattern)},\n'
         f'      "reason": {_json_str(e.reason)},\n'
-        f'      "transfers_in": {_json_list(into, 3)},\n'
-        f'      "transfers_out": {_json_list(out, 3)},\n'
         f'      "verdict": {_json_str(e.verdict)}\n'
         "    }"
     )
 
 
 def audit_to_json_text(report: AuditReport, ledger: ChargeLedger) -> str:
-    """Audit document: the totals, the transfer log, and per element its
-    case, charges and the transfers into and out of it.
-
-    One pass over the log renders each transfer for the log, shifts that
-    text once to the depth of the entries' lists and files it under its
-    target and its source; each entry is written at its own depth.
-    """
-    log = []
-    into: dict[Element, list[str]] = {}
-    out: dict[Element, list[str]] = {}
-    for t in ledger.transfers:
-        text = _transfer_json(t)
-        log.append(text)
-        nested = _indent(text, 2)
-        into.setdefault(t.target, []).append(nested)
-        out.setdefault(t.source, []).append(nested)
-    entries = [
-        _entry_json(e, into.get(e.element, []), out.get(e.element, []))
-        for e in report.entries
-    ]
+    """Audit document: the totals, the transfer log, where each transfer is
+    written once, and per element its case, pattern, charges and verdict
+    (``in`` and ``out`` sum the log's transfers into and out of it)."""
     return (
         "{\n"
-        f'  "elements": {_json_list(entries, 1)},\n'
+        f'  "elements": {_json_list(list(map(_entry_json, report.entries)), 1)},\n'
         f'  "final_total": {_charge_json(report.final_total, 1)},\n'
         f'  "format": {_json_str(AUDIT_FORMAT)},\n'
         f'  "initial_total": {_charge_json(report.initial_total, 1)},\n'
-        f'  "transfers": {_json_list(log, 1)}\n'
+        f'  "transfers": {_json_list(list(map(_transfer_json, ledger.transfers)), 1)}\n'
         "}\n"
     )
 

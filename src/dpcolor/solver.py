@@ -325,8 +325,12 @@ def is_dp_colorable(
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
     free = _free_edges(graph)
-    if free and k > 0 and math.factorial(k) > budget:
-        raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
+    if free:
+        matchings = 1  # k!, multiplied out only until it passes the budget
+        for i in range(1, k + 1):
+            matchings *= i
+            if matchings > budget:
+                raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
     checked = 0
     searches = 0
     for cover, orbit in least_perfect_covers(graph, k, free):

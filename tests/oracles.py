@@ -392,7 +392,7 @@ def trace_doc(trace):
 
 
 def audit_doc(report, ledger):
-    """The audit document as a dict tree, each transfer built per use."""
+    """The audit document as a dict tree, each transfer listed once, in the log."""
     def charge_str(sixths):
         return str(Fraction(sixths, 6))
 
@@ -407,7 +407,7 @@ def audit_doc(report, ledger):
         }
 
     return {
-        "format": "dpcolor-audit/1",
+        "format": "dpcolor-audit/2",
         "initial_total": {
             "sixths": report.initial_total,
             "display": charge_str(report.initial_total),
@@ -428,8 +428,6 @@ def audit_doc(report, ledger):
                 "in": {"sixths": e.incoming, "display": charge_str(e.incoming)},
                 "out": {"sixths": e.outgoing, "display": charge_str(e.outgoing)},
                 "final": {"sixths": e.final, "display": charge_str(e.final)},
-                "transfers_in": [transfer_doc(t) for t in transfers_scan(ledger, e.element)[0]],
-                "transfers_out": [transfer_doc(t) for t in transfers_scan(ledger, e.element)[1]],
             }
             for e in report.entries
         ],

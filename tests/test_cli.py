@@ -21,11 +21,14 @@ from dpcolor.solver import impropriety
 
 from test_fileio import (
     BAD_COVERS,
+    HUGE_N_GRAPH,
     MISSING_N_PLANE,
     NON_INTEGER_N_PLANES,
     huge_n_cover,
+    refuse_graphs_above_the_cap,
     refuse_graphs_above_the_lists,
 )
+from test_solver import refuse_large_factorials
 
 
 def write(tmp_path, name, text):
@@ -118,6 +121,23 @@ def test_colorable_rejects_bad_bounds_with_one_line(tmp_path, capsys, bad):
     assert main(["colorable", c4_graph_file(tmp_path), *bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_colorable_refuses_a_huge_edge_list_before_building_it(tmp_path, capsys, monkeypatch):
+    refuse_graphs_above_the_cap(monkeypatch)
+    path = write(tmp_path, "huge.txt", HUGE_N_GRAPH)
+    assert main(["colorable", path, "-k", "3", "-d", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: 1000000000000 vertices exceed the limit of 1000000\n"
+
+
+def test_colorable_refuses_a_huge_k_without_computing_its_factorial(tmp_path, capsys, monkeypatch):
+    refuse_large_factorials(monkeypatch)
+    path = write(tmp_path, "k3.json", plane_to_text(load_catalog("k3")))
+    assert main(["colorable", path, "-k", "10000000", "-d", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 10000000! matchings per free edge exceed budget 1000000\n"
 
 
 def test_theorem_on_bowtie(tmp_path, capsys):

@@ -9,7 +9,7 @@ from strategies import audits, covers, traces
 from dpcolor import fileio
 from dpcolor.catalog import entry_names, no46_names
 from dpcolor.catalog import load as load_catalog
-from dpcolor.covers import random_cover, uniform_assignment
+from dpcolor.covers import DEFAULT_BUDGET, random_cover, uniform_assignment
 from dpcolor.discharging import AuditEntry, AuditReport, ChargeLedger, Transfer, apply_rules, audit_cases
 from dpcolor.errors import DpColorError, FileFormatError, InvalidRotationError
 from dpcolor.fileio import (
@@ -157,6 +157,21 @@ def refuse_graphs_above_the_lists(monkeypatch):
     monkeypatch.setattr(fileio, "build_graph", bounded)
 
 
+HUGE_N_GRAPH = f"{GRAPH_HEADER}\n1000000000000 0\n"
+
+
+def refuse_graphs_above_the_cap(monkeypatch, cap=DEFAULT_BUDGET):
+    """Make any ``build_graph`` call through ``fileio`` with more than
+    ``cap`` vertices fail the test before it allocates a row."""
+    build = fileio.build_graph
+
+    def bounded(n, edges):
+        assert n <= cap, f"build_graph called for {n} vertices"
+        return build(n, edges)
+
+    monkeypatch.setattr(fileio, "build_graph", bounded)
+
+
 MISSING_N_PLANE = json.dumps({"format": "dpcolor-plane/1", "rotations": [[]]})
 
 # an ``n`` that is not an integer but equals the number of rings
@@ -180,6 +195,20 @@ def test_cover_from_text_checks_n_against_the_lists_first(monkeypatch, n, messag
     refuse_graphs_above_the_lists(monkeypatch)
     with pytest.raises(DpColorError, match=message):
         cover_from_text(huge_n_cover(n))
+
+
+def test_graph_from_text_refuses_more_vertices_than_the_default_budget(monkeypatch):
+    refuse_graphs_above_the_cap(monkeypatch)
+    with pytest.raises(FileFormatError, match="^1000000000000 vertices exceed the limit of 1000000$"):
+        graph_from_text(HUGE_N_GRAPH)
+
+
+def test_graph_from_text_cap_is_inclusive(monkeypatch):
+    monkeypatch.setattr(fileio, "DEFAULT_BUDGET", 3)
+    refuse_graphs_above_the_cap(monkeypatch, 3)
+    assert graph_from_text(f"{GRAPH_HEADER}\n3 1\n0 2\n") == build_graph(3, [(0, 2)])
+    with pytest.raises(FileFormatError, match="^4 vertices exceed the limit of 3$"):
+        graph_from_text(f"{GRAPH_HEADER}\n4 1\n0 2\n")
 
 
 def test_plane_from_text_names_a_missing_key():
@@ -219,17 +248,24 @@ def test_coloring_round_trip():
     assert colors == result.rep_set and profile == counts
 
 
-def test_audit_json_carries_per_element_transfers():
-    from dpcolor.discharging import apply_rules, audit_cases
-    from dpcolor.fileio import audit_to_json_text
-
+def test_audit_json_lists_each_transfer_once():
     pg = load_catalog("aug_triangle_full")
     ledger = apply_rules(pg)
     doc = json.loads(audit_to_json_text(audit_cases(pg, ledger), ledger))
-    triangle = next(e for e in doc["elements"] if e["case"] == "3-face")
-    rules = sorted(t["rule"] for t in triangle["transfers_in"])
-    assert rules == ["R1", "R1", "R3", "R5"]
-    assert triangle["transfers_out"] == []
+    triangle = next(e for e in doc["elements"] if e["case"] == "3-face")["element"]
+    assert sorted(t["rule"] for t in doc["transfers"] if t["target"] == triangle) == [
+        "R1", "R1", "R3", "R5"
+    ]
+    assert not any(t["source"] == triangle for t in doc["transfers"])
+    for name in no46_names():
+        pg = load_catalog(name)
+        ledger = apply_rules(pg)
+        doc = json.loads(audit_to_json_text(audit_cases(pg, ledger), ledger))
+        for e in doc["elements"]:
+            assert not {"transfers_in", "transfers_out"} & e.keys()
+            into = sum(t["sixths"] for t in doc["transfers"] if t["target"] == e["element"])
+            out = sum(t["sixths"] for t in doc["transfers"] if t["source"] == e["element"])
+            assert (e["in"]["sixths"], e["out"]["sixths"]) == (into, out), (name, e["element"])
 
 
 def canonical_json(doc) -> str:

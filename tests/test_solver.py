@@ -407,6 +407,34 @@ def test_search_budget_counts_searches():
         is_dp_colorable(k4(), 4, 0, budget=680)
 
 
+def refuse_large_factorials(monkeypatch):
+    """Make ``math.factorial`` of more than 100 fail the test at once."""
+    factorial = math.factorial
+
+    def bounded(k):
+        assert k <= 100, f"math.factorial({k}) called"
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", bounded)
+
+
+def test_huge_k_is_refused_without_computing_its_factorial(monkeypatch):
+    refuse_large_factorials(monkeypatch)
+    with pytest.raises(BudgetExceededError, match=r"^10000000! matchings per free edge exceed budget 1000000$"):
+        is_dp_colorable(load_catalog("k3").graph, 10**7, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_factorial_budget_check_agrees_with_the_full_factorial(k):
+    for budget in sorted({-1, 0, 1, math.factorial(k) - 1, math.factorial(k)}):
+        try:
+            is_dp_colorable(c4(), k, 0, budget=budget)
+            refused = False
+        except BudgetExceededError as exc:
+            refused = str(exc) == f"{k}! matchings per free edge exceed budget {budget}"
+        assert refused == (math.factorial(k) > budget), budget
+
+
 def test_list_relaxed_on_even_cycle():
     coloring = find_rep_set(diagonal_cover(c4(), uniform_assignment(4, 2)), 0)
     assert coloring is not None

@@ -175,28 +175,27 @@ def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
     assert [indent for indent in indents if indent is not None] == []
 
 
-def test_writers_shift_each_transfer_once_and_no_trace_step(monkeypatch):
-    # the audit renders each transfer once and shifts that text once to the
-    # depth of the entries' lists; trace steps are written at their final
-    # depth, with no shift at all
+def test_writers_render_each_transfer_once(monkeypatch):
+    # the audit renders each transfer once, for the log, and no entry
+    # repeats it; trace steps call no transfer renderer
     pg = generate.generate_plane_no46(150, 11)
     ledger = apply_rules(pg)
     report = audit_cases(pg, ledger)
     cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
     trace = color_planar_no46(pg, cover).trace
     calls = Counter()
-    for name in ("_transfer_json", "_indent"):
-        fn = getattr(fileio, name)
+    fn = fileio._transfer_json
 
-        def call(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
+    def call(*args):
+        calls["_transfer_json"] += 1
+        return fn(*args)
 
-        monkeypatch.setattr(fileio, name, call)
+    monkeypatch.setattr(fileio, "_transfer_json", call)
     assert trace and trace_to_text(trace)
     assert calls == {}
-    assert ledger.transfers and audit_to_json_text(report, ledger)
-    assert calls == {"_transfer_json": len(ledger.transfers), "_indent": len(ledger.transfers)}
+    text = audit_to_json_text(report, ledger)
+    assert ledger.transfers and calls == {"_transfer_json": len(ledger.transfers)}
+    assert text.count('"rule": ') == len(ledger.transfers)
 
 
 def test_theorem_path_builds_no_per_step_objects(monkeypatch):
