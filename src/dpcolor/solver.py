@@ -7,16 +7,19 @@ forward checking with conflict-directed backjumping (FC-CBJ) that keeps
 what each assignment rules out: per (vertex, color), the list of assigned
 neighbors that hit the color, and per vertex a count of its struck
 colors, so only a color something hits is scanned for its verdict and
-blame; it finds the set that chronological backtracking in the same
+blame; the hit lists each color of each vertex joins are looked up at
+most once per call; it finds the set that chronological backtracking in the same
 order finds first, from no more nodes.  ``brute_force_rep_set``
 enumerates all total assignments as an independent oracle.  All-cover
 questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
 perfect-matching covers of the canonical 1..k lists.  Only the covers
 whose spanning-forest matchings are pinned to the identity need
 checking, because fibers can be renamed along the forest; these fall
-into orbits under renaming every fiber by one permutation, and
-``find_rep_set`` runs once per orbit, on its least member.  The budget of
-an all-covers question counts those searches.
+into orbits under renaming every fiber by one permutation, and each
+orbit is decided once, on its least member, its leader.  A coloring found
+for one leader is kept and tried on the later ones, and ``find_rep_set``
+runs only on a leader that no kept coloring fits.  The budget of an
+all-covers question counts the leaders decided.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .covers import DEFAULT_BUDGET, Cover, least_perfect_covers
+from .covers import DEFAULT_BUDGET, Cover, Matching, least_perfect_covers
 from .errors import (
     BudgetExceededError,
     EmptyListError,
@@ -93,11 +96,13 @@ def find_rep_set(
     Artificial Intelligence 14, 1980): an assignment joins the hit list of the
     matched color at each later neighbor, and taking it back, always last in
     first out, leaves them again, while each vertex counts its struck colors,
-    those with a non-empty hit list.  A color no one hits is viable with no
-    conflict.  A hit one is decided by one walk of its hitters in vertex order,
-    which, when it refuses the color, names the positions to blame: the
-    ``d + 1`` hitters it meets, or one hitter that already has ``d`` conflicts,
-    with that hitter's mates.  A branch dies when the vertex just colored
+    those with a non-empty hit list.  The hit lists each (vertex, color) joins
+    are found once per call, when the vertex first takes the color.  A color
+    no one hits is viable with no conflict.  A hit one is decided by one walk
+    of its hitters in vertex order, which, when it refuses the color, names
+    the positions to blame: the ``d + 1`` hitters it meets, or one hitter that
+    already has ``d`` conflicts, with that hitter's mates; at ``d = 0`` that
+    is the least hitter alone.  A branch dies when the vertex just colored
     leaves a later neighbor with every color refused; only a neighbor with
     every color struck needs that walk.  Each position gathers the blame for
     the colors its vertex was refused and, less itself, for the wipe-outs its
@@ -117,10 +122,11 @@ def find_rep_set(
         return ()
     partners = cover.partners
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    place = [0] * g.n  # place[v]: the bit of v's position in a conflict set
+    rank = [0] * g.n
     for pos, v in enumerate(order):
-        place[v] = 1 << pos
-    chosen: list[int | None] = [None] * g.n
+        rank[v] = pos
+    place = [1 << pos for pos in rank]  # place[v]: the bit of v's position in a conflict set
+    chosen = [0] * g.n  # read once every position holds a color
     # mates[v]: the positions of the assigned neighbors v conflicts with, as
     # bits, so that v's conflict count is mates[v].bit_count()
     mates = [0] * g.n
@@ -133,14 +139,21 @@ def find_rep_set(
     distinct = [len(hit_by) for hit_by in hits]
     struck = [0] * g.n
     nodes = 0
+    # ahead[v][c], filled in when v first takes c: the forward check's
+    # targets, one per later neighbor w in the order of partners[v], each w
+    # with the hit list of the color of w matched to c, or None when c is
+    # unmatched or the color is not in the list of w.  Filled lazily, since
+    # a search that assigns a vertex once uses one of its colors' lists.
+    ahead: list[dict[int, list[tuple[int, list[int] | None]]]] = [{} for _ in range(g.n)]
 
-    def conflicts(v: int, c: int) -> list[int] | int:
-        """For a color ``c`` of ``v`` that something hits: its hitters, for
-        a viable color; for a refused one, the positions to blame, as bits:
-        a hitter already at ``d`` conflicts with its mates, or the ``d + 1``
-        hitters ``c`` meets.  Hitters are met in ascending vertex id, the
-        order of ``partners[v]``, as a scan of the neighbors meets them."""
-        met = hits[v][c]
+    def conflicts(met: list[int]) -> list[int] | int:
+        """For the non-empty hit list ``met`` of a color: its hitters, for a
+        viable color; for a refused one, the positions to blame, as bits: a
+        hitter already at ``d`` conflicts with its mates, or the ``d + 1``
+        hitters the color meets.  Hitters are met in ascending vertex id,
+        the order in which a scan of the vertex's neighbors meets them."""
+        if not d:  # no chosen color ever conflicts, so mates stays 0
+            return place[min(met)]
         if len(met) > 1:
             met = sorted(met)
         for i, u in enumerate(met):
@@ -170,11 +183,17 @@ def find_rep_set(
         found = []
         refused = 0
         for c in cover.lists[v]:
-            hit: list[int] | int = conflicts(v, c) if hit_by[c] else []
-            if isinstance(hit, int):
-                refused |= hit
+            met = hit_by[c]
+            if not met:
+                found.append((0, c, []))
+            elif not d:  # as conflicts finds, with no call
+                refused |= place[min(met)]
             else:
-                found.append((len(hit), c, hit))
+                hit = conflicts(met)
+                if isinstance(hit, int):
+                    refused |= hit
+                else:
+                    found.append((len(hit), c, hit))
         found.sort()
         pending.append(iter(found))
         blame.append(refused)
@@ -188,7 +207,6 @@ def find_rep_set(
                 struck[w] -= 1
         for u in held.pop():
             mates[u] ^= place[v]
-        chosen[v] = None
         mates[v] = 0
 
     open_node()
@@ -221,31 +239,35 @@ def find_rep_set(
         joined.append(marks)
         # forward check: v joins the hit list of the color matched to c at
         # each later neighbor, and a neighbor with every color struck must
-        # keep one viable; the positions up to this one are all assigned and
-        # no later one is
-        for w, pairing in partners[v].items():
-            if chosen[w] is not None:
-                continue
-            listed = hits[w].get(pairing.get(c))  # type: ignore[arg-type]
+        # keep one viable
+        targets = ahead[v].get(c)
+        if targets is None:
+            targets = ahead[v][c] = [
+                (w, hits[w].get(pairing.get(c)))  # type: ignore[arg-type]
+                for w, pairing in partners[v].items()
+                if rank[w] > pos
+            ]
+        for target in targets:
+            w, listed = target
             if listed is not None:
                 if not listed:
                     struck[w] += 1
                 listed.append(v)
-                marks.append((w, listed))
+                marks.append(target)  # type: ignore[arg-type]
             if struck[w] == distinct[w]:
                 reasons = 0
                 for cw in cover.lists[w]:
-                    met = conflicts(w, cw)
-                    if not isinstance(met, int):
+                    reason = conflicts(hits[w][cw])
+                    if not isinstance(reason, int):
                         break
-                    reasons |= met
+                    reasons |= reason
                 else:
                     # a wipe-out: its reasons, but for this position, are blamed here
                     blame[pos] |= reasons & ~place[v]
                     break
         else:
             if pos + 1 == g.n:
-                return tuple(chosen)  # type: ignore[arg-type]
+                return tuple(chosen)
             open_node()
 
 
@@ -275,15 +297,18 @@ class Colorability:
     ``colorable`` is false: the first such cover with a spanning forest's
     matchings pinned, in lexicographic product order over the free edges'
     permutations (``tests/oracles.py`` enumerates them as a reference).
-    ``covers_checked`` counts the pinned covers decided, which is the sum
-    of the orbit sizes of the ``searches`` covers searched; a colorable
-    answer decides all (k!)^(m-n+c) of them.
+    ``searches`` counts the orbit leaders decided, one cover per renaming
+    orbit, and ``covers_checked`` the pinned covers they decide, the sum of
+    their orbit sizes; a colorable answer decides all (k!)^(m-n+c) of them.
+    ``solver_calls`` counts the leaders that ``find_rep_set`` searched; a
+    coloring found for an earlier leader decided the others.
     """
 
     colorable: bool
     witness: Cover | None
     covers_checked: int
     searches: int
+    solver_calls: int
 
 
 def _free_edges(graph: Graph) -> list[int]:
@@ -316,11 +341,26 @@ def is_dp_colorable(
     matching into the identity, so only covers with those matchings pinned
     need checking: (k!)^(m-n+c) of them for a graph with c components.
     Renaming every fiber by the same permutation keeps that pinning, so
-    ``least_perfect_covers`` yields one cover per orbit of these and only
-    those are searched.  ``budget`` bounds the number of searches, checked
-    as each starts, and each search's nodes; with a free edge it also
-    bounds the ``k!`` matchings tried per free edge, checked up front.
-    Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k`` are empty.
+    ``least_perfect_covers`` yields one cover per orbit of these, its
+    leader, and only the leaders are decided.  Every leader shares the
+    pinned identity matchings, so a coloring found for one leader fits
+    another whose free-edge matchings join none of its pairs of colors:
+    its conflicts there are among those it had on its own leader, at most
+    ``d`` per vertex.  Each coloring found is kept in a pool, and per free
+    edge and matching seen on it a bitmask holds the pooled colorings that
+    the matching does not join; a leader whose masks share a bit is
+    colorable with no search, and only the others go to ``find_rep_set``.
+    The first leader with no coloring is still the witness.  A forest has
+    no free edge and one cover, its identity cover, which is colorable at
+    every ``k >= 2`` (color each tree from its root), so it is searched
+    with ``min(k, 2)`` colors.  ``budget`` bounds the number of leaders
+    decided, checked as each starts, and each search's nodes; with a free
+    edge it also bounds the ``k!`` matchings tried per free edge, checked
+    up front.  A leader decided from the pool runs no search, so no node
+    budget trips on it; a forest's two-color search can take more nodes
+    than a search over ``k > 2`` colors, so there a node budget can trip
+    sooner.  Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k``
+    are empty.
     """
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
@@ -331,23 +371,53 @@ def is_dp_colorable(
             matchings *= i
             if matchings > budget:
                 raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
+    else:
+        k = min(k, 2)
+    ends = [graph.edges[i] for i in free]
+    pool: list[RepSet] = []
+    # unjoined[j][matching]: the bits of the pooled colorings that the
+    # matching, on the j-th free edge, does not join
+    unjoined: list[dict[Matching, int]] = [{} for _ in free]
     checked = 0
     searches = 0
+    calls = 0
     for cover, orbit in least_perfect_covers(graph, k, free):
         searches += 1
         if searches > budget:
             raise BudgetExceededError(f"all-covers search exceeded {budget} searches")
         checked += orbit
-        if find_rep_set(cover, d, budget=budget) is None:
-            return Colorability(False, cover, checked, searches)
-    return Colorability(True, None, checked, searches)
+        fits = (1 << len(pool)) - 1
+        for i, (u, v), masks in zip(free, ends, unjoined):
+            matching = cover.matchings[i]
+            mask = masks.get(matching)
+            if mask is None:
+                mask = masks[matching] = sum(
+                    1 << b for b, rep in enumerate(pool) if (rep[u], rep[v]) not in matching
+                )
+            fits &= mask
+            if not fits:
+                break
+        if fits:
+            continue
+        calls += 1
+        found = find_rep_set(cover, d, budget=budget)
+        if found is None:
+            return Colorability(False, cover, checked, searches, calls)
+        bit = 1 << len(pool)
+        pool.append(found)
+        for (u, v), masks in zip(ends, unjoined):
+            for matching in masks:
+                if (found[u], found[v]) not in matching:
+                    masks[matching] |= bit
+    return Colorability(True, None, checked, searches, calls)
 
 
 def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Least ``k`` such that every cover of every k-assignment is colorable.
 
-    Each ``k`` is one ``is_dp_colorable`` question, so its cost is one
-    search per renaming orbit of the pinned covers.
+    Each ``k`` is one ``is_dp_colorable`` question: it decides each
+    renaming orbit of the pinned covers once, and searches only the orbit
+    leaders that no coloring found before fits.
     """
     for k in range(1, graph.n + 2):
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:

@@ -1,11 +1,13 @@
 import math
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor import solver
 from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
@@ -37,6 +39,7 @@ from oracles import (
     chronological_rep_set,
     dp_colorable_scan,
     enumerate_perfect_covers,
+    orbit_count,
     pinned_scan,
     relaxed_list_colorable,
     renaming_classes,
@@ -306,6 +309,20 @@ def test_one_free_edge_builds_only_the_class_leaders():
     assert peak < 5_000_000
 
 
+def test_a_forest_at_huge_k_searches_its_identity_cover_with_two_colors():
+    # a forest has no free edge, so no factorial check bounds k; its one
+    # cover is colorable at every k >= 2, and two colors decide it
+    tracemalloc.start()
+    try:
+        result = is_dp_colorable(load_catalog("path4").graph, 10**9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.colorable
+    assert (result.searches, result.covers_checked, result.solver_calls) == (1, 1, 1)
+    assert peak < 5_000_000
+
+
 def test_k3_dp_3_colorable_exhaustively():
     result = is_dp_colorable(build_graph(3, [(0, 1), (1, 2), (2, 0)]), 3, 0)
     # a spanning tree pins 2 of the 3 matchings: 3!^(m - n + 1) covers
@@ -395,10 +412,57 @@ def test_orbit_search_agrees_with_the_pinned_scan(name, k):
         assert result.colorable == colorable
         if colorable:
             assert result.covers_checked == checked
+            assert result.searches == orbit_count(graph, k)
         else:
             assert result.witness.matchings == witness.matchings
             assert result.searches <= checked
-        assert result.searches <= result.covers_checked
+        assert result.solver_calls <= result.searches <= result.covers_checked
+
+
+@pytest.mark.parametrize(
+    ("name", "k"), [case for case in _pinned_scan_cases() if _free_edges(load_catalog(case[0]).graph)]
+)
+def test_every_leader_decided_from_the_pool_is_colorable(name, k, monkeypatch):
+    # a forest has no free edge and its one leader is always searched
+    graph = load_catalog(name).graph
+    free = _free_edges(graph)
+    searched = []
+
+    def recording(cover, d, budget):
+        searched.append(cover.matchings)
+        return find_rep_set(cover, d, budget=budget)
+
+    monkeypatch.setattr(solver, "find_rep_set", recording)
+    for d in (0, 1):
+        searched.clear()
+        result = is_dp_colorable(graph, k, d)
+        calls = set(searched)
+        assert len(calls) == len(searched) == result.solver_calls <= result.searches
+        leaders = islice(least_perfect_covers(graph, k, free), result.searches)
+        pooled = [cover for cover, _ in leaders if cover.matchings not in calls]
+        assert len(pooled) == result.searches - result.solver_calls
+        for cover in pooled:
+            assert find_rep_set(cover, d) is not None, (cover.matchings, d)
+
+
+def test_burnside_counts_the_orbits_of_the_cube_at_k4():
+    # the formula only: deciding all 336,465 leaders takes seconds
+    assert orbit_count(load_catalog("cube").graph, 4) == 336_465
+
+
+@pytest.mark.parametrize(
+    ("graph", "k", "d", "counts"),
+    [
+        (k4(), 4, 0, (681, 6)),
+        (load_catalog("cube").graph, 3, 0, (1393, 19)),
+        (load_catalog("cube").graph, 3, 1, (1393, 12)),
+    ],
+    ids=["k4-k4-d0", "cube-k3-d0", "cube-k3-d1"],
+)
+def test_pooled_colorings_leave_few_solver_calls(graph, k, d, counts):
+    result = is_dp_colorable(graph, k, d)
+    assert result.colorable
+    assert (result.searches, result.solver_calls) == counts
 
 
 def test_search_budget_counts_searches():
