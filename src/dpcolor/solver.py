@@ -8,8 +8,8 @@ what each assignment rules out: per (vertex, color), the list of assigned
 neighbors that hit the color, and per vertex a count of its struck
 colors, so only a color something hits is scanned for its verdict and
 blame; the hit lists each color of each vertex joins are looked up at
-most once per call; it finds the set that chronological backtracking in the same
-order finds first, from no more nodes.  ``brute_force_rep_set``
+most once per call; it finds the set that chronological backtracking in
+the same order finds first, from no more nodes.  ``brute_force_rep_set``
 enumerates all total assignments as an independent oracle.  All-cover
 questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
 perfect-matching covers of the canonical 1..k lists.  Only the covers
@@ -186,14 +186,12 @@ def find_rep_set(
             met = hit_by[c]
             if not met:
                 found.append((0, c, []))
-            elif not d:  # as conflicts finds, with no call
-                refused |= place[min(met)]
+                continue
+            hit = conflicts(met)
+            if isinstance(hit, int):
+                refused |= hit
             else:
-                hit = conflicts(met)
-                if isinstance(hit, int):
-                    refused |= hit
-                else:
-                    found.append((len(hit), c, hit))
+                found.append((len(hit), c, hit))
         found.sort()
         pending.append(iter(found))
         blame.append(refused)
@@ -352,27 +350,27 @@ def is_dp_colorable(
     colorable with no search, and only the others go to ``find_rep_set``.
     The first leader with no coloring is still the witness.  A forest has
     no free edge and one cover, its identity cover, which is colorable at
-    every ``k >= 2`` (color each tree from its root), so it is searched
-    with ``min(k, 2)`` colors.  ``budget`` bounds the number of leaders
-    decided, checked as each starts, and each search's nodes; with a free
-    edge it also bounds the ``k!`` matchings tried per free edge, checked
-    up front.  A leader decided from the pool runs no search, so no node
-    budget trips on it; a forest's two-color search can take more nodes
-    than a search over ``k > 2`` colors, so there a node budget can trip
-    sooner.  Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k``
-    are empty.
+    every ``k >= 2`` (color each tree from its root), so there it is
+    answered with no lists built and no search.  ``budget`` bounds the
+    number of leaders decided, checked as each starts, and each search's
+    nodes; with a free edge it also bounds the ``k!`` matchings tried per
+    free edge, checked up front.  A leader decided from the pool, or a
+    forest at ``k >= 2``, runs no search, so no node budget trips on it:
+    an answer can only move from ``BudgetExceededError`` to colorable.
+    Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k`` are
+    empty.
     """
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
     free = _free_edges(graph)
+    if not free and k >= 2:  # the identity cover: color each tree from its root
+        return Colorability(True, None, 1, 1, 0)
     if free:
         matchings = 1  # k!, multiplied out only until it passes the budget
         for i in range(1, k + 1):
             matchings *= i
             if matchings > budget:
                 raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
-    else:
-        k = min(k, 2)
     ends = [graph.edges[i] for i in free]
     pool: list[RepSet] = []
     # unjoined[j][matching]: the bits of the pooled colorings that the

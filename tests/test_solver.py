@@ -309,9 +309,9 @@ def test_one_free_edge_builds_only_the_class_leaders():
     assert peak < 5_000_000
 
 
-def test_a_forest_at_huge_k_searches_its_identity_cover_with_two_colors():
+def test_a_forest_at_huge_k_is_colorable_without_a_search():
     # a forest has no free edge, so no factorial check bounds k; its one
-    # cover is colorable at every k >= 2, and two colors decide it
+    # cover is colorable at every k >= 2 and needs no lists built
     tracemalloc.start()
     try:
         result = is_dp_colorable(load_catalog("path4").graph, 10**9, 0)
@@ -319,8 +319,31 @@ def test_a_forest_at_huge_k_searches_its_identity_cover_with_two_colors():
     finally:
         tracemalloc.stop()
     assert result.colorable
-    assert (result.searches, result.covers_checked, result.solver_calls) == (1, 1, 1)
+    assert (result.searches, result.covers_checked, result.solver_calls) == (1, 1, 0)
     assert peak < 5_000_000
+
+
+def caterpillar(hubs: int):
+    """Hubs, each with a leaf, consecutive hubs joined by
+    3-edge paths: a degree-order search over two colors assigns every hub
+    first and backjumps along the paths between them."""
+    edges = []
+    n = 2 * hubs
+    for h in range(hubs):
+        edges.append((h, hubs + h))
+    for h in range(hubs - 1):
+        edges += [(h, n), (n, n + 1), (n + 1, h + 1)]
+        n += 2
+    return build_graph(n, edges)
+
+
+def test_a_forest_needs_no_search_nodes():
+    # over three colors this tree's search takes about n nodes, over two
+    # about 0.75 hubs² backjumping between the hubs
+    graph = caterpillar(100)
+    result = is_dp_colorable(graph, 3, 0, budget=2 * graph.n)
+    assert result.colorable
+    assert (result.searches, result.covers_checked, result.solver_calls) == (1, 1, 0)
 
 
 def test_k3_dp_3_colorable_exhaustively():
@@ -423,7 +446,7 @@ def test_orbit_search_agrees_with_the_pinned_scan(name, k):
     ("name", "k"), [case for case in _pinned_scan_cases() if _free_edges(load_catalog(case[0]).graph)]
 )
 def test_every_leader_decided_from_the_pool_is_colorable(name, k, monkeypatch):
-    # a forest has no free edge and its one leader is always searched
+    # a forest has no free edge, so nothing to pool
     graph = load_catalog(name).graph
     free = _free_edges(graph)
     searched = []
