@@ -17,7 +17,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -55,8 +55,7 @@ class Cover:
 
         ``partners[u]`` lists ``u``'s neighbors in edge order; a color left
         unmatched is absent.  Matchings are taken to be injective, which
-        ``validate_cover`` checks.  The maps are read, never mutated, so
-        covers may share them.
+        ``validate_cover`` checks.
         """
         maps: tuple[dict[int, dict[int, int]], ...] = tuple({} for _ in range(self.graph.n))
         for (u, v), matching in zip(self.graph.edges, self.matchings):
@@ -233,19 +232,19 @@ def _unbeaten(
             yield p, kept
 
 
-def least_perfect_covers(
-    graph: Graph, k: int, free_edges: Sequence[int]
-) -> Iterator[tuple[Cover, int]]:
-    """Yield ``(cover, orbit size)`` for the least cover of each renaming orbit.
+def orbit_leaders(k: int, free: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Yield ``(picks, orbit size)`` for the least cover of each renaming orbit.
 
-    The covers are the perfect covers of the lists ``1..k`` whose edges
-    outside ``free_edges`` are pinned to the identity, in lexicographic
-    product order over the free edges' permutations (the order of the
-    reference enumerator in ``tests/oracles.py``).  Renaming every fiber's
-    colors by one permutation ``σ`` keeps each pinned identity matching
-    and turns each free matching ``π`` into ``σπσ⁻¹``; renamed covers
-    answer every coloring question alike, so one cover per orbit decides
-    the orbit.
+    The covers are the perfect covers of the lists ``1..k`` of a graph with
+    ``free`` edges outside a spanning forest, with the forest's edges pinned
+    to the identity, in lexicographic product order over the free edges'
+    permutations (the order of the reference enumerator in
+    ``tests/oracles.py``).  ``picks[j]`` is the image tuple of the
+    permutation of ``range(k)`` on the ``j``-th free edge, whose matching
+    is ``(c + 1, picks[j][c] + 1)``.  Renaming every fiber's colors
+    by one permutation ``σ`` keeps each pinned identity matching and turns
+    each free matching ``π`` into ``σπσ⁻¹``; renamed covers answer every
+    coloring question alike, so one cover per orbit decides the orbit.
     Orderly generation (Read 1978; McKay 1998) yields the least member of
     each orbit in product order, and only those: free matchings are chosen
     edge by edge while the ``σ`` that fix the choices so far are kept, and
@@ -259,41 +258,12 @@ def least_perfect_covers(
     ``k!`` permutations is tried at each level after the first; with one,
     only the class leaders are built.
     """
-    lists = uniform_assignment(graph.n, k)
-    identity = tuple(zip(range(1, k + 1), range(1, k + 1)))
-    pinned = [identity] * graph.m
-    base = Cover(graph=graph, lists=lists, matchings=tuple(pinned))
-    free = list(free_edges)
     if not free:
-        yield base, 1
+        yield (), 1
         return
-    ends = [graph.edges[i] for i in free]
-    touched = sorted({x for edge in ends for x in edge})
-
-    @cache
-    def pairing(image: tuple[int, ...]) -> tuple[Matching, dict[int, int], dict[int, int]]:
-        """The matching of the permutation ``image`` and its two partner maps."""
-        matching = tuple((c + 1, x + 1) for c, x in enumerate(image))
-        return matching, dict(matching), {cv: cu for cu, cv in matching}
-
-    def build(picks: list[tuple[int, ...]]) -> Cover:
-        """The cover with the permutation ``picks[j]`` on the ``j``-th free
-        edge.  Its partner maps are patched from the pinned cover's and
-        share their pairing dicts with other covers, which
-        ``Cover.partners`` allows since nothing mutates them."""
-        matchings = pinned.copy()
-        maps = list(base.partners)
-        for x in touched:
-            maps[x] = maps[x].copy()
-        for i, (u, v), image in zip(free, ends, picks):
-            matchings[i], maps[u][v], maps[v][u] = pairing(image)
-        cover = Cover(graph=graph, lists=lists, matchings=tuple(matchings))
-        cover.__dict__["partners"] = tuple(maps)  # where the cached property keeps it
-        return cover
-
-    if len(free) == 1:
+    if free == 1:
         for _, image, centralizer in _class_leaders(k):
-            yield build([image]), math.factorial(k) // centralizer
+            yield (image,), math.factorial(k) // centralizer
         return
     perms = list(permutations(range(k)))
     # with k < 2 the identity is the only σ, so no renaming is ever tested
@@ -305,7 +275,7 @@ def least_perfect_covers(
         return [s for s in range(1, len(perms)) if undo[s](itemgetter(*image)(perms[s])) == image]
 
     # one iterator of surviving choices per free edge chosen so far
-    picks = [perms[0]] * len(free)
+    picks = [perms[0]] * free
     levels = [((p, commuting(p)) for p, _, _ in _class_leaders(k))]
     while levels:
         step = next(levels[-1], None)
@@ -314,7 +284,7 @@ def least_perfect_covers(
             continue
         p, kept = step
         picks[len(levels) - 1] = perms[p]
-        if len(levels) < len(free):
+        if len(levels) < free:
             levels.append(_unbeaten(kept, perms, undo))
         else:
-            yield build(picks), len(perms) // (len(kept) + 1)
+            yield tuple(picks), len(perms) // (len(kept) + 1)

@@ -17,9 +17,10 @@ whose spanning-forest matchings are pinned to the identity need
 checking, because fibers can be renamed along the forest; these fall
 into orbits under renaming every fiber by one permutation, and each
 orbit is decided once, on its least member, its leader.  A coloring found
-for one leader is kept and tried on the later ones, and ``find_rep_set``
-runs only on a leader that no kept coloring fits.  The budget of an
-all-covers question counts the leaders decided.
+for one leader is kept and tried on the later ones, read off their free
+edges' permutations; only a leader that no kept coloring fits is built as
+a ``Cover``, for ``find_rep_set`` to search and, if it has no set, as the
+witness.  The budget of an all-covers question counts the leaders decided.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .covers import DEFAULT_BUDGET, Cover, Matching, least_perfect_covers
+from .covers import DEFAULT_BUDGET, Cover, orbit_leaders, uniform_assignment
 from .errors import (
     BudgetExceededError,
     EmptyListError,
@@ -299,7 +300,8 @@ class Colorability:
     orbit, and ``covers_checked`` the pinned covers they decide, the sum of
     their orbit sizes; a colorable answer decides all (k!)^(m-n+c) of them.
     ``solver_calls`` counts the leaders that ``find_rep_set`` searched; a
-    coloring found for an earlier leader decided the others.
+    coloring found for an earlier leader decided the others.  Only a
+    searched leader, such as the witness, is built as a ``Cover``.
     """
 
     colorable: bool
@@ -328,6 +330,19 @@ def _free_edges(graph: Graph) -> list[int]:
     return [i for i, edge in enumerate(graph.edges) if edge not in tree]
 
 
+def _pinned_cover(
+    graph: Graph, k: int, free: list[int], picks: tuple[tuple[int, ...], ...]
+) -> Cover:
+    """The cover of the lists ``1..k`` with the identity matching on every
+    edge but the free ones, and ``(c + 1, picks[j][c] + 1)`` on the ``j``-th
+    free edge ``free[j]``."""
+    identity = tuple((c, c) for c in range(1, k + 1))
+    matchings = [identity] * graph.m
+    for i, image in zip(free, picks):
+        matchings[i] = tuple((c + 1, x + 1) for c, x in enumerate(image))
+    return Cover(graph, uniform_assignment(graph.n, k), tuple(matchings))
+
+
 def is_dp_colorable(
     graph: Graph, k: int, d: int, budget: int = DEFAULT_BUDGET
 ) -> Colorability:
@@ -339,26 +354,26 @@ def is_dp_colorable(
     matching into the identity, so only covers with those matchings pinned
     need checking: (k!)^(m-n+c) of them for a graph with c components.
     Renaming every fiber by the same permutation keeps that pinning, so
-    ``least_perfect_covers`` yields one cover per orbit of these, its
-    leader, and only the leaders are decided.  Every leader shares the
-    pinned identity matchings, so a coloring found for one leader fits
-    another whose free-edge matchings join none of its pairs of colors:
-    its conflicts there are among those it had on its own leader, at most
-    ``d`` per vertex.  Each coloring found is kept in a pool, and per free
-    edge and matching seen on it a bitmask holds the pooled colorings that
-    the matching does not join; a leader whose masks share a bit is
-    colorable with no search, and only the others go to ``find_rep_set``.
-    The first leader with no coloring is still the witness.  A forest has
-    no free edge and one cover, its identity cover, which is colorable at
-    every ``k >= 2`` (color each tree from its root), so there it is
-    answered with no lists built and no search.  ``budget`` bounds the
-    number of leaders decided, checked as each starts, and each search's
-    nodes; with a free edge it also bounds the ``k!`` matchings tried per
-    free edge, checked up front.  A leader decided from the pool, or a
-    forest at ``k >= 2``, runs no search, so no node budget trips on it:
-    an answer can only move from ``BudgetExceededError`` to colorable.
-    Raises ``EmptyListError`` for ``k < 0``, whose lists ``1..k`` are
-    empty.
+    ``orbit_leaders`` yields one cover per orbit of these, its leader, as
+    the permutations on its free edges, and only the leaders are decided.
+    Every leader shares the pinned identity matchings, so a coloring found
+    for one leader fits another whose free-edge matchings join none of its
+    pairs of colors: its conflicts there are among those it had on its own
+    leader, at most ``d`` per vertex.  Each coloring found is kept in a
+    pool, and per free edge and permutation seen on it a bitmask holds the
+    pooled colorings that the permutation does not join; a leader whose
+    masks share a bit is colorable with no search, and only the others are
+    built as a ``Cover`` and go to ``find_rep_set``.  The first leader with
+    no coloring is still the witness.  A forest has no free edge and one
+    cover, its identity cover, which is colorable at every ``k >= 2``
+    (color each tree from its root), so there it is answered with no lists
+    built and no search.  ``budget`` bounds the number of leaders decided,
+    checked as each starts, and each search's nodes; with a free edge it
+    also bounds the ``k!`` matchings tried per free edge, checked up front.
+    A leader decided from the pool, or a forest at ``k >= 2``, runs no
+    search, so no node budget trips on it: an answer can only move from
+    ``BudgetExceededError`` to colorable.  Raises ``EmptyListError`` for
+    ``k < 0``, whose lists ``1..k`` are empty.
     """
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
@@ -373,24 +388,23 @@ def is_dp_colorable(
                 raise BudgetExceededError(f"{k}! matchings per free edge exceed budget {budget}")
     ends = [graph.edges[i] for i in free]
     pool: list[RepSet] = []
-    # unjoined[j][matching]: the bits of the pooled colorings that the
-    # matching, on the j-th free edge, does not join
-    unjoined: list[dict[Matching, int]] = [{} for _ in free]
+    # unjoined[j][image]: the bits of the pooled colorings that the
+    # permutation image, on the j-th free edge, does not join
+    unjoined: list[dict[tuple[int, ...], int]] = [{} for _ in free]
     checked = 0
     searches = 0
     calls = 0
-    for cover, orbit in least_perfect_covers(graph, k, free):
+    for picks, orbit in orbit_leaders(k, len(free)):
         searches += 1
         if searches > budget:
             raise BudgetExceededError(f"all-covers search exceeded {budget} searches")
         checked += orbit
         fits = (1 << len(pool)) - 1
-        for i, (u, v), masks in zip(free, ends, unjoined):
-            matching = cover.matchings[i]
-            mask = masks.get(matching)
+        for (u, v), image, masks in zip(ends, picks, unjoined):
+            mask = masks.get(image)
             if mask is None:
-                mask = masks[matching] = sum(
-                    1 << b for b, rep in enumerate(pool) if (rep[u], rep[v]) not in matching
+                mask = masks[image] = sum(
+                    1 << b for b, rep in enumerate(pool) if image[rep[u] - 1] != rep[v] - 1
                 )
             fits &= mask
             if not fits:
@@ -398,15 +412,16 @@ def is_dp_colorable(
         if fits:
             continue
         calls += 1
+        cover = _pinned_cover(graph, k, free, picks)
         found = find_rep_set(cover, d, budget=budget)
         if found is None:
             return Colorability(False, cover, checked, searches, calls)
         bit = 1 << len(pool)
         pool.append(found)
         for (u, v), masks in zip(ends, unjoined):
-            for matching in masks:
-                if (found[u], found[v]) not in matching:
-                    masks[matching] |= bit
+            for image in masks:
+                if image[found[u] - 1] != found[v] - 1:
+                    masks[image] |= bit
     return Colorability(True, None, checked, searches, calls)
 
 

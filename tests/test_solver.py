@@ -12,7 +12,7 @@ from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
-    least_perfect_covers,
+    orbit_leaders,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -27,6 +27,7 @@ from dpcolor.errors import (
 from dpcolor.graphs import build_graph
 from dpcolor.solver import (
     _free_edges,
+    _pinned_cover,
     brute_force_rep_set,
     dp_chromatic,
     find_rep_set,
@@ -398,11 +399,12 @@ def test_orbit_search_yields_the_least_cover_of_each_renaming_class():
     ]
     classes = renaming_classes(pinned, 4)
     assert (len(pinned), len(classes), sum(classes.values())) == (13824, 681, 13824)
-    found = list(least_perfect_covers(graph, 4, free))
+    found = [
+        (_pinned_cover(graph, 4, free, picks).matchings, size)
+        for picks, size in orbit_leaders(4, len(free))
+    ]
     # each class once, by its least member, in product order, with its size
-    assert [(cover.matchings, size) for cover, size in found] == sorted(classes.items())
-    for cover, _ in found:  # the patched partner maps are the ones a new cover builds
-        assert cover.partners == Cover(cover.graph, cover.lists, cover.matchings).partners
+    assert found == sorted(classes.items())
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -413,7 +415,10 @@ def test_one_free_edge_yields_one_cover_per_conjugacy_class(graph, k):
         cover.matchings
         for cover in enumerate_perfect_covers(graph, uniform_assignment(graph.n, k), free_edges=free)
     ]
-    found = [(cover.matchings, size) for cover, size in least_perfect_covers(graph, k, free)]
+    found = [
+        (_pinned_cover(graph, k, free, picks).matchings, size)
+        for picks, size in orbit_leaders(k, len(free))
+    ]
     assert found == sorted(renaming_classes(pinned, k).items())
 
 
@@ -461,8 +466,9 @@ def test_every_leader_decided_from_the_pool_is_colorable(name, k, monkeypatch):
         result = is_dp_colorable(graph, k, d)
         calls = set(searched)
         assert len(calls) == len(searched) == result.solver_calls <= result.searches
-        leaders = islice(least_perfect_covers(graph, k, free), result.searches)
-        pooled = [cover for cover, _ in leaders if cover.matchings not in calls]
+        leaders = islice(orbit_leaders(k, len(free)), result.searches)
+        covers = (_pinned_cover(graph, k, free, picks) for picks, _ in leaders)
+        pooled = [cover for cover in covers if cover.matchings not in calls]
         assert len(pooled) == result.searches - result.solver_calls
         for cover in pooled:
             assert find_rep_set(cover, d) is not None, (cover.matchings, d)
@@ -486,6 +492,26 @@ def test_pooled_colorings_leave_few_solver_calls(graph, k, d, counts):
     result = is_dp_colorable(graph, k, d)
     assert result.colorable
     assert (result.searches, result.solver_calls) == counts
+
+
+@pytest.mark.parametrize(
+    ("graph", "k", "built"),
+    [(k4(), 4, 6), (load_catalog("cube").graph, 3, 19)],
+    ids=["k4-k4", "cube-k3"],
+)
+def test_a_cover_is_built_only_for_a_searched_leader(graph, k, built, monkeypatch):
+    # a leader decided from the pool is read from its free edges'
+    # permutations alone; only a leader searched needs its cover
+    init = Cover.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cover, "__init__", counted)
+    result = is_dp_colorable(graph, k, 0)
+    assert len(calls) == result.solver_calls == built < result.searches
 
 
 def test_search_budget_counts_searches():

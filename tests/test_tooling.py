@@ -241,6 +241,21 @@ def test_library_passes_no_indent_to_json_dumps():
     assert not found, found
 
 
+def test_library_touches_no_instance_dict():
+    # reading or writing an object's __dict__ goes round its class: a frozen
+    # dataclass's fields, or what a cached_property would compute
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars" and node.args
+        ]
+    assert not found, found
+
+
 def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
     # the 4- and 6-checks go by degree order; the walk over paths through
     # an edge is left to the generator's repair and to naming a cycle found
