@@ -13,14 +13,10 @@ vertex encodes it).
 
 from __future__ import annotations
 
-import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import itemgetter
-from typing import Iterator, Sequence
 
 from .errors import UnequalListsError
 from .graphs import Graph
@@ -169,122 +165,3 @@ def partial_matchings(left: tuple[int, ...], right: tuple[int, ...]) -> list[Mat
         for chosen in combinations(left, k)
         for image in permutations(right, k)
     )
-
-
-def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """``(p, image, centralizer order)`` for each conjugacy class of the
-    permutations of ``range(k)``, in order of ``p``: the index of the
-    class's least member in the lexicographic list of all ``k!``, whose
-    image tuple is ``image``.
-
-    Conjugates share a cycle type, and every permutation of a cycle type is
-    conjugate to every other, so each cycle type gives one class.  Its
-    least member is built directly: the cycles in ascending length, each
-    on the next free colors ``a, a + 1, …`` as ``c ↦ c + 1`` closed back
-    to ``a`` (so the fixed points come first).  Its index is its
-    Lehmer-code rank.  The centralizer of a permutation with ``m_i``
-    cycles of length ``i`` has order ``∏ m_i! · i^{m_i}``.
-    """
-    leaders = []
-    stack: list[tuple[tuple[int, ...], int]] = [((), k)]  # ascending lengths, colors left
-    while stack:
-        lengths, left = stack.pop()
-        if left:
-            low = lengths[-1] if lengths else 1
-            stack.extend((lengths + (length,), left - length) for length in range(low, left + 1))
-            continue
-        image: list[int] = []
-        for length in lengths:
-            a = len(image)
-            image += range(a + 1, a + length)
-            image.append(a)
-        rank = sum(
-            sum(later < c for later in image[i + 1:]) * math.factorial(k - 1 - i)
-            for i, c in enumerate(image)
-        )
-        centralizer = math.prod(
-            math.factorial(m) * length**m for length, m in Counter(lengths).items()
-        )
-        leaders.append((rank, tuple(image), centralizer))
-    return sorted(leaders)
-
-
-def _unbeaten(
-    stabilizer: Sequence[int], perms: list[tuple[int, ...]], undo: list[itemgetter]
-) -> Iterator[tuple[int, list[int]]]:
-    """``(p, kept)`` for each index ``p`` into ``perms``, in order, such that
-    no ``σ`` in ``stabilizer`` conjugates ``perms[p]`` below itself;
-    ``kept`` holds the ``σ`` that commute with it.  ``undo[s]`` maps an
-    image tuple ``x`` to ``x∘σ⁻¹`` for ``σ = perms[s]``."""
-    if not stabilizer:
-        yield from ((p, []) for p in range(len(perms)))
-        return
-    for p, image in enumerate(perms):
-        after = itemgetter(*image)  # σ ↦ σ∘π
-        kept = []
-        for s in stabilizer:
-            renamed = undo[s](after(perms[s]))  # σπσ⁻¹
-            if renamed < image:
-                break
-            if renamed == image:
-                kept.append(s)
-        else:
-            yield p, kept
-
-
-def orbit_leaders(k: int, free: int) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield ``(picks, orbit size)`` for the least cover of each renaming orbit.
-
-    The covers are the perfect covers of the lists ``1..k`` of a graph with
-    ``free`` edges outside a spanning forest, with the forest's edges pinned
-    to the identity, in lexicographic product order over the free edges'
-    permutations (the order of the reference enumerator in
-    ``tests/oracles.py``).  ``picks[j]`` is the image tuple of the
-    permutation of ``range(k)`` on the ``j``-th free edge, whose matching
-    is ``(c + 1, picks[j][c] + 1)``.  Renaming every fiber's colors
-    by one permutation ``σ`` keeps each pinned identity matching and turns
-    each free matching ``π`` into ``σπσ⁻¹``; renamed covers answer every
-    coloring question alike, so one cover per orbit decides the orbit.
-    Orderly generation (Read 1978; McKay 1998) yields the least member of
-    each orbit in product order, and only those: free matchings are chosen
-    edge by edge while the ``σ`` that fix the choices so far are kept, and
-    a choice that a kept ``σ`` conjugates below itself ends its branch,
-    since every completion then has a smaller renaming.  At the first free
-    edge every ``σ`` is kept, so the choices that survive there are the
-    least of their conjugacy classes, read off their cycle types with no
-    conjugation.  The orbit size is ``k!`` over the number of ``σ`` fixing
-    the whole cover; with one free edge, that is the order of the chosen
-    matching's centralizer.  With two or more free edges, every one of the
-    ``k!`` permutations is tried at each level after the first; with one,
-    only the class leaders are built.
-    """
-    if not free:
-        yield (), 1
-        return
-    if free == 1:
-        for _, image, centralizer in _class_leaders(k):
-            yield (image,), math.factorial(k) // centralizer
-        return
-    perms = list(permutations(range(k)))
-    # with k < 2 the identity is the only σ, so no renaming is ever tested
-    undo = [itemgetter(*sorted(range(k), key=s.__getitem__)) for s in perms] if k > 1 else []
-
-    def commuting(p: int) -> list[int]:
-        """The ``σ`` but the identity that commute with ``perms[p]``."""
-        image = perms[p]
-        return [s for s in range(1, len(perms)) if undo[s](itemgetter(*image)(perms[s])) == image]
-
-    # one iterator of surviving choices per free edge chosen so far
-    picks = [perms[0]] * free
-    levels = [((p, commuting(p)) for p, _, _ in _class_leaders(k))]
-    while levels:
-        step = next(levels[-1], None)
-        if step is None:
-            levels.pop()
-            continue
-        p, kept = step
-        picks[len(levels) - 1] = perms[p]
-        if len(levels) < free:
-            levels.append(_unbeaten(kept, perms, undo))
-        else:
-            yield tuple(picks), len(perms) // (len(kept) + 1)

@@ -14,22 +14,26 @@ enumerates all total assignments as an independent oracle.  All-cover
 questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
 perfect-matching covers of the canonical 1..k lists.  Only the covers
 whose spanning-forest matchings are pinned to the identity need
-checking, because fibers can be renamed along the forest; these fall
-into orbits under renaming every fiber by one permutation, and each
-orbit is decided once, on its least member, its leader.  A coloring found
-for one leader is kept and tried on the later ones, read off their free
-edges' permutations; only a leader that no kept coloring fits is built as
-a ``Cover``, for ``find_rep_set`` to search and, if it has no set, as the
-witness.  The budget of an all-covers question counts the leaders decided.
+checking, because fibers can be renamed along the forest.  One
+depth-first walk picks the free edges' permutations in product order, the
+first edge's only up to renaming every fiber alike.  Each coloring found
+is kept.  A leaf that a kept coloring fits needs no search, and a node is
+skipped whole when the kept colorings that fit it are those that fit an
+earlier finished node at its depth, each of whose leaves one of them fit.
+Only a cover that no kept coloring fits is built as a ``Cover``, for
+``find_rep_set`` to search and, if it has no set, as the witness.  The
+budget of an all-covers question counts the walk's nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
+from typing import Iterator
 
-from .covers import DEFAULT_BUDGET, Cover, orbit_leaders, uniform_assignment
+from .covers import DEFAULT_BUDGET, Cover, uniform_assignment
 from .errors import (
     BudgetExceededError,
     EmptyListError,
@@ -296,12 +300,12 @@ class Colorability:
     ``colorable`` is false: the first such cover with a spanning forest's
     matchings pinned, in lexicographic product order over the free edges'
     permutations (``tests/oracles.py`` enumerates them as a reference).
-    ``searches`` counts the orbit leaders decided, one cover per renaming
-    orbit, and ``covers_checked`` the pinned covers they decide, the sum of
-    their orbit sizes; a colorable answer decides all (k!)^(m-n+c) of them.
-    ``solver_calls`` counts the leaders that ``find_rep_set`` searched; a
-    coloring found for an earlier leader decided the others.  Only a
-    searched leader, such as the witness, is built as a ``Cover``.
+    ``searches`` counts the nodes of the walk over the pinned covers (for
+    a forest, its one cover), and ``covers_checked`` the pinned covers
+    they decide; a colorable answer decides all (k!)^(m-n+c) of them.
+    ``solver_calls`` counts the covers that ``find_rep_set`` searched, the
+    only ones built as a ``Cover``; a coloring found for an earlier cover
+    decided the others.
     """
 
     colorable: bool
@@ -343,6 +347,44 @@ def _pinned_cover(
     return Cover(graph, uniform_assignment(graph.n, k), tuple(matchings))
 
 
+def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """``(p, image, centralizer order)`` for each conjugacy class of the
+    permutations of ``range(k)``, in order of ``p``: the index of the
+    class's least member in the lexicographic list of all ``k!``, whose
+    image tuple is ``image``.
+
+    Conjugates share a cycle type, and every permutation of a cycle type is
+    conjugate to every other, so each cycle type gives one class.  Its
+    least member is built directly: the cycles in ascending length, each
+    on the next free colors ``a, a + 1, …`` as ``c ↦ c + 1`` closed back
+    to ``a`` (so the fixed points come first).  Its index is its
+    Lehmer-code rank.  The centralizer of a permutation with ``m_i``
+    cycles of length ``i`` has order ``∏ m_i! · i^{m_i}``.
+    """
+    leaders = []
+    stack: list[tuple[tuple[int, ...], int]] = [((), k)]  # ascending lengths, colors left
+    while stack:
+        lengths, left = stack.pop()
+        if left:
+            low = lengths[-1] if lengths else 1
+            stack.extend((lengths + (length,), left - length) for length in range(low, left + 1))
+            continue
+        image: list[int] = []
+        for length in lengths:
+            a = len(image)
+            image += range(a + 1, a + length)
+            image.append(a)
+        rank = sum(
+            sum(later < c for later in image[i + 1:]) * math.factorial(k - 1 - i)
+            for i, c in enumerate(image)
+        )
+        centralizer = math.prod(
+            math.factorial(m) * length**m for length, m in Counter(lengths).items()
+        )
+        leaders.append((rank, tuple(image), centralizer))
+    return sorted(leaders)
+
+
 def is_dp_colorable(
     graph: Graph, k: int, d: int, budget: int = DEFAULT_BUDGET
 ) -> Colorability:
@@ -353,33 +395,40 @@ def is_dp_colorable(
     Renaming the fibers along a spanning forest turns each forest edge's
     matching into the identity, so only covers with those matchings pinned
     need checking: (k!)^(m-n+c) of them for a graph with c components.
-    Renaming every fiber by the same permutation keeps that pinning, so
-    ``orbit_leaders`` yields one cover per orbit of these, its leader, as
-    the permutations on its free edges, and only the leaders are decided.
-    Every leader shares the pinned identity matchings, so a coloring found
-    for one leader fits another whose free-edge matchings join none of its
-    pairs of colors: its conflicts there are among those it had on its own
-    leader, at most ``d`` per vertex.  Each coloring found is kept in a
-    pool, and per free edge and permutation seen on it a bitmask holds the
-    pooled colorings that the permutation does not join; a leader whose
-    masks share a bit is colorable with no search, and only the others are
-    built as a ``Cover`` and go to ``find_rep_set``.  The first leader with
-    no coloring is still the witness.  A forest has no free edge and one
-    cover, its identity cover, which is colorable at every ``k >= 2``
-    (color each tree from its root), so there it is answered with no lists
-    built and no search.  ``budget`` bounds the number of leaders decided,
-    checked as each starts, and each search's nodes; with a free edge it
-    also bounds the ``k!`` matchings tried per free edge, checked up front.
-    A leader decided from the pool, or a forest at ``k >= 2``, runs no
-    search, so no node budget trips on it: an answer can only move from
-    ``BudgetExceededError`` to colorable.  Raises ``EmptyListError`` for
-    ``k < 0``, whose lists ``1..k`` are empty.
+    One depth-first walk picks the free edges' permutations in turn, each
+    level's in lexicographic order, so its leaves, the pinned covers, come
+    in product order.  Renaming every fiber by one permutation ``σ`` keeps
+    the pinning and turns each free permutation ``π`` into ``σπσ⁻¹``, so
+    the first free edge takes only the least permutation of each conjugacy
+    class, which stands for the k!/|centralizer| covers of its class there.
+
+    A coloring found for one cover fits another whose free-edge
+    permutations join none of its pairs of colors: its conflicts there are
+    among those it had, at most ``d`` per vertex.  Each coloring found is
+    kept in a pool, and per free edge and permutation seen on it a bitmask
+    holds the pooled colorings that the permutation does not join.  A
+    node's ``fits``, the AND of the masks along its path, holds the pooled
+    colorings that fit its picks.  A leaf with a fitting coloring is
+    colorable with no search; any other is built as a ``Cover`` and goes to
+    ``find_rep_set``, and the first with no set is the witness.  When a
+    node is finished and every leaf below it was fit by a pooled coloring,
+    its final ``fits`` is kept for its depth: every completion of its picks
+    is fit by one of those colorings.  A later node at that depth with the
+    same ``fits`` is colorable throughout by the same colorings, so it is
+    skipped whole.  At ``d > 0`` a coloring found may join colors on its
+    own cover's free edges; the nodes open above such a leaf keep nothing.
+
+    A forest has no free edge and one cover, its identity cover, which is
+    colorable at every ``k >= 2`` (color each tree from its root), so there
+    it is answered with no lists built and no search.  ``budget`` bounds
+    the walk's nodes, checked as each is made, and each search's nodes;
+    with a free edge it also bounds the ``k!`` matchings tried per free
+    edge, checked up front.  Raises ``EmptyListError`` for ``k < 0``, whose
+    lists ``1..k`` are empty.
     """
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
     free = _free_edges(graph)
-    if not free and k >= 2:  # the identity cover: color each tree from its root
-        return Colorability(True, None, 1, 1, 0)
     if free:
         matchings = 1  # k!, multiplied out only until it passes the budget
         for i in range(1, k + 1):
@@ -391,46 +440,94 @@ def is_dp_colorable(
     # unjoined[j][image]: the bits of the pooled colorings that the
     # permutation image, on the j-th free edge, does not join
     unjoined: list[dict[tuple[int, ...], int]] = [{} for _ in free]
-    checked = 0
-    searches = 0
-    calls = 0
-    for picks, orbit in orbit_leaders(k, len(free)):
-        searches += 1
-        if searches > budget:
-            raise BudgetExceededError(f"all-covers search exceeded {budget} searches")
-        checked += orbit
-        fits = (1 << len(pool)) - 1
-        for (u, v), image, masks in zip(ends, picks, unjoined):
-            mask = masks.get(image)
-            if mask is None:
-                mask = masks[image] = sum(
-                    1 << b for b, rep in enumerate(pool) if image[rep[u] - 1] != rep[v] - 1
-                )
-            fits &= mask
-            if not fits:
-                break
-        if fits:
-            continue
-        calls += 1
+
+    def search(picks: tuple[tuple[int, ...], ...]) -> Cover | None:
+        """Search the cover that ``picks`` make: pool its coloring, or
+        return the cover when it has none.  Every search but the witness's
+        adds to the pool."""
         cover = _pinned_cover(graph, k, free, picks)
         found = find_rep_set(cover, d, budget=budget)
         if found is None:
-            return Colorability(False, cover, checked, searches, calls)
+            return cover
         bit = 1 << len(pool)
         pool.append(found)
         for (u, v), masks in zip(ends, unjoined):
             for image in masks:
                 if image[found[u] - 1] != found[v] - 1:
                     masks[image] |= bit
-    return Colorability(True, None, checked, searches, calls)
+        return None
+
+    if not free:  # one cover, the identity: at k >= 2 color each tree from its root
+        witness = search(()) if k < 2 else None
+        return Colorability(witness is None, witness, 1, 1, int(k < 2))
+    size = math.factorial(k)
+    # the first free edge's picks: each class leader, with the size of its class
+    leaders = {image: size // centralizer for _, image, centralizer in _class_leaders(k)}
+    later = list(permutations(range(k))) if len(free) > 1 else []
+    # dead[j]: the final fits of the finished nodes at depth j whose every
+    # leaf a pooled coloring fits
+    dead: list[set[int]] = [set() for _ in free]
+    # per open node, root first: its untried children, its fits and the
+    # unfit leaves counted when it opened; picks[j] is the permutation on
+    # free edge j of the open node at depth j + 1
+    todo: list[Iterator[tuple[int, ...]]] = [iter(leaders)]
+    fits = [0]
+    opened = [0]
+    picks: list[tuple[int, ...]] = []
+    nodes = checked = unfit = 0
+    share = 1  # the pinned covers each leaf under the current first pick stands for
+    while True:
+        j = len(picks)  # the depth of the deepest open node
+        image = next(todo[-1], None)
+        if image is None:  # that node is finished
+            if not picks:
+                return Colorability(True, None, checked, nodes, len(pool))
+            todo.pop()
+            done = fits.pop()
+            if opened.pop() == unfit:
+                dead[j].add(done)
+            picks.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"all-covers search exceeded {budget} searches")
+        mask = unjoined[j].get(image)
+        if mask is None:
+            u, v = ends[j]
+            mask = unjoined[j][image] = sum(
+                1 << b for b, rep in enumerate(pool) if image[rep[u] - 1] != rep[v] - 1
+            )
+        fit = fits[-1] & mask
+        if not j:
+            share = leaders[image]
+        if j + 1 < len(free):
+            if fit in dead[j + 1]:
+                checked += share * size ** (len(free) - j - 1)
+            else:
+                todo.append(iter(later))
+                fits.append(fit)
+                opened.append(unfit)
+                picks.append(image)
+            continue
+        checked += share
+        if fit:
+            continue
+        witness = search((*picks, image))
+        if witness is not None:
+            return Colorability(False, witness, checked, nodes, len(pool) + 1)
+        fits[0] = (1 << len(pool)) - 1
+        for i, chosen in enumerate(picks):
+            fits[i + 1] = fits[i] & unjoined[i][chosen]
+        if not fits[-1] & unjoined[j][image]:
+            unfit += 1  # the coloring joins colors on its own cover's free edges
 
 
 def dp_chromatic(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Least ``k`` such that every cover of every k-assignment is colorable.
 
-    Each ``k`` is one ``is_dp_colorable`` question: it decides each
-    renaming orbit of the pinned covers once, and searches only the orbit
-    leaders that no coloring found before fits.
+    Each ``k`` is one ``is_dp_colorable`` question: one walk over the
+    pinned covers, which searches only the covers that no coloring found
+    before fits.
     """
     for k in range(1, graph.n + 2):
         if is_dp_colorable(graph, k, 0, budget=budget).colorable:

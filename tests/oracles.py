@@ -16,7 +16,6 @@ pinned or over every cover with a spanning forest's matchings pinned,
 one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
 the least permutation of each cycle type by scanning all of them,
-the number of those classes by Burnside's lemma over cycle types,
 and the faces a face registry keeps up to date by tracing its rotation
 system from scratch.
 """
@@ -267,42 +266,6 @@ def renaming_classes(matching_tuples, k):
         classed |= orbit
         classes[min(orbit)] = len(orbit)
     return classes
-
-
-def orbit_count(graph, k):
-    """The number of classes of the perfect covers of the lists 1..k with a
-    spanning forest's matchings pinned, under renaming every fiber by one
-    permutation, by Burnside's lemma: the sum over the cycle types of S_k
-    of |centralizer|^(f - 1), with f = m - n + c free edges for a graph
-    with c components.  With f = 0 there is one cover, so one class."""
-    root = list(range(graph.n))
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    components = graph.n
-    for u, v in graph.edges:
-        if find(u) != find(v):
-            root[find(u)] = find(v)
-            components -= 1
-    free = graph.m - graph.n + components
-    if free == 0:
-        return 1
-
-    def cycle_types(left, low):
-        """Partitions of ``left`` into parts of at least ``low``."""
-        if left == 0:
-            yield ()
-        for part in range(low, left + 1):
-            for rest in cycle_types(left - part, part):
-                yield (part,) + rest
-
-    return sum(
-        math.prod(math.factorial(m) * length**m for length, m in Counter(kind).items()) ** (free - 1)
-        for kind in cycle_types(k, 1)
-    )
 
 
 def class_leaders_scan(k):

@@ -110,7 +110,7 @@ def test_colorable_k4_at_k4_searches_one_cover_per_orbit(tmp_path, capsys):
     path = write(tmp_path, "k4.json", plane_to_text(load_catalog("k4")))
     witness = tmp_path / "witness.json"
     assert main(["colorable", path, "-k", "4", "-d", "0", "--witness-out", str(witness)]) == 0
-    assert capsys.readouterr().out == "colorable: yes (681 searches, 13824 covers checked)\n"
+    assert capsys.readouterr().out == "colorable: yes (365 searches, 13824 covers checked)\n"
     assert not witness.exists()
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpcolor import covers as covers_module
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
@@ -15,7 +14,7 @@ from dpcolor.covers import (
 )
 from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
-from dpcolor.solver import impropriety
+from dpcolor.solver import _class_leaders, impropriety
 
 from oracles import class_leaders_scan, enumerate_perfect_covers, partial_matchings_scan
 from strategies import covers
@@ -159,6 +158,6 @@ def test_partial_matchings_match_the_pair_subset_scan(left, right):
 @pytest.mark.parametrize("k", range(8))
 def test_class_leaders_are_the_first_permutation_of_each_cycle_type(k):
     # built from the cycle types, not found by scanning all k! permutations
-    leaders = covers_module._class_leaders(k)
+    leaders = _class_leaders(k)
     assert leaders == class_leaders_scan(k)
     assert sum(math.factorial(k) // centralizer for _, _, centralizer in leaders) == math.factorial(k)

@@ -1,7 +1,7 @@
 import math
 import random
 import tracemalloc
-from itertools import islice
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,6 @@ from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
     diagonal_cover,
-    orbit_leaders,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -26,6 +25,7 @@ from dpcolor.errors import (
 )
 from dpcolor.graphs import build_graph
 from dpcolor.solver import (
+    _class_leaders,
     _free_edges,
     _pinned_cover,
     brute_force_rep_set,
@@ -40,7 +40,6 @@ from oracles import (
     chronological_rep_set,
     dp_colorable_scan,
     enumerate_perfect_covers,
-    orbit_count,
     pinned_scan,
     relaxed_list_colorable,
     renaming_classes,
@@ -390,42 +389,59 @@ def test_renaming_reduction_agrees_with_full_enumeration():
             assert fast.covers_checked <= full_checked
 
 
-def test_orbit_search_yields_the_least_cover_of_each_renaming_class():
-    graph = k4()
-    free = _free_edges(graph)
-    pinned = [
-        cover.matchings
-        for cover in enumerate_perfect_covers(graph, uniform_assignment(4, 4), free_edges=free)
-    ]
-    classes = renaming_classes(pinned, 4)
-    assert (len(pinned), len(classes), sum(classes.values())) == (13824, 681, 13824)
-    found = [
-        (_pinned_cover(graph, 4, free, picks).matchings, size)
-        for picks, size in orbit_leaders(4, len(free))
-    ]
-    # each class once, by its least member, in product order, with its size
-    assert found == sorted(classes.items())
-
-
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("graph", [c4(), build_graph(3, [(0, 1), (1, 2), (2, 0)])], ids=["c4", "k3"])
 def test_one_free_edge_yields_one_cover_per_conjugacy_class(graph, k):
+    # the first free edge's picks: the least cover of each renaming class,
+    # in product order, weighted by the class's size
     free = _free_edges(graph)
     pinned = [
         cover.matchings
         for cover in enumerate_perfect_covers(graph, uniform_assignment(graph.n, k), free_edges=free)
     ]
     found = [
-        (_pinned_cover(graph, k, free, picks).matchings, size)
-        for picks, size in orbit_leaders(k, len(free))
+        (_pinned_cover(graph, k, free, (image,)).matchings, math.factorial(k) // centralizer)
+        for _, image, centralizer in _class_leaders(k)
     ]
     assert found == sorted(renaming_classes(pinned, k).items())
 
 
+def k5_less_two_edges_at_a_vertex():
+    # at k = 2, d = 1 its 16th pinned cover has no set; a memo that took any
+    # finished node of a depth for every later node there says yes
+    return build_graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+
+
+def _k33_graphs():
+    """Small graphs that are not plane: K3,3 with its vertices named by a
+    seeded shuffle, as it is, with one edge subdivided, and with one edge
+    added."""
+    graphs = {}
+    for seed, kind in enumerate(("k33", "k33_subdivided", "k33_chord")):
+        rng = random.Random(seed)
+        name = rng.sample(range(6), 6)
+        edges = [tuple(sorted((name[a], name[b]))) for a in range(3) for b in range(3, 6)]
+        if kind == "k33_subdivided":
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, 6), (v, 6)]
+        elif kind == "k33_chord":
+            edges.append(rng.choice([e for e in combinations(range(6), 2) if e not in edges]))
+        graphs[kind] = build_graph(max(map(max, edges)) + 1, edges)
+    return graphs
+
+
+_SCAN_GRAPHS = {"k5_less_two": k5_less_two_edges_at_a_vertex(), **_k33_graphs()}
+
+
+def _scan_graph(name):
+    return _SCAN_GRAPHS[name] if name in _SCAN_GRAPHS else load_catalog(name).graph
+
+
 def _pinned_scan_cases():
-    """(catalog name, k) with at most 10**5 pinned covers, k = 1..4."""
-    for name in entry_names():
-        free = _free_edges(load_catalog(name).graph)
+    """(graph name, k) with at most 10**5 pinned covers, k = 1..4: the
+    catalog, then the graphs of ``_SCAN_GRAPHS``."""
+    for name in [*entry_names(), *_SCAN_GRAPHS]:
+        free = _free_edges(_scan_graph(name))
         for k in range(1, 5):
             if math.factorial(k) ** len(free) <= 10**5:
                 yield name, k
@@ -433,58 +449,60 @@ def _pinned_scan_cases():
 
 @pytest.mark.parametrize(("name", "k"), list(_pinned_scan_cases()))
 def test_orbit_search_agrees_with_the_pinned_scan(name, k):
-    graph = load_catalog(name).graph
+    graph = _scan_graph(name)
     for d in (0, 1):
         colorable, witness, checked = pinned_scan(graph, k, d, _free_edges(graph))
         result = is_dp_colorable(graph, k, d)
         assert result.colorable == colorable
-        if colorable:
-            assert result.covers_checked == checked
-            assert result.searches == orbit_count(graph, k)
-        else:
+        assert result.covers_checked == checked
+        if not colorable:
             assert result.witness.matchings == witness.matchings
-            assert result.searches <= checked
-        assert result.solver_calls <= result.searches <= result.covers_checked
+        assert result.solver_calls <= result.searches
 
 
 @pytest.mark.parametrize(
-    ("name", "k"), [case for case in _pinned_scan_cases() if _free_edges(load_catalog(case[0]).graph)]
+    ("name", "k"), [case for case in _pinned_scan_cases() if _free_edges(_scan_graph(case[0]))]
 )
 def test_every_leader_decided_from_the_pool_is_colorable(name, k, monkeypatch):
-    # a forest has no free edge, so nothing to pool
-    graph = load_catalog(name).graph
+    # every pinned cover up to the witness with a class leader on its first
+    # free edge, each a leaf the walk reaches or skips, was searched or is
+    # colored by a coloring some search found; a forest has no free edge,
+    # so nothing to pool
+    graph = _scan_graph(name)
     free = _free_edges(graph)
+    leaders = {
+        _pinned_cover(graph, k, free, (image,)).matchings[free[0]] for _, image, _ in _class_leaders(k)
+    }
     searched = []
+    found = []
 
     def recording(cover, d, budget):
         searched.append(cover.matchings)
-        return find_rep_set(cover, d, budget=budget)
+        found.append(find_rep_set(cover, d, budget=budget))
+        return found[-1]
 
     monkeypatch.setattr(solver, "find_rep_set", recording)
     for d in (0, 1):
         searched.clear()
+        found.clear()
         result = is_dp_colorable(graph, k, d)
         calls = set(searched)
         assert len(calls) == len(searched) == result.solver_calls <= result.searches
-        leaders = islice(orbit_leaders(k, len(free)), result.searches)
-        covers = (_pinned_cover(graph, k, free, picks) for picks, _ in leaders)
-        pooled = [cover for cover in covers if cover.matchings not in calls]
-        assert len(pooled) == result.searches - result.solver_calls
-        for cover in pooled:
-            assert find_rep_set(cover, d) is not None, (cover.matchings, d)
-
-
-def test_burnside_counts_the_orbits_of_the_cube_at_k4():
-    # the formula only: deciding all 336,465 leaders takes seconds
-    assert orbit_count(load_catalog("cube").graph, 4) == 336_465
+        pool = [rep for rep in found if rep is not None]
+        for cover in enumerate_perfect_covers(graph, uniform_assignment(graph.n, k), free_edges=free):
+            if cover.matchings[free[0]] not in leaders or cover.matchings in calls:
+                continue
+            if not result.colorable and cover.matchings > result.witness.matchings:
+                break
+            assert any(max_impropriety(cover, rep) <= d for rep in pool), (cover.matchings, d)
 
 
 @pytest.mark.parametrize(
     ("graph", "k", "d", "counts"),
     [
-        (k4(), 4, 0, (681, 6)),
-        (load_catalog("cube").graph, 3, 0, (1393, 19)),
-        (load_catalog("cube").graph, 3, 1, (1393, 12)),
+        (k4(), 4, 0, (365, 6)),
+        (load_catalog("cube").graph, 3, 0, (2625, 27)),
+        (load_catalog("cube").graph, 3, 1, (297, 12)),
     ],
     ids=["k4-k4-d0", "cube-k3-d0", "cube-k3-d1"],
 )
@@ -496,12 +514,12 @@ def test_pooled_colorings_leave_few_solver_calls(graph, k, d, counts):
 
 @pytest.mark.parametrize(
     ("graph", "k", "built"),
-    [(k4(), 4, 6), (load_catalog("cube").graph, 3, 19)],
+    [(k4(), 4, 6), (load_catalog("cube").graph, 3, 27)],
     ids=["k4-k4", "cube-k3"],
 )
 def test_a_cover_is_built_only_for_a_searched_leader(graph, k, built, monkeypatch):
-    # a leader decided from the pool is read from its free edges'
-    # permutations alone; only a leader searched needs its cover
+    # a leaf decided from the pool is read from its free edges'
+    # permutations alone; only a leaf searched needs its cover
     init = Cover.__init__
     calls = []
 
@@ -515,9 +533,10 @@ def test_a_cover_is_built_only_for_a_searched_leader(graph, k, built, monkeypatc
 
 
 def test_search_budget_counts_searches():
-    assert is_dp_colorable(k4(), 4, 0, budget=681).searches == 681
-    with pytest.raises(BudgetExceededError):
-        is_dp_colorable(k4(), 4, 0, budget=680)
+    # the walk's nodes: K4 at k = 4 takes 365
+    assert is_dp_colorable(k4(), 4, 0, budget=365).searches == 365
+    with pytest.raises(BudgetExceededError, match="^all-covers search exceeded 364 searches$"):
+        is_dp_colorable(k4(), 4, 0, budget=364)
 
 
 def refuse_large_factorials(monkeypatch):

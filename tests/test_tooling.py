@@ -80,6 +80,24 @@ def test_oracles_import_no_private_name_from_the_library():
     assert not found, found
 
 
+def test_library_imports_no_private_name_from_a_sibling():
+    # a private helper has one home: a sibling importing it would split a
+    # decision, such as which covers the all-covers walk stands for, across
+    # modules
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}: {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "dpcolor")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert not found, found
+
+
 def test_generator_repair_searches_no_whole_graph(monkeypatch):
     # repair looks only at the cycles through the edges a move inserted; a
     # global cycle search, or a Graph built per repair round, shows up here
