@@ -101,6 +101,8 @@ def cmd_audit(args) -> int:
     try:
         ledger = apply_rules(pg)
     except ForbiddenCyclePresentError as exc:
+        if args.format == "json":  # no audit document to write: exit 2, as theorem does
+            raise
         ledger = initial_charges(pg)
         lines = [
             f"transfer rules skipped: {exc}",

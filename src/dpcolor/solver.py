@@ -3,13 +3,15 @@
 A representative set picks one color from each vertex's list; its
 impropriety at a vertex is the number of incident edges whose matching
 joins the two chosen colors.  ``find_rep_set`` is a complete search by
-forward checking with conflict-directed backjumping (FC-CBJ) that keeps
-what each assignment rules out: per (vertex, color), the list of assigned
-neighbors that hit the color, and per vertex a count of its struck
-colors, so only a color something hits is scanned for its verdict and
-blame; the hit lists each color of each vertex joins are looked up at
-most once per call; it finds the set that chronological backtracking in
-the same order finds first, from no more nodes.  ``brute_force_rep_set``
+forward checking with conflict-directed backjumping (FC-CBJ), one loop
+with no call per node, that keeps what each assignment rules out: per
+(vertex, color), the list of assigned neighbors that hit the color, and
+per vertex a bitmask of its free colors, those no one hits.  The free
+colors' candidates come from one tuple per list and mask, in ascending
+color order, so only a struck color is walked for its verdict and blame;
+the hit lists each color of each vertex joins are looked up at most once
+per call; it finds the set that chronological backtracking in the same
+order finds first, from no more nodes.  ``brute_force_rep_set``
 enumerates all total assignments as an independent oracle.  All-cover
 questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
 perfect-matching covers of the canonical 1..k lists.  Only the covers
@@ -100,26 +102,31 @@ def find_rep_set(
     color.  Conflicts are kept, not recomputed (Haralick and Elliott,
     Artificial Intelligence 14, 1980): an assignment joins the hit list of the
     matched color at each later neighbor, and taking it back, always last in
-    first out, leaves them again, while each vertex counts its struck colors,
-    those with a non-empty hit list.  The hit lists each (vertex, color) joins
-    are found once per call, when the vertex first takes the color.  A color
-    no one hits is viable with no conflict.  A hit one is decided by one walk
-    of its hitters in vertex order, which, when it refuses the color, names
-    the positions to blame: the ``d + 1`` hitters it meets, or one hitter that
+    first out, leaves them again, while each vertex keeps a bitmask of its
+    free colors, those with an empty hit list.  The hit lists each (vertex,
+    color) joins are found once per call, when the vertex first takes the
+    color.  A free color is viable with no conflict: per list and mask of
+    free colors, the free colors' candidates are one tuple, in ascending
+    color order, built once.  A struck color is decided by one walk of its
+    hitters in vertex order, which, when it refuses the color, names the
+    positions to blame: the ``d + 1`` hitters it meets, or one hitter that
     already has ``d`` conflicts, with that hitter's mates; at ``d = 0`` that
-    is the least hitter alone.  A branch dies when the vertex just colored
-    leaves a later neighbor with every color refused; only a neighbor with
-    every color struck needs that walk.  Each position gathers the blame for
-    the colors its vertex was refused and, less itself, for the wipe-outs its
-    own colors caused, from the forward check's same walks.  When its
-    candidates run out, the search jumps back to the latest of those positions
+    is the least hitter alone, and no struck color is viable, so a node there
+    takes its candidates from the tuple alone.  A branch dies when the vertex
+    just colored leaves a later neighbor with every color refused; only a
+    neighbor with no free color needs that walk.  Each position gathers the
+    blame, less itself, for the wipe-outs its own colors caused, from those
+    walks, and, when its candidates run out, for the colors its vertex was
+    refused, walked then, when the hit lists are again as they were when its
+    node opened.  The search then jumps back to the latest of those positions
     and hands it the rest; with none, there is no set.  The skipped subtrees
     hold no solution and the orders are kept, so the first set found is the one
-    chronological backtracking finds, from no more nodes.  Per-position
-    iterators over the untried colors replace a call stack as deep as the
-    graph.  ``budget`` caps search-tree nodes, counted as they are created, and
-    raises rather than hang; it can only trip later than under chronological
-    backtracking.  Raises ``NegativeImproprietyError`` for ``d < 0``.
+    chronological backtracking finds, from no more nodes.  One loop over
+    per-position iterators of the untried colors replaces a call stack as deep
+    as the graph.  ``budget`` caps search-tree nodes, counted as they are
+    created, and raises rather than hang; it can only trip later than under
+    chronological backtracking.  Raises ``NegativeImproprietyError`` for
+    ``d < 0``.
     """
     _check_search(cover, d)
     g = cover.graph
@@ -136,20 +143,35 @@ def find_rep_set(
     # bits, so that v's conflict count is mates[v].bit_count()
     mates = [0] * g.n
     # hits[v][c]: the assigned neighbors whose color is matched to color c
-    # of v, in the order they were assigned; struck[v]: how many of v's
-    # distinct[v] colors have a non-empty hit list.  Matchings are read as
+    # of v, in the order they were assigned.  Matchings are read as
     # injective, as validate_cover checks, so each list is filled from the
     # assigned side.
     hits = [{c: [] for c in colors} for colors in cover.lists]
-    distinct = [len(hit_by) for hit_by in hits]
-    struck = [0] * g.n
+    # Vertices with equal lists share two tables: bits[v], the bit of each
+    # distinct color of v, by ascending color, and menus[v], filled in per
+    # mask of free colors as the search meets it: the candidates of the free
+    # colors, in ascending color order with any repeats, and the struck
+    # colors, also ascending.  free[v]: the bits of the free colors of v.
+    shared: dict[tuple[int, ...], tuple[dict[int, int], dict[int, tuple[tuple, tuple]]]] = {}
+    bits = []
+    menus = []
+    for colors in cover.lists:
+        key = tuple(colors)
+        if key not in shared:
+            shared[key] = ({c: 1 << i for i, c in enumerate(sorted(set(key)))}, {})
+        bits.append(shared[key][0])
+        menus.append(shared[key][1])
+    free = [(1 << len(bit_of)) - 1 for bit_of in bits]
     nodes = 0
     # ahead[v][c], filled in when v first takes c: the forward check's
     # targets, one per later neighbor w in the order of partners[v], each w
-    # with the hit list of the color of w matched to c, or None when c is
-    # unmatched or the color is not in the list of w.  Filled lazily, since
+    # with the hit list and bit of the color of w matched to c.  When c is
+    # unmatched, or that color is not in the list of w, the target holds
+    # spare, a list of no color, and bit 0, which frees and strikes nothing,
+    # so that every target is joined and left alike.  Filled lazily, since
     # a search that assigns a vertex once uses one of its colors' lists.
-    ahead: list[dict[int, list[tuple[int, list[int] | None]]]] = [{} for _ in range(g.n)]
+    ahead: list[dict[int, list[tuple[int, list[int], int]]]] = [{} for _ in range(g.n)]
+    spare: list[int] = []
 
     def conflicts(met: list[int]) -> list[int] | int:
         """For the non-empty hit list ``met`` of a color: its hitters, for a
@@ -170,65 +192,69 @@ def find_rep_set(
 
     # the untried candidates and the conflict set of each position so far;
     # per assigned position, the conflicts of the color it holds and the
-    # hit lists its color joined, with their vertices
+    # forward-check targets whose hit lists its color joined
     pending = []
     blame: list[int] = []
     held: list[list[int]] = []
-    joined: list[list[tuple[int, list[int]]]] = []
-
-    def open_node() -> None:
-        """A new search node at the next position: its viable colors, fewest
-        conflicts first, and the reasons for the colors refused."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"search exceeded {budget} nodes")
-        v = order[len(pending)]
-        hit_by = hits[v]
-        found = []
-        refused = 0
-        for c in cover.lists[v]:
-            met = hit_by[c]
-            if not met:
-                found.append((0, c, []))
-                continue
-            hit = conflicts(met)
-            if isinstance(hit, int):
-                refused |= hit
-            else:
-                found.append((len(hit), c, hit))
-        found.sort()
-        pending.append(iter(found))
-        blame.append(refused)
-
-    def take_back() -> None:
-        """Unassign the latest assigned position."""
-        v = order[len(held) - 1]
-        for w, listed in joined.pop():
-            listed.pop()
-            if not listed:
-                struck[w] -= 1
-        for u in held.pop():
-            mates[u] ^= place[v]
-        mates[v] = 0
-
-    open_node()
+    joined: list[list[tuple[int, list[int], int]]] = []
+    descend = True
     while True:
+        if descend:  # a new node at the next position
+            descend = False
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"search exceeded {budget} nodes")
+            v = order[len(pending)]
+            mask = free[v]
+            menu = menus[v].get(mask)
+            if menu is None:
+                bit_of = bits[v]
+                ascending = sorted(cover.lists[v])
+                menu = menus[v][mask] = (
+                    tuple((0, c, ()) for c in ascending if bit_of[c] & mask),
+                    tuple(c for c in ascending if not bit_of[c] & mask),
+                )
+            found, struck = menu
+            if d and struck:  # rank the viable struck colors after the free ones
+                hit_by = hits[v]
+                ranked = []
+                for c in struck:
+                    hit = conflicts(hit_by[c])
+                    if not isinstance(hit, int):
+                        ranked.append((len(hit), c, hit))
+                if ranked:
+                    ranked.sort()
+                    found += tuple(ranked)
+            pending.append(iter(found))
+            blame.append(0)
         pos = len(pending) - 1
-        if len(held) > pos:  # backtracking: take the color back
-            take_back()
+        while len(held) > pos:  # take back the colors from pos on, latest first
+            u = order[len(held) - 1]
+            for w, listed, bit in joined.pop():
+                listed.pop()
+                if not listed:
+                    free[w] |= bit
+            for x in held.pop():
+                mates[x] ^= place[u]
+            mates[u] = 0
         entry = next(pending[pos], None)
         if entry is None:
             pending.pop()
             jump = blame.pop()
+            # the blame for the colors refused here, read now that the
+            # hit lists are as they were when the node opened
+            v = order[pos]
+            hit_by = hits[v]
+            for c in menus[v][free[v]][1]:
+                reason = conflicts(hit_by[c])
+                if isinstance(reason, int):
+                    jump |= reason
             if not jump:
                 return None
             # back to the latest position to blame, with the rest of the blame
             back = jump.bit_length() - 1
-            while len(pending) > back + 1:
-                pending.pop()
-                blame.pop()
-                take_back()
+            del pending[back + 1:]
+            del blame[back + 1:]
             blame[back] |= jump ^ (1 << back)
             continue
         _, c, hit = entry
@@ -238,40 +264,43 @@ def find_rep_set(
             mates[v] |= place[u]
         chosen[v] = c
         held.append(hit)
-        marks: list[tuple[int, list[int]]] = []
-        joined.append(marks)
         # forward check: v joins the hit list of the color matched to c at
-        # each later neighbor, and a neighbor with every color struck must
-        # keep one viable
+        # each later neighbor, and a neighbor with no free color must keep
+        # one viable
         targets = ahead[v].get(c)
         if targets is None:
-            targets = ahead[v][c] = [
-                (w, hits[w].get(pairing.get(c)))  # type: ignore[arg-type]
-                for w, pairing in partners[v].items()
-                if rank[w] > pos
-            ]
+            targets = ahead[v][c] = []
+            for w, pairing in partners[v].items():
+                if rank[w] > pos:
+                    cw = pairing.get(c)
+                    listed = hits[w].get(cw)  # type: ignore[arg-type]
+                    if listed is None:
+                        targets.append((w, spare, 0))
+                    else:
+                        targets.append((w, listed, bits[w][cw]))
+        joined.append(targets)
         for target in targets:
-            w, listed = target
-            if listed is not None:
-                if not listed:
-                    struck[w] += 1
-                listed.append(v)
-                marks.append(target)  # type: ignore[arg-type]
-            if struck[w] == distinct[w]:
+            w, listed, bit = target
+            if not listed:
+                free[w] ^= bit
+            listed.append(v)
+            if not free[w]:
                 reasons = 0
-                for cw in cover.lists[w]:
-                    reason = conflicts(hits[w][cw])
+                for met in hits[w].values():
+                    reason = conflicts(met)
                     if not isinstance(reason, int):
                         break
                     reasons |= reason
                 else:
-                    # a wipe-out: its reasons, but for this position, are blamed here
+                    # a wipe-out: its reasons, but for this position, are
+                    # blamed here, and the later targets were not joined
                     blame[pos] |= reasons & ~place[v]
+                    joined[-1] = targets[: targets.index(target) + 1]
                     break
         else:
             if pos + 1 == g.n:
                 return tuple(chosen)
-            open_node()
+            descend = True
 
 
 def brute_force_rep_set(

@@ -300,7 +300,7 @@ def _cover_file(tmp_path):
 OUT_COMMANDS = {
     "solve": lambda tmp: ["solve", _cover_file(tmp), "-d", "1"],
     "theorem": lambda tmp: ["theorem", _plane_file(tmp, "bowtie"), "--seed", "3"],
-    "audit-k4": lambda tmp: ["audit", _plane_file(tmp, "k4"), "--format", "json"],
+    "audit-k4": lambda tmp: ["audit", _plane_file(tmp, "k4"), "--format", "table"],
     "audit-bowtie": lambda tmp: ["audit", _plane_file(tmp, "bowtie"), "--format", "json"],
     "gen": lambda tmp: ["gen", "-n", "12", "--seed", "7"],
     "catalog": lambda tmp: ["catalog", "bowtie"],
@@ -335,6 +335,18 @@ def test_audit_k4_reports_initial_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("transfer rules skipped: graph contains a 4-cycle: 0-1-2-3\n"
                           "initial total: -12\n")
+
+
+def test_audit_json_on_a_4_cycle_exits_2_as_theorem_does(tmp_path, capsys):
+    path = write(tmp_path, "k4.json", plane_to_text(load_catalog("k4")))
+    out = tmp_path / "audit.json"
+    assert main(["audit", path, "--format", "json", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph contains a 4-cycle: 0-1-2-3\n"
+    assert not out.exists()
+    assert main(["theorem", path]) == 2
+    assert capsys.readouterr().err == captured.err
 
 
 def test_audit_bowtie_table(tmp_path, capsys):

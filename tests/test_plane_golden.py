@@ -3,8 +3,9 @@
 ``data/plane_golden.json`` holds, per case, a sha256:
 
 * ``audit:<plane>:<format>``: exit code, stdout and stderr of
-  ``dpcolor audit --format json|table`` on every catalog entry (those
-  with 4- or 6-cycles take the initial-charges branch), on
+  ``dpcolor audit --format json|table`` on every catalog entry (on
+  those with 4- or 6-cycles the table is the initial charges, and json
+  exits 2), on
   ``generate_plane_no46(n, seed=n)`` for n = 10..60, and on triangle
   chains and fans built here;
 * ``gen:<n>``: ``plane_to_text(generate_plane_no46(n, seed=n))`` for

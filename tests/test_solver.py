@@ -168,10 +168,18 @@ def _nodes(solver, cover, d):
     return low
 
 
-def _equivalence_covers():
+def _rotated(cover):
+    """``cover`` with each list rotated right by one, (1, 2, 3) to
+    (3, 1, 2), so that no list of two or more colors is in ascending order;
+    the matchings are the same."""
+    lists = tuple(colors[-1:] + colors[:-1] for colors in cover.lists)
+    return Cover(graph=cover.graph, lists=lists, matchings=cover.matchings)
+
+
+def _ascending_covers():
     """Covers of the catalog graphs, then of seeded G(n, p) graphs, p = 0.3 to 0.7:
     perfect and thinned covers of 3-lists, and thinned and diagonal covers
-    of mixed lists."""
+    of mixed lists, every list in ascending order."""
     rng = random.Random(14)
     for name in entry_names():
         g = load_catalog(name).graph
@@ -191,6 +199,13 @@ def _equivalence_covers():
             yield diagonal_cover(g, mixed)
 
 
+def _equivalence_covers():
+    """Each of ``_ascending_covers`` followed by its ``_rotated`` twin."""
+    for cover in _ascending_covers():
+        yield cover
+        yield _rotated(cover)
+
+
 def test_backjumping_finds_chronological_answers_from_no_more_nodes():
     for cover in _equivalence_covers():
         for d in (0, 1, 2):
@@ -200,9 +215,15 @@ def test_backjumping_finds_chronological_answers_from_no_more_nodes():
 
 def test_backjumping_search_tree_is_pinned():
     # "no more nodes than chronological" lets a change to the blame sets
-    # alter the tree unseen; the node totals per d pin it
+    # alter the tree unseen; the node totals per d pin it.  Candidates go
+    # by color, not by list position, so a rotated twin searches the same
+    # tree as its ascending cover.
     covers = list(_equivalence_covers())
-    totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers) for d in (0, 1, 2)]
+    for cover, twin in zip(covers[::2], covers[1::2]):
+        for d in (0, 1, 2):
+            assert find_rep_set(twin, d) == find_rep_set(cover, d), (twin, d)
+            assert _nodes(find_rep_set, twin, d) == _nodes(find_rep_set, cover, d), (twin, d)
+    totals = [sum(_nodes(find_rep_set, cover, d) for cover in covers[::2]) for d in (0, 1, 2)]
     assert totals == [2232, 2596, 2144]
 
 
