@@ -9,6 +9,11 @@ color of the larger one.  Other modules read matchings only through
 Colors carry no global meaning (only matchings decide conflicts), and the
 clique inside each vertex's fiber is implicit (choosing one color per
 vertex encodes it).
+
+``random_cover`` draws each edge's shuffle straight from the bit stream:
+it makes exactly the ``getrandbits`` calls ``rng.shuffle`` makes, read
+from a table of draws per list length, and when every list is ascending
+each matching comes out sorted with no sort.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
+from operator import lt
 
 from .errors import UnequalListsError
 from .graphs import Graph
@@ -55,7 +61,7 @@ class Cover:
         """
         maps: tuple[dict[int, dict[int, int]], ...] = tuple({} for _ in range(self.graph.n))
         for (u, v), matching in zip(self.graph.edges, self.matchings):
-            maps[u][v] = {cu: cv for cu, cv in matching}
+            maps[u][v] = dict(matching)
             maps[v][u] = {cv: cu for cu, cv in matching}
         return maps
 
@@ -129,31 +135,59 @@ def diagonal_cover(graph: Graph, lists: Lists) -> Cover:
     return Cover(graph=graph, lists=lists, matchings=matchings)
 
 
+def _draws(length: int) -> tuple[tuple[int, int, int], ...]:
+    """The draws ``rng.shuffle`` makes on a list of ``length`` items, in
+    order: for each position ``i`` from the last down to 1, the bit count
+    and bound of its ``_randbelow(i + 1)``."""
+    return tuple((i, (i + 1).bit_length(), i + 1) for i in range(length - 1, 0, -1))
+
+
+def _ascending(lists: Lists) -> bool:
+    """Whether every list is strictly ascending; ``False`` also when some
+    list holds colors that do not compare."""
+    try:
+        return all(all(map(lt, colors, colors[1:])) for colors in set(lists))
+    except TypeError:
+        return False
+
+
 def random_cover(
     graph: Graph, lists: Lists, seed: int, perfect: bool = False
 ) -> Cover:
     """Seeded random cover; with ``perfect`` every matching is a bijection.
 
-    Without ``perfect``, a random bijection-shaped pairing is thinned by
-    dropping each pair with probability 1/2.
+    Each edge ``(u, v)`` pairs the list of ``u`` in order with a shuffle of
+    the list of ``v``.  Without ``perfect``, each pair is then dropped
+    with probability 1/2.  The shuffle reads the bit stream exactly as
+    ``rng.shuffle`` does, from a table of draws per list length, so a seed
+    gives the same cover as a ``shuffle`` call per edge.  When every list
+    is ascending, each matching is already sorted.
     """
-    if perfect:  # a perfect matching needs equal list sizes at both ends
+    sizes = list(map(len, lists))
+    # a perfect matching needs equal list sizes at both ends
+    if perfect and len(set(sizes)) > 1:
         for u, v in graph.edges:
             if len(lists[u]) != len(lists[v]):
                 raise UnequalListsError(
                     f"edge {(u, v)}: list sizes {len(lists[u])} != {len(lists[v])}"
                 )
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    coin = rng.random
+    draws = {size: _draws(size) for size in set(sizes)}
+    ascending = _ascending(lists)
     matchings: list[Matching] = []
     for u, v in graph.edges:
-        cu = list(lists[u])
         cv = list(lists[v])
-        width = min(len(cu), len(cv))
-        rng.shuffle(cv)
-        pairs = list(zip(cu, cv[:width]))
+        for i, bits, bound in draws[sizes[v]]:  # rng.shuffle(cv)
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            cv[i], cv[j] = cv[j], cv[i]
+        pairs = zip(lists[u], cv)
         if not perfect:
-            pairs = [p for p in pairs if rng.random() < 0.5]
-        matchings.append(tuple(sorted(pairs)))
+            pairs = [p for p in pairs if coin() < 0.5]
+        matchings.append(tuple(pairs) if ascending else tuple(sorted(pairs)))
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
 
 

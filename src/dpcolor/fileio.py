@@ -256,16 +256,36 @@ def _step_json(step: TraceStep) -> str:
     )
 
 
+# A one-vertex step, the most common kind, as one template per kind: the
+# bytes ``_step_json`` gives it.
+_ONE_VERTEX_JSON = {
+    kind: "{\n"
+    '      "colors": [\n        %s\n      ],\n'
+    f'      "kind": {kind_json},\n'
+    '      "residual_list_sizes": [\n        %s\n      ],\n'
+    '      "vertices": [\n        %s\n      ]\n'
+    "    }"
+    for kind, kind_json in _KIND_JSON.items()
+}
+
+
 def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
     """Trace document, steps in excision order.
 
     As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
     first) while ``colors`` follow the sorted order of ``vertices``.
     """
+    one_vertex = _ONE_VERTEX_JSON
+    steps = [
+        one_vertex[step.kind] % (step.colors[0], step.residual_sizes[0], step.vertices[0])
+        if len(step.vertices) == len(step.colors) == len(step.residual_sizes) == 1
+        else _step_json(step)
+        for step in trace
+    ]
     return (
         "{\n"
         f'  "format": {_json_str(TRACE_FORMAT)},\n'
-        f'  "steps": {_json_list(list(map(_step_json, trace)), 1)}\n'
+        f'  "steps": {_json_list(steps, 1)}\n'
         "}\n"
     )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -53,6 +55,14 @@ class Graph:
         return v in self.adjacency[u]
 
     @cached_property
+    def degree_ranks(self) -> list[int]:
+        """``degree_ranks[v]``: the position of ``v`` in ``(degree, id)``
+        order (a stable sort by degree keeps ids ascending within each
+        degree); computed once for both cycle checks."""
+        order = sorted(range(self.n), key=self.degrees.__getitem__)
+        return sorted(range(self.n), key=order.__getitem__)
+
+    @cached_property
     def has_forbidden_cycles(self) -> bool:
         """True iff the graph has a 4- or 6-cycle; searched once per graph."""
         return has_cycle_of_length(self, 4) or has_cycle_of_length(self, 6)
@@ -64,11 +74,59 @@ def _check_vertex(v: int, n: int) -> None:
 
 
 def build_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
-    """Build a validated :class:`Graph` from a vertex count and edge pairs."""
+    """Build a validated :class:`Graph` from a vertex count and edge pairs.
+
+    The edges are checked in bulk; only when that check fails are they
+    checked one by one, so that the error names the first bad edge.
+    """
     if n < 0:
         raise IndexOutOfRangeError(f"vertex count {n} is negative")
+    pairs = list(edges)
+    seen = _valid_edge_set(n, pairs)
+    if seen is None:
+        seen = _edge_set(n, pairs)
+    sorted_edges = tuple(sorted(seen))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    # sorted: row v gets its smaller neighbours in order, then its larger ones
+    return Graph(n=n, edges=sorted_edges, adjacency=tuple(map(tuple, adj)))
+
+
+def _valid_edge_set(n: int, pairs: list) -> set[Edge] | None:
+    """The edges as a set of sorted pairs, if they pass in bulk: tuples
+    ``(u, v)`` of integers in ``0..n-1``, no loop and no edge twice.
+    ``None`` when any check fails, and for pairs that are not tuples."""
+    if not {tuple}.issuperset(map(type, pairs)):
+        return None
+    try:
+        if not all(starmap(lt, pairs)):
+            pairs = [(u, v) if u < v else (v, u) for u, v in pairs]
+            if not all(starmap(lt, pairs)):  # a loop
+                return None
+        seen = set(pairs)
+    except (TypeError, ValueError):  # not a pair, or not comparable
+        return None
+    if len(seen) != len(pairs):
+        return None
+    if seen:
+        low, high = zip(*seen)
+        if not (
+            {int}.issuperset(map(type, low))
+            and {int}.issuperset(map(type, high))
+            and min(low) >= 0
+            and max(high) < n
+        ):
+            return None
+    return seen
+
+
+def _edge_set(n: int, pairs: list) -> set[Edge]:
+    """The edges as sorted pairs, checked one by one: raises on the first
+    loop, out-of-range vertex or repeated edge."""
     seen: set[Edge] = set()
-    for pair in edges:
+    for pair in pairs:
         u, v = pair
         if u == v:
             raise LoopEdgeError(f"loop at vertex {u}")
@@ -78,13 +136,7 @@ def build_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"edge {key} given twice")
         seen.add(key)
-    sorted_edges = tuple(sorted(seen))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    # sorted: row v gets its smaller neighbours in order, then its larger ones
-    return Graph(n=n, edges=sorted_edges, adjacency=tuple(map(tuple, adj)))
+    return seen
 
 
 def is_connected(graph: Graph) -> bool:
@@ -178,20 +230,10 @@ def smallest_forbidden_cycle(
     return None
 
 
-def _degree_ranks(adjacency: Sequence[Sequence[int]]) -> list[int]:
-    """``rank[v]``: the position of ``v`` in ``(degree, id)`` order (a stable
-    sort by degree keeps ids ascending within each degree)."""
-    rank = [0] * len(adjacency)
-    for position, v in enumerate(sorted(range(len(adjacency)), key=lambda v: len(adjacency[v]))):
-        rank[v] = position
-    return rank
-
-
-def _has_4_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
+def _has_4_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:
     """Chiba-Nishizeki: each 4-cycle is found from its top-ranked vertex
     ``v``, which reaches the opposite vertex along two paths ``v-u-w``
     through lower-ranked vertices."""
-    rank = _degree_ranks(adjacency)
     reached_from = [-1] * len(adjacency)
     for v, ring in enumerate(adjacency):
         top = rank[v]
@@ -205,7 +247,7 @@ def _has_4_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
     return False
 
 
-def _has_6_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
+def _has_6_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:
     """Meet in the middle (after Alon, Yuster and Zwick): each 6-cycle
     ``v-a-b-c-b'-a'`` is found from its top-ranked vertex ``v`` as two
     paths ``v-a-b-c`` and ``v-a'-b'-c`` through lower-ranked vertices whose
@@ -219,7 +261,6 @@ def _has_6_cycle(adjacency: Sequence[Sequence[int]]) -> bool:
     most four ``a`` per group are tried, since with three ``a`` other than
     ``c`` the pairs already form a star centred on ``b``.
     """
-    rank = _degree_ranks(adjacency)
     for v, ring in enumerate(adjacency):
         top = rank[v]
         firsts_by_middle: dict[int, list[int]] = {}  # b -> the a of each path v-a-b
@@ -262,9 +303,9 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     other ``k`` raises ``BadLengthError``.
     """
     if k == 4:
-        return _has_4_cycle(graph.adjacency)
+        return _has_4_cycle(graph.adjacency, graph.degree_ranks)
     if k == 6:
-        return _has_6_cycle(graph.adjacency)
+        return _has_6_cycle(graph.adjacency, graph.degree_ranks)
     raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
 
 

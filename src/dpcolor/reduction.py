@@ -27,7 +27,8 @@ list-size floors (1, 1+1, and 2 for the center plus 1 per leaf) follow
 from each configuration's outside-neighbor counts, and every
 configuration is colorable at those floors by the extension rule
 ``_color_config``; ``verify_config_reducible`` proves it by exhausting
-all residual covers.
+all residual covers.  For a low vertex and adjacent threes that rule
+takes each vertex's first residual color, which pass 2 does inline.
 """
 
 from __future__ import annotations
@@ -283,19 +284,17 @@ def verify_config_reducible(
     return ReducibilityReport(kind, total, verified, None)
 
 
-def reduce_and_color(cover: Cover) -> PipelineResult:
-    """Peel-and-extend on the cover's host graph, which may be any graph.
+def _extend(
+    cover: Cover, order: Sequence[tuple[ConfigKind, tuple[int, ...]]]
+) -> tuple[list[int | None], list[TraceStep]]:
+    """Pass 2: color the steps of ``order`` last to first from their
+    residual lists; the coloring by vertex and the steps in coloring order.
 
-    Raises ``ContractViolationError`` for a cover that fails
-    ``validate_cover``, ``TheoremViolationError`` when a nonempty remainder
-    has no reducible configuration, and ``ContractViolationError`` when a
-    residual list runs empty or the final coloring has impropriety above
-    1; lists of size >= 3 rule out the last two.
+    A low-vertex or adjacent-threes step takes each vertex's first residual
+    color, as ``_color_config`` would; a four-three-threes step asks
+    ``_color_config``.  Raises ``ContractViolationError`` when a residual
+    list runs empty.
     """
-    violation = validate_cover(cover)
-    if violation is not None:
-        raise ContractViolationError(f"invalid cover ({violation.clause}): {violation.message}")
-    order = list(_excision_order(cover.graph))
     partners = cover.partners
     adjacency = cover.graph.adjacency
     cover_lists = cover.lists
@@ -317,9 +316,16 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
             if not residual:
                 raise ContractViolationError(f"residual list of vertex {x} is empty")
             lists.append(residual)
-        chosen = _color_config(cover, kind, vs, lists)
-        for x, c in zip(vs, chosen):
-            color[x] = c
+        if len(vs) == 1:  # a low vertex
+            color[x] = c = residual[0]
+            steps.append(TraceStep(kind, vs, (len(residual),), (c,)))
+            continue
+        if kind is ConfigKind.FOUR_THREE_THREES:
+            for x, c in zip(vs, _color_config(cover, kind, vs, lists)):
+                color[x] = c
+        else:
+            for x, residual in zip(vs, lists):
+                color[x] = residual[0]
         steps.append(
             TraceStep(
                 kind=kind,
@@ -328,6 +334,22 @@ def reduce_and_color(cover: Cover) -> PipelineResult:
                 colors=tuple(map(color.__getitem__, sorted(vs))),
             )
         )
+    return color, steps
+
+
+def reduce_and_color(cover: Cover) -> PipelineResult:
+    """Peel-and-extend on the cover's host graph, which may be any graph.
+
+    Raises ``ContractViolationError`` for a cover that fails
+    ``validate_cover``, ``TheoremViolationError`` when a nonempty remainder
+    has no reducible configuration, and ``ContractViolationError`` when a
+    residual list runs empty or the final coloring has impropriety above
+    1; lists of size >= 3 rule out the last two.
+    """
+    violation = validate_cover(cover)
+    if violation is not None:
+        raise ContractViolationError(f"invalid cover ({violation.clause}): {violation.message}")
+    color, steps = _extend(cover, list(_excision_order(cover.graph)))
     rep = tuple(color)
     counts = impropriety(cover, rep)
     worst = max(counts, default=0)

@@ -16,8 +16,13 @@ from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
 from dpcolor.solver import _class_leaders, impropriety
 
-from oracles import class_leaders_scan, enumerate_perfect_covers, partial_matchings_scan
-from strategies import covers
+from oracles import (
+    class_leaders_scan,
+    enumerate_perfect_covers,
+    partial_matchings_scan,
+    shuffled_cover,
+)
+from strategies import covers, graphs
 
 
 def k2():
@@ -161,3 +166,43 @@ def test_class_leaders_are_the_first_permutation_of_each_cycle_type(k):
     leaders = _class_leaders(k)
     assert leaders == class_leaders_scan(k)
     assert sum(math.factorial(k) // centralizer for _, _, centralizer in leaders) == math.factorial(k)
+
+
+@st.composite
+def _list_assignments(draw, n):
+    """Lists of 1..6 distinct colors: all of one size or each its own,
+    each ascending or in any order."""
+    sizes = st.integers(1, 6)
+    size = draw(sizes)
+    equal = draw(st.booleans())
+    ascending = draw(st.booleans())
+    out = []
+    for _ in range(n):
+        k = size if equal else draw(sizes)
+        colors = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k, unique=True))
+        out.append(tuple(sorted(colors) if ascending else colors))
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 2**32), st.booleans())
+def test_random_cover_draws_as_shuffle_does(data, seed, perfect):
+    # the draw tables must read the bit stream exactly as rng.shuffle
+    # does, and the sorted fast path must give the sorted matchings
+    graph = data.draw(graphs(max_n=7))
+    lists = data.draw(_list_assignments(graph.n))
+    try:
+        expected = shuffled_cover(graph, lists, seed, perfect)
+    except UnequalListsError as exc:
+        with pytest.raises(UnequalListsError) as raised:
+            random_cover(graph, lists, seed, perfect)
+        assert str(raised.value) == str(exc)
+        return
+    assert random_cover(graph, lists, seed, perfect) == expected
+
+
+def test_random_cover_draws_as_shuffle_does_on_a_large_uniform_cover():
+    graph = build_graph(300, [(v, w) for v in range(300) for w in (v + 1, v + 7) if w < 300])
+    for k, perfect in ((3, True), (3, False), (5, True)):
+        lists = uniform_assignment(300, k)
+        assert random_cover(graph, lists, 11, perfect) == shuffled_cover(graph, lists, 11, perfect)

@@ -376,10 +376,10 @@ def test_excision_order_repushes_four_vertices(n, edges):
 def test_final_check_catches_a_broken_extension(monkeypatch):
     # with an extension that ignores the colored neighbors, every vertex of
     # a star takes color 1 and the diagonal cover puts 3 conflicts on the center
-    def first_colors(cover, kind, vs, lists):
-        return tuple(cover.lists[x][0] for x in vs)
+    def first_colors(cover, order):
+        return [colors[0] for colors in cover.lists], []
 
-    monkeypatch.setattr(reduction, "_color_config", first_colors)
+    monkeypatch.setattr(reduction, "_extend", first_colors)
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ContractViolationError, match="impropriety 3 at vertex 0"):
         reduce_and_color(diagonal_cover(star, uniform_assignment(4, 3)))

@@ -173,6 +173,27 @@ def test_registry_edits_walk_no_face(monkeypatch):
     assert calls == {"_face_walks": 3, "_set_successors": 3, "trace_faces": 3}
 
 
+def test_theorem_traces_its_plane_once(monkeypatch, tmp_path):
+    # a theorem run builds one plane graph: the integer-dart tracer and its
+    # successor and walk routines run once each, and nothing re-traces
+    calls = Counter()
+    for name in ("_face_walks", "_set_successors", "trace_faces"):
+        fn = getattr(embedding, name)
+
+        def call(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(embedding, name, call)
+    plane = tmp_path / "plane.json"
+    plane.write_text(fileio.plane_to_text(generate.generate_plane_no46(150, 11)))
+    calls.clear()
+    argv = ["theorem", str(plane), "--seed", "3", "-o", str(tmp_path / "c.json"),
+            "--trace-out", str(tmp_path / "t.json")]
+    assert cli.main(argv) == 0
+    assert calls == {"_face_walks": 1, "_set_successors": 1, "trace_faces": 1}
+
+
 def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
     # json.dumps with an indent runs CPython's pure-Python encoder; the two
     # large documents are written directly, in the same bytes
