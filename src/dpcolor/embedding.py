@@ -10,13 +10,7 @@ walk, and for a connected plane embedding the Euler identity
 means the rotation system does not describe a sphere embedding.
 
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
-one way to do so: ``graph_from_rotations`` then ``trace_faces``.  The
-rings are checked in bulk, and one by one only to name the first bad
-ring.  ``trace_faces`` works on integer darts, as a combinatorial map
-does: the darts are numbered ``0..2m-1`` in ``(v, w)`` order, so integer
-order is tuple order, each dart's reverse and its place in the rings come
-from sorting integer keys, and the walks follow a successor list and are
-written out as ``(v, w)`` pairs once.  Facts
+one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
 shared by several consumers are derived once per graph and cached: the
 4-/6-cycle check and the degree list on ``Graph``; each dart's face, the
 face degrees, the face index at each vertex's corners and the pendant
@@ -34,8 +28,6 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import eq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -135,58 +127,42 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
 
     Raises ``InvalidRotationError`` on a ring that is not a list of
     integers, and whatever ``build_graph`` and ``trace_faces`` raise on an
-    invalid graph or embedding.  The rings are checked in bulk; only when
-    that check fails are they checked one by one, to name the first bad
-    ring.
+    invalid graph or embedding.
     """
-    if not (
-        {list, tuple}.issuperset(map(type, rotations))
-        and {int}.issuperset(map(type, chain.from_iterable(rotations)))
-    ):
-        for v, ring in enumerate(rotations):
-            if not isinstance(ring, (list, tuple)) or any(type(w) is not int for w in ring):
-                raise InvalidRotationError(
-                    f"rotation at {v} is not a list of integers: {ring!r}"
-                )
+    for v, ring in enumerate(rotations):
+        if not isinstance(ring, (list, tuple)) or not {int}.issuperset(map(type, ring)):
+            raise InvalidRotationError(
+                f"rotation at {v} is not a list of integers: {ring!r}"
+            )
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 
-def _set_successors(
-    successor: list[int], out_darts: list[int], degrees: Sequence[int], reverse: Sequence[int]
-) -> None:
+def _set_successors(successor: dict[Dart, Dart], rings: Sequence[Sequence[int]]) -> None:
     """The successor rule at every vertex: after arriving at ``v`` along
-    dart ``d``, leave along the dart that follows ``reverse[d]`` in the
-    rotation at ``v``.
-
-    ``out_darts`` lists the darts out of each vertex in rotation order,
-    vertex after vertex, ``degrees[v]`` of them for ``v``; ``reverse[d]``
-    is the dart opposite ``d``.
-    """
-    following = out_darts[1:] + out_darts[:1]  # wrapped at each ring's end below
-    end = 0
-    for degree in degrees:
-        if degree:
-            end += degree
-            following[end - 1] = out_darts[end - degree]
-    for d, after in zip(map(reverse.__getitem__, out_darts), following):
-        successor[d] = after
+    ``(u, v)``, leave along ``(v, w)`` where ``w`` follows ``u`` in
+    ``rings[v]``."""
+    for v, ring in enumerate(rings):
+        w = ring[0] if ring else None
+        for u in reversed(ring):
+            successor[(u, v)] = (v, w)
+            w = u
 
 
-def _face_walks(successor: Sequence[int], darts: Sequence[Dart]) -> Iterator[tuple[Dart, ...]]:
-    """Every face walk of ``successor``, written out through ``darts``: each
-    walk starts at its smallest dart, and the walks come in the order of
-    that dart."""
-    visited = bytearray(len(successor))
-    for start in range(len(successor)):
-        if visited[start]:
+def _face_walks(successor: dict[Dart, Dart]) -> Iterator[tuple[Dart, ...]]:
+    """Every face walk of ``successor``: each walk starts at its smallest
+    dart, and the walks come in the order of that dart."""
+    visited: set[Dart] = set()
+    for start in sorted(successor):
+        if start in visited:
             continue
-        walk = [darts[start]]
-        visited[start] = 1
-        arc = successor[start]
-        while arc != start:
-            walk.append(darts[arc])
-            visited[arc] = 1
+        walk = []
+        arc = start
+        while True:
+            walk.append(arc)
+            visited.add(arc)
             arc = successor[arc]
+            if arc == start:
+                break
         yield tuple(walk)
 
 
@@ -281,60 +257,36 @@ class FaceRegistry:
 
 
 def _normalize_rotation(graph: Graph, rotation: Iterable[Iterable[int]]) -> Rotation:
-    """The rotation as tuples, each ring a permutation of its vertex's
-    neighbors: checked in bulk, then ring by ring to name the first bad
-    one."""
-    rot = tuple(map(tuple, rotation))
+    rot = tuple(tuple(r) for r in rotation)
     if len(rot) != graph.n:
         raise InvalidRotationError(
             f"{len(rot)} rotations for {graph.n} vertices"
         )
-    try:
-        permutes = all(map(eq, map(sorted, rot), map(list, graph.adjacency)))
-    except TypeError:  # a ring of values that do not compare
-        permutes = False
-    if not permutes:
-        for v in range(graph.n):
-            if sorted(rot[v]) != list(graph.adjacency[v]):
-                raise InvalidRotationError(
-                    f"rotation at {v} is not a permutation of its neighbors"
-                )
+    for v in range(graph.n):
+        if sorted(rot[v]) != list(graph.adjacency[v]):
+            raise InvalidRotationError(
+                f"rotation at {v} is not a permutation of its neighbors"
+            )
     return rot
 
 
 def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     """Trace all face walks and return the validated plane graph.
 
-    The darts are numbered ``0..2m-1`` in ``(v, w)`` order, so integer
-    order is tuple order; the walks follow a successor list over those
-    numbers, and each face's walk is written out as ``(v, w)`` pairs.
     Requires a connected graph; raises ``NonPlanarEmbeddingError`` when the
     traced face count violates the Euler identity.
     """
     rot = _normalize_rotation(graph, rotation)
     if not is_connected(graph):
         raise DisconnectedError("face tracing needs a connected graph")
-    n = graph.n
-    adjacency = graph.adjacency
-    count = 2 * graph.m
-    darts = [(v, w) for v, ring in enumerate(adjacency) for w in ring]
-    # Sorted stably by head, the darts into each vertex come by tail, in
-    # the order of the darts out of it: index d gets the reverse of dart d.
-    heads = list(chain.from_iterable(adjacency))
-    reverse = sorted(range(count), key=heads.__getitem__)
-    # The darts in ring order: the dart at each place of the rings is the
-    # rank of its key v*n + w, as key order is (v, w) order.
-    keys = [v * n + w for v, ring in enumerate(rot) for w in ring]
-    place = sorted(range(count), key=keys.__getitem__)  # dart -> its place
-    out_darts = sorted(range(count), key=place.__getitem__)
-    successor = [0] * count
-    _set_successors(successor, out_darts, graph.degrees, reverse)
-    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor, darts))]
-    if n == 1:
+    successor: dict[Dart, Dart] = {}
+    _set_successors(successor, rot)
+    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor))]
+    if graph.n == 1:
         faces = [Face(index=0, walk=())]
-    if n - graph.m + len(faces) != 2:
+    if graph.n - graph.m + len(faces) != 2:
         raise NonPlanarEmbeddingError(
-            f"Euler check failed: {n} - {graph.m} + {len(faces)} != 2"
+            f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"
         )
     return PlaneGraph(graph=graph, rotation=rot, faces=tuple(faces))
 

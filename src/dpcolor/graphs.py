@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
-from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -55,12 +53,12 @@ class Graph:
         return v in self.adjacency[u]
 
     @cached_property
-    def degree_ranks(self) -> list[int]:
-        """``degree_ranks[v]``: the position of ``v`` in ``(degree, id)``
+    def _degree_ranks(self) -> tuple[int, ...]:
+        """``_degree_ranks[v]``: the position of ``v`` in ``(degree, id)``
         order (a stable sort by degree keeps ids ascending within each
         degree); computed once for both cycle checks."""
         order = sorted(range(self.n), key=self.degrees.__getitem__)
-        return sorted(range(self.n), key=order.__getitem__)
+        return tuple(sorted(range(self.n), key=order.__getitem__))
 
     @cached_property
     def has_forbidden_cycles(self) -> bool:
@@ -74,59 +72,11 @@ def _check_vertex(v: int, n: int) -> None:
 
 
 def build_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
-    """Build a validated :class:`Graph` from a vertex count and edge pairs.
-
-    The edges are checked in bulk; only when that check fails are they
-    checked one by one, so that the error names the first bad edge.
-    """
+    """Build a validated :class:`Graph` from a vertex count and edge pairs."""
     if n < 0:
         raise IndexOutOfRangeError(f"vertex count {n} is negative")
-    pairs = list(edges)
-    seen = _valid_edge_set(n, pairs)
-    if seen is None:
-        seen = _edge_set(n, pairs)
-    sorted_edges = tuple(sorted(seen))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    # sorted: row v gets its smaller neighbours in order, then its larger ones
-    return Graph(n=n, edges=sorted_edges, adjacency=tuple(map(tuple, adj)))
-
-
-def _valid_edge_set(n: int, pairs: list) -> set[Edge] | None:
-    """The edges as a set of sorted pairs, if they pass in bulk: tuples
-    ``(u, v)`` of integers in ``0..n-1``, no loop and no edge twice.
-    ``None`` when any check fails, and for pairs that are not tuples."""
-    if not {tuple}.issuperset(map(type, pairs)):
-        return None
-    try:
-        if not all(starmap(lt, pairs)):
-            pairs = [(u, v) if u < v else (v, u) for u, v in pairs]
-            if not all(starmap(lt, pairs)):  # a loop
-                return None
-        seen = set(pairs)
-    except (TypeError, ValueError):  # not a pair, or not comparable
-        return None
-    if len(seen) != len(pairs):
-        return None
-    if seen:
-        low, high = zip(*seen)
-        if not (
-            {int}.issuperset(map(type, low))
-            and {int}.issuperset(map(type, high))
-            and min(low) >= 0
-            and max(high) < n
-        ):
-            return None
-    return seen
-
-
-def _edge_set(n: int, pairs: list) -> set[Edge]:
-    """The edges as sorted pairs, checked one by one: raises on the first
-    loop, out-of-range vertex or repeated edge."""
     seen: set[Edge] = set()
-    for pair in pairs:
+    for pair in edges:
         u, v = pair
         if u == v:
             raise LoopEdgeError(f"loop at vertex {u}")
@@ -136,7 +86,13 @@ def _edge_set(n: int, pairs: list) -> set[Edge]:
         if key in seen:
             raise DuplicateEdgeError(f"edge {key} given twice")
         seen.add(key)
-    return seen
+    sorted_edges = tuple(sorted(seen))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    # sorted: row v gets its smaller neighbours in order, then its larger ones
+    return Graph(n=n, edges=sorted_edges, adjacency=tuple(map(tuple, adj)))
 
 
 def is_connected(graph: Graph) -> bool:
@@ -303,9 +259,9 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     other ``k`` raises ``BadLengthError``.
     """
     if k == 4:
-        return _has_4_cycle(graph.adjacency, graph.degree_ranks)
+        return _has_4_cycle(graph.adjacency, graph._degree_ranks)
     if k == 6:
-        return _has_6_cycle(graph.adjacency, graph.degree_ranks)
+        return _has_6_cycle(graph.adjacency, graph._degree_ranks)
     raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
 
 

@@ -17,9 +17,8 @@ one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
 the least permutation of each cycle type by scanning all of them,
 the faces a face registry keeps up to date by tracing its rotation
-system from scratch, a graph by checking its edges one by one, a plane
-graph by tracing darts kept as ``(v, w)`` dict keys, and a random cover
-by one ``rng.shuffle`` call per edge.
+system from scratch, and a random cover by one ``rng.shuffle`` call per
+edge.
 """
 
 import math
@@ -29,20 +28,14 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from dpcolor.covers import DEFAULT_BUDGET, Cover, uniform_assignment
-from dpcolor.embedding import Face, PlaneGraph, graph_from_rotations, trace_faces
+from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.errors import (
     BudgetExceededError,
-    DisconnectedError,
-    DuplicateEdgeError,
     EmptyListError,
-    IndexOutOfRangeError,
-    InvalidRotationError,
-    LoopEdgeError,
     NegativeImproprietyError,
-    NonPlanarEmbeddingError,
     UnequalListsError,
 )
-from dpcolor.graphs import Graph, build_graph
+from dpcolor.graphs import build_graph
 
 
 def subset_cycles(graph, k):
@@ -463,78 +456,6 @@ def registry_vs_trace(reg):
         {arc: f.walk[0] for f in faces for arc in f.walk},
     )
     return held, traced
-
-
-def build_graph_by_edge(n, edges):
-    """A graph checked one edge at a time: the first loop, out-of-range
-    vertex or repeated edge raises."""
-    if n < 0:
-        raise IndexOutOfRangeError(f"vertex count {n} is negative")
-    seen = set()
-    for pair in edges:
-        u, v = pair
-        if u == v:
-            raise LoopEdgeError(f"loop at vertex {u}")
-        for x in (u, v):
-            if not 0 <= x < n:
-                raise IndexOutOfRangeError(f"vertex {x} not in 0..{n - 1}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"edge {key} given twice")
-        seen.add(key)
-    edges = tuple(sorted(seen))
-    adjacency = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adjacency)))
-
-
-def plane_by_dict_darts(rotations):
-    """A plane graph from a rotation system, each ring checked on its own
-    and the faces traced with darts as ``(v, w)`` dict keys."""
-    for v, ring in enumerate(rotations):
-        if not isinstance(ring, (list, tuple)) or any(type(w) is not int for w in ring):
-            raise InvalidRotationError(f"rotation at {v} is not a list of integers: {ring!r}")
-    edges = set()
-    for v, ring in enumerate(rotations):
-        for w in ring:
-            edges.add((v, w) if v < w else (w, v))
-    graph = build_graph_by_edge(len(rotations), edges)
-    rot = tuple(tuple(ring) for ring in rotations)
-    for v in range(graph.n):
-        if sorted(rot[v]) != list(graph.adjacency[v]):
-            raise InvalidRotationError(f"rotation at {v} is not a permutation of its neighbors")
-    reached = {0} if graph.n else set()
-    stack = list(reached)
-    while stack:
-        for w in graph.adjacency[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if graph.n > 1 and len(reached) != graph.n:
-        raise DisconnectedError("face tracing needs a connected graph")
-    successor = {}
-    for v, ring in enumerate(rot):
-        for i, u in enumerate(ring):
-            successor[(u, v)] = (v, ring[(i + 1) % len(ring)])
-    faces = []
-    visited = set()
-    for start in sorted(successor):
-        if start in visited:
-            continue
-        walk = [start]
-        while successor[walk[-1]] != start:
-            walk.append(successor[walk[-1]])
-        visited.update(walk)
-        faces.append(Face(index=len(faces), walk=tuple(walk)))
-    if graph.n == 1:
-        faces = [Face(index=0, walk=())]
-    if graph.n - graph.m + len(faces) != 2:
-        raise NonPlanarEmbeddingError(
-            f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"
-        )
-    return PlaneGraph(graph=graph, rotation=rot, faces=tuple(faces))
 
 
 def shuffled_cover(graph, lists, seed, perfect=False):

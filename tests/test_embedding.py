@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +11,6 @@ from dpcolor.embedding import (
 )
 from dpcolor.errors import (
     DisconnectedError,
-    DpColorError,
     ForbiddenCyclePresentError,
     InvalidRotationError,
     NonPlanarEmbeddingError,
@@ -22,12 +18,7 @@ from dpcolor.errors import (
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 
-from oracles import (
-    edge_sharing_scan,
-    faces_at_vertex_scan,
-    pendant_3faces_scan,
-    plane_by_dict_darts,
-)
+from oracles import edge_sharing_scan, faces_at_vertex_scan, pendant_3faces_scan
 from test_plane_golden import fan, triangle_chain
 
 K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
@@ -224,89 +215,3 @@ def test_edge_sharing_matches_the_all_pairs_scan_on_generated_planes(n, seed):
 def test_rotations_must_be_lists_of_integers(rotations):
     with pytest.raises(InvalidRotationError, match="rotation at 0"):
         plane_from_rotations(rotations)
-
-
-def _benchmark_families():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "families.py"
-    spec = importlib.util.spec_from_file_location("benchmark_families", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _traced_alike(rotations):
-    """The plane graph of ``rotations`` from both tracers, compared field by
-    field; returns it."""
-    pg = plane_from_rotations(rotations)
-    expected = plane_by_dict_darts(rotations)
-    assert pg == expected
-    assert pg.graph.adjacency == expected.graph.adjacency
-    assert pg.rotation == expected.rotation
-    assert pg.faces == expected.faces
-    return pg
-
-
-def test_integer_darts_trace_as_dict_darts_on_the_catalog():
-    for name in entry_names():
-        _traced_alike([list(ring) for ring in load_catalog(name).rotation])
-
-
-def test_integer_darts_trace_as_dict_darts_on_generated_planes():
-    for n in range(10, 201):
-        _traced_alike([list(ring) for ring in generate_plane_no46(n, n).rotation])
-
-
-def test_integer_darts_trace_as_dict_darts_on_the_benchmark_families():
-    families = _benchmark_families()
-    shapes = [families.dodecahedron(), families.path(1), families.path(2)]
-    shapes += [families.dodecahedron_chain(c) for c in (1, 2, 5, 40)]
-    shapes += [families.triangle_chain(k) for k in (1, 3, 50, 400)]
-    shapes += [families.path(n) for n in (3, 130, 1040)]
-    shapes += [families.fan(b) for b in (1, 16, 256)]
-    for rotations in shapes:
-        assert _traced_alike(rotations).faces
-
-
-def _raised(build, rotations):
-    with pytest.raises(Exception) as raised:
-        build(rotations)
-    return type(raised.value), str(raised.value)
-
-
-@pytest.mark.parametrize("rotations", [
-    [[1.0], [0]],                      # float
-    [[True], [0]],                     # bool
-    [[1], [0], 2],                     # a ring that is no list
-    [[5], [0]],                        # out of range
-    [[1, 9, 7], [0, 12]],              # several out of range: the first one named
-    [[-1], [0]],                       # negative
-    [[0, 1], [0]],                     # loop
-    [[1, 1], [0]],                     # duplicate
-    [[1], []],                         # asymmetric
-    [[1, 2], [0], [1, 0]],             # asymmetric, at a later vertex
-    [[], []],                          # disconnected
-    [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],  # non-plane
-    [],                                # empty
-])
-def test_malformed_rings_fail_as_with_dict_darts(rotations):
-    raised = _raised(plane_from_rotations, rotations)
-    assert raised == _raised(plane_by_dict_darts, rotations)
-    assert issubclass(raised[0], DpColorError)
-
-
-_rings = st.lists(
-    st.lists(st.one_of(st.integers(-1, 6), st.integers(0, 6), st.sampled_from([True, 2.0])),
-             max_size=4),
-    max_size=7,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_rings)
-def test_random_rings_build_or_fail_as_with_dict_darts(rotations):
-    try:
-        expected = plane_by_dict_darts(rotations)
-    except DpColorError as exc:
-        assert _raised(plane_from_rotations, rotations) == (type(exc), str(exc))
-        return
-    assert _traced_alike(rotations) == expected

@@ -12,14 +12,13 @@ from dpcolor.errors import (
     LoopEdgeError,
 )
 from dpcolor.graphs import (
-    Graph,
     build_graph,
     has_cycle_of_length,
     is_connected,
     smallest_forbidden_cycle,
 )
 
-from oracles import build_graph_by_edge, subset_cycles
+from oracles import subset_cycles
 from strategies import graphs
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -197,58 +196,3 @@ def test_is_connected():
     assert is_connected(build_graph(0, []))
     assert not is_connected(build_graph(2, []))
     assert is_connected(build_graph(2, [(0, 1)]))
-
-
-def _outcome(build, *args):
-    """What ``build`` returns for ``args``, or the class and text of what it raises."""
-    try:
-        return build(*args)
-    except Exception as exc:  # the comparison is of any exception, checked or not
-        return type(exc), str(exc)
-
-
-# Vertices in range, just outside it, negative, a bool, a float or a
-# string, so that every bulk check fails somewhere.
-_vertices = st.one_of(
-    st.integers(0, 5), st.sampled_from([-1, -2, 6, 7, True, False, 0.0, 1.5, "a", "b"])
-)
-
-
-@st.composite
-def _edge_lists(draw):
-    """(n, edges): mostly clean pairs ``u < v``, repeats allowed, with up
-    to two of them replaced by arbitrary pairs and some maybe reversed."""
-    n = draw(st.integers(-1, 6))
-    clean = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(clean), max_size=8)) if clean else []
-    for _ in range(draw(st.integers(0, 2))):
-        i = draw(st.integers(0, len(edges)))
-        edges.insert(i, draw(st.tuples(_vertices, _vertices)))
-    if edges and draw(st.booleans()):
-        i = draw(st.integers(0, len(edges) - 1))
-        edges[i] = edges[i][::-1]
-    return n, edges
-
-
-@settings(max_examples=400, deadline=None)
-@given(_edge_lists())
-def test_build_graph_checks_in_bulk_as_edge_by_edge(case):
-    # the bulk check must pass what the one-by-one check passes and, when
-    # it fails, raise what that check raises on the first bad edge
-    n, edges = case
-    built, expected = _outcome(build_graph, n, edges), _outcome(build_graph_by_edge, n, edges)
-    assert built == expected
-    if isinstance(expected, Graph):
-        assert built.adjacency == expected.adjacency
-
-
-@pytest.mark.parametrize("edges", [
-    [(-1, 2)], [(0, 6)], [(2, 2)], [(0, 1), (0, 1)], [(1, 0), (0, 1)], [(0, 1), (4, 9), (-3, 1)],
-    [(False, True)], [(0.0, 1.5)], [("a", "b")], [(0, 1), ("a", "b")], [(0, float("nan"))],
-    [(0, 1, 2)], [(0,)], [[0, 1], [1, 2]], [(5, 4), (3, 2)],
-])
-def test_build_graph_fails_on_chosen_edges_as_edge_by_edge(edges):
-    built, expected = _outcome(build_graph, 6, edges), _outcome(build_graph_by_edge, 6, edges)
-    assert built == expected
-    if isinstance(expected, Graph):
-        assert built.adjacency == expected.adjacency

@@ -29,6 +29,7 @@ from dpcolor.graphs import build_graph
 from dpcolor.reduction import (
     ConfigKind,
     TraceStep,
+    _color_config,
     _excision_order,
     color_planar_no46,
     find_reducible_config,
@@ -306,6 +307,63 @@ def test_colors_avoid_later_neighbors(graph, seed):
                 if position[u] > i:
                     assert not cover.conflicts(x, rep[x], u, rep[u]), (x, u)
     assert max_impropriety(cover, rep) <= 1
+
+
+def _check_steps_follow_the_extension_rule(cover, result):
+    """Replay the trace in coloring order: each step's residual lists, struck
+    by ``Cover.conflicts`` against the steps colored before it, and its
+    colors, which must be what ``_color_config`` picks from those lists."""
+    color = [None] * cover.graph.n
+    for step in reversed(result.trace):
+        lists = [
+            tuple(
+                c for c in cover.lists[x]
+                if not any(
+                    color[u] is not None and cover.conflicts(x, c, u, color[u])
+                    for u in cover.graph.adjacency[x]
+                )
+            )
+            for x in step.vertices
+        ]
+        assert step.residual_sizes == tuple(map(len, lists))
+        chosen = _color_config(cover, step.kind, step.vertices, lists)
+        for x, c in zip(step.vertices, chosen):
+            color[x] = c
+        assert step.colors == tuple(color[x] for x in sorted(step.vertices))
+    assert tuple(color) == result.rep_set
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=9, min_n=1), st.integers(min_value=0, max_value=2**20), st.booleans())
+def test_pass_2_colors_by_the_extension_rule(graph, seed, perfect):
+    # pass 2 colors low vertices and adjacent threes itself; each of its
+    # steps must still be the choice of _color_config, which the lemma
+    # check exhausts
+    cover = random_cover(graph, uniform_assignment(graph.n, 3), seed, perfect=perfect)
+    result = _engine_run(cover)
+    if result is not None:
+        _check_steps_follow_the_extension_rule(cover, result)
+
+
+def test_pass_2_colors_by_the_extension_rule_on_larger_graphs():
+    kinds = set()
+    covers = [
+        random_cover(pg.graph, uniform_assignment(n, lists), seed, perfect=seed % 2 == 0)
+        for n, lists in ((40, 3), (120, 4), (300, 5))
+        for pg in [generate_plane_no46(n, n)]
+        for seed in range(2)
+    ]
+    covers += [
+        random_cover(graph, uniform_assignment(graph.n, 3), seed, perfect=seed % 4 < 2)
+        for seed in range(40)
+        for graph in [_min_degree_three_graph(seed)]
+    ]
+    for cover in covers:
+        result = _engine_run(cover)
+        if result is not None:
+            _check_steps_follow_the_extension_rule(cover, result)
+            kinds.update(step.kind for step in result.trace)
+    assert kinds == set(ConfigKind)
 
 
 def _oracle_order(graph):

@@ -174,8 +174,8 @@ def test_registry_edits_walk_no_face(monkeypatch):
 
 
 def test_theorem_traces_its_plane_once(monkeypatch, tmp_path):
-    # a theorem run builds one plane graph: the integer-dart tracer and its
-    # successor and walk routines run once each, and nothing re-traces
+    # a theorem run builds one plane graph: the tracer and its successor
+    # and walk routines run once each, and nothing re-traces
     calls = Counter()
     for name in ("_face_walks", "_set_successors", "trace_faces"):
         fn = getattr(embedding, name)
