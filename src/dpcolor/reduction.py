@@ -22,13 +22,13 @@ residual lists: a color of an excised vertex survives only if no
 already-colored neighbor's choice (the neighbors excised later) is
 matched to it, and one loop over the vertex's neighbors strikes the
 rest.
-Surviving choices can then never conflict across the frontier.  The
-list-size floors (1, 1+1, and 2 for the center plus 1 per leaf) follow
-from each configuration's outside-neighbor counts, and every
-configuration is colorable at those floors by the extension rule
-``_color_config``; ``verify_config_reducible`` proves it by exhausting
-all residual covers.  For a low vertex and adjacent threes that rule
-takes each vertex's first residual color, which pass 2 does inline.
+Surviving choices can then never conflict across the frontier.  Each
+vertex takes its first residual color, except a four-three-threes
+center, which takes its first in conflict with at most one leaf.  A
+vertex's list-size floor is 3 minus its outside neighbors, which gives
+1, 1+1, and 2 for the center plus 1 per leaf, and
+``verify_config_reducible`` proves every configuration colorable at its
+floors by running pass 2 on all residual covers.
 """
 
 from __future__ import annotations
@@ -199,39 +199,12 @@ def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
     return None if first is None else ReducibleConfig(*first)
 
 
-def _color_config(
-    cover: Cover, kind: ConfigKind, vs: tuple[int, ...], lists: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The extension rule for the configuration on ``vs``, in its order.
-
-    ``lists`` are the nonempty residual lists of ``vs``, center first, and
-    conflicts between the center and a leaf are read from ``cover``.
-
-    * low-vertex: any surviving color (smallest).
-    * adjacent-threes: any surviving color for each endpoint; even a
-      matched pair only costs impropriety 1.
-    * four-three-threes: color the leaves first, then give the center a
-      surviving color in conflict with at most one leaf; with two center
-      colors and three leaf choices matched to at most one center color
-      each, such a color exists by counting.
-    """
-    if kind is not ConfigKind.FOUR_THREE_THREES:
-        return tuple(colors[0] for colors in lists)
-    leaf_choice = (lists[1][0], lists[2][0], lists[3][0])
-    for c in lists[0]:
-        hits = sum(
-            1 for leaf, cl in zip(vs[1:], leaf_choice) if cover.conflicts(vs[0], c, leaf, cl)
-        )
-        if hits <= 1:
-            return (c,) + leaf_choice
-    raise ContractViolationError("no center color conflicts with at most one leaf")
-
-
-# The excised graph of each configuration and its residual size floors.
+# The excised graph of each configuration and the host degrees of its
+# vertices that pass 1 matches (for a low vertex, the largest).
 _CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {
-    ConfigKind.LOW_VERTEX: (build_graph(1, []), (1,)),
-    ConfigKind.ADJACENT_THREES: (build_graph(2, [(0, 1)]), (1, 1)),
-    ConfigKind.FOUR_THREE_THREES: (build_graph(4, [(0, 1), (0, 2), (0, 3)]), (2, 1, 1, 1)),
+    ConfigKind.LOW_VERTEX: (build_graph(1, []), (2,)),
+    ConfigKind.ADJACENT_THREES: (build_graph(2, [(0, 1)]), (3, 3)),
+    ConfigKind.FOUR_THREE_THREES: (build_graph(4, [(0, 1), (0, 2), (0, 3)]), (4, 3, 3, 3)),
 }
 
 
@@ -254,14 +227,17 @@ def verify_config_reducible(
 ) -> ReducibilityReport:
     """Exhaust every residual cover at the floor list sizes for ``kind``.
 
-    On every cover the extension rule ``_color_config`` must give a
-    representative set of impropriety <= 1; the first cover where it does
-    not is returned as a counterexample, and ``verified`` counts the
-    covers before it.  Raises ``ContractViolationError`` when ``sizes``
-    does not give one size per vertex, and ``ListTooSmallError`` when a
-    size is below its floor.
+    A vertex's floor is 3 minus its outside neighbors, which are colored
+    before it: its host degree less its degree in the shape.  On every
+    cover, pass 2 itself (``_extend``) colors the configuration as one
+    step and must give a representative set of impropriety <= 1; the first
+    cover where it does not is returned as a counterexample, and
+    ``verified`` counts the covers before it.  Raises
+    ``ContractViolationError`` when ``sizes`` does not give one size per
+    vertex, and ``ListTooSmallError`` when a size is below its floor.
     """
-    shape, floors = _CONFIG_SHAPES[kind]
+    shape, host_degrees = _CONFIG_SHAPES[kind]
+    floors = tuple(3 - d + len(nbrs) for d, nbrs in zip(host_degrees, shape.adjacency))
     if sizes is None:
         sizes = floors
     if len(sizes) != shape.n:
@@ -274,11 +250,11 @@ def verify_config_reducible(
     options = [partial_matchings(lists[u], lists[v]) for u, v in shape.edges]
     total = math.prod(map(len, options))
     verified = 0
-    vs = tuple(range(shape.n))
+    order = [(kind, tuple(range(shape.n)))]
     for matchings in product(*options):  # the last edge's choice varies fastest
         cover = Cover(graph=shape, lists=lists, matchings=matchings)
-        rep = _color_config(cover, kind, vs, lists)
-        if max_impropriety(cover, rep) > 1:
+        color, _ = _extend(cover, order)
+        if max_impropriety(cover, tuple(color)) > 1:
             return ReducibilityReport(kind, total, verified, cover)
         verified += 1
     return ReducibilityReport(kind, total, verified, None)
@@ -290,10 +266,15 @@ def _extend(
     """Pass 2: color the steps of ``order`` last to first from their
     residual lists; the coloring by vertex and the steps in coloring order.
 
-    A low-vertex or adjacent-threes step takes each vertex's first residual
-    color, as ``_color_config`` would; a four-three-threes step asks
-    ``_color_config``.  Raises ``ContractViolationError`` when a residual
-    list runs empty.
+    This is the only extension rule, and ``verify_config_reducible``
+    exhausts it.  Every vertex takes its first residual color (for
+    adjacent threes, even a matched pair only costs impropriety 1), except
+    the center of a four-three-threes step: the leaves keep theirs, and the
+    center takes its first residual color in conflict with at most one
+    leaf.  With two center colors and three leaf choices matched to at most
+    one center color each, such a color exists by counting.  Raises
+    ``ContractViolationError`` when a residual list runs empty or no center
+    color fits.
     """
     partners = cover.partners
     adjacency = cover.graph.adjacency
@@ -320,12 +301,17 @@ def _extend(
             color[x] = c = residual[0]
             steps.append(TraceStep(kind, vs, (len(residual),), (c,)))
             continue
+        for x, residual in zip(vs, lists):
+            color[x] = residual[0]
         if kind is ConfigKind.FOUR_THREE_THREES:
-            for x, c in zip(vs, _color_config(cover, kind, vs, lists)):
-                color[x] = c
-        else:
-            for x, residual in zip(vs, lists):
-                color[x] = residual[0]
+            center, *leaves = vs
+            to_leaf = partners[center]
+            for c in lists[0]:
+                if sum(to_leaf[leaf].get(c) == color[leaf] for leaf in leaves) <= 1:
+                    color[center] = c
+                    break
+            else:
+                raise ContractViolationError("no center color conflicts with at most one leaf")
         steps.append(
             TraceStep(
                 kind=kind,

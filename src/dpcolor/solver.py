@@ -376,19 +376,18 @@ def _pinned_cover(
     return Cover(graph, uniform_assignment(graph.n, k), tuple(matchings))
 
 
-def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
-    """``(p, image, centralizer order)`` for each conjugacy class of the
-    permutations of ``range(k)``, in order of ``p``: the index of the
-    class's least member in the lexicographic list of all ``k!``, whose
-    image tuple is ``image``.
+def _class_leaders(k: int) -> list[tuple[tuple[int, ...], int]]:
+    """``(image, centralizer order)`` for each conjugacy class of the
+    permutations of ``range(k)``, in lexicographic order of ``image``, the
+    image tuple of the class's least member.
 
     Conjugates share a cycle type, and every permutation of a cycle type is
     conjugate to every other, so each cycle type gives one class.  Its
     least member is built directly: the cycles in ascending length, each
     on the next free colors ``a, a + 1, …`` as ``c ↦ c + 1`` closed back
-    to ``a`` (so the fixed points come first).  Its index is its
-    Lehmer-code rank.  The centralizer of a permutation with ``m_i``
-    cycles of length ``i`` has order ``∏ m_i! · i^{m_i}``.
+    to ``a`` (so the fixed points come first).  The centralizer of a
+    permutation with ``m_i`` cycles of length ``i`` has order
+    ``∏ m_i! · i^{m_i}``.
     """
     leaders = []
     stack: list[tuple[tuple[int, ...], int]] = [((), k)]  # ascending lengths, colors left
@@ -403,14 +402,10 @@ def _class_leaders(k: int) -> list[tuple[int, tuple[int, ...], int]]:
             a = len(image)
             image += range(a + 1, a + length)
             image.append(a)
-        rank = sum(
-            sum(later < c for later in image[i + 1:]) * math.factorial(k - 1 - i)
-            for i, c in enumerate(image)
-        )
         centralizer = math.prod(
             math.factorial(m) * length**m for length, m in Counter(lengths).items()
         )
-        leaders.append((rank, tuple(image), centralizer))
+        leaders.append((tuple(image), centralizer))
     return sorted(leaders)
 
 
@@ -453,10 +448,13 @@ def is_dp_colorable(
     the walk's nodes, checked as each is made, and each search's nodes;
     with a free edge it also bounds the ``k!`` matchings tried per free
     edge, checked up front.  Raises ``EmptyListError`` for ``k < 0``, whose
-    lists ``1..k`` are empty.
+    lists ``1..k`` are empty, and ``NegativeImproprietyError`` for
+    ``d < 0``.
     """
     if k < 0:
         raise EmptyListError(f"list size {k} is negative")
+    if d < 0:
+        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
     free = _free_edges(graph)
     if free:
         matchings = 1  # k!, multiplied out only until it passes the budget
@@ -491,7 +489,7 @@ def is_dp_colorable(
         return Colorability(witness is None, witness, 1, 1, int(k < 2))
     size = math.factorial(k)
     # the first free edge's picks: each class leader, with the size of its class
-    leaders = {image: size // centralizer for _, image, centralizer in _class_leaders(k)}
+    leaders = {image: size // centralizer for image, centralizer in _class_leaders(k)}
     later = list(permutations(range(k))) if len(free) > 1 else []
     # dead[j]: the final fits of the finished nodes at depth j whose every
     # leaf a pooled coloring fits

@@ -17,8 +17,9 @@ one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
 the least permutation of each cycle type by scanning all of them,
 the faces a face registry keeps up to date by tracing its rotation
-system from scratch, and a random cover by one ``rng.shuffle`` call per
-edge.
+system from scratch, a random cover by one ``rng.shuffle`` call per
+edge, and a pipeline step's colors by the extension rule written as a
+function of its residual lists.
 """
 
 import math
@@ -36,6 +37,7 @@ from dpcolor.errors import (
     UnequalListsError,
 )
 from dpcolor.graphs import build_graph
+from dpcolor.reduction import ConfigKind
 
 
 def subset_cycles(graph, k):
@@ -480,3 +482,25 @@ def shuffled_cover(graph, lists, seed, perfect=False):
             pairs = [p for p in pairs if rng.random() < 0.5]
         matchings.append(tuple(sorted(pairs)))
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
+
+
+def extension_colors(cover, kind, vs, lists):
+    """The extension rule for the configuration on ``vs``, in its order,
+    from the nonempty residual lists of ``vs``, center first; conflicts
+    between the center and a leaf are read from ``cover``.
+
+    * low-vertex: the first surviving color.
+    * adjacent-threes: the first surviving color for each endpoint.
+    * four-three-threes: the leaves take their first surviving colors,
+      then the center the first in conflict with at most one leaf.
+    """
+    if kind is not ConfigKind.FOUR_THREE_THREES:
+        return tuple(colors[0] for colors in lists)
+    leaf_choice = (lists[1][0], lists[2][0], lists[3][0])
+    for c in lists[0]:
+        hits = sum(
+            1 for leaf, cl in zip(vs[1:], leaf_choice) if cover.conflicts(vs[0], c, leaf, cl)
+        )
+        if hits <= 1:
+            return (c,) + leaf_choice
+    raise AssertionError("no center color conflicts with at most one leaf")

@@ -123,6 +123,15 @@ def test_colorable_rejects_bad_bounds_with_one_line(tmp_path, capsys, bad):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, k", [("path4", 3), ("path4", 1), ("k3", 3)])
+def test_colorable_rejects_a_negative_impropriety_bound_on_any_graph(tmp_path, capsys, name, k):
+    # a forest at k >= 2 is answered with no search, yet d = -1 is no bound
+    path = write(tmp_path, f"{name}.json", plane_to_text(load_catalog(name)))
+    assert main(["colorable", path, "-k", str(k), "-d", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: impropriety bound -1 is negative\n"
+
+
 def test_colorable_refuses_a_huge_edge_list_before_building_it(tmp_path, capsys, monkeypatch):
     refuse_graphs_above_the_cap(monkeypatch)
     path = write(tmp_path, "huge.txt", HUGE_N_GRAPH)

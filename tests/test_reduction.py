@@ -29,7 +29,6 @@ from dpcolor.graphs import build_graph
 from dpcolor.reduction import (
     ConfigKind,
     TraceStep,
-    _color_config,
     _excision_order,
     color_planar_no46,
     find_reducible_config,
@@ -38,7 +37,12 @@ from dpcolor.reduction import (
 )
 from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 
-from oracles import induced_subgraph, partial_matchings_scan, reducible_config_scan
+from oracles import (
+    extension_colors,
+    induced_subgraph,
+    partial_matchings_scan,
+    reducible_config_scan,
+)
 from strategies import graphs
 
 FLOORS = {
@@ -151,8 +155,21 @@ def test_verify_rejects_sizes_that_do_not_fit_the_configuration():
     # one error class each, so the command line answers with exit 2
     with pytest.raises(ContractViolationError, match="1 list sizes for the 2 vertices"):
         verify_config_reducible(ConfigKind.ADJACENT_THREES, (1,))
-    with pytest.raises(ListTooSmallError, match="below floors"):
+    with pytest.raises(ListTooSmallError) as raised:
         verify_config_reducible(ConfigKind.FOUR_THREE_THREES, (2, 1, 0, 1))
+    assert str(raised.value) == "sizes (2, 1, 0, 1) below floors (2, 1, 1, 1) of four-three-threes"
+
+
+def test_verify_exhausts_pass_2(monkeypatch):
+    # the lemma must check the rule the pipeline runs: with a pass 2 whose
+    # center ignores the leaves, some cover puts more than one conflict on it
+    def first_colors(cover, order):
+        return [colors[0] for colors in cover.lists], []
+
+    monkeypatch.setattr(reduction, "_extend", first_colors)
+    report = verify_config_reducible(ConfigKind.FOUR_THREE_THREES)
+    assert not report.ok
+    assert max_impropriety(report.counterexample, (1, 1, 1, 1)) > 1
 
 
 @pytest.mark.parametrize("kind", list(ConfigKind))
@@ -312,7 +329,8 @@ def test_colors_avoid_later_neighbors(graph, seed):
 def _check_steps_follow_the_extension_rule(cover, result):
     """Replay the trace in coloring order: each step's residual lists, struck
     by ``Cover.conflicts`` against the steps colored before it, and its
-    colors, which must be what ``_color_config`` picks from those lists."""
+    colors, which must be what the reference rule ``extension_colors``
+    picks from those lists."""
     color = [None] * cover.graph.n
     for step in reversed(result.trace):
         lists = [
@@ -326,7 +344,7 @@ def _check_steps_follow_the_extension_rule(cover, result):
             for x in step.vertices
         ]
         assert step.residual_sizes == tuple(map(len, lists))
-        chosen = _color_config(cover, step.kind, step.vertices, lists)
+        chosen = extension_colors(cover, step.kind, step.vertices, lists)
         for x, c in zip(step.vertices, chosen):
             color[x] = c
         assert step.colors == tuple(color[x] for x in sorted(step.vertices))
@@ -336,9 +354,8 @@ def _check_steps_follow_the_extension_rule(cover, result):
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_n=9, min_n=1), st.integers(min_value=0, max_value=2**20), st.booleans())
 def test_pass_2_colors_by_the_extension_rule(graph, seed, perfect):
-    # pass 2 colors low vertices and adjacent threes itself; each of its
-    # steps must still be the choice of _color_config, which the lemma
-    # check exhausts
+    # each step of pass 2, the code the lemma check exhausts, is the choice
+    # of the extension rule written apart from it
     cover = random_cover(graph, uniform_assignment(graph.n, 3), seed, perfect=perfect)
     result = _engine_run(cover)
     if result is not None:

@@ -386,6 +386,18 @@ def test_negative_list_size_is_rejected(graph):
         is_dp_colorable(graph, -1, 0)
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [build_graph(3, [(0, 1), (1, 2), (2, 0)]), build_graph(4, [(0, 1), (1, 2), (2, 3)]), build_graph(0, [])],
+    ids=["k3", "path4", "empty"],
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_negative_impropriety_bound_is_rejected(graph, k):
+    # d < 0 is no bound, even on a forest, which is answered with no search
+    with pytest.raises(NegativeImproprietyError, match="impropriety bound -1 is negative"):
+        is_dp_colorable(graph, k, -1)
+
+
 def test_dp_chromatic_values():
     assert dp_chromatic(build_graph(1, [])) == 1
     assert dp_chromatic(c4()) == 3
@@ -422,7 +434,7 @@ def test_one_free_edge_yields_one_cover_per_conjugacy_class(graph, k):
     ]
     found = [
         (_pinned_cover(graph, k, free, (image,)).matchings, math.factorial(k) // centralizer)
-        for _, image, centralizer in _class_leaders(k)
+        for image, centralizer in _class_leaders(k)
     ]
     assert found == sorted(renaming_classes(pinned, k).items())
 
@@ -492,7 +504,7 @@ def test_every_leader_decided_from_the_pool_is_colorable(name, k, monkeypatch):
     graph = _scan_graph(name)
     free = _free_edges(graph)
     leaders = {
-        _pinned_cover(graph, k, free, (image,)).matchings[free[0]] for _, image, _ in _class_leaders(k)
+        _pinned_cover(graph, k, free, (image,)).matchings[free[0]] for image, _ in _class_leaders(k)
     }
     searched = []
     found = []
