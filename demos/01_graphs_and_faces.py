@@ -1,17 +1,10 @@
 """Graphs, the 4- and 6-cycle queries, and face tracing.
 
-Builds a few small graphs, asks for their 4- and 6-cycles, traces
-the faces of their plane embeddings, and runs the structural checks that
-hold for embeddings without 4- or 6-cycles.
+Builds a few small graphs, asks for their 4- and 6-cycles, and traces
+the faces of their plane embeddings.
 """
 
-from dpcolor import (
-    build_graph,
-    check_propositions,
-    has_cycle_of_length,
-    load_catalog,
-    trace_faces,
-)
+from dpcolor import build_graph, has_cycle_of_length, load_catalog, trace_faces
 from dpcolor.graphs import smallest_forbidden_cycle
 
 # --- cycle queries ----------------------------------------------------------
@@ -48,11 +41,3 @@ print(
 )
 print("no 4-cycles:", not has_cycle_of_length(dodec.graph, 4))
 print("no 6-cycles:", not has_cycle_of_length(dodec.graph, 6))
-
-# --- structural checks under the cycle conditions -----------------------------
-
-report = check_propositions(load_catalog("triangle_tail7"))
-print("\ntriangle_tail7 structural checks all pass:", report.all_pass)
-for entry in report.entries:
-    if entry.check == "3face-edge-sharing":
-        print("  ", entry.subject, "->", entry.detail)

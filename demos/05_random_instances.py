@@ -2,13 +2,20 @@
 
 The generator grows an embedding by face subdivision and deletes an edge
 from any forbidden cycle it creates; outputs are verified and fully
-determined by the seed.  Every instance contains a reducible
-configuration, which is the structural heart of the coloring pipeline.
+determined by the seed.  Every instance, and every subgraph the coloring
+pipeline peels it down to, contains a reducible configuration; the
+pipeline's trace lists the configuration it excised at each step.
 """
 
 from collections import Counter
 
-from dpcolor import find_reducible_config, generate_plane_no46, has_cycle_of_length
+from dpcolor import (
+    color_planar_no46,
+    generate_plane_no46,
+    has_cycle_of_length,
+    random_cover,
+    uniform_assignment,
+)
 
 sizes = Counter()
 kinds = Counter()
@@ -19,13 +26,15 @@ for seed in range(100):
     assert not has_cycle_of_length(pg.graph, 6)
     for f in pg.faces:
         sizes[f.degree] += 1
-    kinds[find_reducible_config(pg.graph).kind.value] += 1
+    cover = random_cover(pg.graph, uniform_assignment(n, 3), seed, perfect=True)
+    for step in color_planar_no46(pg, cover).trace:
+        kinds[step.kind.value] += 1
 
 print("face degrees over 100 instances:")
 for degree in sorted(sizes):
     print(f"  {degree:>3}: {'#' * sizes[degree]}")
 
-print("\nfirst reducible configuration found:")
+print("\nconfigurations excised by the pipeline:")
 for kind, count in kinds.most_common():
     print(f"  {kind}: {count}")
 

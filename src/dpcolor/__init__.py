@@ -29,8 +29,6 @@ from .discharging import (
 from .embedding import (
     Face,
     PlaneGraph,
-    check_propositions,
-    pendant_3faces,
     plane_from_rotations,
     trace_faces,
 )
@@ -45,9 +43,7 @@ from .graphs import (
 from .reduction import (
     ConfigKind,
     PipelineResult,
-    ReducibleConfig,
     color_planar_no46,
-    find_reducible_config,
     reduce_and_color,
     verify_config_reducible,
 )
@@ -73,17 +69,14 @@ __all__ = [
     "Graph",
     "PipelineResult",
     "PlaneGraph",
-    "ReducibleConfig",
     "apply_rules",
     "audit_cases",
     "brute_force_rep_set",
     "build_graph",
     "charge_str",
-    "check_propositions",
     "color_planar_no46",
     "diagonal_cover",
     "dp_chromatic",
-    "find_reducible_config",
     "find_rep_set",
     "generate_plane_no46",
     "has_cycle_of_length",
@@ -93,7 +86,6 @@ __all__ = [
     "is_dp_colorable",
     "load_catalog",
     "max_impropriety",
-    "pendant_3faces",
     "plane_from_rotations",
     "random_cover",
     "reduce_and_color",

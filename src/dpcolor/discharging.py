@@ -27,7 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .embedding import Face, PlaneGraph, pendant_3faces
+from .embedding import Face, PlaneGraph
 from .errors import NonPlanarEmbeddingError, TheoremViolationError
 from .graphs import require_no_forbidden_cycles
 
@@ -91,17 +91,6 @@ class ChargeLedger:
     def outgoing(self, element: Element) -> int:
         return self.totals[1].get(element, 0)
 
-    def finals(self) -> dict[Element, int]:
-        out: dict[Element, int] = {}
-        for i, charge in enumerate(self.vertex_initial):
-            out[("vertex", i)] = charge
-        for i, charge in enumerate(self.face_initial):
-            out[("face", i)] = charge
-        for t in self.transfers:
-            out[t.source] -= t.sixths
-            out[t.target] += t.sixths
-        return out
-
 
 def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     """Starting charges: 2*deg - 6 per vertex, deg - 6 per face."""
@@ -140,7 +129,7 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     pay_incident_faces("R1", fours, 3, 6)
     pay_incident_faces("R2", fours, 5, 2)
     for v in fours:  # R3: 4+-vertices pay their pendant 3-faces
-        for face in pendant_3faces(pg, v):
+        for face, _ in pg.pendant_triangles.get(v, ()):
             transfers.append(
                 Transfer("R3", ("vertex", v), ("face", face.index), 2)
             )

@@ -15,6 +15,8 @@ shared by several consumers are derived once per graph and cached: the
 4-/6-cycle check and the degree list on ``Graph``; each dart's face, the
 face degrees, the face index at each vertex's corners and the pendant
 3-faces on ``PlaneGraph``; each face's corner tuple on ``Face``.
+``PlaneGraph.pendant_triangles`` is the one way to read pendant 3-faces:
+the discharging rule R3 pays them by payer from that map.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
@@ -25,7 +27,6 @@ grows its instances on it and builds a ``PlaneGraph`` only for the result.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +36,7 @@ from .errors import (
     InvalidRotationError,
     NonPlanarEmbeddingError,
 )
-from .graphs import Graph, build_graph, is_connected, require_no_forbidden_cycles
+from .graphs import Graph, build_graph, is_connected
 
 Rotation = tuple[tuple[int, ...], ...]
 Dart = tuple[int, int]
@@ -289,88 +290,3 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
             f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"
         )
     return PlaneGraph(graph=graph, rotation=rot, faces=tuple(faces))
-
-
-def pendant_3faces(pg: PlaneGraph, v: int) -> tuple[Face, ...]:
-    """Faces that are pendant 3-faces of ``v``, sorted by face index.
-
-    A pendant 3-face of ``v`` is a (3, 4+, 4+)-face not containing ``v``
-    whose degree-3 vertex is adjacent to ``v``.
-    """
-    return tuple(face for face, _ in pg.pendant_triangles.get(v, ()))
-
-
-@dataclass(frozen=True)
-class PropositionCheck:
-    check: str
-    subject: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class PropositionReport:
-    entries: tuple[PropositionCheck, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    def failures(self) -> tuple[PropositionCheck, ...]:
-        return tuple(e for e in self.entries if not e.passed)
-
-
-def check_propositions(pg: PlaneGraph) -> PropositionReport:
-    """Verify the structural facts used by the discharging analysis.
-
-    Requires a graph without 4- or 6-cycles.  Three families of checks:
-
-    * ``3face-edge-sharing``: a 3-face that shares exactly one edge with
-      another face only does so with faces of degree >= 7.  The faces
-      sharing an edge with a 3-face are counted across its edges: a
-      triangle's edge is never a bridge, so the face on the other side of
-      the arc ``(u, v)`` is the one holding ``(v, u)``.
-    * ``pendant-edge-faces``: for a pendant 3-face of ``v`` with degree-3
-      vertex ``u``, both faces bordering edge ``uv`` have degree >= 7.
-    * ``3face-count``: each vertex lies on at most floor(deg/2) distinct
-      3-faces.
-    """
-    require_no_forbidden_cycles(pg.graph)
-    entries: list[PropositionCheck] = []
-    face_of = pg.face_of_directed_edge
-    face_deg = pg.face_degrees
-    triangles = [f for f in pg.faces if f.degree == 3]
-    for f in triangles:
-        across = Counter(face_of[v, u] for u, v in f.walk)
-        for g in (pg.faces[i] for i in sorted(across) if across[i] == 1):
-            entries.append(
-                PropositionCheck(
-                    check="3face-edge-sharing",
-                    subject=f"face {f.index} vs face {g.index}",
-                    passed=g.degree >= 7,
-                    detail=f"sharing face has degree {g.degree}",
-                )
-            )
-    for v in range(pg.graph.n):
-        for face, low in pg.pendant_triangles.get(v, ()):
-            d1, d2 = face_deg[face_of[low, v]], face_deg[face_of[v, low]]
-            entries.append(
-                PropositionCheck(
-                    check="pendant-edge-faces",
-                    subject=f"vertex {v}, pendant face {face.index}, edge ({low},{v})",
-                    passed=d1 >= 7 and d2 >= 7,
-                    detail=f"edge faces have degrees {d1}, {d2}",
-                )
-            )
-    for v, corners in enumerate(pg.corner_faces):
-        on_triangles = {i for i in corners if face_deg[i] == 3}
-        bound = pg.graph.degree(v) // 2
-        entries.append(
-            PropositionCheck(
-                check="3face-count",
-                subject=f"vertex {v}",
-                passed=len(on_triangles) <= bound,
-                detail=f"{len(on_triangles)} 3-faces, bound {bound}",
-            )
-        )
-    return PropositionReport(entries=tuple(entries))

@@ -16,12 +16,10 @@ once over a mutable degree array, the smallest-last idea of Matula and
 Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates of
 each kind, and every step takes the remainder's first configuration by
 kind priority.  The order is yielded as plain ``(kind, vertices)``
-pairs; ``find_reducible_config`` wraps the first in a
-``ReducibleConfig``.  Pass 2 colors the steps in reverse order through
-residual lists: a color of an excised vertex survives only if no
-already-colored neighbor's choice (the neighbors excised later) is
-matched to it, and one loop over the vertex's neighbors strikes the
-rest.
+pairs.  Pass 2 colors the steps in reverse order through residual
+lists: a color of an excised vertex survives only if no already-colored
+neighbor's choice (the neighbors excised later) is matched to it, and
+one loop over the vertex's neighbors strikes the rest.
 Surviving choices can then never conflict across the frontier.  Each
 vertex takes its first residual color, except a four-three-threes
 center, which takes its first in conflict with at most one leaf.  A
@@ -56,17 +54,6 @@ class ConfigKind(enum.Enum):
     LOW_VERTEX = "low-vertex"
     ADJACENT_THREES = "adjacent-threes"
     FOUR_THREE_THREES = "four-three-threes"
-
-
-@dataclass(frozen=True)
-class ReducibleConfig:
-    """A configuration instance: its kind and the vertices to excise.
-
-    For ``four-three-threes`` the center comes first, then the leaves.
-    """
-
-    kind: ConfigKind
-    vertices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -186,17 +173,6 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
                             heappush(fours, w)
                 elif d == 4:
                     heappush(fours, u)
-
-
-def find_reducible_config(graph: Graph) -> ReducibleConfig | None:
-    """The first step of the excision order: the first configuration by
-    kind priority, then vertex order.  ``None`` for an empty graph or one
-    with no reducible configuration."""
-    try:
-        first = next(_excision_order(graph), None)
-    except TheoremViolationError:
-        return None
-    return None if first is None else ReducibleConfig(*first)
 
 
 # The excised graph of each configuration and the host degrees of its

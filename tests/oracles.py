@@ -3,8 +3,9 @@
 These deliberately avoid the package's algorithms: cycles are found by
 checking subsets against permutations, perfect covers by one product over
 every edge's permutations, relaxed list colorings by enumerating raw
-color maps on the graph, pendant 3-faces by scanning every face per vertex, the faces at a vertex's corners by looking up
-each dart out of it, an element's transfers by scanning the whole
+color maps on the graph, pendant 3-faces by scanning every face per
+vertex, the faces at a vertex's corners by looking up each dart out of
+it, an element's transfers and its final charge by scanning the whole
 transfer log, faces sharing one edge with a 3-face by comparing it with
 every face, partial matchings by filtering every set of color pairs,
 every JSON document as the dict tree that ``json.dumps`` writes,
@@ -20,11 +21,17 @@ the faces a face registry keeps up to date by tracing its rotation
 system from scratch, a random cover by one ``rng.shuffle`` call per
 edge, and a pipeline step's colors by the extension rule written as a
 function of its residual lists.
+
+``check_propositions`` is a checker rather than a reference: it reports
+the structural facts the discharging analysis relies on (edge sharing of
+3-faces, the faces at a pendant edge, 3-faces per vertex), and
+``data/plane_golden.json`` pins its entries on the catalog.
 """
 
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -36,7 +43,7 @@ from dpcolor.errors import (
     NegativeImproprietyError,
     UnequalListsError,
 )
-from dpcolor.graphs import build_graph
+from dpcolor.graphs import build_graph, require_no_forbidden_cycles
 from dpcolor.reduction import ConfigKind
 
 
@@ -324,6 +331,19 @@ def transfers_scan(ledger, element):
     )
 
 
+def final_charges_scan(ledger):
+    """Each element's final charge in sixths: its initial charge less the
+    transfers out of it plus those into it, each found by scanning the
+    whole transfer log."""
+    initial = [(("vertex", i), c) for i, c in enumerate(ledger.vertex_initial)]
+    initial += [(("face", i), c) for i, c in enumerate(ledger.face_initial)]
+    out = {}
+    for element, charge in initial:
+        into, away = transfers_scan(ledger, element)
+        out[element] = charge - sum(t.sixths for t in away) + sum(t.sixths for t in into)
+    return out
+
+
 def edge_sharing_scan(pg):
     """(3-face index, face index) pairs sharing exactly one undirected edge."""
     def edges(face):
@@ -504,3 +524,79 @@ def extension_colors(cover, kind, vs, lists):
         if hits <= 1:
             return (c,) + leaf_choice
     raise AssertionError("no center color conflicts with at most one leaf")
+
+
+@dataclass(frozen=True)
+class PropositionCheck:
+    check: str
+    subject: str
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True)
+class PropositionReport:
+    entries: tuple[PropositionCheck, ...]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(entry.passed for entry in self.entries)
+
+    def failures(self) -> tuple[PropositionCheck, ...]:
+        return tuple(e for e in self.entries if not e.passed)
+
+
+def check_propositions(pg):
+    """Verify the structural facts used by the discharging analysis.
+
+    Requires a graph without 4- or 6-cycles.  Three families of checks:
+
+    * ``3face-edge-sharing``: a 3-face that shares exactly one edge with
+      another face only does so with faces of degree >= 7.  The faces
+      sharing an edge with a 3-face are counted across its edges: a
+      triangle's edge is never a bridge, so the face on the other side of
+      the arc ``(u, v)`` is the one holding ``(v, u)``.
+    * ``pendant-edge-faces``: for a pendant 3-face of ``v`` with degree-3
+      vertex ``u``, both faces bordering edge ``uv`` have degree >= 7.
+    * ``3face-count``: each vertex lies on at most floor(deg/2) distinct
+      3-faces.
+    """
+    require_no_forbidden_cycles(pg.graph)
+    entries: list[PropositionCheck] = []
+    face_of = pg.face_of_directed_edge
+    face_deg = pg.face_degrees
+    triangles = [f for f in pg.faces if f.degree == 3]
+    for f in triangles:
+        across = Counter(face_of[v, u] for u, v in f.walk)
+        for g in (pg.faces[i] for i in sorted(across) if across[i] == 1):
+            entries.append(
+                PropositionCheck(
+                    check="3face-edge-sharing",
+                    subject=f"face {f.index} vs face {g.index}",
+                    passed=g.degree >= 7,
+                    detail=f"sharing face has degree {g.degree}",
+                )
+            )
+    for v in range(pg.graph.n):
+        for face, low in pg.pendant_triangles.get(v, ()):
+            d1, d2 = face_deg[face_of[low, v]], face_deg[face_of[v, low]]
+            entries.append(
+                PropositionCheck(
+                    check="pendant-edge-faces",
+                    subject=f"vertex {v}, pendant face {face.index}, edge ({low},{v})",
+                    passed=d1 >= 7 and d2 >= 7,
+                    detail=f"edge faces have degrees {d1}, {d2}",
+                )
+            )
+    for v, corners in enumerate(pg.corner_faces):
+        on_triangles = {i for i in corners if face_deg[i] == 3}
+        bound = pg.graph.degree(v) // 2
+        entries.append(
+            PropositionCheck(
+                check="3face-count",
+                subject=f"vertex {v}",
+                passed=len(on_triangles) <= bound,
+                detail=f"{len(on_triangles)} 3-faces, bound {bound}",
+            )
+        )
+    return PropositionReport(entries=tuple(entries))

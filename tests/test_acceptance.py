@@ -16,7 +16,6 @@ from dpcolor.graphs import build_graph, has_forbidden_cycles
 from dpcolor.reduction import (
     ConfigKind,
     color_planar_no46,
-    find_reducible_config,
     verify_config_reducible,
 )
 from dpcolor.solver import (
@@ -27,6 +26,7 @@ from dpcolor.solver import (
 )
 
 from oracles import enumerate_perfect_covers, relaxed_list_colorable
+from test_reduction import excises_every_vertex
 
 
 def _report(number, name, outcome):
@@ -71,11 +71,11 @@ def test_criterion_2_config_existence():
     started = time.perf_counter()
     for name in no46_names():
         graph = load_catalog(name).graph
-        assert find_reducible_config(graph) is not None, name
+        assert excises_every_vertex(graph), name
     for seed in range(500):
         n = 1 + (seed * 13) % 20
         pg = generate_plane_no46(n, seed)
-        assert find_reducible_config(pg.graph) is not None, (n, seed)
+        assert excises_every_vertex(pg.graph), (n, seed)
     assert time.perf_counter() - started < 30.0
 
 

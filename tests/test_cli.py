@@ -297,6 +297,19 @@ def test_closed_stdout_exits_0_without_a_message(command):
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
+def test_python_m_dpcolor_runs_the_command_line():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "dpcolor", "lemma", "all"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "low-vertex: 1/1 covers colorable",
+        "adjacent-threes: 2/2 covers colorable",
+        "four-three-threes: 27/27 covers colorable",
+    ]
+
+
 def _plane_file(tmp_path, name):
     return write(tmp_path, f"{name}.json", plane_to_text(load_catalog(name)))
 

@@ -12,8 +12,8 @@
   n = 10..60, 200 and 400, and ``gen:<n>:seed<s>``: the same text with
   ``seed=s`` for n = 25, 50, 100 (the ``gen`` benchmark's sizes) and
   s = 0..9; these pin the generator;
-* ``propositions:<name>``: every entry of ``check_propositions`` on the
-  4-/6-cycle-free catalog.
+* ``propositions:<name>``: every entry of ``oracles.check_propositions``
+  on the 4-/6-cycle-free catalog.
 
 Regenerate with ``PYTHONPATH=src python tests/test_plane_golden.py``;
 only do so for an intended change of output.
@@ -28,9 +28,11 @@ from pathlib import Path
 
 from dpcolor.catalog import entry_names, load as load_catalog, no46_names
 from dpcolor.cli import main
-from dpcolor.embedding import check_propositions, plane_from_rotations
+from dpcolor.embedding import plane_from_rotations
 from dpcolor.fileio import plane_to_text
 from dpcolor.generate import generate_plane_no46
+
+from oracles import check_propositions
 
 GOLDEN = Path(__file__).parent / "data" / "plane_golden.json"
 GOLDEN_FORMAT = "dpcolor-plane-golden/1"

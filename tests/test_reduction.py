@@ -31,7 +31,6 @@ from dpcolor.reduction import (
     TraceStep,
     _excision_order,
     color_planar_no46,
-    find_reducible_config,
     reduce_and_color,
     verify_config_reducible,
 )
@@ -55,6 +54,19 @@ FLOORS = {
 def _first_step(cover):
     """The trace step of the first excised vertex, which is colored last."""
     return reduce_and_color(cover).trace[0]
+
+
+def _first_config(graph):
+    """(kind, vertices) of the first step of the excision order."""
+    step = _first_step(diagonal_cover(graph, uniform_assignment(graph.n, 3)))
+    return step.kind, step.vertices
+
+
+def excises_every_vertex(graph):
+    """Whether the whole excision order exists: the pipeline peels every
+    vertex, each once."""
+    trace = reduce_and_color(diagonal_cover(graph, uniform_assignment(graph.n, 3))).trace
+    return sorted(v for step in trace for v in step.vertices) == list(range(graph.n))
 
 
 # In each cover below vertex 0 is excised first, so its residual list
@@ -87,20 +99,16 @@ def test_residual_size_floor_on_path():
 
 
 def test_config_priority_on_bowtie():
-    config = find_reducible_config(load_catalog("bowtie").graph)
-    assert config.kind is ConfigKind.LOW_VERTEX and config.vertices == (0,)
+    assert _first_config(load_catalog("bowtie").graph) == (ConfigKind.LOW_VERTEX, (0,))
 
 
 def test_config_on_k4_minus_edge():
     g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    config = find_reducible_config(g)
-    assert config.kind is ConfigKind.LOW_VERTEX and config.vertices == (2,)
+    assert _first_config(g) == (ConfigKind.LOW_VERTEX, (2,))
 
 
 def test_config_on_cube_is_adjacent_threes():
-    config = find_reducible_config(load_catalog("cube").graph)
-    assert config.kind is ConfigKind.ADJACENT_THREES
-    assert config.vertices == (0, 1)
+    assert _first_config(load_catalog("cube").graph) == (ConfigKind.ADJACENT_THREES, (0, 1))
 
 
 def test_config_four_three_threes_on_k34():
@@ -110,9 +118,7 @@ def test_config_four_three_threes_on_k34():
         7,
         [(s, t) for s in (0, 5, 6) for t in (1, 2, 3, 4)],
     )
-    config = find_reducible_config(g)
-    assert config.kind is ConfigKind.FOUR_THREE_THREES
-    assert config.vertices == (0, 1, 2, 3)
+    assert _first_config(g) == (ConfigKind.FOUR_THREE_THREES, (0, 1, 2, 3))
 
 
 ICOSAHEDRON_EDGES = [
@@ -125,15 +131,9 @@ ICOSAHEDRON_EDGES = [
 
 def test_no_config_in_five_regular():
     # the icosahedron is 5-regular: no configuration of any kind
-    assert find_reducible_config(build_graph(12, ICOSAHEDRON_EDGES)) is None
-
-
-def test_config_is_found_before_the_order_gets_stuck():
-    # the disjoint edge 12-13 goes first; the icosahedron left after it has
-    # no configuration, so only the first step of the order may be built
-    g = build_graph(14, ICOSAHEDRON_EDGES + [(12, 13)])
-    config = find_reducible_config(g)
-    assert config.kind is ConfigKind.LOW_VERTEX and config.vertices == (12,)
+    g = build_graph(12, ICOSAHEDRON_EDGES)
+    with pytest.raises(TheoremViolationError):
+        reduce_and_color(diagonal_cover(g, uniform_assignment(12, 3)))
 
 
 def test_verify_low_vertex():
@@ -259,6 +259,21 @@ def test_reduction_through_four_config_on_k34():
         result = reduce_and_color(cover)
         assert max_impropriety(cover, result.rep_set) <= 1
         assert result.trace[0].kind is ConfigKind.FOUR_THREE_THREES
+
+
+def test_four_three_threes_center_skips_a_color_that_meets_two_leaves():
+    # the first step on this cover is four-three-threes (0, 1, 2, 3); the
+    # center's first residual color, 1, is matched to the choices of leaves
+    # 2 and 3, so the center takes its second color, 2, and meets none
+    g = build_graph(7, [(s, t) for s in (0, 5, 6) for t in (1, 2, 3, 4)])
+    cover = random_cover(g, uniform_assignment(7, 3), seed=12, perfect=True)
+    result = reduce_and_color(cover)
+    step = TraceStep(ConfigKind.FOUR_THREE_THREES, (0, 1, 2, 3), (2, 2, 2, 1), (2, 2, 1, 3))
+    assert result.trace[0] == step
+    assert [cover.conflicts(0, 1, leaf, result.rep_set[leaf]) for leaf in (1, 2, 3)] == [
+        False, True, True,
+    ]
+    assert result.impropriety == (0,) * 7
 
 
 def _min_degree_three_graph(seed: int):
@@ -537,13 +552,12 @@ def test_pipeline_rejects_a_color_matched_twice():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=10**6))
 def test_every_generated_instance_has_a_config(n, seed):
-    pg = generate_plane_no46(n, seed)
-    assert find_reducible_config(pg.graph) is not None
+    assert excises_every_vertex(generate_plane_no46(n, seed).graph)
 
 
 def test_every_no46_catalog_instance_has_a_config():
     for name in no46_names():
-        assert find_reducible_config(load_catalog(name).graph) is not None, name
+        assert excises_every_vertex(load_catalog(name).graph), name
 
 
 def test_pipeline_matches_oracle_on_small_catalog():

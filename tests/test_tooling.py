@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import cli, embedding, fileio, generate, graphs, reduction
+from dpcolor import cli, embedding, fileio, generate, graphs
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -238,9 +238,8 @@ def test_writers_render_each_transfer_once(monkeypatch):
 
 
 def test_theorem_path_builds_no_per_step_objects(monkeypatch):
-    # pass 1 yields plain (kind, vertices) pairs and only
-    # find_reducible_config wraps one in a ReducibleConfig; the trace writer
-    # renders each step from its template, with no per-list helper call
+    # the trace writer renders each step from its template, with no
+    # per-list helper call
     pg = generate.generate_plane_no46(150, 11)
     cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
     calls = Counter()
@@ -251,13 +250,7 @@ def test_theorem_path_builds_no_per_step_objects(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(reduction, "ReducibleConfig",
-                        counted(reduction.ReducibleConfig, "ReducibleConfig"))
     trace = color_planar_no46(pg, cover).trace
-    assert calls == {}
-    assert reduction.find_reducible_config(pg.graph) is not None
-    assert calls == {"ReducibleConfig": 1}
-    calls.clear()
     for name in ("_json_list", "_json_ints"):
         monkeypatch.setattr(fileio, name, counted(getattr(fileio, name), name))
     assert len(trace) > 1 and trace_to_text(trace)
