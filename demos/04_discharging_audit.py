@@ -27,8 +27,7 @@ ledger = apply_rules(bowtie)
 print("\nbowtie transfers:")
 for t in ledger.transfers:
     print(f"  {t.rule}: {t.source} -> {t.target}  amount {charge_str(t.sixths)}")
-report = audit_cases(bowtie, ledger)
-print("total after rules:", charge_str(sum(e.final for e in report.entries)))
+print("total after rules:", charge_str(audit_cases(bowtie, ledger).final_total))
 
 # a fully worked audit on an instance whose triangle meets every hypothesis
 aug = load_catalog("aug_triangle_full")

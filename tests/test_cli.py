@@ -289,7 +289,7 @@ def test_closed_stdout_exits_0_without_a_message(command):
     # and the interpreter must not report a failed flush at shutdown either
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.Popen([sys.executable, "-m", "dpcolor.cli", *command], env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "dpcolor", *command], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()  # no reader left: the first write to stdout fails
     err = proc.stderr.read()
