@@ -26,7 +26,7 @@ print("but it has six-cycles, the least:", smallest_forbidden_cycle(petersen.adj
 
 k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 pg = trace_faces(k4, [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]])
-print("\nK4 embedding faces:", [f.degree for f in pg.faces])
+print("\nK4 embedding faces:", list(pg.face_degrees))
 print("Euler check: 4 - 6 +", len(pg.faces), "= 2")
 
 dodec = load_catalog("dodecahedron")

@@ -24,8 +24,7 @@ for seed in range(100):
     pg = generate_plane_no46(n, seed)
     assert not has_cycle_of_length(pg.graph, 4)
     assert not has_cycle_of_length(pg.graph, 6)
-    for f in pg.faces:
-        sizes[f.degree] += 1
+    sizes.update(pg.face_degrees)
     cover = random_cover(pg.graph, uniform_assignment(n, 3), seed, perfect=True)
     for step in color_planar_no46(pg, cover).trace:
         kinds[step.kind.value] += 1

@@ -27,7 +27,6 @@ from .discharging import (
     initial_charges,
 )
 from .embedding import (
-    Face,
     PlaneGraph,
     plane_from_rotations,
     trace_faces,
@@ -65,7 +64,6 @@ __all__ = [
     "Cover",
     "CoverViolation",
     "DpColorError",
-    "Face",
     "Graph",
     "PipelineResult",
     "PlaneGraph",

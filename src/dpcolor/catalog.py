@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .embedding import PlaneGraph, plane_from_rotations
 from .errors import InternalInvariantError
-from .graphs import has_forbidden_cycles
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def load(name: str) -> PlaneGraph:
     for entry in _ENTRIES:
         if entry.name == name:
             pg = plane_from_rotations(entry.rotations)
-            actual = not has_forbidden_cycles(pg.graph)
+            actual = not pg.graph.has_forbidden_cycles
             if actual != entry.no46:
                 raise InternalInvariantError(
                     f"catalog entry {name}: stored no46={entry.no46}, derived {actual}"

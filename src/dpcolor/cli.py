@@ -145,7 +145,7 @@ def cmd_catalog(args) -> int:
     if args.name is None:
         for entry in catalog_mod.entries():
             pg = catalog_mod.load(entry.name)
-            faces = ",".join(str(f.degree) for f in pg.faces)
+            faces = ",".join(map(str, pg.face_degrees))
             print(
                 f"{entry.name:<20} n={pg.graph.n:<3} m={pg.graph.m:<3} "
                 f"faces=[{faces}] no46={'yes' if entry.no46 else 'no'}"

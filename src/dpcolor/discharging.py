@@ -27,7 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .embedding import Face, PlaneGraph
+from .embedding import PlaneGraph
 from .errors import NonPlanarEmbeddingError, TheoremViolationError
 from .graphs import require_no_forbidden_cycles
 
@@ -128,18 +128,18 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
 
     pay_incident_faces("R1", fours, 3, 6)
     pay_incident_faces("R2", fours, 5, 2)
-    for v in fours:  # R3: 4+-vertices pay their pendant 3-faces
-        for face, _ in pg.pendant_triangles.get(v, ()):
-            transfers.append(
-                Transfer("R3", ("vertex", v), ("face", face.index), 2)
-            )
-    for face in pg.faces:  # R4: big faces feed incident 3-vertices
-        if face_deg[face.index] < 7:
+    # R3: 4+-vertices pay their pendant 3-faces, by payer then face
+    for v, fi in sorted((v, fi) for fi, (v, _) in pg.pendant_triangles.items()):
+        if deg[v] >= 4:
+            transfers.append(Transfer("R3", ("vertex", v), ("face", fi), 2))
+    # R4: big faces feed incident 3-vertices
+    for fi, corners in enumerate(pg.face_corners):
+        if face_deg[fi] < 7:
             continue
-        for v, mult in sorted(Counter(face.corners).items()):
+        for v, mult in sorted(Counter(corners).items()):
             if deg[v] == 3:
                 transfers.append(
-                    Transfer("R4", ("face", face.index), ("vertex", v), 2 * mult, mult)
+                    Transfer("R4", ("face", fi), ("vertex", v), 2 * mult, mult)
                 )
     pay_incident_faces("R5", threes, 3, 4)
     return ChargeLedger(base.vertex_initial, base.face_initial, tuple(transfers))
@@ -209,7 +209,7 @@ def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
     return (case, pattern, True, "")
 
 
-def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
+def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, bool, str]:
     """(case, pattern, compliant, reason) for a face.
 
     A 3-face is in the analysis when its corner degrees are (3,4+,4+) or
@@ -220,33 +220,29 @@ def _face_entry(pg: PlaneGraph, face: Face) -> tuple[str, str, bool, str]:
     its degree.  Other face degrees have no case: a 2-face needs degree-1
     endpoints and, absent 4-cycles, a 4-face needs a degree-1 backtrack.
     """
-    g = pg.graph
-    deg = g.degrees
-    degs = [deg[u] for u in face.corners]
+    deg = pg.graph.degrees
+    degs = [deg[u] for u in pg.face_corners[fi]]
     pattern = "(" + ",".join(map(str, degs)) + ")"
-    if face.degree == 3:
-        low = [u for u in face.corners if deg[u] == 3]
+    if len(degs) == 3:
         if min(degs) < 3:
             return ("3-face", pattern, False, "corner of degree < 3")
-        if len(low) > 1:
+        if degs.count(3) > 1:
             return ("3-face", pattern, False, "two degree-3 corners are adjacent")
-        if len(low) == 1:
-            u = low[0]
-            # in a simple graph a degree-3 corner has one neighbor off its 3-face
-            payer = next(w for w in g.adjacency[u] if w not in face.corners)
+        if fi in pg.pendant_triangles:
+            payer, u = pg.pendant_triangles[fi]
             if deg[payer] < 4:
                 return ("3-face", pattern, False,
                         f"off-face neighbor of {u} is not a 4+-vertex")
         return ("3-face", pattern, True, "")
-    if face.degree >= 5:
-        if min(degs, default=3) < 3:
+    if len(degs) >= 5:
+        if min(degs) < 3:
             return ("5+-face", pattern, False, "corner of degree < 3")
-        for (a, b) in face.walk:
+        for (a, b) in pg.faces[fi]:
             if deg[a] == 3 and deg[b] == 3:
                 return ("5+-face", pattern, False,
                         f"boundary edge ({a},{b}) joins two degree-3 vertices")
         return ("5+-face", pattern, True, "")
-    return (f"{face.degree}-face", pattern, False, "no case for this face degree")
+    return (f"{len(degs)}-face", pattern, False, "no case for this face degree")
 
 
 def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
@@ -266,7 +262,7 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
             "the -12 total",
             graph=pg.graph,
         )
-    face_cases = [(("face", f.index), _face_entry(pg, f)) for f in pg.faces]
+    face_cases = [(("face", fi), _face_entry(pg, fi)) for fi in range(len(pg.faces))]
     into, out = ledger.totals
     entries = []
     cases = vertex_cases + face_cases

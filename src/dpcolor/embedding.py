@@ -10,13 +10,14 @@ walk, and for a connected plane embedding the Euler identity
 means the rotation system does not describe a sphere embedding.
 
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
-one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Facts
+one way to do so: ``graph_from_rotations`` then ``trace_faces``.  A face
+is its index into ``PlaneGraph.faces``, which holds the walks.  Facts
 shared by several consumers are derived once per graph and cached: the
-4-/6-cycle check and the degree list on ``Graph``; each dart's face, the
-face degrees, the face index at each vertex's corners and the pendant
-3-faces on ``PlaneGraph``; each face's corner tuple on ``Face``.
-``PlaneGraph.pendant_triangles`` is the one way to read pendant 3-faces:
-the discharging rule R3 pays them by payer from that map.
+4-/6-cycle check and the degree list on ``Graph``; the face degrees, each
+face's corner tuple, the face index at each vertex's corners and the
+pendant 3-faces on ``PlaneGraph``.  ``PlaneGraph.pendant_triangles`` is
+the one place that finds a pendant 3-face's payer: the discharging rule
+R3 and the 3-face case of the audit read it from that map.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
@@ -43,78 +44,60 @@ Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
-class Face:
-    """One face: its index in the traced list and its boundary walk.
-
-    The walk is a cyclic sequence of directed edges; ``degree`` counts
-    directed-edge traversals, so a bridge traversed twice counts twice.
-    The single-vertex graph gets one face with an empty walk.
-    """
-
-    index: int
-    walk: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.walk)
-
-    @cached_property
-    def corners(self) -> tuple[int, ...]:
-        """Vertices along the walk, with multiplicity."""
-        return tuple(u for u, _ in self.walk)
-
-
-@dataclass(frozen=True)
 class PlaneGraph:
-    """A graph together with a validated embedding and its traced faces."""
+    """A graph together with a validated embedding and its traced faces.
+
+    ``faces[i]`` is the boundary walk of face ``i``: a cyclic sequence of
+    darts, so a face's degree counts traversals and a bridge counts twice.
+    The single-vertex graph has one face with an empty walk.
+    """
 
     graph: Graph
     rotation: Rotation
-    faces: tuple[Face, ...]
-
-    @cached_property
-    def face_of_directed_edge(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for face in self.faces:
-            out.update(dict.fromkeys(face.walk, face.index))
-        return out
+    faces: tuple[tuple[Dart, ...], ...]
 
     @cached_property
     def face_degrees(self) -> tuple[int, ...]:
         """Each face's degree, by face index."""
-        return tuple(len(face.walk) for face in self.faces)
+        return tuple(map(len, self.faces))
+
+    @cached_property
+    def face_corners(self) -> tuple[tuple[int, ...], ...]:
+        """Each face's vertices along its walk, with multiplicity."""
+        return tuple(tuple([u for u, _ in walk]) for walk in self.faces)
 
     @cached_property
     def corner_faces(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the face index at each corner in rotation order: the
         face of ``(v, w)`` for each ``w`` in ``rotation[v]``.  A face met at
         two corners (at a cut vertex) is listed twice."""
-        face_of = self.face_of_directed_edge
+        face_of: dict[Dart, int] = {}
+        for i, walk in enumerate(self.faces):
+            face_of.update(dict.fromkeys(walk, i))
         return tuple(
             tuple([face_of[v, w] for w in ring]) for v, ring in enumerate(self.rotation)
         )
 
     @cached_property
-    def pendant_triangles(self) -> dict[int, tuple[tuple[Face, int], ...]]:
-        """Pendant 3-faces by payer, from one pass over the faces.
+    def pendant_triangles(self) -> dict[int, tuple[int, int]]:
+        """Pendant 3-faces by face index, from one pass over the faces.
 
         A (3,4+,4+)-face with degree-3 corner ``u`` is a pendant 3-face of
-        ``u``'s one neighbor off the face.  Maps that payer to its
-        ``(face, u)`` pairs in face-index order.
+        ``u``'s one neighbor off the face, its payer, whatever the payer's
+        degree.  Maps each such face to ``(payer, u)``.
         """
         deg = self.graph.degrees
-        out: dict[int, list[tuple[Face, int]]] = {}
-        for face in self.faces:
-            if face.degree != 3:
+        out: dict[int, tuple[int, int]] = {}
+        for i, corners in enumerate(self.face_corners):
+            if len(corners) != 3:
                 continue
-            degs = [deg[u] for u in face.corners]
+            degs = [deg[u] for u in corners]
             if degs.count(3) != 1 or min(degs) < 3:
                 continue
-            low = face.corners[degs.index(3)]
-            for payer in self.graph.adjacency[low]:
-                if payer not in face.corners:
-                    out.setdefault(payer, []).append((face, low))
-        return {v: tuple(pairs) for v, pairs in out.items()}
+            low = corners[degs.index(3)]
+            # in a simple graph a degree-3 corner has one neighbor off its 3-face
+            out[i] = (next(w for w in self.graph.adjacency[low] if w not in corners), low)
+        return out
 
 
 def graph_from_rotations(rotations: Sequence[Iterable[int]]) -> Graph:
@@ -282,11 +265,9 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
         raise DisconnectedError("face tracing needs a connected graph")
     successor: dict[Dart, Dart] = {}
     _set_successors(successor, rot)
-    faces = [Face(index=i, walk=walk) for i, walk in enumerate(_face_walks(successor))]
-    if graph.n == 1:
-        faces = [Face(index=0, walk=())]
+    faces = tuple(_face_walks(successor)) if graph.n != 1 else ((),)
     if graph.n - graph.m + len(faces) != 2:
         raise NonPlanarEmbeddingError(
             f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"
         )
-    return PlaneGraph(graph=graph, rotation=rot, faces=tuple(faces))
+    return PlaneGraph(graph=graph, rotation=rot, faces=faces)

@@ -36,7 +36,9 @@ class BadLengthError(DpColorError):
 # --- embeddings -----------------------------------------------------------
 
 class InvalidRotationError(DpColorError):
-    """A rotation is not a permutation of the vertex's neighbor set."""
+    """A rotation system is malformed: a ring is not a list of integers or
+    not a permutation of its vertex's neighbor set, or the ring count is
+    not the vertex count."""
 
 
 class NonPlanarEmbeddingError(DpColorError):

@@ -32,7 +32,7 @@ import random
 
 from .embedding import FaceRegistry, PlaneGraph, plane_from_rotations
 from .errors import GenerationExhaustedError, InternalInvariantError
-from .graphs import Edge, has_forbidden_cycles, smallest_forbidden_cycle
+from .graphs import Edge, smallest_forbidden_cycle
 
 
 def _add_pendant(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
@@ -129,7 +129,7 @@ def generate_plane_no46(n: int, seed: int) -> PlaneGraph:
     for _ in range(rng.randrange(3)):  # densify, then re-repair
         _repair(reg, _add_chord(reg, rng), rng)
     pg = plane_from_rotations(rotations)
-    if pg.graph.n != n or has_forbidden_cycles(pg.graph):
+    if pg.graph.n != n or pg.graph.has_forbidden_cycles:
         raise InternalInvariantError(
             f"generated graph for n={n}, seed={seed} failed its final check"
         )

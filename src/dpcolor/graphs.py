@@ -41,9 +41,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Every vertex's degree, by vertex."""
@@ -252,11 +249,11 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     6-cycle as two disjoint length-3 paths to one endpoint (Alon, Yuster
     and Zwick, Algorithmica 17, 1997).  After an O(n log n) sort by degree,
     the 4-check costs O(a(G) m), where the arboricity a(G) is at most 3 on
-    plane graphs.  The 6-check costs
-    that to find the length-2 paths below each vertex, plus the degrees of
-    their distinct far ends, each at most the degree of the vertex: O(m)
-    when degrees are bounded and O(a(G) m^1.5) in the worst case.  Any
-    other ``k`` raises ``BadLengthError``.
+    plane graphs.  The 6-check costs that to find the length-2 paths below
+    each vertex, plus the degrees of their distinct far ends, each at most
+    the degree of the vertex: O(m) when degrees are bounded and
+    O(a(G) m^1.5) in the worst case.  Any other ``k`` raises
+    ``BadLengthError``.
     """
     if k == 4:
         return _has_4_cycle(graph.adjacency, graph._degree_ranks)
@@ -265,15 +262,10 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
 
 
-def has_forbidden_cycles(graph: Graph) -> bool:
-    """True iff the graph contains a 4-cycle or a 6-cycle (cached per graph)."""
-    return graph.has_forbidden_cycles
-
-
 def require_no_forbidden_cycles(graph: Graph) -> None:
     """Raise ``ForbiddenCyclePresentError`` naming the graph's least 4-cycle,
     else its least 6-cycle, if it has one."""
-    if has_forbidden_cycles(graph):
+    if graph.has_forbidden_cycles:
         cycle = smallest_forbidden_cycle(graph.adjacency, graph.edges)
         raise ForbiddenCyclePresentError(
             f"graph contains a {len(cycle)}-cycle: {'-'.join(map(str, cycle))}"

@@ -133,7 +133,8 @@ def find_rep_set(
     if g.n == 0:
         return ()
     partners = cover.partners
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    deg = g.degrees
+    order = sorted(range(g.n), key=lambda v: (-deg[v], v))
     rank = [0] * g.n
     for pos, v in enumerate(order):
         rank[v] = pos

@@ -5,10 +5,11 @@ checking subsets against permutations, perfect covers by one product over
 every edge's permutations, relaxed list colorings by enumerating raw
 color maps on the graph, pendant 3-faces by scanning every face per
 vertex, the faces at a vertex's corners by looking up each dart out of
-it, an element's transfers and its final charge by scanning the whole
-transfer log, faces sharing one edge with a 3-face by comparing it with
-every face, partial matchings by filtering every set of color pairs,
-every JSON document as the dict tree that ``json.dumps`` writes,
+it in a dart-to-face map built from the walks, an element's transfers
+and its final charge by scanning the whole transfer log, faces sharing
+one edge with a 3-face by comparing it with every face, partial
+matchings by filtering every set of color pairs, every JSON document
+as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
 priority order, a representative set by chronological backtracking,
@@ -110,7 +111,7 @@ def reducible_config_scan(graph):
     a 4-vertex with its first three degree-3 neighbours, which must be
     pairwise nonadjacent.
     """
-    degs = [graph.degree(v) for v in range(graph.n)]
+    degs = graph.degrees
     for v in range(graph.n):
         if degs[v] <= 2:
             return "low-vertex", (v,)
@@ -180,7 +181,7 @@ def chronological_rep_set(cover, d, budget=DEFAULT_BUDGET):
     if g.n == 0:
         return ()
     partners = cover.partners
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    order = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
     chosen = [None] * g.n
     counts = [0] * g.n
     nodes = 0
@@ -305,22 +306,30 @@ def class_leaders_scan(k):
 
 
 def pendant_3faces_scan(pg, v):
-    """(3,4+,4+)-faces not containing ``v`` whose degree-3 corner is adjacent to ``v``."""
+    """Indices of the (3,4+,4+)-faces not containing ``v`` whose degree-3
+    corner is adjacent to ``v``."""
     out = []
-    for face in pg.faces:
-        if face.degree != 3 or v in face.corners:
+    for i, walk in enumerate(pg.faces):
+        corners = [u for u, _ in walk]
+        if len(corners) != 3 or v in corners:
             continue
-        degs = sorted(pg.graph.degree(u) for u in face.corners)
-        threes = [u for u in face.corners if pg.graph.degree(u) == 3]
+        degs = sorted(len(pg.graph.adjacency[u]) for u in corners)
+        threes = [u for u in corners if len(pg.graph.adjacency[u]) == 3]
         if len(threes) == 1 and degs[1] >= 4 and pg.graph.has_edge(v, threes[0]):
-            out.append(face)
+            out.append(i)
     return tuple(out)
 
 
+def face_of_dart_scan(pg):
+    """The index of the face whose walk holds each dart."""
+    return {dart: i for i, walk in enumerate(pg.faces) for dart in walk}
+
+
 def faces_at_vertex_scan(pg, v):
-    """Incident faces in rotation order, one per corner, each looked up by
-    its dart out of ``v``."""
-    return tuple(pg.faces[pg.face_of_directed_edge[(v, w)]] for w in pg.rotation[v])
+    """Incident face indices in rotation order, one per corner, each looked
+    up by its dart out of ``v``."""
+    face_of = face_of_dart_scan(pg)
+    return tuple(face_of[v, w] for w in pg.rotation[v])
 
 
 def transfers_scan(ledger, element):
@@ -346,15 +355,15 @@ def final_charges_scan(ledger):
 
 def edge_sharing_scan(pg):
     """(3-face index, face index) pairs sharing exactly one undirected edge."""
-    def edges(face):
-        return Counter(frozenset(arc) for arc in face.walk)
+    def edges(walk):
+        return Counter(frozenset(arc) for arc in walk)
 
     return [
-        (f.index, g.index)
-        for f in pg.faces
-        if f.degree == 3
-        for g in pg.faces
-        if g.index != f.index and sum((edges(f) & edges(g)).values()) == 1
+        (i, j)
+        for i, f in enumerate(pg.faces)
+        if len(f) == 3
+        for j, g in enumerate(pg.faces)
+        if j != i and sum((edges(f) & edges(g)).values()) == 1
     ]
 
 
@@ -465,17 +474,17 @@ def registry_vs_trace(reg):
     the keys of the faces of degree >= 4, and the face key of every dart.
     The single vertex's face has no dart, so the registry holds none.
     """
-    faces = [f for f in trace_faces(graph_from_rotations(reg.rotations), reg.rotations).faces
-             if f.walk]
+    walks = trace_faces(graph_from_rotations(reg.rotations), reg.rotations).faces
+    faces = [(i, walk) for i, walk in enumerate(walks) if walk]
     held = (
         [(i, reg.walks[key], len(reg.walks[key])) for i, key in enumerate(reg.keys)],
         reg.big_keys,
         reg.face_of,
     )
     traced = (
-        [(f.index, f.walk, f.degree) for f in faces],
-        [f.walk[0] for f in faces if f.degree >= 4],
-        {arc: f.walk[0] for f in faces for arc in f.walk},
+        [(i, walk, len(walk)) for i, walk in faces],
+        [walk[0] for _, walk in faces if len(walk) >= 4],
+        {arc: walk[0] for _, walk in faces for arc in walk},
     )
     return held, traced
 
@@ -563,34 +572,38 @@ def check_propositions(pg):
     """
     require_no_forbidden_cycles(pg.graph)
     entries: list[PropositionCheck] = []
-    face_of = pg.face_of_directed_edge
-    face_deg = pg.face_degrees
-    triangles = [f for f in pg.faces if f.degree == 3]
-    for f in triangles:
-        across = Counter(face_of[v, u] for u, v in f.walk)
-        for g in (pg.faces[i] for i in sorted(across) if across[i] == 1):
+    face_of = face_of_dart_scan(pg)
+    face_deg = [len(walk) for walk in pg.faces]
+    deg = [len(ring) for ring in pg.graph.adjacency]
+    for f, walk in enumerate(pg.faces):
+        if len(walk) != 3:
+            continue
+        across = Counter(face_of[v, u] for u, v in walk)
+        for g in (i for i in sorted(across) if across[i] == 1):
             entries.append(
                 PropositionCheck(
                     check="3face-edge-sharing",
-                    subject=f"face {f.index} vs face {g.index}",
-                    passed=g.degree >= 7,
-                    detail=f"sharing face has degree {g.degree}",
+                    subject=f"face {f} vs face {g}",
+                    passed=face_deg[g] >= 7,
+                    detail=f"sharing face has degree {face_deg[g]}",
                 )
             )
     for v in range(pg.graph.n):
-        for face, low in pg.pendant_triangles.get(v, ()):
+        for f in pendant_3faces_scan(pg, v):
+            low = next(u for u, _ in pg.faces[f] if deg[u] == 3)
             d1, d2 = face_deg[face_of[low, v]], face_deg[face_of[v, low]]
             entries.append(
                 PropositionCheck(
                     check="pendant-edge-faces",
-                    subject=f"vertex {v}, pendant face {face.index}, edge ({low},{v})",
+                    subject=f"vertex {v}, pendant face {f}, edge ({low},{v})",
                     passed=d1 >= 7 and d2 >= 7,
                     detail=f"edge faces have degrees {d1}, {d2}",
                 )
             )
-    for v, corners in enumerate(pg.corner_faces):
+    for v, ring in enumerate(pg.rotation):
+        corners = [face_of[v, w] for w in ring]
         on_triangles = {i for i in corners if face_deg[i] == 3}
-        bound = pg.graph.degree(v) // 2
+        bound = deg[v] // 2
         entries.append(
             PropositionCheck(
                 check="3face-count",

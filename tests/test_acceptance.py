@@ -12,7 +12,7 @@ from dpcolor.catalog import load as load_catalog, no46_names
 from dpcolor.covers import diagonal_cover, random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases, initial_charges
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import build_graph, has_forbidden_cycles
+from dpcolor.graphs import build_graph
 from dpcolor.reduction import (
     ConfigKind,
     color_planar_no46,
@@ -171,7 +171,7 @@ def test_criterion_7_charge_exactness():
     for name in entry_names():
         pg = load_catalog(name)
         assert initial_charges(pg).initial_total == -72, name
-        if has_forbidden_cycles(pg.graph):
+        if pg.graph.has_forbidden_cycles:
             continue
         ledger = apply_rules(pg)
         report = audit_cases(pg, ledger)

@@ -9,7 +9,7 @@ from dpcolor import generate, graphs
 from dpcolor.embedding import FaceRegistry, graph_from_rotations, plane_from_rotations
 from dpcolor.errors import GenerationExhaustedError, InternalInvariantError
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import has_forbidden_cycles, is_connected
+from dpcolor.graphs import is_connected
 
 from oracles import registry_vs_trace
 
@@ -17,7 +17,7 @@ from oracles import registry_vs_trace
 def test_every_entry_loads_and_flag_is_verified():
     for entry in entries():
         pg = load(entry.name)
-        assert (not has_forbidden_cycles(pg.graph)) == entry.no46
+        assert (not pg.graph.has_forbidden_cycles) == entry.no46
         assert is_connected(pg.graph)
         if pg.graph.n >= 1:
             assert pg.graph.n - pg.graph.m + len(pg.faces) == 2
@@ -41,7 +41,7 @@ def test_unknown_name_raises():
 def test_dodecahedron_shape():
     pg = load("dodecahedron")
     assert pg.graph.n == 20 and pg.graph.m == 30
-    assert sorted(f.degree for f in pg.faces) == [5] * 12
+    assert sorted(pg.face_degrees) == [5] * 12
 
 
 def test_generator_determinism():
@@ -59,7 +59,7 @@ def test_generator_valid_over_seeds():
         pg = generate_plane_no46(n, seed)
         assert pg.graph.n == n
         assert is_connected(pg.graph)
-        assert not has_forbidden_cycles(pg.graph)
+        assert not pg.graph.has_forbidden_cycles
 
 
 def test_face_registry_matches_a_fresh_trace_after_every_edit(monkeypatch):
@@ -116,7 +116,7 @@ def test_generator_scales_to_thousands_of_vertices():
     started = time.perf_counter()
     pg = generate_plane_no46(3200, 3200)
     assert time.perf_counter() - started < 10.0
-    assert pg.graph.n == 3200 and not has_forbidden_cycles(pg.graph)
+    assert pg.graph.n == 3200 and not pg.graph.has_forbidden_cycles
 
 
 def test_generator_needs_a_vertex():
@@ -213,12 +213,12 @@ def test_repair_ends_on_a_chord_that_closes_many_6_cycles(seed):
     # chord ends them all, a path edge ends one, so at most k + 1 rounds
     k = 7
     reg = _theta(k)
-    assert [face.degree for face in plane_from_rotations(reg.rotations).faces] == [10] * k
+    assert plane_from_rotations(reg.rotations).face_degrees == (10,) * k
     _join_across_a_face(reg, 0, 5)
     graph = graph_from_rotations(reg.rotations)
     assert len(graphs.smallest_forbidden_cycle(reg.rotations, [(0, 5)])) == 6
     generate._repair(reg, [(0, 5)], random.Random(seed))
     assert graphs.smallest_forbidden_cycle(reg.rotations, [(0, 5)]) is None
     pg = plane_from_rotations(reg.rotations)  # still connected and plane
-    assert not has_forbidden_cycles(pg.graph)
+    assert not pg.graph.has_forbidden_cycles
     assert graph.m - pg.graph.m <= k + 1

@@ -16,7 +16,7 @@ from dpcolor.fileio import (
     plane_from_text,
     plane_to_text,
 )
-from dpcolor.graphs import build_graph, has_forbidden_cycles
+from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
 from test_fileio import (
@@ -399,7 +399,7 @@ def test_gen_writes_verified_instance(tmp_path, capsys):
     assert main(["gen", "-n", "9", "--seed", "4", "-o", out]) == 0
     pg = plane_from_text((tmp_path / "gen.json").read_text())
     assert pg.graph.n == 9
-    assert not has_forbidden_cycles(pg.graph)
+    assert not pg.graph.has_forbidden_cycles
 
 
 def test_gen_deterministic_output(tmp_path):

@@ -109,6 +109,18 @@ def test_audit_case_values_on_aug_triangle():
     assert triangle.final == 0
 
 
+def test_audit_unpaid_pendant_triangle_on_star_aug_triangle():
+    # the (3,4,4)-triangle's degree-3 corner 0 hangs leaf 3 off the face:
+    # the face's payer is a 1-vertex, so R3 pays nothing and the face is out
+    pg = load_catalog("star_aug_triangle")
+    ledger = apply_rules(pg)
+    face = audit_cases(pg, ledger).entries[pg.graph.n]
+    assert face.element == ("face", 0) and face.pattern == "(3,4,4)"
+    assert face.verdict == "out-of-analysis"
+    assert face.reason == "off-face neighbor of 0 is not a 4+-vertex"
+    assert not [t for t in ledger.transfers if t.rule == "R3"]
+
+
 def test_audit_all_four_plus_triangle():
     # triangle whose three corners all have degree 4: -3 + 3*1 = 0
     rot = [
@@ -160,7 +172,7 @@ def _dodecahedron_with_a_leaf_at_every_vertex():
     """Each vertex gets a pendant leaf, inserted before the first neighbor
     ``w`` whose dart ``(v, w)`` is not on face 0; the leaves add no cycle."""
     pg = load_catalog("dodecahedron")
-    on_face_0 = set(pg.faces[0].walk)
+    on_face_0 = set(pg.faces[0])
     n = pg.graph.n
     rot = []
     for v, ring in enumerate(pg.rotation):
@@ -251,7 +263,7 @@ def test_generated_audits_have_no_failures(n, seed):
 def _check_transfer_index_against_scan(pg):
     ledger = apply_rules(pg)
     elements = [("vertex", v) for v in range(pg.graph.n)]
-    elements += [("face", f.index) for f in pg.faces]
+    elements += [("face", i) for i in range(len(pg.faces))]
     for element in elements:
         into, out = transfers_scan(ledger, element)
         assert ledger.incoming(element) == sum(t.sixths for t in into)

@@ -25,8 +25,8 @@ K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
 
 
 def payer_pendants(pg, v):
-    """The pendant 3-faces of ``v`` from the plane graph's payer map."""
-    return tuple(face for face, _ in pg.pendant_triangles.get(v, ()))
+    """The pendant 3-faces of ``v`` from the plane graph's pendant map."""
+    return tuple(f for f, (payer, _) in pg.pendant_triangles.items() if payer == v)
 
 
 def k4_plane():
@@ -36,17 +36,17 @@ def k4_plane():
 
 def test_k4_faces():
     pg = k4_plane()
-    assert sorted(f.degree for f in pg.faces) == [3, 3, 3, 3]
+    assert sorted(pg.face_degrees) == [3, 3, 3, 3]
 
 
 def test_k2_single_face_of_degree_2():
     pg = trace_faces(build_graph(2, [(0, 1)]), [[1], [0]])
-    assert [f.degree for f in pg.faces] == [2]
+    assert pg.face_degrees == (2,)
 
 
 def test_cube_faces():
     pg = load_catalog("cube")
-    assert sorted(f.degree for f in pg.faces) == [4] * 6
+    assert sorted(pg.face_degrees) == [4] * 6
     assert pg.graph.n - pg.graph.m + len(pg.faces) == 2
 
 
@@ -86,8 +86,8 @@ def test_star_aug_triangle_pendant_face():
     # triangle (0,1,2) with degrees (3,4,4); vertex 3 hangs off corner 0
     pg = load_catalog("star_aug_triangle")
     found = payer_pendants(pg, 3)
-    assert len(found) == 1 and found[0].degree == 3
-    assert sorted(set(found[0].corners)) == [0, 1, 2]
+    assert len(found) == 1 and pg.face_degrees[found[0]] == 3
+    assert sorted(pg.face_corners[found[0]]) == [0, 1, 2]
     # the other leaves are adjacent only to 4+-vertices
     for leaf in (4, 5, 6, 7):
         assert payer_pendants(pg, leaf) == ()
@@ -137,12 +137,12 @@ def _catalog_no46_plane_graphs():
 
 def test_face_degree_sum_is_twice_edges():
     for pg in _catalog_no46_plane_graphs() + [k4_plane(), load_catalog("cube")]:
-        assert sum(f.degree for f in pg.faces) == 2 * pg.graph.m
+        assert sum(map(len, pg.faces)) == 2 * pg.graph.m
 
 
 def test_directed_edges_partition_into_faces():
     for pg in _catalog_no46_plane_graphs():
-        arcs = [arc for f in pg.faces for arc in f.walk]
+        arcs = [arc for walk in pg.faces for arc in walk]
         assert len(arcs) == len(set(arcs)) == 2 * pg.graph.m
 
 
@@ -151,7 +151,7 @@ def test_directed_edges_partition_into_faces():
 def test_generated_instances_satisfy_euler_and_propositions(n, seed):
     pg = generate_plane_no46(n, seed)
     assert pg.graph.n - pg.graph.m + len(pg.faces) == 2
-    assert sum(f.degree for f in pg.faces) == 2 * pg.graph.m
+    assert sum(map(len, pg.faces)) == 2 * pg.graph.m
     if not (pg.graph.n == 3 and pg.graph.m == 3):  # the bare triangle, see above
         assert check_propositions(pg).all_pass
 
@@ -181,7 +181,7 @@ def test_corner_faces_match_the_dart_lookup():
     for pg in planes:
         for v in range(pg.graph.n):
             corners = pg.corner_faces[v]
-            assert corners == tuple(f.index for f in faces_at_vertex_scan(pg, v))
+            assert corners == faces_at_vertex_scan(pg, v)
             repeats += len(set(corners)) < len(corners)
     assert repeats > 0
 
@@ -193,7 +193,7 @@ def _check_edge_sharing_against_scan(pg):
         if e.check == "3face-edge-sharing"
     ]
     expected = [
-        (f"face {f} vs face {g}", pg.faces[g].degree >= 7) for f, g in edge_sharing_scan(pg)
+        (f"face {f} vs face {g}", len(pg.faces[g]) >= 7) for f, g in edge_sharing_scan(pg)
     ]
     assert got == expected
 

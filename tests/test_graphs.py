@@ -32,13 +32,13 @@ PETERSEN_EDGES = (
 
 def test_triangle_degrees():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert [g.degree(v) for v in range(g.n)] == [2, 2, 2]
+    assert g.degrees == (2, 2, 2)
     assert g.edges == ((0, 1), (0, 2), (1, 2))
 
 
 def test_k4_degrees():
     g = build_graph(4, K4_EDGES)
-    assert [g.degree(v) for v in range(g.n)] == [3, 3, 3, 3]
+    assert g.degrees == (3, 3, 3, 3)
     assert g.m == 6
 
 

@@ -63,7 +63,7 @@ def check_faces(pg):
     ours.check_structure()
     # networkx turns the other way round a vertex: its faces are ours reversed
     mirrored = [[(b, a) for a, b in walk] for walk in nx_faces_of(ours)]
-    assert face_arc_sets(mirrored) == face_arc_sets(face.walk for face in pg.faces)
+    assert face_arc_sets(mirrored) == face_arc_sets(pg.faces)
 
 
 def canonical(cycle):
