@@ -117,7 +117,7 @@ def cmd_audit(args) -> int:
         _emit(audit_to_json_text(report, ledger), args.out)
     else:
         _emit(audit_to_table(report), args.out)
-    return 0 if report.all_audited_nonnegative else 1
+    return 1 if report.failures() else 0
 
 
 def cmd_gen(args) -> int:
@@ -143,12 +143,12 @@ def cmd_lemma(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.name is None:
-        for entry in catalog_mod.entries():
-            pg = catalog_mod.load(entry.name)
+        for name in catalog_mod.entry_names():
+            pg = catalog_mod.load(name)
             faces = ",".join(map(str, pg.face_degrees))
             print(
-                f"{entry.name:<20} n={pg.graph.n:<3} m={pg.graph.m:<3} "
-                f"faces=[{faces}] no46={'yes' if entry.no46 else 'no'}"
+                f"{name:<20} n={pg.graph.n:<3} m={pg.graph.m:<3} "
+                f"faces=[{faces}] no46={'no' if pg.graph.has_forbidden_cycles else 'yes'}"
             )
         return 0
     pg = catalog_mod.load(args.name)

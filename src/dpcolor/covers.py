@@ -4,8 +4,11 @@ A list assignment gives each vertex a finite set of integer colors; it is
 stored as a tuple of sorted color tuples indexed by vertex.  A cover pairs
 the host graph with one partial injective matching per host edge: matching
 pairs ``(cu, cv)`` relate a color of the smaller-indexed endpoint to a
-color of the larger one.  Other modules read matchings only through
-``Cover.partners`` and ``Cover.conflicts``, which hide that orientation.
+color of the larger one.  The code that builds matchings works in that
+orientation: the pinned covers and their masks in ``solver``, the
+residual covers in ``reduction`` and the cover files in ``fileio``.  The
+code that colors looks up conflicts only through ``Cover.partners``,
+which reads each matching from either end.
 Colors carry no global meaning (only matchings decide conflicts), and the
 clique inside each vertex's fiber is implicit (choosing one color per
 vertex encodes it).
@@ -64,10 +67,6 @@ class Cover:
             maps[u][v] = dict(matching)
             maps[v][u] = {cv: cu for cu, cv in matching}
         return maps
-
-    def conflicts(self, u: int, cu: int, v: int, cv: int) -> bool:
-        """True iff choosing ``cu`` at ``u`` and ``cv`` at ``v`` meet a cover edge."""
-        return self.partners[u][v].get(cu) == cv
 
 
 @dataclass(frozen=True)

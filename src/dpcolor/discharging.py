@@ -153,8 +153,7 @@ class AuditEntry:
     element: Element
     case: str
     pattern: str
-    compliant: bool
-    reason: str  # why the element is out of the analysis, if it is
+    reason: str  # why the element is out of the analysis; "" when it is inside
     initial: int
     incoming: int
     outgoing: int
@@ -162,7 +161,7 @@ class AuditEntry:
 
     @property
     def verdict(self) -> str:
-        if not self.compliant:
+        if self.reason:
             return "out-of-analysis"
         return "pass" if self.final >= 0 else "fail"
 
@@ -176,13 +175,10 @@ class AuditReport:
     def failures(self) -> tuple[AuditEntry, ...]:
         return tuple(e for e in self.entries if e.verdict == "fail")
 
-    @property
-    def all_audited_nonnegative(self) -> bool:
-        return not self.failures()
 
-
-def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
-    """(case, pattern, compliant, reason) for a vertex.
+def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, str]:
+    """(case, pattern, reason) for a vertex; the reason is empty exactly
+    when the vertex is inside the analysis.
 
     A vertex is inside the analysis when its closed neighborhood satisfies
     the structural requirements: every vertex there has degree >= 3 (this
@@ -196,21 +192,22 @@ def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, bool, str]:
     pattern = "(" + ",".join([str(face_deg[i]) for i in pg.corner_faces[v]]) + ")"
     case = "3-vertex" if deg == 3 else "4-vertex" if deg == 4 else "5+-vertex"
     if deg <= 2:
-        return (f"{deg}-vertex", pattern, False, "degree below 3")
+        return (f"{deg}-vertex", pattern, "degree below 3")
     neighbors = pg.graph.adjacency[v]
     small = [u for u in neighbors if degrees[u] < 3]
     if small:
-        return (case, pattern, False, f"neighbor {small[0]} has degree below 3")
+        return (case, pattern, f"neighbor {small[0]} has degree below 3")
     threes = [u for u in neighbors if degrees[u] == 3]
     if deg == 3 and threes:
-        return (case, pattern, False, f"adjacent degree-3 vertices {v} and {threes[0]}")
+        return (case, pattern, f"adjacent degree-3 vertices {v} and {threes[0]}")
     if deg == 4 and len(threes) > 2:
-        return (case, pattern, False, f"{len(threes)} degree-3 neighbors")
-    return (case, pattern, True, "")
+        return (case, pattern, f"{len(threes)} degree-3 neighbors")
+    return (case, pattern, "")
 
 
-def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, bool, str]:
-    """(case, pattern, compliant, reason) for a face.
+def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, str]:
+    """(case, pattern, reason) for a face; the reason is empty exactly when
+    the face is inside the analysis.
 
     A 3-face is in the analysis when its corner degrees are (3,4+,4+) or
     (4+,4+,4+) and, in the former case, the degree-3 corner's neighbor off
@@ -225,28 +222,27 @@ def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, bool, str]:
     pattern = "(" + ",".join(map(str, degs)) + ")"
     if len(degs) == 3:
         if min(degs) < 3:
-            return ("3-face", pattern, False, "corner of degree < 3")
+            return ("3-face", pattern, "corner of degree < 3")
         if degs.count(3) > 1:
-            return ("3-face", pattern, False, "two degree-3 corners are adjacent")
+            return ("3-face", pattern, "two degree-3 corners are adjacent")
         if fi in pg.pendant_triangles:
             payer, u = pg.pendant_triangles[fi]
             if deg[payer] < 4:
-                return ("3-face", pattern, False,
-                        f"off-face neighbor of {u} is not a 4+-vertex")
-        return ("3-face", pattern, True, "")
+                return ("3-face", pattern, f"off-face neighbor of {u} is not a 4+-vertex")
+        return ("3-face", pattern, "")
     if len(degs) >= 5:
         if min(degs) < 3:
-            return ("5+-face", pattern, False, "corner of degree < 3")
+            return ("5+-face", pattern, "corner of degree < 3")
         for (a, b) in pg.faces[fi]:
             if deg[a] == 3 and deg[b] == 3:
-                return ("5+-face", pattern, False,
+                return ("5+-face", pattern,
                         f"boundary edge ({a},{b}) joins two degree-3 vertices")
-        return ("5+-face", pattern, True, "")
-    return (f"{len(degs)}-face", pattern, False, "no case for this face degree")
+        return ("5+-face", pattern, "")
+    return (f"{len(degs)}-face", pattern, "no case for this face degree")
 
 
 def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
-    """Classify every element and check finals in compliant neighborhoods.
+    """Classify every element and check finals inside the analysis.
 
     Raises ``TheoremViolationError`` when every vertex is inside the
     analysis, i.e. the graph satisfies all structural requirements
@@ -256,7 +252,7 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
     """
     require_no_forbidden_cycles(pg.graph)
     vertex_cases = [(("vertex", v), _vertex_entry(pg, v)) for v in range(pg.graph.n)]
-    if vertex_cases and all(compliant for _, (_, _, compliant, _) in vertex_cases):
+    if vertex_cases and not any(reason for _, (_, _, reason) in vertex_cases):
         raise TheoremViolationError(
             "graph satisfies every structural requirement; this contradicts "
             "the -12 total",
@@ -267,11 +263,11 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
     entries = []
     cases = vertex_cases + face_cases
     initials = ledger.vertex_initial + ledger.face_initial
-    for (element, (case, pattern, compliant, reason)), initial in zip(cases, initials):
+    for (element, (case, pattern, reason)), initial in zip(cases, initials):
         incoming = into.get(element, 0)
         outgoing = out.get(element, 0)
         final = initial - outgoing + incoming
-        entries.append(AuditEntry(element, case, pattern, compliant, reason,
+        entries.append(AuditEntry(element, case, pattern, reason,
                                   initial, incoming, outgoing, final))
     return AuditReport(
         entries=tuple(entries),

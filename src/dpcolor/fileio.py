@@ -227,32 +227,18 @@ def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return colors, _int_row(obj["impropriety"], "impropriety", len(colors))
 
 
-# A trace step as an item of the ``steps`` list, at depth 2.  Each integer
-# list's items go between its brackets, so an empty list renders as ``[]``.
-_STEP_JSON = (
-    "{{\n"
-    '      "colors": [{}],\n'
-    '      "kind": {},\n'
-    '      "residual_list_sizes": [{}],\n'
-    '      "vertices": [{}]\n'
-    "    }}"
-).format
 _KIND_JSON = {kind: _json_str(kind.value) for kind in ConfigKind}
 
 
-def _ints_at_depth_3(values) -> str:
-    """The items of an integer list at depth 3, with their line breaks."""
-    if not values:
-        return ""
-    return "\n        " + ",\n        ".join(map(str, values)) + "\n      "
-
-
 def _step_json(step: TraceStep) -> str:
-    return _STEP_JSON(
-        _ints_at_depth_3(step.colors),
-        _KIND_JSON[step.kind],
-        _ints_at_depth_3(step.residual_sizes),
-        _ints_at_depth_3(step.vertices),
+    """A trace step as an item of the ``steps`` list, at depth 2."""
+    return (
+        "{\n"
+        f'      "colors": {_json_ints(step.colors, 3)},\n'
+        f'      "kind": {_KIND_JSON[step.kind]},\n'
+        f'      "residual_list_sizes": {_json_ints(step.residual_sizes, 3)},\n'
+        f'      "vertices": {_json_ints(step.vertices, 3)}\n'
+        "    }"
     )
 
 

@@ -326,10 +326,11 @@ def brute_force_rep_set(
 class Colorability:
     """Outcome of an all-covers question.
 
-    ``witness`` is a cover with no valid representative set when
-    ``colorable`` is false: the first such cover with a spanning forest's
-    matchings pinned, in lexicographic product order over the free edges'
-    permutations (``tests/oracles.py`` enumerates them as a reference).
+    ``witness`` is a cover with no valid representative set, and ``None``
+    exactly when the graph is ``colorable``: the first such cover with a
+    spanning forest's matchings pinned, in lexicographic product order over
+    the free edges' permutations (``tests/oracles.py`` enumerates them as a
+    reference).
     ``searches`` counts the nodes of the walk over the pinned covers (for
     a forest, its one cover), and ``covers_checked`` the pinned covers
     they decide; a colorable answer decides all (k!)^(m-n+c) of them.
@@ -338,11 +339,14 @@ class Colorability:
     decided the others.
     """
 
-    colorable: bool
     witness: Cover | None
     covers_checked: int
     searches: int
     solver_calls: int
+
+    @property
+    def colorable(self) -> bool:
+        return self.witness is None
 
 
 def _free_edges(graph: Graph) -> list[int]:
@@ -487,7 +491,7 @@ def is_dp_colorable(
 
     if not free:  # one cover, the identity: at k >= 2 color each tree from its root
         witness = search(()) if k < 2 else None
-        return Colorability(witness is None, witness, 1, 1, int(k < 2))
+        return Colorability(witness, 1, 1, int(k < 2))
     size = math.factorial(k)
     # the first free edge's picks: each class leader, with the size of its class
     leaders = {image: size // centralizer for image, centralizer in _class_leaders(k)}
@@ -509,7 +513,7 @@ def is_dp_colorable(
         image = next(todo[-1], None)
         if image is None:  # that node is finished
             if not picks:
-                return Colorability(True, None, checked, nodes, len(pool))
+                return Colorability(None, checked, nodes, len(pool))
             todo.pop()
             done = fits.pop()
             if opened.pop() == unfit:
@@ -542,7 +546,7 @@ def is_dp_colorable(
             continue
         witness = search((*picks, image))
         if witness is not None:
-            return Colorability(False, witness, checked, nodes, len(pool) + 1)
+            return Colorability(witness, checked, nodes, len(pool) + 1)
         fits[0] = (1 << len(pool)) - 1
         for i, chosen in enumerate(picks):
             fits[i + 1] = fits[i] & unjoined[i][chosen]

@@ -5,7 +5,9 @@ checking subsets against permutations, perfect covers by one product over
 every edge's permutations, relaxed list colorings by enumerating raw
 color maps on the graph, pendant 3-faces by scanning every face per
 vertex, the faces at a vertex's corners by looking up each dart out of
-it in a dart-to-face map built from the walks, an element's transfers
+it in a dart-to-face map built from the walks, each element's case and
+whether it is inside the discharging analysis by testing the structural
+requirements on adjacency rows and face walks, an element's transfers
 and its final charge by scanning the whole transfer log, faces sharing
 one edge with a 3-face by comparing it with every face, partial
 matchings by filtering every set of color pairs, every JSON document
@@ -332,6 +334,41 @@ def faces_at_vertex_scan(pg, v):
     return tuple(face_of[v, w] for w in pg.rotation[v])
 
 
+def audit_case_scan(pg):
+    """Each element's ``(case, pattern, inside)``, keyed as in the audit,
+    from the structural requirements read off the adjacency rows and the
+    face walks: a vertex's pattern looks up the face of each dart out of
+    it, and a (3,4+,4+)-face is paid when ``pendant_3faces_scan`` of some
+    4+-vertex lists it."""
+    adjacency = pg.graph.adjacency
+    deg = [len(row) for row in adjacency]
+    face_of = face_of_dart_scan(pg)
+    out = {}
+    for v, row in enumerate(adjacency):
+        d = deg[v]
+        case = f"{d}-vertex" if d < 3 else {3: "3-vertex", 4: "4-vertex"}.get(d, "5+-vertex")
+        faces = [len(pg.faces[face_of[v, w]]) for w in pg.rotation[v]]
+        threes = sum(deg[u] == 3 for u in row)
+        inside = (
+            d >= 3 and min(deg[u] for u in row) >= 3
+            and not (d == 3 and threes) and not (d == 4 and threes > 2)
+        )
+        out["vertex", v] = (case, "(" + ",".join(map(str, faces)) + ")", inside)
+    paid = {i for v in range(pg.graph.n) if deg[v] >= 4 for i in pendant_3faces_scan(pg, v)}
+    for i, walk in enumerate(pg.faces):
+        degs = [deg[u] for u, _ in walk]
+        pattern = "(" + ",".join(map(str, degs)) + ")"
+        if len(walk) == 3:
+            inside = min(degs) >= 3 and (degs.count(3) == 0 or i in paid)
+            out["face", i] = ("3-face", pattern, inside)
+        elif len(walk) >= 5:
+            inside = min(degs) >= 3 and not any(deg[a] == deg[b] == 3 for a, b in walk)
+            out["face", i] = ("5+-face", pattern, inside)
+        else:
+            out["face", i] = (f"{len(walk)}-face", pattern, False)
+    return out
+
+
 def transfers_scan(ledger, element):
     """(transfers into ``element``, transfers out of it), in log order."""
     return (
@@ -513,6 +550,11 @@ def shuffled_cover(graph, lists, seed, perfect=False):
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
 
 
+def meets(cover, u, cu, v, cv):
+    """Whether ``cu`` at ``u`` and ``cv`` at ``v`` are matched on edge {u, v}."""
+    return cover.partners[u][v].get(cu) == cv
+
+
 def extension_colors(cover, kind, vs, lists):
     """The extension rule for the configuration on ``vs``, in its order,
     from the nonempty residual lists of ``vs``, center first; conflicts
@@ -528,7 +570,7 @@ def extension_colors(cover, kind, vs, lists):
     leaf_choice = (lists[1][0], lists[2][0], lists[3][0])
     for c in lists[0]:
         hits = sum(
-            1 for leaf, cl in zip(vs[1:], leaf_choice) if cover.conflicts(vs[0], c, leaf, cl)
+            1 for leaf, cl in zip(vs[1:], leaf_choice) if meets(cover, vs[0], c, leaf, cl)
         )
         if hits <= 1:
             return (c,) + leaf_choice

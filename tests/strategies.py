@@ -71,7 +71,6 @@ def audits(draw):
             element=element,
             case=draw(texts),
             pattern=draw(texts),
-            compliant=draw(st.booleans()),
             reason=draw(texts),
             initial=draw(sixths),
             incoming=draw(sixths),

@@ -19,6 +19,7 @@ from dpcolor.solver import _class_leaders, impropriety
 from oracles import (
     class_leaders_scan,
     enumerate_perfect_covers,
+    meets,
     partial_matchings_scan,
     shuffled_cover,
 )
@@ -148,8 +149,8 @@ def test_conflicts_read_each_matching_in_both_directions(cover):
         for cu in cover.lists[u]:
             for cv in cover.lists[v]:
                 met = (cu, cv) in matching
-                assert cover.conflicts(u, cu, v, cv) is met
-                assert cover.conflicts(v, cv, u, cu) is met
+                assert meets(cover, u, cu, v, cv) is met
+                assert meets(cover, v, cv, u, cu) is met
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from dpcolor.errors import ForbiddenCyclePresentError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_cycle_of_length
 
-from oracles import final_charges_scan, transfers_scan
+from oracles import audit_case_scan, final_charges_scan, transfers_scan
 from test_plane_golden import fan, triangle_chain
 
 
@@ -161,7 +161,7 @@ def test_audit_octagon_face_with_four_threes():
     octagon = next(
         e
         for e in report.entries
-        if e.element[0] == "face" and e.case == "5+-face" and e.compliant
+        if e.element[0] == "face" and e.case == "5+-face" and not e.reason
     )
     assert octagon.initial == 12 and octagon.outgoing == 8
     assert octagon.final == 4  # 2/3 left over
@@ -210,13 +210,19 @@ def test_conservation_across_catalog_and_generated():
         assert sum(final_charges_scan(ledger).values()) == -72
 
 
-def test_audit_entries_tally_each_final_as_the_ledger_does():
+def _audited_planes():
+    """The 4-/6-cycle-free catalog, ``generate_plane_no46(n, n)`` for n =
+    10..60, and the triangle chains and fans of the golden audits."""
     planes = [load_catalog(name) for name in no46_names()]
     planes += [generate_plane_no46(n, n) for n in range(10, 61)]
     planes += [plane_from_rotations(triangle_chain(t)) for t in (1, 2, 5, 20)]
     planes += [plane_from_rotations(fan(k, pendant=False)) for k in (1, 3, 8)]
     planes += [plane_from_rotations(fan(k, pendant=True)) for k in (1, 2, 5)]
-    for pg in planes:
+    return planes
+
+
+def test_audit_entries_tally_each_final_as_the_ledger_does():
+    for pg in _audited_planes():
         ledger = apply_rules(pg)
         report = audit_cases(pg, ledger)
         finals = final_charges_scan(ledger)
@@ -224,6 +230,18 @@ def test_audit_entries_tally_each_final_as_the_ledger_does():
             assert e.final == e.initial - e.outgoing + e.incoming
         assert {e.element: e.final for e in report.entries} == finals
         assert report.final_total == sum(finals.values()) == report.initial_total == -72
+
+
+def test_audit_classification_matches_the_structural_scan():
+    # an element is out of the analysis exactly when it has a reason, so a
+    # violated requirement with an empty reason would read as inside
+    for pg in _audited_planes():
+        report = audit_cases(pg, apply_rules(pg))
+        classified = {
+            e.element: (e.case, e.pattern, e.verdict != "out-of-analysis")
+            for e in report.entries
+        }
+        assert classified == audit_case_scan(pg)
 
 
 def test_every_transfer_is_a_multiple_of_one_sixth_units():
@@ -248,7 +266,7 @@ def test_no_instance_is_fully_compliant():
     planes += [generate_plane_no46(3 + seed % 16, seed) for seed in range(50)]
     for pg in planes:
         report = audit_cases(pg, apply_rules(pg))
-        assert any(not e.compliant for e in report.entries if e.element[0] == "vertex")
+        assert any(e.reason for e in report.entries if e.element[0] == "vertex")
 
 
 @settings(max_examples=30, deadline=None)

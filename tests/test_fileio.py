@@ -351,9 +351,9 @@ def test_writers_match_json_dumps_on_edge_cases():
     t = Transfer("R1", ("vertex", 0), ("face", 0), -5, 2)
     ledger = ChargeLedger((2, -3), (-72,), (t,))
     entries = (
-        AuditEntry(("vertex", 0), "3-vertex", "(3,7,7)", True, "", 2, 0, -5, -3),
-        AuditEntry(("vertex", 1), "2-vertex", "(\u00e9,\"7\")", False, "degree below 3", -3, 0, 0, -3),
-        AuditEntry(("face", 0), "3-face", "(3,4,4)", True, "", -72, -5, 0, -77),
+        AuditEntry(("vertex", 0), "3-vertex", "(3,7,7)", "", 2, 0, -5, -3),
+        AuditEntry(("vertex", 1), "2-vertex", "(\u00e9,\"7\")", "degree below 3", -3, 0, 0, -3),
+        AuditEntry(("face", 0), "3-face", "(3,4,4)", "", -72, -5, 0, -77),
     )
     check_audit_writer(AuditReport(entries, initial_total=-73, final_total=-78), ledger)
     check_audit_writer(AuditReport((), initial_total=0, final_total=0), ChargeLedger((), (), ()))

@@ -39,6 +39,7 @@ from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 from oracles import (
     extension_colors,
     induced_subgraph,
+    meets,
     partial_matchings_scan,
     reducible_config_scan,
 )
@@ -270,7 +271,7 @@ def test_four_three_threes_center_skips_a_color_that_meets_two_leaves():
     result = reduce_and_color(cover)
     step = TraceStep(ConfigKind.FOUR_THREE_THREES, (0, 1, 2, 3), (2, 2, 2, 1), (2, 2, 1, 3))
     assert result.trace[0] == step
-    assert [cover.conflicts(0, 1, leaf, result.rep_set[leaf]) for leaf in (1, 2, 3)] == [
+    assert [meets(cover, 0, 1, leaf, result.rep_set[leaf]) for leaf in (1, 2, 3)] == [
         False, True, True,
     ]
     assert result.impropriety == (0,) * 7
@@ -337,13 +338,13 @@ def test_colors_avoid_later_neighbors(graph, seed):
         for x in step.vertices:
             for u in graph.adjacency[x]:
                 if position[u] > i:
-                    assert not cover.conflicts(x, rep[x], u, rep[u]), (x, u)
+                    assert not meets(cover, x, rep[x], u, rep[u]), (x, u)
     assert max_impropriety(cover, rep) <= 1
 
 
 def _check_steps_follow_the_extension_rule(cover, result):
     """Replay the trace in coloring order: each step's residual lists, struck
-    by ``Cover.conflicts`` against the steps colored before it, and its
+    by ``meets`` against the steps colored before it, and its
     colors, which must be what the reference rule ``extension_colors``
     picks from those lists."""
     color = [None] * cover.graph.n
@@ -352,7 +353,7 @@ def _check_steps_follow_the_extension_rule(cover, result):
             tuple(
                 c for c in cover.lists[x]
                 if not any(
-                    color[u] is not None and cover.conflicts(x, c, u, color[u])
+                    color[u] is not None and meets(cover, x, c, u, color[u])
                     for u in cover.graph.adjacency[x]
                 )
             )

@@ -237,8 +237,8 @@ def test_writers_render_each_transfer_once(monkeypatch):
 
 
 def test_theorem_path_builds_no_per_step_objects(monkeypatch):
-    # the trace writer renders each step from its template, with no
-    # per-list helper call
+    # the trace writer renders each one-vertex step from its template,
+    # with no per-list helper call; this trace has only one-vertex steps
     pg = generate.generate_plane_no46(150, 11)
     cover = random_cover(pg.graph, uniform_assignment(pg.graph.n, 3), seed=11, perfect=True)
     calls = Counter()
@@ -323,22 +323,35 @@ def test_library_has_no_recursive_functions():
 
 def test_library_has_no_dead_helpers():
     # a private module-level function, or a nested one, that nothing names
-    # is left over from code that was merged or removed
+    # is left over from code that was merged or removed; so is a public
+    # method or property of a class that the library never reads as an
+    # attribute.  ChargeLedger.incoming and .outgoing stay: the benchmark's
+    # tracer (benchmarks/tracer.py) wraps them by name
+    kept = {"ChargeLedger.incoming", "ChargeLedger.outgoing"}
     helpers = set()
+    members = set()
     named = set()
+    attributes = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         helpers |= {(path.name, fn.name) for fn in tree.body
                     if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")}
+        members |= {(path.name, cls.name, fn.name) for cls in tree.body
+                    if isinstance(cls, ast.ClassDef) for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.FunctionDef):
                 helpers |= {(path.name, fn.name) for fn in ast.walk(node)
                             if fn is not node and isinstance(fn, ast.FunctionDef)}
-    assert [f"{file}: {name}" for file, name in sorted(helpers) if name not in named] == []
+    dead = [f"{file}: {name}" for file, name in sorted(helpers) if name not in named]
+    dead += [f"{file}: {cls}.{name}" for file, cls, name in sorted(members)
+             if name not in attributes and f"{cls}.{name}" not in kept]
+    assert dead == []
 
 
 def test_every_error_class_is_raised():
