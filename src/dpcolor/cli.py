@@ -6,12 +6,18 @@ Exit codes: 0 when the queried property holds (or output was produced),
 (``dpcolor catalog | head -3``) ends the run with 0 and no message.
 ``solve -o`` writes a file only when a coloring exists, as ``colorable
 --witness-out`` does only when a cover has none.
+
+``main`` turns the cyclic garbage collector off while a command runs and
+restores the state it found.  A command builds no reference cycles, so
+every collection it would trigger scans its many small records and frees
+nothing; library calls are left to the caller's collector settings.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from pathlib import Path
@@ -224,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # a command makes no reference cycles; see the module docstring
     try:
         status = args.func(args)
         sys.stdout.flush()
@@ -239,4 +247,7 @@ def main(argv=None) -> int:
     except (DpColorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 

@@ -18,6 +18,12 @@ degree 3 nearby, no adjacent degree-3 vertices, 4-vertices with at most
 two degree-3 neighbors) ends with final charge >= 0.  Elements whose
 neighborhood violates a requirement are reported as out of the analysis
 instead of failed.
+
+``Transfer`` and ``AuditEntry`` are named tuples: an audit builds one per
+transfer and per element, a tuple is the cheapest read-only record to
+build, and the cyclic collector stops tracking a tuple of atoms, or of
+such tuples, once it has scanned it.  They compare equal to plain tuples
+of the same fields.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .embedding import PlaneGraph
 from .errors import NonPlanarEmbeddingError, TheoremViolationError
@@ -46,8 +53,10 @@ def charge_str(sixths: int) -> str:
     return f"{sixths // common}/{6 // common}"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """One rule's payment of ``sixths`` from ``source`` to ``target``; a
+    payer met at ``multiplicity`` corners pays once per corner."""
+
     rule: str
     source: Element
     target: Element
@@ -105,6 +114,18 @@ def initial_charges(pg: PlaneGraph) -> ChargeLedger:
     return ledger
 
 
+def _times_met(indices: list[int]) -> list[tuple[int, int]]:
+    """(index, times it occurs) pairs in index order.
+
+    An index repeats only where a face walk passes a cut vertex twice, so
+    ``Counter``, which costs more than a set on these short lists, runs
+    only then.
+    """
+    if len(set(indices)) == len(indices):
+        return [(i, 1) for i in sorted(indices)]
+    return sorted(Counter(indices).items())
+
+
 def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     """Initial charges with all five transfer rules applied."""
     require_no_forbidden_cycles(pg.graph)
@@ -114,17 +135,17 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     transfers: list[Transfer] = []
     fours = [v for v, d in enumerate(deg) if d >= 4]
     threes = [v for v, d in enumerate(deg) if d == 3]
-    # vertex -> sorted (face index, corners of the vertex on that face)
-    incidences = {v: sorted(Counter(pg.corner_faces[v]).items()) for v in fours + threes}
+    corner_faces = pg.corner_faces
 
     def pay_incident_faces(rule: str, payers: list[int], face_degree: int, unit: int):
-        """Each payer sends ``unit`` per corner to each incident face of a degree."""
+        """Each payer sends ``unit`` per corner to each incident face of a
+        degree, by face index."""
         for v in payers:
-            for fi, mult in incidences[v]:
-                if face_deg[fi] == face_degree:
-                    transfers.append(
-                        Transfer(rule, ("vertex", v), ("face", fi), unit * mult, mult)
-                    )
+            paid = [fi for fi in corner_faces[v] if face_deg[fi] == face_degree]
+            for fi, mult in _times_met(paid):
+                transfers.append(
+                    Transfer(rule, ("vertex", v), ("face", fi), unit * mult, mult)
+                )
 
     pay_incident_faces("R1", fours, 3, 6)
     pay_incident_faces("R2", fours, 5, 2)
@@ -136,11 +157,8 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     for fi, corners in enumerate(pg.face_corners):
         if face_deg[fi] < 7:
             continue
-        for v, mult in sorted(Counter(corners).items()):
-            if deg[v] == 3:
-                transfers.append(
-                    Transfer("R4", ("face", fi), ("vertex", v), 2 * mult, mult)
-                )
+        for v, mult in _times_met([v for v in corners if deg[v] == 3]):
+            transfers.append(Transfer("R4", ("face", fi), ("vertex", v), 2 * mult, mult))
     pay_incident_faces("R5", threes, 3, 4)
     return ChargeLedger(base.vertex_initial, base.face_initial, tuple(transfers))
 
@@ -148,8 +166,9 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
 # --- case audit -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
+    """One element's case, pattern and charges in sixths."""
+
     element: Element
     case: str
     pattern: str
@@ -176,7 +195,7 @@ class AuditReport:
         return tuple(e for e in self.entries if e.verdict == "fail")
 
 
-def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, str]:
+def _vertex_entry(pg: PlaneGraph, v: int, face_deg_strs: list[str]) -> tuple[str, str, str]:
     """(case, pattern, reason) for a vertex; the reason is empty exactly
     when the vertex is inside the analysis.
 
@@ -188,8 +207,7 @@ def _vertex_entry(pg: PlaneGraph, v: int) -> tuple[str, str, str]:
     """
     degrees = pg.graph.degrees
     deg = degrees[v]
-    face_deg = pg.face_degrees
-    pattern = "(" + ",".join([str(face_deg[i]) for i in pg.corner_faces[v]]) + ")"
+    pattern = "(" + ",".join([face_deg_strs[i] for i in pg.corner_faces[v]]) + ")"
     case = "3-vertex" if deg == 3 else "4-vertex" if deg == 4 else "5+-vertex"
     if deg <= 2:
         return (f"{deg}-vertex", pattern, "degree below 3")
@@ -251,7 +269,9 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
     means a bug upstream or an invalid embedding.
     """
     require_no_forbidden_cycles(pg.graph)
-    vertex_cases = [(("vertex", v), _vertex_entry(pg, v)) for v in range(pg.graph.n)]
+    face_deg_strs = list(map(str, pg.face_degrees))  # each vertex pattern joins these
+    vertex_cases = [(("vertex", v), _vertex_entry(pg, v, face_deg_strs))
+                    for v in range(pg.graph.n)]
     if vertex_cases and not any(reason for _, (_, _, reason) in vertex_cases):
         raise TheoremViolationError(
             "graph satisfies every structural requirement; this contradicts "

@@ -26,7 +26,8 @@ center, which takes its first in conflict with at most one leaf.  A
 vertex's list-size floor is 3 minus its outside neighbors, which gives
 1, 1+1, and 2 for the center plus 1 per leaf, and
 ``verify_config_reducible`` proves every configuration colorable at its
-floors by running pass 2 on all residual covers.
+floors by running pass 2 on all residual covers.  A ``TraceStep`` is a
+named tuple, one per excision, equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .covers import Cover, partial_matchings, validate_cover
 from .embedding import PlaneGraph
@@ -56,8 +57,7 @@ class ConfigKind(enum.Enum):
     FOUR_THREE_THREES = "four-three-threes"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One excision: kind, host vertices, residual sizes, chosen colors.
 
     ``vertices`` and ``residual_sizes`` follow the configuration's order

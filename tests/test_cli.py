@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -10,12 +11,14 @@ from dpcolor import cli, graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
 from dpcolor.covers import Cover, diagonal_cover, random_cover, uniform_assignment
+from dpcolor.embedding import plane_from_rotations
 from dpcolor.fileio import (
     cover_to_text,
     graph_to_text,
     plane_from_text,
     plane_to_text,
 )
+from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
@@ -28,6 +31,7 @@ from test_fileio import (
     refuse_graphs_above_the_cap,
     refuse_graphs_above_the_lists,
 )
+from test_plane_golden import fan
 from test_solver import refuse_large_factorials
 
 
@@ -456,3 +460,95 @@ def test_a_key_error_from_a_command_is_a_bug_not_an_input_error(monkeypatch):
     monkeypatch.setattr(cli, "generate_plane_no46", broken)
     with pytest.raises(KeyError):
         main(["gen", "-n", "5"])
+
+
+def _generated_plane_file(tmp_path, n, seed):
+    return write(tmp_path, f"gen-{n}.json", plane_to_text(generate_plane_no46(n, seed)))
+
+
+def _fan_file(tmp_path, blades):
+    rotations = fan(blades, pendant=False)
+    return write(tmp_path, "fan.json", plane_to_text(plane_from_rotations(rotations)))
+
+
+# Every subcommand on catalog inputs, audit and theorem on a generated plane
+# of 150 vertices, above the generated planes the benchmark runs, and audit
+# on a 1537-vertex fan, its largest audit plane; main pauses the cyclic
+# collector while one runs, which costs nothing only while commands make no
+# cycles.
+COLLECTOR_COMMANDS = {
+    "theorem": lambda tmp: ["theorem", _plane_file(tmp, "dodecahedron"), "--seed", "1"],
+    "audit-table": lambda tmp: ["audit", _plane_file(tmp, "dodecahedron")],
+    "audit-json": lambda tmp: ["audit", _plane_file(tmp, "dodecahedron"), "--format", "json"],
+    "gen": lambda tmp: ["gen", "-n", "50", "--seed", "3"],
+    "solve": lambda tmp: ["solve", _cover_file(tmp), "-d", "1"],
+    "colorable": lambda tmp: ["colorable", _plane_file(tmp, "cube"), "-k", "4", "-d", "0"],
+    "lemma": lambda tmp: ["lemma", "all"],
+    "catalog": lambda tmp: ["catalog"],
+    "theorem-150": lambda tmp: ["theorem", _generated_plane_file(tmp, 150, 11), "--seed", "1"],
+    "audit-json-150": lambda tmp: ["audit", _generated_plane_file(tmp, 150, 11),
+                                   "--format", "json"],
+    "audit-json-fan-1537": lambda tmp: ["audit", _fan_file(tmp, 256), "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", COLLECTOR_COMMANDS.values(), ids=COLLECTOR_COMMANDS)
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, argv):
+    # with the collector paused, a cycle a command made would outlive it
+    # until the next collection, which would then find it
+    argv = argv(tmp_path)
+    cli.build_parser()  # built once per process, before the pause
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() == 0
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write fails, noting whether
+    the collector was on."""
+
+    def __init__(self, fd):
+        self._fd = fd
+        self.collecting = []
+
+    def write(self, text):
+        self.collecting.append(gc.isenabled())
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("outcome", ["exit-0", "exit-1", "exit-2", "usage", "broken-pipe"])
+def test_main_restores_the_collector_state(tmp_path, capsys, monkeypatch, enabled, outcome):
+    # the pause is main's own: whatever the exit, the caller gets back the
+    # collector state it had
+    calls = {
+        "exit-0": (["catalog", "k3", "-o", str(tmp_path / "k3.json")], 0),
+        "exit-1": (["colorable", c4_graph_file(tmp_path), "-k", "2", "-d", "0"], 1),
+        "exit-2": (["audit", str(tmp_path / "missing.json")], 2),
+        "usage": (["catalog", "nonesuch"], 2),
+        "broken-pipe": (["catalog"], 0),
+    }
+    argv, status = calls[outcome]
+    was_enabled = gc.isenabled()
+    with open(tmp_path / "stdout", "w") as stdout:
+        pipe = _ClosedPipe(stdout.fileno())
+        if outcome == "broken-pipe":
+            monkeypatch.setattr(sys, "stdout", pipe)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if outcome == "usage":
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == status
+            else:
+                assert main(argv) == status
+            assert gc.isenabled() == enabled
+            assert pipe.collecting == ([False] if outcome == "broken-pipe" else [])
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

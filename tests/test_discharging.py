@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from dpcolor.catalog import load as load_catalog, no46_names
 from dpcolor.discharging import (
+    AuditEntry,
+    Transfer,
     apply_rules,
     audit_cases,
     charge_str,
@@ -15,9 +17,49 @@ from dpcolor.embedding import plane_from_rotations
 from dpcolor.errors import ForbiddenCyclePresentError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_cycle_of_length
+from dpcolor.reduction import ConfigKind, TraceStep
 
 from oracles import audit_case_scan, final_charges_scan, transfers_scan
 from test_plane_golden import fan, triangle_chain
+
+
+RECORDS = {
+    "transfer": (Transfer, dict(rule="R4", source=("face", 2), target=("vertex", 5),
+                                sixths=4, multiplicity=2)),
+    "entry": (AuditEntry, dict(element=("vertex", 3), case="3-vertex", pattern="(3,7,7)",
+                               reason="", initial=-18, incoming=4, outgoing=8, final=-22)),
+    "step": (TraceStep, dict(kind=ConfigKind.ADJACENT_THREES, vertices=(4, 1),
+                             residual_sizes=(2, 1), colors=(1, 3))),
+}
+
+
+@pytest.mark.parametrize("record, fields", RECORDS.values(), ids=RECORDS)
+def test_records_are_immutable_values(record, fields):
+    # the records are named tuples: built by keyword or by position, equal
+    # and hashed by value (a plain tuple of the same fields included), and
+    # read-only
+    by_keyword = record(**fields)
+    by_position = record(*fields.values())
+    assert by_keyword == by_position == tuple(fields.values())
+    assert hash(by_keyword) == hash(by_position)
+    assert len({by_keyword, by_position}) == 1
+    assert all(getattr(by_keyword, name) == value for name, value in fields.items())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_keyword, name, None)
+
+
+def test_a_transfer_is_paid_at_one_corner_unless_told_otherwise():
+    assert Transfer("R3", ("vertex", 0), ("face", 1), 2).multiplicity == 1
+
+
+@pytest.mark.parametrize("reason, final, verdict", [
+    ("", 0, "pass"), ("", 5, "pass"), ("", -1, "fail"),
+    ("degree below 3", 5, "out-of-analysis"), ("degree below 3", -1, "out-of-analysis"),
+])
+def test_audit_entry_verdict(reason, final, verdict):
+    fields = dict(RECORDS["entry"][1], reason=reason, final=final)
+    assert AuditEntry(**fields).verdict == verdict
 
 
 def test_initial_charges_on_k4():

@@ -359,6 +359,22 @@ def test_writers_match_json_dumps_on_edge_cases():
     check_audit_writer(AuditReport((), initial_total=0, final_total=0), ChargeLedger((), (), ()))
 
 
+def test_audit_writer_keeps_apart_entries_that_differ_in_one_field():
+    # each field of an entry reaches its rendering: entries that differ in
+    # one field, the element kind or a final that is not initial - out + in
+    # included, are written as json.dumps writes them
+    base = AuditEntry(("vertex", 0), "3-vertex", "(3,7,7)", "", 2, 0, -5, -3)
+    entries = [base, base._replace(element=("vertex", 4))]
+    entries += [
+        base._replace(**{name: value})
+        for name, value in [("element", ("face", 0)), ("case", "3-face"), ("pattern", "(3,4,4)"),
+                            ("reason", "degree below 3"), ("initial", 8), ("incoming", 6),
+                            ("outgoing", 1), ("final", 9)]
+    ]
+    report = AuditReport(tuple(entries + entries[::-1]), initial_total=0, final_total=0)
+    check_audit_writer(report, ChargeLedger((), (), ()))
+
+
 def trace_text(steps) -> str:
     """A trace document, written without the library's writer."""
     return json.dumps({"format": "dpcolor-trace/1", "steps": steps})
