@@ -21,8 +21,11 @@ R3 and the 3-face case of the audit read it from that map.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
-An edit splices the walks of the faces it changes; the random generator
-grows its instances on it and builds a ``PlaneGraph`` only for the result.
+Sized to ``n`` vertices, it holds a dart ``(u, v)`` as the integer
+``u * n + v``, so its walks, keys and face map order, compare and hash
+small integers.  An edit splices the walks of the faces it changes; the
+random generator grows its instances on it and builds a ``PlaneGraph``
+only for the result.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
+    InternalInvariantError,
     InvalidRotationError,
     NonPlanarEmbeddingError,
 )
@@ -151,36 +155,39 @@ def _face_walks(successor: dict[Dart, Dart]) -> Iterator[tuple[Dart, ...]]:
 
 
 class FaceRegistry:
-    """A rotation system edited one edge at a time, with its faces kept up
-    to date.
+    """A rotation system on at most ``n`` vertices, edited one edge at a
+    time, with its faces kept up to date.
 
     ``rotations`` starts as the single vertex ``[[]]`` and changes only
-    through ``insert_edge`` and ``remove_edge``.  ``walks`` maps the
-    smallest dart of each face to the face's walk from that dart;
-    ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk
-    of ``trace_faces``'s face ``i``, and ``big_keys`` holds the keys of
-    the faces of degree >= 4.  The single vertex's face has no dart and is
-    not held.  An edit splices the walks of the faces it changes: a new
-    edge cuts its face at the darts into its two corners (or, to a new
+    through ``insert_edge`` and ``remove_edge``.  A dart ``(u, v)`` is held
+    as the integer ``u * n + v``, which orders as the pair does.  ``walks``
+    maps the smallest dart of each face to the face's walk from that dart;
+    ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk of
+    ``trace_faces``'s face ``i``, darts encoded, and ``big_keys`` holds the
+    keys of the faces of degree >= 4.  The single vertex's face has no dart
+    and is not held.  An edit splices the walks of the faces it changes: a
+    new edge cuts its face at the darts into its two corners (or, to a new
     vertex, grows it by two darts), and a deleted edge joins the walks on
     its two sides.  It does not check that the embedding stays plane, so a
     new edge must join two corners of one face (or a new vertex) and a
     deleted edge must not be a bridge.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.rotations: list[list[int]] = [[]]
-        self.walks: dict[Dart, tuple[Dart, ...]] = {}
-        self.face_of: dict[Dart, Dart] = {}
-        self.keys: list[Dart] = []
-        self.big_keys: list[Dart] = []
+        self.walks: dict[int, tuple[int, ...]] = {}
+        self.face_of: dict[int, int] = {}
+        self.keys: list[int] = []
+        self.big_keys: list[int] = []
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.face_of
+        return u * self.n + v in self.face_of
 
     def insert_edge(self, x: int, i: int, y: int, j: int) -> None:
         """Insert ``y`` at index ``i`` of ring ``x`` and ``x`` at index ``j``
-        of ring ``y``; ``y == len(rotations)`` adds ``y`` as a new vertex.
+        of ring ``y``; ``y == len(rotations)`` adds ``y`` as a new vertex,
+        which raises ``InternalInvariantError`` once there are ``n``.
 
         The corner opened at ``x`` follows the dart from the ring's
         previous entry, and the face of that dart is the one the edge
@@ -189,50 +196,55 @@ class FaceRegistry:
         that dart and after the dart into the corner opened at ``y``, and
         each of the two pieces is closed by one direction of the edge.
         """
+        n = self.n
         rings = self.rotations
         if y == len(rings):
+            if y >= n:
+                raise InternalInvariantError(f"vertex {y} does not fit a registry of {n}")
             rings.append([])
         rings[x].insert(i, y)
         rings[y].insert(j, x)
+        xy, yx = x * n + y, y * n + x
         if len(rings[x]) == 1:  # the first edge, at the single vertex
-            self._add(((x, y), (y, x)))
+            self._add((xy, yx))
             return
-        into_x = (rings[x][i - 1], x)
+        into_x = rings[x][i - 1] * n + x
         walk = self._drop(self.face_of[into_x])
         p = walk.index(into_x) + 1
         if len(rings[y]) == 1:  # a new vertex: out and back after into_x
-            self._add(walk[:p] + ((x, y), (y, x)) + walk[p:])
+            self._add(walk[:p] + (xy, yx) + walk[p:])
             return
-        q = walk.index((rings[y][j - 1], y)) + 1
+        q = walk.index(rings[y][j - 1] * n + y) + 1
         if p < q:
-            self._add(((y, x),) + walk[p:q])
-            self._add(((x, y),) + walk[q:] + walk[:p])
+            self._add((yx,) + walk[p:q])
+            self._add((xy,) + walk[q:] + walk[:p])
         else:
-            self._add(((x, y),) + walk[q:p])
-            self._add(((y, x),) + walk[p:] + walk[:q])
+            self._add((xy,) + walk[q:p])
+            self._add((yx,) + walk[p:] + walk[:q])
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``{u, v}``, merging the faces on its two sides."""
-        a = self._drop(self.face_of.pop((u, v)))
-        b = self._drop(self.face_of.pop((v, u)))
+        uv, vu = u * self.n + v, v * self.n + u
+        a = self._drop(self.face_of.pop(uv))
+        b = self._drop(self.face_of.pop(vu))
         self.rotations[u].remove(v)
         self.rotations[v].remove(u)
-        i = a.index((u, v))
-        j = b.index((v, u))
+        i = a.index(uv)
+        j = b.index(vu)
         self._add(a[i + 1:] + a[:i] + b[j + 1:] + b[:j])
 
-    def _add(self, walk: tuple[Dart, ...]) -> None:
+    def _add(self, walk: tuple[int, ...]) -> None:
         """Hold ``walk`` as a face, started at its smallest dart."""
-        start = walk.index(min(walk))
+        key = min(walk)
+        start = walk.index(key)
         walk = walk[start:] + walk[:start]
-        key = walk[0]
         self.walks[key] = walk
         insort(self.keys, key)
         if len(walk) >= 4:
             insort(self.big_keys, key)
         self.face_of.update(dict.fromkeys(walk, key))
 
-    def _drop(self, key: Dart) -> tuple[Dart, ...]:
+    def _drop(self, key: int) -> tuple[int, ...]:
         walk = self.walks.pop(key)
         del self.keys[bisect_left(self.keys, key)]
         if len(walk) >= 4:

@@ -3,19 +3,21 @@
 Growth happens directly on the rotation system, so planarity never needs
 re-testing: a pendant vertex drops into any corner, and an "ear" (a new
 vertex joined to two corners of one face) or a chord splits that face in
-two.  The rotation system is an ``embedding.FaceRegistry``, which keeps
-the faces up to date as edges come and go: ears and chords draw their
-face from it, and each edit splices only the face walks it changes.  The
-graph grows once, and ``embedding.plane_from_rotations`` builds its plane
-graph once, for the result.
+two.  The rotation system is an ``embedding.FaceRegistry`` sized to the
+``n`` asked for, which keeps the faces up to date as edges come and go:
+ears and chords draw their face from it and read the ends of its integer
+darts ``u * n + v`` with ``divmod`` and ``%``, and each edit splices only
+the face walks it changes.  The graph grows once, and
+``embedding.plane_from_rotations`` builds its plane graph once, for the
+result.
 
 Repair is local.  The graph has no 4- or 6-cycle before a move, so every
 such cycle after it uses an edge the move inserted (a pendant edge is a
 bridge and lies on no cycle).  Repair therefore searches the rotation
 lists only for the cycles through the watched edges that are still
-present (``graphs.smallest_forbidden_cycle``, one walk per edge that
-reports its 4- and 6-cycles together), and deletes one edge of the
-least such cycle: the least 4-cycle, else the least 6-cycle.
+present (``graphs.smallest_forbidden_cycle``, one fixed-depth search per
+edge that reports its 4- and 6-cycles together), and deletes one edge of
+the least such cycle: the least 4-cycle, else the least 6-cycle.
 An ear is watched through its first edge only: its new vertex has degree
 2, so every cycle through the second edge passes through the first, and
 deleting the first leaves the second a bridge.
@@ -46,11 +48,11 @@ def _add_pendant(reg: FaceRegistry, rng: random.Random) -> list[Edge]:
 def _corner(reg: FaceRegistry, walk, pos: int) -> int:
     """The ring index that opens the corner at walk position ``pos``.
 
-    The corner at ``x`` sits between the arcs ``walk[pos - 1] = (a, x)``
-    and ``walk[pos] = (x, b)``; an edge inserted right after ``a`` in the
-    rotation at ``x`` leaves through it.
+    The corner at ``x`` sits between the darts ``walk[pos - 1]``, from
+    ``a`` to ``x``, and ``walk[pos]``, from ``x``; an edge inserted right
+    after ``a`` in the rotation at ``x`` leaves through it.
     """
-    a, x = walk[pos - 1]
+    a, x = divmod(walk[pos - 1], reg.n)
     return reg.rotations[x].index(a) + 1
 
 
@@ -60,13 +62,14 @@ def _pick_corners(reg: FaceRegistry, keys: list, rng: random.Random, fits) -> tu
     distinct vertices ``x``, ``y`` with ``fits(x, y)``."""
     if not keys:
         return None
+    n = reg.n
     walk = reg.walks[keys[rng.randrange(len(keys))]]
     positions = list(range(len(walk)))
     rng.shuffle(positions)
     for i, p in enumerate(positions):
         for q in positions[i + 1:]:
-            x = walk[p - 1][1]
-            y = walk[q - 1][1]
+            x = walk[p - 1] % n
+            y = walk[q - 1] % n
             if x != y and fits(x, y):
                 return walk, p, q, x, y
     return None
@@ -116,7 +119,7 @@ def generate_plane_no46(n: int, seed: int) -> PlaneGraph:
     if n < 1:
         raise GenerationExhaustedError("need at least one vertex")
     rng = random.Random(seed)
-    reg = FaceRegistry()
+    reg = FaceRegistry(n)
     rotations = reg.rotations
     while len(rotations) < n:
         roll = rng.random()

@@ -3,8 +3,9 @@
 Vertices are the indices 0..n-1.  Edges are unordered pairs, stored sorted,
 and adjacency rows are sorted, so that solver traces and tests are
 reproducible.  The theorem needs two cycle facts: whether a graph has a
-4- or 6-cycle (``has_cycle_of_length``) and the least such cycle through
-given edges (``smallest_forbidden_cycle``).
+4- or 6-cycle (``has_cycle_of_length``, by degree rank) and the least such
+cycle through given edges (``smallest_forbidden_cycle``, by a fixed-depth
+search over the paths away from each edge).
 """
 
 from __future__ import annotations
@@ -118,50 +119,6 @@ def _canonical_cycle(path: list[int]) -> tuple[int, ...]:
     return tuple(cycle)
 
 
-def _close_paths(
-    adjacency: Sequence[Sequence[int]], u: int, v: int, found: dict[int, list[tuple[int, ...]]]
-) -> None:
-    """Append to ``found[k]``, for each length ``k`` it has, the ``k``-cycles
-    through edge ``uv`` in the form ``smallest_forbidden_cycle`` returns,
-    unsorted.
-
-    Each cycle is a simple path from ``v`` back to ``u`` with ``k - 1``
-    edges, closed by ``uv``.  One walk serves every length: it extends the
-    paths from ``v`` and records a closure wherever the path length is one
-    of the keys.  The last vertex of a ``max(found)``-cycle is never walked
-    to; it is read off as a neighbour of the vertex before it that also
-    neighbours ``u``.  The walk keeps one iterator over the neighbours of
-    each path vertex.  An absent edge lies on no cycle.
-    """
-    if v not in adjacency[u]:
-        return
-    closing = set(adjacency[u])
-    longest = max(found)
-    path = [u, v]
-    on_path = {u, v}
-    pending = [iter(adjacency[v])]  # the untried neighbours of path[1:]
-    while pending:
-        length = len(path) + 1  # of a cycle closed at an untried neighbour
-        closes = found.get(length)
-        for w in pending[-1]:
-            if w in on_path:
-                continue
-            if closes is not None and w in closing:
-                closes.append(_canonical_cycle(path + [w]))
-            if length + 1 < longest:
-                path.append(w)
-                on_path.add(w)
-                pending.append(iter(adjacency[w]))
-                break
-            if length + 1 == longest:
-                for z in closing.intersection(adjacency[w]):
-                    if z not in on_path:
-                        found[longest].append(_canonical_cycle(path + [w, z]))
-        else:
-            pending.pop()
-            on_path.remove(path.pop())
-
-
 def smallest_forbidden_cycle(
     adjacency: Sequence[Sequence[int]], edges: Iterable[Edge]
 ) -> tuple[int, ...] | None:
@@ -171,16 +128,34 @@ def smallest_forbidden_cycle(
     A cycle reads from its smallest vertex toward the smaller of that
     vertex's two cycle neighbours; cycles compare as tuples.
     ``adjacency[x]`` holds the neighbours of ``x`` in any order (a rotation
-    system serves).  One walk per edge finds its 4- and 6-cycles together,
-    so the cost depends on the degrees near the edges, not on the graph.
+    system serves).  Per edge ``uv``, four nested loops run over the simple
+    paths ``v-a-b`` and ``v-a-b-c`` away from ``u``: one that ends at a
+    neighbour ``b`` of ``u`` closes a 4-cycle, and one whose end ``c`` has
+    a neighbour ``d`` of ``u`` off the path closes a 6-cycle.  So the cost
+    depends on the degrees near the edges, not on the graph.  An absent
+    edge lies on no cycle.
     """
-    found: dict[int, list[tuple[int, ...]]] = {4: [], 6: []}
+    fours: list[tuple[int, ...]] = []
+    sixes: list[tuple[int, ...]] = []
     for u, v in edges:
-        _close_paths(adjacency, u, v, found)
-    for cycles in found.values():
-        if cycles:
-            return min(cycles)
-    return None
+        if v not in adjacency[u]:
+            continue
+        closing = set(adjacency[u])
+        for a in adjacency[v]:
+            if a == u:
+                continue
+            for b in adjacency[a]:
+                if b == u or b == v:
+                    continue
+                if b in closing:
+                    fours.append(_canonical_cycle([u, v, a, b]))
+                for c in adjacency[b]:
+                    if c == u or c == v or c == a:
+                        continue
+                    for d in adjacency[c]:
+                        if d in closing and d != v and d != a and d != b:
+                            sixes.append(_canonical_cycle([u, v, a, b, c, d]))
+    return min(fours or sixes, default=None)
 
 
 def _has_4_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:

@@ -508,15 +508,20 @@ def registry_vs_trace(reg):
     """(what ``reg`` holds, what ``trace_faces`` finds on its rotations).
 
     Each side lists the faces as ``(index, walk, degree)`` in face order,
-    the keys of the faces of degree >= 4, and the face key of every dart.
-    The single vertex's face has no dart, so the registry holds none.
+    the keys of the faces of degree >= 4, and the face key of every dart,
+    with the registry's integer darts decoded to ``(u, v)`` pairs.  The
+    single vertex's face has no dart, so the registry holds none.
     """
+    def pair(dart):
+        return divmod(dart, reg.n)
+
     walks = trace_faces(graph_from_rotations(reg.rotations), reg.rotations).faces
     faces = [(i, walk) for i, walk in enumerate(walks) if walk]
     held = (
-        [(i, reg.walks[key], len(reg.walks[key])) for i, key in enumerate(reg.keys)],
-        reg.big_keys,
-        reg.face_of,
+        [(i, tuple(map(pair, reg.walks[key])), len(reg.walks[key]))
+         for i, key in enumerate(reg.keys)],
+        list(map(pair, reg.big_keys)),
+        {pair(arc): pair(key) for arc, key in reg.face_of.items()},
     )
     traced = (
         [(i, walk, len(walk)) for i, walk in faces],

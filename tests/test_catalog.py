@@ -95,23 +95,36 @@ def test_face_registry_matches_a_fresh_trace_after_every_edit(monkeypatch):
 
 
 def test_face_registry_walks_from_the_single_vertex():
-    reg = FaceRegistry()
+    # a dart (u, v) is held as u * n + v; on n = 10 its digits read u, v
+    reg = FaceRegistry(10)
     assert reg.keys == [] and reg.walks == {}
     reg.insert_edge(0, 0, 1, 0)
-    assert reg.walks == {(0, 1): ((0, 1), (1, 0))}
+    assert reg.walks == {1: (1, 10)}
     reg.insert_edge(1, 1, 2, 0)
     reg.insert_edge(2, 1, 0, 1)  # triangle 0-1-2: two faces
-    assert [reg.walks[key] for key in reg.keys] == [((0, 1), (1, 2), (2, 0)),
-                                                    ((0, 2), (2, 1), (1, 0))]
+    assert [reg.walks[key] for key in reg.keys] == [(1, 12, 20), (2, 21, 10)]
     assert reg.big_keys == [] and reg.has_edge(2, 0) and not reg.has_edge(0, 3)
     reg.remove_edge(0, 1)
-    assert reg.keys == [(0, 2)] and reg.big_keys == [(0, 2)]
-    assert reg.walks[(0, 2)] == ((0, 2), (2, 1), (1, 2), (2, 0))
+    assert reg.keys == [2] and reg.big_keys == [2]
+    assert reg.walks[2] == (2, 21, 12, 20)
+
+
+def test_face_registry_refuses_a_vertex_past_its_size():
+    # darts u * n + v of a vertex n or more would collide with other darts
+    reg = FaceRegistry(3)
+    reg.insert_edge(0, 0, 1, 0)
+    reg.insert_edge(1, 1, 2, 0)
+    with pytest.raises(InternalInvariantError, match="vertex 3 does not fit a registry of 3"):
+        reg.insert_edge(2, 1, 3, 0)
+    assert reg.rotations == [[1], [0, 2], [1]]
+    assert [reg.walks[key] for key in reg.keys] == [(1, 5, 7, 3)]
+    with pytest.raises(InternalInvariantError):
+        FaceRegistry(1).insert_edge(0, 0, 1, 0)
 
 
 def test_generator_scales_to_thousands_of_vertices():
     # each edit splices only the face walks it changes and each repair
-    # round walks the paths near the watched edges; re-tracing the whole
+    # round searches the paths near the watched edges; re-tracing the whole
     # plane graph per move makes this quadratic
     started = time.perf_counter()
     pg = generate_plane_no46(3200, 3200)
@@ -132,7 +145,7 @@ def test_generator_raises_when_its_final_check_fails(monkeypatch):
 
 
 def test_repair_deletes_from_the_whole_graphs_smallest_forbidden_cycle(monkeypatch):
-    # the repair watches one edge per ear and walks each watched edge once
+    # the repair watches one edge per ear and searches each watched edge once
     # for 4- and 6-cycles together; the cycle it deletes from must still be
     # the least 4-cycle, else 6-cycle, through any edge of the graph
     picked = []
@@ -186,7 +199,7 @@ def test_repair_picks_the_smallest_cycle_through_any_inserted_edge():
 def _join_across_a_face(reg, u, v):
     """Insert the edge uv through the first face with corners at both."""
     for walk in reg.walks.values():
-        corners = {walk[pos - 1][1]: pos for pos in range(len(walk))}
+        corners = {walk[pos - 1] % reg.n: pos for pos in range(len(walk))}
         if u in corners and v in corners:
             break
     reg.insert_edge(u, generate._corner(reg, walk, corners[u]),
@@ -196,7 +209,7 @@ def _join_across_a_face(reg, u, v):
 def _theta(paths):
     """A registry holding x = 0 and y = 5 joined by ``paths`` internally
     disjoint paths of length 5; its cycles have length 10."""
-    reg = FaceRegistry()
+    reg = FaceRegistry(2 + 4 * paths)
     for i in range(paths):
         prev = 0
         for _ in range(4 if i else 5):  # the first path ends at y

@@ -174,6 +174,38 @@ def test_cycles_through_edge_on_seeded_random_graphs(seed):
     assert_cycles_through_edges_match_filter(random_graph(11, 0.3, seed), seed)
 
 
+def assert_cycles_through_edge_lists_match_filter(g, rng, lists=6):
+    # a watched-edge list may hold several edges, one in both directions, a
+    # repeat and an absent edge; the least 4-cycle, else 6-cycle, through
+    # any present one is what the subset scan lists first
+    shuffled = [rng.sample(nbrs, len(nbrs)) for nbrs in g.adjacency]
+    cycles = subset_cycles(g, 4) + subset_cycles(g, 6)
+    absent = [(u, v) for u in range(g.n) for v in range(g.n) if u != v and not g.has_edge(u, v)]
+    for _ in range(lists):
+        watched = [(v, u) if rng.random() < 0.5 else (u, v)
+                   for u, v in rng.sample(g.edges, min(g.m, rng.randint(2, 4)))]
+        if watched:
+            watched += [watched[0][::-1], rng.choice(watched)]
+        if absent:
+            watched.append(rng.choice(absent))
+        rng.shuffle(watched)
+        expected = next((c for c in cycles if any(uses_edge(c, u, v) for u, v in watched)), None)
+        assert smallest_forbidden_cycle(g.adjacency, watched) == expected
+        assert smallest_forbidden_cycle(shuffled, iter(watched)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_smallest_forbidden_cycle_through_edge_lists_matches_the_subset_scan(g, rng):
+    assert_cycles_through_edge_lists_match_filter(g, rng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cycles_through_edge_lists_on_seeded_random_graphs(seed):
+    rng = random.Random(seed)
+    assert_cycles_through_edge_lists_match_filter(random_graph(11, 0.3, seed), rng, lists=20)
+
+
 def test_cycles_through_edge_on_chosen_edges():
     # a 4-cycle and a 6-cycle share edge 01; a pendant vertex 8 hangs off 5,
     # and the bridge 79 leads to the triangle 9-10-11

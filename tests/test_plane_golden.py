@@ -9,7 +9,7 @@
   ``generate_plane_no46(n, seed=n)`` for n = 10..60, and on triangle
   chains and fans built here;
 * ``gen:<n>``: ``plane_to_text(generate_plane_no46(n, seed=n))`` for
-  n = 10..60, 200 and 400, and ``gen:<n>:seed<s>``: the same text with
+  n = 10..60, 200, 400, 1600 and 3200, and ``gen:<n>:seed<s>``: the same text with
   ``seed=s`` for n = 25, 50, 100 (the ``gen`` benchmark's sizes) and
   s = 0..9; these pin the generator;
 * ``propositions:<name>``: every entry of ``oracles.check_propositions``
@@ -107,7 +107,7 @@ def golden_texts():
             path.write_text(plane_to_text(pg))
             for fmt in ("json", "table"):
                 yield f"audit:{name}:{fmt}", run_cli(["audit", str(path), "--format", fmt])
-    for n in [*range(10, 61), 200, 400]:
+    for n in [*range(10, 61), 200, 400, 1600, 3200]:
         yield f"gen:{n}", plane_to_text(generate_plane_no46(n, seed=n))
     for n in (25, 50, 100):
         for seed in range(10):

@@ -288,16 +288,16 @@ def test_library_touches_no_instance_dict():
 
 
 def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
-    # the 4- and 6-checks go by degree order; the walk over paths through
-    # an edge is left to the generator's repair and to naming a cycle found
+    # the 4- and 6-checks go by degree order; the search over paths through
+    # given edges is left to the generator's repair and to naming a cycle found
     pg = generate.generate_plane_no46(150, 11)
     graph = graphs.build_graph(pg.graph.n, pg.graph.edges)  # the check is cached per Graph
     searched = []
 
-    def search(adjacency, u, v, found):
-        searched.append((u, v))
+    def search(adjacency, edges):
+        searched.append(list(edges))
 
-    monkeypatch.setattr(graphs, "_close_paths", search)
+    monkeypatch.setattr(graphs, "smallest_forbidden_cycle", search)
     assert not graph.has_forbidden_cycles
     assert searched == []
 
