@@ -2,22 +2,16 @@
 
 Charges live in integer sixths: a vertex starts at ``2*deg - 6`` (12*deg -
 36 sixths) and a face at ``deg - 6``; by Euler's formula the grand total
-is exactly -12.  Five local rules move charge around:
-
-* R1: every 4+-vertex sends 1 to each incident 3-face;
-* R2: every 4+-vertex sends 1/3 to each incident 5-face;
-* R3: every 4+-vertex sends 1/3 to each of its pendant 3-faces;
-* R4: every 7+-face sends 1/3 to each incident 3-vertex;
-* R5: every 3-vertex sends 2/3 to each incident 3-face.
-
-Incidence counts multiplicity along face walks (a cut vertex met twice by
-a walk pays or receives twice; such transfers are flagged).  The audit
-then classifies vertices and faces by degree and checks that every element
-whose local neighborhood satisfies the structural requirements (minimum
-degree 3 nearby, no adjacent degree-3 vertices, 4-vertices with at most
-two degree-3 neighbors) ends with final charge >= 0.  Elements whose
-neighborhood violates a requirement are reported as out of the analysis
-instead of failed.
+is exactly -12.  The local rules that move charge around are the rows of
+``RULES``, in log order.  Incidence counts multiplicity along face walks:
+a cut vertex met twice by a walk pays or receives twice, and the transfer
+carries that ``multiplicity``.  The audit then classifies vertices and
+faces by degree and checks that every element ends with final charge >= 0
+where the hypotheses hold: none of ``reduction.ConfigKind``'s three
+configurations (a vertex of degree below 3, adjacent degree-3 vertices, a
+4-vertex with three degree-3 neighbors) at or next to it.  Elements where
+a hypothesis fails are reported as out of the analysis instead of failed,
+with a reason that names the configuration.
 
 ``Transfer`` and ``AuditEntry`` are named tuples: an audit builds one per
 transfer and per element, a tuple is the cheapest read-only record to
@@ -29,6 +23,7 @@ of the same fields.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -126,40 +121,40 @@ def _times_met(indices: list[int]) -> list[tuple[int, int]]:
     return sorted(Counter(indices).items())
 
 
+# The transfer rules in log order: (rule, payer kind, payer degrees, paid
+# class, sixths per corner).  The paid class is the degree of the incident
+# elements paid, or "pendant" for a payer's pendant 3-faces.
+RULES = (
+    ("R1", "vertex", range(4, sys.maxsize), 3, 6),
+    ("R2", "vertex", range(4, sys.maxsize), 5, 2),
+    ("R3", "vertex", range(4, sys.maxsize), "pendant", 2),
+    ("R4", "face", range(7, sys.maxsize), 3, 2),
+    ("R5", "vertex", range(3, 4), 3, 4),
+)
+
+
 def apply_rules(pg: PlaneGraph) -> ChargeLedger:
-    """Initial charges with all five transfer rules applied."""
+    """Initial charges with every rule of ``RULES`` applied, by row, then
+    payer, then paid element: a vertex pays its incident faces, a face its
+    incident vertices, once per corner."""
     require_no_forbidden_cycles(pg.graph)
     deg = pg.graph.degrees
     face_deg = pg.face_degrees
     base = initial_charges(pg)
+    sides = {"vertex": (deg, pg.corner_faces, "face", face_deg),
+             "face": (face_deg, pg.face_corners, "vertex", deg)}
+    pendant: list[tuple[int, ...]] = [()] * len(deg)
+    for fi, (v, _) in pg.pendant_triangles.items():
+        pendant[v] += (fi,)
     transfers: list[Transfer] = []
-    fours = [v for v, d in enumerate(deg) if d >= 4]
-    threes = [v for v, d in enumerate(deg) if d == 3]
-    corner_faces = pg.corner_faces
-
-    def pay_incident_faces(rule: str, payers: list[int], face_degree: int, unit: int):
-        """Each payer sends ``unit`` per corner to each incident face of a
-        degree, by face index."""
-        for v in payers:
-            paid = [fi for fi in corner_faces[v] if face_deg[fi] == face_degree]
-            for fi, mult in _times_met(paid):
-                transfers.append(
-                    Transfer(rule, ("vertex", v), ("face", fi), unit * mult, mult)
-                )
-
-    pay_incident_faces("R1", fours, 3, 6)
-    pay_incident_faces("R2", fours, 5, 2)
-    # R3: 4+-vertices pay their pendant 3-faces, by payer then face
-    for v, fi in sorted((v, fi) for fi, (v, _) in pg.pendant_triangles.items()):
-        if deg[v] >= 4:
-            transfers.append(Transfer("R3", ("vertex", v), ("face", fi), 2))
-    # R4: big faces feed incident 3-vertices
-    for fi, corners in enumerate(pg.face_corners):
-        if face_deg[fi] < 7:
-            continue
-        for v, mult in _times_met([v for v in corners if deg[v] == 3]):
-            transfers.append(Transfer("R4", ("face", fi), ("vertex", v), 2 * mult, mult))
-    pay_incident_faces("R5", threes, 3, 4)
+    for rule, kind, payer_degrees, paid, unit in RULES:
+        degrees, incident, paid_kind, paid_degrees = sides[kind]
+        if paid == "pendant":  # a payer's pendant 3-faces, not its corner faces
+            incident, paid = pendant, 3
+        for p in [p for p, d in enumerate(degrees) if d in payer_degrees]:
+            if met := [q for q in incident[p] if paid_degrees[q] == paid]:
+                for q, mult in _times_met(met):
+                    transfers.append(Transfer(rule, (kind, p), (paid_kind, q), unit * mult, mult))
     return ChargeLedger(base.vertex_initial, base.face_initial, tuple(transfers))
 
 
@@ -187,9 +182,17 @@ class AuditEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class AuditReport:
+    """One entry per element; the totals are derived from the entries."""
+
     entries: tuple[AuditEntry, ...]
-    initial_total: int
-    final_total: int
+
+    @property
+    def initial_total(self) -> int:
+        return sum(e.initial for e in self.entries)
+
+    @property
+    def final_total(self) -> int:
+        return sum(e.final for e in self.entries)
 
     def failures(self) -> tuple[AuditEntry, ...]:
         return tuple(e for e in self.entries if e.verdict == "fail")
@@ -227,36 +230,33 @@ def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, str]:
     """(case, pattern, reason) for a face; the reason is empty exactly when
     the face is inside the analysis.
 
-    A 3-face is in the analysis when its corner degrees are (3,4+,4+) or
-    (4+,4+,4+) and, in the former case, the degree-3 corner's neighbor off
-    the face has degree >= 4 (that neighbor is the pendant payer).  A
-    5+-face is in when every corner has degree >= 3 and no boundary edge
-    joins two degree-3 vertices, which caps its degree-3 corners at half
-    its degree.  Other face degrees have no case: a 2-face needs degree-1
-    endpoints and, absent 4-cycles, a 4-face needs a degree-1 backtrack.
+    A 3-face or a 5+-face is in when every corner has degree >= 3 and no
+    boundary edge joins two degree-3 vertices; a 3-face walk is a
+    triangle, so its degree-3 corners are then at most one, and such a
+    (3,4+,4+)-face is in only when the degree-3 corner's neighbor off the
+    face has degree >= 4 (that neighbor is the pendant payer).  On a
+    5+-face the edge clause caps the degree-3 corners at half its degree.
+    Other face degrees have no case: a 2-face needs degree-1 endpoints,
+    absent 4-cycles a 4-face needs a degree-1 backtrack, and the one face
+    of the single-vertex graph has an empty walk.
     """
     deg = pg.graph.degrees
     degs = [deg[u] for u in pg.face_corners[fi]]
     pattern = "(" + ",".join(map(str, degs)) + ")"
-    if len(degs) == 3:
-        if min(degs) < 3:
-            return ("3-face", pattern, "corner of degree < 3")
-        if degs.count(3) > 1:
-            return ("3-face", pattern, "two degree-3 corners are adjacent")
-        if fi in pg.pendant_triangles:
-            payer, u = pg.pendant_triangles[fi]
-            if deg[payer] < 4:
-                return ("3-face", pattern, f"off-face neighbor of {u} is not a 4+-vertex")
-        return ("3-face", pattern, "")
-    if len(degs) >= 5:
-        if min(degs) < 3:
-            return ("5+-face", pattern, "corner of degree < 3")
-        for (a, b) in pg.faces[fi]:
-            if deg[a] == 3 and deg[b] == 3:
-                return ("5+-face", pattern,
-                        f"boundary edge ({a},{b}) joins two degree-3 vertices")
-        return ("5+-face", pattern, "")
-    return (f"{len(degs)}-face", pattern, "no case for this face degree")
+    if len(degs) != 3 and len(degs) < 5:
+        return (f"{len(degs)}-face", pattern, "no case for this face degree")
+    case = "3-face" if len(degs) == 3 else "5+-face"
+    if min(degs) < 3:
+        return (case, pattern, "corner of degree < 3")
+    for (a, b) in pg.faces[fi]:
+        if deg[a] == 3 and deg[b] == 3:
+            return (case, pattern, "two degree-3 corners are adjacent" if case == "3-face"
+                    else f"boundary edge ({a},{b}) joins two degree-3 vertices")
+    if fi in pg.pendant_triangles:
+        payer, u = pg.pendant_triangles[fi]
+        if deg[payer] < 4:
+            return (case, pattern, f"off-face neighbor of {u} is not a 4+-vertex")
+    return (case, pattern, "")
 
 
 def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
@@ -289,8 +289,4 @@ def audit_cases(pg: PlaneGraph, ledger: ChargeLedger) -> AuditReport:
         final = initial - outgoing + incoming
         entries.append(AuditEntry(element, case, pattern, reason,
                                   initial, incoming, outgoing, final))
-    return AuditReport(
-        entries=tuple(entries),
-        initial_total=ledger.initial_total,
-        final_total=sum(e.final for e in entries),
-    )
+    return AuditReport(tuple(entries))

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,91 @@ def test_audit_classification_matches_the_structural_scan():
             for e in report.entries
         }
         assert classified == audit_case_scan(pg)
+
+
+def _named_configuration(pg, element, reason):
+    """The configuration of pass 1's kinds that an out-of-analysis reason
+    names, as ``(kind, vertices)``, read off the reason and the graph."""
+    deg, adjacency = pg.graph.degrees, pg.graph.adjacency
+    kind, i = element
+    if reason == "degree below 3":
+        return ConfigKind.LOW_VERTEX, (i,)
+    if m := re.fullmatch(r"neighbor (\d+) has degree below 3", reason):
+        return ConfigKind.LOW_VERTEX, (int(m[1]),)
+    if m := re.fullmatch(r"adjacent degree-3 vertices (\d+) and (\d+)", reason):
+        return ConfigKind.ADJACENT_THREES, (int(m[1]), int(m[2]))
+    if m := re.fullmatch(r"(\d+) degree-3 neighbors", reason):
+        threes = [u for u in adjacency[i] if deg[u] == 3]
+        assert len(threes) == int(m[1])
+        adjacent = [(a, b) for a, b in combinations(threes, 2) if b in adjacency[a]]
+        if adjacent:
+            return ConfigKind.ADJACENT_THREES, adjacent[0]
+        return ConfigKind.FOUR_THREE_THREES, (i, *threes[:3])
+    corners = pg.face_corners[i] if kind == "face" else ()
+    if reason == "corner of degree < 3" or (reason == "no case for this face degree" and corners):
+        return ConfigKind.LOW_VERTEX, (next(u for u in corners if deg[u] < 3),)
+    if reason == "no case for this face degree":  # the single vertex's empty face
+        return ConfigKind.LOW_VERTEX, tuple(range(pg.graph.n))
+    if reason == "two degree-3 corners are adjacent":
+        return ConfigKind.ADJACENT_THREES, next((a, b) for a, b in pg.faces[i]
+                                                if deg[a] == deg[b] == 3)
+    if m := re.fullmatch(r"boundary edge \((\d+),(\d+)\) joins two degree-3 vertices", reason):
+        edge = (int(m[1]), int(m[2]))
+        assert edge in pg.faces[i]
+        return ConfigKind.ADJACENT_THREES, edge
+    if m := re.fullmatch(r"off-face neighbor of (\d+) is not a 4\+-vertex", reason):
+        u = int(m[1])
+        (payer,) = [w for w in adjacency[u] if w not in corners]
+        if deg[payer] < 3:
+            return ConfigKind.LOW_VERTEX, (payer,)
+        return ConfigKind.ADJACENT_THREES, (u, payer)
+    raise AssertionError(f"no configuration for the reason {reason!r}")
+
+
+def _is_configuration(graph, kind, vertices):
+    """Whether ``vertices`` form a configuration of ``kind`` in the whole
+    graph, in pass 1's vertex order (center first)."""
+    deg, adjacency = graph.degrees, graph.adjacency
+    if kind is ConfigKind.LOW_VERTEX:
+        return len(vertices) == 1 and deg[vertices[0]] < 3
+    if kind is ConfigKind.ADJACENT_THREES:
+        a, b = vertices
+        return b in adjacency[a] and deg[a] == deg[b] == 3
+    center, *leaves = vertices
+    return (deg[center] == 4 and len(set(leaves)) == 3
+            and all(u in adjacency[center] and deg[u] == 3 for u in leaves)
+            and not any(b in adjacency[a] for a, b in combinations(leaves, 2)))
+
+
+def _vicinity(pg, element):
+    """The vertices at or next to an element: a vertex and its neighbors,
+    or a face's corners and their neighbors (every vertex for the single
+    vertex's empty face)."""
+    kind, i = element
+    at = {i} if kind == "vertex" else set(pg.face_corners[i]) or set(range(pg.graph.n))
+    return at.union(*(pg.graph.adjacency[u] for u in at))
+
+
+def test_every_out_of_analysis_element_has_a_configuration_at_or_next_to_it():
+    # the proof's step from the configurations to the rules: a graph with
+    # none of pass 1's configurations has every element inside the analysis
+    planes = [(name, load_catalog(name)) for name in no46_names()]
+    planes += [(f"gen({n}, {seed})", generate_plane_no46(n, seed))
+               for n in (1, 2, 3, 5, 10, 30, 100, 400) for seed in range(10)]
+    reasons = set()  # each reason with its vertex ids and counts as "#"
+    for name, pg in planes:
+        for e in audit_cases(pg, apply_rules(pg)).entries:
+            if e.reason:
+                kind, vertices = _named_configuration(pg, e.element, e.reason)
+                assert _is_configuration(pg.graph, kind, vertices), (name, e)
+                assert _vicinity(pg, e.element).intersection(vertices), (name, e)
+                reasons.add(re.sub(r"(?<!below )(?<![-<] )(?<!-)\b\d+\b(?![-+])", "#", e.reason))
+    assert reasons == {
+        "degree below 3", "neighbor # has degree below 3", "adjacent degree-3 vertices # and #",
+        "# degree-3 neighbors", "corner of degree < 3", "two degree-3 corners are adjacent",
+        "boundary edge (#,#) joins two degree-3 vertices", "off-face neighbor of # is not a 4+-vertex",
+        "no case for this face degree",
+    }
 
 
 def test_every_transfer_is_a_multiple_of_one_sixth_units():

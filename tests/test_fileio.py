@@ -355,8 +355,10 @@ def test_writers_match_json_dumps_on_edge_cases():
         AuditEntry(("vertex", 1), "2-vertex", "(\u00e9,\"7\")", "degree below 3", -3, 0, 0, -3),
         AuditEntry(("face", 0), "3-face", "(3,4,4)", "", -72, -5, 0, -77),
     )
-    check_audit_writer(AuditReport(entries, initial_total=-73, final_total=-78), ledger)
-    check_audit_writer(AuditReport((), initial_total=0, final_total=0), ChargeLedger((), (), ()))
+    report = AuditReport(entries)
+    assert (report.initial_total, report.final_total) == (-73, -83)
+    check_audit_writer(report, ledger)
+    check_audit_writer(AuditReport(()), ChargeLedger((), (), ()))
 
 
 def test_audit_writer_keeps_apart_entries_that_differ_in_one_field():
@@ -371,7 +373,7 @@ def test_audit_writer_keeps_apart_entries_that_differ_in_one_field():
                             ("reason", "degree below 3"), ("initial", 8), ("incoming", 6),
                             ("outgoing", 1), ("final", 9)]
     ]
-    report = AuditReport(tuple(entries + entries[::-1]), initial_total=0, final_total=0)
+    report = AuditReport(tuple(entries + entries[::-1]))
     check_audit_writer(report, ChargeLedger((), (), ()))
 
 

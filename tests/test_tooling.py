@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import cli, embedding, fileio, generate, graphs
+from dpcolor import cli, discharging, embedding, fileio, generate, graphs
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -324,19 +324,33 @@ def test_library_has_no_recursive_functions():
 def test_library_has_no_dead_helpers():
     # a private module-level function, or a nested one, that nothing names
     # is left over from code that was merged or removed; so is a public
-    # method or property of a class that the library never reads as an
-    # attribute.  ChargeLedger.incoming and .outgoing stay: the benchmark's
+    # method of a class that the library never calls as an attribute, or a
+    # public property it never reads as one.  A method is matched by calls
+    # only, so a field of the same name (AuditEntry.incoming) does not keep
+    # it alive.  ChargeLedger.incoming and .outgoing stay: the benchmark's
     # tracer (benchmarks/tracer.py) wraps them by name
     kept = {"ChargeLedger.incoming", "ChargeLedger.outgoing"}
+    assert _dead_helpers(kept) == []
+
+
+def test_dead_helper_scan_tells_a_method_from_a_field_of_its_name():
+    assert _dead_helpers(set()) == ["discharging.py: ChargeLedger.incoming",
+                                    "discharging.py: ChargeLedger.outgoing"]
+
+
+def _dead_helpers(kept: set[str]) -> list[str]:
+    """Unreferenced private functions and unused public class members of
+    the library, except the ``Class.member`` names in ``kept``."""
     helpers = set()
     members = set()
     named = set()
     attributes = set()
+    called = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         helpers |= {(path.name, fn.name) for fn in tree.body
                     if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")}
-        members |= {(path.name, cls.name, fn.name) for cls in tree.body
+        members |= {(path.name, cls.name, fn.name, _is_property(fn)) for cls in tree.body
                     if isinstance(cls, ast.ClassDef) for fn in cls.body
                     if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
         for node in ast.walk(tree):
@@ -345,13 +359,36 @@ def test_library_has_no_dead_helpers():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
                 attributes.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
             elif isinstance(node, ast.FunctionDef):
                 helpers |= {(path.name, fn.name) for fn in ast.walk(node)
                             if fn is not node and isinstance(fn, ast.FunctionDef)}
     dead = [f"{file}: {name}" for file, name in sorted(helpers) if name not in named]
-    dead += [f"{file}: {cls}.{name}" for file, cls, name in sorted(members)
-             if name not in attributes and f"{cls}.{name}" not in kept]
-    assert dead == []
+    dead += [f"{file}: {cls}.{name}" for file, cls, name, is_property in sorted(members)
+             if name not in (attributes if is_property else called) and f"{cls}.{name}" not in kept]
+    return dead
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) in ("property", "cached_property") for d in fn.decorator_list)
+
+
+def test_rule_names_appear_only_in_the_rules_table():
+    # each discharging rule is written once, as a row of discharging.RULES;
+    # no other code names a rule, so none can branch on one
+    names = {f"R{i}" for i in range(1, 6)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        table = {id(node) for top in tree.body
+                 if isinstance(top, ast.Assign) and [getattr(t, "id", None) for t in top.targets] == ["RULES"]
+                 for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno} {node.value}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in names and id(node) not in table]
+    assert found == []
+    rows = [row[0] for row in discharging.RULES]
+    assert rows == sorted(names)
 
 
 def test_every_error_class_is_raised():
