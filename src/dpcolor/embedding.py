@@ -23,9 +23,9 @@ R3 and the 3-face case of the audit read it from that map.
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
 Sized to ``n`` vertices, it holds a dart ``(u, v)`` as the integer
 ``u * n + v``, so its walks, keys and face map order, compare and hash
-small integers.  An edit splices the walks of the faces it changes; the
-random generator grows its instances on it and builds a ``PlaneGraph``
-only for the result.
+small integers.  An edit splices the walks of the faces it changes and
+re-keys only the darts that change face; the random generator grows its
+instances on it and builds a ``PlaneGraph`` only for the result.
 """
 
 from __future__ import annotations
@@ -164,13 +164,21 @@ class FaceRegistry:
     maps the smallest dart of each face to the face's walk from that dart;
     ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk of
     ``trace_faces``'s face ``i``, darts encoded, and ``big_keys`` holds the
-    keys of the faces of degree >= 4.  The single vertex's face has no dart
-    and is not held.  An edit splices the walks of the faces it changes: a
-    new edge cuts its face at the darts into its two corners (or, to a new
-    vertex, grows it by two darts), and a deleted edge joins the walks on
-    its two sides.  It does not check that the embedding stays plane, so a
-    new edge must join two corners of one face (or a new vertex) and a
-    deleted edge must not be a bridge.
+    keys of the faces of degree >= 4; ``face_of`` maps each dart to its
+    face's key.  The single vertex's face has no dart and is not held.
+
+    An edit splices the walks of the faces it changes and writes
+    ``face_of`` only for the darts that change face.  An edge to a new
+    vertex grows its face by two darts, both larger than the key.  A new
+    edge between two corners of one face cuts the walk there; the piece
+    that holds the old key keeps it and its rotation, so only its closing
+    dart is keyed, unless that dart is smaller than the key.  The other
+    piece is keyed afresh.  A deleted edge joins the walks on its two
+    sides; when neither of its darts is a key, the joined face keeps the
+    smaller key and only the darts of the other side are re-keyed.  Both
+    edits raise ``InternalInvariantError``, and change nothing, on a new
+    edge between corners of two faces or on a deleted bridge, so every
+    edit keeps the embedding plane and connected.
     """
 
     def __init__(self, n: int) -> None:
@@ -194,7 +202,9 @@ class FaceRegistry:
         splits or grows.  To a new vertex, the edge and its reverse join
         the walk right after that dart.  Otherwise the walk is cut after
         that dart and after the dart into the corner opened at ``y``, and
-        each of the two pieces is closed by one direction of the edge.
+        each of the two pieces is closed by one direction of the edge;
+        when that dart is on another face, ``InternalInvariantError`` is
+        raised and nothing changes.
         """
         n = self.n
         rings = self.rotations
@@ -202,36 +212,86 @@ class FaceRegistry:
             if y >= n:
                 raise InternalInvariantError(f"vertex {y} does not fit a registry of {n}")
             rings.append([])
-        rings[x].insert(i, y)
-        rings[y].insert(j, x)
+        ring_x, ring_y = rings[x], rings[y]
         xy, yx = x * n + y, y * n + x
-        if len(rings[x]) == 1:  # the first edge, at the single vertex
+        if not ring_x:  # the first edge, at the single vertex
+            ring_x.append(y)
+            ring_y.append(x)
             self._add((xy, yx))
             return
-        into_x = rings[x][i - 1] * n + x
-        walk = self._drop(self.face_of[into_x])
+        face_of = self.face_of
+        # the previous entries are the same before and after the inserts
+        into_x = ring_x[i - 1] * n + x
+        key = face_of[into_x]
+        walk = self.walks[key]
         p = walk.index(into_x) + 1
-        if len(rings[y]) == 1:  # a new vertex: out and back after into_x
-            self._add(walk[:p] + (xy, yx) + walk[p:])
+        if not ring_y:
+            # a new vertex: out and back after into_x.  The key's tail is
+            # the face's least vertex and y is the largest, so the key stays.
+            ring_x.insert(i, y)
+            ring_y.append(x)
+            self.walks[key] = walk[:p] + (xy, yx) + walk[p:]
+            face_of[xy] = face_of[yx] = key
+            if len(walk) < 4:  # a 2- or 3-face becomes a 4- or 5-face
+                insort(self.big_keys, key)
             return
-        q = walk.index(rings[y][j - 1] * n + y) + 1
+        into_y = ring_y[j - 1] * n + y
+        if face_of[into_y] != key:
+            raise InternalInvariantError(f"edge {(x, y)} joins corners of two faces")
+        ring_x.insert(i, y)
+        ring_y.insert(j, x)
+        # p and q are both at least 1, so walk[0], the key, stays on the
+        # piece that keeps walk[:min(p, q)] and walk[max(p, q):]
+        q = walk.index(into_y) + 1
         if p < q:
-            self._add((yx,) + walk[p:q])
-            self._add((xy,) + walk[q:] + walk[:p])
+            cut, kept, other = xy, walk[:p] + (xy,) + walk[q:], (yx,) + walk[p:q]
         else:
-            self._add((xy,) + walk[q:p])
-            self._add((yx,) + walk[p:] + walk[:q])
+            cut, kept, other = yx, walk[:q] + (yx,) + walk[p:], (xy,) + walk[q:p]
+        if cut < key:
+            self._drop(key)
+            self._add(kept)
+        else:
+            self.walks[key] = kept
+            face_of[cut] = key
+            if len(kept) < 4 <= len(walk):
+                del self.big_keys[bisect_left(self.big_keys, key)]
+        self._add(other)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge ``{u, v}``, merging the faces on its two sides."""
+        """Delete edge ``{u, v}``, merging the faces on its two sides.
+
+        Raises ``InternalInvariantError``, and changes nothing, when the
+        edge is a bridge: both its darts are on one face.
+        """
         uv, vu = u * self.n + v, v * self.n + u
-        a = self._drop(self.face_of.pop(uv))
-        b = self._drop(self.face_of.pop(vu))
-        self.rotations[u].remove(v)
-        self.rotations[v].remove(u)
+        face_of = self.face_of
+        key_a, key_b = face_of[uv], face_of[vu]
+        if key_a == key_b:
+            raise InternalInvariantError(f"edge {(u, v)} is a bridge")
+        a, b = self.walks[key_a], self.walks[key_b]
         i = a.index(uv)
         j = b.index(vu)
-        self._add(a[i + 1:] + a[:i] + b[j + 1:] + b[:j])
+        self.rotations[u].remove(v)
+        self.rotations[v].remove(u)
+        if i and j:
+            # neither removed dart is a key: the merged face keeps the
+            # smaller key, and only the other side's darts change face
+            if key_a < key_b:
+                key, kept, gone = key_a, a, b
+                walk = a[:i] + b[j + 1:] + b[:j] + a[i + 1:]
+            else:
+                key, kept, gone = key_b, b, a
+                walk = b[:j] + a[i + 1:] + a[:i] + b[j + 1:]
+            self._drop(gone[0])
+            self.walks[key] = walk
+            if len(kept) < 4 <= len(walk):
+                insort(self.big_keys, key)
+            face_of.update(dict.fromkeys(gone, key))
+        else:
+            self._drop(key_a)
+            self._drop(key_b)
+            self._add(a[i + 1:] + a[:i] + b[j + 1:] + b[:j])
+        del face_of[uv], face_of[vu]
 
     def _add(self, walk: tuple[int, ...]) -> None:
         """Hold ``walk`` as a face, started at its smallest dart."""
@@ -244,12 +304,11 @@ class FaceRegistry:
             insort(self.big_keys, key)
         self.face_of.update(dict.fromkeys(walk, key))
 
-    def _drop(self, key: int) -> tuple[int, ...]:
+    def _drop(self, key: int) -> None:
         walk = self.walks.pop(key)
         del self.keys[bisect_left(self.keys, key)]
         if len(walk) >= 4:
             del self.big_keys[bisect_left(self.big_keys, key)]
-        return walk
 
 
 def _normalize_rotation(graph: Graph, rotation: Iterable[Iterable[int]]) -> Rotation:

@@ -7,7 +7,10 @@ two.  The rotation system is an ``embedding.FaceRegistry`` sized to the
 ``n`` asked for, which keeps the faces up to date as edges come and go:
 ears and chords draw their face from it and read the ends of its integer
 darts ``u * n + v`` with ``divmod`` and ``%``, and each edit splices only
-the face walks it changes.  The graph grows once, and
+the face walks it changes and re-keys only the darts that change face.
+Ears and chords try a face's corners in an order shuffled straight from
+the rng's bit stream, with the draws ``rng.shuffle`` makes.  The graph
+grows once, and
 ``embedding.plane_from_rotations`` builds its plane graph once, for the
 result.
 
@@ -56,6 +59,21 @@ def _corner(reg: FaceRegistry, walk, pos: int) -> int:
     return reg.rotations[x].index(a) + 1
 
 
+def _shuffled(length: int, rng: random.Random) -> list[int]:
+    """``list(range(length))`` shuffled by the ``getrandbits`` calls that
+    ``rng.shuffle`` makes on it, so the result and the rng's state after
+    it are those of ``rng.shuffle``."""
+    getrandbits = rng.getrandbits
+    positions = list(range(length))
+    for i in range(length - 1, 0, -1):  # j = rng._randbelow(i + 1)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        positions[i], positions[j] = positions[j], positions[i]
+    return positions
+
+
 def _pick_corners(reg: FaceRegistry, keys: list, rng: random.Random, fits) -> tuple | None:
     """``(walk, p, q, x, y)``: a random face among ``keys`` and its first
     pair of corners, in shuffled order, at walk positions ``p``, ``q`` and
@@ -64,8 +82,7 @@ def _pick_corners(reg: FaceRegistry, keys: list, rng: random.Random, fits) -> tu
         return None
     n = reg.n
     walk = reg.walks[keys[rng.randrange(len(keys))]]
-    positions = list(range(len(walk)))
-    rng.shuffle(positions)
+    positions = _shuffled(len(walk), rng)
     for i, p in enumerate(positions):
         for q in positions[i + 1:]:
             x = walk[p - 1] % n

@@ -62,17 +62,40 @@ def test_generator_valid_over_seeds():
         assert not pg.graph.has_forbidden_cycles
 
 
+def _edit(reg, edit, *args):
+    """Apply ``edit``, a ``FaceRegistry`` method, and name the path it
+    takes by what it does to the face keys."""
+    n, rings = reg.n, reg.rotations
+    if edit.__name__ == "remove_edge":
+        u, v = args
+        keyed = (u * n + v in reg.walks, v * n + u in reg.walks)
+        edit(reg, *args)
+        return {(False, False): "remove keeps both keys", (True, False): "remove uv key",
+                (False, True): "remove vu key", (True, True): "remove both keys"}[keyed]
+    x, i, y, j = args
+    if not rings[x]:
+        edit(reg, *args)
+        return "first edge"
+    key = reg.face_of[rings[x][i - 1] * n + x]
+    size = len(reg.walks[key])
+    new = y == len(rings)
+    edit(reg, *args)
+    if new:
+        return "pendant into a 2-/3-face" if size < 4 else "pendant into a 4+-face"
+    return "cut keeps key" if key in reg.walks else "cut below key"
+
+
 def test_face_registry_matches_a_fresh_trace_after_every_edit(monkeypatch):
     # every edge the generator inserts (pendants, both halves of an ear,
-    # chords while growing and densifying) and every repair deletion
+    # chords while growing and densifying) and every repair deletion,
+    # counted by the registry path each takes
     edits = Counter()
 
     def checked(name):
         edit = getattr(FaceRegistry, name)
 
         def call(reg, *args):
-            edit(reg, *args)
-            edits[name] += 1
+            edits[_edit(reg, edit, *args)] += 1
             held, traced = registry_vs_trace(reg)
             assert held == traced, (name, args, reg.rotations)
         return call
@@ -90,8 +113,36 @@ def test_face_registry_matches_a_fresh_trace_after_every_edit(monkeypatch):
     for n in range(1, 61):
         for seed in range(4):
             assert generate_plane_no46(n, seed).graph.n == n
-    assert edits["remove_edge"] > 100
     assert edits["chord"] > 10 and edits["densify chord"] > 10
+    assert edits["first edge"] == 59 * 4 and edits["cut below key"] >= 1
+    for path in ("pendant into a 2-/3-face", "pendant into a 4+-face", "cut keeps key",
+                 "remove keeps both keys", "remove uv key", "remove vu key"):
+        assert edits[path] > 100, path
+
+
+def test_face_registry_takes_each_edit_path_as_a_fresh_trace_does():
+    # one hand-built edit per path, among them the cut whose closing dart
+    # is below its face's key, which the generator seldom makes
+    reg = FaceRegistry(10)
+    insert, remove = FaceRegistry.insert_edge, FaceRegistry.remove_edge
+    script = [
+        (insert, (0, 0, 1, 0), "first edge"),
+        (insert, (1, 1, 2, 0), "pendant into a 2-/3-face"),  # 01 10 -> 01 12 21 10
+        (insert, (2, 1, 0, 1), "cut keeps key"),  # triangle 0-1-2
+        (remove, (1, 2), "remove keeps both keys"),  # 01 12 20 grows to 01 10 02 20
+        (insert, (2, 1, 1, 1), "cut keeps key"),  # the triangle again
+        (insert, (0, 2, 3, 0), "pendant into a 2-/3-face"),  # into 01 12 20
+        (remove, (1, 2), "remove keeps both keys"),  # the star at 0
+        (insert, (3, 1, 1, 1), "cut keeps key"),  # 01 13 30 and 02 20 03 31 10
+        (remove, (0, 1), "remove uv key"),  # the path 2-0-3-1
+        (insert, (0, 1, 1, 1), "cut below key"),  # 02 20 03 31 13 30 -> 01 13 30 02 20
+        (remove, (1, 0), "remove vu key"),
+        (insert, (2, 1, 4, 0), "pendant into a 4+-face"),
+    ]
+    for edit, args, path in script:
+        assert _edit(reg, edit, *args) == path, (edit.__name__, args)
+        held, traced = registry_vs_trace(reg)
+        assert held == traced, (edit.__name__, args, reg.rotations)
 
 
 def test_face_registry_walks_from_the_single_vertex():
@@ -122,6 +173,30 @@ def test_face_registry_refuses_a_vertex_past_its_size():
         FaceRegistry(1).insert_edge(0, 0, 1, 0)
 
 
+def test_face_registry_refuses_a_bridge_and_a_cut_across_two_faces():
+    # both are checked before the first write, so the registry is unchanged
+    def held(reg):
+        return ([ring[:] for ring in reg.rotations], dict(reg.walks), reg.keys[:],
+                reg.big_keys[:], dict(reg.face_of))
+
+    reg = FaceRegistry(10)
+    reg.insert_edge(0, 0, 1, 0)
+    reg.insert_edge(1, 1, 2, 0)
+    reg.insert_edge(2, 1, 0, 1)  # triangle 0-1-2: faces 01 12 20 and 02 21 10
+    reg.insert_edge(0, 2, 3, 0)  # the pendant 0-3 into 01 12 20
+    before = held(reg)
+    for u, v in ((0, 3), (3, 0)):
+        with pytest.raises(InternalInvariantError, match=rf"edge \({u}, {v}\) is a bridge"):
+            reg.remove_edge(u, v)
+        assert held(reg) == before
+    # the corner at 3 is on 01 12 20 03 30; the one after 21 at 1 is on 02 21 10
+    with pytest.raises(InternalInvariantError, match=r"edge \(3, 1\) joins corners of two faces"):
+        reg.insert_edge(3, 1, 1, 2)
+    assert held(reg) == before
+    held_faces, traced = registry_vs_trace(reg)
+    assert held_faces == traced
+
+
 def test_generator_scales_to_thousands_of_vertices():
     # each edit splices only the face walks it changes and each repair
     # round searches the paths near the watched edges; re-tracing the whole
@@ -130,6 +205,18 @@ def test_generator_scales_to_thousands_of_vertices():
     pg = generate_plane_no46(3200, 3200)
     assert time.perf_counter() - started < 10.0
     assert pg.graph.n == 3200 and not pg.graph.has_forbidden_cycles
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pick_corners_shuffles_as_rng_shuffle_does(seed):
+    # the corner order must read the bit stream exactly as rng.shuffle
+    # does: the same positions, and the same rng state after them
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for length in range(2, 65):
+        positions = list(range(length))
+        theirs.shuffle(positions)
+        assert generate._shuffled(length, ours) == positions
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_generator_needs_a_vertex():
