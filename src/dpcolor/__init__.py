@@ -13,7 +13,6 @@ from .catalog import load as load_catalog
 from .covers import (
     Cover,
     CoverViolation,
-    diagonal_cover,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -73,7 +72,6 @@ __all__ = [
     "build_graph",
     "charge_str",
     "color_planar_no46",
-    "diagonal_cover",
     "dp_chromatic",
     "find_rep_set",
     "generate_plane_no46",

@@ -121,19 +121,6 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
     return None
 
 
-def diagonal_cover(graph: Graph, lists: Lists) -> Cover:
-    """Cover matching equal colors across every edge.
-
-    A representative set of this cover is exactly a list coloring from the
-    same lists, which is how list-coloring questions reduce to cover ones.
-    """
-    matchings = tuple(
-        tuple(sorted((c, c) for c in set(lists[u]) & set(lists[v])))
-        for u, v in graph.edges
-    )
-    return Cover(graph=graph, lists=lists, matchings=matchings)
-
-
 def _draws(length: int) -> tuple[tuple[int, int, int], ...]:
     """The draws ``rng.shuffle`` makes on a list of ``length`` items, in
     order: for each position ``i`` from the last down to 1, the bit count

@@ -9,9 +9,11 @@ carries that ``multiplicity``.  The audit then classifies vertices and
 faces by degree and checks that every element ends with final charge >= 0
 where the hypotheses hold: none of ``reduction.ConfigKind``'s three
 configurations (a vertex of degree below 3, adjacent degree-3 vertices, a
-4-vertex with three degree-3 neighbors) at or next to it.  Elements where
-a hypothesis fails are reported as out of the analysis instead of failed,
-with a reason that names the configuration.
+4-vertex with three degree-3 neighbors) at or next to it.  A vertex's
+adjacent-threes and 4-vertex clauses read ``reduction.configuration_at``,
+the predicate pass 1 reads.  Elements where a hypothesis fails are
+reported as out of the analysis instead of failed, with a reason that
+names the configuration.
 
 ``Transfer`` and ``AuditEntry`` are named tuples: an audit builds one per
 transfer and per element, a tuple is the cheapest read-only record to
@@ -32,6 +34,7 @@ from typing import NamedTuple
 from .embedding import PlaneGraph
 from .errors import NonPlanarEmbeddingError, TheoremViolationError
 from .graphs import require_no_forbidden_cycles
+from .reduction import ConfigKind, configuration_at
 
 Element = tuple[str, int]  # ("vertex", i) or ("face", i)
 
@@ -205,8 +208,8 @@ def _vertex_entry(pg: PlaneGraph, v: int, face_deg_strs: list[str]) -> tuple[str
     A vertex is inside the analysis when its closed neighborhood satisfies
     the structural requirements: every vertex there has degree >= 3 (this
     also forces faces flanking an incident 3-face to share exactly one
-    edge with it, hence to be large), a degree-3 vertex has no degree-3
-    neighbor, and a degree-4 vertex has at most two degree-3 neighbors.
+    edge with it, hence to be large), and the vertex starts neither adjacent
+    threes nor a four-three-threes (``reduction.configuration_at``).
     """
     degrees = pg.graph.degrees
     deg = degrees[v]
@@ -218,12 +221,14 @@ def _vertex_entry(pg: PlaneGraph, v: int, face_deg_strs: list[str]) -> tuple[str
     small = [u for u in neighbors if degrees[u] < 3]
     if small:
         return (case, pattern, f"neighbor {small[0]} has degree below 3")
-    threes = [u for u in neighbors if degrees[u] == 3]
-    if deg == 3 and threes:
-        return (case, pattern, f"adjacent degree-3 vertices {v} and {threes[0]}")
-    if deg == 4 and len(threes) > 2:
-        return (case, pattern, f"{len(threes)} degree-3 neighbors")
-    return (case, pattern, "")
+    found = configuration_at(pg.graph.adjacency, degrees, v)
+    if found is None:
+        return (case, pattern, "")
+    kind, vs = found
+    if kind is ConfigKind.ADJACENT_THREES:
+        return (case, pattern, f"adjacent degree-3 vertices {v} and {vs[1]}")
+    threes = sum(degrees[u] == 3 for u in neighbors)
+    return (case, pattern, f"{threes} degree-3 neighbors")
 
 
 def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, str]:

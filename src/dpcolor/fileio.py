@@ -122,20 +122,22 @@ def graph_to_text(graph: Graph) -> str:
 def graph_from_text(text: str) -> Graph:
     """An edge-list graph of at most ``DEFAULT_BUDGET`` vertices: a "yes"
     answer takes one search node per vertex, so a larger graph can never be
-    answered "yes" within the default budget; it is refused before it is built."""
-    rows = [
-        line.strip()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not rows:
+    answered "yes" within the default budget; it is refused before it is built.
+    A line that is not two integers is named by its 1-based number and text."""
+    pairs = []
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                a, b = map(int, line.split())
+            except ValueError:
+                shape = "'u v'" if pairs else "'n m'"
+                raise FileFormatError(f"line {number}: expected {shape}, got {line!r}") from None
+            pairs.append((a, b))
+    if not pairs:
         raise FileFormatError("empty graph file")
-    try:
-        n, m = (int(x) for x in rows[0].split())
-        edges = [tuple(int(x) for x in row.split()) for row in rows[1:]]
-    except ValueError as exc:
-        raise FileFormatError(f"bad graph line: {exc}") from exc
-    if len(edges) != m or any(len(e) != 2 for e in edges):
+    (n, m), edges = pairs[0], pairs[1:]
+    if len(edges) != m:
         raise FileFormatError(f"expected {m} 'u v' lines, got {len(edges)}")
     if n > DEFAULT_BUDGET:
         raise FileFormatError(f"{n} vertices exceed the limit of {DEFAULT_BUDGET}")

@@ -10,20 +10,22 @@ configurations:
 * ``four-three-threes``: a degree-4 vertex with three degree-3
   neighbors, the three pairwise nonadjacent.
 
-The pipeline runs in two passes over host vertex ids, without recursion
-and without relabelled subgraphs.  Pass 1 computes the excision order
-once over a mutable degree array, the smallest-last idea of Matula and
-Beck (J. ACM 30(3), 1983): three lazy min-heaps hold the candidates of
-each kind, and every step takes the remainder's first configuration by
-kind priority.  The order is yielded as plain ``(kind, vertices)``
-pairs.  Pass 2 colors the steps in reverse order through residual
-lists: a color of an excised vertex survives only if no already-colored
-neighbor's choice (the neighbors excised later) is matched to it, and
-one loop over the vertex's neighbors strikes the rest.
-Surviving choices can then never conflict across the frontier.  Each
-vertex takes its first residual color, except a four-three-threes
-center, which takes its first in conflict with at most one leaf.  A
-vertex's list-size floor is 3 minus its outside neighbors, which gives
+``configuration_at`` is their one definition, read by pass 1 and by the
+case audit (``discharging``).  The pipeline runs in two passes over host
+vertex ids, without recursion and without relabelled subgraphs.  Pass 1
+computes the excision order once over a mutable degree array, the
+smallest-last idea of Matula and Beck (J. ACM 30(3), 1983): low vertices
+sit in one lazy min-heap, the two multi-vertex kinds in one lazy min-heap
+of vertex ids each, checked by ``configuration_at``, and every step takes
+the remainder's first configuration by kind priority.  The order is
+yielded as plain ``(kind, vertices)`` pairs.  Pass 2 colors the steps in
+reverse order through residual lists: a color of an excised vertex
+survives only if no already-colored neighbor's choice (the neighbors
+excised later) is matched to it, and one loop over the vertex's
+neighbors strikes the rest.  Surviving choices can then never conflict
+across the frontier.  Each vertex takes its first residual color, except
+a four-three-threes center, which takes its first in conflict with at
+most one leaf.  A vertex's list-size floor is 3 minus its outside neighbors, which gives
 1, 1+1, and 2 for the center plus 1 per leaf, and
 ``verify_config_reducible`` proves every configuration colorable at its
 floors by running pass 2 on all residual covers.  A ``TraceStep`` is a
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import product
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .covers import Cover, partial_matchings, validate_cover
 from .embedding import PlaneGraph
@@ -83,12 +85,24 @@ class PipelineResult:
 _GONE = -1  # degree entry of an excised vertex
 
 
-def _pop_valid(heap: list, valid: Callable) -> object | None:
-    """Pop stale entries off ``heap``; pop and return the first valid one."""
-    while heap:
-        item = heappop(heap)
-        if valid(item):
-            return item
+def configuration_at(
+    adjacency: Sequence[Sequence[int]], degrees: Sequence[int], v: int
+) -> tuple[ConfigKind, tuple[int, ...]] | None:
+    """The configuration ``v`` starts under ``degrees`` as a ``(kind,
+    vertices)`` pair, or None: ``v`` alone at degree 0-2, ``v`` and its
+    first degree-3 neighbor when both have degree 3, or a 4-vertex ``v``
+    and its first three degree-3 neighbors (not checked for adjacency).
+    A negative degree marks a vertex outside the graph.
+    """
+    d = degrees[v]
+    if 0 <= d <= 2:
+        return ConfigKind.LOW_VERTEX, (v,)
+    if d == 3 or d == 4:
+        threes = [u for u in adjacency[v] if degrees[u] == 3]
+        if d == 3 and threes:
+            return ConfigKind.ADJACENT_THREES, (v, threes[0])
+        if d == 4 and len(threes) >= 3:
+            return ConfigKind.FOUR_THREE_THREES, (v, *threes[:3])
     return None
 
 
@@ -99,12 +113,15 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
     Each step takes the first configuration of the remainder by kind
     priority, then vertex order: a low vertex, then adjacent threes in
     edge order, then a 4-vertex with its first three degree-3 neighbors.
-    ``deg`` holds remainder degrees.  Each heap may hold stale entries;
-    they are dropped when they reach the top.  Low vertices and 3-3 edges
-    never become valid again once stale, and a 4-vertex is pushed again on
-    every event that can make it valid: its own drop to degree 4, or a
-    neighbor's drop to degree 3.  Adjacent degree-3 vertices go before any
-    four-three-threes, so its three leaves are pairwise nonadjacent, or
+    ``deg`` holds remainder degrees.  Low vertices are popped inline; the
+    ``pairs`` and ``fours`` heaps hold vertex ids, each checked by
+    ``configuration_at`` when popped, and stale entries are dropped then.
+    ``pairs`` gets the smaller end of every new 3-3 edge: the least vertex
+    on any 3-3 edge has only larger degree-3 neighbors, so its first one
+    gives the least edge.  A 4-vertex is pushed again on every event that
+    can make it valid: its own drop to degree 4, or a neighbor's drop to
+    degree 3.  Adjacent degree-3 vertices go before any four-three-threes,
+    so its three leaves are pairwise nonadjacent, or
     ``InternalInvariantError`` is raised.  Raises ``TheoremViolationError``
     on a nonempty remainder with no configuration.
     """
@@ -112,24 +129,8 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
     deg = [len(nbrs) for nbrs in adj]
     # sorted lists are valid heaps
     low = [v for v in range(graph.n) if deg[v] <= 2]
-    pairs = [(u, v) for u, v in graph.edges if deg[u] == 3 and deg[v] == 3]
+    pairs = [u for u, w in graph.edges if deg[u] == deg[w] == 3]
     fours = [v for v in range(graph.n) if deg[v] == 4]
-
-    def leaves(v: int) -> tuple[int, ...] | None:
-        found = []
-        for u in adj[v]:
-            if deg[u] == 3:
-                found.append(u)
-                if len(found) == 3:
-                    return tuple(found)
-        return None
-
-    def is_pair(edge: tuple[int, int]) -> bool:
-        return deg[edge[0]] == deg[edge[1]] == 3
-
-    def is_center(v: int) -> bool:
-        return deg[v] == 4 and leaves(v) is not None
-
     remaining = graph.n
     while remaining:
         while low:  # the most common kind, popped inline
@@ -138,20 +139,22 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
                 kind, vs = ConfigKind.LOW_VERTEX, (v,)
                 break
         else:
-            if (edge := _pop_valid(pairs, is_pair)) is not None:
-                kind, vs = ConfigKind.ADJACENT_THREES, edge
-            elif (v := _pop_valid(fours, is_center)) is not None:
-                found = leaves(v)
-                if any(graph.has_edge(a, b) for a in found for b in found if a < b):
-                    raise InternalInvariantError(f"leaves {found} of 4-vertex {v} are adjacent")
-                kind, vs = ConfigKind.FOUR_THREE_THREES, (v,) + found
-            else:
+            found = None
+            while found is None and pairs:
+                found = configuration_at(adj, deg, heappop(pairs))
+            while found is None and fours:
+                found = configuration_at(adj, deg, heappop(fours))
+            if found is None:
                 names = tuple(v for v in range(graph.n) if deg[v] != _GONE)
                 raise TheoremViolationError(
                     "no reducible configuration in a nonempty graph "
                     f"on host vertices {names}",
                     graph=graph,
                 )
+            kind, vs = found
+            leaves = vs[1:]  # a single leaf for adjacent threes, so no pair
+            if any(graph.has_edge(a, b) for a in leaves for b in leaves if a < b):
+                raise InternalInvariantError(f"leaves {leaves} of 4-vertex {vs[0]} are adjacent")
         yield kind, vs
         remaining -= len(vs)
         for x in vs:
@@ -168,7 +171,7 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
                 elif d == 3:
                     for w in adj[u]:
                         if deg[w] == 3:
-                            heappush(pairs, (u, w) if u < w else (w, u))
+                            heappush(pairs, min(u, w))
                         elif deg[w] == 4:
                             heappush(fours, w)
                 elif d == 4:

@@ -25,6 +25,9 @@ system from scratch, a random cover by one ``rng.shuffle`` call per
 edge, and a pipeline step's colors by the extension rule written as a
 function of its residual lists.
 
+``diagonal_cover`` builds the equal-color cover, on which a list-coloring
+question is a cover question; only tests build it.
+
 ``check_propositions`` is a checker rather than a reference: it reports
 the structural facts the discharging analysis relies on (edge sharing of
 3-faces, the faces at a pendant edge, 3-faces per vertex), and
@@ -64,6 +67,19 @@ def subset_cycles(graph, k):
             if edges_ok:
                 found.add(seq)
     return sorted(found)
+
+
+def diagonal_cover(graph, lists):
+    """Cover matching equal colors across every edge.
+
+    A representative set of this cover is exactly a list coloring from the
+    same lists, which is how list-coloring questions reduce to cover ones.
+    """
+    matchings = tuple(
+        tuple(sorted((c, c) for c in set(lists[u]) & set(lists[v])))
+        for u, v in graph.edges
+    )
+    return Cover(graph=graph, lists=lists, matchings=matchings)
 
 
 def enumerate_perfect_covers(graph, lists, budget=DEFAULT_BUDGET, free_edges=None):

@@ -9,7 +9,7 @@ import time
 from itertools import combinations, permutations
 
 from dpcolor.catalog import load as load_catalog, no46_names
-from dpcolor.covers import diagonal_cover, random_cover, uniform_assignment
+from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases, initial_charges
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
@@ -25,7 +25,7 @@ from dpcolor.solver import (
     max_impropriety,
 )
 
-from oracles import enumerate_perfect_covers, relaxed_list_colorable
+from oracles import diagonal_cover, enumerate_perfect_covers, relaxed_list_colorable
 from test_reduction import excises_every_vertex
 
 

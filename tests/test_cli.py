@@ -10,9 +10,10 @@ import pytest
 from dpcolor import cli, graphs
 from dpcolor.catalog import load as load_catalog
 from dpcolor.cli import main
-from dpcolor.covers import Cover, diagonal_cover, random_cover, uniform_assignment
+from dpcolor.covers import Cover, random_cover, uniform_assignment
 from dpcolor.embedding import plane_from_rotations
 from dpcolor.fileio import (
+    GRAPH_HEADER,
     cover_to_text,
     graph_to_text,
     plane_from_text,
@@ -22,6 +23,7 @@ from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import build_graph
 from dpcolor.solver import impropriety
 
+from oracles import diagonal_cover
 from test_fileio import (
     BAD_COVERS,
     HUGE_N_GRAPH,
@@ -144,6 +146,22 @@ def test_colorable_refuses_a_huge_edge_list_before_building_it(tmp_path, capsys,
     assert out == "" and err == "error: 1000000000000 vertices exceed the limit of 1000000\n"
 
 
+# edge-list files with one bad line, and the message that names it
+BAD_GRAPH_LINES = {
+    "three-values": (f"{GRAPH_HEADER}\n3 2\n0 1\n0 1 2\n", "line 4: expected 'u v', got '0 1 2'"),
+    "one-value": (f"{GRAPH_HEADER}\n3 2\n0 1\n  2\n", "line 4: expected 'u v', got '2'"),
+    "non-integer": (f"{GRAPH_HEADER}\n\n3 2\n0 x\n1 2\n", "line 4: expected 'u v', got '0 x'"),
+    "bad-header": (f"{GRAPH_HEADER}\n3 2 1\n0 1\n", "line 2: expected 'n m', got '3 2 1'"),
+}
+
+
+@pytest.mark.parametrize("text, message", BAD_GRAPH_LINES.values(), ids=BAD_GRAPH_LINES)
+def test_colorable_names_the_bad_line_of_an_edge_list(tmp_path, capsys, text, message):
+    assert main(["colorable", write(tmp_path, "g.txt", text), "-k", "2", "-d", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_colorable_refuses_a_huge_k_without_computing_its_factorial(tmp_path, capsys, monkeypatch):
     refuse_large_factorials(monkeypatch)
     path = write(tmp_path, "k3.json", plane_to_text(load_catalog("k3")))
@@ -221,6 +239,15 @@ def test_non_integer_rings_are_rejected_with_one_line(tmp_path, capsys, command)
     assert main([command, write(tmp_path, "bad.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "rotation at 0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "theorem"])
+@pytest.mark.parametrize("rotations", [[[1]], 5], ids=["one-ring-for-two", "not-a-list"])
+def test_plane_file_without_n_rings_is_rejected_with_one_line(tmp_path, capsys, command, rotations):
+    text = json.dumps({"format": "dpcolor-plane/1", "n": 2, "rotations": rotations})
+    assert main([command, write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: rotations: expected a list of n rings\n"
 
 
 @pytest.mark.parametrize("command", ["audit", "theorem"])

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dpcolor.covers import (
     Cover,
-    diagonal_cover,
+    CoverViolation,
     partial_matchings,
     random_cover,
     uniform_assignment,
@@ -18,6 +18,7 @@ from dpcolor.solver import _class_leaders, impropriety
 
 from oracles import (
     class_leaders_scan,
+    diagonal_cover,
     enumerate_perfect_covers,
     meets,
     partial_matchings_scan,
@@ -60,6 +61,11 @@ def test_doubly_matched_color_is_reported():
     violation = validate_cover(bad)
     assert violation is not None and violation.clause == "matching"
     assert "color 1" in violation.message
+
+
+def test_wrong_list_count_is_reported():
+    bad = Cover(graph=k2(), lists=((1,),), matchings=((),))
+    assert validate_cover(bad) == CoverViolation("fibers", "1 lists for 2 vertices")
 
 
 def test_color_outside_list_is_reported():

@@ -15,8 +15,8 @@ from dpcolor.discharging import (
     charge_str,
     initial_charges,
 )
-from dpcolor.embedding import plane_from_rotations
-from dpcolor.errors import ForbiddenCyclePresentError
+from dpcolor.embedding import PlaneGraph, plane_from_rotations
+from dpcolor.errors import ForbiddenCyclePresentError, NonPlanarEmbeddingError
 from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_cycle_of_length
 from dpcolor.reduction import ConfigKind, TraceStep
@@ -69,6 +69,14 @@ def test_initial_charges_on_k4():
     assert ledger.vertex_initial == (0, 0, 0, 0)
     assert ledger.face_initial == (-18, -18, -18, -18)
     assert ledger.initial_total == -72  # -12 in sixths
+
+
+def test_initial_charges_refuse_faces_that_break_the_euler_identity():
+    pg = load_catalog("k3")
+    one_face = PlaneGraph(graph=pg.graph, rotation=pg.rotation, faces=pg.faces[:1])
+    message = "^initial charges total -9, not -12: the faces violate the Euler identity$"
+    with pytest.raises(NonPlanarEmbeddingError, match=message):
+        initial_charges(one_face)
 
 
 def test_initial_charges_on_k2():

@@ -58,6 +58,12 @@ def test_invalid_rotation_rejected():
         trace_faces(g, [[1], [0, 2], [1, 0]])
 
 
+def test_ring_count_other_than_n_rejected():
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(InvalidRotationError, match="^1 rotations for 2 vertices$"):
+        trace_faces(g, [[1]])
+
+
 def test_disconnected_rejected():
     with pytest.raises(DisconnectedError):
         trace_faces(build_graph(2, []), [[], []])

@@ -131,6 +131,20 @@ BAD_COVERS = {
         k2_cover_text([[1, 2, 3], [1, 2, 3]], [[1, 1], [2.0, 2], [True, 3]]),
         r"matchings\[0\]\[1\]: expected 2 integers, got \[2\.0, 2\]",
     ),
+    "color-of-the-larger-end-matched-twice": (
+        k2_cover_text([[1, 2], [1, 2]], [[1, 1], [2, 1]]),
+        r"^invalid cover \(matching\): edge \(0, 1\): color 1 of 1 matched twice$",
+    ),
+    "matchings-not-a-list": (
+        json.dumps({"format": "dpcolor-cover/1", "n": 2, "edges": [[0, 1]],
+                    "lists": [[1], [1]], "matchings": 5}),
+        r"^matchings: expected a list, got 5$",
+    ),
+    "non-integer-n": (
+        json.dumps({"format": "dpcolor-cover/1", "n": "2", "edges": [[0, 1]],
+                    "lists": [[1], [1]], "matchings": [[]]}),
+        r"^n: expected an integer, got '2'$",
+    ),
     "matching-not-a-list-after-a-good-one": (
         json.dumps({"format": "dpcolor-cover/1", "n": 3, "edges": [[0, 1], [1, 2]],
                     "lists": [[1], [1], [1]], "matchings": [[[1, 1]], 5]}),

@@ -11,7 +11,6 @@ from dpcolor import reduction
 from dpcolor.catalog import load as load_catalog, no46_names
 from dpcolor.covers import (
     Cover,
-    diagonal_cover,
     random_cover,
     uniform_assignment,
 )
@@ -31,12 +30,14 @@ from dpcolor.reduction import (
     TraceStep,
     _excision_order,
     color_planar_no46,
+    configuration_at,
     reduce_and_color,
     verify_config_reducible,
 )
 from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
 
 from oracles import (
+    diagonal_cover,
     extension_colors,
     induced_subgraph,
     meets,
@@ -242,6 +243,12 @@ def test_pipeline_names_the_forbidden_6_cycle():
     with pytest.raises(ForbiddenCyclePresentError) as exc:
         color_planar_no46(pg, cover)
     assert str(exc.value) == "graph contains a 6-cycle: 0-1-3-5-4-2"
+
+
+def test_pipeline_rejects_a_cover_of_another_host():
+    cover = diagonal_cover(load_catalog("bowtie").graph, uniform_assignment(5, 3))
+    with pytest.raises(ContractViolationError, match="^cover host differs from the plane graph$"):
+        color_planar_no46(load_catalog("k3"), cover)
 
 
 def test_pipeline_rejects_small_lists():
@@ -462,6 +469,51 @@ REPUSH_CASES = [
 def test_excision_order_repushes_four_vertices(n, edges):
     order = _check_order_against_oracle(build_graph(n, edges))
     assert ConfigKind.FOUR_THREE_THREES in {kind for kind, _ in order}
+
+
+def _least_configuration(adjacency, degrees):
+    """The least ``(kind order, v)`` over every ``configuration_at`` result."""
+    found = [c for v in range(len(degrees)) if (c := configuration_at(adjacency, degrees, v))]
+    return min(found, key=lambda c: (list(ConfigKind).index(c[0]), c[1][0]), default=None)
+
+
+def _check_configuration_at_against_scan(graph):
+    """On the graph and on every remainder of the scan's excision order,
+    with excised vertices at degree -1 as pass 1 marks them, the least
+    configuration is the one the priority scan finds on the remainder."""
+    steps, _ = _oracle_order(graph)
+    gone = set()
+    kinds = set()
+    for vertices in [()] + [vs for _, vs in steps]:
+        gone.update(vertices)
+        sub, names = induced_subgraph(graph, [v for v in range(graph.n) if v not in gone])
+        degrees = [-1 if v in gone else sum(u not in gone for u in graph.adjacency[v])
+                   for v in range(graph.n)]
+        found = _least_configuration(graph.adjacency, degrees)
+        expected = reducible_config_scan(sub)
+        if expected is None:
+            assert found is None
+        else:
+            kind, vs = expected
+            assert found == (ConfigKind(kind), tuple(names[v] for v in vs))
+            kinds.add(found[0])
+    return kinds
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=9))
+def test_configuration_at_matches_the_scan_on_small_graphs(graph):
+    _check_configuration_at_against_scan(graph)
+
+
+def test_configuration_at_matches_the_scan_on_min_degree_three_graphs():
+    # the re-push cases have 4-vertices with a neighbor of degree above 3
+    kinds = set()
+    for seed in range(120):
+        kinds |= _check_configuration_at_against_scan(_min_degree_three_graph(seed))
+    for n, edges in REPUSH_CASES:
+        kinds |= _check_configuration_at_against_scan(build_graph(n, edges))
+    assert kinds == set(ConfigKind)
 
 
 def test_final_check_catches_a_broken_extension(monkeypatch):

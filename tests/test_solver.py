@@ -11,7 +11,6 @@ from dpcolor import solver
 from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
-    diagonal_cover,
     random_cover,
     uniform_assignment,
     validate_cover,
@@ -38,6 +37,7 @@ from dpcolor.solver import (
 
 from oracles import (
     chronological_rep_set,
+    diagonal_cover,
     dp_colorable_scan,
     enumerate_perfect_covers,
     pinned_scan,
