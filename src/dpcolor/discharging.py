@@ -7,13 +7,13 @@ is exactly -12.  The local rules that move charge around are the rows of
 a cut vertex met twice by a walk pays or receives twice, and the transfer
 carries that ``multiplicity``.  The audit then classifies vertices and
 faces by degree and checks that every element ends with final charge >= 0
-where the hypotheses hold: none of ``reduction.ConfigKind``'s three
-configurations (a vertex of degree below 3, adjacent degree-3 vertices, a
-4-vertex with three degree-3 neighbors) at or next to it.  A vertex's
-adjacent-threes and 4-vertex clauses read ``reduction.configuration_at``,
-the predicate pass 1 reads.  Elements where a hypothesis fails are
-reported as out of the analysis instead of failed, with a reason that
-names the configuration.
+where the hypotheses hold: none of the three configurations of
+``reduction.CONFIGS`` (a vertex of degree below 3, adjacent degree-3
+vertices, a 4-vertex with three degree-3 neighbors) at or next to it.  A
+vertex's adjacent-threes and 4-vertex clauses read
+``reduction.configuration_at``, the predicate pass 1 reads.  Elements
+where a hypothesis fails are reported as out of the analysis instead of
+failed, with a reason that names the configuration.
 
 ``Transfer`` and ``AuditEntry`` are named tuples: an audit builds one per
 transfer and per element, a tuple is the cheapest read-only record to

@@ -136,11 +136,11 @@ def _set_successors(successor: dict[Dart, Dart], rings: Sequence[Sequence[int]])
             w = u
 
 
-def _face_walks(successor: dict[Dart, Dart]) -> Iterator[tuple[Dart, ...]]:
-    """Every face walk of ``successor``: each walk starts at its smallest
-    dart, and the walks come in the order of that dart."""
+def _face_walks(successor: dict[Dart, Dart], graph: Graph) -> Iterator[tuple[Dart, ...]]:
+    """Every face walk of ``successor``, in the order of its smallest dart,
+    where it starts; the graph's sorted rows list the darts in that order."""
     visited: set[Dart] = set()
-    for start in sorted(successor):
+    for start in ((v, w) for v, row in enumerate(graph.adjacency) for w in row):
         if start in visited:
             continue
         walk = []
@@ -336,7 +336,7 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
         raise DisconnectedError("face tracing needs a connected graph")
     successor: dict[Dart, Dart] = {}
     _set_successors(successor, rot)
-    faces = tuple(_face_walks(successor)) if graph.n != 1 else ((),)
+    faces = tuple(_face_walks(successor, graph)) if graph.n != 1 else ((),)
     if graph.n - graph.m + len(faces) != 2:
         raise NonPlanarEmbeddingError(
             f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"

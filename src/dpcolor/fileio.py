@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_str  # how json.dumps 
 from .covers import DEFAULT_BUDGET, Cover, validate_cover
 from .discharging import AuditEntry, AuditReport, ChargeLedger, Element, Transfer, charge_str
 from .embedding import PlaneGraph, plane_from_rotations
-from .errors import FileFormatError
+from .errors import DuplicateEdgeError, FileFormatError, IndexOutOfRangeError, LoopEdgeError
 from .graphs import Graph, build_graph
 from .reduction import ConfigKind, TraceStep
 
@@ -123,25 +123,41 @@ def graph_from_text(text: str) -> Graph:
     """An edge-list graph of at most ``DEFAULT_BUDGET`` vertices: a "yes"
     answer takes one search node per vertex, so a larger graph can never be
     answered "yes" within the default budget; it is refused before it is built.
-    A line that is not two integers is named by its 1-based number and text."""
-    pairs = []
+    A line that is not two tokens of ASCII digits is named by its 1-based
+    number and text; so is an edge that is a loop, leaves ``0..n-1`` or
+    repeats an earlier one, with the error class ``build_graph`` raises."""
+    n = m = None
+    seen: dict[tuple[int, int], int] = {}  # edge -> the line that gave it
     for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
-        if line and not line.startswith("#"):
-            try:
-                a, b = map(int, line.split())
-            except ValueError:
-                shape = "'u v'" if pairs else "'n m'"
-                raise FileFormatError(f"line {number}: expected {shape}, got {line!r}") from None
-            pairs.append((a, b))
-    if not pairs:
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2 or not all(t.isascii() and t.isdigit() for t in tokens):
+            shape = "'n m'" if n is None else "'u v'"
+            raise FileFormatError(f"line {number}: expected {shape}, got {line!r}")
+        u, v = map(int, tokens)
+        if n is None:
+            n, m = u, v
+            continue
+        key = (u, v) if u < v else (v, u)
+        if u == v:
+            error, problem = LoopEdgeError, f"loop at vertex {u}"
+        elif key[1] >= n:
+            error, problem = IndexOutOfRangeError, f"vertex {key[1]} not in 0..{n - 1}"
+        elif key in seen:
+            error, problem = DuplicateEdgeError, f"edge {key} given twice (line {seen[key]})"
+        else:
+            seen[key] = number
+            continue
+        raise error(f"line {number}: {problem}, got {line!r}")
+    if n is None:
         raise FileFormatError("empty graph file")
-    (n, m), edges = pairs[0], pairs[1:]
-    if len(edges) != m:
-        raise FileFormatError(f"expected {m} 'u v' lines, got {len(edges)}")
+    if len(seen) != m:
+        raise FileFormatError(f"expected {m} 'u v' lines, got {len(seen)}")
     if n > DEFAULT_BUDGET:
         raise FileFormatError(f"{n} vertices exceed the limit of {DEFAULT_BUDGET}")
-    return build_graph(n, edges)
+    return build_graph(n, seen)
 
 
 # --- plane graphs -----------------------------------------------------------

@@ -10,26 +10,26 @@ configurations:
 * ``four-three-threes``: a degree-4 vertex with three degree-3
   neighbors, the three pairwise nonadjacent.
 
-``configuration_at`` is their one definition, read by pass 1 and by the
-case audit (``discharging``).  The pipeline runs in two passes over host
-vertex ids, without recursion and without relabelled subgraphs.  Pass 1
-computes the excision order once over a mutable degree array, the
-smallest-last idea of Matula and Beck (J. ACM 30(3), 1983): low vertices
-sit in one lazy min-heap, the two multi-vertex kinds in one lazy min-heap
-of vertex ids each, checked by ``configuration_at``, and every step takes
-the remainder's first configuration by kind priority.  The order is
-yielded as plain ``(kind, vertices)`` pairs.  Pass 2 colors the steps in
-reverse order through residual lists: a color of an excised vertex
-survives only if no already-colored neighbor's choice (the neighbors
-excised later) is matched to it, and one loop over the vertex's
-neighbors strikes the rest.  Surviving choices can then never conflict
-across the frontier.  Each vertex takes its first residual color, except
-a four-three-threes center, which takes its first in conflict with at
-most one leaf.  A vertex's list-size floor is 3 minus its outside neighbors, which gives
-1, 1+1, and 2 for the center plus 1 per leaf, and
+``CONFIGS`` is their one statement, one row each, read by
+``configuration_at`` (which pass 1 and the audit in ``discharging``
+call), by the lemma and by pass 2.  The pipeline runs in two passes over
+host vertex ids, without recursion and without relabelled subgraphs.
+Pass 1 computes the excision order once over a mutable degree array, the
+smallest-last idea of Matula and Beck (J. ACM 30(3), 1983): low
+vertices sit in one lazy min-heap, the two multi-vertex kinds in one
+lazy min-heap of vertex ids each, checked by ``configuration_at``, and
+every step takes the remainder's first configuration by kind priority.
+The order is yielded as plain ``(kind, vertices)`` pairs.  Pass 2 colors
+the steps in reverse order through residual lists: a color of an excised
+vertex survives only if no already-colored neighbor's choice (the
+neighbors excised later) is matched to it, and one loop over the
+vertex's neighbors strikes the rest.  Surviving choices can then never
+conflict across the frontier.  Each leaf takes its first residual color
+and each center its first in conflict with at most one leaf.
 ``verify_config_reducible`` proves every configuration colorable at its
-floors by running pass 2 on all residual covers.  A ``TraceStep`` is a
-named tuple, one per excision, equal to the plain tuple of its fields.
+list-size floors by running pass 2 on all residual covers.  A
+``TraceStep`` is a named tuple, one per excision, equal to the plain
+tuple of its fields.
 """
 
 from __future__ import annotations
@@ -84,26 +84,34 @@ class PipelineResult:
 
 _GONE = -1  # degree entry of an excised vertex
 
+# The configurations in priority order, each a star: (kind, the center's
+# degrees, its number of degree-3 leaves).  Derived from the rows by hand
+# and kept literal: pass 1's seeds and re-push events (the hot path), and
+# the audit's ``deg <= 2`` and 3-3 edge clauses in ``discharging``.
+CONFIGS = (
+    (ConfigKind.LOW_VERTEX, range(3), 0),
+    (ConfigKind.ADJACENT_THREES, range(3, 4), 1),
+    (ConfigKind.FOUR_THREE_THREES, range(4, 5), 3),
+)
+# built from the last row up, so the first row that holds a degree wins
+_ROW_AT_DEGREE = {d: (kind, leaves) for kind, centers, leaves in reversed(CONFIGS) for d in centers}
+
 
 def configuration_at(
     adjacency: Sequence[Sequence[int]], degrees: Sequence[int], v: int
 ) -> tuple[ConfigKind, tuple[int, ...]] | None:
     """The configuration ``v`` starts under ``degrees`` as a ``(kind,
-    vertices)`` pair, or None: ``v`` alone at degree 0-2, ``v`` and its
-    first degree-3 neighbor when both have degree 3, or a 4-vertex ``v``
-    and its first three degree-3 neighbors (not checked for adjacency).
-    A negative degree marks a vertex outside the graph.
+    vertices)`` pair, or None: the first row of ``CONFIGS`` whose center
+    degrees hold ``degrees[v]``, with ``v`` and its first ``leaves``
+    degree-3 neighbors (not checked for adjacency), if it has that many.
+    A negative degree marks a vertex outside the graph and matches no row.
     """
-    d = degrees[v]
-    if 0 <= d <= 2:
-        return ConfigKind.LOW_VERTEX, (v,)
-    if d == 3 or d == 4:
-        threes = [u for u in adjacency[v] if degrees[u] == 3]
-        if d == 3 and threes:
-            return ConfigKind.ADJACENT_THREES, (v, threes[0])
-        if d == 4 and len(threes) >= 3:
-            return ConfigKind.FOUR_THREE_THREES, (v, *threes[:3])
-    return None
+    row = _ROW_AT_DEGREE.get(degrees[v])
+    if row is None:
+        return None
+    kind, leaves = row
+    threes = [u for u in adjacency[v] if degrees[u] == 3] if leaves else []
+    return (kind, (v, *threes[:leaves])) if len(threes) >= leaves else None
 
 
 def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]]:
@@ -178,15 +186,6 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
                     heappush(fours, u)
 
 
-# The excised graph of each configuration and the host degrees of its
-# vertices that pass 1 matches (for a low vertex, the largest).
-_CONFIG_SHAPES: dict[ConfigKind, tuple[Graph, tuple[int, ...]]] = {
-    ConfigKind.LOW_VERTEX: (build_graph(1, []), (2,)),
-    ConfigKind.ADJACENT_THREES: (build_graph(2, [(0, 1)]), (3, 3)),
-    ConfigKind.FOUR_THREE_THREES: (build_graph(4, [(0, 1), (0, 2), (0, 3)]), (4, 3, 3, 3)),
-}
-
-
 @dataclass(frozen=True)
 class ReducibilityReport:
     """Exhaustive verification outcome for one configuration kind."""
@@ -206,8 +205,9 @@ def verify_config_reducible(
 ) -> ReducibilityReport:
     """Exhaust every residual cover at the floor list sizes for ``kind``.
 
-    A vertex's floor is 3 minus its outside neighbors, which are colored
-    before it: its host degree less its degree in the shape.  On every
+    The shape is the row's star.  A vertex's floor is 3 minus its outside
+    neighbors, which are colored before it: 1 for a leaf (host degree 3)
+    and ``3 - max(centers) + leaves`` for the center.  On every
     cover, pass 2 itself (``_extend``) colors the configuration as one
     step and must give a representative set of impropriety <= 1; the first
     cover where it does not is returned as a counterexample, and
@@ -215,8 +215,9 @@ def verify_config_reducible(
     ``ContractViolationError`` when ``sizes`` does not give one size per
     vertex, and ``ListTooSmallError`` when a size is below its floor.
     """
-    shape, host_degrees = _CONFIG_SHAPES[kind]
-    floors = tuple(3 - d + len(nbrs) for d, nbrs in zip(host_degrees, shape.adjacency))
+    centers, leaves = next((c, n) for k, c, n in CONFIGS if k is kind)
+    shape = build_graph(1 + leaves, [(0, leaf) for leaf in range(1, 1 + leaves)])
+    floors = (3 - max(centers) + leaves,) + (1,) * leaves
     if sizes is None:
         sizes = floors
     if len(sizes) != shape.n:
@@ -246,14 +247,14 @@ def _extend(
     residual lists; the coloring by vertex and the steps in coloring order.
 
     This is the only extension rule, and ``verify_config_reducible``
-    exhausts it.  Every vertex takes its first residual color (for
-    adjacent threes, even a matched pair only costs impropriety 1), except
-    the center of a four-three-threes step: the leaves keep theirs, and the
-    center takes its first residual color in conflict with at most one
-    leaf.  With two center colors and three leaf choices matched to at most
-    one center color each, such a color exists by counting.  Raises
-    ``ContractViolationError`` when a residual list runs empty or no center
-    color fits.
+    exhausts it.  A low vertex takes its first residual color.  In a
+    multi-vertex step the leaves take theirs, and the center takes its
+    first residual color in conflict with at most one leaf: with one leaf
+    that is its first (adjacent threes, where a matched pair only costs
+    impropriety 1); with two center colors and three leaf choices matched
+    to at most one center color each, such a color exists by counting.
+    Raises ``ContractViolationError`` when a residual list runs empty or
+    no center color fits.
     """
     partners = cover.partners
     adjacency = cover.graph.adjacency
@@ -280,25 +281,18 @@ def _extend(
             color[x] = c = residual[0]
             steps.append(TraceStep(kind, vs, (len(residual),), (c,)))
             continue
-        for x, residual in zip(vs, lists):
+        center, *leaves = vs
+        for x, residual in zip(leaves, lists[1:]):
             color[x] = residual[0]
-        if kind is ConfigKind.FOUR_THREE_THREES:
-            center, *leaves = vs
-            to_leaf = partners[center]
-            for c in lists[0]:
-                if sum(to_leaf[leaf].get(c) == color[leaf] for leaf in leaves) <= 1:
-                    color[center] = c
-                    break
-            else:
-                raise ContractViolationError("no center color conflicts with at most one leaf")
-        steps.append(
-            TraceStep(
-                kind=kind,
-                vertices=vs,
-                residual_sizes=tuple(map(len, lists)),
-                colors=tuple(map(color.__getitem__, sorted(vs))),
-            )
-        )
+        to_leaf = partners[center]
+        for c in lists[0]:
+            if sum(to_leaf[leaf].get(c) == color[leaf] for leaf in leaves) <= 1:
+                color[center] = c
+                break
+        else:
+            raise ContractViolationError("no center color conflicts with at most one leaf")
+        steps.append(TraceStep(kind, vs, tuple(map(len, lists)),
+                               tuple(map(color.__getitem__, sorted(vs)))))
     return color, steps
 
 

@@ -152,6 +152,16 @@ BAD_GRAPH_LINES = {
     "one-value": (f"{GRAPH_HEADER}\n3 2\n0 1\n  2\n", "line 4: expected 'u v', got '2'"),
     "non-integer": (f"{GRAPH_HEADER}\n\n3 2\n0 x\n1 2\n", "line 4: expected 'u v', got '0 x'"),
     "bad-header": (f"{GRAPH_HEADER}\n3 2 1\n0 1\n", "line 2: expected 'n m', got '3 2 1'"),
+    # int() would read each of these tokens as a vertex
+    "underscore": (f"{GRAPH_HEADER}\n11 1\n0 1_0\n", "line 3: expected 'u v', got '0 1_0'"),
+    "plus-sign": (f"{GRAPH_HEADER}\n3 1\n0 +1\n", "line 3: expected 'u v', got '0 +1'"),
+    "arabic-indic": (f"{GRAPH_HEADER}\n3 1\n0 \u0661\n", "line 3: expected 'u v', got '0 \u0661'"),
+    "signed-header": (f"{GRAPH_HEADER}\n+3 1\n0 1\n", "line 2: expected 'n m', got '+3 1'"),
+    # edges that build_graph refuses, named by their line
+    "out-of-range": (f"{GRAPH_HEADER}\n3 1\n0 10\n", "line 3: vertex 10 not in 0..2, got '0 10'"),
+    "loop": (f"{GRAPH_HEADER}\n3 2\n0 1\n\n2 2\n", "line 5: loop at vertex 2, got '2 2'"),
+    "repeated": (f"{GRAPH_HEADER}\n3 3\n0 1\n1 2\n1 0\n",
+                 "line 5: edge (0, 1) given twice (line 3), got '1 0'"),
 }
 
 

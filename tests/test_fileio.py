@@ -11,7 +11,14 @@ from dpcolor.catalog import entry_names, no46_names
 from dpcolor.catalog import load as load_catalog
 from dpcolor.covers import DEFAULT_BUDGET, random_cover, uniform_assignment
 from dpcolor.discharging import AuditEntry, AuditReport, ChargeLedger, Transfer, apply_rules, audit_cases
-from dpcolor.errors import DpColorError, FileFormatError, InvalidRotationError
+from dpcolor.errors import (
+    DpColorError,
+    DuplicateEdgeError,
+    FileFormatError,
+    IndexOutOfRangeError,
+    InvalidRotationError,
+    LoopEdgeError,
+)
 from dpcolor.fileio import (
     GRAPH_HEADER,
     audit_to_json_text,
@@ -50,6 +57,17 @@ def test_graph_text_bad_counts():
         graph_from_text("3 2\n0 1\n")
     with pytest.raises(FileFormatError):
         graph_from_text("")
+
+
+@pytest.mark.parametrize("edge, error", [("0 3", IndexOutOfRangeError), ("4 0", IndexOutOfRangeError),
+                                         ("1 1", LoopEdgeError), ("1 0", DuplicateEdgeError)])
+def test_graph_text_refuses_an_edge_build_graph_refuses_with_its_class(edge, error):
+    # the loader checks each edge as it reads it, so the message can name
+    # the line; the class stays the one build_graph raises
+    with pytest.raises(error, match=f"^line 3: .*, got '{edge}'$"):
+        graph_from_text(f"3 2\n0 1\n{edge}\n")
+    with pytest.raises(error):
+        build_graph(3, [(0, 1), tuple(map(int, edge.split()))])
 
 
 def test_plane_round_trip():

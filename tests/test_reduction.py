@@ -162,6 +162,17 @@ def test_verify_rejects_sizes_that_do_not_fit_the_configuration():
     assert str(raised.value) == "sizes (2, 1, 0, 1) below floors (2, 1, 1, 1) of four-three-threes"
 
 
+@pytest.mark.parametrize("kind", list(ConfigKind))
+def test_verify_floors_are_three_less_outside_neighbors(kind):
+    # a leaf has host degree 3 and the center at most the largest degree of
+    # its row, so one size below the floors names the floors
+    sizes = FLOORS[kind][:-1] + (FLOORS[kind][-1] - 1,)
+    with pytest.raises(ListTooSmallError) as raised:
+        verify_config_reducible(kind, sizes)
+    assert str(raised.value) == f"sizes {sizes} below floors {FLOORS[kind]} of {kind.value}"
+    assert verify_config_reducible(kind, FLOORS[kind]) == verify_config_reducible(kind)
+
+
 def test_verify_exhausts_pass_2(monkeypatch):
     # the lemma must check the rule the pipeline runs: with a pass 2 whose
     # center ignores the leaves, some cover puts more than one conflict on it

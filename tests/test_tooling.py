@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import cli, discharging, embedding, fileio, generate, graphs
+from dpcolor import cli, discharging, embedding, fileio, generate, graphs, reduction
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
-from dpcolor.reduction import color_planar_no46
+from dpcolor.reduction import ConfigKind, color_planar_no46
 
 PACKAGE = Path(dpcolor.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -389,6 +389,23 @@ def test_rule_names_appear_only_in_the_rules_table():
     assert found == []
     rows = [row[0] for row in discharging.RULES]
     assert rows == sorted(names)
+
+
+def test_multi_vertex_kinds_appear_only_in_the_configs_table():
+    # each configuration is written once, as a row of reduction.CONFIGS; no
+    # other code in reduction names a multi-vertex kind, so none can branch
+    # on one
+    names = {"ADJACENT_THREES", "FOUR_THREE_THREES"}
+    tree = ast.parse((PACKAGE / "reduction.py").read_text())
+    table = {id(node) for top in tree.body
+             if isinstance(top, ast.Assign) and [getattr(t, "id", None) for t in top.targets] == ["CONFIGS"]
+             for node in ast.walk(top)}
+    named = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names
+             and getattr(node.value, "id", None) == "ConfigKind"]
+    assert len(named) == len(names)
+    assert [node.lineno for node in named if id(node) not in table] == []
+    assert [row[0] for row in reduction.CONFIGS] == list(ConfigKind)
 
 
 def test_every_error_class_is_raised():
