@@ -8,7 +8,12 @@ color of the larger one.  The code that builds matchings works in that
 orientation: the pinned covers and their masks in ``solver``, the
 residual covers in ``reduction`` and the cover files in ``fileio``.  The
 code that colors looks up conflicts only through ``Cover.partners``,
-which reads each matching from either end.
+which reads each matching from either end.  A cover puts few distinct
+matchings on its edges (two 3-lists admit 34 partial matchings, 6 of
+them perfect), so ``Cover.partners`` builds the two maps of each
+distinct matching once, and ``validate_cover`` checks each distinct list
+and each distinct (list, list, matching) triple once; a cover that fails
+is scanned edge by edge only to name its first fault.
 Colors carry no global meaning (only matchings decide conflicts), and the
 clique inside each vertex's fiber is implicit (choosing one color per
 vertex encodes it).
@@ -25,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import lt
+from operator import itemgetter, lt
 
 from .errors import UnequalListsError
 from .graphs import Graph
@@ -60,12 +65,19 @@ class Cover:
 
         ``partners[u]`` lists ``u``'s neighbors in edge order; a color left
         unmatched is absent.  Matchings are taken to be injective, which
-        ``validate_cover`` checks.
+        ``validate_cover`` checks.  The two maps of a matching, one per
+        direction, are built once per distinct matching and shared by every
+        edge that carries it, so they are read-only.
         """
         maps: tuple[dict[int, dict[int, int]], ...] = tuple({} for _ in range(self.graph.n))
-        for (u, v), matching in zip(self.graph.edges, self.matchings):
-            maps[u][v] = dict(matching)
-            maps[v][u] = {cv: cu for cu, cv in matching}
+        try:
+            shared = {m: (dict(m), {cv: cu for cu, cv in m}) for m in set(self.matchings)}
+            pairs = map(shared.__getitem__, self.matchings)
+        except TypeError:  # matchings that cannot be hashed, such as lists
+            pairs = ((dict(m), {cv: cu for cu, cv in m}) for m in self.matchings)
+        for (u, v), (forward, backward) in zip(self.graph.edges, pairs):
+            maps[u][v] = forward
+            maps[v][u] = backward
         return maps
 
 
@@ -85,6 +97,11 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
     injectivity of each matching.
     Matchings exist only for host edges by construction, so the "no cross
     edges off host edges" clause cannot be violated here.
+
+    Each distinct list, and each distinct (list of ``u``, list of ``v``,
+    matching) triple, is checked once; only when one fails, or holds
+    something that cannot be hashed, are the lists and edges scanned in
+    order, so that the violation named is the first.
     """
     g = cover.graph
     if len(cover.lists) != g.n:
@@ -93,10 +110,46 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
         return CoverViolation(
             "matching-shape", f"{len(cover.matchings)} matchings for {g.m} edges"
         )
+    try:
+        if _well_formed(cover):
+            return None
+    except (TypeError, ValueError):  # the scan meets the same fault, in order
+        pass
+    return _first_violation(cover)
+
+
+def _well_formed(cover: Cover) -> bool:
+    """Whether no list repeats a color and every matching is injective and
+    matches colors of its ends' lists, checked once per distinct list and
+    once per distinct (list of ``u``, list of ``v``, matching) triple."""
+    lists = cover.lists
+    fibers = {colors: set(colors) for colors in set(lists)}
+    if any(len(fiber) != len(colors) for colors, fiber in fibers.items()):
+        return False
+    edges = cover.graph.edges
+    ends = zip(
+        map(lists.__getitem__, map(itemgetter(0), edges)),
+        map(lists.__getitem__, map(itemgetter(1), edges)),
+        cover.matchings,
+    )
+    for list_u, list_v, matching in set(ends):
+        forward = dict(matching)
+        if not (
+            len(forward) == len(matching) == len(set(forward.values()))
+            and fibers[list_u].issuperset(forward)
+            and fibers[list_v].issuperset(forward.values())
+        ):
+            return False
+    return True
+
+
+def _first_violation(cover: Cover) -> CoverViolation | None:
+    """The first list that repeats a color, else the first matched pair,
+    in edge order, that leaves a list or meets a color matched before."""
     for v, colors in enumerate(cover.lists):
         if len(set(colors)) != len(colors):
             return CoverViolation("fibers", f"list of {v} repeats a color: {list(colors)}")
-    for (u, v), matching in zip(g.edges, cover.matchings):
+    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
         seen_u: set[int] = set()
         seen_v: set[int] = set()
         for cu, cv in matching:

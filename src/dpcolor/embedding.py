@@ -10,8 +10,12 @@ walk, and for a connected plane embedding the Euler identity
 means the rotation system does not describe a sphere embedding.
 
 ``plane_from_rotations`` builds a plane graph from a rotation system, the
-one way to do so: ``graph_from_rotations`` then ``trace_faces``.  A face
-is its index into ``PlaneGraph.faces``, which holds the walks.  Facts
+one way to do so: ``graph_from_rotations`` then ``trace_faces``.  Both
+check the rings against the graph's rows all at once, from the sorted
+rings; a ring is looked at alone only to name a fault, with the error
+that building the graph from the rings' edge set raises.  The face walk
+follows a successor map per vertex.  A face is its index into
+``PlaneGraph.faces``, which holds the walks.  Facts
 shared by several consumers are derived once per graph and cached: the
 4-/6-cycle check and the degree list on ``Graph``; the face degrees, each
 face's corner tuple, the face index at each vertex's corners and the
@@ -33,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -104,10 +108,32 @@ class PlaneGraph:
         return out
 
 
-def graph_from_rotations(rotations: Sequence[Iterable[int]]) -> Graph:
-    """The simple graph with an edge ``{v, w}`` for each ``w`` in ring ``v``."""
-    edges = {(v, w) if v < w else (w, v) for v, ring in enumerate(rotations) for w in ring}
-    return build_graph(len(rotations), edges)
+def graph_from_rotations(rotations: Sequence[Sequence[int]]) -> Graph:
+    """The simple graph with an edge ``{v, w}`` for each ``w`` in ring ``v``.
+
+    Each ring is sorted once, and the edges ``(v, w)`` with ``v < w`` are
+    read off the sorted rings in row order, already sorted.  When the rows
+    rebuilt from those edges equal the sorted rings, and no edge repeats,
+    each ring lists its vertex's neighbours once each and the sorted rings
+    are the graph's rows.  Otherwise (a loop, a vertex out of range, a
+    repeated or one-sided neighbour) the edge set of all rings goes
+    through ``build_graph``, which raises on the first two.
+    """
+    n = len(rotations)
+    rows = [sorted(ring) for ring in rotations]
+    edges = [(v, w) for v, row in enumerate(rows) for w in row if v < w]
+    rebuilt: list[list[int]] | None = [[] for _ in range(n)]
+    try:
+        for v, w in edges:
+            rebuilt[v].append(w)
+            rebuilt[w].append(v)
+    except IndexError:  # a neighbour past n - 1
+        rebuilt = None
+    if rebuilt == rows and len(set(edges)) == len(edges):
+        return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(tuple, rows)))
+    return build_graph(
+        n, {(v, w) if v < w else (w, v) for v, ring in enumerate(rotations) for w in ring}
+    )
 
 
 def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
@@ -125,33 +151,28 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 
-def _set_successors(successor: dict[Dart, Dart], rings: Sequence[Sequence[int]]) -> None:
-    """The successor rule at every vertex: after arriving at ``v`` along
-    ``(u, v)``, leave along ``(v, w)`` where ``w`` follows ``u`` in
-    ``rings[v]``."""
-    for v, ring in enumerate(rings):
-        w = ring[0] if ring else None
-        for u in reversed(ring):
-            successor[(u, v)] = (v, w)
-            w = u
+def _face_walks(rotation: Rotation, graph: Graph) -> tuple[tuple[Dart, ...], ...]:
+    """Every face walk of ``rotation``, in the order of its smallest dart,
+    where it starts; the graph's sorted rows list the darts in that order.
 
-
-def _face_walks(successor: dict[Dart, Dart], graph: Graph) -> Iterator[tuple[Dart, ...]]:
-    """Every face walk of ``successor``, in the order of its smallest dart,
-    where it starts; the graph's sorted rows list the darts in that order."""
-    visited: set[Dart] = set()
-    for start in ((v, w) for v, row in enumerate(graph.adjacency) for w in row):
-        if start in visited:
-            continue
-        walk = []
-        arc = start
-        while True:
-            walk.append(arc)
-            visited.add(arc)
-            arc = successor[arc]
-            if arc == start:
-                break
-        yield tuple(walk)
+    ``after[v][u]`` is the vertex that follows ``u`` in the ring at ``v``:
+    after arriving at ``v`` along ``(u, v)`` the walk leaves along
+    ``(v, after[v][u])``.  Each entry is popped as its dart is walked, so
+    a dart ``(v, w)`` is unwalked while ``v`` is in ``after[w]``.
+    """
+    after = [dict(zip(ring, ring[1:] + ring[:1])) for ring in rotation]
+    walks = []
+    for v, row in enumerate(graph.adjacency):
+        for w in row:
+            if v not in after[w]:
+                continue
+            walk = [(v, w)]
+            x, y = w, after[w].pop(v)
+            while x != v or y != w:
+                walk.append((x, y))
+                x, y = y, after[y].pop(x)
+            walks.append(tuple(walk))
+    return tuple(walks)
 
 
 class FaceRegistry:
@@ -312,16 +333,19 @@ class FaceRegistry:
 
 
 def _normalize_rotation(graph: Graph, rotation: Iterable[Iterable[int]]) -> Rotation:
-    rot = tuple(tuple(r) for r in rotation)
+    """``rotation`` as tuples, checked against the graph's rows: all rings
+    are compared at once, and scanned only to name the first bad one."""
+    rot = tuple(map(tuple, rotation))
     if len(rot) != graph.n:
         raise InvalidRotationError(
             f"{len(rot)} rotations for {graph.n} vertices"
         )
-    for v in range(graph.n):
-        if sorted(rot[v]) != list(graph.adjacency[v]):
-            raise InvalidRotationError(
-                f"rotation at {v} is not a permutation of its neighbors"
-            )
+    if list(map(sorted, rot)) != list(map(list, graph.adjacency)):
+        for v in range(graph.n):
+            if sorted(rot[v]) != list(graph.adjacency[v]):
+                raise InvalidRotationError(
+                    f"rotation at {v} is not a permutation of its neighbors"
+                )
     return rot
 
 
@@ -334,9 +358,7 @@ def trace_faces(graph: Graph, rotation: Iterable[Iterable[int]]) -> PlaneGraph:
     rot = _normalize_rotation(graph, rotation)
     if not is_connected(graph):
         raise DisconnectedError("face tracing needs a connected graph")
-    successor: dict[Dart, Dart] = {}
-    _set_successors(successor, rot)
-    faces = tuple(_face_walks(successor, graph)) if graph.n != 1 else ((),)
+    faces = _face_walks(rot, graph) if graph.n != 1 else ((),)
     if graph.n - graph.m + len(faces) != 2:
         raise NonPlanarEmbeddingError(
             f"Euler check failed: {graph.n} - {graph.m} + {len(faces)} != 2"

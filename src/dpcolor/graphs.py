@@ -59,6 +59,12 @@ class Graph:
         return tuple(sorted(range(self.n), key=order.__getitem__))
 
     @cached_property
+    def _no_4_cycle(self) -> bool:
+        """Whether the graph has no 4-cycle; searched once for both cycle
+        checks, since the 6-check's endpoint filter relies on it."""
+        return not _has_4_cycle(self.adjacency, self._degree_ranks)
+
+    @cached_property
     def has_forbidden_cycles(self) -> bool:
         """True iff the graph has a 4- or 6-cycle; searched once per graph."""
         return has_cycle_of_length(self, 4) or has_cycle_of_length(self, 6)
@@ -175,11 +181,19 @@ def _has_4_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> boo
     return False
 
 
-def _has_6_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:
+def _has_6_cycle(
+    adjacency: Sequence[Sequence[int]], rank: Sequence[int], no_4_cycle: bool
+) -> bool:
     """Meet in the middle (after Alon, Yuster and Zwick): each 6-cycle
     ``v-a-b-c-b'-a'`` is found from its top-ranked vertex ``v`` as two
     paths ``v-a-b-c`` and ``v-a'-b'-c`` through lower-ranked vertices whose
     inner pairs ``{a, b}`` and ``{a', b'}`` are disjoint.
+
+    So ``v`` needs two lower-ranked neighbours.  In a graph with no
+    4-cycle, two paths ``v-a-b`` never share their ``b``, so listing the
+    ends ``c`` of the paths ``v-a-b-c`` costs no more than the search
+    below, and a ``v`` whose ends are all distinct has no two paths to
+    join; both are skipped.
 
     Per endpoint ``c`` the inner pairs are the edges of a graph, and two
     disjoint ones exist unless that graph is a star or a triangle.  So
@@ -191,12 +205,19 @@ def _has_6_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> boo
     """
     for v, ring in enumerate(adjacency):
         top = rank[v]
+        lows = [a for a in ring if rank[a] < top]
+        if len(lows) < 2:
+            continue
+        if no_4_cycle:
+            ends = [c for a in lows for b in adjacency[a] if rank[b] < top
+                    for c in adjacency[b] if c != a and rank[c] < top]
+            if len(set(ends)) == len(ends):
+                continue
         firsts_by_middle: dict[int, list[int]] = {}  # b -> the a of each path v-a-b
-        for a in ring:
-            if rank[a] < top:
-                for b in adjacency[a]:
-                    if rank[b] < top:
-                        firsts_by_middle.setdefault(b, []).append(a)
+        for a in lows:
+            for b in adjacency[a]:
+                if rank[b] < top:
+                    firsts_by_middle.setdefault(b, []).append(a)
         pairs_at: dict[int, list[tuple[int, int]]] = {}
         for b, firsts in firsts_by_middle.items():
             firsts = firsts[:4]
@@ -227,13 +248,14 @@ def has_cycle_of_length(graph: Graph, k: int) -> bool:
     plane graphs.  The 6-check costs that to find the length-2 paths below
     each vertex, plus the degrees of their distinct far ends, each at most
     the degree of the vertex: O(m) when degrees are bounded and
-    O(a(G) m^1.5) in the worst case.  Any other ``k`` raises
+    O(a(G) m^1.5) in the worst case.  The 6-check reads the 4-check's
+    answer, which is searched once per graph.  Any other ``k`` raises
     ``BadLengthError``.
     """
     if k == 4:
-        return _has_4_cycle(graph.adjacency, graph._degree_ranks)
+        return not graph._no_4_cycle
     if k == 6:
-        return _has_6_cycle(graph.adjacency, graph._degree_ranks)
+        return _has_6_cycle(graph.adjacency, graph._degree_ranks, graph._no_4_cycle)
     raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
 
 

@@ -10,7 +10,10 @@ whether it is inside the discharging analysis by testing the structural
 requirements on adjacency rows and face walks, an element's transfers
 and its final charge by scanning the whole transfer log, faces sharing
 one edge with a 3-face by comparing it with every face, partial
-matchings by filtering every set of color pairs, every JSON document
+matchings by filtering every set of color pairs, a cover's first
+violated clause by one ordered scan over its lists and matched pairs,
+its partner maps as one pair of dicts per edge, the graph of a rotation
+system by its edge set through ``build_graph``, every JSON document
 as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from dpcolor.covers import DEFAULT_BUDGET, Cover, uniform_assignment
+from dpcolor.covers import DEFAULT_BUDGET, Cover, CoverViolation, uniform_assignment
 from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.errors import (
     BudgetExceededError,
@@ -429,6 +432,46 @@ def partial_matchings_scan(left, right):
             if len({a for a, _ in chosen}) == len({b for _, b in chosen}) == k:
                 out.append(tuple(sorted(chosen)))
     return sorted(out)
+
+
+def cover_violation_scan(cover):
+    """The first violated clause of ``cover``, or ``None``: the shapes, then
+    each list in vertex order, then each matched pair in edge order."""
+    g = cover.graph
+    if len(cover.lists) != g.n:
+        return CoverViolation("fibers", f"{len(cover.lists)} lists for {g.n} vertices")
+    if len(cover.matchings) != g.m:
+        return CoverViolation("matching-shape", f"{len(cover.matchings)} matchings for {g.m} edges")
+    for v, colors in enumerate(cover.lists):
+        if any(c in colors[:i] for i, c in enumerate(colors)):
+            return CoverViolation("fibers", f"list of {v} repeats a color: {list(colors)}")
+    for (u, v), matching in zip(g.edges, cover.matchings):
+        for i, (cu, cv) in enumerate(matching):
+            if cu not in cover.lists[u]:
+                return CoverViolation("fibers", f"edge {(u, v)}: color {cu} not in list of {u}")
+            if cv not in cover.lists[v]:
+                return CoverViolation("fibers", f"edge {(u, v)}: color {cv} not in list of {v}")
+            if any(cu == earlier for earlier, _ in matching[:i]):
+                return CoverViolation("matching", f"edge {(u, v)}: color {cu} of {u} matched twice")
+            if any(cv == earlier for _, earlier in matching[:i]):
+                return CoverViolation("matching", f"edge {(u, v)}: color {cv} of {v} matched twice")
+    return None
+
+
+def partners_scan(cover):
+    """``partners[u][v][cu]`` from a fresh pair of dicts per edge."""
+    maps = [{} for _ in range(cover.graph.n)]
+    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
+        maps[u][v] = {cu: cv for cu, cv in matching}
+        maps[v][u] = {cv: cu for cu, cv in matching}
+    return maps
+
+
+def rotation_graph_scan(rotations):
+    """The graph of a rotation system: the set of its edges ``{v, w}``, one
+    per ``w`` in ring ``v``, through ``build_graph``."""
+    edges = {(v, w) if v < w else (w, v) for v, ring in enumerate(rotations) for w in ring}
+    return build_graph(len(rotations), edges)
 
 
 def plane_doc(pg):

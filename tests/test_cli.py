@@ -33,6 +33,7 @@ from test_fileio import (
     refuse_graphs_above_the_cap,
     refuse_graphs_above_the_lists,
 )
+from test_embedding import BAD_ROTATIONS
 from test_plane_golden import fan
 from test_solver import refuse_large_factorials
 
@@ -249,6 +250,18 @@ def test_non_integer_rings_are_rejected_with_one_line(tmp_path, capsys, command)
     assert main([command, write(tmp_path, "bad.json", text)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "rotation at 0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "theorem"])
+@pytest.mark.parametrize("rotations, message",
+                         [(rotations, message) for rotations, _, message in BAD_ROTATIONS.values()],
+                         ids=BAD_ROTATIONS)
+def test_inconsistent_rings_are_rejected_with_the_loader_message(tmp_path, capsys, command,
+                                                                 rotations, message):
+    text = json.dumps({"format": "dpcolor-plane/1", "n": len(rotations), "rotations": rotations})
+    assert main([command, write(tmp_path, "bad.json", text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["audit", "theorem"])

@@ -1,9 +1,12 @@
+import copy
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor import solver
+from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.covers import (
     Cover,
     CoverViolation,
@@ -14,14 +17,17 @@ from dpcolor.covers import (
 )
 from dpcolor.errors import BudgetExceededError, UnequalListsError
 from dpcolor.graphs import build_graph
-from dpcolor.solver import _class_leaders, impropriety
+from dpcolor.reduction import reduce_and_color
+from dpcolor.solver import _class_leaders, find_rep_set, impropriety, is_dp_colorable
 
 from oracles import (
     class_leaders_scan,
+    cover_violation_scan,
     diagonal_cover,
     enumerate_perfect_covers,
     meets,
     partial_matchings_scan,
+    partners_scan,
     shuffled_cover,
 )
 from strategies import covers, graphs
@@ -213,3 +219,138 @@ def test_random_cover_draws_as_shuffle_does_on_a_large_uniform_cover():
     for k, perfect in ((3, True), (3, False), (5, True)):
         lists = uniform_assignment(300, k)
         assert random_cover(graph, lists, 11, perfect) == shuffled_cover(graph, lists, 11, perfect)
+
+
+@st.composite
+def _faulty_covers(draw):
+    """A random cover with one to three planted faults, each a list that
+    repeats a color, a matched color off its list, a color matched twice on
+    one edge, or one list or matching too few or too many."""
+    cover = draw(covers(max_n=6, max_k=3, perfect=draw(st.booleans())))
+    k = len(cover.lists[0])  # every list is 1..k
+    lists = [list(colors) for colors in cover.lists]
+    matchings = [list(matching) for matching in cover.matchings]
+    faults = st.sampled_from(["repeat", "off", "off", "twice", "twice", "twice", "shape"])
+    for fault in draw(st.lists(faults, min_size=1, max_size=3)):
+        if fault == "repeat" and lists:
+            colors = lists[draw(st.integers(0, len(lists) - 1))]
+            colors.insert(draw(st.integers(0, len(colors))), draw(st.sampled_from(colors)))
+        elif fault == "shape":
+            target = draw(st.sampled_from([lists, matchings]))
+            if target and draw(st.booleans()):
+                target.pop(draw(st.integers(0, len(target) - 1)))
+            else:
+                target.append(list(target[-1]) if target else [])
+        elif fault != "repeat" and any(matchings):
+            matching = draw(st.sampled_from([m for m in matchings if m]))
+            i = draw(st.integers(0, len(matching) - 1))
+            cu, cv = matching[i]
+            side = draw(st.booleans())
+            if fault == "off":
+                matching[i] = (0, cv) if side else (cu, 0)
+            elif side:
+                matching.insert(draw(st.integers(0, len(matching))), (cu, draw(st.integers(1, k))))
+            else:  # cv twice, from a color of u matched nowhere else when there is one
+                free = sorted(set(range(1, k + 1)).difference(c for c, _ in matching)) or [cu]
+                matching.insert(draw(st.integers(0, len(matching))), (draw(st.sampled_from(free)), cv))
+    return Cover(cover.graph, tuple(map(tuple, lists)), tuple(map(tuple, matchings)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_covers())
+def test_validate_cover_names_what_the_ordered_scan_names(cover):
+    # each distinct list and (list, list, matching) triple is checked once;
+    # any fault must still be named as the scan over every pair names it
+    assert validate_cover(cover) == cover_violation_scan(cover)
+
+
+def test_edges_sharing_a_bad_matching_name_the_first():
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    bad = ((1, 1), (1, 2))
+    cover = Cover(path, uniform_assignment(4, 2), ((((1, 2), (2, 1)),) + (bad,) * 2))
+    assert validate_cover(cover) == CoverViolation(
+        "matching", "edge (1, 2): color 1 of 1 matched twice"
+    )
+    bad = ((1, 2), (2, 2))
+    cover = Cover(path, uniform_assignment(4, 2), ((((1, 2), (2, 1)),) + (bad,) * 2))
+    assert validate_cover(cover) == CoverViolation(
+        "matching", "edge (1, 2): color 2 of 2 matched twice"
+    )
+    off = ((3, 1),)
+    cover = Cover(path, ((1, 2), (1, 2, 3), (1, 2), (1, 2, 3)), (off, off, off))
+    assert validate_cover(cover) == CoverViolation(
+        "fibers", "edge (0, 1): color 3 not in list of 0"
+    )
+
+
+def test_a_malformed_pair_past_the_first_violation_is_not_reached():
+    # the distinct-triple check cannot read a pair of three colors; the
+    # scan that then runs stops at the earlier edge, as it always did
+    path = build_graph(3, [(0, 1), (1, 2)])
+    cover = Cover(path, uniform_assignment(3, 2), (((1, 1), (1, 2)), ((1, 2, 1),)))
+    assert validate_cover(cover) == cover_violation_scan(cover) == CoverViolation(
+        "matching", "edge (0, 1): color 1 of 0 matched twice"
+    )
+
+
+@pytest.mark.parametrize("lists, matchings, expected", [
+    ([[1, 2], [1, 2]], [[[1, 2], [2, 1]]], None),
+    (((1, 2), (1, 2)), [[[1, 2], [2, 2]]],
+     CoverViolation("matching", "edge (0, 1): color 2 of 1 matched twice")),
+    ([[1, 2], [1, 1]], (((1, 2),),), CoverViolation("fibers", "list of 1 repeats a color: [1, 1]")),
+    ([[1, 2], [1, 2]], (((1, 3),),), CoverViolation("fibers", "edge (0, 1): color 3 not in list of 1")),
+], ids=["list-typed", "list-typed-matching", "list-typed-lists", "list-typed-lists-off"])
+def test_covers_of_lists_still_get_an_answer(lists, matchings, expected):
+    # lists cannot be hashed; such covers are checked by the ordered scan
+    cover = Cover(k2(), lists, matchings)
+    assert validate_cover(cover) == expected == cover_violation_scan(cover)
+    assert cover.partners == tuple(partners_scan(cover))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(0, 2**32), st.booleans())
+def test_partners_equal_a_fresh_pair_of_maps_per_edge(data, seed, perfect):
+    graph = data.draw(graphs(max_n=7))
+    lists = data.draw(_list_assignments(graph.n))
+    try:
+        cover = random_cover(graph, lists, seed, perfect)
+    except UnequalListsError:
+        return
+    partners = cover.partners
+    assert partners == tuple(partners_scan(cover))
+    assert all(list(row) == list(graph.adjacency[v]) for v, row in enumerate(partners))
+
+
+def _snapshot(cover):
+    return copy.deepcopy(cover.partners)
+
+
+def test_shared_partner_maps_are_left_as_built(monkeypatch):
+    # edges that carry one matching share its maps, so a caller that wrote
+    # to them would change every other edge's; the solver, the pipeline
+    # and the scorer only read them
+    checked = []
+    search = solver.find_rep_set
+
+    def recording(cover, *args, **kwargs):
+        checked.append((cover, _snapshot(cover)))
+        return search(cover, *args, **kwargs)
+
+    for i, name in enumerate(entry_names()):
+        graph = load_catalog(name).graph
+        cover = random_cover(graph, uniform_assignment(graph.n, 3), seed=i, perfect=True)
+        partners = cover.partners
+        shared = {id(row[w]) for row in partners for w in row}
+        assert graph.m < 7 or len(shared) < 2 * graph.m
+        before = _snapshot(cover)
+        rep = find_rep_set(cover, 1)
+        if rep is not None:
+            impropriety(cover, rep)
+        reduce_and_color(cover)
+        assert cover.partners is partners and partners == before, name
+    monkeypatch.setattr(solver, "find_rep_set", recording)
+    for name in ("k4", "bowtie"):
+        graph = load_catalog(name).graph
+        is_dp_colorable(graph, 3, 1)
+    assert checked
+    assert all(cover.partners == before for cover, before in checked)

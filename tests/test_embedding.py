@@ -3,11 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpcolor.catalog import entry_names, load as load_catalog, no46_names
-from dpcolor.embedding import plane_from_rotations, trace_faces
+from dpcolor.embedding import graph_from_rotations, plane_from_rotations, trace_faces
 from dpcolor.errors import (
     DisconnectedError,
+    DpColorError,
     ForbiddenCyclePresentError,
+    IndexOutOfRangeError,
     InvalidRotationError,
+    LoopEdgeError,
     NonPlanarEmbeddingError,
 )
 from dpcolor.generate import generate_plane_no46
@@ -18,10 +21,29 @@ from oracles import (
     edge_sharing_scan,
     faces_at_vertex_scan,
     pendant_3faces_scan,
+    rotation_graph_scan,
 )
+from strategies import graphs
 from test_plane_golden import fan, triangle_chain
 
 K4_ROT = [[1, 3, 2], [0, 2, 3], [1, 0, 3], [2, 0, 1]]
+
+# The triangle 0-1-2 with vertex 3 pendant on 2, [[1, 2], [2, 0], [0, 1, 3], [2]],
+# with one fault each, and the error class and message the loader gives
+BAD_ROTATIONS = {
+    "loop": ([[1, 2], [2, 0, 1], [0, 1, 3], [2]], LoopEdgeError, "loop at vertex 1"),
+    "minus-one": ([[1, 2, -1], [2, 0], [0, 1, 3], [2]], IndexOutOfRangeError,
+                  "vertex -1 not in 0..3"),
+    "n": ([[1, 2], [2, 0], [0, 1, 3], [2, 4]], IndexOutOfRangeError, "vertex 4 not in 0..3"),
+    "repeated": ([[1, 2], [2, 0], [0, 1, 3, 1], [2]], InvalidRotationError,
+                 "rotation at 2 is not a permutation of its neighbors"),
+    "repeated-both-ways": ([[1, 2], [2, 0, 2], [0, 1, 3, 1], [2]], InvalidRotationError,
+                           "rotation at 1 is not a permutation of its neighbors"),
+    "one-sided": ([[1, 2, 3], [2, 0], [0, 1, 3], [2]], InvalidRotationError,
+                  "rotation at 3 is not a permutation of its neighbors"),
+    "not-a-permutation": ([[1, 2], [2, 0], [0, 1, 3], [1]], InvalidRotationError,
+                          "rotation at 1 is not a permutation of its neighbors"),
+}
 
 
 def payer_pendants(pg, v):
@@ -226,3 +248,63 @@ def test_edge_sharing_matches_the_all_pairs_scan_on_generated_planes(n, seed):
 def test_rotations_must_be_lists_of_integers(rotations):
     with pytest.raises(InvalidRotationError, match="rotation at 0"):
         plane_from_rotations(rotations)
+
+
+@pytest.mark.parametrize("rotations, error, message", BAD_ROTATIONS.values(), ids=BAD_ROTATIONS)
+def test_bad_rings_raise_what_the_edge_set_path_raises(rotations, error, message):
+    with pytest.raises(error) as raised:
+        plane_from_rotations(rotations)
+    assert str(raised.value) == message
+
+
+@st.composite
+def _rotations(draw, faults=True):
+    """The rings of a random graph, each in a random order; with
+    ``faults``, then up to three spoiled by a loop, a vertex out of range,
+    a repeated neighbour or a dropped one."""
+    graph = draw(graphs(max_n=7, min_n=1))
+    rings = [list(draw(st.permutations(row))) for row in graph.adjacency]
+    n = graph.n
+    for _ in range(draw(st.integers(0, 3)) if faults else 0):
+        v = draw(st.integers(0, n - 1))
+        ring = rings[v]
+        fault = draw(st.sampled_from(["loop", "range", "repeat", "drop"]))
+        if fault == "drop":
+            if ring:
+                ring.pop(draw(st.integers(0, len(ring) - 1)))
+            continue
+        w = {"loop": v, "range": draw(st.sampled_from([-1, n])),
+             "repeat": draw(st.sampled_from(ring or [0]))}[fault]
+        ring.insert(draw(st.integers(0, len(ring))), w)
+    return graph, rings
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rotations(faults=False))
+def test_graph_from_rotations_equals_build_graph_on_valid_rings(drawn):
+    graph, rings = drawn
+    built = graph_from_rotations(rings)
+    assert built.edges == graph.edges and built.adjacency == graph.adjacency
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the class and message of the error it raises."""
+    try:
+        return fn(*args)
+    except DpColorError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rotations())
+def test_rings_load_as_through_their_edge_set(drawn):
+    # the sorted rings are the rows when they are consistent; any fault must
+    # give the graph, or the error class and message, that building the
+    # graph from the rings' edge set and tracing it gives
+    _, rings = drawn
+    built = _outcome(graph_from_rotations, rings)
+    expected = _outcome(rotation_graph_scan, rings)
+    assert built == expected
+    if not isinstance(built, tuple):
+        assert built.adjacency == expected.adjacency
+        assert _outcome(plane_from_rotations, rings) == _outcome(trace_faces, expected, rings)

@@ -85,8 +85,23 @@ def test_petersen_cycles_against_subset_oracle():
     assert smallest_forbidden_cycle(petersen.adjacency, petersen.edges) == sixes[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs(max_n=8), st.sampled_from([4, 6]))
+@st.composite
+def _sparse_graphs(draw):
+    """Graphs on 6 to 9 vertices with about one edge in five, half of them
+    on a planted hexagon: many have no 4-cycle, and of those some have a
+    6-cycle and some none."""
+    n = draw(st.integers(min_value=6, max_value=9))
+    edges = set()
+    if draw(st.booleans()):
+        ring = draw(st.permutations(range(n)))[:6]
+        edges = {tuple(sorted((ring[i - 1], ring[i]))) for i in range(6)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, edges.union(e for e, keep in zip(pairs, mask) if not keep))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=8), _sparse_graphs()), st.sampled_from([4, 6]))
 def test_has_cycle_iff_list_nonempty(g, k):
     assert has_cycle_of_length(g, k) == bool(subset_cycles(g, k))
 
@@ -127,6 +142,30 @@ def test_six_cycle_found_past_a_star_of_inner_paths():
                         (1, 6), (1, 7), (2, 5), (3, 5)])
     assert subset_cycles(g, 6) == [(0, 2, 5, 3, 1, 6)]
     assert has_cycle_of_length(g, 6)
+
+
+# (graph, has a 4-cycle, has a 6-cycle), each read from the subset scan
+SIX_CHECK_GRAPHS = {
+    "hexagon": (build_graph(6, [(i, (i + 1) % 6) for i in range(6)]), False, True),
+    "petersen": (build_graph(10, PETERSEN_EDGES), False, True),
+    "prism": (build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                              (0, 3), (1, 4), (2, 5)]), True, True),
+    "k33": (build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)]), True, True),
+    "hexagon-and-square": (build_graph(9, [(i, (i + 1) % 6) for i in range(6)]
+                                       + [(0, 6), (6, 7), (7, 8), (8, 0)]), True, True),
+    # from the top-ranked vertex 5 the paths 5-2-4-0 and 5-4-1-0 both end at
+    # 0, but they share 4: two triangles on 4, and no 6-cycle
+    "repeated-end": (build_graph(7, [(0, 1), (0, 4), (1, 4), (2, 4), (2, 5), (3, 5),
+                                     (4, 5), (5, 6)]), False, False),
+}
+
+
+@pytest.mark.parametrize("graph, has_4, has_6", SIX_CHECK_GRAPHS.values(), ids=SIX_CHECK_GRAPHS)
+def test_six_check_against_the_subset_scan(graph, has_4, has_6):
+    assert bool(subset_cycles(graph, 4)) is has_4 and bool(subset_cycles(graph, 6)) is has_6
+    fresh = build_graph(graph.n, graph.edges)  # the 6-check first, on an unsearched graph
+    assert has_cycle_of_length(fresh, 6) is has_6 and has_cycle_of_length(fresh, 4) is has_4
+    assert has_cycle_of_length(graph, 4) is has_4 and has_cycle_of_length(graph, 6) is has_6
 
 
 def uses_edge(cycle, u, v) -> bool:

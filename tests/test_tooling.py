@@ -155,11 +155,10 @@ def test_generator_builds_one_plane_graph_per_call(monkeypatch):
 
 
 def test_registry_edits_walk_no_face(monkeypatch):
-    # an edit splices the walks it changes; the face-walk routines run only
-    # inside trace_faces, once per returned graph, so a re-walk per edit
-    # shows up here
+    # an edit splices the walks it changes; the face walk runs only inside
+    # trace_faces, once per returned graph, so a re-walk per edit shows up here
     calls = Counter()
-    for name in ("_face_walks", "_set_successors", "trace_faces"):
+    for name in ("_face_walks", "trace_faces"):
         fn = getattr(embedding, name)
 
         def call(*args, _fn=fn, _name=name):
@@ -169,14 +168,14 @@ def test_registry_edits_walk_no_face(monkeypatch):
         monkeypatch.setattr(embedding, name, call)
     for n, seed in ((200, 200), (60, 60), (3, 1)):
         generate.generate_plane_no46(n, seed)
-    assert calls == {"_face_walks": 3, "_set_successors": 3, "trace_faces": 3}
+    assert calls == {"_face_walks": 3, "trace_faces": 3}
 
 
 def test_theorem_traces_its_plane_once(monkeypatch, tmp_path):
-    # a theorem run builds one plane graph: the tracer and its successor
-    # and walk routines run once each, and nothing re-traces
+    # a theorem run builds one plane graph: the tracer and its face walk
+    # run once each, and nothing re-traces
     calls = Counter()
-    for name in ("_face_walks", "_set_successors", "trace_faces"):
+    for name in ("_face_walks", "trace_faces"):
         fn = getattr(embedding, name)
 
         def call(*args, _fn=fn, _name=name):
@@ -190,7 +189,7 @@ def test_theorem_traces_its_plane_once(monkeypatch, tmp_path):
     argv = ["theorem", str(plane), "--seed", "3", "-o", str(tmp_path / "c.json"),
             "--trace-out", str(tmp_path / "t.json")]
     assert cli.main(argv) == 0
-    assert calls == {"_face_walks": 1, "_set_successors": 1, "trace_faces": 1}
+    assert calls == {"_face_walks": 1, "trace_faces": 1}
 
 
 def test_audit_and_trace_writers_skip_the_indent_encoder(monkeypatch):
