@@ -1,16 +1,18 @@
-"""Graphs, the 4- and 6-cycle queries, and face tracing.
+"""Graphs, the 4-/6-cycle check, and face tracing.
 
-Builds a few small graphs, asks for their 4- and 6-cycles, and traces
-the faces of their plane embeddings.
+Builds a few small graphs, asks whether each has a 4- or 6-cycle and
+which is the least, and traces the faces of their plane embeddings.
+The one check, ``has_forbidden_cycles``, looks for a 6-cycle only once
+it has found no 4-cycle.
 """
 
-from dpcolor import build_graph, has_cycle_of_length, load_catalog, trace_faces
+from dpcolor import build_graph, has_forbidden_cycles, load_catalog, trace_faces
 from dpcolor.graphs import smallest_forbidden_cycle
 
 # --- cycle queries ----------------------------------------------------------
 
 c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-print("C4 contains a 4-cycle:", has_cycle_of_length(c4, 4))
+print("C4 contains a 4- or 6-cycle:", has_forbidden_cycles(c4))
 print("C4 least forbidden cycle:", smallest_forbidden_cycle(c4.adjacency, c4.edges))
 
 petersen = build_graph(
@@ -19,8 +21,8 @@ petersen = build_graph(
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     + [(i, i + 5) for i in range(5)],
 )
-print("\nPetersen graph: girth-5, so no 4-cycles:", not has_cycle_of_length(petersen, 4))
-print("but it has six-cycles, the least:", smallest_forbidden_cycle(petersen.adjacency, petersen.edges))
+print("\nPetersen graph contains a 4- or 6-cycle:", has_forbidden_cycles(petersen))
+print("girth 5, so the least is a 6-cycle:", smallest_forbidden_cycle(petersen.adjacency, petersen.edges))
 
 # --- face tracing from a rotation system -------------------------------------
 
@@ -39,5 +41,4 @@ print(
     len(dodec.faces),
     "pentagonal faces",
 )
-print("no 4-cycles:", not has_cycle_of_length(dodec.graph, 4))
-print("no 6-cycles:", not has_cycle_of_length(dodec.graph, 6))
+print("no 4- or 6-cycles:", not has_forbidden_cycles(dodec.graph))

@@ -12,7 +12,7 @@ from collections import Counter
 from dpcolor import (
     color_planar_no46,
     generate_plane_no46,
-    has_cycle_of_length,
+    has_forbidden_cycles,
     random_cover,
     uniform_assignment,
 )
@@ -22,8 +22,7 @@ kinds = Counter()
 for seed in range(100):
     n = 4 + seed % 15
     pg = generate_plane_no46(n, seed)
-    assert not has_cycle_of_length(pg.graph, 4)
-    assert not has_cycle_of_length(pg.graph, 6)
+    assert not has_forbidden_cycles(pg.graph)  # the theorem's hypothesis, as one check
     sizes.update(pg.face_degrees)
     cover = random_cover(pg.graph, uniform_assignment(n, 3), seed, perfect=True)
     for step in color_planar_no46(pg, cover).trace:

@@ -35,7 +35,7 @@ from .generate import generate_plane_no46
 from .graphs import (
     Graph,
     build_graph,
-    has_cycle_of_length,
+    has_forbidden_cycles,
     is_connected,
 )
 from .reduction import (
@@ -75,7 +75,7 @@ __all__ = [
     "dp_chromatic",
     "find_rep_set",
     "generate_plane_no46",
-    "has_cycle_of_length",
+    "has_forbidden_cycles",
     "impropriety",
     "initial_charges",
     "is_connected",

@@ -29,10 +29,6 @@ class IndexOutOfRangeError(DpColorError):
     """A vertex index is negative or >= the vertex count."""
 
 
-class BadLengthError(DpColorError):
-    """A cycle length other than 4 or 6 was requested."""
-
-
 # --- embeddings -----------------------------------------------------------
 
 class InvalidRotationError(DpColorError):

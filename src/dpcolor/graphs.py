@@ -3,9 +3,12 @@
 Vertices are the indices 0..n-1.  Edges are unordered pairs, stored sorted,
 and adjacency rows are sorted, so that solver traces and tests are
 reproducible.  The theorem needs two cycle facts: whether a graph has a
-4- or 6-cycle (``has_cycle_of_length``, by degree rank) and the least such
+4- or 6-cycle (``has_forbidden_cycles``, by degree rank) and the least such
 cycle through given edges (``smallest_forbidden_cycle``, by a fixed-depth
-search over the paths away from each edge).
+search over the paths away from each edge).  The 6-check runs only on
+graphs with no 4-cycle, where any three paths of length 3 from one vertex
+to another contain two that share no inner vertex; so it keeps at most two
+paths per endpoint.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
-    BadLengthError,
     DuplicateEdgeError,
     ForbiddenCyclePresentError,
     IndexOutOfRangeError,
@@ -54,20 +56,16 @@ class Graph:
     def _degree_ranks(self) -> tuple[int, ...]:
         """``_degree_ranks[v]``: the position of ``v`` in ``(degree, id)``
         order (a stable sort by degree keeps ids ascending within each
-        degree); computed once for both cycle checks."""
+        degree); computed once for ``has_forbidden_cycles`` and for naming
+        the cycle it finds."""
         order = sorted(range(self.n), key=self.degrees.__getitem__)
         return tuple(sorted(range(self.n), key=order.__getitem__))
 
     @cached_property
-    def _no_4_cycle(self) -> bool:
-        """Whether the graph has no 4-cycle; searched once for both cycle
-        checks, since the 6-check's endpoint filter relies on it."""
-        return not _has_4_cycle(self.adjacency, self._degree_ranks)
-
-    @cached_property
     def has_forbidden_cycles(self) -> bool:
-        """True iff the graph has a 4- or 6-cycle; searched once per graph."""
-        return has_cycle_of_length(self, 4) or has_cycle_of_length(self, 6)
+        """True iff the graph has a 4- or 6-cycle: the module function
+        :func:`has_forbidden_cycles`, searched once per graph."""
+        return has_forbidden_cycles(self)
 
 
 def _check_vertex(v: int, n: int) -> None:
@@ -181,89 +179,69 @@ def _has_4_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> boo
     return False
 
 
-def _has_6_cycle(
-    adjacency: Sequence[Sequence[int]], rank: Sequence[int], no_4_cycle: bool
-) -> bool:
+def _has_6_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:
     """Meet in the middle (after Alon, Yuster and Zwick): each 6-cycle
     ``v-a-b-c-b'-a'`` is found from its top-ranked vertex ``v`` as two
     paths ``v-a-b-c`` and ``v-a'-b'-c`` through lower-ranked vertices whose
     inner pairs ``{a, b}`` and ``{a', b'}`` are disjoint.
 
-    So ``v`` needs two lower-ranked neighbours.  In a graph with no
-    4-cycle, two paths ``v-a-b`` never share their ``b``, so listing the
-    ends ``c`` of the paths ``v-a-b-c`` costs no more than the search
-    below, and a ``v`` whose ends are all distinct has no two paths to
-    join; both are skipped.
-
-    Per endpoint ``c`` the inner pairs are the edges of a graph, and two
-    disjoint ones exist unless that graph is a star or a triangle.  So
-    ``c`` keeps at most three distinct, pairwise meeting pairs: while it
-    has no two disjoint ones, those already decide whether a new pair is
-    disjoint from one of them.  The paths are grouped by ``b``, and at
-    most four ``a`` per group are tried, since with three ``a`` other than
-    ``c`` the pairs already form a star centred on ``b``.
+    Exact on any graph, and called only on graphs with no 4-cycle.  There
+    two such paths to one endpoint meet only crosswise (``a = b'`` or
+    ``b = a'``): ``a = a'``, ``b = b'`` or both crosswise close a 4-cycle.
+    Three pairwise meeting paths would make ``v`` and ``c`` share two
+    neighbours, so an endpoint never keeps more than two pairs.
     """
     for v, ring in enumerate(adjacency):
         top = rank[v]
         lows = [a for a in ring if rank[a] < top]
         if len(lows) < 2:
             continue
-        if no_4_cycle:
-            ends = [c for a in lows for b in adjacency[a] if rank[b] < top
-                    for c in adjacency[b] if c != a and rank[c] < top]
-            if len(set(ends)) == len(ends):
-                continue
-        firsts_by_middle: dict[int, list[int]] = {}  # b -> the a of each path v-a-b
+        pairs_at: dict[int, list[tuple[int, int]]] = {}  # c -> (a, b) of each path v-a-b-c
         for a in lows:
             for b in adjacency[a]:
                 if rank[b] < top:
-                    firsts_by_middle.setdefault(b, []).append(a)
-        pairs_at: dict[int, list[tuple[int, int]]] = {}
-        for b, firsts in firsts_by_middle.items():
-            firsts = firsts[:4]
-            for c in adjacency[b]:
-                if rank[c] >= top:
-                    continue
-                kept = pairs_at.setdefault(c, [])
-                for a in firsts:
-                    if a == c:
-                        continue
-                    for x, y in kept:
-                        if a != x and a != y and b != x and b != y:
-                            return True
-                    if len(kept) < 3 and (b, a) not in kept:
-                        kept.append((a, b))
+                    for c in adjacency[b]:
+                        if c != a and rank[c] < top:
+                            kept = pairs_at.setdefault(c, [])
+                            for x, y in kept:
+                                if a != x and a != y and b != x and b != y:
+                                    return True
+                            kept.append((a, b))
     return False
 
 
-def has_cycle_of_length(graph: Graph, k: int) -> bool:
-    """True iff the graph contains a cycle on exactly ``k`` vertices.
+def has_forbidden_cycles(graph: Graph) -> bool:
+    """True iff the graph contains a 4-cycle or a 6-cycle.
 
-    Lengths 4 and 6 are decided in ``(degree, id)`` rank order from each
+    Both lengths are decided in ``(degree, id)`` rank order from each
     cycle's top-ranked vertex: a 4-cycle as a vertex reached twice along
     paths ``v-u-w`` (Chiba and Nishizeki, SIAM J. Comput. 14(1), 1985), a
     6-cycle as two disjoint length-3 paths to one endpoint (Alon, Yuster
     and Zwick, Algorithmica 17, 1997).  After an O(n log n) sort by degree,
     the 4-check costs O(a(G) m), where the arboricity a(G) is at most 3 on
-    plane graphs.  The 6-check costs that to find the length-2 paths below
-    each vertex, plus the degrees of their distinct far ends, each at most
-    the degree of the vertex: O(m) when degrees are bounded and
-    O(a(G) m^1.5) in the worst case.  The 6-check reads the 4-check's
-    answer, which is searched once per graph.  Any other ``k`` raises
-    ``BadLengthError``.
+    plane graphs.  The 6-check runs only when there is no 4-cycle, so it
+    keeps at most two paths per endpoint and costs the length-3 paths
+    below each vertex: O(m) when degrees are bounded and O(a(G) m^1.5) in
+    the worst case.  ``Graph.has_forbidden_cycles`` caches the answer.
     """
-    if k == 4:
-        return not graph._no_4_cycle
-    if k == 6:
-        return _has_6_cycle(graph.adjacency, graph._degree_ranks, graph._no_4_cycle)
-    raise BadLengthError(f"cycle length {k}: only 4 and 6 are searched")
+    rank = graph._degree_ranks
+    return _has_4_cycle(graph.adjacency, rank) or _has_6_cycle(graph.adjacency, rank)
 
 
 def require_no_forbidden_cycles(graph: Graph) -> None:
     """Raise ``ForbiddenCyclePresentError`` naming the graph's least 4-cycle,
-    else its least 6-cycle, if it has one."""
+    else its least 6-cycle, if it has one.
+
+    A cycle reads from its least edge, so the least cycle of the length
+    the answer has is the least one through the first edge, in order, that
+    lies on a cycle of that length; the edges past it are not searched.
+    """
     if graph.has_forbidden_cycles:
-        cycle = smallest_forbidden_cycle(graph.adjacency, graph.edges)
+        length = 4 if _has_4_cycle(graph.adjacency, graph._degree_ranks) else 6
+        for edge in graph.edges:
+            cycle = smallest_forbidden_cycle(graph.adjacency, [edge])
+            if cycle is not None and len(cycle) == length:
+                break
         raise ForbiddenCyclePresentError(
             f"graph contains a {len(cycle)}-cycle: {'-'.join(map(str, cycle))}"
         )

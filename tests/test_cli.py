@@ -394,15 +394,27 @@ def test_out_file_holds_what_stdout_prints_without_it(tmp_path, capsys, argv):
     assert out.read_text() == printed
 
 
-def test_audit_searches_for_4_and_6_cycles_once(tmp_path, monkeypatch):
+def test_audit_calls_has_forbidden_cycles_once(tmp_path, monkeypatch):
     path = write(tmp_path, "dodec.json", plane_to_text(load_catalog("dodecahedron")))
     searched = []
-    search = graphs.has_cycle_of_length
+    search = graphs.has_forbidden_cycles
     monkeypatch.setattr(
-        graphs, "has_cycle_of_length", lambda graph, k: searched.append(k) or search(graph, k)
+        graphs, "has_forbidden_cycles", lambda graph: searched.append(graph.n) or search(graph)
     )
     assert main(["audit", path, "--format", "json", "-o", str(tmp_path / "audit.json")]) == 0
-    assert searched == [4, 6]
+    assert searched == [20]
+
+
+@pytest.mark.parametrize("command", [["theorem"], ["audit", "--format", "json"]])
+def test_a_large_k2t_is_refused_naming_its_least_4_cycle(tmp_path, capsys, command):
+    # K2,5000: 12.5 million 4-cycles, and each passes through a hub
+    leaves = list(range(2, 5002))
+    rotations = [leaves, leaves[::-1]] + [[0, 1]] * len(leaves)
+    path = write(tmp_path, "k2.json", plane_to_text(plane_from_rotations(rotations)))
+    assert main([command[0], path, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph contains a 4-cycle: 0-2-1-3\n"
 
 
 def test_audit_k4_reports_initial_table(tmp_path, capsys):

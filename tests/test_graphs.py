@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpcolor import graphs as graphs_module
 from dpcolor.errors import (
-    BadLengthError,
     DuplicateEdgeError,
+    ForbiddenCyclePresentError,
     IndexOutOfRangeError,
     LoopEdgeError,
 )
 from dpcolor.graphs import (
     build_graph,
-    has_cycle_of_length,
+    has_forbidden_cycles,
     is_connected,
+    require_no_forbidden_cycles,
     smallest_forbidden_cycle,
 )
 
@@ -57,31 +59,28 @@ def test_out_of_range_rejected():
         build_graph(2, [(0, 2)])
 
 
+def has_forbidden_cycle_by_subsets(g) -> bool:
+    return bool(subset_cycles(g, 4) or subset_cycles(g, 6))
+
+
 def test_c4_has_4_cycle():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert has_cycle_of_length(c4, 4)
+    assert has_forbidden_cycles(c4) and subset_cycles(c4, 4) == [(0, 1, 2, 3)]
     assert smallest_forbidden_cycle(c4.adjacency, c4.edges) == (0, 1, 2, 3)
 
 
-def test_k3_has_no_4_cycle():
+def test_k3_has_no_forbidden_cycle():
     k3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert not has_cycle_of_length(k3, 4)
-
-
-def test_bad_length_rejected():
-    # only the two lengths the theorem forbids are searched
-    k3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    for k in (2, 3, 5, 7):
-        with pytest.raises(BadLengthError):
-            has_cycle_of_length(k3, k)
+    assert not has_forbidden_cycles(k3) and not has_forbidden_cycle_by_subsets(k3)
 
 
 def test_petersen_cycles_against_subset_oracle():
     petersen = build_graph(10, PETERSEN_EDGES)
-    # expected values frozen from the subset/permutation oracle
-    assert not has_cycle_of_length(petersen, 4) and subset_cycles(petersen, 4) == []
+    # expected values frozen from the subset/permutation oracle: girth 5,
+    # so the check answers from the 6-cycles alone
+    assert subset_cycles(petersen, 4) == []
     sixes = subset_cycles(petersen, 6)
-    assert has_cycle_of_length(petersen, 6) and len(sixes) == 10
+    assert has_forbidden_cycles(petersen) and len(sixes) == 10
     assert smallest_forbidden_cycle(petersen.adjacency, petersen.edges) == sixes[0]
 
 
@@ -101,9 +100,10 @@ def _sparse_graphs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(graphs(max_n=8), _sparse_graphs()), st.sampled_from([4, 6]))
-def test_has_cycle_iff_list_nonempty(g, k):
-    assert has_cycle_of_length(g, k) == bool(subset_cycles(g, k))
+@given(st.one_of(graphs(max_n=8), _sparse_graphs()))
+def test_has_cycle_iff_list_nonempty(g):
+    assert has_forbidden_cycles(g) is has_forbidden_cycle_by_subsets(g)
+    assert build_graph(g.n, g.edges).has_forbidden_cycles is has_forbidden_cycles(g)
 
 
 def k2n(n):
@@ -128,9 +128,9 @@ def triangle_chain(n):
 def test_four_and_six_cycle_checks_on_worst_case_shapes(graph, has_4):
     # a high-degree vertex in the middle of many paths makes a search over
     # paths, or a pairwise compare of them, quadratic or cubic here
+    # (none has a 6-cycle; K2,t answers from its 4-cycles alone)
     start = time.perf_counter()
-    assert has_cycle_of_length(graph, 4) is has_4
-    assert has_cycle_of_length(graph, 6) is False
+    assert has_forbidden_cycles(graph) is has_4
     assert time.perf_counter() - start < 1.0
 
 
@@ -140,8 +140,10 @@ def test_six_cycle_found_past_a_star_of_inner_paths():
     # the one 6-cycle shows only if endpoint 2 keeps three inner pairs
     g = build_graph(9, [(0, 2), (0, 3), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5),
                         (1, 6), (1, 7), (2, 5), (3, 5)])
+    # the paths meet at 0 through the 4-cycles 1-a-0-a'; the 6-check alone
+    # is exact on graphs with 4-cycles too
     assert subset_cycles(g, 6) == [(0, 2, 5, 3, 1, 6)]
-    assert has_cycle_of_length(g, 6)
+    assert graphs_module._has_6_cycle(g.adjacency, g._degree_ranks) and has_forbidden_cycles(g)
 
 
 # (graph, has a 4-cycle, has a 6-cycle), each read from the subset scan
@@ -157,15 +159,65 @@ SIX_CHECK_GRAPHS = {
     # 0, but they share 4: two triangles on 4, and no 6-cycle
     "repeated-end": (build_graph(7, [(0, 1), (0, 4), (1, 4), (2, 4), (2, 5), (3, 5),
                                      (4, 5), (5, 6)]), False, False),
+    # two paths to one endpoint meet (share an inner vertex), and no 6-cycle
+    "meet": (build_graph(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 4), (2, 3), (3, 5),
+                             (3, 6)]), False, False),
+    # the 6-cycle 1-5-4-6-7-2 shows only if an endpoint whose first two
+    # paths meet still takes a third
+    "third": (build_graph(8, [(0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 7),
+                              (4, 5), (4, 6), (6, 7)]), False, True),
 }
 
 
 @pytest.mark.parametrize("graph, has_4, has_6", SIX_CHECK_GRAPHS.values(), ids=SIX_CHECK_GRAPHS)
 def test_six_check_against_the_subset_scan(graph, has_4, has_6):
     assert bool(subset_cycles(graph, 4)) is has_4 and bool(subset_cycles(graph, 6)) is has_6
-    fresh = build_graph(graph.n, graph.edges)  # the 6-check first, on an unsearched graph
-    assert has_cycle_of_length(fresh, 6) is has_6 and has_cycle_of_length(fresh, 4) is has_4
-    assert has_cycle_of_length(graph, 4) is has_4 and has_cycle_of_length(graph, 6) is has_6
+    assert has_forbidden_cycles(graph) is (has_4 or has_6)
+    assert graphs_module._has_6_cycle(graph.adjacency, graph._degree_ranks) is has_6
+
+
+def theta(t):
+    """Hubs 0 and 1 joined by t paths 0-(2+2i)-(3+2i)-1; no 4-cycle, and
+    every two paths close a 6-cycle."""
+    return build_graph(2 * t + 2, [e for i in range(t)
+                                   for e in ((0, 2 + 2 * i), (2 + 2 * i, 3 + 2 * i), (3 + 2 * i, 1))])
+
+
+def forbidden_cycle_message(graph):
+    with pytest.raises(ForbiddenCyclePresentError) as caught:
+        require_no_forbidden_cycles(graph)
+    return str(caught.value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=8), _sparse_graphs()))
+def test_the_named_cycle_is_the_least_over_all_edges(g):
+    cycle = smallest_forbidden_cycle(g.adjacency, g.edges)
+    if cycle is None:
+        require_no_forbidden_cycles(g)
+    else:
+        expected = f"graph contains a {len(cycle)}-cycle: {'-'.join(map(str, cycle))}"
+        assert forbidden_cycle_message(g) == expected
+
+
+@pytest.mark.parametrize("graph, message", [
+    (k2n(3000), "graph contains a 4-cycle: 0-2-1-3"),
+    (theta(3000), "graph contains a 6-cycle: 0-2-3-1-5-4"),
+], ids=["k2-3000", "theta-3000"])
+def test_naming_the_least_cycle_searches_at_most_two_edges(monkeypatch, graph, message):
+    # every cycle here goes through a hub: a search through every edge, or
+    # a list of every cycle met, is quadratic
+    searched = []
+    search = graphs_module.smallest_forbidden_cycle
+
+    def counted(adjacency, edges):
+        edges = list(edges)
+        searched.extend(edges)
+        return search(adjacency, edges)
+
+    monkeypatch.setattr(graphs_module, "smallest_forbidden_cycle", counted)
+    assert forbidden_cycle_message(graph) == message
+    assert 1 <= len(searched) <= 2
 
 
 def uses_edge(cycle, u, v) -> bool:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.generate import generate_plane_no46
-from dpcolor.graphs import build_graph, has_cycle_of_length, smallest_forbidden_cycle
+from dpcolor.graphs import build_graph, has_forbidden_cycles, smallest_forbidden_cycle
 
 nx = pytest.importorskip("networkx")
 
@@ -77,8 +77,8 @@ def check_cycles(graph):
     leasts = []  # the least cycle of each length that has one
     for k in LENGTHS:
         expected = sorted(canonical(c) for c in nx.simple_cycles(g, length_bound=k) if len(c) == k)
-        assert has_cycle_of_length(graph, k) is bool(expected), k
         leasts += expected[:1]
+    assert has_forbidden_cycles(graph) is bool(leasts)
     assert smallest_forbidden_cycle(graph.adjacency, graph.edges) == next(iter(leasts), None)
 
 
@@ -120,8 +120,8 @@ def random_graphs(seed):
 
 
 def test_four_and_six_cycle_checks_agree_with_networkx_on_seeded_graphs():
-    # the 6-check is exact on its own, so it is checked on graphs with
-    # 4-cycles too; every combination of answers must come up
+    # the 6-check runs only on graphs with no 4-cycle, so those must come
+    # up both with and without a 6-cycle, besides graphs with a 4-cycle
     seen = set()
     for seed in range(60):
         for g in random_graphs(seed):
@@ -129,6 +129,6 @@ def test_four_and_six_cycle_checks_agree_with_networkx_on_seeded_graphs():
             expected = tuple(
                 any(len(c) == k for c in nx.simple_cycles(g, length_bound=k)) for k in (4, 6)
             )
-            assert (has_cycle_of_length(graph, 4), has_cycle_of_length(graph, 6)) == expected, seed
+            assert has_forbidden_cycles(graph) is any(expected), seed
             seen.add(expected)
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    assert {(False, False), (False, True)} < seen

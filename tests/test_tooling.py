@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dpcolor
-from dpcolor import cli, discharging, embedding, fileio, generate, graphs, reduction
+from dpcolor import catalog, cli, discharging, embedding, fileio, generate, graphs, reduction
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.discharging import apply_rules, audit_cases
 from dpcolor.fileio import audit_to_json_text, trace_to_text
@@ -110,7 +110,7 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    watched = ["graphs.has_cycle_of_length", "graphs.build_graph",
+    watched = ["graphs.has_forbidden_cycles", "graphs.build_graph",
                "embedding.graph_from_rotations"]
     by_id = {id(getattr(sys.modules[f"dpcolor.{layer}"], attr)): f"{layer}.{attr}"
              for layer, attr in (name.split(".") for name in watched)}
@@ -130,7 +130,7 @@ def test_generator_repair_searches_no_whole_graph(monkeypatch):
 
     monkeypatch.setattr(generate, "_repair", flagged_repair)
     assert generate.generate_plane_no46(200, 200).graph.n == 200
-    assert 1 <= counts["graphs.has_cycle_of_length"] <= 2
+    assert counts["graphs.has_forbidden_cycles"] == 1
     assert not [name for name in counts if name.endswith("in repair")]
 
 
@@ -301,21 +301,47 @@ def test_forbidden_cycle_check_runs_no_path_search(monkeypatch):
     assert searched == []
 
 
+@pytest.mark.parametrize("name", ["k2-1500", "c4", "k4", "cube"])
+def test_six_check_never_runs_on_a_graph_with_a_4_cycle(monkeypatch, name):
+    # the 6-check keeps at most two paths per endpoint only when there is
+    # no 4-cycle; on K2,t with a 4-cycle it would keep t of them per hub
+    if name == "k2-1500":
+        graph = graphs.build_graph(1502, [(h, v) for h in (0, 1) for v in range(2, 1502)])
+    else:
+        pg = catalog.load(name)
+        graph = graphs.build_graph(pg.graph.n, pg.graph.edges)  # the check is cached per Graph
+    entered = []
+    six_check = graphs._has_6_cycle
+    monkeypatch.setattr(graphs, "_has_6_cycle",
+                        lambda adjacency, rank: entered.append(1) or six_check(adjacency, rank))
+    assert graph.has_forbidden_cycles
+    assert entered == []
+
+
 def test_library_has_no_recursive_functions():
     # a search that recurses once per path vertex or per assigned vertex
     # dies with RecursionError on a large enough input; every search in
-    # the library keeps its own stack instead
+    # the library keeps its own stack instead.  A function calls itself by
+    # its bare name; a method by ``self.name``, since a bare name in a
+    # method's body is looked up in the module (``Graph.has_forbidden_cycles``
+    # calls the module function of that name)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body}
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [
                     f"{path.name}:{call.lineno} {fn.name}"
                     for call in ast.walk(fn)
                     if isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Name)
-                    and call.func.id == fn.name
+                    and (isinstance(call.func, ast.Attribute)
+                         and isinstance(call.func.value, ast.Name)
+                         and call.func.value.id == "self"
+                         and call.func.attr == fn.name
+                         if id(fn) in methods
+                         else isinstance(call.func, ast.Name) and call.func.id == fn.name)
                 ]
     assert not found, found
 
