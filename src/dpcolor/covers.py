@@ -11,9 +11,10 @@ code that colors looks up conflicts only through ``Cover.partners``,
 which reads each matching from either end.  A cover puts few distinct
 matchings on its edges (two 3-lists admit 34 partial matchings, 6 of
 them perfect), so ``Cover.partners`` builds the two maps of each
-distinct matching once, and ``validate_cover`` checks each distinct list
-and each distinct (list, list, matching) triple once; a cover that fails
-is scanned edge by edge only to name its first fault.
+distinct matching once, and ``validate_cover`` makes one pass over the
+distinct lists and then the distinct (list, list, matching) triples, in
+first-occurrence order.  A triple fails on every edge that carries it, so
+the first triple that fails names the first bad edge.
 Colors carry no global meaning (only matchings decide conflicts), and the
 clique inside each vertex's fiber is implicit (choosing one color per
 vertex encodes it).
@@ -27,10 +28,11 @@ each matching comes out sorted with no sort.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import itemgetter, lt
+from operator import lt
 
 from .errors import UnequalListsError
 from .graphs import Graph
@@ -98,80 +100,59 @@ def validate_cover(cover: Cover) -> CoverViolation | None:
     Matchings exist only for host edges by construction, so the "no cross
     edges off host edges" clause cannot be violated here.
 
-    Each distinct list, and each distinct (list of ``u``, list of ``v``,
-    matching) triple, is checked once; only when one fails, or holds
-    something that cannot be hashed, are the lists and edges scanned in
-    order, so that the violation named is the first.
+    One pass checks each distinct list, then each distinct (list of ``u``,
+    list of ``v``, matching) triple pair by pair, in first-occurrence order.
+    A triple that fails does so on every edge that carries it, so the first
+    triple to fail is first carried by the first bad edge: that edge is
+    named, with the pair and clause an edge-by-edge scan would name.  When
+    some value cannot be hashed, every value is checked in order.
     """
     g = cover.graph
-    if len(cover.lists) != g.n:
-        return CoverViolation("fibers", f"{len(cover.lists)} lists for {g.n} vertices")
+    lists = cover.lists
+    if len(lists) != g.n:
+        return CoverViolation("fibers", f"{len(lists)} lists for {g.n} vertices")
     if len(cover.matchings) != g.m:
         return CoverViolation(
             "matching-shape", f"{len(cover.matchings)} matchings for {g.m} edges"
         )
-    try:
-        if _well_formed(cover):
-            return None
-    except (TypeError, ValueError):  # the scan meets the same fault, in order
-        pass
-    return _first_violation(cover)
-
-
-def _well_formed(cover: Cover) -> bool:
-    """Whether no list repeats a color and every matching is injective and
-    matches colors of its ends' lists, checked once per distinct list and
-    once per distinct (list of ``u``, list of ``v``, matching) triple."""
-    lists = cover.lists
-    fibers = {colors: set(colors) for colors in set(lists)}
-    if any(len(fiber) != len(colors) for colors, fiber in fibers.items()):
-        return False
-    edges = cover.graph.edges
-    ends = zip(
-        map(lists.__getitem__, map(itemgetter(0), edges)),
-        map(lists.__getitem__, map(itemgetter(1), edges)),
-        cover.matchings,
-    )
-    for list_u, list_v, matching in set(ends):
-        forward = dict(matching)
-        if not (
-            len(forward) == len(matching) == len(set(forward.values()))
-            and fibers[list_u].issuperset(forward)
-            and fibers[list_v].issuperset(forward.values())
-        ):
-            return False
-    return True
-
-
-def _first_violation(cover: Cover) -> CoverViolation | None:
-    """The first list that repeats a color, else the first matched pair,
-    in edge order, that leaves a list or meets a color matched before."""
-    for v, colors in enumerate(cover.lists):
+    for colors in _first_occurrences(lists):
         if len(set(colors)) != len(colors):
+            v = lists.index(colors)
             return CoverViolation("fibers", f"list of {v} repeats a color: {list(colors)}")
-    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
+    triples = [
+        (lists[u], lists[v], matching) for (u, v), matching in zip(g.edges, cover.matchings)
+    ]
+    for triple in _first_occurrences(triples):
+        list_u, list_v, matching = triple
         seen_u: set[int] = set()
         seen_v: set[int] = set()
         for cu, cv in matching:
-            if cu not in cover.lists[u]:
-                return CoverViolation(
-                    "fibers", f"edge {(u, v)}: color {cu} not in list of {u}"
-                )
-            if cv not in cover.lists[v]:
-                return CoverViolation(
-                    "fibers", f"edge {(u, v)}: color {cv} not in list of {v}"
-                )
-            if cu in seen_u:
-                return CoverViolation(
-                    "matching", f"edge {(u, v)}: color {cu} of {u} matched twice"
-                )
-            if cv in seen_v:
-                return CoverViolation(
-                    "matching", f"edge {(u, v)}: color {cv} of {v} matched twice"
-                )
-            seen_u.add(cu)
-            seen_v.add(cv)
+            if cu not in list_u:
+                clause, fault = "fibers", "color {cu} not in list of {u}"
+            elif cv not in list_v:
+                clause, fault = "fibers", "color {cv} not in list of {v}"
+            elif cu in seen_u:
+                clause, fault = "matching", "color {cu} of {u} matched twice"
+            elif cv in seen_v:
+                clause, fault = "matching", "color {cv} of {v} matched twice"
+            else:
+                seen_u.add(cu)
+                seen_v.add(cv)
+                continue
+            u, v = g.edges[triples.index(triple)]
+            return CoverViolation(
+                clause, f"edge {(u, v)}: " + fault.format(cu=cu, cv=cv, u=u, v=v)
+            )
     return None
+
+
+def _first_occurrences(values: Sequence) -> Iterable:
+    """The distinct items of ``values`` in first-occurrence order; every
+    item, in order, when one cannot be hashed (such as a list of colors)."""
+    try:
+        return dict.fromkeys(values)
+    except TypeError:
+        return values
 
 
 def _draws(length: int) -> tuple[tuple[int, int, int], ...]:

@@ -69,16 +69,14 @@ def _load_json(text: str, expected_format: str, *keys: str) -> dict:
 
 def _int_row(row, where: str, size: int | None = None) -> tuple[int, ...]:
     """``row`` as a tuple of integers, of length ``size`` if given."""
-    if type(row) is not list or not {int}.issuperset(map(type, row)) or (
-        size is not None and len(row) != size
-    ):
+    if not _are_int_rows([row], size):
         raise FileFormatError(f"{where}: expected {size or 'a list of'} integers, got {row!r}")
     return tuple(row)
 
 
 def _are_int_rows(rows: list, size: int | None) -> bool:
-    """Whether every row is a list of integers, of length ``size`` if given:
-    what ``_int_row`` checks, for all rows in one pass."""
+    """Whether every row is a list of integers, of length ``size`` if given,
+    checked for all rows in one pass."""
     return (
         {list}.issuperset(map(type, rows))
         and {int}.issuperset(map(type, chain.from_iterable(rows)))

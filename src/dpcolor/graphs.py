@@ -139,8 +139,8 @@ def smallest_forbidden_cycle(
     depends on the degrees near the edges, not on the graph.  An absent
     edge lies on no cycle.
     """
-    fours: list[tuple[int, ...]] = []
-    sixes: list[tuple[int, ...]] = []
+    four: tuple[int, ...] | None = None
+    six: tuple[int, ...] | None = None
     for u, v in edges:
         if v not in adjacency[u]:
             continue
@@ -152,14 +152,16 @@ def smallest_forbidden_cycle(
                 if b == u or b == v:
                     continue
                 if b in closing:
-                    fours.append(_canonical_cycle([u, v, a, b]))
+                    cycle = _canonical_cycle([u, v, a, b])
+                    four = min(four, cycle) if four else cycle
                 for c in adjacency[b]:
                     if c == u or c == v or c == a:
                         continue
                     for d in adjacency[c]:
                         if d in closing and d != v and d != a and d != b:
-                            sixes.append(_canonical_cycle([u, v, a, b, c, d]))
-    return min(fours or sixes, default=None)
+                            cycle = _canonical_cycle([u, v, a, b, c, d])
+                            six = min(six, cycle) if six else cycle
+    return four or six
 
 
 def _has_4_cycle(adjacency: Sequence[Sequence[int]], rank: Sequence[int]) -> bool:

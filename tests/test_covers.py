@@ -260,8 +260,42 @@ def _faulty_covers(draw):
 @given(_faulty_covers())
 def test_validate_cover_names_what_the_ordered_scan_names(cover):
     # each distinct list and (list, list, matching) triple is checked once;
-    # any fault must still be named as the scan over every pair names it
+    # any fault must still be named as the scan over every pair names it,
+    # also when lists, matchings and pairs are lists, which cannot be hashed
+    listed = Cover(
+        cover.graph,
+        [list(colors) for colors in cover.lists],
+        [[list(pair) for pair in matching] for matching in cover.matchings],
+    )
     assert validate_cover(cover) == cover_violation_scan(cover)
+    assert validate_cover(listed) == cover_violation_scan(listed)
+
+
+class _CountedMatching(tuple):
+    """A matching that counts how often it is read pair by pair."""
+
+    reads = 0
+
+    def __iter__(self):
+        _CountedMatching.reads += 1
+        return super().__iter__()
+
+
+def test_a_fault_is_named_after_reading_each_distinct_matching_once(monkeypatch):
+    # 2,000 edges carry two distinct matchings: the good one is read once
+    # and the bad one once, and finding the edge reads none of them
+    monkeypatch.setattr(_CountedMatching, "reads", 0)
+    path = build_graph(2001, [(v, v + 1) for v in range(2000)])
+    good = _CountedMatching(((1, 2), (2, 3), (3, 1)))
+    bad = _CountedMatching(((1, 2), (3, 2)))
+    cover = Cover(path, uniform_assignment(2001, 3), (good,) * 1999 + (bad,))
+    assert validate_cover(cover) == CoverViolation(
+        "matching", "edge (1999, 2000): color 2 of 2000 matched twice"
+    )
+    assert _CountedMatching.reads == 2
+    monkeypatch.setattr(_CountedMatching, "reads", 0)
+    assert validate_cover(Cover(path, cover.lists, (good,) * 2000)) is None
+    assert _CountedMatching.reads == 1
 
 
 def test_edges_sharing_a_bad_matching_name_the_first():
@@ -284,8 +318,8 @@ def test_edges_sharing_a_bad_matching_name_the_first():
 
 
 def test_a_malformed_pair_past_the_first_violation_is_not_reached():
-    # the distinct-triple check cannot read a pair of three colors; the
-    # scan that then runs stops at the earlier edge, as it always did
+    # a pair of three colors raises only when the pass reaches it; the
+    # earlier edge's triple comes first and is named
     path = build_graph(3, [(0, 1), (1, 2)])
     cover = Cover(path, uniform_assignment(3, 2), (((1, 1), (1, 2)), ((1, 2, 1),)))
     assert validate_cover(cover) == cover_violation_scan(cover) == CoverViolation(
@@ -301,7 +335,7 @@ def test_a_malformed_pair_past_the_first_violation_is_not_reached():
     ([[1, 2], [1, 2]], (((1, 3),),), CoverViolation("fibers", "edge (0, 1): color 3 not in list of 1")),
 ], ids=["list-typed", "list-typed-matching", "list-typed-lists", "list-typed-lists-off"])
 def test_covers_of_lists_still_get_an_answer(lists, matchings, expected):
-    # lists cannot be hashed; such covers are checked by the ordered scan
+    # lists cannot be hashed; such covers are checked value by value, in order
     cover = Cover(k2(), lists, matchings)
     assert validate_cover(cover) == expected == cover_violation_scan(cover)
     assert cover.partners == tuple(partners_scan(cover))
