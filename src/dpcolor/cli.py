@@ -7,6 +7,12 @@ Exit codes: 0 when the queried property holds (or output was produced),
 ``solve -o`` writes a file only when a coloring exists, as ``colorable
 --witness-out`` does only when a cover has none.
 
+An output file is written in place: the new bytes go over the old ones,
+and then a regular file is cut to its new length; a device or pipe
+(``-o /dev/null``) is not cut.  An existing file keeps its inode, owner,
+mode and hard links.  The write is not atomic: one that fails exits 2 and
+leaves the file's content undefined.
+
 ``main`` turns the cyclic garbage collector off while a command runs and
 restores the state it found.  A command builds no reference cycles, so
 every collection it would trigger scans its many small records and frees
@@ -19,6 +25,7 @@ import argparse
 import functools
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -60,8 +67,19 @@ def _read_graph_any(path: str):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Print ``text``, or write it to the file ``out`` in place.
+
+    The file is opened without ``O_TRUNC`` and cut to length after the
+    write, since on ext4 truncating a non-empty file frees its blocks and
+    starts writeback at close, which costs several times the write itself.
+    """
     if out:
-        Path(out).write_text(text)
+        with open(
+            out, "w", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
+        ) as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or pipe cannot be cut
+                f.truncate()
     else:
         sys.stdout.write(text)
 

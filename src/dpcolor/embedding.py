@@ -37,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -143,11 +144,15 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     integers, and whatever ``build_graph`` and ``trace_faces`` raise on an
     invalid graph or embedding.
     """
-    for v, ring in enumerate(rotations):
-        if not isinstance(ring, (list, tuple)) or not {int}.issuperset(map(type, ring)):
-            raise InvalidRotationError(
-                f"rotation at {v} is not a list of integers: {ring!r}"
-            )
+    if not (
+        {list, tuple}.issuperset(map(type, rotations))
+        and {int}.issuperset(map(type, chain.from_iterable(rotations)))
+    ):  # all rings at once; one by one only to name the bad ring
+        for v, ring in enumerate(rotations):
+            if not isinstance(ring, (list, tuple)) or not {int}.issuperset(map(type, ring)):
+                raise InvalidRotationError(
+                    f"rotation at {v} is not a list of integers: {ring!r}"
+                )
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 

@@ -394,6 +394,65 @@ def test_out_file_holds_what_stdout_prints_without_it(tmp_path, capsys, argv):
     assert out.read_text() == printed
 
 
+# every command that writes a file: its arguments, and its output options
+WRITING_COMMANDS = {
+    "theorem": (lambda tmp: ["theorem", _plane_file(tmp, "bowtie"), "--seed", "3"],
+                ["-o", "--trace-out"]),
+    "audit-table": (lambda tmp: ["audit", _plane_file(tmp, "bowtie")], ["-o"]),
+    "audit-json": (lambda tmp: ["audit", _plane_file(tmp, "bowtie"), "--format", "json"], ["-o"]),
+    "audit-rules-skipped": (lambda tmp: ["audit", _plane_file(tmp, "k4")], ["-o"]),
+    "gen": (lambda tmp: ["gen", "-n", "12", "--seed", "7"], ["-o"]),
+    "solve": (lambda tmp: ["solve", _cover_file(tmp), "-d", "1"], ["-o"]),
+    "catalog": (lambda tmp: ["catalog", "bowtie"], ["-o"]),
+    "colorable": (lambda tmp: ["colorable", c4_graph_file(tmp), "-k", "2", "-d", "0"],
+                  ["--witness-out"]),
+}
+
+
+def _with_outputs(argv, options, paths):
+    return argv + [arg for option, path in zip(options, paths) for arg in (option, str(path))]
+
+
+@pytest.mark.parametrize("argv, options", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS)
+def test_rewriting_a_file_gives_the_bytes_of_a_fresh_write(tmp_path, capsys, argv, options):
+    # an output is written over the old bytes and cut to length: a longer
+    # old file leaves no tail, and the file keeps its inode and mode
+    argv = argv(tmp_path)
+    fresh = [tmp_path / f"fresh{i}.out" for i in range(len(options))]
+    old = [tmp_path / f"old{i}.out" for i in range(len(options))]
+    for path in old:
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o640)
+    kept = [(path.stat().st_ino, path.stat().st_mode) for path in old]
+    status = main(_with_outputs(argv, options, fresh))
+    assert main(_with_outputs(argv, options, old)) == status
+    assert [path.read_bytes() for path in old] == [path.read_bytes() for path in fresh]
+    assert [(path.stat().st_ino, path.stat().st_mode) for path in old] == kept
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("argv, options", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS)
+def test_out_to_dev_null_exits_as_to_a_file(tmp_path, capsys, argv, options):
+    # the null device cannot be cut to length, and is not
+    argv = argv(tmp_path)
+    status = main(_with_outputs(argv, options, [tmp_path / f"{i}.out" for i in range(len(options))]))
+    first = capsys.readouterr()
+    assert main(_with_outputs(argv, options, ["/dev/null"] * len(options))) == status
+    assert capsys.readouterr() == first
+
+
+def test_emit_opens_its_file_without_truncating_it(tmp_path, capsys, monkeypatch):
+    opened = []
+    os_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, flags, *rest: opened.append(flags)
+                        or os_open(path, flags, *rest))
+    out = tmp_path / "gen.json"
+    assert main(["gen", "-n", "12", "--seed", "7", "-o", str(out)]) == 0
+    assert len(opened) == 1 and not opened[0] & os.O_TRUNC
+    assert out.read_text() == plane_to_text(generate_plane_no46(12, 7))
+
+
 def test_audit_calls_has_forbidden_cycles_once(tmp_path, monkeypatch):
     path = write(tmp_path, "dodec.json", plane_to_text(load_catalog("dodecahedron")))
     searched = []

@@ -225,23 +225,24 @@ def test_random_cover_draws_as_shuffle_does_on_a_large_uniform_cover():
 def _faulty_covers(draw):
     """A random cover with one to three planted faults, each a list that
     repeats a color, a matched color off its list, a color matched twice on
-    one edge, or one list or matching too few or too many."""
+    one edge, or one list or matching too few or too many.  A fault with
+    nothing to plant it in (no list, or no pair in any matching) is planted
+    as a shape fault, which always applies."""
     cover = draw(covers(max_n=6, max_k=3, perfect=draw(st.booleans())))
     k = len(cover.lists[0])  # every list is 1..k
     lists = [list(colors) for colors in cover.lists]
     matchings = [list(matching) for matching in cover.matchings]
     faults = st.sampled_from(["repeat", "off", "off", "twice", "twice", "twice", "shape"])
-    for fault in draw(st.lists(faults, min_size=1, max_size=3)):
+    faults = draw(st.lists(faults, min_size=1, max_size=3))
+    # each of lists and matchings only shrinks or only grows, so that two
+    # shape faults never cancel; it shrinks only when it has a member to
+    # give up for every fault
+    shrinks = [len(target) >= len(faults) and draw(st.booleans()) for target in (lists, matchings)]
+    for fault in faults:
         if fault == "repeat" and lists:
             colors = lists[draw(st.integers(0, len(lists) - 1))]
             colors.insert(draw(st.integers(0, len(colors))), draw(st.sampled_from(colors)))
-        elif fault == "shape":
-            target = draw(st.sampled_from([lists, matchings]))
-            if target and draw(st.booleans()):
-                target.pop(draw(st.integers(0, len(target) - 1)))
-            else:
-                target.append(list(target[-1]) if target else [])
-        elif fault != "repeat" and any(matchings):
+        elif fault in ("off", "twice") and any(matchings):
             matching = draw(st.sampled_from([m for m in matchings if m]))
             i = draw(st.integers(0, len(matching) - 1))
             cu, cv = matching[i]
@@ -253,6 +254,13 @@ def _faulty_covers(draw):
             else:  # cv twice, from a color of u matched nowhere else when there is one
                 free = sorted(set(range(1, k + 1)).difference(c for c, _ in matching)) or [cu]
                 matching.insert(draw(st.integers(0, len(matching))), (draw(st.sampled_from(free)), cv))
+        else:  # "shape", or a fault with nothing to plant it in
+            which = draw(st.integers(0, 1))
+            target = (lists, matchings)[which]
+            if shrinks[which]:
+                target.pop(draw(st.integers(0, len(target) - 1)))
+            else:
+                target.append(list(target[-1]) if target else [])
     return Cover(cover.graph, tuple(map(tuple, lists)), tuple(map(tuple, matchings)))
 
 
@@ -267,6 +275,7 @@ def test_validate_cover_names_what_the_ordered_scan_names(cover):
         [list(colors) for colors in cover.lists],
         [[list(pair) for pair in matching] for matching in cover.matchings],
     )
+    assert validate_cover(cover) is not None
     assert validate_cover(cover) == cover_violation_scan(cover)
     assert validate_cover(listed) == cover_violation_scan(listed)
 

@@ -250,6 +250,29 @@ def test_rotations_must_be_lists_of_integers(rotations):
         plane_from_rotations(rotations)
 
 
+def test_the_first_bad_ring_is_named():
+    # all rings are checked at once; the bad one is then found ring by ring
+    rotations = [[1, 2], [2, 0], [0, 1, "3"], [2.0]]
+    with pytest.raises(InvalidRotationError) as raised:
+        plane_from_rotations(rotations)
+    assert str(raised.value) == "rotation at 2 is not a list of integers: [0, 1, '3']"
+
+
+class _Ring(list):
+    pass
+
+
+class _TupleRing(tuple):
+    pass
+
+
+def test_rings_of_list_and_tuple_subclasses_are_accepted():
+    # such rings fail the check of all rings at once, and pass it ring by ring
+    pg = plane_from_rotations([_Ring([1, 2]), _TupleRing((2, 0)), (0, 1, 3), [2]])
+    plain = plane_from_rotations([[1, 2], [2, 0], [0, 1, 3], [2]])
+    assert (pg.graph, pg.faces) == (plain.graph, plain.faces)
+
+
 @pytest.mark.parametrize("rotations, error, message", BAD_ROTATIONS.values(), ids=BAD_ROTATIONS)
 def test_bad_rings_raise_what_the_edge_set_path_raises(rotations, error, message):
     with pytest.raises(error) as raised:

@@ -271,6 +271,31 @@ def test_library_passes_no_indent_to_json_dumps():
     assert not found, found
 
 
+def test_emit_is_the_one_file_writer():
+    # cli._emit writes a file in place and then cuts it to length; a second
+    # writer could bring back a truncating open unseen.  The one other open
+    # is of the null device, where main sends stdout once its reader is gone
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(node): f"{path.stem}.{fn.name}" for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        devnull = {id(call.func) for call in ast.walk(tree)
+                   if isinstance(call, ast.Call) and call.args
+                   and ast.unparse(call.args[0]) == "os.devnull"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+                name = node.attr
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "os.open":
+                name = "os.open(os.devnull)" if id(node) in devnull else "os.open"
+            elif isinstance(node, ast.Name) and node.id == "open":
+                name = "open"
+            else:
+                continue
+            sites.append(f"{owner.get(id(node), path.stem)}: {name}")
+    assert sorted(sites) == ["cli._emit: open", "cli._emit: os.open", "cli.main: os.open(os.devnull)"]
+
+
 def test_library_touches_no_instance_dict():
     # reading or writing an object's __dict__ goes round its class: a frozen
     # dataclass's fields, or what a cached_property would compute
