@@ -7,11 +7,12 @@ Exit codes: 0 when the queried property holds (or output was produced),
 ``solve -o`` writes a file only when a coloring exists, as ``colorable
 --witness-out`` does only when a cover has none.
 
-An output file is written in place: the new bytes go over the old ones,
-and then a regular file is cut to its new length; a device or pipe
-(``-o /dev/null``) is not cut.  An existing file keeps its inode, owner,
-mode and hard links.  The write is not atomic: one that fails exits 2 and
-leaves the file's content undefined.
+An output file is written in place, as UTF-8 bytes, the encoding inputs
+are read in: the new bytes go over the old ones, and then a regular file
+is cut to its new length; a device or pipe (``-o /dev/null``) is not cut.
+An existing file keeps its inode, owner, mode and hard links.  The write
+is not atomic: one that fails exits 2 and leaves the file's content
+undefined.
 
 ``main`` turns the cyclic garbage collector off while a command runs and
 restores the state it found.  A command builds no reference cycles, so
@@ -72,14 +73,20 @@ def _emit(text: str, out: str | None) -> None:
     The file is opened without ``O_TRUNC`` and cut to length after the
     write, since on ext4 truncating a non-empty file frees its blocks and
     starts writeback at close, which costs several times the write itself.
+    The UTF-8 bytes go through the descriptor with no file object; a pipe
+    may take part of them per call, so the rest is written again.
     """
     if out:
-        with open(
-            out, "w", opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
-        ) as f:
-            f.write(text)
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or pipe cannot be cut
-                f.truncate()
+        data = text.encode()
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or pipe cannot be cut
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(text)
 

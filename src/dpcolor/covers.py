@@ -22,7 +22,13 @@ vertex encodes it).
 ``random_cover`` draws each edge's shuffle straight from the bit stream:
 it makes exactly the ``getrandbits`` calls ``rng.shuffle`` makes, read
 from a table of draws per list length, and when every list is ascending
-each matching comes out sorted with no sort.
+each matching comes out sorted with no sort.  Equal draws between equal
+lists give one matching, built once, and the cover holds one tuple per
+distinct matching; ``fileio.cover_from_text`` interns the matchings and
+lists of a cover file the same way.  ``validate_cover`` and
+``Cover.partners`` still deduplicate by value, since covers that callers
+build are not interned, but on an interned cover each of their dict
+lookups finds the stored key itself and compares no pairs.
 """
 
 from __future__ import annotations
@@ -180,8 +186,11 @@ def random_cover(
     the list of ``v``.  Without ``perfect``, each pair is then dropped
     with probability 1/2.  The shuffle reads the bit stream exactly as
     ``rng.shuffle`` does, from a table of draws per list length, so a seed
-    gives the same cover as a ``shuffle`` call per edge.  When every list
-    is ascending, each matching is already sorted.
+    gives the same cover as a ``shuffle`` call per edge.  Equal draws
+    between equal lists give one full matching, built and sorted once;
+    every matching is then interned by value, so that the cover holds one
+    tuple per distinct matching.  When every list is ascending, each
+    matching is already sorted.
     """
     sizes = list(map(len, lists))
     # a perfect matching needs equal list sizes at both ends
@@ -194,21 +203,56 @@ def random_cover(
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     coin = rng.random
-    draws = {size: _draws(size) for size in set(sizes)}
+    tables = {size: _draws(size) for size in set(sizes)}
+    draws = [tables[size] for size in sizes]
+    label: dict[tuple[int, ...], int] = {}  # equal lists share a label
+    labels = [label.setdefault(colors, len(label)) for colors in lists]
     ascending = _ascending(lists)
+    full_by_draws: dict[tuple[int, int, int], Matching] = {}
+    interned: dict[Matching, Matching] = {}
     matchings: list[Matching] = []
     for u, v in graph.edges:
-        cv = list(lists[v])
-        for i, bits, bound in draws[sizes[v]]:  # rng.shuffle(cv)
+        # rng.shuffle's draws on the list of v, read as one mixed-radix code
+        code = 0
+        for _, bits, bound in draws[v]:
             j = getrandbits(bits)
             while j >= bound:
                 j = getrandbits(bits)
-            cv[i], cv[j] = cv[j], cv[i]
-        pairs = zip(lists[u], cv)
-        if not perfect:
-            pairs = [p for p in pairs if coin() < 0.5]
-        matchings.append(tuple(pairs) if ascending else tuple(sorted(pairs)))
+            code = code * bound + j
+        key = (labels[u], labels[v], code)
+        full = full_by_draws.get(key)
+        if full is None:
+            full = _full_matching(lists[u], lists[v], draws[v], code, perfect and not ascending)
+            if perfect:
+                full = interned.setdefault(full, full)
+            full_by_draws[key] = full
+        if perfect:
+            matchings.append(full)
+        else:  # one coin per pair in zip order, so full is left unsorted
+            pairs = [p for p in full if coin() < 0.5]
+            matching = tuple(pairs) if ascending else tuple(sorted(pairs))
+            matchings.append(interned.setdefault(matching, matching))
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
+
+
+def _full_matching(
+    colors_u: tuple[int, ...],
+    colors_v: tuple[int, ...],
+    draws: tuple[tuple[int, int, int], ...],
+    code: int,
+    sort: bool,
+) -> Matching:
+    """The list of ``u`` in order against the list of ``v`` shuffled by the
+    draws that ``code`` holds; sorted if ``sort``."""
+    picks = []
+    for _, _, bound in reversed(draws):
+        code, j = divmod(code, bound)
+        picks.append(j)
+    shuffled = list(colors_v)
+    for (i, _, _), j in zip(draws, reversed(picks)):
+        shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+    pairs = zip(colors_u, shuffled)
+    return tuple(sorted(pairs)) if sort else tuple(pairs)
 
 
 def partial_matchings(left: tuple[int, ...], right: tuple[int, ...]) -> list[Matching]:

@@ -97,15 +97,35 @@ def _int_rows(rows, where: str, size: int | None = None) -> tuple[tuple[int, ...
     return tuple(_int_row(row, f"{where}[{i}]", size) for i, row in enumerate(rows))
 
 
-def _int_tables(tables, where: str, size: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _int_tables(
+    tables, where: str, size: int, interned: dict
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``tables`` as a tuple of ``_int_rows``, the ``i``-th named
-    ``where[i]``; the rows of all tables are checked in one pass first."""
+    ``where[i]``; equal tables are one tuple, interned through the empty
+    dict ``interned``, which is left holding the distinct tables.
+
+    One pass checks that every item of every pair is an integer.  A JSON
+    pair passes only as a list of integers, or as an empty string or
+    object: a number, bool or null cannot be iterated, and any other string
+    or object yields strings.  The pass reads every pair, since a pair
+    holding a float or bool equals an integer one and would be interned as
+    it.  Each table is then converted once, and the distinct pairs are
+    checked for length, which refuses the empty ones.  On any fault the
+    tables are checked row by row, so that the error names the first bad row.
+    """
     if type(tables) is not list:
         raise FileFormatError(f"{where}: expected a list, got {tables!r}")
-    if {list}.issuperset(map(type, tables)) and _are_int_rows(
-        list(chain.from_iterable(tables)), size
-    ):
-        return tuple(tuple(map(tuple, table)) for table in tables)
+    try:
+        ints = {list}.issuperset(map(type, tables)) and {int}.issuperset(
+            map(type, chain.from_iterable(chain.from_iterable(tables)))
+        )
+    except TypeError:  # a pair that cannot be iterated
+        ints = False
+    if ints:
+        out = [tuple(map(tuple, table)) for table in tables]
+        out = tuple(map(interned.setdefault, out, out))
+        if {size}.issuperset(map(len, set(chain.from_iterable(interned)))):
+            return out
     return tuple(_int_rows(table, f"{where}[{i}]", size) for i, table in enumerate(tables))
 
 
@@ -201,7 +221,9 @@ def cover_from_text(text: str) -> Cover:
     Edges and matching pairs must be pairs of integers, lists must hold
     integers, and the cover must pass ``validate_cover``.  The list count
     is checked against ``n`` before the graph is built, so a huge ``n``
-    costs nothing.
+    costs nothing.  Equal matchings, and then equal lists, are interned
+    through one dict: each distinct value is one tuple, so the lookups of
+    ``validate_cover`` and ``Cover.partners`` find it by identity.
     """
     obj = _load_json(text, COVER_FORMAT, "n", "edges", "lists", "matchings")
     n = obj["n"]
@@ -214,7 +236,9 @@ def cover_from_text(text: str) -> Cover:
     graph = build_graph(n, edges)
     if graph.edges != edges:
         raise FileFormatError("edges are not in canonical sorted order")
-    matchings = _int_tables(obj["matchings"], "matchings", 2)
+    interned: dict = {}  # equal matchings, then equal lists, share one tuple
+    matchings = _int_tables(obj["matchings"], "matchings", 2, interned)
+    lists = tuple(map(interned.setdefault, lists, lists))
     cover = Cover(graph=graph, lists=lists, matchings=matchings)
     violation = validate_cover(cover)
     if violation is not None:
@@ -246,14 +270,15 @@ def coloring_from_text(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _KIND_JSON = {kind: _json_str(kind.value) for kind in ConfigKind}
 
 
-def _step_json(step: TraceStep) -> str:
-    """A trace step as an item of the ``steps`` list, at depth 2."""
+def _step_json(kind: ConfigKind, vertices, residual_sizes, colors) -> str:
+    """A trace step, given by its fields, as an item of the ``steps`` list,
+    at depth 2."""
     return (
         "{\n"
-        f'      "colors": {_json_ints(step.colors, 3)},\n'
-        f'      "kind": {_KIND_JSON[step.kind]},\n'
-        f'      "residual_list_sizes": {_json_ints(step.residual_sizes, 3)},\n'
-        f'      "vertices": {_json_ints(step.vertices, 3)}\n'
+        f'      "colors": {_json_ints(colors, 3)},\n'
+        f'      "kind": {_KIND_JSON[kind]},\n'
+        f'      "residual_list_sizes": {_json_ints(residual_sizes, 3)},\n'
+        f'      "vertices": {_json_ints(vertices, 3)}\n'
         "    }"
     )
 
@@ -276,13 +301,18 @@ def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
 
     As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
     first) while ``colors`` follow the sorted order of ``vertices``.
+    A low vertex's template is picked by identity: hashing a ``ConfigKind``
+    runs Python code, once per step.
     """
     one_vertex = _ONE_VERTEX_JSON
+    low = ConfigKind.LOW_VERTEX
+    low_json = one_vertex[low]
     steps = [
-        one_vertex[step.kind] % (step.colors[0], step.residual_sizes[0], step.vertices[0])
-        if len(step.vertices) == len(step.colors) == len(step.residual_sizes) == 1
-        else _step_json(step)
-        for step in trace
+        (low_json if kind is low else one_vertex[kind])
+        % (colors[0], residual_sizes[0], vertices[0])
+        if len(vertices) == len(colors) == len(residual_sizes) == 1
+        else _step_json(kind, vertices, residual_sizes, colors)
+        for kind, vertices, residual_sizes, colors in trace
     ]
     return (
         "{\n"

@@ -101,15 +101,18 @@ def is_connected(graph: Graph) -> bool:
     """True for graphs on at most one vertex and all connected graphs."""
     if graph.n <= 1:
         return True
-    seen = {0}
+    adjacency = graph.adjacency
+    seen = [False] * graph.n
+    seen[0] = True
+    reached = 1
     stack = [0]
     while stack:
-        v = stack.pop()
-        for w in graph.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
+        for w in adjacency[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
                 stack.append(w)
-    return len(seen) == graph.n
+    return reached == graph.n
 
 
 def _canonical_cycle(path: list[int]) -> tuple[int, ...]:

@@ -139,12 +139,13 @@ def _excision_order(graph: Graph) -> Iterator[tuple[ConfigKind, tuple[int, ...]]
     low = [v for v in range(graph.n) if deg[v] <= 2]
     pairs = [u for u, w in graph.edges if deg[u] == deg[w] == 3]
     fours = [v for v in range(graph.n) if deg[v] == 4]
+    low_vertex = ConfigKind.LOW_VERTEX
     remaining = graph.n
     while remaining:
         while low:  # the most common kind, popped inline
             v = heappop(low)
             if deg[v] != _GONE:
-                kind, vs = ConfigKind.LOW_VERTEX, (v,)
+                kind, vs = low_vertex, (v,)
                 break
         else:
             found = None
@@ -254,8 +255,10 @@ def _extend(
     impropriety 1); with two center colors and three leaf choices matched
     to at most one center color each, such a color exists by counting.
     Raises ``ContractViolationError`` when a residual list runs empty or
-    no center color fits.
+    no center color fits.  Steps are built by ``tuple.__new__``, which
+    skips the Python-level ``__new__`` of the named tuple.
     """
+    new_step = tuple.__new__
     partners = cover.partners
     adjacency = cover.graph.adjacency
     cover_lists = cover.lists
@@ -279,7 +282,7 @@ def _extend(
             lists.append(residual)
         if len(vs) == 1:  # a low vertex
             color[x] = c = residual[0]
-            steps.append(TraceStep(kind, vs, (len(residual),), (c,)))
+            steps.append(new_step(TraceStep, (kind, vs, (len(residual),), (c,))))
             continue
         center, *leaves = vs
         for x, residual in zip(leaves, lists[1:]):
@@ -291,8 +294,8 @@ def _extend(
                 break
         else:
             raise ContractViolationError("no center color conflicts with at most one leaf")
-        steps.append(TraceStep(kind, vs, tuple(map(len, lists)),
-                               tuple(map(color.__getitem__, sorted(vs)))))
+        steps.append(new_step(TraceStep, (kind, vs, tuple(map(len, lists)),
+                                          tuple(map(color.__getitem__, sorted(vs))))))
     return color, steps
 
 
@@ -330,7 +333,8 @@ def color_planar_no46(pg: PlaneGraph, cover: Cover) -> PipelineResult:
     if cover.graph != pg.graph:
         raise ContractViolationError("cover host differs from the plane graph")
     require_no_forbidden_cycles(pg.graph)
-    for v, colors in enumerate(cover.lists):
-        if len(colors) < 3:
-            raise ListTooSmallError(f"list of vertex {v} has size {len(colors)} < 3")
+    lists = cover.lists
+    if min(map(len, lists), default=3) < 3:
+        v = next(v for v, colors in enumerate(lists) if len(colors) < 3)
+        raise ListTooSmallError(f"list of vertex {v} has size {len(lists[v])} < 3")
     return reduce_and_color(cover)

@@ -33,6 +33,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import contains
 from typing import Iterator
 
 from .covers import DEFAULT_BUDGET, Cover, uniform_assignment
@@ -50,13 +51,15 @@ RepSet = tuple[int, ...]
 
 
 def _check_total(cover: Cover, rep: RepSet) -> None:
-    if len(rep) != cover.graph.n or any(c is None for c in rep):
+    if len(rep) != cover.graph.n or None in rep:
         raise PartialAssignmentError(
             f"assignment covers {len(rep)} of {cover.graph.n} vertices"
         )
-    for v, c in enumerate(rep):
-        if c not in cover.lists[v]:
-            raise NotInListError(f"color {c} not in list of vertex {v}")
+    lists = cover.lists
+    if len(lists) != len(rep) or not all(map(contains, lists, rep)):
+        for v, c in enumerate(rep):  # name the vertex at fault
+            if c not in lists[v]:
+                raise NotInListError(f"color {c} not in list of vertex {v}")
 
 
 def _conflict_counts(cover: Cover, rep: RepSet) -> list[int]:

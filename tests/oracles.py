@@ -25,8 +25,9 @@ renaming every fiber alike by applying every renaming to every cover,
 the least permutation of each cycle type by scanning all of them,
 the faces a face registry keeps up to date by tracing its rotation
 system from scratch, a random cover by one ``rng.shuffle`` call per
-edge, and a pipeline step's colors by the extension rule written as a
-function of its residual lists.
+edge, a pipeline step's colors by the extension rule written as a
+function of its residual lists, and the matchings of a cover file by
+checking each pair on its own.
 
 ``diagonal_cover`` builds the equal-color cover, on which a list-coloring
 question is a cover question; only tests build it.
@@ -49,6 +50,7 @@ from dpcolor.embedding import graph_from_rotations, trace_faces
 from dpcolor.errors import (
     BudgetExceededError,
     EmptyListError,
+    FileFormatError,
     NegativeImproprietyError,
     UnequalListsError,
 )
@@ -612,6 +614,23 @@ def shuffled_cover(graph, lists, seed, perfect=False):
             pairs = [p for p in pairs if rng.random() < 0.5]
         matchings.append(tuple(sorted(pairs)))
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
+
+
+def int_tables_scan(tables, where, size):
+    """``tables``, a JSON list of lists of pairs, as nested tuples; the
+    first value that is not a list, or a pair that is not a list of
+    ``size`` integers, raises ``FileFormatError`` naming its place."""
+    if type(tables) is not list:
+        raise FileFormatError(f"{where}: expected a list, got {tables!r}")
+    out = []
+    for i, table in enumerate(tables):
+        if type(table) is not list:
+            raise FileFormatError(f"{where}[{i}]: expected a list, got {table!r}")
+        for j, pair in enumerate(table):
+            if type(pair) is not list or len(pair) != size or any(type(c) is not int for c in pair):
+                raise FileFormatError(f"{where}[{i}][{j}]: expected {size} integers, got {pair!r}")
+        out.append(tuple(map(tuple, table)))
+    return tuple(out)
 
 
 def meets(cover, u, cu, v, cv):

@@ -214,6 +214,27 @@ def test_random_cover_draws_as_shuffle_does(data, seed, perfect):
     assert random_cover(graph, lists, seed, perfect) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 2**16), st.booleans())
+def test_random_cover_holds_one_tuple_per_distinct_matching(data, seed, perfect):
+    graph = data.draw(graphs(max_n=7))
+    lists = data.draw(_list_assignments(graph.n))
+    try:
+        cover = random_cover(graph, lists, seed, perfect)
+    except UnequalListsError:
+        return
+    assert len({id(m) for m in cover.matchings}) == len(set(cover.matchings))
+
+
+@pytest.mark.parametrize("lists", [uniform_assignment(300, 3), ((3, 1, 2), (2, 3, 1)) * 150],
+                         ids=["uniform", "not-ascending"])
+def test_a_perfect_cover_holds_one_tuple_per_distinct_matching(lists):
+    graph = build_graph(300, [(v, w) for v in range(300) for w in (v + 1, v + 7) if w < 300])
+    cover = random_cover(graph, lists, 5, perfect=True)
+    assert len({id(m) for m in cover.matchings}) == len(set(cover.matchings))
+    assert cover == shuffled_cover(graph, lists, 5, perfect=True)
+
+
 def test_random_cover_draws_as_shuffle_does_on_a_large_uniform_cover():
     graph = build_graph(300, [(v, w) for v in range(300) for w in (v + 1, v + 7) if w < 300])
     for k, perfect in ((3, True), (3, False), (5, True)):

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import audit_doc, coloring_doc, cover_doc, plane_doc, trace_doc
+from oracles import audit_doc, coloring_doc, cover_doc, int_tables_scan, plane_doc, trace_doc
 from strategies import audits, covers, traces
 
 from dpcolor import fileio
@@ -217,6 +217,70 @@ NON_INTEGER_N_PLANES = {
 def test_cover_from_text_rejects_malformed_covers(text, message):
     with pytest.raises(FileFormatError, match=message):
         cover_from_text(text)
+
+
+# JSON values a pair or a table may be instead of a list of integers; the
+# last two equal, and hash as, the pair [1, 2] that precedes them below
+PLANTED = [{}, "", "12", True, None, 1.5, [1], [1, 2, 3], [[1], [2]], [1.0, 2], [True, 2]]
+
+
+@st.composite
+def _matching_tables(draw):
+    """A JSON list of matchings over few colors, so that tables and pairs
+    repeat, with now and then a planted value as a pair or as a table, or
+    a pair with a float or bool equal to one of the colors."""
+    planted = st.sampled_from(PLANTED)
+    color = st.integers(1, 3)
+    pair = st.lists(color, min_size=2, max_size=2)
+    twin = st.one_of(color.map(float), st.just(True))
+    twins = st.one_of(st.tuples(twin, color), st.tuples(color, twin)).map(list)
+    pairs = st.integers(0, 9).flatmap(
+        lambda i: planted if i == 0 else twins if i == 1 else pair
+    )
+    table = st.lists(pairs, max_size=3)
+    tables = st.integers(0, 9).flatmap(lambda i: planted if i == 0 else table)
+    return json.loads(json.dumps(draw(st.lists(tables, max_size=8))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matching_tables())
+def test_int_tables_accepts_what_the_row_scan_accepts(tables):
+    # the tables are checked as distinct values, but must accept exactly
+    # the pair-by-pair scan, and otherwise name the first bad row as it does
+    try:
+        expected = int_tables_scan(tables, "matchings", 2)
+    except FileFormatError as exc:
+        with pytest.raises(FileFormatError) as raised:
+            fileio._int_tables(tables, "matchings", 2, {})
+        assert str(raised.value) == str(exc)
+    else:
+        interned = {}
+        out = fileio._int_tables(tables, "matchings", 2, interned)
+        assert out == expected
+        assert len(set(map(id, out))) == len(set(out)) == len(interned)
+
+
+@pytest.mark.parametrize("value", PLANTED, ids=repr)
+@pytest.mark.parametrize("as_table", [False, True], ids=["pair", "table"])
+def test_int_tables_names_a_planted_value_as_the_row_scan_does(value, as_table):
+    tables = [[[1, 2], [2, 1]], [[1, 2], [2, 1]], [[1, 2], value]]
+    if as_table:
+        tables[1] = value
+    with pytest.raises(FileFormatError) as expected:
+        int_tables_scan(tables, "matchings", 2)
+    with pytest.raises(FileFormatError) as raised:
+        fileio._int_tables(tables, "matchings", 2, {})
+    assert str(raised.value) == str(expected.value)
+
+
+def test_cover_file_holds_one_tuple_per_distinct_matching_and_list():
+    doc = {"format": "dpcolor-cover/1", "n": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]],
+           "lists": [[1, 2], [2, 1], [1, 2], [2, 1]],
+           "matchings": [[[1, 2], [2, 1]], [[1, 1]], [[1, 2], [2, 1]], [[1, 1]]]}
+    cover = cover_from_text(json.dumps(doc))
+    assert len({id(m) for m in cover.matchings}) == len(set(cover.matchings)) == 2
+    assert len({id(colors) for colors in cover.lists}) == len(set(cover.lists)) == 2
+    assert cover.matchings == (((1, 2), (2, 1)), ((1, 1),)) * 2
 
 
 @pytest.mark.parametrize("n, message", [
