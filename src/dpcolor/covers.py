@@ -21,9 +21,8 @@ vertex encodes it).
 
 ``random_cover`` draws each edge's shuffle straight from the bit stream:
 it makes exactly the ``getrandbits`` calls ``rng.shuffle`` makes, read
-from a table of draws per list length, and when every list is ascending
-each matching comes out sorted with no sort.  Equal draws between equal
-lists give one matching, built once, and the cover holds one tuple per
+from a table of draws per list length.  Equal draws between equal lists
+give one full matching, built once, and the cover holds one tuple per
 distinct matching; ``fileio.cover_from_text`` interns the matchings and
 lists of a cover file the same way.  ``validate_cover`` and
 ``Cover.partners`` still deduplicate by value, since covers that callers
@@ -38,7 +37,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations
-from operator import lt
 
 from .errors import UnequalListsError
 from .graphs import Graph
@@ -168,15 +166,6 @@ def _draws(length: int) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, (i + 1).bit_length(), i + 1) for i in range(length - 1, 0, -1))
 
 
-def _ascending(lists: Lists) -> bool:
-    """Whether every list is strictly ascending; ``False`` also when some
-    list holds colors that do not compare."""
-    try:
-        return all(all(map(lt, colors, colors[1:])) for colors in set(lists))
-    except TypeError:
-        return False
-
-
 def random_cover(
     graph: Graph, lists: Lists, seed: int, perfect: bool = False
 ) -> Cover:
@@ -187,10 +176,9 @@ def random_cover(
     with probability 1/2.  The shuffle reads the bit stream exactly as
     ``rng.shuffle`` does, from a table of draws per list length, so a seed
     gives the same cover as a ``shuffle`` call per edge.  Equal draws
-    between equal lists give one full matching, built and sorted once;
-    every matching is then interned by value, so that the cover holds one
-    tuple per distinct matching.  When every list is ascending, each
-    matching is already sorted.
+    between equal lists give one full matching, built once, and sorted
+    once when ``perfect``; every matching is then interned by value, so
+    that the cover holds one tuple per distinct matching.
     """
     sizes = list(map(len, lists))
     # a perfect matching needs equal list sizes at both ends
@@ -207,7 +195,6 @@ def random_cover(
     draws = [tables[size] for size in sizes]
     label: dict[tuple[int, ...], int] = {}  # equal lists share a label
     labels = [label.setdefault(colors, len(label)) for colors in lists]
-    ascending = _ascending(lists)
     full_by_draws: dict[tuple[int, int, int], Matching] = {}
     interned: dict[Matching, Matching] = {}
     matchings: list[Matching] = []
@@ -222,7 +209,7 @@ def random_cover(
         key = (labels[u], labels[v], code)
         full = full_by_draws.get(key)
         if full is None:
-            full = _full_matching(lists[u], lists[v], draws[v], code, perfect and not ascending)
+            full = _full_matching(lists[u], lists[v], draws[v], code, perfect)
             if perfect:
                 full = interned.setdefault(full, full)
             full_by_draws[key] = full
@@ -230,7 +217,7 @@ def random_cover(
             matchings.append(full)
         else:  # one coin per pair in zip order, so full is left unsorted
             pairs = [p for p in full if coin() < 0.5]
-            matching = tuple(pairs) if ascending else tuple(sorted(pairs))
+            matching = tuple(sorted(pairs))
             matchings.append(interned.setdefault(matching, matching))
     return Cover(graph=graph, lists=lists, matchings=tuple(matchings))
 

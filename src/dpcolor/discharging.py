@@ -145,7 +145,7 @@ def apply_rules(pg: PlaneGraph) -> ChargeLedger:
     face_deg = pg.face_degrees
     base = initial_charges(pg)
     sides = {"vertex": (deg, pg.corner_faces, "face", face_deg),
-             "face": (face_deg, pg.face_corners, "vertex", deg)}
+             "face": (face_deg, pg.faces, "vertex", deg)}
     pendant: list[tuple[int, ...]] = [()] * len(deg)
     for fi, (v, _) in pg.pendant_triangles.items():
         pendant[v] += (fi,)
@@ -243,17 +243,18 @@ def _face_entry(pg: PlaneGraph, fi: int) -> tuple[str, str, str]:
     5+-face the edge clause caps the degree-3 corners at half its degree.
     Other face degrees have no case: a 2-face needs degree-1 endpoints,
     absent 4-cycles a 4-face needs a degree-1 backtrack, and the one face
-    of the single-vertex graph has an empty walk.
+    of the single-vertex graph has no corner.
     """
     deg = pg.graph.degrees
-    degs = [deg[u] for u in pg.face_corners[fi]]
+    corners = pg.faces[fi]
+    degs = [deg[u] for u in corners]
     pattern = "(" + ",".join(map(str, degs)) + ")"
     if len(degs) != 3 and len(degs) < 5:
         return (f"{len(degs)}-face", pattern, "no case for this face degree")
     case = "3-face" if len(degs) == 3 else "5+-face"
     if min(degs) < 3:
         return (case, pattern, "corner of degree < 3")
-    for (a, b) in pg.faces[fi]:
+    for a, b in zip(corners, corners[1:] + corners[:1]):
         if deg[a] == 3 and deg[b] == 3:
             return (case, pattern, "two degree-3 corners are adjacent" if case == "3-face"
                     else f"boundary edge ({a},{b}) joins two degree-3 vertices")

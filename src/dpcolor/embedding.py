@@ -15,13 +15,14 @@ check the rings against the graph's rows all at once, from the sorted
 rings; a ring is looked at alone only to name a fault, with the error
 that building the graph from the rings' edge set raises.  The face walk
 follows a successor map per vertex.  A face is its index into
-``PlaneGraph.faces``, which holds the walks.  Facts
-shared by several consumers are derived once per graph and cached: the
-4-/6-cycle check and the degree list on ``Graph``; the face degrees, each
-face's corner tuple, the face index at each vertex's corners and the
-pendant 3-faces on ``PlaneGraph``.  ``PlaneGraph.pendant_triangles`` is
-the one place that finds a pendant 3-face's payer: the discharging rule
-R3 and the 3-face case of the audit read it from that map.
+``PlaneGraph.faces``, which holds each face's corner cycle: the tail of
+each dart along its walk, so the walk's darts are the pairs of
+consecutive corners.  Facts shared by several consumers are derived once
+per graph and cached: the 4-/6-cycle check and the degree list on
+``Graph``; the face degrees, the face index at each vertex's corners and
+the pendant 3-faces on ``PlaneGraph``.  ``PlaneGraph.pendant_triangles``
+is the one place that finds a pendant 3-face's payer: the discharging
+rule R3 and the 3-face case of the audit read it from that map.
 
 ``FaceRegistry`` is the mutable counterpart: a rotation system that is
 edited one edge at a time and keeps its faces in ``trace_faces`` order.
@@ -49,21 +50,22 @@ from .errors import (
 from .graphs import Graph, build_graph, is_connected
 
 Rotation = tuple[tuple[int, ...], ...]
-Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class PlaneGraph:
     """A graph together with a validated embedding and its traced faces.
 
-    ``faces[i]`` is the boundary walk of face ``i``: a cyclic sequence of
-    darts, so a face's degree counts traversals and a bridge counts twice.
-    The single-vertex graph has one face with an empty walk.
+    ``faces[i]`` is the corner cycle of face ``i``: the vertices along its
+    boundary walk, with multiplicity, so that its darts are the pairs of
+    consecutive corners, the last with the first.  A face's degree counts
+    traversals, so a bridge counts twice.  The single-vertex graph has one
+    face with no corner.
     """
 
     graph: Graph
     rotation: Rotation
-    faces: tuple[tuple[Dart, ...], ...]
+    faces: tuple[tuple[int, ...], ...]
 
     @cached_property
     def face_degrees(self) -> tuple[int, ...]:
@@ -71,18 +73,13 @@ class PlaneGraph:
         return tuple(map(len, self.faces))
 
     @cached_property
-    def face_corners(self) -> tuple[tuple[int, ...], ...]:
-        """Each face's vertices along its walk, with multiplicity."""
-        return tuple(tuple([u for u, _ in walk]) for walk in self.faces)
-
-    @cached_property
     def corner_faces(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, the face index at each corner in rotation order: the
         face of ``(v, w)`` for each ``w`` in ``rotation[v]``.  A face met at
         two corners (at a cut vertex) is listed twice."""
-        face_of: dict[Dart, int] = {}
-        for i, walk in enumerate(self.faces):
-            face_of.update(dict.fromkeys(walk, i))
+        face_of: dict[tuple[int, int], int] = {}
+        for i, corners in enumerate(self.faces):
+            face_of.update(dict.fromkeys(zip(corners, corners[1:] + corners[:1]), i))
         return tuple(
             tuple([face_of[v, w] for w in ring]) for v, ring in enumerate(self.rotation)
         )
@@ -97,7 +94,7 @@ class PlaneGraph:
         """
         deg = self.graph.degrees
         out: dict[int, tuple[int, int]] = {}
-        for i, corners in enumerate(self.face_corners):
+        for i, corners in enumerate(self.faces):
             if len(corners) != 3:
                 continue
             degs = [deg[u] for u in corners]
@@ -156,9 +153,10 @@ def plane_from_rotations(rotations: Sequence[Sequence[int]]) -> PlaneGraph:
     return trace_faces(graph_from_rotations(rotations), rotations)
 
 
-def _face_walks(rotation: Rotation, graph: Graph) -> tuple[tuple[Dart, ...], ...]:
-    """Every face walk of ``rotation``, in the order of its smallest dart,
-    where it starts; the graph's sorted rows list the darts in that order.
+def _face_walks(rotation: Rotation, graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """The corner cycle of every face walk of ``rotation``, in the order of
+    its smallest dart, whose tail it starts at; the graph's sorted rows list
+    the darts in that order.
 
     ``after[v][u]`` is the vertex that follows ``u`` in the ring at ``v``:
     after arriving at ``v`` along ``(u, v)`` the walk leaves along
@@ -171,10 +169,10 @@ def _face_walks(rotation: Rotation, graph: Graph) -> tuple[tuple[Dart, ...], ...
         for w in row:
             if v not in after[w]:
                 continue
-            walk = [(v, w)]
+            walk = [v]
             x, y = w, after[w].pop(v)
             while x != v or y != w:
-                walk.append((x, y))
+                walk.append(x)
                 x, y = y, after[y].pop(x)
             walks.append(tuple(walk))
     return tuple(walks)
@@ -188,9 +186,10 @@ class FaceRegistry:
     through ``insert_edge`` and ``remove_edge``.  A dart ``(u, v)`` is held
     as the integer ``u * n + v``, which orders as the pair does.  ``walks``
     maps the smallest dart of each face to the face's walk from that dart;
-    ``keys`` holds those darts sorted, so ``walks[keys[i]]`` is the walk of
-    ``trace_faces``'s face ``i``, darts encoded, and ``big_keys`` holds the
-    keys of the faces of degree >= 4; ``face_of`` maps each dart to its
+    ``keys`` holds those darts sorted, so the tails ``dart // n`` of
+    ``walks[keys[i]]`` are ``trace_faces``'s face ``i``.  Edits keep the
+    darts, not the corners, since they look darts up.  ``big_keys`` holds
+    the keys of the faces of degree >= 4; ``face_of`` maps each dart to its
     face's key.  The single vertex's face has no dart and is not held.
 
     An edit splices the walks of the faces it changes and writes

@@ -283,34 +283,30 @@ def _step_json(kind: ConfigKind, vertices, residual_sizes, colors) -> str:
     )
 
 
-# A one-vertex step, the most common kind, as one template per kind: the
-# bytes ``_step_json`` gives it.
-_ONE_VERTEX_JSON = {
-    kind: "{\n"
+# A low-vertex step, the most common step and the only kind with one
+# vertex, as a template: the bytes ``_step_json`` gives it.
+_LOW_VERTEX_JSON = (
+    "{\n"
     '      "colors": [\n        %s\n      ],\n'
-    f'      "kind": {kind_json},\n'
+    f'      "kind": {_KIND_JSON[ConfigKind.LOW_VERTEX]},\n'
     '      "residual_list_sizes": [\n        %s\n      ],\n'
     '      "vertices": [\n        %s\n      ]\n'
     "    }"
-    for kind, kind_json in _KIND_JSON.items()
-}
+)
 
 
 def trace_to_text(trace: tuple[TraceStep, ...]) -> str:
     """Trace document, steps in excision order.
 
     As in ``TraceStep``, ``residual_list_sizes`` follow ``vertices`` (center
-    first) while ``colors`` follow the sorted order of ``vertices``.
-    A low vertex's template is picked by identity: hashing a ``ConfigKind``
-    runs Python code, once per step.
+    first) while ``colors`` follow the sorted order of ``vertices``.  A
+    one-vertex low-vertex step fills ``_LOW_VERTEX_JSON``; every other step
+    goes through ``_step_json``, which gives the same bytes.
     """
-    one_vertex = _ONE_VERTEX_JSON
     low = ConfigKind.LOW_VERTEX
-    low_json = one_vertex[low]
     steps = [
-        (low_json if kind is low else one_vertex[kind])
-        % (colors[0], residual_sizes[0], vertices[0])
-        if len(vertices) == len(colors) == len(residual_sizes) == 1
+        _LOW_VERTEX_JSON % (colors[0], residual_sizes[0], vertices[0])
+        if kind is low and len(vertices) == len(colors) == len(residual_sizes) == 1
         else _step_json(kind, vertices, residual_sizes, colors)
         for kind, vertices, residual_sizes, colors in trace
     ]

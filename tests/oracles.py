@@ -328,12 +328,17 @@ def class_leaders_scan(k):
     return leaders
 
 
+def face_walks(pg):
+    """Each face's walk as its darts: the pairs of consecutive corners of
+    ``pg.faces``, the last corner paired with the first."""
+    return tuple(tuple(zip(corners, corners[1:] + corners[:1])) for corners in pg.faces)
+
+
 def pendant_3faces_scan(pg, v):
     """Indices of the (3,4+,4+)-faces not containing ``v`` whose degree-3
     corner is adjacent to ``v``."""
     out = []
-    for i, walk in enumerate(pg.faces):
-        corners = [u for u, _ in walk]
+    for i, corners in enumerate(pg.faces):
         if len(corners) != 3 or v in corners:
             continue
         degs = sorted(len(pg.graph.adjacency[u]) for u in corners)
@@ -345,7 +350,7 @@ def pendant_3faces_scan(pg, v):
 
 def face_of_dart_scan(pg):
     """The index of the face whose walk holds each dart."""
-    return {dart: i for i, walk in enumerate(pg.faces) for dart in walk}
+    return {dart: i for i, walk in enumerate(face_walks(pg)) for dart in walk}
 
 
 def faces_at_vertex_scan(pg, v):
@@ -364,11 +369,12 @@ def audit_case_scan(pg):
     adjacency = pg.graph.adjacency
     deg = [len(row) for row in adjacency]
     face_of = face_of_dart_scan(pg)
+    walks = face_walks(pg)
     out = {}
     for v, row in enumerate(adjacency):
         d = deg[v]
         case = f"{d}-vertex" if d < 3 else {3: "3-vertex", 4: "4-vertex"}.get(d, "5+-vertex")
-        faces = [len(pg.faces[face_of[v, w]]) for w in pg.rotation[v]]
+        faces = [len(walks[face_of[v, w]]) for w in pg.rotation[v]]
         threes = sum(deg[u] == 3 for u in row)
         inside = (
             d >= 3 and min(deg[u] for u in row) >= 3
@@ -376,7 +382,7 @@ def audit_case_scan(pg):
         )
         out["vertex", v] = (case, "(" + ",".join(map(str, faces)) + ")", inside)
     paid = {i for v in range(pg.graph.n) if deg[v] >= 4 for i in pendant_3faces_scan(pg, v)}
-    for i, walk in enumerate(pg.faces):
+    for i, walk in enumerate(walks):
         degs = [deg[u] for u, _ in walk]
         pattern = "(" + ",".join(map(str, degs)) + ")"
         if len(walk) == 3:
@@ -416,11 +422,12 @@ def edge_sharing_scan(pg):
     def edges(walk):
         return Counter(frozenset(arc) for arc in walk)
 
+    walks = face_walks(pg)
     return [
         (i, j)
-        for i, f in enumerate(pg.faces)
+        for i, f in enumerate(walks)
         if len(f) == 3
-        for j, g in enumerate(pg.faces)
+        for j, g in enumerate(walks)
         if j != i and sum((edges(f) & edges(g)).values()) == 1
     ]
 
@@ -576,7 +583,7 @@ def registry_vs_trace(reg):
     def pair(dart):
         return divmod(dart, reg.n)
 
-    walks = trace_faces(graph_from_rotations(reg.rotations), reg.rotations).faces
+    walks = face_walks(trace_faces(graph_from_rotations(reg.rotations), reg.rotations))
     faces = [(i, walk) for i, walk in enumerate(walks) if walk]
     held = (
         [(i, tuple(map(pair, reg.walks[key])), len(reg.walks[key]))
@@ -698,9 +705,10 @@ def check_propositions(pg):
     require_no_forbidden_cycles(pg.graph)
     entries: list[PropositionCheck] = []
     face_of = face_of_dart_scan(pg)
-    face_deg = [len(walk) for walk in pg.faces]
+    walks = face_walks(pg)
+    face_deg = [len(walk) for walk in walks]
     deg = [len(ring) for ring in pg.graph.adjacency]
-    for f, walk in enumerate(pg.faces):
+    for f, walk in enumerate(walks):
         if len(walk) != 3:
             continue
         across = Counter(face_of[v, u] for u, v in walk)
@@ -715,7 +723,7 @@ def check_propositions(pg):
             )
     for v in range(pg.graph.n):
         for f in pendant_3faces_scan(pg, v):
-            low = next(u for u, _ in pg.faces[f] if deg[u] == 3)
+            low = next(u for u, _ in walks[f] if deg[u] == 3)
             d1, d2 = face_deg[face_of[low, v]], face_deg[face_of[v, low]]
             entries.append(
                 PropositionCheck(

@@ -21,7 +21,7 @@ from dpcolor.generate import generate_plane_no46
 from dpcolor.graphs import has_forbidden_cycles
 from dpcolor.reduction import ConfigKind, TraceStep
 
-from oracles import audit_case_scan, final_charges_scan, transfers_scan
+from oracles import audit_case_scan, face_walks, final_charges_scan, transfers_scan
 from test_plane_golden import fan, triangle_chain
 
 
@@ -224,7 +224,7 @@ def _dodecahedron_with_a_leaf_at_every_vertex():
     """Each vertex gets a pendant leaf, inserted before the first neighbor
     ``w`` whose dart ``(v, w)`` is not on face 0; the leaves add no cycle."""
     pg = load_catalog("dodecahedron")
-    on_face_0 = set(pg.faces[0])
+    on_face_0 = set(face_walks(pg)[0])
     n = pg.graph.n
     rot = []
     for v, ring in enumerate(pg.rotation):
@@ -314,17 +314,17 @@ def _named_configuration(pg, element, reason):
         if adjacent:
             return ConfigKind.ADJACENT_THREES, adjacent[0]
         return ConfigKind.FOUR_THREE_THREES, (i, *threes[:3])
-    corners = pg.face_corners[i] if kind == "face" else ()
+    corners = pg.faces[i] if kind == "face" else ()
     if reason == "corner of degree < 3" or (reason == "no case for this face degree" and corners):
         return ConfigKind.LOW_VERTEX, (next(u for u in corners if deg[u] < 3),)
     if reason == "no case for this face degree":  # the single vertex's empty face
         return ConfigKind.LOW_VERTEX, tuple(range(pg.graph.n))
     if reason == "two degree-3 corners are adjacent":
-        return ConfigKind.ADJACENT_THREES, next((a, b) for a, b in pg.faces[i]
+        return ConfigKind.ADJACENT_THREES, next((a, b) for a, b in face_walks(pg)[i]
                                                 if deg[a] == deg[b] == 3)
     if m := re.fullmatch(r"boundary edge \((\d+),(\d+)\) joins two degree-3 vertices", reason):
         edge = (int(m[1]), int(m[2]))
-        assert edge in pg.faces[i]
+        assert edge in face_walks(pg)[i]
         return ConfigKind.ADJACENT_THREES, edge
     if m := re.fullmatch(r"off-face neighbor of (\d+) is not a 4\+-vertex", reason):
         u = int(m[1])
@@ -355,7 +355,7 @@ def _vicinity(pg, element):
     or a face's corners and their neighbors (every vertex for the single
     vertex's empty face)."""
     kind, i = element
-    at = {i} if kind == "vertex" else set(pg.face_corners[i]) or set(range(pg.graph.n))
+    at = {i} if kind == "vertex" else set(pg.faces[i]) or set(range(pg.graph.n))
     return at.union(*(pg.graph.adjacency[u] for u in at))
 
 

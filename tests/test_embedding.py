@@ -19,6 +19,7 @@ from dpcolor.graphs import build_graph
 from oracles import (
     check_propositions,
     edge_sharing_scan,
+    face_walks,
     faces_at_vertex_scan,
     pendant_3faces_scan,
     rotation_graph_scan,
@@ -115,7 +116,7 @@ def test_star_aug_triangle_pendant_face():
     pg = load_catalog("star_aug_triangle")
     found = payer_pendants(pg, 3)
     assert len(found) == 1 and pg.face_degrees[found[0]] == 3
-    assert sorted(pg.face_corners[found[0]]) == [0, 1, 2]
+    assert sorted(pg.faces[found[0]]) == [0, 1, 2]
     # the other leaves are adjacent only to 4+-vertices
     for leaf in (4, 5, 6, 7):
         assert payer_pendants(pg, leaf) == ()
@@ -168,10 +169,28 @@ def test_face_degree_sum_is_twice_edges():
         assert sum(map(len, pg.faces)) == 2 * pg.graph.m
 
 
+def _check_faces_partition_the_darts(pg):
+    # a face holds its corners; its darts, read off consecutive corners,
+    # cover each dart once and each turns at its head as the rotation says
+    assert {int}.issuperset(type(u) for corners in pg.faces for u in corners)
+    walks = face_walks(pg)
+    arcs = [arc for walk in walks for arc in walk]
+    assert len(arcs) == len(set(arcs)) == 2 * pg.graph.m
+    for walk in walks:
+        for (x, y), (y2, z) in zip(walk, walk[1:] + walk[:1]):
+            ring = pg.rotation[y]
+            assert y2 == y and z == ring[(ring.index(x) + 1) % len(ring)]
+
+
 def test_directed_edges_partition_into_faces():
     for pg in _catalog_no46_plane_graphs():
-        arcs = [arc for walk in pg.faces for arc in walk]
-        assert len(arcs) == len(set(arcs)) == 2 * pg.graph.m
+        _check_faces_partition_the_darts(pg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=10**6))
+def test_directed_edges_partition_into_faces_on_generated_planes(n, seed):
+    _check_faces_partition_the_darts(generate_plane_no46(n, seed))
 
 
 @settings(max_examples=40, deadline=None)
