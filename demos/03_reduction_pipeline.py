@@ -9,8 +9,8 @@ chosen on the way back.
 
 from dpcolor import (
     ConfigKind,
-    brute_force_rep_set,
     color_planar_no46,
+    find_rep_set,
     generate_plane_no46,
     impropriety,
     load_catalog,
@@ -40,9 +40,9 @@ for step in result.trace:
         f"  residual sizes {step.residual_sizes}  colors {step.colors}"
     )
 
-# an independent exhaustive check agrees the cover is colorable
+# the exact search, independent of the pipeline, agrees the cover is colorable
 bowtie = load_catalog("bowtie")
 cover = random_cover(bowtie.graph, uniform_assignment(5, 3), seed=3, perfect=True)
 result = color_planar_no46(bowtie, cover)
 print("\nbowtie pipeline impropriety:", max(impropriety(cover, result.rep_set)))
-print("brute force agrees it is colorable:", brute_force_rep_set(cover, 1) is not None)
+print("exact search agrees it is colorable:", find_rep_set(cover, 1) is not None)

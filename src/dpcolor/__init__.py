@@ -47,7 +47,6 @@ from .reduction import (
 )
 from .solver import (
     Colorability,
-    brute_force_rep_set,
     dp_chromatic,
     find_rep_set,
     impropriety,
@@ -68,7 +67,6 @@ __all__ = [
     "PlaneGraph",
     "apply_rules",
     "audit_cases",
-    "brute_force_rep_set",
     "build_graph",
     "charge_str",
     "color_planar_no46",

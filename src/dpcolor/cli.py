@@ -47,7 +47,7 @@ from .fileio import (
 )
 from .generate import generate_plane_no46
 from .reduction import ConfigKind, color_planar_no46, verify_config_reducible
-from .solver import brute_force_rep_set, find_rep_set, impropriety, is_dp_colorable
+from .solver import find_rep_set, impropriety, is_dp_colorable
 
 
 def _read_input(path: str) -> str:
@@ -93,8 +93,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_solve(args) -> int:
     cover = cover_from_text(_read_input(args.cover))
-    solver = brute_force_rep_set if args.brute else find_rep_set
-    rep = solver(cover, args.impropriety, budget=args.budget)
+    rep = find_rep_set(cover, args.impropriety, budget=args.budget)
     if rep is None:
         print("UNSAT")
         return 1
@@ -198,9 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find a bounded-impropriety coloring of a cover")
     p.add_argument("cover", help="cover file")
-    p.add_argument("-d", "--impropriety", type=int, default=1)
-    p.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("-d", "--impropriety", type=int, default=1, help="most conflicts per vertex")
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="most search-tree nodes; a search that needs more exits 2",
+    )
     p.add_argument("-o", "--out", default=None, help="coloring file, written if one exists")
     p.set_defaults(func=cmd_solve)
 
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("graph", help="edge-list or plane-graph file")
     p.add_argument("-k", type=int, required=True, help="list size")
-    p.add_argument("-d", "--impropriety", type=int, required=True)
+    p.add_argument("-d", "--impropriety", type=int, required=True, help="most conflicts per vertex")
     p.add_argument(
         "--witness-out", default=None,
         help="file for a cover with no coloring, written when there is one",

@@ -11,8 +11,8 @@ colors' candidates come from one tuple per list and mask, in ascending
 color order, so only a struck color is walked for its verdict and blame;
 the hit lists each color of each vertex joins are looked up at most once
 per call; it finds the set that chronological backtracking in the same
-order finds first, from no more nodes.  ``brute_force_rep_set``
-enumerates all total assignments as an independent oracle.  All-cover
+order finds first, from no more nodes; the tests check it against an
+exhaustive scan of every assignment (``tests/oracles.py``).  All-cover
 questions (``is_dp_colorable``, ``dp_chromatic``) quantify over
 perfect-matching covers of the canonical 1..k lists.  Only the covers
 whose spanning-forest matchings are pinned to the identity need
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from operator import contains
 from typing import Iterator
 
@@ -62,34 +62,20 @@ def _check_total(cover: Cover, rep: RepSet) -> None:
                 raise NotInListError(f"color {c} not in list of vertex {v}")
 
 
-def _conflict_counts(cover: Cover, rep: RepSet) -> list[int]:
-    """Per-vertex conflict counts of an assignment known to be total."""
+def impropriety(cover: Cover, rep: RepSet) -> tuple[int, ...]:
+    """Per-vertex conflict counts of a total assignment."""
+    _check_total(cover, rep)
     counts = [0] * cover.graph.n
     partners = cover.partners
     for u, v in cover.graph.edges:
         if partners[u][v].get(rep[u]) == rep[v]:
             counts[u] += 1
             counts[v] += 1
-    return counts
-
-
-def impropriety(cover: Cover, rep: RepSet) -> tuple[int, ...]:
-    """Per-vertex conflict counts of a total assignment."""
-    _check_total(cover, rep)
-    return tuple(_conflict_counts(cover, rep))
+    return tuple(counts)
 
 
 def max_impropriety(cover: Cover, rep: RepSet) -> int:
     return max(impropriety(cover, rep), default=0)
-
-
-def _check_search(cover: Cover, d: int) -> None:
-    """The preconditions both solvers share: ``d >= 0`` and no empty list."""
-    if d < 0:
-        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
-    for v, colors in enumerate(cover.lists):
-        if not colors:
-            raise EmptyListError(f"vertex {v} has an empty list")
 
 
 def find_rep_set(
@@ -129,9 +115,13 @@ def find_rep_set(
     as the graph.  ``budget`` caps search-tree nodes, counted as they are
     created, and raises rather than hang; it can only trip later than under
     chronological backtracking.  Raises ``NegativeImproprietyError`` for
-    ``d < 0``.
+    ``d < 0``, and ``EmptyListError`` for an empty list.
     """
-    _check_search(cover, d)
+    if d < 0:
+        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
+    for v, colors in enumerate(cover.lists):
+        if not colors:
+            raise EmptyListError(f"vertex {v} has an empty list")
     g = cover.graph
     if g.n == 0:
         return ()
@@ -305,24 +295,6 @@ def find_rep_set(
             if pos + 1 == g.n:
                 return tuple(chosen)
             descend = True
-
-
-def brute_force_rep_set(
-    cover: Cover, d: int, budget: int = DEFAULT_BUDGET
-) -> RepSet | None:
-    """Exhaustive oracle with the same answer semantics as ``find_rep_set``."""
-    _check_search(cover, d)
-    g = cover.graph
-    if g.n == 0:
-        return ()
-    total = math.prod(len(colors) for colors in cover.lists)
-    if total > budget:
-        raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
-    # every assignment of the product is total and in its lists: no check
-    for rep in product(*cover.lists):
-        if max(_conflict_counts(cover, rep)) <= d:
-            return rep
-    return None
 
 
 @dataclass(frozen=True)

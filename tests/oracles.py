@@ -17,8 +17,9 @@ system by its edge set through ``build_graph``, every JSON document
 as the dict tree that ``json.dumps`` writes,
 a remainder of the excision order as an induced subgraph renumbered
 from 0, a reducible configuration by rescanning the whole graph in
-priority order, a representative set by chronological backtracking,
-an all-covers question over every perfect cover with no matching
+priority order, a representative set by chronological backtracking
+or by scanning every assignment with conflicts read from the matched
+pairs, an all-covers question over every perfect cover with no matching
 pinned or over every cover with a spanning forest's matchings pinned,
 one chronological search per cover, the classes of covers under
 renaming every fiber alike by applying every renaming to every cover,
@@ -176,19 +177,43 @@ def dp_colorable_scan(graph, k, d):
     checked = 0
     for cover in enumerate_perfect_covers(graph, lists):
         checked += 1
-        hits = [set(matching) for matching in cover.matchings]
-
-        def fits(rep):
-            counts = Counter()
-            for (u, v), matched in zip(graph.edges, hits):
-                if (rep[u], rep[v]) in matched:
-                    counts[u] += 1
-                    counts[v] += 1
-            return max(counts.values(), default=0) <= d
-
-        if not any(fits(rep) for rep in product(*lists)):
+        if not any(
+            max(conflict_counts_scan(cover, rep), default=0) <= d for rep in product(*lists)
+        ):
             return False, checked
     return True, checked
+
+
+def conflict_counts_scan(cover, rep):
+    """Per-vertex conflict counts of the total assignment ``rep``: an edge
+    is a conflict at both ends when its matching holds their pair."""
+    counts = [0] * cover.graph.n
+    for (u, v), matching in zip(cover.graph.edges, cover.matchings):
+        if (rep[u], rep[v]) in matching:
+            counts[u] += 1
+            counts[v] += 1
+    return counts
+
+
+def brute_force_rep_set(cover, d, budget=DEFAULT_BUDGET):
+    """``find_rep_set``'s question by exhaustion: the first assignment, in
+    product order of the lists, with impropriety at most ``d``, or ``None``.
+    The same errors for ``d < 0`` and an empty list; ``budget`` caps the
+    assignments, checked up front."""
+    if d < 0:
+        raise NegativeImproprietyError(f"impropriety bound {d} is negative")
+    for v, colors in enumerate(cover.lists):
+        if not colors:
+            raise EmptyListError(f"vertex {v} has an empty list")
+    if cover.graph.n == 0:
+        return ()
+    total = math.prod(len(colors) for colors in cover.lists)
+    if total > budget:
+        raise BudgetExceededError(f"{total} assignments exceed budget {budget}")
+    for rep in product(*cover.lists):
+        if max(conflict_counts_scan(cover, rep)) <= d:
+            return rep
+    return None
 
 
 def chronological_rep_set(cover, d, budget=DEFAULT_BUDGET):

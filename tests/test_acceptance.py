@@ -18,14 +18,14 @@ from dpcolor.reduction import (
     color_planar_no46,
     verify_config_reducible,
 )
-from dpcolor.solver import (
-    brute_force_rep_set,
-    dp_chromatic,
-    find_rep_set,
-    max_impropriety,
-)
+from dpcolor.solver import dp_chromatic, find_rep_set, max_impropriety
 
-from oracles import diagonal_cover, enumerate_perfect_covers, relaxed_list_colorable
+from oracles import (
+    brute_force_rep_set,
+    diagonal_cover,
+    enumerate_perfect_covers,
+    relaxed_list_colorable,
+)
 from test_reduction import excises_every_vertex
 
 

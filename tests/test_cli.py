@@ -76,7 +76,15 @@ def test_solve_unsat_twisted_c4(tmp_path, capsys):
     path = _twisted_c4_file(tmp_path)
     assert main(["solve", path, "-d", "0"]) == 1
     assert "UNSAT" in capsys.readouterr().out
-    assert main(["solve", path, "-d", "0", "--brute"]) == 1
+
+
+def test_solve_has_no_brute_option(tmp_path, capsys):
+    # one search decides solve; argparse refuses the removed switch
+    path = _twisted_c4_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "-d", "0", "--brute"])
+    assert exc.value.code == 2
+    assert "--brute" in capsys.readouterr().err
 
 
 def test_solve_unsat_writes_no_coloring_file(tmp_path, capsys):
@@ -228,11 +236,10 @@ def test_solve_reports_degenerate_covers(tmp_path, capsys):
     assert "empty list" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("brute", [[], ["--brute"]], ids=["search", "brute"])
-def test_solve_rejects_negative_impropriety_with_one_line(tmp_path, capsys, brute):
+def test_solve_rejects_negative_impropriety_with_one_line(tmp_path, capsys):
     cover = diagonal_cover(build_graph(1, []), ((1,),))
     path = write(tmp_path, "one.json", cover_to_text(cover))
-    assert main(["solve", path, "-d", "-1", *brute]) == 2
+    assert main(["solve", path, "-d", "-1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 

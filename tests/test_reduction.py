@@ -34,9 +34,10 @@ from dpcolor.reduction import (
     reduce_and_color,
     verify_config_reducible,
 )
-from dpcolor.solver import brute_force_rep_set, impropriety, max_impropriety
+from dpcolor.solver import impropriety, max_impropriety
 
 from oracles import (
+    brute_force_rep_set,
     diagonal_cover,
     extension_colors,
     induced_subgraph,

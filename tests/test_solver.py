@@ -27,7 +27,6 @@ from dpcolor.solver import (
     _class_leaders,
     _free_edges,
     _pinned_cover,
-    brute_force_rep_set,
     dp_chromatic,
     find_rep_set,
     impropriety,
@@ -36,6 +35,7 @@ from dpcolor.solver import (
 )
 
 from oracles import (
+    brute_force_rep_set,
     chronological_rep_set,
     diagonal_cover,
     dp_colorable_scan,

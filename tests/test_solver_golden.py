@@ -2,14 +2,12 @@
 
 ``data/solver_golden.json`` holds, per case, a sha256:
 
-* ``solve:<graph>:<cover>:<seed>:d<d>:<solver>``: exit code, stdout and
+* ``solve:<graph>:<cover>:<seed>:d<d>:search``: exit code, stdout and
   stderr of ``dpcolor solve`` on seeded ``random_cover``s of every catalog
   graph (perfect 2-lists, perfect 3-lists and thinned 3-lists), with
-  ``-d 0`` and ``-d 1``, by the search and by ``--brute`` (the brute
-  runs get a budget of 20,000 assignments, so larger graphs pin the
-  budget error);
-* ``solve:random-<i>:...``: the same, search only, on seeded dense
-  random graphs where the search backtracks deeply;
+  ``-d 0`` and ``-d 1``;
+* ``solve:random-<i>:...``: the same on seeded dense random graphs where
+  the search backtracks deeply;
 * ``lemma:all``: the same for ``dpcolor lemma all``;
 * ``reducible:<kind>:<sizes>``: the report of ``verify_config_reducible``
   above the floor sizes;
@@ -20,12 +18,17 @@
 
 Regenerate with ``PYTHONPATH=src python tests/test_solver_golden.py``;
 only do so for an intended change of output.
+
+The same catalog covers, wherever the product of their list sizes is at
+most ``BRUTE_BUDGET``, are also decided by ``oracles.brute_force_rep_set``,
+and the search and ``dpcolor solve`` must agree with it.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -34,17 +37,17 @@ from dpcolor.catalog import entry_names, load as load_catalog
 from dpcolor.cli import main
 from dpcolor.covers import random_cover, uniform_assignment
 from dpcolor.errors import DpColorError
-from dpcolor.fileio import cover_to_text
+from dpcolor.fileio import coloring_from_text, cover_to_text
 from dpcolor.graphs import build_graph
 from dpcolor.reduction import ConfigKind, verify_config_reducible
-from dpcolor.solver import dp_chromatic
+from dpcolor.solver import dp_chromatic, find_rep_set, max_impropriety
 
-from oracles import enumerate_perfect_covers
+from oracles import brute_force_rep_set, enumerate_perfect_covers
 
 GOLDEN = Path(__file__).parent / "data" / "solver_golden.json"
 GOLDEN_FORMAT = "dpcolor-solver-golden/1"
 
-BRUTE_BUDGET = "20000"
+BRUTE_BUDGET = 20_000
 CHROMATIC_GRAPHS = ("k1", "k2", "k3", "k4", "c4", "c5", "path4", "star5", "bowtie")
 K3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
 C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -118,10 +121,6 @@ def golden_texts():
                         f"solve:{name}:{cover_id}:d{d}:search",
                         run_cli(["solve", str(path), "-d", d]),
                     )
-                    yield (
-                        f"solve:{name}:{cover_id}:d{d}:brute",
-                        run_cli(["solve", str(path), "-d", d, "--brute", "--budget", BRUTE_BUDGET]),
-                    )
         for i in range(12):
             path = Path(tmp) / f"random-{i}.json"
             graph = random_graph(i)
@@ -156,6 +155,35 @@ def test_solvers_and_enumerators_reproduce_golden_hashes():
     assert sorted(got) == sorted(expected["cases"])
     differing = [case for case in got if got[case] != expected["cases"][case]]
     assert not differing, f"{len(differing)} cases differ, first {differing[:5]}"
+
+
+def test_search_and_solve_agree_with_the_exhaustive_scan(tmp_path):
+    # the catalog covers small enough to scan: per d, the search, the exit
+    # code of dpcolor solve and the coloring it writes against the oracle
+    path, out = tmp_path / "cover.json", tmp_path / "coloring.json"
+    cases = unsat = 0
+    for name in entry_names():
+        for cover_id, cover in solve_covers(load_catalog(name).graph):
+            if math.prod(map(len, cover.lists)) > BRUTE_BUDGET:
+                continue
+            path.write_text(cover_to_text(cover))
+            for d in (0, 1):
+                case = (name, cover_id, d)
+                expected = brute_force_rep_set(cover, d, BRUTE_BUDGET) is not None
+                found = find_rep_set(cover, d)
+                assert (found is not None) == expected, case
+                out.unlink(missing_ok=True)
+                code = main(["solve", str(path), "-d", str(d), "-o", str(out)])
+                assert code == (0 if expected else 1), case
+                if expected:
+                    assert max_impropriety(cover, found) <= d, case
+                    colors, _ = coloring_from_text(out.read_text())
+                    assert max_impropriety(cover, colors) <= d, case
+                else:
+                    assert not out.exists(), case
+                cases += 1
+                unsat += not expected
+    assert 0 < unsat < cases
 
 
 def write_golden() -> None:

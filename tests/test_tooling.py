@@ -3,6 +3,7 @@ and that every demo runs."""
 
 import argparse
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -493,6 +494,20 @@ def test_readme_command_line_block_lists_exactly_the_subcommands():
     subparsers = next(action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert documented == set(subparsers.choices)
+
+
+def test_every_subcommand_option_is_read_by_its_handler():
+    # an option its cmd_* never reads is a knob that changes nothing
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, parser in subparsers.choices.items():
+        handler = parser.get_default("func")
+        source = inspect.getsource(handler)
+        unread += [f"{command} {action.dest}" for action in parser._actions
+                   if action.dest not in ("help", "command", "func")
+                   and f"args.{action.dest}" not in source]
+    assert unread == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
